@@ -9,7 +9,7 @@ configurations:
 * ``background`` / ``background-4`` — worker threads (2 and 4 job
   slots) with RocksDB-style backpressure: full memtables seal into the
   immutable queue and writers are admitted, slowed (debt-proportional
-  modeled ``delayed_write_ns`` charge), or stopped (a real bounded
+  modeled delay charge of up to 1 ms), or stopped (a real bounded
   block) depending on maintenance debt.  Flushes overlap compactions
   and compactions split into key-range subcompactions, so the overlap
   counters (``jobs_overlapped``, ``max_jobs_in_flight``,

@@ -29,7 +29,7 @@ from repro.core.hashing import (
     splitmix64,
     splitmix64_array,
 )
-from repro.errors import FilterBuildError, SerializationError
+from repro.errors import FilterBuildError, FilterQueryError, SerializationError
 
 _SEED1 = 0x9AE16A3B2F90404F
 _SEED2 = 0xC3A5C85C97CB3127
@@ -40,8 +40,17 @@ _H2_STAGE = splitmix64(_SEED2 ^ 0x2545F4914F6CDD1D)
 
 _LN2 = math.log(2.0)
 
+#: Largest probe group the per-item loop answers faster than the NumPy
+#: kernel.  Measured on the ledger's point-zipf filters (22 bits/key): the
+#: vector kernel costs a flat ~45 us for 1..64 items, the scalar probe
+#: ~4.6 us per item, so they cross at about 9.  LSM point reads sit on both
+#: sides: a ``get`` is a group of one and a 32-key ``multi_get`` over ~28
+#: SSTs makes groups of ~3 keys, bulk ``multi_get`` groups hold hundreds.
+SCALAR_PROBE_MAX = 8
+
 __all__ = [
     "BloomFilter",
+    "SCALAR_PROBE_MAX",
     "base_hash_arrays",
     "optimal_num_hashes",
     "bits_for_fpr",
@@ -56,7 +65,8 @@ def base_hash_arrays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     same two seeded splitmix64 stages, so these hashes are *filter
     independent*: a batch engine probing many filters (one per LSM run) can
     evaluate them once per distinct prefix and reuse them against every
-    filter via :meth:`BloomFilter.survivors_hashed`.
+    filter via :meth:`BloomFilter.survivors_hashed`.  This is the only
+    place array base hashes are computed (insert and probe both call it).
     """
     values = np.asarray(values, dtype=np.uint64)
     return (
@@ -219,9 +229,14 @@ class BloomFilter:
             )
         return mix_salt(h1, self._salt), mix_salt(h2, self._salt)
 
-    def _hash_arrays(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h1 = splitmix64_array(values ^ np.uint64(_H1_STAGE))
-        h2 = splitmix64_array(values ^ np.uint64(_H2_STAGE))
+    def _salted_arrays(
+        self, h1: np.ndarray, h2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Re-key :func:`base_hash_arrays` output with this filter's salt.
+
+        The only place array hashes meet the salt (the scalar twin is
+        :meth:`_base_hashes`), so insert and probe cannot drift apart.
+        """
         return mix_salt_array(h1, self._salt), mix_salt_array(h2, self._salt)
 
     # ------------------------------------------------------------------
@@ -246,7 +261,7 @@ class BloomFilter:
         self._num_items += len(values)
         if self.is_always_positive or len(values) == 0:
             return
-        h1, h2 = self._hash_arrays(values)
+        h1, h2 = self._salted_arrays(*base_hash_arrays(values))
         indexes = bloom_indexes_array(h1, h2, self._num_hashes, self.num_bits)
         self._bits.set_many(indexes.ravel())
 
@@ -263,52 +278,50 @@ class BloomFilter:
     def __contains__(self, item) -> bool:
         return self.may_contain(item)
 
-    def may_contain_many_ints(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized membership probe for a ``uint64`` array of items."""
-        values = np.asarray(values, dtype=np.uint64)
-        if self.is_always_positive:
-            return np.ones(len(values), dtype=bool)
-        if len(values) == 0:
-            return np.zeros(0, dtype=bool)
-        h1, h2 = self._hash_arrays(values)
-        indexes = bloom_indexes_array(h1, h2, self._num_hashes, self.num_bits)
-        hits = self._bits.test_many(indexes.ravel()).reshape(indexes.shape)
-        return hits.all(axis=1)
+    def contains_batch(self, items, item_bits: int = 64) -> np.ndarray:
+        """One verdict per integer item — the single batched probe entry.
 
-    def contains_batch(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized membership probe with duplicate values hashed once.
+        Agrees with :meth:`may_contain` element-wise.  Every item must lie
+        in ``[0, 2^item_bits)``; the check runs once, here, before any
+        probe, and raises :class:`~repro.errors.FilterQueryError`.
 
-        The batched point-lookup primitive: the distinct values are
-        double-hashed in bulk, every probe position across all ``k`` hash
-        rounds is materialized at once, and the bit array answers them in a
-        single gather; verdicts then scatter back through the inverse map,
-        so repeated values cost one hash/probe set instead of one each.
-        Agrees with :meth:`may_contain` element-wise.
+        Which kernel answers is decided by the input alone: groups of at
+        most :data:`SCALAR_PROBE_MAX` items (and items too wide for
+        ``uint64``) take the per-item loop, larger groups the vector
+        kernel (:meth:`survivors_hashed`).
         """
-        values = np.asarray(values, dtype=np.uint64)
-        if self.is_always_positive or len(values) == 0:
-            return self.may_contain_many_ints(values)
-        unique, inverse = np.unique(values, return_inverse=True)
-        return self.may_contain_many_ints(unique)[inverse]
-
-    def survivor_indexes(self, values: np.ndarray) -> np.ndarray:
-        """Indexes of the values that may be present (vectorized fast path).
-
-        Equivalent to ``np.nonzero(self.may_contain_many_ints(values))[0]``
-        but cheaper on mostly-negative batches: the candidate set is narrowed
-        after every hash round, so later hash rounds only touch survivors of
-        the earlier ones (most items die on the first bit test at typical
-        fill ratios).
-        """
-        h1, h2 = base_hash_arrays(np.asarray(values, dtype=np.uint64))
-        return self.survivors_hashed(h1, h2)
+        count = len(items)
+        if count <= SCALAR_PROBE_MAX or item_bits > 64:
+            limit = 1 << item_bits
+            for item in items:
+                if not 0 <= item < limit:
+                    raise FilterQueryError(
+                        f"item {item} outside [0, 2^{item_bits})"
+                    )
+            return np.fromiter(
+                map(self.may_contain, items), dtype=bool, count=count
+            )
+        try:
+            values = np.asarray(items, dtype=np.uint64)
+            in_domain = item_bits == 64 or not int(values.max()) >> item_bits
+        except OverflowError:  # a negative item, or one past 2^64
+            in_domain = False
+        if not in_domain:
+            raise FilterQueryError(f"items must lie in [0, 2^{item_bits})")
+        verdicts = np.zeros(count, dtype=bool)
+        verdicts[self.survivors_hashed(*base_hash_arrays(values))] = True
+        return verdicts
 
     def survivors_hashed(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """Survivor indexes for items given by precomputed base hashes.
+        """Indexes of the items that may be present — the vector kernel.
 
         ``h1``/``h2`` are the :func:`base_hash_arrays` outputs; the probe
         recurrence matches :func:`~repro.core.hashing.double_hash_indexes`
         bit for bit, so verdicts agree with :meth:`may_contain` exactly.
+        The candidate set is narrowed after every hash round, so later
+        rounds only touch survivors of the earlier ones (most absent items
+        die on the first bit test at typical fill ratios).
+
         The base hashes stay filter independent even under salting: the
         salt is mixed in here, per filter, so a batch engine can still
         hash every candidate once and reuse it against differently-salted
@@ -319,9 +332,7 @@ class BloomFilter:
             return np.arange(count, dtype=np.int64)
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-        if self._salt:
-            h1 = mix_salt_array(h1, self._salt)
-            h2 = mix_salt_array(h2, self._salt)
+        h1, h2 = self._salted_arrays(h1, h2)
         alive = np.arange(count, dtype=np.int64)
         pos = h1.astype(np.uint64, copy=True)
         step = h2 | np.uint64(1)

@@ -336,33 +336,24 @@ class Rosetta:
         return leaf.may_contain(key)
 
     def may_contain_batch(self, keys) -> np.ndarray:
-        """Vectorized point lookups: one boolean per key.
+        """Point lookups for a group of keys: one boolean per key.
 
-        Equivalent to mapping :meth:`may_contain`, but the leaf level
-        answers the whole batch through one
-        :meth:`~repro.core.bloom.BloomFilter.may_contain_many_ints` gather
-        (requires ``key_bits <= 64``).  Duplicate keys are hashed and
-        probed once; ``bloom_probes`` charges the distinct probes actually
-        issued, mirroring the range paths' dedup accounting.
+        Equal to mapping :meth:`may_contain` — verdicts, ``point_queries``
+        and ``bloom_probes`` charges (one per key, duplicates included) —
+        for every group size and key width.  The leaf level's
+        :meth:`~repro.core.bloom.BloomFilter.contains_batch` validates the
+        keys once and picks the scalar or vector kernel from the group
+        size; out-of-domain keys raise :class:`FilterQueryError` there.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if self._key_bits > 64:
-            raise FilterQueryError(
-                "batch point lookups require key_bits <= 64"
-            )
-        if len(keys) and int(keys.max()) >> self._key_bits:
-            raise FilterQueryError(
-                f"keys must lie in [0, 2^{self._key_bits})"
-            )
-        self.stats.point_queries += len(keys)
+        count = len(keys)
+        self.stats.point_queries += count
         if self._num_keys == 0:
-            return np.zeros(len(keys), dtype=bool)
+            return np.zeros(count, dtype=bool)
         leaf = self._filters[0]
-        if leaf.is_always_positive:
-            return np.ones(len(keys), dtype=bool)
-        unique, inverse = np.unique(keys, return_inverse=True)
-        self.stats.bloom_probes += len(unique)
-        return leaf.may_contain_many_ints(unique)[inverse]
+        verdicts = leaf.contains_batch(keys, self._key_bits)
+        if not leaf.is_always_positive:
+            self.stats.bloom_probes += count
+        return verdicts
 
     def may_contain_range_batch(
         self,

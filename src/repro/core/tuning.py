@@ -64,18 +64,20 @@ class WorkloadTracker:
             raise ValueError(f"range_size must be >= 1, got {range_size}")
         self._range_sizes[range_size] += 1
 
-    def record_point_query(self) -> None:
-        """Record one point query."""
-        self._point_queries += 1
+    def record_point_query(self, count: int = 1) -> None:
+        """Record ``count`` point queries."""
+        self._point_queries += count
 
-    def record_filter_outcome(self, positive: bool, truly_nonempty: bool) -> None:
-        """Record a filter verdict and (after the I/O) the ground truth."""
+    def record_filter_outcome(
+        self, positive: bool, truly_nonempty: bool, count: int = 1
+    ) -> None:
+        """Record ``count`` filter verdicts sharing one (post-I/O) ground truth."""
         if positive:
-            self._filter_positives += 1
+            self._filter_positives += count
             if not truly_nonempty:
-                self._false_positives += 1
+                self._false_positives += count
         else:
-            self._filter_negatives += 1
+            self._filter_negatives += count
 
     def merge(self, other: "WorkloadTracker") -> None:
         """Fold another tracker's statistics into this one."""

@@ -59,14 +59,15 @@ class KeyFilter(abc.ABC):
         """Serialize contents and structure to bytes."""
 
     def may_contain_batch(self, keys: Sequence[int]) -> list[bool]:
-        """Vectorized point lookups; one verdict per key.
+        """Point lookups for a key group; one verdict per key.
 
-        The batched LSM point path (``DB.multi_get``) issues one call per
-        run for that run's whole key group, so overriding this is how a
-        filter joins the bulk read path.  The default degrades to a Python
-        loop over :meth:`may_contain`; filters with a bulk probe path
-        (Rosetta's and plain Bloom's ``contains_batch`` gather) override
-        it.  Verdicts must agree with :meth:`may_contain` element-wise.
+        The only point probe the LSM issues: ``DB.get`` and
+        ``DB.multi_get`` make one call per run for that run's whole key
+        group (a ``get`` is a group of one).  The default is a Python loop
+        over :meth:`may_contain`; filters with a bulk probe path (Rosetta
+        and plain Bloom, through ``BloomFilter.contains_batch``) override
+        it and pick their kernel from ``len(keys)``.  Verdicts must agree
+        with :meth:`may_contain` element-wise.
         """
         return [self.may_contain(int(key)) for key in keys]
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.bloom import BloomFilter, optimal_num_hashes
 from repro.errors import FilterBuildError, FilterQueryError
 from repro.filters.base import KeyFilter, register_filter_codec
@@ -66,13 +64,10 @@ class BloomPointFilter(KeyFilter):
         return bloom.may_contain(int(key))
 
     def may_contain_batch(self, keys: Sequence[int]) -> list[bool]:
-        """Bulk point probes: one vectorized Bloom gather for the batch."""
+        """Point probes for a key group (scalar or vector kernel by size)."""
         bloom = self._require_populated()
-        if self.key_bits > 64:
-            return super().may_contain_batch(keys)
         self._probes += len(keys)
-        values = np.fromiter((int(k) for k in keys), dtype=np.uint64)
-        return [bool(v) for v in bloom.contains_batch(values)]
+        return bloom.contains_batch(keys, self.key_bits).tolist()
 
     def may_contain_range(self, low: int, high: int) -> bool:
         """Degenerate: a size-1 range is a point probe, anything else passes."""

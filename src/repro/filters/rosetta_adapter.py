@@ -72,16 +72,12 @@ class RosettaFilter(KeyFilter):
         return self._require_populated().may_contain_range(low, high)
 
     def may_contain_batch(self, keys: Sequence[int]) -> list[bool]:
-        """Bulk point lookups on the full-key level.
+        """Point lookups for a key group on the full-key level.
 
-        One :meth:`~repro.core.bloom.BloomFilter.contains_batch` gather for
-        the whole batch, duplicates hashed once; wide (>64-bit) domains
-        degrade to the scalar loop.
+        The only point probe the LSM issues (a ``get`` is a group of one);
+        the core picks the scalar or vector Bloom kernel from ``len(keys)``.
         """
-        core = self._require_populated()
-        if core.key_bits > 64:
-            return [core.may_contain(int(key)) for key in keys]
-        return [bool(v) for v in core.may_contain_batch(keys)]
+        return self._require_populated().may_contain_batch(keys).tolist()
 
     def may_contain_range_batch(
         self, lows: Sequence[int], highs: Sequence[int]

@@ -26,7 +26,6 @@ from repro.lsm.serving import (
     ShardedServer,
 )
 from repro.lsm.shard import ShardRouter
-from repro.lsm.sst_dump import SstSummary, dump_sst, summarize_sst
 from repro.lsm.stats import PerfStats, Stopwatch
 from repro.lsm.verify import VerificationReport, verify_version
 from repro.lsm.write_batch import WriteBatch
@@ -50,14 +49,11 @@ __all__ = [
     "ServingStats",
     "ShardRouter",
     "ShardedServer",
-    "SstSummary",
     "StorageEnv",
     "Stopwatch",
     "ThreadPoolScheduler",
     "VerificationReport",
     "WriteBatch",
-    "dump_sst",
     "repair_store",
-    "summarize_sst",
     "verify_version",
 ]

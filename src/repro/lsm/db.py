@@ -58,7 +58,7 @@ compactor's ``_inflight_lock`` (conflict table) is a leaf below it.
 
 Backpressure mirrors RocksDB's two write-stall triggers: past the
 *slowdown* thresholds each write is admitted immediately but charged
-``delayed_write_ns`` of modeled delay; past the *stop* thresholds (L0 run
+up to 1 ms of modeled delay; past the *stop* thresholds (L0 run
 count, sealed-memtable backlog) the writer blocks — bounded by
 ``write_stall_timeout_s``, after which it fails with
 :class:`~repro.errors.WriteStallTimeoutError` — until maintenance catches
@@ -110,6 +110,10 @@ from repro.lsm.write_batch import WriteBatch
 _MANIFEST = "MANIFEST.json"
 
 _SST_NAME = re.compile(r"^sst_(\d+)_(\d+)\.sst$")
+
+#: Modeled delay charged to one write at full slowdown debt (RocksDB's
+#: ``delayed_write_rate`` analogue, simplified; never slept).
+_DELAYED_WRITE_NS = 1_000_000
 
 __all__ = ["DB", "HealthReport"]
 
@@ -519,7 +523,7 @@ class DB:
         maintenance drains below the trigger, the store degrades, or
         ``write_stall_timeout_s`` elapses — then
         :class:`WriteStallTimeoutError`.  Slowdown = the write proceeds but
-        is charged ``delayed_write_ns`` of modeled delay (no real sleep),
+        is charged a modeled delay (:meth:`_write_delay_ns`; no real sleep),
         so benchmarks observe the stall without timing jitter.
         """
         self._check_writable()
@@ -589,7 +593,7 @@ class DB:
         scales with how far the worse of the two debt gauges (L0 run
         count, sealed-memtable backlog) has travelled from its slowdown
         trigger toward its stop trigger — mild debt costs a fraction of
-        ``delayed_write_ns``, near-stop debt the full charge.  Always at
+        ``_DELAYED_WRITE_NS``, near-stop debt the full charge.  Always at
         least 1 ns so a slowed write is visible in the counters.
         """
         opts = self.options
@@ -614,7 +618,7 @@ class DB:
                 opts.max_immutable_memtables,
             ),
         )
-        return max(1, int(opts.delayed_write_ns * debt))
+        return max(1, int(_DELAYED_WRITE_NS * debt))
 
     # ------------------------------------------------------------------
     # Sealing and background maintenance
@@ -649,9 +653,7 @@ class DB:
             if self._active_wal is not None:
                 self._wal_seq += 1
                 self._active_wal = WriteAheadLog(
-                    self._env,
-                    wal_file_name(self._wal_seq),
-                    sync=self.options.wal_sync,
+                    self._env, wal_file_name(self._wal_seq)
                 )
             self._install_super(new_sv)
         self.stats.add(memtable_seals=1)
@@ -1203,57 +1205,141 @@ class DB:
     # Point reads
     # ------------------------------------------------------------------
     def get(self, key: int) -> bytes | None:
-        """Point lookup; returns None for absent or deleted keys."""
+        """Point lookup; returns None for absent or deleted keys.
+
+        A :meth:`multi_get` of one key: the same pipeline
+        (:meth:`_resolve_points`) under a ``kind="point"`` context.
+        """
         self._check_open()
-        self.stats.add(point_queries=1)
-        self.tracker.record_point_query()
-        encoded = self._encode_key(key)
-        context = QueryContext(kind="point", low=int(key), high=int(key))
+        key = int(key)
+        context = QueryContext(kind="point", low=key, high=key)
+        return self._resolve_points([key], context)[key]
+
+    def multi_get(self, keys: Iterable[int]) -> dict[int, bytes | None]:
+        """Point-look-up many keys in one pass.
+
+        Equivalent to ``{k: db.get(k) for k in keys}`` — absent and deleted
+        keys map to None — with duplicate keys resolved (and counted in
+        ``stats.point_queries``) once, and ``last_query`` holding one
+        aggregated ``kind="multi_point"``
+        :class:`~repro.lsm.perf_context.QueryContext` for the batch.
+        """
+        self._check_open()
+        requested = [int(key) for key in keys]
+        distinct = list(dict.fromkeys(requested))
+        if not distinct:
+            return {}
+        self.stats.add(multi_point_queries=1)
+        context = QueryContext(
+            kind="multi_point",
+            low=min(distinct),
+            high=max(distinct),
+            keys_requested=len(requested),
+            distinct_keys=len(distinct),
+        )
+        return self._resolve_points(distinct, context)
+
+    def _resolve_points(
+        self, keys: list[int], context: QueryContext
+    ) -> dict[int, bytes | None]:
+        """The one point-read pipeline (§2.2.2), for one key or many.
+
+        ``keys`` are distinct.  The memtables (active, then sealed, newest
+        first) answer what they hold; the rest are grouped per overlapping
+        run, newest to oldest, and each run's filter answers its whole
+        group with one :meth:`~repro.filters.base.KeyFilter.may_contain_batch`
+        call (a ``get`` is a group of one; the filter, not the DB, decides
+        how to probe a group of that size).  Run recency is preserved: a
+        key resolved by a newer run (value or tombstone) is never probed
+        against older runs, so verdicts, values and filter outcome counters
+        do not depend on how keys were batched.
+        """
+        encoded = [self._encode_key(key) for key in keys]
+        self.stats.add(point_queries=len(keys))
+        self.tracker.record_point_query(len(keys))
         before = self.stats.snapshot()
+        values: dict[int, bytes | None] = dict.fromkeys(keys)
         sv = self._ref_super()
         try:
-            for memtable in sv.memtables():
-                buffered = memtable.get(encoded)
-                if buffered is not None:
-                    tag, value = buffered
-                    context.memtable_hit = True
-                    context.results = 1 if tag == ValueTag.PUT else 0
-                    return value if tag == ValueTag.PUT else None
+            # Buffered entries (puts and tombstones) resolve immediately
+            # and never reach the filters.
+            memtables = list(sv.memtables())
+            pending: dict[bytes, int] = {}
+            for key, enc in zip(keys, encoded):
+                for memtable in memtables:
+                    buffered = memtable.get(enc)
+                    if buffered is not None:
+                        tag, value = buffered
+                        if tag == ValueTag.PUT:
+                            values[key] = value
+                            context.results += 1
+                        context.memtable_hits += 1
+                        break
+                else:
+                    pending[enc] = key
+            context.memtable_hit = context.memtable_hits > 0
 
-            runs = sv.version.runs_for_key(encoded)
-            context.runs_considered = len(runs)
+            runs = (
+                sv.version.runs_for_range(min(pending), max(pending))
+                if pending
+                else ()
+            )
             for run in runs:
-                verdict = self._probe_filter_point(run, encoded)
-                if not verdict:
+                meta = run.reader.meta
+                group = [
+                    enc for enc in pending
+                    if meta.min_key <= enc <= meta.max_key
+                ]
+                if not group:
                     continue
-                context.iterators_created += 1
-                found = run.reader.get(encoded)
-                truly_there = found is not None
-                self._record_filter_outcome(
-                    run, positive=True, truly=truly_there
+                context.runs_considered += 1
+                verdicts = self._probe_filter_points(
+                    run, [pending[enc] for enc in group]
                 )
-                self.tracker.record_filter_outcome(True, truly_there)
-                if found is not None:
+                true_positives = false_positives = 0
+                for enc, verdict in zip(group, verdicts):
+                    if not verdict:
+                        continue
+                    context.iterators_created += 1
+                    found = run.reader.get(enc)
+                    if found is None:
+                        false_positives += 1
+                        continue
+                    true_positives += 1
                     tag, value = found
-                    context.results = 1 if tag == ValueTag.PUT else 0
-                    return value if tag == ValueTag.PUT else None
-            return None
+                    if tag == ValueTag.PUT:
+                        values[pending[enc]] = value
+                        context.results += 1
+                    del pending[enc]  # shadows every older run
+                self._record_positive_outcomes(
+                    run, true_positives, false_positives
+                )
+                if not pending:
+                    break
+            return values
         finally:
             self._finish_context(context, before)
             self._unref_super(sv)
 
-    def _probe_filter_point(self, run: Run, encoded: bytes) -> bool:
+    def _probe_filter_points(self, run: Run, keys: list[int]) -> Sequence[bool]:
+        """Probe one run's filter for its key group; charge the verdicts."""
         filt = self._filter_dictionary.get_filter(run.reader, self.stats)
+        started = time.perf_counter_ns()
+        verdicts, batch_sweeps = batched_point_verdicts(filt, keys)
+        elapsed = time.perf_counter_ns() - started
         if filt is None:
-            return True  # fence pointers only
-        self.stats.add(filter_probes=1)
-        with Stopwatch(self.stats, "filter_probe_ns"):
-            verdict = filt.may_contain(self._decode_key(encoded))
-        if not verdict:
-            self.stats.add(filter_negatives=1)
-            self.tracker.record_filter_outcome(False, False)
-            self._note_filter_outcome(run, negatives=1)
-        return verdict
+            return verdicts  # fence pointers only: nothing probed or charged
+        negatives = len(keys) - sum(verdicts)
+        self.stats.add(
+            filter_probe_ns=elapsed,
+            filter_batch_probes=batch_sweeps,
+            filter_probes=len(keys),
+            filter_negatives=negatives,
+        )
+        if negatives:
+            self.tracker.record_filter_outcome(False, False, negatives)
+            self._note_filter_outcome(run, negatives=negatives)
+        return verdicts
 
     # ------------------------------------------------------------------
     # Range reads
@@ -1368,8 +1454,7 @@ class DB:
             # record what the scan observed, then release the pin.
             for run, _ in positive_runs:
                 truly = contributed[run.name]
-                self._record_filter_outcome(run, positive=True, truly=truly)
-                self.tracker.record_filter_outcome(True, truly)
+                self._record_positive_outcomes(run, int(truly), int(not truly))
             context.results = results
             self._finish_context(context, before)
             self._unref_super(sv)
@@ -1426,13 +1511,17 @@ class DB:
                 self._note_filter_outcome(run, negatives=1)
         return effectives
 
-    def _record_filter_outcome(self, run: Run, positive: bool, truly: bool) -> None:
-        if positive:
-            if truly:
-                self.stats.add(filter_true_positives=1)
-            else:
-                self.stats.add(filter_false_positives=1)
-                self._note_filter_outcome(run, false_positives=1)
+    def _record_positive_outcomes(
+        self, run: Run, true_positives: int, false_positives: int
+    ) -> None:
+        """Charge a run's filter positives once its data told them apart."""
+        if true_positives:
+            self.stats.add(filter_true_positives=true_positives)
+            self.tracker.record_filter_outcome(True, True, true_positives)
+        if false_positives:
+            self.stats.add(filter_false_positives=false_positives)
+            self.tracker.record_filter_outcome(True, False, false_positives)
+            self._note_filter_outcome(run, false_positives=false_positives)
 
     def _note_filter_outcome(
         self, run: Run, *, negatives: int = 0, false_positives: int = 0
@@ -1453,131 +1542,6 @@ class DB:
             self.stats.add(filters_quarantined=1)
             if self._concurrent and self._background_error is None:
                 self._schedule_maintenance()
-
-    def multi_get(self, keys: Iterable[int]) -> dict[int, bytes | None]:
-        """Point-look-up many keys in one batched pass.
-
-        Equivalent to ``{k: db.get(k) for k in keys}`` — absent and deleted
-        keys map to None — but resolved as a batch:
-
-        * duplicate keys are deduplicated up front, so each distinct key
-          runs the probe pipeline (and is counted in
-          ``stats.point_queries``) exactly once;
-        * the memtables (active, then sealed, newest first) answer the
-          whole batch in one pass;
-        * surviving keys are grouped per run, newest to oldest, and every
-          run's filter answers its whole group with **one**
-          :meth:`~repro.filters.base.KeyFilter.may_contain_batch` probe
-          (each counted in ``PerfStats.filter_batch_probes``, like the
-          range path's frontier sweeps);
-        * ``last_query`` holds one aggregated ``kind="multi_point"``
-          :class:`~repro.lsm.perf_context.QueryContext` for the batch
-          instead of the final key's.
-
-        Run recency is preserved: a key resolved by a newer run (value or
-        tombstone) is never probed against older runs, so verdicts, values,
-        and per-run filter true/false-positive counters match the per-key
-        :meth:`get` loop exactly.
-        """
-        self._check_open()
-        requested = 0
-        distinct: list[int] = []
-        seen: set[int] = set()
-        for key in keys:
-            requested += 1
-            key = int(key)
-            if key not in seen:
-                seen.add(key)
-                distinct.append(key)
-        if not distinct:
-            return {}
-        encoded = [self._encode_key(key) for key in distinct]
-        self.stats.add(point_queries=len(distinct), multi_point_queries=1)
-        for _ in distinct:
-            self.tracker.record_point_query()
-        context = QueryContext(
-            kind="multi_point",
-            low=min(distinct),
-            high=max(distinct),
-            keys_requested=requested,
-            distinct_keys=len(distinct),
-        )
-        before = self.stats.snapshot()
-        values: dict[int, bytes | None] = {}
-        sv = self._ref_super()
-        try:
-            # Memtable pass: buffered entries (puts and tombstones) resolve
-            # immediately and never reach the filters.
-            memtables = list(sv.memtables())
-            pending: list[tuple[int, bytes]] = []
-            for key, enc in zip(distinct, encoded):
-                buffered = None
-                for memtable in memtables:
-                    buffered = memtable.get(enc)
-                    if buffered is not None:
-                        break
-                if buffered is None:
-                    pending.append((key, enc))
-                    continue
-                tag, value = buffered
-                context.memtable_hits += 1
-                values[key] = value if tag == ValueTag.PUT else None
-
-            # Run passes, newest to oldest: one bulk filter probe per run
-            # for the still-unresolved keys inside its fence span.
-            for run in sv.version.all_runs_newest_first():
-                if not pending:
-                    break
-                group = [kv for kv in pending if run.overlaps(kv[1], kv[1])]
-                if not group:
-                    continue
-                context.runs_considered += 1
-                verdicts = self._probe_filter_point_batch(
-                    run, [key for key, _ in group]
-                )
-                resolved: set[int] = set()
-                for (key, enc), verdict in zip(group, verdicts):
-                    if not verdict:
-                        continue
-                    context.iterators_created += 1
-                    found = run.reader.get(enc)
-                    truly_there = found is not None
-                    self._record_filter_outcome(
-                        run, positive=True, truly=truly_there
-                    )
-                    self.tracker.record_filter_outcome(True, truly_there)
-                    if found is not None:
-                        tag, value = found
-                        values[key] = value if tag == ValueTag.PUT else None
-                        resolved.add(key)
-                if resolved:
-                    pending = [kv for kv in pending if kv[0] not in resolved]
-
-            for key, _ in pending:
-                values[key] = None
-            results = {key: values[key] for key in distinct}
-            context.results = sum(1 for v in results.values() if v is not None)
-            return results
-        finally:
-            self._finish_context(context, before)
-            self._unref_super(sv)
-
-    def _probe_filter_point_batch(
-        self, run: Run, keys: list[int]
-    ) -> Sequence[bool]:
-        """Bulk sibling of :meth:`_probe_filter_point` for one run's group."""
-        filt = self._filter_dictionary.get_filter(run.reader, self.stats)
-        with Stopwatch(self.stats, "filter_probe_ns"):
-            verdicts, batch_sweeps = batched_point_verdicts(filt, keys)
-        self.stats.add(filter_batch_probes=batch_sweeps)
-        if filt is not None:
-            negatives = len(keys) - sum(1 for v in verdicts if v)
-            self.stats.add(filter_probes=len(keys), filter_negatives=negatives)
-            for _ in range(negatives):
-                self.tracker.record_filter_outcome(False, False)
-            if negatives:
-                self._note_filter_outcome(run, negatives=negatives)
-        return verdicts
 
     def iterator(
         self, start: int | None = None, end: int | None = None
@@ -1846,9 +1810,7 @@ class DB:
                         )
                 wal_seq = wal_seqs[-1]
                 self._replay_wal_into(wal_file_name(wal_seq), active)
-            self._active_wal = WriteAheadLog(
-                self._env, wal_file_name(wal_seq), sync=self.options.wal_sync
-            )
+            self._active_wal = WriteAheadLog(self._env, wal_file_name(wal_seq))
         self._wal_seq = wal_seq
 
         sv = _SuperVersion(active, tuple(reversed(immutables)), version)
@@ -1857,7 +1819,7 @@ class DB:
         self._live_svs = [sv]
 
     def _replay_wal_into(self, name: str, memtable: MemTable) -> None:
-        wal = WriteAheadLog(self._env, name, sync=self.options.wal_sync)
+        wal = WriteAheadLog(self._env, name)
         for op, key, value in wal.replay():
             if op == BATCH_OP:
                 for tag, bkey, bvalue in WriteBatch.decode(value):

@@ -11,9 +11,9 @@ Three pieces:
 * :func:`batched_tightened_ranges` — the bulk *range* probe: every
   overlapping run's Rosetta doubts the same range in one multi-stack
   frontier sweep, returning a §2.2.1-tightened seek window per run.
-* :func:`batched_point_verdicts` — the bulk *point* probe: one
-  ``may_contain_batch`` call per run for that run's whole ``multi_get``
-  key group.
+* :func:`batched_point_verdicts` — the *point* probe: one
+  ``may_contain_batch`` call per run for that run's whole key group
+  (a ``get`` is a group of one).
 """
 
 from __future__ import annotations
@@ -179,8 +179,9 @@ def batched_point_verdicts(
     """Probe one run's filter for a whole point-lookup key group at once.
 
     The point-path sibling of :func:`batched_tightened_ranges`: where a
-    range seek shares one frontier sweep across runs, ``multi_get`` groups
-    its surviving keys per run and answers each group with one
+    range seek shares one frontier sweep across runs, the point pipeline
+    (``DB.get`` and ``DB.multi_get`` alike) groups its unresolved keys per
+    run and answers each group — of one key or thousands — with one
     :meth:`~repro.filters.base.KeyFilter.may_contain_batch` call.
 
     ``filt is None`` means the run has fence pointers only: every key

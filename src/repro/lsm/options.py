@@ -113,12 +113,10 @@ class DBOptions:
     device: str | DeviceModel = "memory"
 
     #: Write-ahead logging (disable for bulk loads, as in the paper's setup).
+    #: Every append ends with a durability barrier
+    #: (:meth:`StorageEnv.sync_file`): the write-acknowledgement contract the
+    #: crash harness verifies — a power cut never loses an acked write.
     use_wal: bool = True
-
-    #: Issue a durability barrier (:meth:`StorageEnv.sync_file`) after every
-    #: WAL append.  This is the write-acknowledgement contract the crash
-    #: harness verifies: with it on, a power cut never loses an acked write.
-    wal_sync: bool = True
 
     #: Number of entries between restart points in a data block.
     block_restart_interval: int = 16
@@ -162,7 +160,7 @@ class DBOptions:
     max_immutable_memtables: int = 2
 
     #: L0 run count at which writes are *slowed*: each write is admitted
-    #: immediately but charged ``delayed_write_ns`` of modeled delay
+    #: immediately but charged up to 1 ms of modeled delay
     #: (``PerfStats.write_delay_time_ns``; no real sleep).
     level0_slowdown_writes_trigger: int = 8
 
@@ -171,10 +169,6 @@ class DBOptions:
     #: Only engages with ``max_background_jobs > 0`` — inline maintenance
     #: can never be behind its own writer.
     level0_stop_writes_trigger: int = 12
-
-    #: Modeled per-write delay charged while the slowdown trigger is
-    #: active (RocksDB's ``delayed_write_rate`` analogue, simplified).
-    delayed_write_ns: int = 1_000_000
 
     #: Upper bound on one stop-trigger block before the write fails with
     #: :class:`~repro.errors.WriteStallTimeoutError`.
@@ -266,8 +260,6 @@ class DBOptions:
                 "level0_stop_writes_trigger must be >= "
                 "level0_slowdown_writes_trigger"
             )
-        if self.delayed_write_ns < 0:
-            raise InvalidOptionsError("delayed_write_ns must be >= 0")
         if self.write_stall_timeout_s <= 0:
             raise InvalidOptionsError("write_stall_timeout_s must be > 0")
         if self.max_subcompactions < 0:

@@ -108,6 +108,10 @@ __all__ = [
 #: drained exactly at its deadline — expired by construction.
 _DEADLINE_LINGER_MARGIN_S = 0.001
 
+#: Ceiling on point keys resolved by one batched ``multi_get`` (a single
+#: oversized request still runs alone).
+_MAX_BATCH_KEYS = 512
+
 
 @dataclass
 class ServingOptions:
@@ -124,9 +128,6 @@ class ServingOptions:
     #: let concurrent callers join the batch.  0 disables coalescing
     #: waits (the worker still batches whatever is already queued).
     coalescing_window_s: float = 0.0002
-
-    #: Ceiling on point keys resolved by one batched ``multi_get``.
-    max_batch_keys: int = 512
 
     #: Ceiling on requests drained into one batch.
     max_batch_requests: int = 256
@@ -177,8 +178,6 @@ class ServingOptions:
             raise InvalidOptionsError("num_shards must be >= 1")
         if self.coalescing_window_s < 0:
             raise InvalidOptionsError("coalescing_window_s must be >= 0")
-        if self.max_batch_keys < 1:
-            raise InvalidOptionsError("max_batch_keys must be >= 1")
         if self.max_batch_requests < 1:
             raise InvalidOptionsError("max_batch_requests must be >= 1")
         if self.max_queue_depth < 1:
@@ -783,7 +782,7 @@ class _Shard:
                     expired.append(self._queue.popleft())
                     continue
                 weight = len(request.keys)
-                if batch and keys + weight > opts.max_batch_keys:
+                if batch and keys + weight > _MAX_BATCH_KEYS:
                     break
                 batch.append(self._queue.popleft())
                 keys += weight

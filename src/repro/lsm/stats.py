@@ -70,8 +70,9 @@ class PerfStats:
 
     # --- Filter verdicts ---
     filter_probes: int = 0
-    # Bulk filter invocations: multi-run frontier sweeps on the range path
-    # plus per-run point batches on the multi_get path share this counter.
+    # Filter invocations, as opposed to verdicts: one per multi-run frontier
+    # sweep on the range path, one per per-run key group on the point path.
+    # A get is a group of one, so it charges one per filtered run consulted.
     filter_batch_probes: int = 0
     filter_negatives: int = 0
     filter_true_positives: int = 0
@@ -131,23 +132,20 @@ class PerfStats:
     def snapshot(self) -> "PerfStats":
         """Consistent copy of the current counters."""
         with self._lock:
-            return PerfStats(**{f.name: getattr(self, f.name) for f in fields(self)})
+            return PerfStats(*[getattr(self, name) for name in _COUNTERS])
 
     def diff(self, earlier: "PerfStats") -> "PerfStats":
         """Counter deltas since ``earlier`` (for per-phase reporting)."""
         current = self.snapshot()
         return PerfStats(
-            **{
-                f.name: getattr(current, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
+            *[getattr(current, name) - getattr(earlier, name) for name in _COUNTERS]
         )
 
     def reset(self) -> None:
         """Zero every counter."""
         with self._lock:
-            for f in fields(self):
-                setattr(self, f.name, 0)
+            for name in _COUNTERS:
+                setattr(self, name, 0)
 
     # ------------------------------------------------------------------
     # Derived metrics
@@ -182,6 +180,11 @@ class PerfStats:
         if moved == 0:
             return 0.0
         return (self.compaction_time_ns / 1000.0) / moved
+
+
+#: Counter names in declaration order.  Every read pays one snapshot and one
+#: diff for its QueryContext, so they must not re-derive this per call.
+_COUNTERS = tuple(f.name for f in fields(PerfStats))
 
 
 class Stopwatch:

@@ -193,10 +193,6 @@ class Version:
         """Runs whose key span intersects ``[low, high]``, newest first."""
         return [run for run in self.all_runs_newest_first() if run.overlaps(low, high)]
 
-    def runs_for_key(self, key: bytes) -> list[Run]:
-        """Runs that may hold ``key``, newest first."""
-        return self.runs_for_range(key, key)
-
     def total_files(self) -> int:
         """Number of live SST files."""
         return len(self.level0) + sum(len(r) for r in self.levels.values())

@@ -51,19 +51,16 @@ def parse_wal_seq(name: str) -> int | None:
 class WriteAheadLog:
     """Append-only mutation log bound to one :class:`StorageEnv` file.
 
-    With ``sync=True`` every append ends with a durability barrier
+    Every append ends with a durability barrier
     (:meth:`StorageEnv.sync_file`), which is what makes a write
     "acknowledged": a power cut afterwards may tear at most the record a
     crash interrupted mid-append, and CRC framing drops that torn tail on
-    replay.  ``sync=False`` trades that guarantee for speed (bulk loads).
+    replay.
     """
 
-    def __init__(
-        self, env: StorageEnv, name: str = "wal.log", sync: bool = True
-    ) -> None:
+    def __init__(self, env: StorageEnv, name: str = "wal.log") -> None:
         self._env = env
         self.name = name
-        self._sync = sync
 
     # ------------------------------------------------------------------
     # Writing
@@ -84,8 +81,7 @@ class WriteAheadLog:
         payload = bytes([op]) + struct.pack("<I", len(key)) + key + value
         frame = _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
         self._env.append_file(self.name, frame)
-        if self._sync:
-            self._env.sync_file(self.name)
+        self._env.sync_file(self.name)
 
     # ------------------------------------------------------------------
     # Recovery

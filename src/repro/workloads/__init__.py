@@ -13,7 +13,6 @@ from repro.workloads.distributions import (
     zipfian_ranks,
 )
 from repro.workloads.keygen import Dataset, generate_dataset, synthesize_value
-from repro.workloads.trace import load_trace, replay, save_trace
 from repro.workloads.strings import (
     StringKeyCodec,
     generate_wex_titles,
@@ -33,9 +32,6 @@ __all__ = [
     "correlation_sweep",
     "generate_dataset",
     "generate_wex_titles",
-    "load_trace",
-    "replay",
-    "save_trace",
     "normal_keys",
     "sample_distinct",
     "string_to_int_key",

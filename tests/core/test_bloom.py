@@ -104,7 +104,7 @@ class TestZeroBitFilter:
 
     def test_vectorized_always_positive(self):
         bf = BloomFilter(0, 1)
-        result = bf.may_contain_many_ints(np.asarray([1, 2, 3], dtype=np.uint64))
+        result = bf.contains_batch(np.asarray([1, 2, 3], dtype=np.uint64))
         assert result.all()
 
     def test_expected_fpr_is_one(self):
@@ -127,7 +127,7 @@ class TestVectorizedPaths:
         keys = list(range(100))
         bf = BloomFilter.from_keys_and_bits(keys, num_bits=2048)
         probes = np.arange(500, dtype=np.uint64)
-        bulk = bf.may_contain_many_ints(probes)
+        bulk = bf.contains_batch(probes)
         for i, p in enumerate(probes):
             assert bulk[i] == bf.may_contain(int(p))
 

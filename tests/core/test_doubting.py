@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import doubting
-from repro.core.bloom import BloomFilter
+from repro.core.bloom import BloomFilter, base_hash_arrays
 from repro.core.rosetta import Rosetta
 
 STRATEGIES = ("optimized", "single", "equilibrium", "uniform")
@@ -192,14 +192,14 @@ def test_tighten_across_stacks_matches_scalar(small_keys, rng):
         assert outcome.bulk_probe_calls > 0
 
 
-def test_survivor_indexes_match_bulk_probe(small_keys):
-    """BloomFilter.survivor_indexes == nonzero(may_contain_many_ints)."""
+def test_survivors_hashed_match_scalar_probe(small_keys):
+    """The vector kernel's survivors == the per-item may_contain loop's."""
     filt = BloomFilter(num_bits=4096, num_hashes=4)
     filt.add_many_ints(np.asarray(small_keys[:500], dtype=np.uint64))
     probe = np.asarray(small_keys[:1000], dtype=np.uint64)
-    survivors = filt.survivor_indexes(probe)
-    expected = np.nonzero(filt.may_contain_many_ints(probe))[0]
-    assert np.array_equal(survivors, expected)
+    survivors = filt.survivors_hashed(*base_hash_arrays(probe))
+    expected = [i for i, key in enumerate(small_keys[:1000]) if filt.may_contain(key)]
+    assert survivors.tolist() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,14 @@ class TestBatchPointLookups:
         with pytest.raises(FilterQueryError):
             filt.may_contain_batch([1 << 33])
 
-    def test_wide_domain_rejected(self):
+    def test_wide_domain_takes_the_per_key_loop(self):
         filt = Rosetta.build([1 << 70], key_bits=96, bits_per_key=12)
+        probes = [1 << 70, 1, (1 << 96) - 1] * 5  # past the vector crossover
+        assert filt.may_contain_batch(probes).tolist() == [
+            filt.may_contain(probe) for probe in probes
+        ]
         with pytest.raises(FilterQueryError):
-            filt.may_contain_batch([1])
+            filt.may_contain_batch([1 << 96])
 
     def test_throughput_advantage(self, filt, rng):
         """The batch path must actually be faster than the scalar loop."""

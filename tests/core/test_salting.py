@@ -120,7 +120,7 @@ class TestSaltedBloom:
         keys = list(range(0, 3000, 7))
         bf = BloomFilter.from_keys_and_bits(keys, num_bits=8192, salt=SALT)
         probes = np.arange(5000, dtype=np.uint64)
-        bulk = bf.may_contain_many_ints(probes)
+        bulk = bf.contains_batch(probes)
         for i, probe in enumerate(probes):
             assert bulk[i] == bf.may_contain(int(probe))
 

@@ -11,13 +11,21 @@ Regression suite for two paper-fidelity bugs:
   (``low > high``).  That skip must never leak out as a silent ``False``
   for *publicly inverted* ranges — every entry point raises
   :exc:`FilterQueryError` first.
+
+Point lookups have one batched entry (``BloomFilter.contains_batch``) that
+picks the per-item loop or the vector kernel from the group size; verdicts,
+charges and typed errors must not show which one ran.
 """
+
+import random
 
 import pytest
 
 from repro.core.allocation import STRATEGIES
+from repro.core.bloom import SCALAR_PROBE_MAX
 from repro.core.rosetta import Rosetta
 from repro.errors import FilterQueryError
+from repro.filters.bloom_point import BloomPointFilter
 from repro.filters.rosetta_adapter import RosettaFilter
 
 TINY_KEYS = [3, 6, 7, 8, 9, 11]  # the paper's running example (Fig. 2)
@@ -108,6 +116,93 @@ class TestSingleQueryParity:
         )
         assert batched[0][0] and not batched[0][1]
         assert batched[1:] == scalar[1:]
+
+
+#: Group sizes on both sides of the scalar/vector kernel switch.
+BOUNDARY_SIZES = [
+    SCALAR_PROBE_MAX - 1,
+    SCALAR_PROBE_MAX,
+    SCALAR_PROBE_MAX + 1,
+    SCALAR_PROBE_MAX + 2,
+]
+
+_POINT_FILTERS = {
+    "unsalted": dict(key_bits=32, bits_per_key=12.0, max_range=16),
+    "salted": dict(key_bits=32, bits_per_key=12.0, max_range=16, salt=0xA5A5F00D),
+    "always_positive_leaf": dict(key_bits=32, bits_per_key=0.0, max_range=16),
+    "empty_filter": dict(key_bits=32, bits_per_key=12.0, max_range=16),
+    "wide_domain": dict(key_bits=96, bits_per_key=12.0, max_range=16),
+}
+
+
+class TestKernelBoundaryParity:
+    """A key group costs and answers what the per-key loop does."""
+
+    @pytest.mark.parametrize("size", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("shape", sorted(_POINT_FILTERS))
+    def test_group_equals_per_key_loop(self, shape, size):
+        params = _POINT_FILTERS[shape]
+        rng = random.Random(size)
+        domain = 1 << params["key_bits"]
+        stored = (
+            [] if shape == "empty_filter"
+            else [rng.randrange(domain) for _ in range(300)]
+        )
+        grouped = Rosetta.build(stored, **params)
+        looped = Rosetta.from_bytes(grouped.to_bytes())
+        probes = [
+            rng.choice(stored) if stored and rng.random() < 0.5
+            else rng.randrange(domain)
+            for _ in range(size - 2)
+        ]
+        probes += probes[:2]  # duplicates are probed and charged per key
+        assert len(probes) == size
+        want = [looped.may_contain(key) for key in probes]
+        assert grouped.may_contain_batch(probes).tolist() == want
+        assert grouped.stats == looped.stats
+        assert grouped.stats.point_queries == size
+
+    @pytest.mark.parametrize("size", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("salt", [0, 0x5EED5EED])
+    def test_adapters_equal_per_key_loop(self, size, salt, small_keys):
+        rng = random.Random(size)
+        probes = [
+            rng.choice(small_keys) if rng.random() < 0.5 else rng.randrange(1 << 32)
+            for _ in range(size)
+        ]
+        for adapter in (
+            RosettaFilter(key_bits=32, bits_per_key=12.0, max_range=16, salt=salt),
+            BloomPointFilter(key_bits=32, bits_per_key=10.0, salt=salt),
+        ):
+            adapter.populate(small_keys)
+            want = [adapter.may_contain(key) for key in probes]
+            loop_probes = adapter.probe_count()
+            adapter.reset_probe_count()
+            assert adapter.may_contain_batch(probes) == want
+            assert adapter.probe_count() == loop_probes == size
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 64])
+    def test_out_of_domain_key_is_a_typed_error_on_every_path(self, bad):
+        """Both kernels reject before converting: never an OverflowError."""
+        rosetta = Rosetta.build([1, 2, 3], key_bits=64, bits_per_key=12.0)
+        adapter = RosettaFilter(key_bits=64, bits_per_key=12.0)
+        adapter.populate([1, 2, 3])
+        bloom = BloomPointFilter(key_bits=64, bits_per_key=10.0)
+        bloom.populate([1, 2, 3])
+        large = list(range(SCALAR_PROBE_MAX + 4)) + [bad]
+        entry_points = [
+            lambda: rosetta.may_contain(bad),
+            lambda: rosetta.may_contain_batch([bad]),
+            lambda: rosetta.may_contain_batch(large),
+            lambda: adapter.may_contain(bad),
+            lambda: adapter.may_contain_batch([bad]),
+            lambda: adapter.may_contain_batch(large),
+            lambda: bloom.may_contain_batch([bad]),
+            lambda: bloom.may_contain_batch(large),
+        ]
+        for issue in entry_points:
+            with pytest.raises(FilterQueryError):
+                issue()
 
 
 class TestRangeValidation:

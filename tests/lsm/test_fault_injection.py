@@ -62,7 +62,7 @@ def _faulty_db(path: str, seed: int = 7, **option_overrides):
 def _run_for_key(db: DB, key: int):
     """The newest run whose key span covers ``key``."""
     encoded = db._encode_key(key)  # noqa: SLF001
-    return db.version.runs_for_key(encoded)[0]
+    return db.version.runs_for_range(encoded, encoded)[0]
 
 
 def _path_of(db: DB, run) -> str:

@@ -10,6 +10,7 @@ keys resolved once.
 import pytest
 
 from repro.bench.factories import make_factory
+from repro.core.bloom import SCALAR_PROBE_MAX
 from repro.errors import FilterQueryError
 from repro.lsm.db import DB
 
@@ -148,3 +149,102 @@ class TestAggregatedContext:
         db, keys = layered_db
         with pytest.raises(FilterQueryError):
             db.multi_get([keys[0], 1 << db.options.key_bits])
+
+
+_CHARGE_FIELDS = _VERDICT_FIELDS + (
+    "filter_batch_probes",
+    "block_reads",
+    "block_cache_hits",
+)
+
+
+@pytest.fixture
+def leveled_db(tmp_path, small_db_options, rng):
+    """L0 runs over populated deeper levels, tombstones, a live memtable."""
+    small_db_options.filter_factory = make_factory(
+        "rosetta", small_db_options.key_bits, 18, max_range=64
+    )
+    database = DB(str(tmp_path / "db"), small_db_options)
+    keys = rng.sample(range(1 << 28), 4000)
+    for key in keys[:3600]:
+        database.put(key, b"sst-%d" % key)
+    database.flush()
+    for key in keys[:60]:  # tombstones land in a newer run than the values
+        database.delete(key)
+    database.flush()
+    for key in keys[3600:3700]:
+        database.put(key, b"mem-%d" % key)
+    database.delete(keys[100])
+    assert database.version.max_populated_level() >= 1
+    yield database, keys
+    database.close()
+
+
+class TestGetIsMultiGetOfOne:
+    """One pipeline: a get and a one-key multi_get differ only in context."""
+
+    def test_same_answer_and_same_charges(self, leveled_db, rng):
+        db, keys = leveled_db
+        resident = set(keys)
+        absent = [
+            k for k in (rng.randrange(1 << 28) for _ in range(80))
+            if k not in resident
+        ]
+        probes = (
+            keys[:30]             # tombstoned in a newer run
+            + keys[1000:1060]     # live in the levels
+            + keys[3600:3620]     # memtable values
+            + [keys[100]]         # memtable tombstone
+            + absent
+        )
+        db.multi_get(probes)  # warm filters and the block cache
+        for key in probes:
+            before = db.stats.snapshot()
+            single = db.get(key)
+            single_delta, single_ctx = db.stats.diff(before), db.last_query
+            before = db.stats.snapshot()
+            batched = db.multi_get([key])[key]
+            batched_delta, batched_ctx = db.stats.diff(before), db.last_query
+            assert single == batched
+            for field in _CHARGE_FIELDS:
+                assert getattr(single_delta, field) == getattr(batched_delta, field), (key, field)
+            assert (single_ctx.kind, batched_ctx.kind) == ("point", "multi_point")
+            assert single_ctx.memtable_hit == bool(batched_ctx.memtable_hits)
+            assert single_ctx.runs_considered == batched_ctx.runs_considered
+
+    def test_get_charges_one_filter_call_per_run_consulted(self, leveled_db):
+        db, keys = leveled_db
+        db.get(keys[2000])
+        before = db.stats.snapshot()
+        assert db.get(keys[2000]) == b"sst-%d" % keys[2000]
+        delta = db.stats.diff(before)
+        assert delta.filter_batch_probes == delta.filter_probes >= 1
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_single_run_groups_around_the_kernel_switch(
+        self, tmp_path, small_db_options, rng, offset
+    ):
+        """PerfStats charges of a run-sized group equal the per-key loop's."""
+        small_db_options.filter_factory = make_factory(
+            "rosetta", small_db_options.key_bits, 18, max_range=64
+        )
+        with DB(str(tmp_path / "one"), small_db_options) as db:
+            keys = sorted(rng.sample(range(1 << 28), 150))
+            for key in keys:
+                db.put(key, b"v")
+            db.flush()
+            assert db.num_live_files() == 1
+            size = SCALAR_PROBE_MAX + offset
+            present = keys[: size // 2]
+            absent = [k + 1 for k in keys[40:] if k + 1 not in keys]
+            group = present + absent[: size - len(present)]
+            assert len(group) == size
+            db.multi_get(group)
+            scalar, scalar_delta = _scalar_reference(db, group)
+            before = db.stats.snapshot()
+            assert db.multi_get(group) == scalar
+            batch_delta = db.stats.diff(before)
+            for field in _VERDICT_FIELDS:
+                assert getattr(batch_delta, field) == getattr(scalar_delta, field), field
+            assert batch_delta.filter_batch_probes == 1
+            assert batch_delta.filter_probes == len(group)

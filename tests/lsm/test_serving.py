@@ -111,7 +111,6 @@ class TestServingOptions:
         [
             {"num_shards": 0},
             {"coalescing_window_s": -1.0},
-            {"max_batch_keys": 0},
             {"max_batch_requests": 0},
             {"max_queue_depth": 0},
         ],
