@@ -2,55 +2,31 @@
 
 The paper's range query doubts each dyadic block of the query top-down: probe
 the block's prefix, and on a positive recursively probe its two children until
-a full root-to-leaf positive path survives or every branch dies.  The
-reference implementation (:meth:`repro.core.rosetta.Rosetta.may_contain_range_recursive`)
-walks that recursion one Bloom probe at a time, which is the hot-path CPU cost
-the paper's Fig. 4/5 numbers hinge on.
+a full root-to-leaf positive path survives or every branch dies.
+:class:`~repro.core.rosetta.Rosetta` walks that recursion one Bloom probe at
+a time when a call covers few dyadic intervals; this module is the other
+kernel, for the one job it wins — many queries, or one wide query, against
+one filter stack.
 
-This module replaces the per-prefix recursion with a *frontier* sweep.  At
-each height, the surviving candidate prefixes — across all dyadic intervals of
-a query, across all queries of a batch, and across all filter stacks (LSM
-runs) probing the same range — are collected into flat NumPy arrays and
-resolved with **one bulk Bloom probe per level per stack**:
+At each height, the surviving candidate prefixes — across all dyadic
+intervals of a query and across all queries of the batch — are collected into
+flat NumPy arrays and resolved with **one bulk Bloom probe per level**:
 
 * *positional dedup* — a prefix shared by several queries (or several
-  intervals) is probed once per level per stack, and its 64-bit base hashes
-  are computed once across *all* stacks (every :class:`BloomFilter` shares the
-  same seed stages, so hashes are filter-independent);
+  intervals) is hashed and probed once per level;
 * *ownership tracking* — every frontier node carries the index of the query
-  it descends from, so per-query verdicts, probe charges, and effective-range
-  bounds fall out of vectorized scatter reductions;
-* *chunked expansion* — work is sliced into rounds of at most ``chunk_leaves``
-  covered keys, so an oversized range (or the single-level design of §2.4,
-  where every key of the range is its own frontier node) never materializes
-  gigabytes, and a query resolved positive in an early round skips the rest
-  of its intervals, mirroring the sequential early exit;
-* *leftmost/rightmost survivor extraction* — with ``want_bounds=True`` the
-  leaf sweep records each query's smallest and largest surviving leaf, which
-  is exactly the §2.2.1 effective-range tightening.
+  it descends from, so per-query verdicts fall out of one vectorized scatter;
+* *chunked expansion* — work is sliced into rounds of at most
+  :data:`CHUNK_LEAVES` covered keys, so an oversized range (or the
+  single-level design of §2.4, where every key of the range is its own
+  frontier node) never materializes gigabytes, and a query resolved positive
+  in an early round skips the rest of its intervals, mirroring the
+  sequential early exit at round granularity.
 
-Probe accounting has two modes, selected by ``dedup``:
-
-* ``dedup=True`` (the default, and the fast path): reported probe counts are
-  the bulk probes actually issued — unique prefixes per level per stack.
-  A call whose batch holds exactly one live query is routed through the
-  exact mode below instead (unless bounds are requested): a batch of one is
-  the scalar path in disguise, so its verdict, probe charge, and interval
-  charge match :meth:`~repro.core.rosetta.Rosetta.may_contain_range`
-  counter for counter.
-* ``dedup=False``: counts (and ``probe_budget`` semantics, and budgeted
-  answers) reproduce the sequential Algorithm-2 recursion *exactly*, query by
-  query.  Execution stays vectorized — the engine probes the full frontier
-  and then replays the pre-order descent over the recorded outcome tree,
-  charging only the probes the recursion would have made and giving up with a
-  (sound) positive at the same deadline.  This is the compatibility bar the
-  equivalence tests pin down: same booleans, same
-  :class:`~repro.core.rosetta.ProbeStats` ``bloom_probes``.
-
-The engine is deliberately filter-agnostic: it takes plain sequences of
-:class:`~repro.core.bloom.BloomFilter` levels ("stacks"), one per Rosetta
-instance, so the LSM read path can doubt one range against every run's filter
-in a single sweep (:func:`tighten_across_stacks`).
+Reported probe counts are the bulk probes actually issued: unique prefixes
+per level, every level's survivors included (no per-interval early exit
+inside a round), so they differ from the walk's for the same queries while
+the verdicts never do.
 """
 
 from __future__ import annotations
@@ -63,17 +39,11 @@ import numpy as np
 
 from repro.core.bloom import BloomFilter, base_hash_arrays
 
-__all__ = [
-    "DEFAULT_CHUNK_LEAVES",
-    "FrontierResult",
-    "doubt_batch",
-    "doubt_frontier",
-    "tighten_across_stacks",
-]
+__all__ = ["CHUNK_LEAVES", "FrontierResult", "doubt_frontier"]
 
-#: Default cap on keys covered per round; bounds frontier memory and sets the
+#: Cap on keys covered per round; bounds frontier memory and sets the
 #: early-exit granularity for oversized ranges.
-DEFAULT_CHUNK_LEAVES = 1 << 16
+CHUNK_LEAVES = 1 << 16
 
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -84,26 +54,12 @@ class FrontierResult:
 
     #: One verdict per query (``True`` = range may be non-empty).
     answers: np.ndarray
-    #: Smallest surviving leaf per query (valid where ``answers``); only
-    #: populated with ``want_bounds=True``.
-    effective_lows: np.ndarray | None
-    #: Largest surviving leaf per query (valid where ``answers``).
-    effective_highs: np.ndarray | None
-    #: Bloom probes accounted (see module docstring for the two modes).
+    #: Bloom probes issued: unique prefixes per level, over all rounds.
     probes: int
-    #: Probe charge per stack (bulk mode only; ``None`` in exact mode).
-    probes_per_job: np.ndarray | None
-    #: Dyadic intervals charged per query.
-    intervals_per_query: np.ndarray
-    #: Unique 64-bit base-hash evaluations (shared across stacks).
-    hash_evals: int
+    #: Dyadic intervals pulled into a round, over all queries.
+    intervals: int
     #: Number of bulk Bloom-probe invocations issued.
     bulk_probe_calls: int
-
-    @property
-    def intervals(self) -> int:
-        """Total dyadic intervals charged across all queries."""
-        return int(self.intervals_per_query.sum())
 
 
 def _decompose_chunk_reference(
@@ -353,107 +309,31 @@ def _decompose_batch(
     return out
 
 
-def _simulate_doubt(levels: dict, height: int, index: int, state: list,
-                    budget: int | None) -> bool:
-    """Replay the sequential pre-order doubt over the recorded outcome tree.
-
-    ``state[0]`` is the query's cumulative probe charge; the deadline check,
-    charge order, and give-up-positive semantics mirror the reference
-    recursion line for line.
-    """
-    if budget is not None and state[0] >= budget:
-        return True
-    outcome, child_base, counted = levels[height]
-    if counted[index]:
-        state[0] += 1
-    if not outcome[index]:
-        return False
-    if height == 0:
-        return True
-    child = int(child_base[index])
-    if _simulate_doubt(levels, height - 1, child, state, budget):
-        return True
-    return _simulate_doubt(levels, height - 1, child + 1, state, budget)
-
-
 def doubt_frontier(
-    stacks: Sequence[Sequence[BloomFilter]],
-    job_of_query: Sequence[int],
+    levels: Sequence[BloomFilter],
     lows: Sequence[int],
     highs: Sequence[int],
-    *,
-    dedup: bool = True,
-    probe_budget: int | None = None,
-    want_bounds: bool = False,
-    chunk_leaves: int = DEFAULT_CHUNK_LEAVES,
 ) -> FrontierResult:
-    """Resolve a batch of range doubts, level-synchronously.
+    """Resolve a batch of range doubts against one stack, level-synchronously.
 
     Parameters
     ----------
-    stacks:
-        One Bloom-filter stack (leaf first) per Rosetta instance involved.
-    job_of_query:
-        For each query, the index of the stack it probes.
+    levels:
+        The Bloom-filter stack of one Rosetta instance, leaf level first.
     lows, highs:
         Inclusive query bounds; every query must satisfy
-        ``0 <= low <= high < 2^64`` (clamping is the caller's job).
-    dedup:
-        Accounting mode — see the module docstring.  ``probe_budget``
-        requires ``dedup=False``.
-    want_bounds:
-        Also extract each query's leftmost/rightmost surviving leaf
-        (disables early exit, since the rightmost survivor needs the full
-        interval sweep; incompatible with exact accounting).
-    chunk_leaves:
-        Maximum keys covered per round.
+        ``0 <= low <= high < 2^64`` (validation and clamping are the
+        caller's job).
     """
-    exact = not dedup
-    if want_bounds and exact:
-        raise ValueError("want_bounds requires dedup=True accounting")
-    if probe_budget is not None and not exact:
-        raise ValueError("probe_budget requires dedup=False (exact) accounting")
-    if chunk_leaves < 1:
-        raise ValueError(f"chunk_leaves must be >= 1, got {chunk_leaves}")
-
+    max_height = len(levels) - 1
     num_queries = len(lows)
-    lows = [int(v) for v in lows]
-    highs = [int(v) for v in highs]
-    if (
-        not exact
-        and not want_bounds
-        and sum(lo <= hi for lo, hi in zip(lows, highs)) == 1
-    ):
-        # A batch of one is the scalar path in disguise: give it the scalar
-        # short-circuit (replayed exact accounting, per-interval early exit)
-        # so bloom_probes / dyadic_intervals for a single query are identical
-        # no matter which entry point issued it.  Without this, the round
-        # assembly below decomposes and probes the whole round with no
-        # per-query early exit, charging more probes and intervals than
-        # may_contain_range does for the very same range.
-        exact = True
-    job_ids = np.asarray(list(job_of_query), dtype=np.int64)
-    max_heights = [len(stack) - 1 for stack in stacks]
-
     answers = np.zeros(num_queries, dtype=bool)
-    resolved = np.zeros(num_queries, dtype=bool)
-    intervals_per_query = np.zeros(num_queries, dtype=np.int64)
-    probes_per_job = np.zeros(len(stacks), dtype=np.int64)
-    spent = [0] * num_queries  # exact-mode per-query probe charge
-    hash_evals = 0
+    intervals = 0
+    probes = 0
     bulk_probe_calls = 0
-    bulk_probes = 0
-
-    if want_bounds:
-        eff_low = np.full(num_queries, _U64_MAX, dtype=np.uint64)
-        eff_high = np.zeros(num_queries, dtype=np.uint64)
-    else:
-        eff_low = eff_high = None
 
     cursors = list(lows)
-    pending = deque(
-        q for q in range(num_queries) if lows[q] <= highs[q]
-    )
+    pending = deque(range(num_queries))
 
     while pending:
         # -- Round assembly: pull intervals (in query order, left to right)
@@ -463,18 +343,18 @@ def doubt_frontier(
         #    dominate the sweep); only the budget-boundary query falls back
         #    to the scalar, early-exiting walk.  Segments stay scalar
         #    triples here; they are materialized into arrays once per level
-        #    below.
-        budget_left = chunk_leaves
+        #    below.  A query already answered positive by an earlier round
+        #    is dropped: that is the early exit.
+        budget_left = CHUNK_LEAVES
         round_segments: list[tuple[int, list[tuple[int, int, int]]]] = []
         batched: list[int] = []
         while pending:
             q = pending[0]
-            if resolved[q]:
+            if answers[q]:
                 pending.popleft()
                 continue
-            top = max_heights[job_ids[q]]
             span = highs[q] - cursors[q] + 1
-            if top >= 64 or span > budget_left:
+            if max_height >= 64 or span > budget_left:
                 break
             batched.append(q)
             budget_left -= span
@@ -483,18 +363,16 @@ def doubt_frontier(
             covers = _decompose_batch(
                 [cursors[q] for q in batched],
                 [highs[q] for q in batched],
-                [max_heights[job_ids[q]] for q in batched],
+                [max_height] * len(batched),
             )
-            for q, segments in zip(batched, covers):
-                round_segments.append((q, segments))
-                cursors[q] = highs[q] + 1
+            round_segments.extend(zip(batched, covers))
         while pending and budget_left > 0:
             q = pending[0]
-            if resolved[q]:
+            if answers[q]:
                 pending.popleft()
                 continue
             segments, cursors[q], used = _decompose_chunk(
-                cursors[q], highs[q], max_heights[job_ids[q]], budget_left
+                cursors[q], highs[q], max_height, budget_left
             )
             budget_left -= used
             round_segments.append((q, segments))
@@ -502,13 +380,8 @@ def doubt_frontier(
                 pending.popleft()
 
         seg_lists: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        roots_count: dict[int, int] = {}
-        round_refs: list[tuple[int, list[tuple[int, int, int]]]] = []
         for q, segments in round_segments:
-            refs: list[tuple[int, int, int]] = []
             for height, first_prefix, count in segments:
-                start = roots_count.get(height, 0)
-                roots_count[height] = start + count
                 lists = seg_lists.get(height)
                 if lists is None:
                     lists = ([], [], [])
@@ -516,27 +389,14 @@ def doubt_frontier(
                 lists[0].append(first_prefix)
                 lists[1].append(count)
                 lists[2].append(q)
-                refs.append((height, start, count))
-            if refs:
-                round_refs.append((q, refs))
+                intervals += count
         if not seg_lists:
             continue
-        if not exact:
-            for _, counts_l, owners_l in seg_lists.values():
-                np.add.at(
-                    intervals_per_query,
-                    np.array(owners_l, dtype=np.int64),
-                    np.array(counts_l, dtype=np.int64),
-                )
 
         # -- Level-synchronous descent, top height to leaves.
-        top = max(seg_lists)
         carry_prefix = np.zeros(0, dtype=np.uint64)
         carry_owner = np.zeros(0, dtype=np.int64)
-        levels: dict[int, tuple] = {}
-        root_offsets: dict[int, int] = {}
-        for height in range(top, -1, -1):
-            root_offsets[height] = len(carry_prefix)
+        for height in range(max(seg_lists), -1, -1):
             lists = seg_lists.get(height)
             if lists is None:
                 prefixes, owners = carry_prefix, carry_owner
@@ -558,207 +418,35 @@ def doubt_frontier(
                     root_owner = np.repeat(seg_owners, counts)
                 prefixes = np.concatenate([carry_prefix, root_prefix])
                 owners = np.concatenate([carry_owner, root_owner])
-            carry_prefix = np.zeros(0, dtype=np.uint64)
-            carry_owner = np.zeros(0, dtype=np.int64)
             if len(prefixes) == 0:
-                if exact:
-                    levels[height] = (
-                        np.zeros(0, dtype=bool),
-                        np.zeros(0, dtype=np.int64),
-                        np.zeros(0, dtype=bool),
-                    )
                 continue
 
-            outcome = np.zeros(len(prefixes), dtype=bool)
-            counted = np.ones(len(prefixes), dtype=bool)
+            # Nodes on an always-positive level survive for free (and are
+            # never charged).
+            if not levels[height].is_always_positive:
+                unique, inverse = np.unique(prefixes, return_inverse=True)
+                survivors = levels[height].survivors_hashed(
+                    *base_hash_arrays(unique)
+                )
+                mask = np.zeros(len(unique), dtype=bool)
+                mask[survivors] = True
+                alive = mask[inverse]
+                prefixes, owners = prefixes[alive], owners[alive]
+                probes += len(unique)
+                bulk_probe_calls += 1
 
-            # Group frontier nodes by stack; nodes on an always-positive
-            # level survive for free (and are never charged).
-            if len(stacks) == 1:
-                groups: list[tuple[int, np.ndarray | None]] = [(0, None)]
-            else:
-                node_jobs = job_ids[owners]
-                groups = [
-                    (int(j), np.nonzero(node_jobs == j)[0])
-                    for j in np.unique(node_jobs)
-                ]
-            probing: list[tuple[int, np.ndarray | None]] = []
-            for job, sel in groups:
-                if stacks[job][height].is_always_positive:
-                    if sel is None:
-                        outcome[:] = True
-                        counted[:] = False
-                    else:
-                        outcome[sel] = True
-                        counted[sel] = False
-                else:
-                    probing.append((job, sel))
-
-            if probing:
-                if len(probing) == 1:
-                    job, sel = probing[0]
-                    values = prefixes if sel is None else prefixes[sel]
-                    unique, inverse = np.unique(values, return_inverse=True)
-                    h1, h2 = base_hash_arrays(unique)
-                    hash_evals += len(unique)
-                    survivors = stacks[job][height].survivors_hashed(h1, h2)
-                    mask = np.zeros(len(unique), dtype=bool)
-                    mask[survivors] = True
-                    if sel is None:
-                        outcome[:] = mask[inverse]
-                    else:
-                        outcome[sel] = mask[inverse]
-                    probes_per_job[job] += len(unique)
-                    bulk_probes += len(unique)
-                    bulk_probe_calls += 1
-                else:
-                    # Hash each distinct prefix once across every stack.
-                    all_values = np.concatenate(
-                        [prefixes[sel] for _, sel in probing]
-                    )
-                    shared = np.unique(all_values)
-                    shared_h1, shared_h2 = base_hash_arrays(shared)
-                    hash_evals += len(shared)
-                    for job, sel in probing:
-                        unique, inverse = np.unique(
-                            prefixes[sel], return_inverse=True
-                        )
-                        pos = np.searchsorted(shared, unique)
-                        survivors = stacks[job][height].survivors_hashed(
-                            shared_h1[pos], shared_h2[pos]
-                        )
-                        mask = np.zeros(len(unique), dtype=bool)
-                        mask[survivors] = True
-                        outcome[sel] = mask[inverse]
-                        probes_per_job[job] += len(unique)
-                        bulk_probes += len(unique)
-                        bulk_probe_calls += 1
-
-            survivor_idx = np.nonzero(outcome)[0]
-            child_base = None
             if height > 0:
-                if exact:
-                    child_base = np.full(len(prefixes), -1, dtype=np.int64)
-                    child_base[survivor_idx] = (
-                        np.arange(len(survivor_idx), dtype=np.int64) * 2
-                    )
-                shifted = prefixes[survivor_idx] << np.uint64(1)
-                carry_prefix = np.empty(2 * len(survivor_idx), dtype=np.uint64)
+                shifted = prefixes << np.uint64(1)
+                carry_prefix = np.empty(2 * len(prefixes), dtype=np.uint64)
                 carry_prefix[0::2] = shifted
                 carry_prefix[1::2] = shifted | np.uint64(1)
-                carry_owner = np.repeat(owners[survivor_idx], 2)
+                carry_owner = np.repeat(owners, 2)
             else:
-                hit_owners = owners[survivor_idx]
-                answers[hit_owners] = True
-                if want_bounds:
-                    hit_prefixes = prefixes[survivor_idx]
-                    np.minimum.at(eff_low, hit_owners, hit_prefixes)
-                    np.maximum.at(eff_high, hit_owners, hit_prefixes)
-            if exact:
-                levels[height] = (outcome, child_base, counted)
+                answers[owners] = True
 
-        # -- Round resolution.
-        if exact:
-            # Replay the sequential recursion per query over this round's
-            # outcome tree: interval order, probe charges, deadline, and the
-            # budget-exhausted positive all match the reference path.
-            for q, refs in round_refs:
-                if resolved[q]:
-                    continue
-                state = [spent[q]]
-                verdict = False
-                for height, start, count in refs:
-                    base = root_offsets[height] + start
-                    for k in range(count):
-                        intervals_per_query[q] += 1
-                        if _simulate_doubt(
-                            levels, height, base + k, state, probe_budget
-                        ):
-                            verdict = True
-                            break
-                    if verdict:
-                        break
-                spent[q] = state[0]
-                answers[q] = verdict
-                if verdict:
-                    resolved[q] = True
-        elif not want_bounds:
-            np.logical_or(resolved, answers, out=resolved)
-
-    probes = sum(spent) if exact else bulk_probes
     return FrontierResult(
         answers=answers,
-        effective_lows=eff_low,
-        effective_highs=eff_high,
         probes=probes,
-        probes_per_job=None if exact else probes_per_job,
-        intervals_per_query=intervals_per_query,
-        hash_evals=hash_evals,
+        intervals=intervals,
         bulk_probe_calls=bulk_probe_calls,
     )
-
-
-def doubt_batch(
-    filters: Sequence[BloomFilter],
-    lows: Sequence[int],
-    highs: Sequence[int],
-    **kwargs,
-) -> FrontierResult:
-    """Frontier sweep for a batch of queries against a single filter stack."""
-    return doubt_frontier(
-        [filters], [0] * len(lows), lows, highs, **kwargs
-    )
-
-
-def tighten_across_stacks(
-    stacks: Sequence[Sequence[BloomFilter]],
-    key_bits: Sequence[int],
-    low: int,
-    high: int,
-    *,
-    chunk_leaves: int = DEFAULT_CHUNK_LEAVES,
-) -> tuple[list[tuple[int, int] | None], FrontierResult]:
-    """Doubt one range against many filter stacks in a single sweep.
-
-    The LSM read path's multi-run seek: every overlapping run's Rosetta
-    probes the same ``[low, high]``, so their frontiers share per-level hash
-    evaluations.  Returns one §2.2.1-tightened range (or ``None`` for a
-    definite miss) per stack, plus the raw :class:`FrontierResult` so the
-    caller can distribute probe charges onto each instance's counters.
-
-    ``key_bits[j]`` gives stack *j*'s key-domain width; the query is clamped
-    to each stack's domain exactly as the scalar path would.
-    """
-    clamped_lows: list[int] = []
-    clamped_highs: list[int] = []
-    jobs: list[int] = []
-    for job, bits in enumerate(key_bits):
-        domain_max = (1 << bits) - 1
-        lo = max(int(low), 0)
-        hi = min(int(high), domain_max)
-        if lo > hi:
-            continue
-        jobs.append(job)
-        clamped_lows.append(lo)
-        clamped_highs.append(hi)
-
-    result = doubt_frontier(
-        stacks,
-        jobs,
-        clamped_lows,
-        clamped_highs,
-        dedup=True,
-        want_bounds=True,
-        chunk_leaves=chunk_leaves,
-    )
-    tightened: list[tuple[int, int] | None] = [None] * len(stacks)
-    for idx, job in enumerate(jobs):
-        if not result.answers[idx]:
-            continue
-        leftmost = int(result.effective_lows[idx])
-        rightmost = int(result.effective_highs[idx])
-        tightened[job] = (
-            max(leftmost, clamped_lows[idx]),
-            min(max(rightmost, leftmost), clamped_highs[idx]),
-        )
-    return tightened, result

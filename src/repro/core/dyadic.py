@@ -20,7 +20,12 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-__all__ = ["DyadicInterval", "decompose", "max_intervals_for_range"]
+__all__ = [
+    "DyadicInterval",
+    "count_intervals",
+    "decompose",
+    "max_intervals_for_range",
+]
 
 
 class DyadicInterval(NamedTuple):
@@ -83,6 +88,31 @@ def decompose(low: int, high: int, max_height: int) -> Iterator[DyadicInterval]:
         height = min(align, fit)
         yield DyadicInterval(prefix=cursor >> height, height=height)
         cursor += 1 << height
+
+
+def count_intervals(low: int, high: int, max_height: int) -> int:
+    """How many intervals :func:`decompose` yields, without yielding them.
+
+    O(1) in the range width.  With ``stop = high + 1``: when a multiple of
+    ``2^max_height`` lies in ``[low, stop]`` the cover is the full-height
+    blocks between the outermost such multiples plus the two ragged ends;
+    otherwise the range sits inside one full-height block and splits at the
+    multiple of the largest power of two it contains.  Either way a ragged
+    end that touches an aligned boundary costs one block per set bit of its
+    length.
+    """
+    stop = high + 1
+    first = -(-low >> max_height)
+    last = stop >> max_height
+    if first <= last:
+        return (
+            (last - first)
+            + ((first << max_height) - low).bit_count()
+            + (stop - (last << max_height)).bit_count()
+        )
+    split_bit = (low ^ stop).bit_length() - 1
+    split = (stop >> split_bit) << split_bit
+    return (split - low).bit_count() + (stop - split).bit_count()
 
 
 def max_intervals_for_range(range_size: int) -> int:

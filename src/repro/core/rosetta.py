@@ -33,10 +33,21 @@ import numpy as np
 from repro.core import doubting, dyadic
 from repro.core.allocation import LevelAllocation, allocate
 from repro.core.bloom import BloomFilter, optimal_num_hashes
-from repro.core.doubting import FrontierResult
 from repro.errors import FilterBuildError, FilterQueryError, SerializationError
 
-__all__ = ["Rosetta", "ProbeStats"]
+__all__ = ["Rosetta", "ProbeStats", "WALK_MAX_INTERVALS"]
+
+#: Most top-level dyadic intervals one range call (a query, or a batch's
+#: queries summed) may cover and still take the pre-order walk; above it the
+#: frontier engine runs.  Measured on the ledger's filter shape (22 bits/key,
+#: max_range 64, 2 k-key runs): the walk costs ~10 us per short query's
+#: interval and the engine ~450-600 us flat plus ~1 us per interval, so N
+#: width-1..64 queries cross at N = 14-16 (64-76 intervals: 690 vs 690 us)
+#: and one wide non-empty query, where the walk exits early, at 64-80.  One
+#: wide *empty* query crosses sooner (~20 intervals; its full-height blocks
+#: cost ~4.5 probes each) and is the side this constant short-changes: at
+#: 64 intervals the walk takes 2.0 ms where the engine would take 0.55 ms.
+WALK_MAX_INTERVALS = 64
 
 
 @dataclass
@@ -262,12 +273,8 @@ class Rosetta:
 
     @property
     def levels(self) -> tuple[BloomFilter, ...]:
-        """The Bloom-filter stack, leaf level (height 0) first.
-
-        This is the shape :mod:`repro.core.doubting` consumes; exposing it
-        lets the LSM read path doubt one range against several runs' stacks
-        in a single frontier sweep.
-        """
+        """The Bloom-filter stack, leaf level (height 0) first — the shape
+        :func:`repro.core.doubting.doubt_frontier` consumes."""
         return tuple(self._filters)
 
     @property
@@ -361,41 +368,22 @@ class Rosetta:
         highs,
         *,
         probe_budget: int | None = None,
-        dedup: bool = True,
     ) -> np.ndarray:
-        """Vectorized range lookups: one boolean per (low, high) pair.
+        """Range lookups for a group of queries: one boolean per pair.
 
-        All queries are resolved by the frontier engine
-        (:mod:`repro.core.doubting`) in one level-synchronous sweep: at each
-        height the surviving prefixes of *every* query are probed with one
-        bulk Bloom operation, and a prefix shared by several queries is
-        hashed and probed once (``dedup=True``, the default).  Work is
-        chunked so oversized ranges — including the single-level §2.4 design,
-        where every key of the range is probed — never materialize huge
-        arrays, with an early exit as soon as a query turns positive.
-
-        ``dedup=False`` switches probe accounting (and ``probe_budget``
-        semantics) to match the sequential recursion exactly, query by
-        query; a ``probe_budget`` forces that mode.  Verdicts agree with
-        :meth:`may_contain_range` query-for-query in both modes, and a
-        batch holding a single live query takes the scalar path's exact
-        accounting either way, so its ``bloom_probes`` /
-        ``dyadic_intervals`` charges equal the scalar call's.
+        Verdicts agree with :meth:`may_contain_range` query for query.  The
+        kernel is picked from the group's summed interval count (see
+        :meth:`_doubt_ranges`): a small group is a loop of pre-order walks
+        and charges exactly what the scalar calls would; a large one is
+        one frontier sweep (:mod:`repro.core.doubting`), where a prefix
+        shared by several queries is hashed and probed once and work is
+        chunked so oversized ranges never materialize huge arrays.
+        ``probe_budget`` applies per query, as in :meth:`may_contain_range`.
         """
         lows = [int(v) for v in lows]
         highs = [int(v) for v in highs]
         if len(lows) != len(highs):
             raise FilterQueryError("lows and highs must align")
-        if self._key_bits > 64:
-            # Wide domains cannot ride the uint64 frontier; doubt per query.
-            return np.fromiter(
-                (
-                    self.may_contain_range(lo, hi, probe_budget=probe_budget)
-                    for lo, hi in zip(lows, highs)
-                ),
-                dtype=bool,
-                count=len(lows),
-            )
         clamped = [self._clamp_range(lo, hi) for lo, hi in zip(lows, highs)]
         self.stats.range_queries += len(lows)
         answers = np.zeros(len(lows), dtype=bool)
@@ -407,19 +395,10 @@ class Rosetta:
             answers[:] = True
             return answers
         live = [i for i, (lo, hi) in enumerate(clamped) if lo <= hi]
-        if not live:
-            return answers
-        if probe_budget is not None:
-            dedup = False
-        result = doubting.doubt_batch(
-            self._filters,
-            [clamped[i][0] for i in live],
-            [clamped[i][1] for i in live],
-            dedup=dedup,
-            probe_budget=probe_budget,
-        )
-        self._charge(result)
-        answers[live] = result.answers
+        if live:
+            answers[live] = self._doubt_ranges(
+                [clamped[i] for i in live], probe_budget
+            )
         return answers
 
     def may_contain_range(
@@ -428,12 +407,7 @@ class Rosetta:
         """Range-emptiness lookup (Algorithm 2).
 
         Returns ``False`` only if ``[low, high]`` definitely holds no key.
-
-        Resolved by the frontier engine as a batch of one, in the exact
-        accounting mode: verdicts, :class:`ProbeStats` charges, and
-        ``probe_budget`` semantics are identical to the reference recursion
-        (:meth:`may_contain_range_recursive`), but each level of the doubt
-        is one bulk Bloom probe instead of a Python recursion.
+        Out-of-domain bounds are clamped; an inverted range raises.
 
         ``probe_budget`` caps the Bloom probes spent on this query — the
         CPU side of the paper's CPU/FPR tradeoff made explicit.  When the
@@ -447,36 +421,48 @@ class Rosetta:
             return False
         if probe_budget is not None and probe_budget < 1:
             return True
-        if self._key_bits > 64:
-            return self._doubt_decomposition(low, high, probe_budget)
-        result = doubting.doubt_batch(
-            self._filters, [low], [high], dedup=False, probe_budget=probe_budget
-        )
-        self._charge(result)
-        return bool(result.answers[0])
+        return self._doubt_ranges([(low, high)], probe_budget)[0]
 
-    def may_contain_range_recursive(
-        self, low: int, high: int, probe_budget: int | None = None
-    ) -> bool:
-        """The pre-engine scalar path: per-prefix recursive doubting.
+    def _doubt_ranges(
+        self, ranges: Sequence[tuple[int, int]], probe_budget: int | None
+    ) -> list[bool]:
+        """Doubt validated, clamped, non-empty ranges; pick the kernel.
 
-        Kept as the executable reference for Algorithm 2 — the equivalence
-        tests pin :meth:`may_contain_range` and
-        :meth:`may_contain_range_batch` (dedup off) to its verdicts *and*
-        probe counts.  Also the fallback for domains wider than 64 bits.
+        The one place a range probe chooses between the pre-order walk and
+        the frontier engine, from the call's own input: the walk serves
+        calls covering at most :data:`WALK_MAX_INTERVALS` top-level dyadic
+        intervals, every domain wider than the engine's ``uint64`` arrays,
+        and every budgeted call (it honours a budget natively and its cost
+        is bounded by it); the engine serves the rest.  Both charge
+        ``bloom_probes`` with the probes they actually issued.
         """
-        low, high = self._clamp_range(low, high)
-        self.stats.range_queries += 1
-        if self._num_keys == 0 or low > high:
-            return False
-        if probe_budget is not None and probe_budget < 1:
-            return True
-        return self._doubt_decomposition(low, high, probe_budget)
+        if (
+            probe_budget is not None
+            or self._key_bits > 64
+            # Every range holds at least one interval, so a long batch is
+            # past the crossover without counting.
+            or (
+                len(ranges) <= WALK_MAX_INTERVALS
+                and sum(
+                    dyadic.count_intervals(low, high, self._max_height)
+                    for low, high in ranges
+                )
+                <= WALK_MAX_INTERVALS
+            )
+        ):
+            return [self._walk(low, high, probe_budget) for low, high in ranges]
+        result = doubting.doubt_frontier(
+            self._filters,
+            [low for low, _ in ranges],
+            [high for _, high in ranges],
+        )
+        self.stats.bloom_probes += result.probes
+        self.stats.dyadic_intervals += result.intervals
+        self.stats.bulk_probe_calls += result.bulk_probe_calls
+        return result.answers.tolist()
 
-    def _doubt_decomposition(
-        self, low: int, high: int, probe_budget: int | None
-    ) -> bool:
-        """Decompose-and-doubt loop shared by the recursive paths."""
+    def _walk(self, low: int, high: int, probe_budget: int | None) -> bool:
+        """Algorithm 2 as written: doubt each dyadic interval, left to right."""
         deadline = (
             self.stats.bloom_probes + probe_budget
             if probe_budget is not None
@@ -493,47 +479,13 @@ class Rosetta:
 
         Returns ``None`` when the range is definitely empty; otherwise the
         narrowest ``(effective_low, effective_high)`` sub-range that may hold
-        keys — storage I/O can then seek the narrower range.
-
-        The frontier engine extracts both bounds in one sweep: the leaf
-        level's surviving prefixes are reduced per query to their minimum
-        and maximum, so no subtree is walked twice.  Verdicts and bounds
-        match :meth:`tightened_range_recursive`; probe charges are the bulk
-        probes actually issued (the engine dedups within the sweep, and
-        never re-probes shared nodes the way the recursive left/right scans
-        do).
+        keys — storage I/O can then seek the narrower range.  Two scalar
+        scans: leftmost survivor from the left, rightmost from the right.
         """
         low, high = self._clamp_range(low, high)
         self.stats.range_queries += 1
         if self._num_keys == 0 or low > high:
             return None
-        if self._key_bits > 64:
-            return self._tightened_scan(low, high)
-        result = doubting.doubt_batch(
-            self._filters, [low], [high], dedup=True, want_bounds=True
-        )
-        self._charge(result)
-        if not result.answers[0]:
-            return None
-        effective_low = int(result.effective_lows[0])
-        effective_high = int(result.effective_highs[0])
-        return (
-            max(effective_low, low),
-            min(max(effective_high, effective_low), high),
-        )
-
-    def tightened_range_recursive(
-        self, low: int, high: int
-    ) -> tuple[int, int] | None:
-        """The pre-engine tightening path (reference; wide-domain fallback)."""
-        low, high = self._clamp_range(low, high)
-        self.stats.range_queries += 1
-        if self._num_keys == 0 or low > high:
-            return None
-        return self._tightened_scan(low, high)
-
-    def _tightened_scan(self, low: int, high: int) -> tuple[int, int] | None:
-        """Left/right recursive survivor scans shared by the legacy paths."""
         intervals = list(dyadic.decompose(low, high, self._max_height))
         self.stats.dyadic_intervals += len(intervals)
 
@@ -559,14 +511,8 @@ class Rosetta:
                 break
         return max(effective_low, low), min(max(effective_high, effective_low), high)
 
-    def _charge(self, result: FrontierResult) -> None:
-        """Fold a frontier-engine result into this instance's counters."""
-        self.stats.bloom_probes += result.probes
-        self.stats.dyadic_intervals += result.intervals
-        self.stats.bulk_probe_calls += result.bulk_probe_calls
-
     # ------------------------------------------------------------------
-    # Doubting (Algorithm 2 core, recursive reference)
+    # Doubting (Algorithm 2 core)
     # ------------------------------------------------------------------
     def _probe(self, prefix: int, height: int) -> bool:
         filt = self._filters[height]

@@ -101,8 +101,9 @@ from repro.lsm.memtable import MemTable
 from repro.lsm.options import DBOptions
 from repro.lsm.perf_context import QueryContext
 from repro.lsm.scheduler import InlineScheduler, ThreadPoolScheduler
+from repro.lsm.shard import clamp_to_domain
 from repro.lsm.sstable import SSTMeta, SSTReader, SSTWriter
-from repro.lsm.stats import PerfStats, Stopwatch
+from repro.lsm.stats import PerfStats
 from repro.lsm.version import Run, Version
 from repro.lsm.wal import BATCH_OP, WriteAheadLog, parse_wal_seq, wal_file_name
 from repro.lsm.write_batch import WriteBatch
@@ -1364,36 +1365,43 @@ class DB:
         Validation is eager: a closed store or an inverted range raises
         here, at call time — not on the first ``next()`` — because this
         is a plain wrapper that returns the generator rather than a
-        generator function itself.  Filter probing is eager too (the
-        probes decide whether there is anything to stream at all).
+        generator function itself.  Out-of-domain bounds are clamped (a
+        range wholly outside the key domain is empty), the same answer
+        the filters and :meth:`ShardRouter.split_range` give.  Filter
+        probing is eager too (the probes decide whether there is anything
+        to stream at all).
         """
         self._check_open()
-        if low > high:
-            raise FilterQueryError(f"invalid range: low={low} > high={high}")
+        clamped = clamp_to_domain(low, high, self.options.key_bits)
         self.stats.add(range_queries=1)
         self.tracker.record_range_query(high - low + 1)
-        low_bytes = self._encode_key(low)
-        high_bytes = self._encode_key(min(high, (1 << self.options.key_bits) - 1))
         context = QueryContext(kind="range", low=low, high=high)
         before = self.stats.snapshot()
+        if clamped is None:
+            self._finish_context(context, before)
+            return iter(())
+        low, high = clamped
+        low_bytes = self._encode_key(low)
+        high_bytes = self._encode_key(high)
 
         sv = self._ref_super()
         try:
             candidates = sv.version.runs_for_range(low_bytes, high_bytes)
             context.runs_considered = len(candidates)
-            positive_runs: list[tuple[Run, bytes]] = []
-            effectives = self._probe_filters_range(candidates, low, high)
-            for run, effective in zip(candidates, effectives):
-                if effective is not None:
-                    seek_key = max(low_bytes, self._encode_key(effective[0]))
-                    positive_runs.append((run, seek_key))
+            # Positive runs all seek at ``low_bytes``.  Seeking at a
+            # filter's leftmost surviving key instead (§2.2.1) buys
+            # nothing here: a filter has no false negatives, so the run
+            # holds no key in [low, leftmost survivor), and iterating
+            # from either bound lands on the same entry of the same block.
+            verdicts = self._probe_filters_range(candidates, low, high)
+            positive_runs = [
+                run for run, verdict in zip(candidates, verdicts) if verdict
+            ]
 
             live_memtables = [m for m in sv.memtables() if not m.is_empty]
             if not positive_runs and not live_memtables:
                 # "If all filters answer negative, we delete the iterator
-                # and return an empty result" — still a (small) residual cost.
-                with Stopwatch(self.stats, "residual_seek_ns"):
-                    pass
+                # and return an empty result."
                 self._finish_context(context, before)
                 self._unref_super(sv)
                 return iter(())
@@ -1410,14 +1418,14 @@ class DB:
         sv: _SuperVersion,
         context: QueryContext,
         before: PerfStats,
-        positive_runs: list[tuple[Run, bytes]],
+        positive_runs: list[Run],
         live_memtables: list[MemTable],
         low_bytes: bytes,
         high_bytes: bytes,
     ) -> Iterator[tuple[int, bytes]]:
         """Generator half of :meth:`range_iter` (validated, sv pinned)."""
         contributed: dict[str, bool] = {
-            run.name: False for run, _ in positive_runs
+            run.name: False for run in positive_runs
         }
         results = 0
         try:
@@ -1426,12 +1434,12 @@ class DB:
             for memtable in live_memtables:
                 sources.append((priority, memtable.entries_from(low_bytes)))
                 priority += 1
-            for offset, (run, seek_key) in enumerate(positive_runs):
+            for offset, run in enumerate(positive_runs):
                 sources.append(
                     (
                         priority + offset,
                         self._tracking_iter(
-                            run, seek_key, high_bytes, contributed
+                            run, low_bytes, high_bytes, contributed
                         ),
                     )
                 )
@@ -1452,7 +1460,7 @@ class DB:
         finally:
             # Runs on exhaustion, close(), GC, or a consumer exception:
             # record what the scan observed, then release the pin.
-            for run, _ in positive_runs:
+            for run in positive_runs:
                 truly = contributed[run.name]
                 self._record_positive_outcomes(run, int(truly), int(not truly))
             context.results = results
@@ -1482,13 +1490,13 @@ class DB:
 
     def _probe_filters_range(
         self, runs: list[Run], low: int, high: int
-    ) -> list[tuple[int, int] | None]:
-        """Probe every overlapping run's filter for ``[low, high]`` at once.
+    ) -> list[bool]:
+        """One emptiness verdict per overlapping run; charge the verdicts.
 
-        All Rosetta-backed runs share one frontier sweep per level
-        (:func:`~repro.lsm.filter_integration.batched_tightened_ranges`);
-        runs without a filter block pass through as ``(low, high)``.
-        Per-run verdict bookkeeping matches the old one-probe-per-run path.
+        Each filtered run's filter answers ``may_contain_range`` through
+        :func:`~repro.lsm.filter_integration.batched_tightened_ranges`;
+        runs without a filter block pass through positive, uncharged
+        (fence pointers already said "overlaps").
         """
         if not runs:
             return []
@@ -1496,20 +1504,23 @@ class DB:
             self._filter_dictionary.get_filter(run.reader, self.stats)
             for run in runs
         ]
-        with Stopwatch(self.stats, "filter_probe_ns"):
-            effectives, batch_sweeps = batched_tightened_ranges(
-                filters, low, high
-            )
-        self.stats.add(filter_batch_probes=batch_sweeps)
-        for run, filt, effective in zip(runs, filters, effectives):
-            if filt is None:
-                continue  # fence pointers already said "overlaps"
-            self.stats.add(filter_probes=1)
-            if effective is None:
-                self.stats.add(filter_negatives=1)
-                self.tracker.record_filter_outcome(False, False)
+        started = time.perf_counter_ns()
+        verdicts, filter_calls = batched_tightened_ranges(filters, low, high)
+        elapsed = time.perf_counter_ns() - started
+        negatives = 0
+        for run, filt, verdict in zip(runs, filters, verdicts):
+            if filt is not None and not verdict:
+                negatives += 1
                 self._note_filter_outcome(run, negatives=1)
-        return effectives
+        self.stats.add(
+            filter_probe_ns=elapsed,
+            filter_batch_probes=filter_calls,
+            filter_probes=filter_calls,
+            filter_negatives=negatives,
+        )
+        if negatives:
+            self.tracker.record_filter_outcome(False, False, negatives)
+        return verdicts
 
     def _record_positive_outcomes(
         self, run: Run, true_positives: int, false_positives: int
@@ -1557,12 +1568,16 @@ class DB:
         stable even while flushes and compactions land mid-iteration.
         """
         self._check_open()
-        start_bytes = self._encode_key(start if start is not None else 0)
-        end_bytes = (
-            self._encode_key(end)
-            if end is not None
-            else b"\xff" * self.options.key_width_bytes
+        domain_max = (1 << self.options.key_bits) - 1
+        clamped = clamp_to_domain(
+            start if start is not None else 0,
+            end if end is not None else domain_max,
+            self.options.key_bits,
         )
+        if clamped is None:
+            return
+        start_bytes = self._encode_key(clamped[0])
+        end_bytes = self._encode_key(clamped[1])
         sv = self._ref_super()
         try:
             sources: list[tuple[int, Iterator]] = []

@@ -8,9 +8,8 @@ Three pieces:
   dropped when a compaction destroys the run.  Disabling it (an ablation in
   ``benchmarks/``) re-deserializes the filter block on every query, which
   is what the paper's deserialization-cost discussion is about.
-* :func:`batched_tightened_ranges` — the bulk *range* probe: every
-  overlapping run's Rosetta doubts the same range in one multi-stack
-  frontier sweep, returning a §2.2.1-tightened seek window per run.
+* :func:`batched_tightened_ranges` — the *range* probe: one
+  ``may_contain_range`` call per overlapping run.
 * :func:`batched_point_verdicts` — the *point* probe: one
   ``may_contain_batch`` call per run for that run's whole key group
   (a ``get`` is a group of one).
@@ -21,11 +20,9 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from repro.core import doubting
 from repro.core.tuning import observed_fpr
 from repro.errors import SerializationError
 from repro.filters.base import KeyFilter, deserialize_filter
-from repro.filters.rosetta_adapter import RosettaFilter
 from repro.lsm.sstable import SSTReader
 from repro.lsm.stats import PerfStats, Stopwatch
 
@@ -178,17 +175,15 @@ def batched_point_verdicts(
 ) -> tuple[Sequence[bool], int]:
     """Probe one run's filter for a whole point-lookup key group at once.
 
-    The point-path sibling of :func:`batched_tightened_ranges`: where a
-    range seek shares one frontier sweep across runs, the point pipeline
-    (``DB.get`` and ``DB.multi_get`` alike) groups its unresolved keys per
-    run and answers each group — of one key or thousands — with one
+    The point pipeline (``DB.get`` and ``DB.multi_get`` alike) groups its
+    unresolved keys per run and answers each group — of one key or
+    thousands — with one
     :meth:`~repro.filters.base.KeyFilter.may_contain_batch` call.
 
     ``filt is None`` means the run has fence pointers only: every key
     passes through positive at zero probe cost.  Returns
-    ``(verdicts, batch_sweeps)``; ``batch_sweeps`` (0 or 1) feeds
-    ``PerfStats.filter_batch_probes`` exactly like the range path's
-    frontier sweeps, so the counter spans both bulk probe shapes.
+    ``(verdicts, filter_calls)``; ``filter_calls`` (0 or 1) feeds
+    ``PerfStats.filter_batch_probes``.
     """
     if filt is None or not keys:
         return [True] * len(keys), 0
@@ -197,64 +192,23 @@ def batched_point_verdicts(
 
 def batched_tightened_ranges(
     filters: Sequence[KeyFilter | None], low: int, high: int
-) -> tuple[list[tuple[int, int] | None], int]:
-    """Tighten ``[low, high]`` against every run's filter in one sweep.
+) -> tuple[list[bool], int]:
+    """Ask every overlapping run's filter whether ``[low, high]`` is empty.
 
-    The multi-SST seek of the read path: all overlapping runs probe the same
-    range, so their Rosetta instances share one frontier sweep per level
-    (:func:`repro.core.doubting.tighten_across_stacks`) — the 64-bit base
-    hashes of each candidate prefix are computed once across all runs.
-
+    One :meth:`~repro.filters.base.KeyFilter.may_contain_range` call per
+    filtered run — the filter picks its own kernel from the range.
     ``filters[i] is None`` means run *i* has fence pointers only and passes
-    through as ``(low, high)``; non-Rosetta filters (and Rosetta instances
-    the engine cannot batch: empty, or domains wider than 64 bits) fall back
-    to their scalar :meth:`~repro.filters.base.KeyFilter.tightened_range`.
-    Per-instance :class:`~repro.core.rosetta.ProbeStats` are charged exactly
-    as if each filter had been probed alone, except that probe counts are
-    the deduped bulk probes.
+    through positive at zero probe cost.  Returns
+    ``(verdicts, filter_calls)``; ``filter_calls`` feeds
+    ``PerfStats.filter_batch_probes`` exactly like the point path's.
 
-    Returns ``(results, batch_sweeps)`` — one tightened range (or ``None``
-    for a definite miss) per input filter, and the number of multi-run
-    frontier sweeps issued (0 or 1; the caller feeds it into
-    ``PerfStats.filter_batch_probes``).
+    The name predates the contract (it once returned §2.2.1 seek windows
+    from a multi-run sweep) and stays because the ledger's tracer patches
+    ``repro.lsm.db.batched_tightened_ranges`` by name; renaming it is for
+    the next benchmark-only PR.
     """
-    results: list[tuple[int, int] | None] = [None] * len(filters)
-    stacks = []
-    key_bits = []
-    cores = []
-    slots = []
-    for i, filt in enumerate(filters):
-        if filt is None:
-            results[i] = (low, high)
-            continue
-        core = getattr(filt, "rosetta", None) if isinstance(filt, RosettaFilter) else None
-        if core is not None and core.key_bits <= 64 and core.num_keys > 0:
-            stacks.append(core.levels)
-            key_bits.append(core.key_bits)
-            cores.append(core)
-            slots.append(i)
-        else:
-            results[i] = filt.tightened_range(low, high)
-    if not stacks:
-        return results, 0
-    tightened, outcome = doubting.tighten_across_stacks(
-        stacks, key_bits, low, high
-    )
-    # Queries inside the sweep follow job order, minus jobs whose domain
-    # clamp emptied the range; reconstruct that mapping to route per-query
-    # interval charges back to the owning instance.
-    intervals_of_job: dict[int, int] = {}
-    query = 0
-    for j, bits in enumerate(key_bits):
-        if max(int(low), 0) <= min(int(high), (1 << bits) - 1):
-            intervals_of_job[j] = int(outcome.intervals_per_query[query])
-            query += 1
-    probes = outcome.probes_per_job
-    for j, (core, slot) in enumerate(zip(cores, slots)):
-        core.stats.range_queries += 1
-        if probes is not None:
-            core.stats.bloom_probes += int(probes[j])
-        core.stats.dyadic_intervals += intervals_of_job.get(j, 0)
-        core.stats.bulk_probe_calls += outcome.bulk_probe_calls
-        results[slot] = tightened[j]
-    return results, 1
+    verdicts = [
+        True if filt is None else filt.may_contain_range(low, high)
+        for filt in filters
+    ]
+    return verdicts, sum(filt is not None for filt in filters)

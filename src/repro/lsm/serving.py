@@ -1084,11 +1084,16 @@ class ShardedServer:
 
         The range splits at shard boundaries and the shard answers
         concatenate in shard order — no merge needed, shards are
-        contiguous.  Inverted ranges raise here, eagerly.
+        contiguous.  Inverted ranges raise here, eagerly; a range wholly
+        outside the key domain resolves empty without touching a shard.
         """
         self._check_open()
         deadline = self._resolve_deadline(deadline_s)
         pieces = self.router.split_range(low, high)
+        if not pieces:
+            done: Future = Future()
+            done.set_result([])
+            return done
         if len(pieces) == 1:
             shard_index, piece_low, piece_high = pieces[0]
             shard = self._shards[shard_index]

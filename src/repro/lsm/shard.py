@@ -20,7 +20,23 @@ from typing import Sequence
 
 from repro.errors import FilterQueryError, InvalidOptionsError
 
-__all__ = ["ShardRouter"]
+__all__ = ["ShardRouter", "clamp_to_domain"]
+
+
+def clamp_to_domain(
+    low: int, high: int, key_bits: int
+) -> tuple[int, int] | None:
+    """Intersect ``[low, high]`` with the key domain ``[0, 2^key_bits)``.
+
+    The one answer the store and the router give for an out-of-domain
+    range bound, and the one :class:`~repro.core.rosetta.Rosetta` gives:
+    clamp it.  ``None`` when the range lies wholly outside the domain (it
+    holds no key); an inverted range is a caller error and raises.
+    """
+    if low > high:
+        raise FilterQueryError(f"invalid range: low={low} > high={high}")
+    low, high = max(low, 0), min(high, (1 << key_bits) - 1)
+    return (low, high) if low <= high else None
 
 
 class ShardRouter:
@@ -92,17 +108,18 @@ class ShardRouter:
     ) -> list[tuple[int, int, int]]:
         """Split ``[low, high]`` into per-shard ``(shard, low, high)`` pieces.
 
-        Pieces come back in shard (= key) order and cover the input range
-        exactly, so concatenating per-shard sorted answers reassembles the
+        Pieces come back in shard (= key) order and cover exactly the part
+        of the input range inside the key domain (none when it lies wholly
+        outside), so concatenating per-shard sorted answers reassembles the
         global sorted answer.  An inverted range raises eagerly, matching
         :meth:`DB.range_iter`.
         """
-        if low > high:
-            raise FilterQueryError(f"invalid range: low={low} > high={high}")
-        first = self.shard_of(max(low, 0))
-        last = self.shard_of(min(high, (1 << self.key_bits) - 1))
+        clamped = clamp_to_domain(low, high, self.key_bits)
+        if clamped is None:
+            return []
+        low, high = clamped
         pieces: list[tuple[int, int, int]] = []
-        for shard in range(first, last + 1):
+        for shard in range(self.shard_of(low), self.shard_of(high) + 1):
             shard_low, shard_high = self.span(shard)
             pieces.append(
                 (shard, max(low, shard_low), min(high, shard_high))

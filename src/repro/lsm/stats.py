@@ -70,9 +70,9 @@ class PerfStats:
 
     # --- Filter verdicts ---
     filter_probes: int = 0
-    # Filter invocations, as opposed to verdicts: one per multi-run frontier
-    # sweep on the range path, one per per-run key group on the point path.
-    # A get is a group of one, so it charges one per filtered run consulted.
+    # Filter invocations, as opposed to verdicts: one per filtered run
+    # consulted — a may_contain_range call on the range path, a per-run key
+    # group (a get is a group of one) on the point path.
     filter_batch_probes: int = 0
     filter_negatives: int = 0
     filter_true_positives: int = 0

@@ -1,21 +1,25 @@
-"""Equivalence properties of the frontier doubting engine.
+"""Equivalence properties of the two range kernels.
 
-The engine (:mod:`repro.core.doubting`) replaces the reference recursion
-behind every Rosetta range-query path; these tests pin its contract:
+A range probe has one entry per shape (``may_contain_range``,
+``may_contain_range_batch``) and two kernels behind it: the pre-order walk
+(Algorithm 2 as written, ``Rosetta._walk``) and the frontier engine
+(:mod:`repro.core.doubting`).  These tests pin the contract:
 
-* ``may_contain_range`` (engine, exact mode), ``may_contain_range_batch``
-  with ``dedup=False``, and ``may_contain_range_recursive`` (the pre-change
-  path) agree on every verdict *and* on ``ProbeStats.bloom_probes``;
-* ``dedup=True`` batches agree on verdicts;
+* the public entries, the walk and the engine agree on every verdict;
+* a call that takes the walk charges ``ProbeStats.bloom_probes`` exactly
+  what the walk alone does, scalar or batched;
 * ``probe_budget`` semantics (deadline, budget-exhausted positive) are
-  identical across all three;
-* ``tightened_range`` returns the same bounds as the recursive scan;
+  the walk's, on both entries;
+* ``tightened_range`` agrees with the walk's verdict and never cuts a
+  stored key off;
 * edge cases: empty filter, zero-bit (always-positive) levels,
   ``max_range=1``, domain clamping.
 
 Randomization is seeded; the combined strategy sweep covers well over the
 1000 queries the acceptance bar asks for.
 """
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -57,9 +61,13 @@ def _mixed_ranges(rng, keys, count, max_range=MAX_RANGE):
     return lows, highs
 
 
+def _engine(filt, lows, highs):
+    return doubting.doubt_frontier(filt.levels, lows, highs).answers.tolist()
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_batch_scalar_recursive_agree(strategy, small_keys, rng):
-    """Verdicts and probe counts match across all three paths."""
+    """Verdicts match across entries and kernels; walk charges are exact."""
     filt = _build(small_keys, strategy)
     lows, highs = _mixed_ranges(rng, small_keys, QUERIES_PER_STRATEGY)
 
@@ -67,7 +75,7 @@ def test_batch_scalar_recursive_agree(strategy, small_keys, rng):
     per_query_probes = []
     for low, high in zip(lows, highs):
         before = filt.stats.bloom_probes
-        reference.append(filt.may_contain_range_recursive(low, high))
+        reference.append(filt._walk(low, high, None))
         per_query_probes.append(filt.stats.bloom_probes - before)
 
     for low, high, want, probes in zip(lows, highs, reference, per_query_probes):
@@ -75,19 +83,25 @@ def test_batch_scalar_recursive_agree(strategy, small_keys, rng):
         assert filt.may_contain_range(low, high) == want
         assert filt.stats.bloom_probes - before == probes
 
+    # A group small enough for the walk loop charges the scalar sum.
     filt.stats.reset()
-    exact = filt.may_contain_range_batch(lows, highs, dedup=False)
-    assert exact.tolist() == reference
-    assert filt.stats.bloom_probes == sum(per_query_probes)
-    assert filt.stats.range_queries == len(lows)
+    small = filt.may_contain_range_batch(lows[:4], highs[:4])
+    assert small.tolist() == reference[:4]
+    assert filt.stats.bloom_probes == sum(per_query_probes[:4])
+    assert filt.stats.range_queries == 4
 
-    deduped = filt.may_contain_range_batch(lows, highs)
-    assert deduped.tolist() == reference
+    # The whole group goes to the engine; verdicts do not show it.
+    filt.stats.reset()
+    batched = filt.may_contain_range_batch(lows, highs)
+    assert batched.tolist() == reference
+    assert filt.stats.bulk_probe_calls > 0
+    assert filt.stats.range_queries == len(lows)
+    assert _engine(filt, lows, highs) == reference
 
 
 @pytest.mark.parametrize("strategy", ("optimized", "single"))
 def test_probe_budget_equivalence(strategy, small_keys, rng):
-    """Budgeted answers and charges match the recursive deadline exactly."""
+    """Budgeted answers and charges are the walk's, on both entries."""
     filt = _build(small_keys, strategy)
     lows, highs = _mixed_ranges(rng, small_keys, 120)
     for budget in (1, 2, 4, 16):
@@ -95,10 +109,9 @@ def test_probe_budget_equivalence(strategy, small_keys, rng):
         per_query_probes = []
         for low, high in zip(lows, highs):
             filt.stats.reset()
-            reference.append(
-                filt.may_contain_range_recursive(low, high, probe_budget=budget)
-            )
+            reference.append(filt._walk(low, high, budget))
             per_query_probes.append(filt.stats.bloom_probes)
+            assert filt.stats.bloom_probes <= budget
         for low, high, want, probes in zip(
             lows, highs, reference, per_query_probes
         ):
@@ -113,13 +126,19 @@ def test_probe_budget_equivalence(strategy, small_keys, rng):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_tightened_range_matches_recursive(strategy, small_keys, rng):
-    """Engine-extracted bounds equal the recursive left/right scans."""
+    """Tightening agrees with the walk and keeps every stored key inside."""
     filt = _build(small_keys, strategy)
+    stored = sorted(small_keys)
     lows, highs = _mixed_ranges(rng, small_keys, 150)
     for low, high in zip(lows, highs):
-        assert filt.tightened_range(low, high) == filt.tightened_range_recursive(
-            low, high
-        )
+        tightened = filt.tightened_range(low, high)
+        assert (tightened is not None) == filt._walk(low, high, None)
+        if tightened is None:
+            continue
+        effective_low, effective_high = tightened
+        assert low <= effective_low <= effective_high <= high
+        inside = stored[bisect_left(stored, low) : bisect_right(stored, high)]
+        assert all(effective_low <= key <= effective_high for key in inside)
 
 
 def test_no_false_negatives(small_keys, rng):
@@ -128,7 +147,8 @@ def test_no_false_negatives(small_keys, rng):
     lows = [max(0, k - 2) for k in small_keys[:200]]
     highs = [k + 2 for k in small_keys[:200]]
     assert filt.may_contain_range_batch(lows, highs).all()
-    assert filt.may_contain_range_batch(lows, highs, dedup=False).all()
+    assert all(_engine(filt, lows, highs))
+    assert all(filt._walk(lo, hi, None) for lo, hi in zip(lows, highs))
     for low, high in zip(lows[:50], highs[:50]):
         assert filt.tightened_range(low, high) is not None
 
@@ -145,14 +165,9 @@ def test_max_range_one(small_keys, rng):
     filt = _build(small_keys, "optimized", max_range=1)
     assert filt.num_levels == 1
     lows, highs = _mixed_ranges(rng, small_keys, 200, max_range=1)
-    reference = [
-        filt.may_contain_range_recursive(lo, hi) for lo, hi in zip(lows, highs)
-    ]
+    reference = [filt._walk(lo, hi, None) for lo, hi in zip(lows, highs)]
     assert filt.may_contain_range_batch(lows, highs).tolist() == reference
-    assert (
-        filt.may_contain_range_batch(lows, highs, dedup=False).tolist()
-        == reference
-    )
+    assert _engine(filt, lows, highs) == reference
 
 
 def test_zero_bit_levels_probe_free(small_keys):
@@ -170,26 +185,6 @@ def test_domain_clamp(small_keys):
     domain_max = (1 << KEY_BITS) - 1
     batch = filt.may_contain_range_batch([domain_max - 3], [domain_max + 100])
     assert batch.tolist() == [filt.may_contain_range(domain_max - 3, domain_max)]
-
-
-def test_tighten_across_stacks_matches_scalar(small_keys, rng):
-    """The multi-stack sweep equals per-filter scalar tightening."""
-    filters = [
-        _build(rng.sample(small_keys, 500), strategy)
-        for strategy in ("optimized", "single", "equilibrium")
-    ]
-    for _ in range(40):
-        low = rng.randrange((1 << KEY_BITS) - MAX_RANGE)
-        high = low + rng.randrange(MAX_RANGE)
-        tightened, outcome = doubting.tighten_across_stacks(
-            [f.levels for f in filters],
-            [f.key_bits for f in filters],
-            low,
-            high,
-        )
-        for filt, got in zip(filters, tightened):
-            assert got == filt.tightened_range_recursive(low, high)
-        assert outcome.bulk_probe_calls > 0
 
 
 def test_survivors_hashed_match_scalar_probe(small_keys):

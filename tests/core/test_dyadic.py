@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dyadic import DyadicInterval, decompose, max_intervals_for_range
+from repro.core.dyadic import (
+    DyadicInterval,
+    count_intervals,
+    decompose,
+    max_intervals_for_range,
+)
 
 
 class TestDyadicInterval:
@@ -98,6 +103,22 @@ def test_property_partition(low, size, cap):
         assert block.low() == cursor  # contiguous, ordered, no overlap
         cursor = block.high() + 1
     assert cursor == high + 1
+    assert count_intervals(low, high, cap) == len(blocks)
+
+
+def test_count_intervals_small_domain_and_wide_edges():
+    """The closed-form count equals the walk's, exhaustively and at 2^64."""
+    for cap in range(6):
+        for low in range(40):
+            for high in range(low, 80):
+                want = sum(1 for _ in decompose(low, high, cap))
+                assert count_intervals(low, high, cap) == want
+    top = (1 << 64) - 1
+    assert count_intervals(0, top, 64) == 1
+    assert count_intervals(0, top, 6) == 1 << 58
+    assert count_intervals(1, top, 64) == 64
+    assert count_intervals(top, top, 6) == 1
+    assert count_intervals((1 << 95) + 1, (1 << 95) + 16, 4) == 5
 
 
 @settings(max_examples=200)

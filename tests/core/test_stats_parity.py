@@ -7,14 +7,16 @@ Regression suite for two paper-fidelity bugs:
   the Fig. 2 example) where the scalar path charged the sequential
   recursion's (3 / 1).  ``ProbeStats`` must not depend on which entry point
   issued a query.
-* The engine internally skips queries whose clamped range is empty
-  (``low > high``).  That skip must never leak out as a silent ``False``
+* Queries whose clamped range is empty (``low > high``) are skipped
+  internally.  That skip must never leak out as a silent ``False``
   for *publicly inverted* ranges — every entry point raises
   :exc:`FilterQueryError` first.
 
 Point lookups have one batched entry (``BloomFilter.contains_batch``) that
-picks the per-item loop or the vector kernel from the group size; verdicts,
-charges and typed errors must not show which one ran.
+picks the per-item loop or the vector kernel from the group size; range
+lookups pick the pre-order walk or the frontier engine from the call's
+dyadic interval count.  Verdicts and typed errors must not show which
+kernel ran.
 """
 
 import random
@@ -23,7 +25,9 @@ import pytest
 
 from repro.core.allocation import STRATEGIES
 from repro.core.bloom import SCALAR_PROBE_MAX
-from repro.core.rosetta import Rosetta
+from repro.core.doubting import doubt_frontier
+from repro.core.dyadic import count_intervals
+from repro.core.rosetta import WALK_MAX_INTERVALS, Rosetta
 from repro.errors import FilterQueryError
 from repro.filters.bloom_point import BloomPointFilter
 from repro.filters.rosetta_adapter import RosettaFilter
@@ -52,30 +56,29 @@ class TestSingleQueryParity:
     def test_tiny_example_pinned_charges(self):
         """[8, 12] on Fig. 2: 1 dyadic interval, 3 probes, on every path."""
         scalar = _charges(_tiny(), lambda r: r.may_contain_range(8, 12))
-        recursive = _charges(
-            _tiny(), lambda r: r.may_contain_range_recursive(8, 12)
-        )
+        walk = _charges(_tiny(), lambda r: r._walk(8, 12, None))
         batch = _charges(
             _tiny(), lambda r: bool(r.may_contain_range_batch([8], [12])[0])
         )
-        assert scalar == recursive == batch == (True, 3, 1)
+        assert scalar == walk == batch == (True, 3, 1)
 
     def test_true_batches_keep_bulk_accounting(self):
-        """Two live queries charge deduped frontier probes, not a replay."""
+        """A batch past the crossover charges the probes the engine issued."""
         first = _charges(_tiny(), lambda r: r.may_contain_range(8, 12))
         second = _charges(_tiny(), lambda r: r.may_contain_range(3, 7))
+        copies = WALK_MAX_INTERVALS  # 2 + 2 intervals a pair: well past it
         rosetta = _tiny()
-        verdicts = rosetta.may_contain_range_batch([8, 3], [12, 7])
-        assert [bool(v) for v in verdicts] == [first[0], second[0]]
-        # Bulk accounting: the level-synchronous frontier probes every
-        # level's survivors (no per-interval early exit), so its charges
-        # differ from the two sequential recursions' sum.
-        scalar_probes = first[1] + second[1]
-        scalar_intervals = first[2] + second[2]
-        assert (rosetta.stats.bloom_probes, rosetta.stats.dyadic_intervals) != (
-            scalar_probes,
-            scalar_intervals,
+        verdicts = rosetta.may_contain_range_batch(
+            [8, 3] * copies, [12, 7] * copies
         )
+        assert verdicts.tolist() == [first[0], second[0]] * copies
+        assert rosetta.stats.bulk_probe_calls > 0
+        # Bulk accounting: every interval enters the round (no per-interval
+        # early exit), and a prefix shared by several queries is probed
+        # once per level — neither charge is the sequential walks' sum.
+        assert rosetta.stats.dyadic_intervals == 4 * copies
+        assert rosetta.stats.dyadic_intervals > (first[2] + second[2]) * copies
+        assert rosetta.stats.bloom_probes < (first[1] + second[1]) * copies
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_random_single_query_parity(self, strategy, rng, small_keys):
@@ -205,6 +208,158 @@ class TestKernelBoundaryParity:
                 issue()
 
 
+#: Interval counts on both sides of the walk/engine kernel switch.
+BOUNDARY_INTERVALS = [
+    WALK_MAX_INTERVALS - 1,
+    WALK_MAX_INTERVALS,
+    WALK_MAX_INTERVALS + 1,
+]
+
+_RANGE_HEIGHT = 4  # max_range=16 below: full-height blocks hold 16 keys
+
+_RANGE_FILTERS = {
+    "unsalted": dict(key_bits=32, bits_per_key=12.0, max_range=16),
+    "salted": dict(key_bits=32, bits_per_key=12.0, max_range=16, salt=0xA5A5F00D),
+    # "variable" at this budget zeroes the two top levels.
+    "always_positive_top": dict(
+        key_bits=32, bits_per_key=10.0, max_range=16, strategy="variable"
+    ),
+    "uint64_domain": dict(key_bits=64, bits_per_key=12.0, max_range=16),
+}
+
+
+def _range_of(intervals, anchor):
+    """A range of exactly ``intervals`` top-level blocks that holds ``anchor``.
+
+    One ragged leaf on each side of a run of full-height blocks, the
+    anchor's block first among them.
+    """
+    first_block = (anchor >> _RANGE_HEIGHT) << _RANGE_HEIGHT
+    low = first_block - 1
+    high = first_block + ((intervals - 2) << _RANGE_HEIGHT)
+    assert count_intervals(low, high, _RANGE_HEIGHT) == intervals
+    return low, high
+
+
+class TestRangeKernelBoundaryParity:
+    """The public entries answer what the walk and the engine both do."""
+
+    @staticmethod
+    def _kernels(rosetta, lows, highs):
+        walk = [rosetta._walk(lo, hi, None) for lo, hi in zip(lows, highs)]
+        engine = doubt_frontier(rosetta.levels, lows, highs).answers.tolist()
+        return walk, engine
+
+    @pytest.mark.parametrize("intervals", BOUNDARY_INTERVALS)
+    @pytest.mark.parametrize("shape", sorted(_RANGE_FILTERS))
+    def test_one_wide_query(self, shape, intervals):
+        params = _RANGE_FILTERS[shape]
+        rng = random.Random(intervals)
+        margin = (WALK_MAX_INTERVALS + 4) << _RANGE_HEIGHT
+        top = (1 << params["key_bits"]) - margin
+        stored = [rng.randrange(margin, top) for _ in range(300)]
+        rosetta = Rosetta.build(stored, **params)
+        assert rosetta.max_height == _RANGE_HEIGHT
+        anchors = stored[:20] + [rng.randrange(margin, top) for _ in range(40)]
+        for position, anchor in enumerate(anchors):
+            low, high = _range_of(intervals, anchor)
+            walk, engine = self._kernels(rosetta, [low], [high])
+            rosetta.stats.reset()
+            assert rosetta.may_contain_range(low, high) == walk[0] == engine[0]
+            assert rosetta.may_contain_range_batch([low], [high])[0] == walk[0]
+            took_engine = rosetta.stats.bulk_probe_calls > 0
+            assert took_engine == (intervals > WALK_MAX_INTERVALS)
+            if position < 20:
+                assert walk[0]  # holds a stored key: no false negative
+
+    @pytest.mark.parametrize("intervals", BOUNDARY_INTERVALS)
+    @pytest.mark.parametrize("shape", sorted(_RANGE_FILTERS))
+    def test_many_short_queries(self, shape, intervals):
+        """The batch entry sums its queries' intervals: here one each."""
+        params = _RANGE_FILTERS[shape]
+        rng = random.Random(intervals)
+        domain = 1 << params["key_bits"]
+        stored = [rng.randrange(domain) for _ in range(300)]
+        rosetta = Rosetta.build(stored, **params)
+        keys = [
+            rng.choice(stored) if rng.random() < 0.5 else rng.randrange(domain)
+            for _ in range(intervals)
+        ]
+        walk, engine = self._kernels(rosetta, keys, keys)
+        rosetta.stats.reset()
+        assert rosetta.may_contain_range_batch(keys, keys).tolist() == walk
+        took_engine = rosetta.stats.bulk_probe_calls > 0
+        assert took_engine == (intervals > WALK_MAX_INTERVALS)
+        assert engine == walk
+        assert all(walk[i] for i, key in enumerate(keys) if key in stored)
+
+    @pytest.mark.parametrize("intervals", BOUNDARY_INTERVALS)
+    def test_domain_top_and_full_domain(self, intervals):
+        top = (1 << 64) - 1
+        stored = [5, 1 << 40, top]
+        short = Rosetta.build(stored, key_bits=64, bits_per_key=16.0, max_range=16)
+        low = top + 1 - (intervals << _RANGE_HEIGHT)
+        assert count_intervals(low, top, _RANGE_HEIGHT) == intervals
+        walk, engine = self._kernels(short, [low, 0], [top, top])
+        assert walk == engine == [True, True]
+        assert short.may_contain_range(low, top)
+        assert short.may_contain_range(low, top + 10**6)  # clamped
+        assert short.may_contain_range(0, top)
+        empty_low, empty_high = _range_of(intervals, 1 << 50)
+        walk, engine = self._kernels(short, [empty_low], [empty_high])
+        assert short.may_contain_range(empty_low, empty_high) == walk[0] == engine[0]
+        # A tree as tall as the domain covers it with a single interval.
+        tall = Rosetta.build(
+            stored, key_bits=64, bits_per_key=130.0, max_range=1 << 64
+        )
+        walk, engine = self._kernels(tall, [0], [top])
+        assert tall.may_contain_range(0, top) and walk == engine == [True]
+
+    @pytest.mark.parametrize("intervals", BOUNDARY_INTERVALS)
+    def test_empty_filter_and_wide_domain(self, intervals):
+        empty = Rosetta.build([], key_bits=32, bits_per_key=12.0, max_range=16)
+        low, high = _range_of(intervals, 1 << 20)
+        assert not empty.may_contain_range(low, high)
+        assert not empty.may_contain_range_batch([low] * 3, [high] * 3).any()
+        # 96-bit keys cannot ride the engine's uint64 arrays: walk only.
+        rng = random.Random(intervals)
+        stored = [rng.randrange(1 << 90, 1 << 95) for _ in range(200)]
+        wide = Rosetta.build(stored, key_bits=96, bits_per_key=12.0, max_range=16)
+        anchors = stored[:10] + [rng.randrange(1 << 90, 1 << 95) for _ in range(20)]
+        ranges = [_range_of(intervals, anchor) for anchor in anchors]
+        want = [wide._walk(lo, hi, None) for lo, hi in ranges]
+        assert all(want[:10])
+        assert [wide.may_contain_range(lo, hi) for lo, hi in ranges] == want
+        lows, highs = zip(*ranges)
+        assert wide.may_contain_range_batch(lows, highs).tolist() == want
+        assert wide.stats.bulk_probe_calls == 0
+
+    @pytest.mark.parametrize("intervals", BOUNDARY_INTERVALS)
+    def test_probe_budget_gives_up_at_the_same_probe_count(self, intervals):
+        """A budgeted call walks, however many intervals it covers."""
+        rng = random.Random(7)
+        stored = [rng.randrange(1 << 32) for _ in range(300)]
+        rosetta = Rosetta.build(
+            stored, key_bits=32, bits_per_key=30.0, max_range=16
+        )
+        # No stored key nearby: unbudgeted, every interval is doubted and
+        # refused, at one probe or more each.
+        low, high = _range_of(intervals, 1 << 31)
+        assert not rosetta._walk(low, high, None)
+        assert rosetta.stats.bloom_probes >= intervals
+        for budget in (1, 5, WALK_MAX_INTERVALS - 2):
+            for issue in (
+                lambda: rosetta.may_contain_range(low, high, probe_budget=budget),
+                lambda: rosetta.may_contain_range_batch(
+                    [low], [high], probe_budget=budget
+                )[0],
+            ):
+                rosetta.stats.reset()
+                assert issue()  # gave up: a sound positive
+                assert rosetta.stats.bloom_probes == budget
+                assert rosetta.stats.bulk_probe_calls == 0
+
+
 class TestRangeValidation:
     """Inverted ranges raise; boundary ranges answer soundly."""
 
@@ -214,9 +369,7 @@ class TestRangeValidation:
         adapter.populate(TINY_KEYS)
         entry_points = [
             lambda: rosetta.may_contain_range(9, 5),
-            lambda: rosetta.may_contain_range_recursive(9, 5),
             lambda: rosetta.tightened_range(9, 5),
-            lambda: rosetta.tightened_range_recursive(9, 5),
             lambda: rosetta.may_contain_range_batch([9], [5]),
             lambda: adapter.may_contain_range(9, 5),
             lambda: adapter.tightened_range(9, 5),

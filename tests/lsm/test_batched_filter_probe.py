@@ -1,4 +1,4 @@
-"""Range reads probe all runs' filters through one frontier sweep."""
+"""Range reads ask each overlapping run's filter ``may_contain_range``."""
 
 import pytest
 
@@ -29,14 +29,15 @@ def test_range_read_uses_batched_probe(filtered_db):
     assert db.stats.filter_batch_probes == 0
     results = db.range_query(keys[10], keys[20])
     assert [k for k, _ in results] == keys[10:21]
-    # The seek consulted every overlapping run's filter in one sweep.
-    assert db.stats.filter_batch_probes >= 1
+    # One filter call, and one verdict, per filtered run consulted.
     probed_runs = db.stats.filter_probes
     assert probed_runs >= 2  # multiple SSTs actually participated
+    assert db.stats.filter_batch_probes == probed_runs
+    assert db.last_query.filters_probed == probed_runs
 
 
-def test_batched_results_match_scalar_tightening(filtered_db, rng):
-    """The helper's verdicts equal each filter's own scalar tightening."""
+def test_verdict_per_run_equals_filter_may_contain_range(filtered_db, rng):
+    """The helper's verdicts are each filter's own; no filter means positive."""
     db, keys = filtered_db
     runs = db._version.all_runs_newest_first()  # noqa: SLF001
     filters = [
@@ -44,16 +45,14 @@ def test_batched_results_match_scalar_tightening(filtered_db, rng):
         for run in runs
     ]
     assert sum(f is not None for f in filters) >= 2
+    filters.append(None)  # a run with fence pointers only
     for _ in range(25):
         low = rng.randrange((1 << 28) - 64)
         high = low + rng.randrange(64)
-        batched, sweeps = batched_tightened_ranges(filters, low, high)
-        assert sweeps == 1
-        for filt, got in zip(filters, batched):
-            if filt is None:
-                assert got == (low, high)
-            else:
-                assert got == filt.rosetta.tightened_range_recursive(low, high)
+        verdicts, filter_calls = batched_tightened_ranges(filters, low, high)
+        assert filter_calls == len(filters) - 1
+        for filt, got in zip(filters, verdicts):
+            assert got == (filt is None or filt.may_contain_range(low, high))
 
 
 def test_empty_range_still_counts_negatives(filtered_db):
@@ -66,7 +65,9 @@ def test_empty_range_still_counts_negatives(filtered_db):
     ]
     low, high = gaps[len(gaps) // 2]
     high = min(high, low + 63)
-    before = db.stats.filter_negatives
+    before = db.stats.snapshot()
     assert db.range_query(low, high) == []
-    assert db.stats.filter_batch_probes >= 1
-    assert db.stats.filter_negatives >= before
+    delta = db.stats.diff(before)
+    assert delta.filter_batch_probes == delta.filter_probes >= 1
+    assert delta.filter_negatives + delta.filter_false_positives == delta.filter_probes
+    assert delta.filter_negatives >= 1

@@ -177,6 +177,46 @@ class TestEquivalence:
         server.close()
         reference.close()
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (DOMAIN - 3, 1 << 40),      # high end clamps
+            (-5, 3),                    # low end clamps
+            (-5, 1 << 40),              # both clamp: the whole domain
+            (DOMAIN, DOMAIN + 5),       # wholly above: empty
+            (-10, -5),                  # wholly below: empty
+            (DOMAIN + 5, DOMAIN),       # inverted still raises
+            (3, -5),
+        ],
+    )
+    def test_out_of_domain_bounds_have_one_answer(
+        self, tmp_path, rng, low, high
+    ):
+        """Store, iterator and router intersect a range with the domain."""
+        reference, server, data = self._load_both(tmp_path, rng, num_keys=300)
+        for key in (0, 2, DOMAIN - 2, DOMAIN - 1):
+            data[key] = b"edge-%d" % key
+            reference.put(key, data[key])
+            server.put(key, data[key])
+        reads = [
+            lambda: reference.range_query(low, high),
+            lambda: list(reference.range_iter(low, high)),
+            lambda: list(reference.iterator(low, high)),
+            lambda: server.range_query(low, high),
+            lambda: list(server.range_iter(low, high)),
+        ]
+        expected = sorted(
+            (key, value) for key, value in data.items() if low <= key <= high
+        )
+        for read in reads:
+            if low > high:
+                with pytest.raises(FilterQueryError):
+                    read()
+            else:
+                assert read() == expected
+        server.close()
+        reference.close()
+
     def test_scalar_batch_counter_parity(self, tmp_path, rng):
         """The same lookups cost the same point_queries either way.
 
