@@ -44,6 +44,10 @@ class EndToEndResult:
     true_positives: int
     queries: int
     metadata: dict = field(default_factory=dict)
+    #: False for a store opened without a filter factory (the fence-pointer
+    #: baseline): its runs are read unasked, so the store records no filter
+    #: verdicts for them at all.
+    filtered: bool = True
 
     @property
     def cpu_seconds(self) -> float:
@@ -57,7 +61,13 @@ class EndToEndResult:
 
     @property
     def fpr(self) -> float:
-        """Per-run false positive rate among rejectable probes."""
+        """Per-run false positive rate among rejectable probes.
+
+        1.0 for the fence-pointer baseline: with no filter to ask, no read
+        of a run that holds nothing in range is ever avoided.
+        """
+        if not self.filtered:
+            return 1.0
         rejectable = self.filter_negatives + self.false_positives
         if rejectable == 0:
             return 0.0
@@ -116,11 +126,14 @@ def run_workload(db: DB, workload: Workload) -> EndToEndResult:
             db.range_query(query.low, query.high)
     total_seconds = time.perf_counter() - start
     delta = db.stats.diff(before)
-    return _result_from_stats(workload, total_seconds, delta)
+    return _result_from_stats(
+        workload, total_seconds, delta,
+        filtered=db.options.filter_factory is not None,
+    )
 
 
 def _result_from_stats(
-    workload: Workload, total_seconds: float, delta: PerfStats
+    workload: Workload, total_seconds: float, delta: PerfStats, filtered: bool
 ) -> EndToEndResult:
     return EndToEndResult(
         workload=workload.description,
@@ -137,6 +150,7 @@ def _result_from_stats(
         true_positives=delta.filter_true_positives,
         queries=len(workload),
         metadata=dict(workload.metadata),
+        filtered=filtered,
     )
 
 

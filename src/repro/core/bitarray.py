@@ -4,7 +4,10 @@ This is the storage substrate for every Bloom-filter-like structure in the
 library (:mod:`repro.core.bloom`, the SuRF rank/select bit vectors, ...).
 Bits are packed into a ``uint64`` NumPy array; single-bit operations are plain
 integer arithmetic, and bulk operations (union, popcount) vectorize over the
-backing words.
+backing words.  The words are stored little-endian on every host, so the same
+memory read as bytes holds bit ``i`` in bit ``i & 7`` of byte ``i >> 3``:
+:meth:`BitArray.byte_view` hands that reading to the scalar Bloom probe, which
+tests a bit without creating a NumPy scalar.
 
 The array has a fixed size chosen at construction; this mirrors how filters in
 an LSM-tree are sized once per immutable run and never grow.
@@ -17,6 +20,9 @@ import numpy as np
 from repro.errors import SerializationError
 
 _WORD_BITS = 64
+# Explicitly little-endian (the native dtype on little-endian hosts): it is
+# what makes byte_view() and the serialized layout host independent.
+_WORD_DTYPE = np.dtype("<u8")
 
 __all__ = ["BitArray"]
 
@@ -40,14 +46,23 @@ class BitArray:
     False
     """
 
-    __slots__ = ("_num_bits", "_words")
+    __slots__ = ("_num_bits", "_words", "_bytes")
 
     def __init__(self, num_bits: int) -> None:
         if num_bits < 0:
             raise ValueError(f"num_bits must be non-negative, got {num_bits}")
         self._num_bits = int(num_bits)
         num_words = (self._num_bits + _WORD_BITS - 1) // _WORD_BITS
-        self._words = np.zeros(num_words, dtype=np.uint64)
+        self._bind(np.zeros(num_words, dtype=_WORD_DTYPE))
+
+    def _bind(self, words: np.ndarray) -> None:
+        """Adopt ``words`` as the backing store, and the byte view with it.
+
+        The only place ``_words`` is bound, so the view can never outlive
+        or miss the array it reads.
+        """
+        self._words = words
+        self._bytes = words.view(np.uint8).data
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -140,6 +155,15 @@ class BitArray:
         """Return the backing word array (a view; mutate with care)."""
         return self._words
 
+    def byte_view(self) -> memoryview:
+        """The backing words as a zero-copy ``memoryview`` of bytes.
+
+        Live: every later ``set``/``set_many``/``union_with`` shows through.
+        Bit ``i`` is ``view[i >> 3] >> (i & 7) & 1``, the same bit
+        :meth:`test` reads; indexing it yields plain ``int`` s.
+        """
+        return self._bytes
+
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -166,7 +190,7 @@ class BitArray:
                 f"bit array payload has {len(body)} body bytes, expected {expected}"
             )
         if expected:
-            arr._words = np.frombuffer(body, dtype=np.uint64).copy()
+            arr._bind(np.frombuffer(body, dtype=_WORD_DTYPE).copy())
         return arr
 
     # ------------------------------------------------------------------

@@ -34,19 +34,38 @@ from repro.errors import FilterBuildError, FilterQueryError, SerializationError
 _SEED1 = 0x9AE16A3B2F90404F
 _SEED2 = 0xC3A5C85C97CB3127
 
-# Precomputed scalar stages of hash_int for the vectorized path.
+# hash_int's seed stage, computed once: for an item below 2^64,
+# hash_int(item, seed) == splitmix64(item ^ stage).  Both probe kernels (the
+# scalar one in BloomFilter.may_contain, the vector one in base_hash_arrays)
+# start from these.
 _H1_STAGE = splitmix64(_SEED1 ^ 0x2545F4914F6CDD1D)
 _H2_STAGE = splitmix64(_SEED2 ^ 0x2545F4914F6CDD1D)
+
+# splitmix64's constants, for the copy of it inlined in BloomFilter.may_contain.
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 _LN2 = math.log(2.0)
 
 #: Largest probe group the per-item loop answers faster than the NumPy
-#: kernel.  Measured on the ledger's point-zipf filters (22 bits/key): the
-#: vector kernel costs a flat ~45 us for 1..64 items, the scalar probe
-#: ~4.6 us per item, so they cross at about 9.  LSM point reads sit on both
-#: sides: a ``get`` is a group of one and a 32-key ``multi_get`` over ~28
-#: SSTs makes groups of ~3 keys, bulk ``multi_get`` groups hold hundreds.
-SCALAR_PROBE_MAX = 8
+#: kernel.  Measured on the ledger's filter shape (the leaf of a 2 k-key run
+#: at 22 bits/key: 12 k bits, k = 4), both kernels timed back to back on the
+#: same group; scalar time over vector time:
+#:
+#:   items          1     8    16    32    36    40    44    48    52    56    64
+#:   half present  .05   .23   .48   .80  1.00  1.02  1.17  1.34  1.20  1.43  1.53
+#:   all absent    .04   .21   .38   .70   .74   .82   .95   .97  1.04  1.12  1.20
+#:
+#: The vector kernel costs a flat ~70 us for 1..72 items; the scalar probe
+#: ~1.8 us an item in a half-present group and ~1.4 us in an all-absent one
+#: (an absent item stops at its first clear bit), so they cross at 36-40 and
+#: at ~50 items and the constant sits between the two.  LSM point reads sit
+#: far to either side: a ``get`` is a group of one and a 32-key ``multi_get``
+#: over ~28 SSTs makes groups of ~3 keys, bulk ``multi_get`` groups hold
+#: hundreds.
+SCALAR_PROBE_MAX = 44
 
 __all__ = [
     "BloomFilter",
@@ -134,17 +153,26 @@ class BloomFilter:
     True
     """
 
-    __slots__ = ("_bits", "_num_hashes", "_num_items", "_salt")
+    __slots__ = (
+        "_bits", "_view", "_num_bits", "_num_hashes", "_num_items", "_salt",
+    )
 
     def __init__(self, num_bits: int, num_hashes: int, salt: int = 0) -> None:
         if num_hashes < 1:
             raise FilterBuildError(f"num_hashes must be >= 1, got {num_hashes}")
         if not 0 <= salt < 1 << 64:
             raise FilterBuildError(f"salt must be a 64-bit value, got {salt}")
-        self._bits = BitArray(num_bits)
+        self._adopt(BitArray(num_bits))
         self._num_hashes = int(num_hashes)
         self._num_items = 0
         self._salt = int(salt)
+
+    def _adopt(self, bits: BitArray) -> None:
+        """Take ``bits`` as the payload; keep what the probe reads per call
+        (its live byte view and its size) one attribute load away."""
+        self._bits = bits
+        self._view = bits.byte_view()
+        self._num_bits = bits.num_bits
 
     # ------------------------------------------------------------------
     # Constructors
@@ -176,7 +204,7 @@ class BloomFilter:
     @property
     def num_bits(self) -> int:
         """Size of the backing bit array in bits."""
-        return self._bits.num_bits
+        return self._num_bits
 
     @property
     def num_hashes(self) -> int:
@@ -196,11 +224,11 @@ class BloomFilter:
     @property
     def is_always_positive(self) -> bool:
         """``True`` for a zero-bit filter, which can never prune."""
-        return self._bits.num_bits == 0
+        return self._num_bits == 0
 
     def size_in_bits(self) -> int:
         """Memory used by the filter payload, in bits."""
-        return self._bits.num_bits
+        return self._num_bits
 
     def expected_fpr(self) -> float:
         """Estimate the FPR from the current fill ratio: ``fill^k``."""
@@ -218,6 +246,13 @@ class BloomFilter:
     # Hashing
     # ------------------------------------------------------------------
     def _base_hashes(self, item) -> tuple[int, int]:
+        """The two salted base hashes of any item, by the reference mixers.
+
+        What :meth:`add` uses for every item and :meth:`may_contain` for
+        the items its inlined arithmetic does not cover (``bytes``, integers
+        past 64 bits, NumPy integers) — and what the tests hold that
+        arithmetic to, bit for bit.
+        """
         if isinstance(item, (int, np.integer)):
             h1, h2 = hash_int(int(item), _SEED1), hash_int(int(item), _SEED2)
         elif isinstance(item, (bytes, bytearray, memoryview)):
@@ -242,13 +277,17 @@ class BloomFilter:
     # ------------------------------------------------------------------
     # Mutation / queries
     # ------------------------------------------------------------------
+    def _positions(self, item):
+        """The ``k`` bit positions of ``item``, from the reference pieces."""
+        h1, h2 = self._base_hashes(item)
+        return double_hash_indexes(h1, h2, self._num_hashes, self._num_bits)
+
     def add(self, item) -> None:
         """Insert an item (int or bytes)."""
         self._num_items += 1
         if self.is_always_positive:
             return
-        h1, h2 = self._base_hashes(item)
-        for pos in double_hash_indexes(h1, h2, self._num_hashes, self.num_bits):
+        for pos in self._positions(item):
             self._bits.set(pos)
 
     def add_many_ints(self, values: np.ndarray) -> None:
@@ -266,19 +305,60 @@ class BloomFilter:
         self._bits.set_many(indexes.ravel())
 
     def may_contain(self, item) -> bool:
-        """Return ``False`` only if the item is definitely absent."""
-        if self.is_always_positive:
+        """Return ``False`` only if the item is definitely absent.
+
+        The scalar probe kernel: for an ``int`` below ``2^64`` — every
+        probe the LSM read path and Algorithm 2's walk issue — the whole
+        probe is this one function body.  It walks exactly the positions
+        :meth:`_positions` yields (``hash_int`` with its seed stage
+        precomputed, ``mix_salt``, ``double_hash_indexes``, all inlined),
+        reads each bit from the bit array's byte view, and stops at the
+        first clear bit, which usually is the first one, so the second base
+        hash is only computed for items that survive it.  Everything else
+        (``bytes``, wider integers, NumPy integers) takes the reference
+        pieces themselves.
+        """
+        num_bits = self._num_bits
+        if not num_bits:
             return True
-        h1, h2 = self._base_hashes(item)
-        return all(
-            self._bits.test(pos)
-            for pos in double_hash_indexes(h1, h2, self._num_hashes, self.num_bits)
-        )
+        if type(item) is not int or not 0 <= item <= _MASK64:
+            bits = self._bits
+            return all(bits.test(pos) for pos in self._positions(item))
+        salt = self._salt
+        view = self._view
+        z = ((item ^ _H1_STAGE) + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        pos = z ^ (z >> 31)
+        if salt:
+            z = ((pos ^ salt) + _GOLDEN) & _MASK64
+            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            pos = z ^ (z >> 31)
+        bit = pos % num_bits
+        if not view[bit >> 3] >> (bit & 7) & 1:
+            return False
+        z = ((item ^ _H2_STAGE) + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        step = z ^ (z >> 31)
+        if salt:
+            z = ((step ^ salt) + _GOLDEN) & _MASK64
+            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            step = z ^ (z >> 31)
+        step |= 1
+        for _ in range(self._num_hashes - 1):
+            pos = (pos + step) & _MASK64
+            bit = pos % num_bits
+            if not view[bit >> 3] >> (bit & 7) & 1:
+                return False
+        return True
 
     def __contains__(self, item) -> bool:
         return self.may_contain(item)
 
-    def contains_batch(self, items, item_bits: int = 64) -> np.ndarray:
+    def contains_batch(self, items, item_bits: int = 64) -> list[bool]:
         """One verdict per integer item — the single batched probe entry.
 
         Agrees with :meth:`may_contain` element-wise.  Every item must lie
@@ -298,9 +378,7 @@ class BloomFilter:
                     raise FilterQueryError(
                         f"item {item} outside [0, 2^{item_bits})"
                     )
-            return np.fromiter(
-                map(self.may_contain, items), dtype=bool, count=count
-            )
+            return list(map(self.may_contain, items))
         try:
             values = np.asarray(items, dtype=np.uint64)
             in_domain = item_bits == 64 or not int(values.max()) >> item_bits
@@ -310,7 +388,7 @@ class BloomFilter:
             raise FilterQueryError(f"items must lie in [0, 2^{item_bits})")
         verdicts = np.zeros(count, dtype=bool)
         verdicts[self.survivors_hashed(*base_hash_arrays(values))] = True
-        return verdicts
+        return verdicts.tolist()
 
     def survivors_hashed(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """Indexes of the items that may be present — the vector kernel.
@@ -427,9 +505,8 @@ class BloomFilter:
                     "salted BloomFilter payload carries a zero salt"
                 )
             offset = 24
-        bits = BitArray.from_bytes(payload[offset:])
         bf = cls.__new__(cls)
-        bf._bits = bits
+        bf._adopt(BitArray.from_bytes(payload[offset:]))
         bf._num_hashes = num_hashes
         bf._num_items = num_items
         bf._salt = salt

@@ -39,15 +39,28 @@ __all__ = ["Rosetta", "ProbeStats", "WALK_MAX_INTERVALS"]
 
 #: Most top-level dyadic intervals one range call (a query, or a batch's
 #: queries summed) may cover and still take the pre-order walk; above it the
-#: frontier engine runs.  Measured on the ledger's filter shape (22 bits/key,
-#: max_range 64, 2 k-key runs): the walk costs ~10 us per short query's
-#: interval and the engine ~450-600 us flat plus ~1 us per interval, so N
-#: width-1..64 queries cross at N = 14-16 (64-76 intervals: 690 vs 690 us)
-#: and one wide non-empty query, where the walk exits early, at 64-80.  One
-#: wide *empty* query crosses sooner (~20 intervals; its full-height blocks
-#: cost ~4.5 probes each) and is the side this constant short-changes: at
-#: 64 intervals the walk takes 2.0 ms where the engine would take 0.55 ms.
-WALK_MAX_INTERVALS = 64
+#: frontier engine runs.  Measured by ``benchmarks/bench_batch_range.py`` on
+#: the ledger's filter shape (22 bits/key, max_range 64, a 2 k-key run), both
+#: kernels timed back to back on the same call; walk time over engine time:
+#:
+#:   intervals in the call          36    76   118   143   189   218   263   378
+#:   N short (1..64 wide) queries  .20   .41   .58   .71   .92  1.02  1.21  1.50
+#:
+#:   intervals in the call           8    16    32    48    64    96   128   192   384
+#:   one wide empty range          .26   .39   .67  1.00  1.42  1.71  2.27  2.53  5.13
+#:   one wide range, key midway    .17   .22   .38   .50   .65   .92  1.31  1.74  1.87
+#:
+#: The engine costs ~550-750 us flat plus ~1 us an interval; the walk pays by
+#: the probe, and an interval is not a fixed number of probes: ~1.5 in a
+#: short query (mostly low blocks, dead at the first probe), ~9 for a
+#: full-height block of an empty wide range (the ledger's allocation leaves
+#: the top two levels bit-less, so four children are probed before anything
+#: can die).  The calls therefore cross at ~205, ~48 and ~100 intervals, and
+#: no count serves all three.  96 is where the two outer shapes lose the
+#: same factor: just above it a batch of short queries runs on the engine at
+#: 1.7-2x the walk's cost, just below it one wide empty range runs on the
+#: walk at 1.7-2x the engine's.
+WALK_MAX_INTERVALS = 96
 
 
 @dataclass
@@ -97,6 +110,7 @@ class Rosetta:
         "_key_bits",
         "_max_height",
         "_filters",
+        "_level_probes",
         "_allocation",
         "_num_keys",
         "stats",
@@ -121,6 +135,12 @@ class Rosetta:
         self._key_bits = key_bits
         self._max_height = len(filters) - 1
         self._filters = list(filters)
+        # What a walk step needs of each level: its probe, or None where the
+        # level has no bits and passes every prefix uncharged.
+        self._level_probes = tuple(
+            None if filt.is_always_positive else filt.may_contain
+            for filt in self._filters
+        )
         self._allocation = allocation
         self._num_keys = num_keys
         self.stats = ProbeStats()
@@ -337,13 +357,10 @@ class Rosetta:
         if self._num_keys == 0:
             return False
         self._check_key(key)
-        leaf = self._filters[0]
-        if not leaf.is_always_positive:
-            self.stats.bloom_probes += 1
-        return leaf.may_contain(key)
+        return self._probe(key, 0)
 
-    def may_contain_batch(self, keys) -> np.ndarray:
-        """Point lookups for a group of keys: one boolean per key.
+    def may_contain_each(self, keys) -> list[bool]:
+        """Point lookups for a group of keys: one ``bool`` per key.
 
         Equal to mapping :meth:`may_contain` — verdicts, ``point_queries``
         and ``bloom_probes`` charges (one per key, duplicates included) —
@@ -353,14 +370,24 @@ class Rosetta:
         size; out-of-domain keys raise :class:`FilterQueryError` there.
         """
         count = len(keys)
-        self.stats.point_queries += count
+        stats = self.stats
+        stats.point_queries += count
         if self._num_keys == 0:
-            return np.zeros(count, dtype=bool)
-        leaf = self._filters[0]
-        verdicts = leaf.contains_batch(keys, self._key_bits)
-        if not leaf.is_always_positive:
-            self.stats.bloom_probes += count
+            return [False] * count
+        verdicts = self._filters[0].contains_batch(keys, self._key_bits)
+        if self._level_probes[0] is not None:
+            stats.bloom_probes += count
         return verdicts
+
+    def may_contain_batch(self, keys) -> np.ndarray:
+        """:meth:`may_contain_each` as a boolean array.
+
+        For callers that go on computing with the verdicts.  The LSM's
+        per-run key groups are mostly a key or two, which an array would
+        only carry from one list to the next, so the store's adapter takes
+        the list.
+        """
+        return np.asarray(self.may_contain_each(keys), dtype=bool)
 
     def may_contain_range_batch(
         self,
@@ -436,21 +463,18 @@ class Rosetta:
         is bounded by it); the engine serves the rest.  Both charge
         ``bloom_probes`` with the probes they actually issued.
         """
-        if (
-            probe_budget is not None
-            or self._key_bits > 64
-            # Every range holds at least one interval, so a long batch is
-            # past the crossover without counting.
-            or (
-                len(ranges) <= WALK_MAX_INTERVALS
-                and sum(
-                    dyadic.count_intervals(low, high, self._max_height)
-                    for low, high in ranges
-                )
-                <= WALK_MAX_INTERVALS
-            )
-        ):
-            return [self._walk(low, high, probe_budget) for low, high in ranges]
+        walks = probe_budget is not None or self._key_bits > 64
+        # Every range holds at least one interval, so a long batch is past
+        # the crossover without counting.
+        if not walks and len(ranges) <= WALK_MAX_INTERVALS:
+            max_height = self._max_height
+            intervals = 0
+            for low, high in ranges:
+                intervals += dyadic.count_intervals(low, high, max_height)
+            walks = intervals <= WALK_MAX_INTERVALS
+        if walks:
+            walk = self._walk
+            return [walk(low, high, probe_budget) for low, high in ranges]
         result = doubting.doubt_frontier(
             self._filters,
             [low for low, _ in ranges],
@@ -462,17 +486,51 @@ class Rosetta:
         return result.answers.tolist()
 
     def _walk(self, low: int, high: int, probe_budget: int | None) -> bool:
-        """Algorithm 2 as written: doubt each dyadic interval, left to right."""
-        deadline = (
-            self.stats.bloom_probes + probe_budget
-            if probe_budget is not None
-            else None
-        )
-        for interval in dyadic.decompose(low, high, self._max_height):
-            self.stats.dyadic_intervals += 1
-            if self._doubt(interval.prefix, interval.height, deadline):
-                return True
-        return False
+        """Algorithm 2: doubt each dyadic interval, left to right, pre-order.
+
+        The intervals are :func:`repro.core.dyadic.decompose`'s, produced
+        in place, and each is doubted from an explicit stack: probe a
+        block's prefix; on a positive push its two halves, left on top, and
+        stop at the first leaf that answers positive.  A level without bits
+        passes its prefix uncharged.  With a ``probe_budget`` the walk gives
+        up (positive) on reaching the first node it cannot pay for.
+        """
+        level_probes = self._level_probes
+        max_height = self._max_height
+        budget = -1 if probe_budget is None else probe_budget
+        probes = intervals = 0
+        found = False
+        stack: list[tuple[int, int]] = []
+        cursor = low
+        while cursor <= high and not found:
+            # Largest aligned block at `cursor`: capped by its alignment,
+            # by what still fits, and by the tallest level kept.
+            height = min(max_height, (high - cursor + 1).bit_length() - 1)
+            if cursor:
+                height = min(height, (cursor & -cursor).bit_length() - 1)
+            intervals += 1
+            stack.append((cursor >> height, height))
+            cursor += 1 << height
+            while stack:
+                if probes == budget:
+                    found = True
+                    break
+                prefix, at = stack.pop()
+                probe = level_probes[at]
+                if probe is not None:
+                    probes += 1
+                    if not probe(prefix):
+                        continue
+                if at == 0:
+                    found = True
+                    break
+                at -= 1
+                prefix <<= 1
+                stack.append((prefix | 1, at))
+                stack.append((prefix, at))
+        self.stats.bloom_probes += probes
+        self.stats.dyadic_intervals += intervals
+        return found
 
     def tightened_range(self, low: int, high: int) -> tuple[int, int] | None:
         """Range lookup with effective-range tightening (§2.2.1).
@@ -512,33 +570,15 @@ class Rosetta:
         return max(effective_low, low), min(max(effective_high, effective_low), high)
 
     # ------------------------------------------------------------------
-    # Doubting (Algorithm 2 core)
+    # One charged probe; tightening (§2.2.1) on top of it
     # ------------------------------------------------------------------
     def _probe(self, prefix: int, height: int) -> bool:
-        filt = self._filters[height]
-        if filt.is_always_positive:
+        """Probe one prefix outside the walk, charging it if it costs."""
+        probe = self._level_probes[height]
+        if probe is None:
             return True
         self.stats.bloom_probes += 1
-        return filt.may_contain(prefix)
-
-    def _doubt(
-        self, prefix: int, height: int, deadline: int | None = None
-    ) -> bool:
-        """Pre-order descent: does any root-to-leaf positive path survive?
-
-        ``deadline`` is an absolute probe-counter value; once reached, the
-        doubt gives up and answers positive (bounded-CPU mode).
-        """
-        if deadline is not None and self.stats.bloom_probes >= deadline:
-            return True
-        if not self._probe(prefix, height):
-            return False
-        if height == 0:
-            return True
-        left = prefix << 1
-        if self._doubt(left, height - 1, deadline):
-            return True
-        return self._doubt(left | 1, height - 1, deadline)
+        return probe(prefix)
 
     def _leftmost_positive(self, prefix: int, height: int) -> int | None:
         """Smallest leaf value with a surviving positive path, if any."""

@@ -67,7 +67,7 @@ class BloomPointFilter(KeyFilter):
         """Point probes for a key group (scalar or vector kernel by size)."""
         bloom = self._require_populated()
         self._probes += len(keys)
-        return bloom.contains_batch(keys, self.key_bits).tolist()
+        return bloom.contains_batch(keys, self.key_bits)
 
     def may_contain_range(self, low: int, high: int) -> bool:
         """Degenerate: a size-1 range is a point probe, anything else passes."""

@@ -77,7 +77,7 @@ class RosettaFilter(KeyFilter):
         The only point probe the LSM issues (a ``get`` is a group of one);
         the core picks the scalar or vector Bloom kernel from ``len(keys)``.
         """
-        return self._require_populated().may_contain_batch(keys).tolist()
+        return self._require_populated().may_contain_each(keys)
 
     def may_contain_range_batch(
         self, lows: Sequence[int], highs: Sequence[int]

@@ -1294,8 +1294,9 @@ class DB:
                 if not group:
                     continue
                 context.runs_considered += 1
+                filt = self._filter_dictionary.get_filter(run.reader, self.stats)
                 verdicts = self._probe_filter_points(
-                    run, [pending[enc] for enc in group]
+                    run, filt, [pending[enc] for enc in group]
                 )
                 true_positives = false_positives = 0
                 for enc, verdict in zip(group, verdicts):
@@ -1312,9 +1313,10 @@ class DB:
                         values[pending[enc]] = value
                         context.results += 1
                     del pending[enc]  # shadows every older run
-                self._record_positive_outcomes(
-                    run, true_positives, false_positives
-                )
+                if filt is not None:  # a run that was not asked said nothing
+                    self._record_positive_outcomes(
+                        run, true_positives, false_positives
+                    )
                 if not pending:
                     break
             return values
@@ -1322,9 +1324,10 @@ class DB:
             self._finish_context(context, before)
             self._unref_super(sv)
 
-    def _probe_filter_points(self, run: Run, keys: list[int]) -> Sequence[bool]:
+    def _probe_filter_points(
+        self, run: Run, filt: KeyFilter | None, keys: list[int]
+    ) -> Sequence[bool]:
         """Probe one run's filter for its key group; charge the verdicts."""
-        filt = self._filter_dictionary.get_filter(run.reader, self.stats)
         started = time.perf_counter_ns()
         verdicts, batch_sweeps = batched_point_verdicts(filt, keys)
         elapsed = time.perf_counter_ns() - started
@@ -1393,10 +1396,9 @@ class DB:
             # nothing here: a filter has no false negatives, so the run
             # holds no key in [low, leftmost survivor), and iterating
             # from either bound lands on the same entry of the same block.
-            verdicts = self._probe_filters_range(candidates, low, high)
-            positive_runs = [
-                run for run, verdict in zip(candidates, verdicts) if verdict
-            ]
+            positive_runs, answered_runs = self._probe_filters_range(
+                candidates, low, high
+            )
 
             live_memtables = [m for m in sv.memtables() if not m.is_empty]
             if not positive_runs and not live_memtables:
@@ -1409,8 +1411,8 @@ class DB:
             self._unref_super(sv)
             raise
         return self._range_stream(
-            sv, context, before, positive_runs, live_memtables,
-            low_bytes, high_bytes,
+            sv, context, before, positive_runs, answered_runs,
+            live_memtables, low_bytes, high_bytes,
         )
 
     def _range_stream(
@@ -1419,11 +1421,16 @@ class DB:
         context: QueryContext,
         before: PerfStats,
         positive_runs: list[Run],
+        answered_runs: list[Run],
         live_memtables: list[MemTable],
         low_bytes: bytes,
         high_bytes: bytes,
     ) -> Iterator[tuple[int, bytes]]:
-        """Generator half of :meth:`range_iter` (validated, sv pinned)."""
+        """Generator half of :meth:`range_iter` (validated, sv pinned).
+
+        ``positive_runs`` are read; ``answered_runs``, those of them whose
+        filter gave the positive, get it recorded as true or false.
+        """
         contributed: dict[str, bool] = {
             run.name: False for run in positive_runs
         }
@@ -1460,7 +1467,7 @@ class DB:
         finally:
             # Runs on exhaustion, close(), GC, or a consumer exception:
             # record what the scan observed, then release the pin.
-            for run in positive_runs:
+            for run in answered_runs:
                 truly = contributed[run.name]
                 self._record_positive_outcomes(run, int(truly), int(not truly))
             context.results = results
@@ -1490,16 +1497,17 @@ class DB:
 
     def _probe_filters_range(
         self, runs: list[Run], low: int, high: int
-    ) -> list[bool]:
+    ) -> tuple[list[Run], list[Run]]:
         """One emptiness verdict per overlapping run; charge the verdicts.
 
         Each filtered run's filter answers ``may_contain_range`` through
         :func:`~repro.lsm.filter_integration.batched_tightened_ranges`;
         runs without a filter block pass through positive, uncharged
-        (fence pointers already said "overlaps").
+        (fence pointers already said "overlaps").  Returns the runs to
+        read and, of those, the runs whose filter said so.
         """
         if not runs:
-            return []
+            return [], []
         filters = [
             self._filter_dictionary.get_filter(run.reader, self.stats)
             for run in runs
@@ -1508,8 +1516,14 @@ class DB:
         verdicts, filter_calls = batched_tightened_ranges(filters, low, high)
         elapsed = time.perf_counter_ns() - started
         negatives = 0
+        positive_runs: list[Run] = []
+        answered_runs: list[Run] = []
         for run, filt, verdict in zip(runs, filters, verdicts):
-            if filt is not None and not verdict:
+            if verdict:
+                positive_runs.append(run)
+                if filt is not None:
+                    answered_runs.append(run)
+            else:
                 negatives += 1
                 self._note_filter_outcome(run, negatives=1)
         self.stats.add(
@@ -1520,7 +1534,7 @@ class DB:
         )
         if negatives:
             self.tracker.record_filter_outcome(False, False, negatives)
-        return verdicts
+        return positive_runs, answered_runs
 
     def _record_positive_outcomes(
         self, run: Run, true_positives: int, false_positives: int

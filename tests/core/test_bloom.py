@@ -105,7 +105,7 @@ class TestZeroBitFilter:
     def test_vectorized_always_positive(self):
         bf = BloomFilter(0, 1)
         result = bf.contains_batch(np.asarray([1, 2, 3], dtype=np.uint64))
-        assert result.all()
+        assert result == [True, True, True]
 
     def test_expected_fpr_is_one(self):
         assert BloomFilter(0, 1).expected_fpr() == 1.0
@@ -149,7 +149,7 @@ class TestVectorizedPaths:
     def test_contains_batch_always_positive_filter(self):
         bf = BloomFilter(0, 1)  # zero bits -> degenerate always-positive
         assert bf.is_always_positive
-        assert bf.contains_batch(np.arange(5, dtype=np.uint64)).all()
+        assert bf.contains_batch(np.arange(5, dtype=np.uint64)) == [True] * 5
 
     def test_bulk_ops_on_64bit_extremes(self):
         keys = np.asarray([0, 2**63, 2**64 - 1], dtype=np.uint64)

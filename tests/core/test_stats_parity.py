@@ -121,13 +121,16 @@ class TestSingleQueryParity:
         assert batched[1:] == scalar[1:]
 
 
-#: Group sizes on both sides of the scalar/vector kernel switch.
-BOUNDARY_SIZES = [
+#: Group sizes on both sides of the scalar/vector kernel switch — and the
+#: sizes that flanked it while it sat at 8, so those cases keep running
+#: under the names they have always had.
+BOUNDARY_SIZES = sorted({
+    7, 8, 9, 10,
     SCALAR_PROBE_MAX - 1,
     SCALAR_PROBE_MAX,
     SCALAR_PROBE_MAX + 1,
     SCALAR_PROBE_MAX + 2,
-]
+})
 
 _POINT_FILTERS = {
     "unsalted": dict(key_bits=32, bits_per_key=12.0, max_range=16),
@@ -208,12 +211,14 @@ class TestKernelBoundaryParity:
                 issue()
 
 
-#: Interval counts on both sides of the walk/engine kernel switch.
-BOUNDARY_INTERVALS = [
+#: Interval counts on both sides of the walk/engine kernel switch — and
+#: the counts that flanked it while it sat at 64 (see BOUNDARY_SIZES).
+BOUNDARY_INTERVALS = sorted({
+    63, 64, 65,
     WALK_MAX_INTERVALS - 1,
     WALK_MAX_INTERVALS,
     WALK_MAX_INTERVALS + 1,
-]
+})
 
 _RANGE_HEIGHT = 4  # max_range=16 below: full-height blocks hold 16 keys
 

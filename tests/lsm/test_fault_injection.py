@@ -172,6 +172,54 @@ class TestDataCorruption:
         db.close()
 
 
+class TestUnaskedRunsRecordNoFilterOutcome:
+    """A run whose filter was never consulted has no verdict to be right or
+    wrong about: reading it must not feed the true/false-positive counters,
+    the tuner's observed FPR, or the quarantine detector."""
+
+    @staticmethod
+    def _read_both_ways(db: DB) -> None:
+        assert db.get(7) is None               # absent, inside the run's span
+        assert db.get(13) == b"value-1"        # present
+        assert db.multi_get([7, 13, 20]) == {7: None, 13: b"value-1", 20: None}
+        assert db.range_query(1, 12) == []     # empty range
+        assert db.range_query(10, 30) == [(13, b"value-1"), (26, b"value-2")]
+
+    @staticmethod
+    def _assert_nothing_recorded(db: DB) -> None:
+        stats = db.stats.snapshot()
+        assert stats.filter_probes == 0
+        assert stats.filter_negatives == 0
+        assert stats.filter_true_positives == 0
+        assert stats.filter_false_positives == 0
+        observed = db.tracker.to_dict()
+        assert observed["filter_positives"] == 0
+        assert observed["filter_negatives"] == 0
+        assert observed["false_positives"] == 0
+        assert db._filter_dictionary._outcomes == {}  # noqa: SLF001
+
+    def test_store_without_a_filter_factory(self, tmp_path):
+        db = _loaded_db(str(tmp_path / "db"), quarantine_filters=True)
+        self._read_both_ways(db)
+        self._assert_nothing_recorded(db)
+        db.close()
+
+    def test_run_degraded_to_filterless(self, tmp_path):
+        db = _loaded_db(
+            str(tmp_path / "db"), with_filter=True, quarantine_filters=True,
+            quarantine_min_probes=1,
+        )
+        db.force_full_compaction()
+        runs = db.version.all_runs_newest_first()
+        for run in runs:  # every run loses its filter before its first probe
+            handle = run.reader._filter_handle  # noqa: SLF001
+            _flip_byte(_path_of(db, run), handle.offset)
+        self._read_both_ways(db)
+        assert db.stats.filters_degraded >= 1
+        self._assert_nothing_recorded(db)
+        db.close()
+
+
 class TestRecoveryRobustness:
     def test_missing_sst_fails_loudly(self, tmp_path):
         path = str(tmp_path / "db")
