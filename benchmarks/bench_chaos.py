@@ -18,8 +18,7 @@ configurations:
   capped exponential backoff).
 * ``benign``        — shedding-breaker config with fault injection off:
   proves the defenses cost ~nothing on the happy path.  Compared
-  against an in-run ``benign-baseline`` (defenses off, no faults) and,
-  when present, against ``BENCH_serving.json``'s sharded-batched run.
+  against an in-run ``benign-baseline`` (defenses off, no faults).
 
 Every configuration must finish with **zero violations** — no hangs, no
 wrong answers, no untyped errors, no stranded futures (typed fast
@@ -50,9 +49,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.lsm.chaos import ChaosOptions, run_chaos  # noqa: E402
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
-SERVING_RESULT_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_serving.json"
-)
 
 
 def _configs(base: ChaosOptions) -> list[tuple[str, ChaosOptions]]:
@@ -218,29 +214,7 @@ def main(argv: list[str] | None = None) -> int:
             ),
             4,
         )
-    serving_ratio = None
-    if SERVING_RESULT_PATH.exists():
-        serving = json.loads(SERVING_RESULT_PATH.read_text())
-        sharded = next(
-            (
-                c
-                for c in serving.get("configs", [])
-                if c.get("label") == "sharded-batched"
-            ),
-            None,
-        )
-        if sharded:
-            # Cross-bench context only: BENCH_serving uses a different
-            # workload mix/scale, so this is not the 5% gate.
-            serving_ratio = round(
-                records["benign"]["requests_per_second"]
-                / max(1e-9, sharded["requests_per_second"]),
-                4,
-            )
-    print(
-        f"benign throughput ratio vs undefended baseline: {benign_ratio} "
-        f"(vs BENCH_serving sharded-batched: {serving_ratio})"
-    )
+    print(f"benign throughput ratio vs undefended baseline: {benign_ratio}")
 
     result = {
         "bench": "chaos",
@@ -250,7 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         "num_shards": base.num_shards,
         "benign_throughput_ratio": benign_ratio,
         "benign_pair_ratios": [round(r, 4) for r in pair_ratios],
-        "benign_vs_bench_serving_sharded": serving_ratio,
         "configs": list(records.values()),
     }
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
@@ -269,8 +242,8 @@ def main(argv: list[str] | None = None) -> int:
         defended = records["shedding-breaker"]["availability"]
         undefended = records["no-defense"]["availability"]
         # Smoke runs last ~0.15s: where a crash lands relative to the end
-        # of the run dominates the ratio, so the ordering gate (like
-        # bench_serving's speedup floor) applies to full runs only.
+        # of the run dominates the ratio, so the ordering gate applies to
+        # full runs only.
         if not args.smoke and defended < undefended:
             print(
                 f"CHECK FAILED: shedding-breaker availability {defended} "

@@ -7,13 +7,14 @@ rates; at compaction time these statistics are reconciled and the
 post-compaction Rosetta instances are built with workload-derived weights,
 choosing single- vs variable-level allocation per run.
 
-:class:`WorkloadTracker` is the statistics sink (wired into
-:mod:`repro.lsm.db` by the filter integration layer) and :class:`AutoTuner`
+:class:`WorkloadTracker` is the statistics sink (:mod:`repro.lsm.db`
+updates it once per query, from ``DB._publish``) and :class:`AutoTuner`
 turns a tracker into a concrete build recipe (:class:`TuningDecision`).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -44,11 +45,15 @@ def observed_fpr(false_positives: int, negatives: int) -> float:
 class WorkloadTracker:
     """Accumulates the native statistics a key-value store already keeps.
 
-    Thread-unsafe by design (the LSM store serialises stat updates); cheap to
-    merge, so per-run trackers can be reconciled at compaction time.
+    Thread-safe: the store updates it once per query (``record_query``, from
+    the reading thread) while a flush or compaction install on another
+    thread checkpoints it (``to_dict``), so every mutation and every reader
+    that walks the histogram takes the tracker's lock.  Cheap to merge, so
+    per-run trackers can be reconciled at compaction time.
     """
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._range_sizes: Counter[int] = Counter()
         self._point_queries = 0
         self._filter_positives = 0
@@ -58,55 +63,68 @@ class WorkloadTracker:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_range_query(self, range_size: int) -> None:
-        """Record one range query of ``range_size`` keys."""
-        if range_size < 1:
-            raise ValueError(f"range_size must be >= 1, got {range_size}")
-        self._range_sizes[range_size] += 1
-
-    def record_point_query(self, count: int = 1) -> None:
-        """Record ``count`` point queries."""
-        self._point_queries += count
-
-    def record_filter_outcome(
-        self, positive: bool, truly_nonempty: bool, count: int = 1
+    def record_query(
+        self,
+        *,
+        point_queries: int = 0,
+        range_size: int | None = None,
+        negatives: int = 0,
+        true_positives: int = 0,
+        false_positives: int = 0,
     ) -> None:
-        """Record ``count`` filter verdicts sharing one (post-I/O) ground truth."""
-        if positive:
-            self._filter_positives += count
-            if not truly_nonempty:
-                self._false_positives += count
-        else:
-            self._filter_negatives += count
+        """Record everything one query observed, under one lock acquisition.
+
+        ``range_size`` is the width of a range query (None for a point
+        read); the three verdict counts are filter outcomes whose ground
+        truth the query's I/O established.
+        """
+        if range_size is not None and range_size < 1:
+            raise ValueError(f"range_size must be >= 1, got {range_size}")
+        with self._lock:
+            if range_size is not None:
+                self._range_sizes[range_size] += 1
+            self._point_queries += point_queries
+            self._filter_negatives += negatives
+            self._filter_positives += true_positives + false_positives
+            self._false_positives += false_positives
 
     def merge(self, other: "WorkloadTracker") -> None:
         """Fold another tracker's statistics into this one."""
-        self._range_sizes.update(other._range_sizes)
-        self._point_queries += other._point_queries
-        self._filter_positives += other._filter_positives
-        self._filter_negatives += other._filter_negatives
-        self._false_positives += other._false_positives
+        # Copy out under ``other``'s lock first: never hold both, so two
+        # trackers merging into each other cannot deadlock.
+        theirs = other.to_dict()
+        with self._lock:
+            for size, count in theirs["range_sizes"].items():
+                self._range_sizes[int(size)] += count
+            self._point_queries += theirs["point_queries"]
+            self._filter_positives += theirs["filter_positives"]
+            self._filter_negatives += theirs["filter_negatives"]
+            self._false_positives += theirs["false_positives"]
 
     def reset(self) -> None:
         """Clear all statistics (post-compaction reconciliation)."""
-        self._range_sizes.clear()
-        self._point_queries = 0
-        self._filter_positives = 0
-        self._filter_negatives = 0
-        self._false_positives = 0
+        with self._lock:
+            self._range_sizes.clear()
+            self._point_queries = 0
+            self._filter_positives = 0
+            self._filter_negatives = 0
+            self._false_positives = 0
 
     # ------------------------------------------------------------------
     # Persistence (the store checkpoints statistics with its manifest)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-serializable snapshot of all statistics."""
-        return {
-            "range_sizes": {str(k): v for k, v in self._range_sizes.items()},
-            "point_queries": self._point_queries,
-            "filter_positives": self._filter_positives,
-            "filter_negatives": self._filter_negatives,
-            "false_positives": self._false_positives,
-        }
+        with self._lock:
+            return {
+                "range_sizes": {
+                    str(k): v for k, v in self._range_sizes.items()
+                },
+                "point_queries": self._point_queries,
+                "filter_positives": self._filter_positives,
+                "filter_negatives": self._filter_negatives,
+                "false_positives": self._false_positives,
+            }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WorkloadTracker":
@@ -125,13 +143,14 @@ class WorkloadTracker:
     # ------------------------------------------------------------------
     @property
     def range_size_histogram(self) -> dict[int, int]:
-        """Observed range-size counts (size -> queries)."""
-        return dict(self._range_sizes)
+        """Observed range-size counts (size -> queries), a consistent copy."""
+        with self._lock:
+            return dict(self._range_sizes)
 
     @property
     def num_range_queries(self) -> int:
         """Total range queries recorded."""
-        return sum(self._range_sizes.values())
+        return sum(self.range_size_histogram.values())
 
     @property
     def num_point_queries(self) -> int:
@@ -149,12 +168,13 @@ class WorkloadTracker:
 
     def dominant_small_ranges(self) -> bool:
         """True when ranges of size <= 16 carry most of the query mass."""
-        total = self.num_range_queries
+        sizes = self.range_size_histogram
+        total = sum(sizes.values())
         if total == 0:
             return False
         small = sum(
             count
-            for size, count in self._range_sizes.items()
+            for size, count in sizes.items()
             if size <= HYBRID_SMALL_RANGE_CUTOFF
         )
         return small / total > 0.5
@@ -163,16 +183,17 @@ class WorkloadTracker:
         """Smallest range size covering ``quantile`` of the query mass."""
         if not 0.0 < quantile <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-        total = self.num_range_queries
+        sizes = self.range_size_histogram
+        total = sum(sizes.values())
         if total == 0:
             return 1
         needed = quantile * total
         running = 0
-        for size in sorted(self._range_sizes):
-            running += self._range_sizes[size]
+        for size in sorted(sizes):
+            running += sizes[size]
             if running >= needed:
                 return size
-        return max(self._range_sizes)
+        return max(sizes)
 
 
 @dataclass(frozen=True)

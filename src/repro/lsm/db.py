@@ -1230,13 +1230,11 @@ class DB:
         distinct = list(dict.fromkeys(requested))
         if not distinct:
             return {}
-        self.stats.add(multi_point_queries=1)
         context = QueryContext(
             kind="multi_point",
             low=min(distinct),
             high=max(distinct),
             keys_requested=len(requested),
-            distinct_keys=len(distinct),
         )
         return self._resolve_points(distinct, context)
 
@@ -1256,9 +1254,8 @@ class DB:
         do not depend on how keys were batched.
         """
         encoded = [self._encode_key(key) for key in keys]
-        self.stats.add(point_queries=len(keys))
-        self.tracker.record_point_query(len(keys))
-        before = self.stats.snapshot()
+        context.distinct_keys = len(keys)
+        self._begin(context)
         values: dict[int, bytes | None] = dict.fromkeys(keys)
         sv = self._ref_super()
         try:
@@ -1295,9 +1292,14 @@ class DB:
                     continue
                 context.runs_considered += 1
                 filt = self._filter_dictionary.get_filter(run.reader, self.stats)
-                verdicts = self._probe_filter_points(
-                    run, filt, [pending[enc] for enc in group]
+                started = time.perf_counter_ns()
+                verdicts, filter_calls = batched_point_verdicts(
+                    filt, [pending[enc] for enc in group]
                 )
+                if filt is not None:  # else fence pointers only: no probe
+                    context.filter_probe_ns += time.perf_counter_ns() - started
+                    context.filter_calls += filter_calls
+                    context.filters_probed += len(group)
                 true_positives = false_positives = 0
                 for enc, verdict in zip(group, verdicts):
                     if not verdict:
@@ -1314,36 +1316,19 @@ class DB:
                         context.results += 1
                     del pending[enc]  # shadows every older run
                 if filt is not None:  # a run that was not asked said nothing
-                    self._record_positive_outcomes(
-                        run, true_positives, false_positives
+                    self._note_filter_outcome(
+                        context,
+                        run,
+                        negatives=len(group) - sum(verdicts),
+                        true_positives=true_positives,
+                        false_positives=false_positives,
                     )
                 if not pending:
                     break
             return values
         finally:
-            self._finish_context(context, before)
+            self._publish(context)
             self._unref_super(sv)
-
-    def _probe_filter_points(
-        self, run: Run, filt: KeyFilter | None, keys: list[int]
-    ) -> Sequence[bool]:
-        """Probe one run's filter for its key group; charge the verdicts."""
-        started = time.perf_counter_ns()
-        verdicts, batch_sweeps = batched_point_verdicts(filt, keys)
-        elapsed = time.perf_counter_ns() - started
-        if filt is None:
-            return verdicts  # fence pointers only: nothing probed or charged
-        negatives = len(keys) - sum(verdicts)
-        self.stats.add(
-            filter_probe_ns=elapsed,
-            filter_batch_probes=batch_sweeps,
-            filter_probes=len(keys),
-            filter_negatives=negatives,
-        )
-        if negatives:
-            self.tracker.record_filter_outcome(False, False, negatives)
-            self._note_filter_outcome(run, negatives=negatives)
-        return verdicts
 
     # ------------------------------------------------------------------
     # Range reads
@@ -1358,37 +1343,53 @@ class DB:
         Entries are yielded as the underlying merge advances, so the
         first result is available before the scan has read the rest of
         the range (long scans no longer buffer the full result list).
-        The superversion pinned at call time stays pinned for the
-        generator's whole lifetime and is released in a ``finally`` that
-        runs on exhaustion, ``close()``, or garbage collection; filter
-        true/false-positive outcomes and ``last_query`` are recorded when
-        the generator terminates (partial consumption records what the
-        scan actually observed).
+        The returned generator owns the superversion pinned at call time
+        and the query's :class:`QueryContext`: exhaustion, ``close()`` or
+        garbage collection — whichever comes first, and whether or not it
+        was ever advanced — releases the pin, settles the filter
+        true/false positives the scan observed, and publishes the context
+        (counters, tracker, ``last_query``) exactly once.  A scan with
+        nothing to stream has done all of that before this returns.
 
         Validation is eager: a closed store or an inverted range raises
-        here, at call time — not on the first ``next()`` — because this
-        is a plain wrapper that returns the generator rather than a
-        generator function itself.  Out-of-domain bounds are clamped (a
-        range wholly outside the key domain is empty), the same answer
-        the filters and :meth:`ShardRouter.split_range` give.  Filter
-        probing is eager too (the probes decide whether there is anything
-        to stream at all).
+        here, at call time — not on the first ``next()``.  Out-of-domain
+        bounds are clamped (a range wholly outside the key domain is
+        empty), the same answer the filters and
+        :meth:`ShardRouter.split_range` give.  Filter probing is eager too
+        (the probes decide whether there is anything to stream at all).
         """
         self._check_open()
         clamped = clamp_to_domain(low, high, self.options.key_bits)
-        self.stats.add(range_queries=1)
-        self.tracker.record_range_query(high - low + 1)
-        context = QueryContext(kind="range", low=low, high=high)
-        before = self.stats.snapshot()
-        if clamped is None:
-            self._finish_context(context, before)
-            return iter(())
-        low, high = clamped
-        low_bytes = self._encode_key(low)
-        high_bytes = self._encode_key(high)
+        context = self._begin(QueryContext(kind="range", low=low, high=high))
+        scan = self._range_scan(context, clamped)
+        # Run the eager half now.  A generator that was started always runs
+        # its ``finally`` — on close() or collection too — which one that
+        # was merely created never does.
+        if not next(scan):
+            # "If all filters answer negative, we delete the iterator
+            # and return an empty result."
+            scan.close()
+        return scan
 
+    def _range_scan(
+        self, context: QueryContext, clamped: tuple[int, int] | None
+    ) -> Iterator:
+        """Generator behind :meth:`range_iter`, counting into ``context``.
+
+        Its first yield, after the filters were probed, is a handshake
+        :meth:`range_iter` consumes — anything to stream? — entries follow.
+        """
         sv = self._ref_super()
+        answered_runs: list[Run] = []
+        contributed: dict[str, bool] = {}
         try:
+            if clamped is None:
+                yield False
+                return
+            low, high = clamped
+            context.width = high - low + 1
+            low_bytes = self._encode_key(low)
+            high_bytes = self._encode_key(high)
             candidates = sv.version.runs_for_range(low_bytes, high_bytes)
             context.runs_considered = len(candidates)
             # Positive runs all seek at ``low_bytes``.  Seeking at a
@@ -1397,54 +1398,21 @@ class DB:
             # holds no key in [low, leftmost survivor), and iterating
             # from either bound lands on the same entry of the same block.
             positive_runs, answered_runs = self._probe_filters_range(
-                candidates, low, high
+                context, candidates, low, high
             )
+            sources: list[tuple[int, Iterator]] = [
+                (priority, memtable.entries_from(low_bytes))
+                for priority, memtable in enumerate(
+                    m for m in sv.memtables() if not m.is_empty
+                )
+            ]
+            yield bool(positive_runs or sources)
 
-            live_memtables = [m for m in sv.memtables() if not m.is_empty]
-            if not positive_runs and not live_memtables:
-                # "If all filters answer negative, we delete the iterator
-                # and return an empty result."
-                self._finish_context(context, before)
-                self._unref_super(sv)
-                return iter(())
-        except BaseException:
-            self._unref_super(sv)
-            raise
-        return self._range_stream(
-            sv, context, before, positive_runs, answered_runs,
-            live_memtables, low_bytes, high_bytes,
-        )
-
-    def _range_stream(
-        self,
-        sv: _SuperVersion,
-        context: QueryContext,
-        before: PerfStats,
-        positive_runs: list[Run],
-        answered_runs: list[Run],
-        live_memtables: list[MemTable],
-        low_bytes: bytes,
-        high_bytes: bytes,
-    ) -> Iterator[tuple[int, bytes]]:
-        """Generator half of :meth:`range_iter` (validated, sv pinned).
-
-        ``positive_runs`` are read; ``answered_runs``, those of them whose
-        filter gave the positive, get it recorded as true or false.
-        """
-        contributed: dict[str, bool] = {
-            run.name: False for run in positive_runs
-        }
-        results = 0
-        try:
-            sources: list[tuple[int, Iterator]] = []
-            priority = 0
-            for memtable in live_memtables:
-                sources.append((priority, memtable.entries_from(low_bytes)))
-                priority += 1
-            for offset, run in enumerate(positive_runs):
+            for run in positive_runs:
+                contributed[run.name] = False
                 sources.append(
                     (
-                        priority + offset,
+                        len(sources),
                         self._tracking_iter(
                             run, low_bytes, high_bytes, contributed
                         ),
@@ -1457,29 +1425,64 @@ class DB:
                 # never the consumer's time between next() calls.
                 started = time.perf_counter_ns()
                 entry = next(merged, None)
-                self.stats.add(
-                    residual_seek_ns=time.perf_counter_ns() - started
-                )
+                context.residual_seek_ns += time.perf_counter_ns() - started
                 if entry is None or entry[0] > high_bytes:
-                    break
-                results += 1
+                    return
+                context.results += 1
                 yield self._decode_key(entry[0]), entry[1]
         finally:
-            # Runs on exhaustion, close(), GC, or a consumer exception:
-            # record what the scan observed, then release the pin.
-            for run in answered_runs:
-                truly = contributed[run.name]
-                self._record_positive_outcomes(run, int(truly), int(not truly))
-            context.results = results
-            self._finish_context(context, before)
+            # The merge's first advance reads every positive run's first
+            # candidate, which tells a true positive from a false one; a
+            # scan never advanced (no iterator wired) read nothing and
+            # leaves its positives unjudged.
+            if context.iterators_created:
+                for run in answered_runs:
+                    truly = contributed[run.name]
+                    self._note_filter_outcome(
+                        context,
+                        run,
+                        true_positives=int(truly),
+                        false_positives=int(not truly),
+                    )
+            self._publish(context)
             self._unref_super(sv)
 
-    def _finish_context(self, context: QueryContext, before: PerfStats) -> None:
-        delta = self.stats.diff(before)
-        context.filters_probed = delta.filter_probes
-        context.filter_negatives = delta.filter_negatives
-        context.blocks_read = delta.block_reads
-        context.block_cache_hits = delta.block_cache_hits
+    def _begin(self, context: QueryContext) -> QueryContext:
+        """Baseline a read's context against the two block counters.
+
+        Blocks are counted where the I/O happens (``StorageEnv`` /
+        ``SSTReader``), so a query learns its own as a delta of those shared
+        integers: negative baseline here, current value added in `_publish`.
+        """
+        context.blocks_read = -self.stats.block_reads
+        context.block_cache_hits = -self.stats.block_cache_hits
+        return context
+
+    def _publish(self, context: QueryContext) -> None:
+        """A finished read's one write to the shared ledgers: one
+        ``PerfStats.add``, one tracker update, then ``last_query``."""
+        context.blocks_read += self.stats.block_reads
+        context.block_cache_hits += self.stats.block_cache_hits
+        self.stats.add(
+            range_queries=int(context.kind == "range"),
+            point_queries=context.distinct_keys,
+            multi_point_queries=int(context.kind == "multi_point"),
+            filter_batch_probes=context.filter_calls,
+            filter_probes=context.filters_probed,
+            filter_negatives=context.filter_negatives,
+            filter_true_positives=context.filter_true_positives,
+            filter_false_positives=context.filter_false_positives,
+            filter_probe_ns=context.filter_probe_ns,
+            residual_seek_ns=context.residual_seek_ns,
+        )
+        self.tracker.record_query(
+            point_queries=context.distinct_keys,
+            # Nothing in the histogram for a range that missed the domain.
+            range_size=context.width or None,
+            negatives=context.filter_negatives,
+            true_positives=context.filter_true_positives,
+            false_positives=context.filter_false_positives,
+        )
         self.last_query = context
 
     def _tracking_iter(
@@ -1496,13 +1499,13 @@ class DB:
             yield key, tag, value
 
     def _probe_filters_range(
-        self, runs: list[Run], low: int, high: int
+        self, context: QueryContext, runs: list[Run], low: int, high: int
     ) -> tuple[list[Run], list[Run]]:
-        """One emptiness verdict per overlapping run; charge the verdicts.
+        """One emptiness verdict per overlapping run; count the verdicts.
 
         Each filtered run's filter answers ``may_contain_range`` through
         :func:`~repro.lsm.filter_integration.batched_tightened_ranges`;
-        runs without a filter block pass through positive, uncharged
+        runs without a filter block pass through positive, uncounted
         (fence pointers already said "overlaps").  Returns the runs to
         read and, of those, the runs whose filter said so.
         """
@@ -1514,8 +1517,9 @@ class DB:
         ]
         started = time.perf_counter_ns()
         verdicts, filter_calls = batched_tightened_ranges(filters, low, high)
-        elapsed = time.perf_counter_ns() - started
-        negatives = 0
+        context.filter_probe_ns += time.perf_counter_ns() - started
+        context.filter_calls += filter_calls
+        context.filters_probed += filter_calls
         positive_runs: list[Run] = []
         answered_runs: list[Run] = []
         for run, filt, verdict in zip(runs, filters, verdicts):
@@ -1524,46 +1528,35 @@ class DB:
                 if filt is not None:
                     answered_runs.append(run)
             else:
-                negatives += 1
-                self._note_filter_outcome(run, negatives=1)
-        self.stats.add(
-            filter_probe_ns=elapsed,
-            filter_batch_probes=filter_calls,
-            filter_probes=filter_calls,
-            filter_negatives=negatives,
-        )
-        if negatives:
-            self.tracker.record_filter_outcome(False, False, negatives)
+                self._note_filter_outcome(context, run, negatives=1)
         return positive_runs, answered_runs
 
-    def _record_positive_outcomes(
-        self, run: Run, true_positives: int, false_positives: int
-    ) -> None:
-        """Charge a run's filter positives once its data told them apart."""
-        if true_positives:
-            self.stats.add(filter_true_positives=true_positives)
-            self.tracker.record_filter_outcome(True, True, true_positives)
-        if false_positives:
-            self.stats.add(filter_false_positives=false_positives)
-            self.tracker.record_filter_outcome(True, False, false_positives)
-            self._note_filter_outcome(run, false_positives=false_positives)
-
     def _note_filter_outcome(
-        self, run: Run, *, negatives: int = 0, false_positives: int = 0
+        self,
+        context: QueryContext,
+        run: Run,
+        *,
+        negatives: int = 0,
+        true_positives: int = 0,
+        false_positives: int = 0,
     ) -> None:
-        """Feed a run's rejectable-query outcome to the attack detector.
+        """Count one run's settled verdicts into the query's context.
 
-        No-op unless ``quarantine_filters`` is on, so the benign hot path
-        pays one attribute read.  A run newly flagged here bumps
-        ``filters_quarantined`` and, with background workers available,
-        kicks maintenance so the prioritized rebuild starts immediately.
+        The rejectable ones also feed the attack detector, which alone
+        needs the run's name — a no-op unless ``quarantine_filters`` is on,
+        so the benign hot path pays one attribute read.  A run newly
+        flagged here bumps ``filters_quarantined`` and, with background
+        workers available, kicks maintenance so the prioritized rebuild
+        starts immediately.
         """
-        if not self.options.quarantine_filters:
+        context.filter_negatives += negatives
+        context.filter_true_positives += true_positives
+        context.filter_false_positives += false_positives
+        if not (self.options.quarantine_filters and negatives + false_positives):
             return
-        newly_flagged = self._filter_dictionary.record_outcome(
+        if self._filter_dictionary.record_outcome(
             run.name, negatives=negatives, false_positives=false_positives
-        )
-        if newly_flagged:
+        ):
             self.stats.add(filters_quarantined=1)
             if self._concurrent and self._background_error is None:
                 self._schedule_maintenance()

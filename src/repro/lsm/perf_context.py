@@ -2,9 +2,14 @@
 
 ``PerfStats`` aggregates over a DB's lifetime; debugging a *single* slow
 query needs per-operation numbers: how many runs were considered, how many
-filters answered negative, how many blocks were actually read.  The DB
-fills one :class:`QueryContext` per read operation and exposes the most
-recent via ``db.last_query``.
+filters answered negative, how many blocks were actually read.  A read
+counts everything it observes into the one :class:`QueryContext` it owns
+(one call, one thread: plain attribute writes), and ``DB._publish`` folds
+the finished context into ``PerfStats`` and the ``WorkloadTracker`` once
+and exposes it as ``db.last_query``.  The numbers are the query's own
+whatever other threads do meanwhile — except ``blocks_read`` /
+``block_cache_hits``, counted where the I/O happens and taken as a
+before/after delta of those two shared counters.
 
 The paper's §4 discussion ("the number of iterators is equal to the number
 of SST files") is directly observable here: ``iterators_created`` counts
@@ -13,7 +18,7 @@ exactly the child iterators a query wired into its merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["QueryContext"]
 
@@ -34,20 +39,26 @@ class QueryContext:
     high: int = 0
 
     runs_considered: int = 0      # overlapping runs after fence pruning
-    filters_probed: int = 0
+    filter_calls: int = 0         # filter invocations (one per filtered run)
+    filters_probed: int = 0       # verdicts asked for
     filter_negatives: int = 0
+    filter_true_positives: int = 0   # positives the run's data confirmed
+    filter_false_positives: int = 0  # positives the run's data refuted
     iterators_created: int = 0    # per-run child iterators actually opened
     blocks_read: int = 0          # block fetches (cache misses)
     block_cache_hits: int = 0
     results: int = 0              # live entries returned
     memtable_hit: bool = False
+    filter_probe_ns: int = 0      # wall time inside the filters
+    residual_seek_ns: int = 0     # range only: merge-advance wall time
 
-    # multi_point only: batch shape.
+    width: int = 0                # range only: clamped to the key domain
+                                  # (what the filters were asked; 0 = missed)
+
+    # Point reads: batch shape.
     keys_requested: int = 0       # input keys, duplicates included
     distinct_keys: int = 0        # lookups actually resolved
     memtable_hits: int = 0        # keys answered by the memtable alone
-
-    notes: list[str] = field(default_factory=list)
 
     @property
     def runs_pruned_by_filters(self) -> int:

@@ -77,7 +77,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -93,7 +93,7 @@ from repro.errors import (
 from repro.lsm.db import DB, HealthReport
 from repro.lsm.options import DBOptions
 from repro.lsm.shard import ShardRouter
-from repro.lsm.stats import PerfStats
+from repro.lsm.stats import CounterSet, PerfStats
 
 __all__ = [
     "ServingHealth",
@@ -203,13 +203,14 @@ class ServingOptions:
 
 
 @dataclass
-class ServingStats:
+class ServingStats(CounterSet):
     """Front-end counters — one instance per shard plus the aggregate.
 
     ``batches``/``coalesced_batches`` are the coalescing observables: a
     batch is *coalesced* when it resolved point keys from two or more
-    distinct requests with one ``multi_get`` — the thing the CI smoke
-    check asserts actually happens under concurrent clients.
+    distinct requests with one ``multi_get`` — the thing
+    ``tests/lsm/test_serving.py`` asserts actually happens under
+    concurrent clients.
 
     The fault-tolerance counters (``sheds``, ``deadline_misses``,
     ``breaker_trips`` / ``breaker_recoveries``, ``worker_crashes`` /
@@ -241,47 +242,6 @@ class ServingStats:
     max_queue_depth: int = 0     # high-water: queued requests
 
     _MAX_FIELDS = ("max_batch_requests", "max_batch_keys", "max_queue_depth")
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_lock", threading.Lock())
-
-    def add(self, **deltas: int) -> None:
-        """Atomically add ``deltas`` to the named counters."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-    def observe_max(self, name: str, value: int) -> None:
-        """Atomically raise a high-water-mark counter."""
-        with self._lock:
-            if value > getattr(self, name):
-                setattr(self, name, value)
-
-    def snapshot(self) -> "ServingStats":
-        """Consistent copy of the current counters."""
-        with self._lock:
-            return ServingStats(
-                **{f.name: getattr(self, f.name) for f in fields(self)}
-            )
-
-    @classmethod
-    def aggregate(cls, parts: Iterable["ServingStats"]) -> "ServingStats":
-        """Sum counters across shards (high-water fields take the max)."""
-        total = cls()
-        for part in parts:
-            snap = part.snapshot()
-            for f in fields(cls):
-                if f.name in cls._MAX_FIELDS:
-                    setattr(
-                        total, f.name,
-                        max(getattr(total, f.name), getattr(snap, f.name)),
-                    )
-                else:
-                    setattr(
-                        total, f.name,
-                        getattr(total, f.name) + getattr(snap, f.name),
-                    )
-        return total
 
 
 @dataclass(frozen=True)
@@ -1291,20 +1251,7 @@ class ShardedServer:
 
     def perf_totals(self) -> PerfStats:
         """Sum of every shard DB's :class:`PerfStats` (one snapshot each)."""
-        total = PerfStats()
-        for shard in self._shards:
-            snap = shard.db.stats.snapshot()
-            total.add(
-                **{
-                    f.name: getattr(snap, f.name)
-                    for f in fields(PerfStats)
-                    if f.name != "max_jobs_in_flight"
-                }
-            )
-            total.observe_max(
-                "max_jobs_in_flight", snap.max_jobs_in_flight
-            )
-        return total
+        return PerfStats.aggregate(shard.db.stats for shard in self._shards)
 
     def describe(self) -> str:
         """Shard layout plus each shard's tree shape."""

@@ -14,11 +14,13 @@ taxonomy so the benchmark harness can print the same cost breakdowns
   sub-costs of Fig. 5(A2);
 * compaction counters for Fig. 6's ``T/(R+W)`` overhead metric.
 
-With background maintenance enabled, foreground queries and worker jobs
-bump the same counter set concurrently, so every mutation goes through
-:meth:`PerfStats.add`, which serializes updates behind an internal lock.
-``snapshot``/``diff`` take the same lock and therefore observe a
-consistent cut even while workers are running.
+Foreground queries, background workers and other clients' threads bump
+the same counter set concurrently, so every mutation goes through
+:meth:`CounterSet.add`, which serializes updates behind an internal lock;
+``snapshot``/``diff`` take the same lock and observe a consistent cut.
+They serve whoever wants a phase's deltas (``DB.health()``, benchmarks,
+tests); the read path itself writes once per query (``DB._publish``) and
+never snapshots.
 
 :class:`Stopwatch` is the measuring primitive (mirrors RocksDB's internal
 ``stopwatch()`` support).
@@ -26,18 +28,85 @@ consistent cut even while workers are running.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
+from typing import Iterable, TypeVar
 
 from repro.core.tuning import observed_fpr as _observed_fpr
 
-__all__ = ["PerfStats", "Stopwatch"]
+__all__ = ["CounterSet", "PerfStats", "Stopwatch"]
+
+_C = TypeVar("_C", bound="CounterSet")
+
+
+class CounterSet:
+    """Lock-guarded integer counters; subclass as a ``@dataclass`` of fields.
+
+    Every field is additive except those named in ``_MAX_FIELDS``, which are
+    high-water marks: raised through :meth:`observe_max`, combined by
+    :meth:`aggregate` with ``max`` rather than ``+``.
+    """
+
+    _MAX_FIELDS: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Not a dataclass field: ``fields(self)`` must keep iterating only
+        # the counters for snapshot/diff/reset and keyword construction.
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    def add(self, **deltas: int) -> None:
+        """Atomically add ``deltas`` to the named counters.
+
+        The sole supported mutation path once worker threads are running:
+        plain ``stats.field += n`` is a read-modify-write race under
+        concurrency.
+        """
+        with self._lock:
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
+
+    def observe_max(self, name: str, value: int) -> None:
+        """Atomically raise the named high-water counter to ``value``."""
+        with self._lock:
+            if value > getattr(self, name):
+                setattr(self, name, value)
+
+    def snapshot(self: _C) -> _C:
+        """Consistent copy of the current counters."""
+        with self._lock:
+            return replace(self)
+
+    def diff(self: _C, earlier: _C) -> _C:
+        """Counter deltas since ``earlier`` (for per-phase reporting)."""
+        now = astuple(self.snapshot())
+        return type(self)(*map(operator.sub, now, astuple(earlier)))
+
+    def reset(self) -> None:
+        """Zero every counter."""
+        with self._lock:
+            for f in fields(self):
+                setattr(self, f.name, 0)
+
+    @classmethod
+    def aggregate(cls: type[_C], parts: Iterable[_C]) -> _C:
+        """One snapshot per part: additive fields summed, high-water maxed."""
+        total = cls()
+        for part in parts:
+            snap = part.snapshot()
+            for f in fields(cls):
+                combine = max if f.name in cls._MAX_FIELDS else operator.add
+                setattr(
+                    total, f.name,
+                    combine(getattr(total, f.name), getattr(snap, f.name)),
+                )
+        return total
 
 
 @dataclass
-class PerfStats:
-    """Mutable counter set; one per DB instance (cheap to snapshot/diff)."""
+class PerfStats(CounterSet):
+    """Mutable counter set; one per DB instance."""
 
     # --- I/O ---
     block_reads: int = 0
@@ -103,49 +172,7 @@ class PerfStats:
     stale_jobs_rejected: int = 0  # begin() refusals: planned inputs retired
                                   # by an install before dispatch
 
-    def __post_init__(self) -> None:
-        # Not a dataclass field: ``fields(self)`` must keep iterating only
-        # the counters for snapshot/diff/reset and keyword construction.
-        object.__setattr__(self, "_lock", threading.Lock())
-
-    def add(self, **deltas: int) -> None:
-        """Atomically add ``deltas`` to the named counters.
-
-        The sole supported mutation path once worker threads are running:
-        plain ``stats.field += n`` is a read-modify-write race under
-        concurrency.
-        """
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-    def observe_max(self, name: str, value: int) -> None:
-        """Atomically raise the named counter to ``value`` if it is higher.
-
-        High-water-mark counters (``max_jobs_in_flight``) are not additive,
-        so ``add`` would double-count them; this is their mutation path.
-        """
-        with self._lock:
-            if value > getattr(self, name):
-                setattr(self, name, value)
-
-    def snapshot(self) -> "PerfStats":
-        """Consistent copy of the current counters."""
-        with self._lock:
-            return PerfStats(*[getattr(self, name) for name in _COUNTERS])
-
-    def diff(self, earlier: "PerfStats") -> "PerfStats":
-        """Counter deltas since ``earlier`` (for per-phase reporting)."""
-        current = self.snapshot()
-        return PerfStats(
-            *[getattr(current, name) - getattr(earlier, name) for name in _COUNTERS]
-        )
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        with self._lock:
-            for name in _COUNTERS:
-                setattr(self, name, 0)
+    _MAX_FIELDS = ("max_jobs_in_flight",)
 
     # ------------------------------------------------------------------
     # Derived metrics
@@ -180,11 +207,6 @@ class PerfStats:
         if moved == 0:
             return 0.0
         return (self.compaction_time_ns / 1000.0) / moved
-
-
-#: Counter names in declaration order.  Every read pays one snapshot and one
-#: diff for its QueryContext, so they must not re-derive this per call.
-_COUNTERS = tuple(f.name for f in fields(PerfStats))
 
 
 class Stopwatch:

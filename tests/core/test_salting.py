@@ -363,9 +363,9 @@ class TestObservedFprConvention:
     def test_tracker_matches_helper(self):
         tracker = WorkloadTracker()
         for _ in range(9):
-            tracker.record_filter_outcome(False, False)  # true negatives
+            tracker.record_query(negatives=1)  # true negatives
         for _ in range(3):
-            tracker.record_filter_outcome(True, False)  # false positives
+            tracker.record_query(false_positives=1)  # false positives
         assert tracker.observed_false_positive_rate == observed_fpr(3, 9)
         # All three consumers now agree by construction.
         stats = PerfStats()

@@ -9,27 +9,26 @@ class TestWorkloadTracker:
     def test_range_histogram(self):
         tracker = WorkloadTracker()
         for _ in range(3):
-            tracker.record_range_query(8)
-        tracker.record_range_query(64)
+            tracker.record_query(range_size=8)
+        tracker.record_query(range_size=64)
         assert tracker.range_size_histogram == {8: 3, 64: 1}
         assert tracker.num_range_queries == 4
 
     def test_point_counting(self):
         tracker = WorkloadTracker()
-        tracker.record_point_query()
-        tracker.record_point_query()
+        tracker.record_query(point_queries=1)
+        tracker.record_query(point_queries=1)
         assert tracker.num_point_queries == 2
 
     def test_invalid_range_size(self):
         with pytest.raises(ValueError):
-            WorkloadTracker().record_range_query(0)
+            WorkloadTracker().record_query(range_size=0)
 
     def test_fpr_accounting(self):
         tracker = WorkloadTracker()
-        tracker.record_filter_outcome(True, True)    # true positive
-        tracker.record_filter_outcome(True, False)   # false positive
-        tracker.record_filter_outcome(False, False)  # negative
-        tracker.record_filter_outcome(False, False)
+        tracker.record_query(true_positives=1)
+        tracker.record_query(false_positives=1)
+        tracker.record_query(negatives=2)
         # Rejectable-query convention: FP / (FP + negatives); the true
         # positive does not enter the denominator.
         assert tracker.observed_false_positive_rate == pytest.approx(1 / 3)
@@ -39,18 +38,18 @@ class TestWorkloadTracker:
 
     def test_merge(self):
         a, b = WorkloadTracker(), WorkloadTracker()
-        a.record_range_query(4)
-        b.record_range_query(4)
-        b.record_range_query(32)
-        b.record_point_query()
+        a.record_query(range_size=4)
+        b.record_query(range_size=4)
+        b.record_query(range_size=32)
+        b.record_query(point_queries=1)
         a.merge(b)
         assert a.range_size_histogram == {4: 2, 32: 1}
         assert a.num_point_queries == 1
 
     def test_reset(self):
         tracker = WorkloadTracker()
-        tracker.record_range_query(4)
-        tracker.record_point_query()
+        tracker.record_query(range_size=4)
+        tracker.record_query(point_queries=1)
         tracker.reset()
         assert tracker.num_range_queries == 0
         assert tracker.num_point_queries == 0
@@ -58,17 +57,17 @@ class TestWorkloadTracker:
     def test_dominant_small_ranges(self):
         tracker = WorkloadTracker()
         for _ in range(60):
-            tracker.record_range_query(8)
+            tracker.record_query(range_size=8)
         for _ in range(40):
-            tracker.record_range_query(128)
+            tracker.record_query(range_size=128)
         assert tracker.dominant_small_ranges()
 
     def test_dominant_small_ranges_negative(self):
         tracker = WorkloadTracker()
         for _ in range(40):
-            tracker.record_range_query(8)
+            tracker.record_query(range_size=8)
         for _ in range(60):
-            tracker.record_range_query(128)
+            tracker.record_query(range_size=128)
         assert not tracker.dominant_small_ranges()
 
     def test_dominant_small_ranges_empty(self):
@@ -77,7 +76,7 @@ class TestWorkloadTracker:
     def test_percentile(self):
         tracker = WorkloadTracker()
         for size in (2, 2, 2, 2, 2, 2, 2, 2, 2, 100):
-            tracker.record_range_query(size)
+            tracker.record_query(range_size=size)
         assert tracker.percentile_range_size(0.5) == 2
         assert tracker.percentile_range_size(1.0) == 100
 
@@ -91,7 +90,7 @@ class TestAutoTuner:
     def test_small_range_workload_goes_single(self):
         tracker = WorkloadTracker()
         for _ in range(100):
-            tracker.record_range_query(8)
+            tracker.record_query(range_size=8)
         decision = AutoTuner().recommend(tracker)
         assert decision.strategy == "single"
         assert decision.max_range == 8
@@ -99,7 +98,7 @@ class TestAutoTuner:
     def test_large_range_workload_goes_variable(self):
         tracker = WorkloadTracker()
         for _ in range(100):
-            tracker.record_range_query(100)
+            tracker.record_query(range_size=100)
         decision = AutoTuner().recommend(tracker)
         assert decision.strategy == "variable"
         assert decision.max_range == 128  # next power of two
@@ -107,7 +106,7 @@ class TestAutoTuner:
     def test_point_only_workload_goes_single_level_one(self):
         tracker = WorkloadTracker()
         for _ in range(50):
-            tracker.record_point_query()
+            tracker.record_query(point_queries=1)
         decision = AutoTuner().recommend(tracker)
         assert decision.strategy == "single"
         assert decision.max_range == 1
@@ -119,15 +118,15 @@ class TestAutoTuner:
 
     def test_range_cap(self):
         tracker = WorkloadTracker()
-        tracker.record_range_query(10**6)
+        tracker.record_query(range_size=10**6)
         decision = AutoTuner(range_cap=512).recommend(tracker)
         assert decision.max_range == 512
 
     def test_coverage_quantile_ignores_outliers(self):
         tracker = WorkloadTracker()
         for _ in range(99):
-            tracker.record_range_query(16)
-        tracker.record_range_query(10**6)
+            tracker.record_query(range_size=16)
+        tracker.record_query(range_size=10**6)
         decision = AutoTuner(coverage=0.95).recommend(tracker)
         assert decision.max_range == 16
 

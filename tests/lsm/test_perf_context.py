@@ -1,10 +1,21 @@
-"""Tests for per-query performance contexts (db.last_query)."""
+"""Tests for per-query performance contexts (db.last_query).
+
+A read counts into its own ``QueryContext`` and ``DB._publish`` folds it
+into ``PerfStats`` / ``WorkloadTracker`` once: ``TestReadLedger`` pins that
+(publish-once, isolation from other threads' counts, and counter parity
+with the per-event bookkeeping it replaced).
+"""
+
+import random
+from dataclasses import fields
 
 import pytest
 
 from repro.bench.factories import make_factory
 from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
+from repro.lsm.stats import PerfStats
+from tests.lsm.test_fault_injection import _flip_byte, _path_of
 
 
 @pytest.fixture
@@ -88,3 +99,196 @@ class TestRangeContext:
         positives = ctx.filters_probed - ctx.filter_negatives
         no_filter_runs = ctx.runs_considered - ctx.filters_probed
         assert ctx.iterators_created == positives + no_filter_runs + 1
+
+
+# Captured at the commit before the read ledger moved into QueryContext, by
+# running ``_replay`` there: every PerfStats counter except the ``*_ns``
+# stopwatches, and the tracker's whole state.
+_GOLDEN_COUNTERS = {
+    "block_reads": 109, "block_read_bytes": 77533, "block_cache_hits": 713,
+    "block_cache_misses": 91, "bytes_written": 131544,
+    "io_transient_errors": 0, "io_retries": 0, "filters_degraded": 1,
+    "filters_quarantined": 0, "background_errors": 0, "memtable_seals": 10,
+    "write_slowdowns": 0, "write_stops": 0, "write_stall_timeouts": 0,
+    "filter_probes": 810, "filter_batch_probes": 465, "filter_negatives": 461,
+    "filter_true_positives": 311, "filter_false_positives": 38,
+    "point_queries": 802, "multi_point_queries": 20, "range_queries": 212,
+    "writes": 2002, "flushes": 10, "compactions": 3,
+    "compaction_bytes_read": 55141, "compaction_bytes_written": 52610,
+    "filters_built": 14, "subcompactions": 0, "jobs_overlapped": 0,
+    "max_jobs_in_flight": 0, "leveled_range_admissions": 0,
+    "stale_jobs_rejected": 0,
+}
+_GOLDEN_TRACKER = {
+    "false_positives": 38, "filter_negatives": 461, "filter_positives": 349,
+    "point_queries": 802,
+    "range_sizes": {
+        2: 42, 3: 39, 4: 28, 5: 42, 15: 1, 31: 1, 47: 2, 49: 1, 82: 1, 86: 1,
+        87: 2, 92: 1, 109: 1, 115: 1, 116: 1, 126: 1, 131: 1, 136: 1, 141: 1,
+        147: 1, 164: 1, 183: 1, 199: 1, 211: 1, 228: 2, 231: 1, 241: 1,
+        242: 1, 247: 1, 283: 1, 298: 1, 304: 1, 322: 1, 325: 1, 329: 1,
+        343: 1, 371: 1, 374: 1, 375: 1, 378: 1, 396: 1, 2001: 20, 4001: 1,
+    },
+}
+
+
+def _replay(root) -> DB:
+    """A seeded single-threaded read mix over every kind of run.
+
+    One filter-less run (ingested before the store had a filter factory),
+    one degraded run (filter envelope corrupted before its first probe),
+    filtered runs on two levels and a live memtable; gets, duplicate-key
+    multi_gets, and empty / occupied / partially consumed / closed-early
+    ranges, all inside the key domain.
+    """
+    rng = random.Random(19)
+    options = DBOptions(
+        key_bits=32,
+        memtable_size_bytes=8 << 10,
+        sst_size_bytes=16 << 10,
+        max_bytes_for_level_base=64 << 10,
+        block_size_bytes=1024,
+        block_cache_bytes=32 << 10,
+    )
+    path = str(root / "parity")
+    with DB(path, options) as bare:
+        bare.ingest([(i * 11, b"bare-%d" % i) for i in range(300)], level=2)
+    options.filter_factory = make_factory("rosetta", 32, 14, max_range=32)
+    db = DB(path, options)
+    for batch in range(5):  # interleaved, so the runs' spans overlap
+        for i in range(400):
+            db.put(5000 + (i * 5 + batch) * 7, b"v%d-%d" % (batch, i))
+        db.flush()
+    victim = db.version.all_runs_newest_first()[2]
+    _flip_byte(
+        _path_of(db, victim),
+        victim.reader._filter_handle.offset,  # noqa: SLF001
+    )
+    db.put(123_456, b"buffered")
+    db.delete(5007)
+
+    keys = [5000 + i * 7 for i in range(2000)] + [i * 11 for i in range(300)]
+    for _ in range(150):
+        db.get(rng.choice(keys))        # present
+        db.get(rng.choice(keys) + 1)    # absent, inside the runs' spans
+    db.get(123_456)
+    db.get(5007)
+    db.get((1 << 32) - 1)
+    for _ in range(20):
+        batch = [rng.choice(keys) + rng.choice((0, 1)) for _ in range(24)]
+        db.multi_get(batch + batch[:5] + [123_456])
+    db.multi_get([])
+    for _ in range(150):
+        low = rng.choice(keys) + 1
+        db.range_query(low, low + rng.randrange(1, 5))     # mostly empty
+    for _ in range(40):
+        low = rng.choice(keys)
+        db.range_query(low, low + rng.randrange(10, 400))  # occupied
+    for _ in range(20):
+        low = rng.choice(keys)
+        scan = db.range_iter(low, low + 2000)              # partially consumed
+        for _ in range(rng.randrange(1, 6)):
+            next(scan, None)
+        scan.close()
+    scan = db.range_iter(5000, 9000)                       # closed early, twice
+    next(scan)
+    scan.close()
+    scan.close()
+    assert list(db.range_iter(1, 3)) == []
+    return db
+
+
+class _Recorder:
+    """Wraps ``db.stats.add`` / ``snapshot`` to log the calls a read makes."""
+
+    #: Counted where the I/O happens, below the DB layer.
+    BLOCK_LAYER = {
+        "block_reads", "block_read_bytes", "block_read_time_ns",
+        "block_cache_hits", "block_cache_misses",
+    }
+
+    def __init__(self, db, monkeypatch):
+        self.adds: list[set[str]] = []
+        self.snapshots = 0
+        add, snapshot = db.stats.add, db.stats.snapshot
+
+        def recording_add(**deltas):
+            self.adds.append(set(deltas))
+            add(**deltas)
+
+        def recording_snapshot():
+            self.snapshots += 1
+            return snapshot()
+
+        monkeypatch.setattr(db.stats, "add", recording_add)
+        monkeypatch.setattr(db.stats, "snapshot", recording_snapshot)
+
+    def db_layer_adds(self) -> list[set[str]]:
+        return [names for names in self.adds if not names <= self.BLOCK_LAYER]
+
+
+class TestReadLedger:
+    def test_empty_range_publishes_once(self, db, monkeypatch):
+        db.range_query(1, 6)  # warm: filter blocks loaded and memoized
+        recorder = _Recorder(db, monkeypatch)
+        assert db.range_query(1, 6) == []
+        context = db.last_query
+        assert context.filters_probed == context.filter_negatives >= 1
+        assert len(recorder.adds) == 1
+        assert recorder.snapshots == 0
+
+    def test_get_publishes_once(self, db, monkeypatch):
+        db.get(7)  # warm
+        recorder = _Recorder(db, monkeypatch)
+        assert db.get(14) == b"v2"
+        assert len(recorder.db_layer_adds()) == 1
+        assert recorder.snapshots == 0
+
+    def test_last_query_is_isolated_from_concurrent_counts(
+        self, db, monkeypatch
+    ):
+        """Another reader's probes, landing mid-query, are not this query's."""
+        for run in db.version.all_runs_newest_first():
+            noisy = db._filter_dictionary.get_filter(  # noqa: SLF001
+                run.reader, db.stats
+            )
+            for name in ("may_contain_range", "may_contain_batch"):
+                original = getattr(noisy, name)
+
+                def interrupted(*args, _original=original):
+                    db.stats.add(filter_probes=1000, filter_negatives=1000)
+                    return _original(*args)
+
+                monkeypatch.setattr(noisy, name, interrupted)
+
+        assert db.range_query(1, 6) == []
+        context = db.last_query
+        assert 1 <= context.filters_probed == context.runs_considered < 1000
+        assert context.filter_negatives == context.filters_probed
+
+        assert db.get(8) is None
+        context = db.last_query
+        assert 1 <= context.filters_probed == context.runs_considered < 1000
+        assert context.filter_negatives <= context.filters_probed
+
+    def test_counters_match_the_per_event_bookkeeping(self, tmp_path):
+        db = _replay(tmp_path)
+        try:
+            snapshot = db.stats.snapshot()
+            runs = db.version.all_runs_newest_first()
+            assert len(db.health().degraded_filters) == 1
+            assert any(not run.reader.filter_block_bytes() for run in runs)
+            counters = {
+                f.name: getattr(snapshot, f.name)
+                for f in fields(PerfStats)
+                if not f.name.endswith("_ns")
+            }
+            assert len(fields(PerfStats)) == 42
+            assert counters == _GOLDEN_COUNTERS
+            tracker = db.tracker.to_dict()
+            tracker["range_sizes"] = {
+                int(size): n for size, n in tracker["range_sizes"].items()
+            }
+            assert tracker == _GOLDEN_TRACKER
+        finally:
+            db.close()

@@ -8,9 +8,10 @@ Pins the three halves of the lazy-iterator fix:
   time, not on the first ``next()``, because ``range_iter`` is a plain
   wrapper around the generator;
 * **pinning** — the superversion referenced at call time stays pinned
-  for the generator's lifetime and is released exactly once on
-  exhaustion, ``close()``, or garbage collection, with filter outcomes
-  and ``last_query`` recorded for what was actually consumed.
+  for the iterator's lifetime and is released exactly once on
+  exhaustion, ``close()``, or garbage collection — advanced or not —
+  with filter outcomes and ``last_query`` published for what was
+  actually consumed.
 """
 
 from __future__ import annotations
@@ -135,6 +136,32 @@ class TestSuperversionPinning:
         del iterator
         gc.collect()
         assert _sv_refs(db) == refs_before
+
+    @pytest.mark.parametrize("how", ["close", "collect"])
+    def test_never_advanced_iterator_unpins_and_publishes(self, db, how):
+        """No ``next()`` at all: the probes it made still count, once."""
+        db.get(0)
+        refs_before = _sv_refs(db)
+        before = db.stats.snapshot()
+        iterator = db.range_iter(0, DOMAIN - 1)
+        assert _sv_refs(db) == refs_before + 1
+        if how == "close":
+            iterator.close()
+            iterator.close()
+        else:
+            del iterator
+            gc.collect()
+        assert _sv_refs(db) == refs_before
+        context = db.last_query
+        assert context.kind == "range"
+        assert context.results == context.iterators_created == 0
+        assert context.filters_probed >= 1
+        delta = db.stats.diff(before)
+        assert delta.range_queries == 1
+        assert delta.filter_probes == context.filters_probed
+        # Nothing was read, so the positives are neither true nor false.
+        assert delta.filter_true_positives == 0
+        assert delta.filter_false_positives == 0
 
     def test_scan_stable_across_concurrent_flush(self, db):
         """The pinned superversion keeps mid-scan results consistent."""

@@ -19,7 +19,7 @@ from repro.bench.factories import make_factory
 from repro.errors import ClosedStoreError, FilterQueryError, InvalidOptionsError
 from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
-from repro.lsm.serving import ServingOptions, ShardedServer
+from repro.lsm.serving import ServingOptions, ServingStats, ShardedServer
 from repro.lsm.shard import ShardRouter
 
 KEY_BITS = 16
@@ -217,6 +217,16 @@ class TestEquivalence:
         server.close()
         reference.close()
 
+    def test_range_iter_across_an_empty_shard(self, tmp_path):
+        """A piece that lands on a shard with nothing to stream still closes."""
+        server = _server(tmp_path, num_shards=2)
+        data = {key: b"low-%d" % key for key in range(0, DOMAIN // 2, 97)}
+        for key, value in data.items():
+            server.put(key, value)
+        server.flush()
+        assert list(server.range_iter(0, DOMAIN - 1)) == sorted(data.items())
+        server.close()
+
     def test_scalar_batch_counter_parity(self, tmp_path, rng):
         """The same lookups cost the same point_queries either way.
 
@@ -256,6 +266,36 @@ class TestEquivalence:
         assert totals.filter_batch_probes > 0
         server.close()
         reference.close()
+
+
+class TestCounterAggregation:
+    """Additive fields sum across shards; high-water fields take the max."""
+
+    def test_serving_stats_aggregate(self):
+        parts = [
+            ServingStats(point_requests=3, batches=2, max_queue_depth=7,
+                         max_batch_keys=4),
+            ServingStats(point_requests=5, sheds=1, max_queue_depth=2,
+                         max_batch_keys=9),
+        ]
+        total = ServingStats.aggregate(parts)
+        assert (total.point_requests, total.batches, total.sheds) == (8, 2, 1)
+        assert (total.max_queue_depth, total.max_batch_keys) == (7, 9)
+        assert total.max_batch_requests == 0
+        assert ServingStats.aggregate([]) == ServingStats()
+
+    def test_perf_totals(self, tmp_path):
+        server = _server(tmp_path, num_shards=2)
+        low, high = (shard.db.stats for shard in server._shards)  # noqa: SLF001
+        low.add(block_reads=3, filter_probes=10)
+        low.observe_max("max_jobs_in_flight", 3)
+        high.add(block_reads=4, filter_negatives=6)
+        high.observe_max("max_jobs_in_flight", 2)
+        totals = server.perf_totals()
+        assert (totals.block_reads, totals.filter_probes) == (7, 10)
+        assert totals.filter_negatives == 6
+        assert totals.max_jobs_in_flight == 3
+        server.close()
 
 
 # ----------------------------------------------------------------------

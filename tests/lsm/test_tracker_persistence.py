@@ -1,5 +1,8 @@
 """Tests for workload-statistics persistence across store restarts."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.tuning import WorkloadTracker
@@ -9,12 +12,12 @@ from repro.lsm.db import DB
 class TestTrackerSerialization:
     def test_roundtrip(self):
         tracker = WorkloadTracker()
-        tracker.record_range_query(8)
-        tracker.record_range_query(8)
-        tracker.record_range_query(64)
-        tracker.record_point_query()
-        tracker.record_filter_outcome(True, False)
-        tracker.record_filter_outcome(False, False)
+        tracker.record_query(range_size=8)
+        tracker.record_query(range_size=8)
+        tracker.record_query(range_size=64)
+        tracker.record_query(point_queries=1)
+        tracker.record_query(false_positives=1)
+        tracker.record_query(negatives=1)
         restored = WorkloadTracker.from_dict(tracker.to_dict())
         assert restored.range_size_histogram == {8: 2, 64: 1}
         assert restored.num_point_queries == 1
@@ -28,6 +31,57 @@ class TestTrackerSerialization:
         restored = WorkloadTracker.from_dict({"point_queries": 3})
         assert restored.num_point_queries == 3
         assert restored.range_size_histogram == {}
+
+
+class TestConcurrentCheckpoint:
+    def test_recording_while_checkpointing_never_races(self):
+        """A reader records while the manifest writer serialises.
+
+        Unlocked (as the tracker was while the store recorded through
+        ``record_range_query`` / ``record_filter_outcome``), ``to_dict``
+        dies with "dictionary changed size during iteration" within a few
+        calls, and ``+=`` loses increments.
+        """
+        prefilled = 20_000  # a histogram that takes a while to walk
+        tracker = WorkloadTracker.from_dict(
+            {"range_sizes": {str(size): 1 for size in range(1, prefilled + 1)}}
+        )
+        per_thread, errors = 3000, []
+
+        def record(offset: int) -> None:
+            try:
+                for i in range(per_thread):
+                    tracker.record_query(range_size=offset + i, negatives=1)
+            except Exception as exc:  # noqa: BLE001 - the assertion below
+                errors.append(exc)
+
+        def checkpoint() -> None:
+            try:
+                while any(t.is_alive() for t in recorders):
+                    WorkloadTracker.from_dict(tracker.to_dict())
+                    tracker.percentile_range_size(0.99)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        recorders = [
+            threading.Thread(target=record, args=(prefilled + 1 + n * per_thread,))
+            for n in range(3)
+        ]
+        reader = threading.Thread(target=checkpoint)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in recorders:
+                thread.start()
+            reader.start()
+            for thread in recorders + [reader]:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in recorders + [reader])
+        assert errors == []
+        assert tracker.num_range_queries == prefilled + 3 * per_thread
+        assert tracker.to_dict()["filter_negatives"] == 3 * per_thread
 
 
 class TestStorePersistence:
@@ -45,6 +99,21 @@ class TestStorePersistence:
         assert db2.tracker.range_size_histogram == {8: 25}
         assert db2.tracker.num_point_queries == 1
         db2.close()
+
+    def test_histogram_records_the_clamped_width(
+        self, tmp_path, small_db_options
+    ):
+        """The tuner sees what the filters were asked, not the raw bounds."""
+        db = DB(str(tmp_path / "clamp"), small_db_options)
+        db.put(1, b"x")
+        domain = 1 << small_db_options.key_bits
+        db.range_query(-5, 1 << 70)        # clamps to the whole domain
+        db.range_query(domain - 4, domain + 100)
+        db.range_query(1 << 40, 1 << 41)   # misses the domain: nothing asked
+        assert db.tracker.range_size_histogram == {domain: 1, 4: 1}
+        assert db.last_query.width == 0
+        assert db.stats.range_queries == 3
+        db.close()
 
     def test_restored_statistics_drive_tuning(self, tmp_path, small_db_options):
         """A fresh process can retune from the previous session's workload."""

@@ -98,6 +98,21 @@ def test_in_place_mutation_is_flagged():
     assert violations[0].kind == "mutate"
 
 
+def test_item_assignment_is_flagged():
+    """``self._zombies[k] += 1`` writes the protected container too."""
+    source = (
+        "class DB:\n"
+        "    def bad(self):\n"
+        "        self._zombies[0] += 1\n"
+        "        self._zombies[1] = 2\n"
+        "    def good(self):\n"
+        "        with self._sv_lock:\n"
+        "            self._zombies[0] += 1\n"
+    )
+    violations = check_source(source, rules=_RULES)
+    assert [(v.method, v.line) for v in violations] == [("bad", 3), ("bad", 4)]
+
+
 def test_other_classes_and_attrs_are_ignored():
     source = (
         "class Other:\n"
@@ -122,9 +137,6 @@ def test_closure_inherits_enclosing_method_allowlist():
 
 
 def test_real_tree_is_clean():
-    for relative in (
-        "src/repro/lsm/db.py",
-        "src/repro/lsm/compaction.py",
-    ):
+    for relative in lint_locks._TARGETS:  # noqa: SLF001
         violations = lint_locks.check_file(str(_REPO / relative))
         assert violations == [], "\n".join(str(v) for v in violations)

@@ -137,6 +137,16 @@ RULES: dict[str, dict[str, Rule]] = {
         "_outcomes": _rule(("_lock",), ("__init__",)),
         "_design_fpr": _rule(("_lock",), ("__init__",)),
     },
+    # Workload tracker (repro.core.tuning): the reading thread records one
+    # query at a time while a flush/compaction install on another thread
+    # checkpoints the histogram into the manifest.
+    "WorkloadTracker": {
+        "_range_sizes": _rule(("_lock",), ("__init__",)),
+        "_point_queries": _rule(("_lock",), ("__init__",)),
+        "_filter_positives": _rule(("_lock",), ("__init__",)),
+        "_filter_negatives": _rule(("_lock",), ("__init__",)),
+        "_false_positives": _rule(("_lock",), ("__init__",)),
+    },
 }
 
 
@@ -166,7 +176,9 @@ class Violation:
 
 
 def _self_attr(node: ast.expr) -> str | None:
-    """``self.<name>`` -> name, else None."""
+    """``self.<name>`` (or an item of it, ``self.<name>[k]``) -> name."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
     if (
         isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
@@ -287,6 +299,7 @@ _TARGETS = (
     os.path.join("src", "repro", "lsm", "compaction.py"),
     os.path.join("src", "repro", "lsm", "serving.py"),
     os.path.join("src", "repro", "lsm", "filter_integration.py"),
+    os.path.join("src", "repro", "core", "tuning.py"),
 )
 
 
