@@ -132,9 +132,10 @@ class _Immutable:
 class _SuperVersion:
     """One immutable cut of the store a reader can pin.
 
-    ``immutables`` is newest-first; ``version`` is the run metadata.  The
-    object itself is frozen after install — a state change installs a new
-    superversion rather than mutating this one.  ``refs``/``epoch`` are
+    ``immutables`` is newest-first; ``version`` is the run metadata, whose
+    file index is built here — every edit after this point goes to a clone.
+    The object itself is frozen after install — a state change installs a
+    new superversion rather than mutating this one.  ``refs``/``epoch`` are
     managed under ``DB._sv_lock`` only.
     """
 
@@ -148,6 +149,7 @@ class _SuperVersion:
     ) -> None:
         self.active = active
         self.immutables = immutables
+        version.freeze()
         self.version = version
         self.refs = 0
         self.epoch = 0

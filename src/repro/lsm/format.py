@@ -3,8 +3,10 @@
 Data blocks use restart-point prefix compression: within a block, each
 entry stores how many key bytes it shares with its predecessor, and every
 ``restart_interval`` entries a *restart point* stores the full key so a
-reader can binary-search restart points and scan forward.  Blocks end with
-the restart offset array, its length, and a CRC32 checksum.
+reader can binary-search restart points and scan forward
+(:func:`seek_data_block`, the point read; :func:`decode_data_block` parses
+every entry, for scans).  Blocks end with the restart offset array, its
+length, the entry count, and a CRC32 checksum.
 
 Entries carry a one-byte value tag distinguishing puts from deletion
 tombstones — the merge machinery needs tombstones to shadow older values
@@ -30,6 +32,7 @@ __all__ = [
     "decode_varint",
     "DataBlockBuilder",
     "decode_data_block",
+    "seek_data_block",
     "encode_index_block",
     "decode_index_block",
     "sst_file_number",
@@ -39,6 +42,8 @@ __all__ = [
 #: compaction picker uses it as run age; per-SST filter salting mixes it
 #: into the store's ``filter_salt_seed`` so every rebuild re-keys.
 _SST_NUMBER = re.compile(r"^sst_\d+_(\d+)\.sst$")
+
+_U32 = struct.Struct("<I")
 
 
 def sst_file_number(name: str) -> int:
@@ -84,12 +89,19 @@ def encode_varint(value: int) -> bytes:
             return bytes(out)
 
 
-def decode_varint(payload: bytes, offset: int) -> tuple[int, int]:
-    """Decode a varint at ``offset``; returns (value, next_offset)."""
+def decode_varint(
+    payload: bytes, offset: int, end: int | None = None
+) -> tuple[int, int]:
+    """Decode a varint at ``offset``; returns (value, next_offset).
+
+    The varint must finish before ``end`` (default: the payload's end).
+    """
+    if end is None:
+        end = len(payload)
     value = 0
     shift = 0
     while True:
-        if offset >= len(payload):
+        if offset >= end:
             raise CorruptionError("truncated varint")
         byte = payload[offset]
         offset += 1
@@ -184,6 +196,97 @@ def decode_data_block(payload: bytes) -> list[tuple[bytes, int, bytes]]:
             f"data block advertised {num_entries} entries, decoded {len(entries)}"
         )
     return entries
+
+
+def _entry_header(payload: bytes, offset: int, end: int) -> tuple[int, int, int, int]:
+    """Parse the entry at ``offset`` of a restart interval stopping at ``end``.
+
+    Returns ``(shared, key_start, value_start, value_end)``; the tag is the
+    byte before ``key_start``.  One-byte varints (any length < 128) are read
+    in place.  Indexing cannot leave the payload: a multi-byte varint is
+    bounded by ``end``, at most four one-byte reads follow it, and the
+    12-byte trailer lies beyond ``end``.
+    """
+    shared = payload[offset]
+    if shared < 0x80:
+        offset += 1
+    else:
+        shared, offset = decode_varint(payload, offset, end)
+    unshared_len = payload[offset]
+    if unshared_len < 0x80:
+        offset += 1
+    else:
+        unshared_len, offset = decode_varint(payload, offset, end)
+    value_len = payload[offset]
+    if value_len < 0x80:
+        offset += 1
+    else:
+        value_len, offset = decode_varint(payload, offset, end)
+    key_start = offset + 1
+    value_start = key_start + unshared_len
+    value_end = value_start + value_len
+    if value_end > end:
+        raise CorruptionError("data block entry runs past its restart interval")
+    return shared, key_start, value_start, value_end
+
+
+def seek_data_block(payload: bytes, key: bytes) -> tuple[int, bytes] | None:
+    """Find ``key`` in a data block: ``(tag, value)``, or None when absent.
+
+    The point-read counterpart of :func:`decode_data_block`: verify the
+    CRC32, bisect the restart points on the full keys stored there, then
+    walk the one restart interval that can hold ``key``, rebuilding keys
+    until one is ``>= key``.  Everything the search relies on is checked —
+    the restart array lies inside the body, its offsets ascend from 0 and
+    stay inside the entries, a restart entry shares nothing, every entry
+    ends inside its interval.  The advertised entry count is not: nothing
+    here counts entries, so that check stays with the full decode.
+    """
+    size = len(payload) - 4
+    if size < 12:  # the decoder's floor: a trailer and one restart offset
+        raise CorruptionError("data block too small")
+    if zlib.crc32(memoryview(payload)[:size]) != _U32.unpack_from(payload, size)[0]:
+        raise CorruptionError("data block checksum mismatch")
+    (num_restarts,) = _U32.unpack_from(payload, size - 8)
+    entries_end = size - 8 - 4 * num_restarts
+    if entries_end < 0:
+        raise CorruptionError("data block restart array overflow")
+    # Interval i is [bounds[i], bounds[i + 1]).
+    bounds = struct.unpack_from(f"<{num_restarts}I", payload, entries_end)
+    bounds += (entries_end,)
+    if bounds[0] != 0:
+        raise CorruptionError("data block restart points do not start at 0")
+    for index in range(num_restarts):
+        if bounds[index] >= bounds[index + 1]:
+            raise CorruptionError("data block restart offsets out of order")
+
+    # The last restart point whose key is <= key (the first, if none is).
+    low, high = 0, num_restarts - 1
+    while low < high:
+        mid = (low + high + 1) >> 1
+        shared, key_start, value_start, _ = _entry_header(
+            payload, bounds[mid], bounds[mid + 1]
+        )
+        if shared:
+            raise CorruptionError("data block restart entry shares a prefix")
+        if payload[key_start:value_start] <= key:
+            low = mid
+        else:
+            high = mid - 1
+
+    offset, end = bounds[low], bounds[low + 1]
+    current = b""
+    while offset < end:
+        shared, key_start, value_start, value_end = _entry_header(payload, offset, end)
+        if shared > len(current):
+            raise CorruptionError("data block entry shares more than its predecessor")
+        current = current[:shared] + payload[key_start:value_start]
+        if current >= key:
+            if current == key:
+                return payload[key_start - 1], payload[value_start:value_end]
+            return None
+        offset = value_end
+    return None
 
 
 def encode_index_block(

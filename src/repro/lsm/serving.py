@@ -34,11 +34,10 @@ silently and never by hanging:
   submit, or ``ServingOptions.default_deadline_s``).  Deadlines are
   enforced at dequeue — an expired request fails with
   :class:`~repro.errors.DeadlineExceededError` instead of occupying a
-  batch — and the coalescing linger never waits past the earliest
-  deadline in the queue (minus a small execution margin), so a request
-  with a tight deadline is served instead of timed out by its own batch
-  window.  A submitter blocked on a full queue gives up when its
-  deadline passes.
+  batch — and the coalescing linger spends at most half of what the
+  earliest deadline in the queue has left, so a request with a tight
+  deadline is served instead of timed out by its own batch window.  A
+  submitter blocked on a full queue gives up when its deadline passes.
 * **Load shedding.** ``ServingOptions.queue_policy = "shed"`` rejects
   submits over ``max_queue_depth`` immediately with
   :class:`~repro.errors.QueueFullError` (counted in
@@ -101,12 +100,6 @@ __all__ = [
     "ServingStats",
     "ShardedServer",
 ]
-
-#: How much before the earliest queued deadline the coalescing linger
-#: stops, leaving the batch time to actually execute.  Without the
-#: margin a lone request whose deadline falls inside the window would be
-#: drained exactly at its deadline — expired by construction.
-_DEADLINE_LINGER_MARGIN_S = 0.001
 
 #: Ceiling on point keys resolved by one batched ``multi_get`` (a single
 #: oversized request still runs alone).
@@ -696,13 +689,14 @@ class _Shard:
     def _next_batch(self) -> list[_Request] | None:
         """Drain one batch, lingering up to the coalescing window.
 
-        The linger never waits past the earliest deadline in the queue
-        (minus a small execution margin), and requests whose deadline
-        already passed are failed fast at drain time instead of joining
-        the batch.  Returns None only at shutdown with an empty queue —
-        a non-empty queue at shutdown is still drained so no future is
-        left dangling — and an empty list when everything drained had
-        expired (the caller just loops).
+        The linger spends at most half of what the earliest deadline in
+        the queue had left when the linger began — the other half is the
+        batch's time to execute, and absorbs a late wake-up — and requests
+        whose deadline already passed are failed fast at drain time
+        instead of joining the batch.  Returns None only at shutdown with
+        an empty queue — a non-empty queue at shutdown is still drained so
+        no future is left dangling — and an empty list when everything
+        drained had expired (the caller just loops).
         """
         opts = self.options
         expired: list[_Request] = []
@@ -720,15 +714,12 @@ class _Shard:
             if not self._queue:
                 return None  # closed and drained
             if opts.coalescing_window_s > 0 and not self._closed:
-                linger_until = time.monotonic() + opts.coalescing_window_s
+                started = time.monotonic()
+                linger_until = started + opts.coalescing_window_s
                 while len(self._queue) < opts.max_batch_requests:
                     limit = linger_until
                     if self._queue_earliest is not None:
-                        limit = min(
-                            limit,
-                            self._queue_earliest
-                            - _DEADLINE_LINGER_MARGIN_S,
-                        )
+                        limit = min(limit, (started + self._queue_earliest) / 2)
                     remaining = limit - time.monotonic()
                     if remaining <= 0 or self._closed:
                         break

@@ -39,6 +39,7 @@ from repro.lsm.format import (
     decode_data_block,
     decode_index_block,
     encode_index_block,
+    seek_data_block,
     sst_file_number,
 )
 from repro.lsm.options import DBOptions
@@ -48,8 +49,9 @@ _FOOTER = struct.Struct("<QQQQQQI")
 _MAGIC = 0x524F5345  # "ROSE"
 
 # Parsed data blocks memoized per reader (entry lists are ~10x the work of
-# the raw block fetch).  Bounded: a point-lookup storm over one file keeps
-# at most this many blocks' decoded entries alive.
+# the raw block fetch).  Only scans and compaction reads decode whole blocks
+# (a ``get`` seeks inside the raw payload), so the bound caps what a long
+# scan over one file keeps alive: this many blocks' decoded entries.
 _MAX_DECODED_BLOCKS = 16
 
 __all__ = ["SSTWriter", "SSTReader", "SSTMeta"]
@@ -295,18 +297,20 @@ class SSTReader:
     # Point lookups
     # ------------------------------------------------------------------
     def get(self, key: bytes) -> tuple[int, bytes] | None:
-        """Return ``(tag, value)`` or None; reads at most one data block."""
+        """Return ``(tag, value)`` or None; reads at most one data block.
+
+        A point read seeks inside the raw block (restart-point bisect, one
+        interval walked) instead of decoding all of it, so it neither reads
+        nor fills the decoded-block memo.
+        """
         if not self.meta.min_key <= key <= self.meta.max_key:
             return None
         block_index = bisect_left(self._fence_keys, key)
         if block_index >= len(self._fence_pointers):
             return None
-        entries = self._decode_data_block(block_index)
-        position = bisect_left(entries, key, key=lambda e: e[0])
-        if position < len(entries) and entries[position][0] == key:
-            _, tag, value = entries[position]
-            return tag, value
-        return None
+        return seek_data_block(
+            self._read_block(self._fence_pointers[block_index][1]), key
+        )
 
     def _decode_data_block(self, block_index: int) -> list[tuple[bytes, int, bytes]]:
         """Fetch and parse one data block, memoizing the parsed entries.

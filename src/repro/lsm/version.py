@@ -8,6 +8,7 @@ priorities implement shadowing; compaction swaps file sets atomically.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.errors import StoreError
@@ -46,12 +47,36 @@ class Run:
         return self.reader.meta.overlaps(low, high)
 
 
+class _LevelIndex:
+    """One level's files with their spans laid out for searching.
+
+    ``disjoint`` says the files are sorted and non-overlapping (a leveled
+    level, or a tiered one holding a single group), so ``min_keys`` and
+    ``max_keys`` both ascend and a range is answered by bisecting them.
+    """
+
+    __slots__ = ("runs", "min_keys", "max_keys", "disjoint")
+
+    def __init__(self, runs: list[Run]) -> None:
+        self.runs = runs
+        self.min_keys = [run.reader.meta.min_key for run in runs]
+        self.max_keys = [run.reader.meta.max_key for run in runs]
+        self.disjoint = all(
+            max_key < min_key
+            for max_key, min_key in zip(self.max_keys, self.min_keys[1:])
+        )
+
+
 @dataclass
 class Version:
     """Mutable view of the current tree shape."""
 
     level0: list[Run] = field(default_factory=list)  # newest first
     levels: dict[int, list[Run]] = field(default_factory=dict)  # level -> sorted runs
+    # Per-level file index, set once by freeze(); never copied by clone().
+    _file_index: list[_LevelIndex] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Mutation
@@ -189,9 +214,45 @@ class Version:
             ordered.extend(self.levels[level])
         return ordered
 
+    def freeze(self) -> None:
+        """Build the per-level file index; the shape must not change after.
+
+        Called where a version becomes visible to readers (the DB wraps it
+        in a superversion); every later edit goes to a :meth:`clone`.
+        Idempotent: a memtable seal republishes the same version.
+        """
+        if self._file_index is None:
+            self._file_index = self._build_file_index()
+
+    def _build_file_index(self) -> list[_LevelIndex]:
+        index = [_LevelIndex(self.level0)]
+        index.extend(_LevelIndex(self.levels[level]) for level in sorted(self.levels))
+        return index
+
     def runs_for_range(self, low: bytes, high: bytes) -> list[Run]:
-        """Runs whose key span intersects ``[low, high]``, newest first."""
-        return [run for run in self.all_runs_newest_first() if run.overlaps(low, high)]
+        """Runs whose key span intersects ``[low, high]``, newest first.
+
+        L0 newest-first, then levels ascending, files ascending — recency
+        order, which is what shadowing reads.  A level that is one sorted,
+        disjoint run is bisected; L0 and tiered levels are scanned.  A
+        version not yet frozen answers from an index built for the call.
+        """
+        index = self._file_index
+        if index is None:
+            index = self._build_file_index()
+        found: list[Run] = []
+        for level in index:
+            runs, min_keys, max_keys = level.runs, level.min_keys, level.max_keys
+            if level.disjoint:
+                first = bisect_left(max_keys, low)
+                found += runs[first : bisect_right(min_keys, high, first)]
+            else:
+                found += [
+                    run
+                    for run, min_key, max_key in zip(runs, min_keys, max_keys)
+                    if min_key <= high and max_key >= low
+                ]
+        return found
 
     def total_files(self) -> int:
         """Number of live SST files."""

@@ -27,12 +27,13 @@ from repro.lsm.options import DBOptions
 
 
 def _loaded_db(path: str, with_filter: bool = False, **option_overrides) -> DB:
+    # No cache by default: force disk reads so corruption is seen.
+    option_overrides.setdefault("block_cache_bytes", 0)
     options = DBOptions(
         key_bits=32,
         memtable_size_bytes=8 << 10,
         sst_size_bytes=32 << 10,
         block_size_bytes=1024,
-        block_cache_bytes=0,  # force disk reads so corruption is seen
         filter_factory=(
             make_factory("rosetta", 32, 16, max_range=32) if with_filter
             else None
@@ -84,6 +85,31 @@ class TestDataCorruption:
         _flip_byte(_path_of(db, run), 10)
         with pytest.raises(CorruptionError):
             db.get(0)
+        db.close()
+
+    @pytest.mark.parametrize("cache_bytes", [0, 1 << 20])
+    def test_injected_flip_in_data_block_surfaces_from_get(self, tmp_path, cache_bytes):
+        """A point read seeks inside the block, and still checks its CRC.
+
+        Same error type and same device/cache accounting as when ``get``
+        decoded the whole block: the block is fetched (and cached) once,
+        then found corrupt on every access — a cached copy is re-verified,
+        never trusted.
+        """
+        db, env = _faulty_db(str(tmp_path / "db"), block_cache_bytes=cache_bytes)
+        run = _run_for_key(db, 0)
+        assert env.corrupt_file(run.name, offset=10) == [10]
+        stats = db._env.stats  # noqa: SLF001
+        for cached in (False, True):
+            before = stats.snapshot()
+            with pytest.raises(CorruptionError):
+                db.get(0)
+            delta = stats.snapshot().diff(before)
+            hit = cached and cache_bytes > 0
+            assert delta.block_reads == (0 if hit else 1)
+            assert delta.block_cache_hits == (1 if hit else 0)
+            assert delta.block_cache_misses == (0 if hit else 1)
+        assert env.injected["bit_flips"] == 1
         db.close()
 
     def test_corrupt_data_block_detected_on_range(self, tmp_path):

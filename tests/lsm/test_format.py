@@ -1,5 +1,8 @@
 """Unit tests for on-disk block encodings."""
 
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from repro.lsm.format import (
     decode_varint,
     encode_index_block,
     encode_varint,
+    seek_data_block,
 )
 
 
@@ -152,3 +156,239 @@ def test_property_data_block_roundtrip(entries, restart):
     for key, tag, value in entries:
         builder.add(key, tag, value)
     assert decode_data_block(builder.finish()) == entries
+
+
+# ----------------------------------------------------------------------
+# seek_data_block: the point read is held to the decoder it replaces
+# ----------------------------------------------------------------------
+def _build(entries, restart):
+    builder = DataBlockBuilder(restart_interval=restart)
+    for key, tag, value in entries:
+        builder.add(key, tag, value)
+    return builder.finish()
+
+
+def _entry(shared, unshared, value, *, unshared_len=None, value_len=None):
+    """One raw entry; the length overrides let a header lie about its body."""
+    return (
+        encode_varint(shared)
+        + encode_varint(len(unshared) if unshared_len is None else unshared_len)
+        + encode_varint(len(value) if value_len is None else value_len)
+        + bytes([ValueTag.PUT])
+        + unshared
+        + value
+    )
+
+
+def _seal(entries, restarts, *, claimed_restarts=None):
+    """Hand-built block with a *valid* CRC over whatever structure is given."""
+    out = b"".join(entries)
+    out += b"".join(struct.pack("<I", restart) for restart in restarts)
+    out += struct.pack(
+        "<II",
+        len(restarts) if claimed_restarts is None else claimed_restarts,
+        len(entries),
+    )
+    return out + struct.pack("<I", zlib.crc32(out))
+
+
+class TestSeekDataBlock:
+    ENTRIES = [
+        (f"key-{i:03d}".encode(), ValueTag.PUT, f"value-{i}".encode())
+        for i in range(0, 40, 2)
+    ]
+
+    def test_golden_bytes(self):
+        """The on-disk block format is what it was before readers seeked."""
+        block = _build(
+            [
+                (b"apple", ValueTag.PUT, b"1"),
+                (b"apricot", ValueTag.DELETE, b""),
+                (b"banana", ValueTag.PUT, b"33"),
+            ],
+            restart=2,
+        )
+        # Produced by the builder as it stood before seek_data_block existed.
+        assert block.hex() == (
+            "000501006170706c6531"  # shared 0, "apple", PUT, "1"
+            "020500017269636f74"  # shared 2, "ricot", DELETE, ""
+            "0006020062616e616e613333"  # restart: shared 0, "banana", PUT, "33"
+            "0000000013000000"  # restart offsets 0, 19
+            "0200000003000000"  # 2 restarts, 3 entries
+            "595b6e4b"  # CRC32
+        )
+
+    @pytest.mark.parametrize("restart", [1, 2, 3, 16, 64])
+    def test_hit_miss_and_edges(self, restart):
+        block = _build(self.ENTRIES, restart)
+        for key, tag, value in self.ENTRIES:
+            assert seek_data_block(block, key) == (tag, value)
+            assert seek_data_block(block, key + b"\x00") is None  # extension
+            assert seek_data_block(block, key[:-1]) is None  # strict prefix
+        assert seek_data_block(block, b"") is None  # below the first key
+        assert seek_data_block(block, b"key-001") is None  # inside a gap
+        assert seek_data_block(block, b"zzz") is None  # above the last key
+
+    def test_tombstone_returned_with_its_tag(self):
+        block = _build([(b"a", ValueTag.PUT, b"1"), (b"b", ValueTag.DELETE, b"")], 16)
+        assert seek_data_block(block, b"b") == (ValueTag.DELETE, b"")
+
+    def test_too_small_rejected(self):
+        """Same floor as the decoder: an entry-less block is not a block."""
+        for payload in (b"", b"tiny", b"\x00" * 15, DataBlockBuilder().finish()):
+            with pytest.raises(CorruptionError):
+                decode_data_block(payload)
+            with pytest.raises(CorruptionError):
+                seek_data_block(payload, b"k")
+
+    def test_every_single_bit_flip_detected(self):
+        block = _build(self.ENTRIES[:6], restart=2)
+        for position in range(len(block) * 8):
+            flipped = bytearray(block)
+            flipped[position // 8] ^= 1 << (position % 8)
+            with pytest.raises(CorruptionError):
+                seek_data_block(bytes(flipped), self.ENTRIES[3][0])
+
+    def test_valid_crc_over_sealed_reference_block(self):
+        """The hand-sealing helper itself produces what the builder does."""
+        entries = [_entry(0, b"aa", b"1"), _entry(1, b"b", b"2")]
+        assert _seal(entries, [0]) == _build(
+            [(b"aa", ValueTag.PUT, b"1"), (b"ab", ValueTag.PUT, b"2")], 16
+        )
+
+    # Every raw entry below is 6 bytes: three 1-byte lengths, tag, key, value.
+    @pytest.mark.parametrize(
+        ("block", "probe"),
+        [
+            pytest.param(
+                _seal([_entry(0, b"a", b"1")], [0], claimed_restarts=1000),
+                b"a",
+                id="restart-count-overruns-body",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1")], [], claimed_restarts=0),
+                b"a",
+                id="entries-without-a-restart-point",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), _entry(0, b"b", b"2")], [0, 9999]),
+                b"a",
+                id="restart-offset-past-body",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), _entry(0, b"b", b"2")], [0, 12]),
+                b"a",
+                id="restart-offset-at-entries-end",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), _entry(0, b"b", b"2")], [6]),
+                b"b",
+                id="first-restart-not-at-zero",
+            ),
+            pytest.param(
+                _seal(
+                    [_entry(0, b"a", b"1"), _entry(0, b"b", b"2"), _entry(0, b"c", b"3")],
+                    [0, 12, 6],
+                ),
+                b"a",
+                id="descending-restart-offsets",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), _entry(0, b"b", b"2")], [0, 0]),
+                b"a",
+                id="repeated-restart-offset",
+            ),
+            pytest.param(
+                _seal([_entry(1, b"a", b"1")], [0]),
+                b"a",
+                id="first-restart-entry-shares",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), _entry(1, b"b", b"2")], [0, 6]),
+                b"ab",
+                id="bisected-restart-entry-shares",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), _entry(2, b"b", b"2")], [0]),
+                b"ab",
+                id="shares-more-than-predecessor",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), _entry(0, b"b", b"2", value_len=40)], [0]),
+                b"b",
+                id="final-value-runs-past-interval",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), _entry(0, b"b", b"2", unshared_len=300)], [0]),
+                b"b",
+                id="final-key-runs-past-interval",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), b"\x00\x01\x80"], [0]),
+                b"b",
+                id="final-varint-runs-past-interval",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1", value_len=2), _entry(0, b"b", b"2")], [0, 6]),
+                b"a",
+                id="entry-crosses-into-next-interval",
+            ),
+        ],
+    )
+    def test_malformed_block_with_valid_crc_rejected(self, block, probe):
+        assert zlib.crc32(block[:-4]) == struct.unpack("<I", block[-4:])[0]
+        with pytest.raises(CorruptionError):
+            seek_data_block(block, probe)
+
+
+_KEY_SETS = st.builds(
+    lambda prefix, suffixes: sorted({prefix + suffix for suffix in suffixes}),
+    st.binary(max_size=200),  # shared prefixes past 127 bytes: 2-byte `shared`
+    st.lists(st.binary(min_size=1, max_size=100), min_size=1, max_size=60),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    keys=_KEY_SETS,
+    restart=st.sampled_from([1, 2, 3, 16, 64]),
+    extra_probes=st.lists(st.binary(max_size=300), max_size=10),
+    data=st.data(),
+)
+def test_property_seek_equals_decode(keys, restart, extra_probes, data):
+    entries = [
+        (
+            key,
+            data.draw(st.sampled_from([ValueTag.PUT, ValueTag.DELETE])),
+            data.draw(st.binary(max_size=300)),
+        )
+        for key in keys
+    ]
+    block = _build(entries, restart)
+    oracle = {key: (tag, value) for key, tag, value in decode_data_block(block)}
+    probes = set(extra_probes) | {b"", keys[0][:-1], keys[-1] + b"\xff"}
+    for key in keys:
+        # equal to / strict prefix of / extension of / just past a stored key
+        probes |= {key, key[:-1], key + b"\x00", key[:-1] + bytes([key[-1] ^ 1])}
+    for probe in probes:
+        assert seek_data_block(block, probe) == oracle.get(probe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    restart=st.sampled_from([1, 2, 3, 16]),
+    edits=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(0, 255)), min_size=1, max_size=4
+    ),
+)
+def test_property_resealed_garbage_never_escapes_as_another_error(restart, edits):
+    """Overwrite bytes, recompute the CRC: an answer or CorruptionError only."""
+    body = bytearray(_build(TestSeekDataBlock.ENTRIES, restart)[:-4])
+    for position, byte in edits:
+        body[position % len(body)] = byte
+    block = bytes(body) + struct.pack("<I", zlib.crc32(body))
+    for key, _, _ in TestSeekDataBlock.ENTRIES[::3]:
+        try:
+            seek_data_block(block, key)
+        except CorruptionError:
+            pass

@@ -1,6 +1,8 @@
 """Unit tests for the merging iterator and level/run metadata."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StoreError
 from repro.lsm.format import ValueTag
@@ -169,3 +171,151 @@ class TestVersion:
         cleared = version.clear_level0()
         assert len(cleared) == 1
         assert version.level0 == []
+
+
+# ----------------------------------------------------------------------
+# runs_for_range: the per-level file index equals the scan it replaces
+# ----------------------------------------------------------------------
+def _key(number):
+    return number.to_bytes(2, "big")
+
+
+def _disjoint_files(points, prefix, level, group_id=None):
+    """Consecutive pairs of sorted distinct ``points`` become disjoint files."""
+    from repro.lsm.version import Run
+
+    files = []
+    for index in range(0, len(points) - 1, 2):
+        meta = _FakeMeta(f"{prefix}-{index}", _key(points[index]), _key(points[index + 1]))
+        files.append(Run(reader=_FakeReader(meta), level=level, group_id=group_id))
+    return files
+
+
+_POINTS = st.lists(st.integers(0, 120), min_size=2, max_size=24, unique=True).map(sorted)
+
+
+@st.composite
+def _trees(draw):
+    version = Version()
+    for index in range(draw(st.integers(0, 4))):  # L0: spans overlap freely
+        low, high = sorted(draw(st.tuples(st.integers(0, 120), st.integers(0, 120))))
+        version.add_level0(_run(f"l0-{index}", _key(low), _key(high), level=0))
+    leveled = draw(st.integers(1, 3))
+    tiered_level = draw(st.integers(1, leveled + 1))  # anywhere among them
+    for level in range(1, leveled + 2):
+        if level != tiered_level:
+            version.install_level(level, _disjoint_files(draw(_POINTS), f"l{level}", level))
+            continue
+        for group in range(draw(st.integers(2, 3))):  # groups overlap each other
+            version.prepend_group(
+                level, _disjoint_files(draw(_POINTS), f"t{level}g{group}", level, group)
+            )
+    return version
+
+
+def _scan(version, low, high):
+    return [run.name for run in version.all_runs_newest_first() if run.overlaps(low, high)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    version=_trees(),
+    drawn=st.lists(st.tuples(st.integers(0, 121), st.integers(0, 121)), max_size=20),
+)
+def test_property_runs_for_range_equals_the_scan(version, drawn):
+    ranges = {tuple(sorted(pair)) for pair in drawn}
+    for run in version.all_runs_newest_first():
+        low = int.from_bytes(run.reader.meta.min_key, "big")
+        high = int.from_bytes(run.reader.meta.max_key, "big")
+        ranges |= {
+            (low, low), (high, high),  # point ranges on a file's edges
+            (max(low - 1, 0), low), (high, high + 1),  # touching only an edge
+            (max(low - 1, 0), max(low - 1, 0)), (high + 1, high + 1),  # in the gap beside it
+            (low, high), (max(low - 3, 0), high + 3),  # spanning it and its neighbours
+        }
+    ranges.add((0, 121))
+    queries = [(_key(low), _key(high)) for low, high in sorted(ranges)]
+    expected = [_scan(version, low, high) for low, high in queries]
+    for frozen in (False, True):  # an index built per call, then the kept one
+        if frozen:
+            version.freeze()
+        answers = [
+            [run.name for run in version.runs_for_range(low, high)] for low, high in queries
+        ]
+        assert answers == expected
+
+
+class TestFileIndex:
+    def test_clone_of_a_frozen_version_is_editable_and_reindexed(self):
+        version = Version()
+        version.install_level(1, [_run("a", b"a", b"c")])
+        version.freeze()
+        edited = version.clone()
+        edited.install_level(1, [_run("a", b"a", b"c"), _run("x", b"x", b"z")])
+        assert [r.name for r in edited.runs_for_range(b"y", b"y")] == ["x"]
+        assert version.runs_for_range(b"y", b"y") == []  # the frozen shape stands
+        edited.freeze()
+        assert [r.name for r in edited.runs_for_range(b"y", b"y")] == ["x"]
+
+    @pytest.mark.parametrize("style", ["leveled", "tiered"])
+    def test_every_installed_version_answers_through_the_index(
+        self, tmp_path, style, monkeypatch
+    ):
+        from repro.lsm.db import DB
+        from repro.lsm.options import DBOptions
+
+        def options():
+            return DBOptions(
+                key_bits=32,
+                memtable_size_bytes=4 << 10,
+                sst_size_bytes=8 << 10,
+                max_bytes_for_level_base=32 << 10,
+                block_size_bytes=1024,
+                level_size_ratio=3,
+                compaction_style=style,
+            )
+
+        def check(db):
+            version = db.version
+            index = version._file_index  # noqa: SLF001
+            assert index is not None
+            deep = [level for level in index[1:] if len(level.runs) > 1]
+            if style == "leveled":
+                assert all(level.disjoint for level in deep)
+            # A reader never builds an index of its own.
+            with monkeypatch.context() as patch:
+                patch.setattr(Version, "_build_file_index", None)
+                for low in range(0, 9000, 577):
+                    for width in (0, 1, 400, 9000):
+                        bounds = (low.to_bytes(4, "big"), (low + width).to_bytes(4, "big"))
+                        found = [run.name for run in version.runs_for_range(*bounds)]
+                        assert found == _scan(version, *bounds)
+            return version
+
+        path = str(tmp_path / style)
+        db = DB(path, options())
+        for i in range(300):
+            db.put(i * 29 % 8000, bytes(24))
+        db.flush()
+        flushed = check(db)
+        assert flushed.total_files() >= 1
+        for i in range(4000):  # enough debt for compactions to install versions
+            db.put(i * 7919 % 8000, bytes(24))
+        db.flush()
+        compacted = check(db)
+        assert compacted is not flushed
+        assert compacted.max_populated_level() >= 1
+        if style == "tiered":  # overlapping groups share a level: it is scanned
+            grouped = [
+                index_level
+                for level, index_level in zip(
+                    sorted(compacted.levels), compacted._file_index[1:]  # noqa: SLF001
+                )
+                if compacted.num_groups(level) > 1
+            ]
+            assert grouped and not any(level.disjoint for level in grouped)
+        db.close()
+        reopened = DB(path, options())
+        recovered = check(reopened)
+        assert recovered.total_files() == compacted.total_files()
+        reopened.close()

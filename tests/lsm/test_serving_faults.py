@@ -157,6 +157,22 @@ class TestDeadlines:
         finally:
             server.close()
 
+    def test_lone_request_lingers_half_its_budget(self, tmp_path) -> None:
+        """A lone request does not wait its deadline away for company: the
+        linger stops halfway to the deadline, so the answer arrives with
+        the other half of the budget to spare (a linger that ran to 1 ms
+        before the deadline turned any late wake-up into a miss)."""
+        server = _server(tmp_path, coalescing_window_s=5.0)
+        try:
+            server.put(7, b"v")
+            started = time.monotonic()
+            assert server.get(7, deadline_s=0.3) == b"v"
+            elapsed = time.monotonic() - started
+            assert 0.1 < elapsed < 0.25  # lingered ~0.15 s, not ~0.3 s
+            assert server.stats().deadline_misses == 0
+        finally:
+            server.close()
+
     def test_default_deadline_applies(self, tmp_path) -> None:
         server = _server(tmp_path, default_deadline_s=0.05)
         blocker = None

@@ -168,3 +168,68 @@ class TestReader:
         reader = SSTReader(env, meta, options, BlockCache(0))
         assert reader.get(b"\x00\x00\x00\x01") == (ValueTag.DELETE, b"")
         assert reader.get(b"\x00\x00\x00\x02") == (ValueTag.PUT, b"live")
+
+
+class TestPointReadSeeks:
+    """``get`` seeks inside the raw block; only scans decode whole blocks."""
+
+    @pytest.mark.parametrize("restart_interval", [1, 4, 16])
+    def test_get_equals_the_scan(self, tmp_path, restart_interval):
+        env = StorageEnv(str(tmp_path))
+        options = DBOptions(
+            key_bits=32, block_size_bytes=512, block_restart_interval=restart_interval
+        )
+        writer = SSTWriter(env, "t.sst", options)
+        for i in range(1, 600):  # min_key is 7, so there is room below it
+            tag = ValueTag.DELETE if i % 11 == 0 else ValueTag.PUT
+            writer.add((i * 7).to_bytes(4, "big"), tag, b"" if tag else b"v%d" % i)
+        meta = writer.finish()
+        reader = SSTReader(env, meta, options, BlockCache(1 << 20))
+        assert reader.num_data_blocks() > 3
+        scanned = {key: (tag, value) for key, tag, value in reader.iterate_from(b"")}
+        assert len(scanned) == 599
+        for key, expected in scanned.items():
+            assert reader.get(key) == expected
+        # Every gap: below min_key, either side of every stored key (which
+        # covers the step from one block's fence key to the next block's
+        # first key), above max_key, and byte strings of another length.
+        for stored in scanned:
+            number = int.from_bytes(stored, "big")
+            for absent in (number - 1, number + 1, number + 6):
+                assert reader.get(absent.to_bytes(4, "big")) is None
+            assert reader.get(stored[:-1]) is None
+            assert reader.get(stored + b"\x00") is None
+        assert reader.get(b"") is None
+        assert reader.get(b"\xff\xff\xff\xff") is None
+
+    def test_db_point_reads_never_decode_a_block(self, tmp_path, monkeypatch):
+        from repro.lsm import sstable
+        from repro.lsm.db import DB
+
+        db = DB(
+            str(tmp_path / "db"),
+            DBOptions(key_bits=32, memtable_size_bytes=4 << 10, block_size_bytes=512),
+        )
+        for i in range(1500):
+            db.put(i * 3, b"v%d" % i)
+        db.flush()
+
+        def refuse(payload):
+            raise AssertionError("a point read decoded a whole data block")
+
+        monkeypatch.setattr(sstable, "decode_data_block", refuse)
+        for i in range(0, 1500, 7):
+            assert db.get(i * 3) == b"v%d" % i
+            assert db.get(i * 3 + 1) is None
+        keys = [i * 3 for i in range(0, 1500, 5)] + [1, 4, 10**9]
+        assert db.multi_get(keys) == {
+            key: (b"v%d" % (key // 3) if key % 3 == 0 and key < 4500 else None)
+            for key in keys
+        }
+        runs = db.version.all_runs_newest_first()
+        assert runs
+        for run in runs:
+            assert not run.reader._decoded_blocks  # noqa: SLF001
+        with pytest.raises(AssertionError):  # the patch is live: a scan decodes
+            db.range_query(0, 100)
+        db.close()
