@@ -73,10 +73,6 @@ class LevelAllocation:
         """Sum of all per-level budgets."""
         return sum(self.bits_per_level)
 
-    def bits_at_height(self, height: int) -> int:
-        """Bits assigned to the level ``height`` above the leaves."""
-        return self.bits_per_level[height]
-
 
 def allocate(
     strategy: str,

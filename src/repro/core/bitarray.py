@@ -75,11 +75,6 @@ class BitArray:
         """Number of addressable bits."""
         return self._num_bits
 
-    @property
-    def size_in_bytes(self) -> int:
-        """Size of the backing storage in bytes."""
-        return self._words.nbytes
-
     # ------------------------------------------------------------------
     # Single-bit operations
     # ------------------------------------------------------------------

@@ -364,18 +364,25 @@ class Rosetta:
 
         Equal to mapping :meth:`may_contain` — verdicts, ``point_queries``
         and ``bloom_probes`` charges (one per key, duplicates included) —
-        for every group size and key width.  The leaf level's
+        for every group size and key width.  A group of one (most of the
+        LSM's per-run groups) is validated and handed straight to the leaf
+        level's probe; for the rest the leaf level's
         :meth:`~repro.core.bloom.BloomFilter.contains_batch` validates the
         keys once and picks the scalar or vector kernel from the group
-        size; out-of-domain keys raise :class:`FilterQueryError` there.
+        size.  Out-of-domain keys raise :class:`FilterQueryError` either way.
         """
         count = len(keys)
         stats = self.stats
         stats.point_queries += count
         if self._num_keys == 0:
             return [False] * count
-        verdicts = self._filters[0].contains_batch(keys, self._key_bits)
-        if self._level_probes[0] is not None:
+        probe = self._level_probes[0]
+        if count == 1:
+            self._check_key(keys[0])
+            verdicts = [probe is None or probe(keys[0])]
+        else:
+            verdicts = self._filters[0].contains_batch(keys, self._key_bits)
+        if probe is not None:
             stats.bloom_probes += count
         return verdicts
 
@@ -505,9 +512,13 @@ class Rosetta:
         while cursor <= high and not found:
             # Largest aligned block at `cursor`: capped by its alignment,
             # by what still fits, and by the tallest level kept.
-            height = min(max_height, (high - cursor + 1).bit_length() - 1)
+            height = (high - cursor + 1).bit_length() - 1
+            if height > max_height:
+                height = max_height
             if cursor:
-                height = min(height, (cursor & -cursor).bit_length() - 1)
+                aligned = (cursor & -cursor).bit_length() - 1
+                if aligned < height:
+                    height = aligned
             intervals += 1
             stack.append((cursor >> height, height))
             cursor += 1 << height
@@ -656,11 +667,8 @@ class Rosetta:
     # ------------------------------------------------------------------
     # Validation helpers
     # ------------------------------------------------------------------
-    def _domain_max(self) -> int:
-        return (1 << self._key_bits) - 1
-
     def _check_key(self, key: int) -> None:
-        if not 0 <= key <= self._domain_max():
+        if key < 0 or key >> self._key_bits:
             raise FilterQueryError(
                 f"key {key} outside domain [0, 2^{self._key_bits})"
             )
@@ -670,7 +678,7 @@ class Rosetta:
             raise FilterQueryError(f"invalid range: low={low} > high={high}")
         if low < 0:
             low = 0
-        return low, min(high, self._domain_max())
+        return low, min(high, (1 << self._key_bits) - 1)
 
     # ------------------------------------------------------------------
     # Serialization

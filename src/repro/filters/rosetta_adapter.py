@@ -74,7 +74,8 @@ class RosettaFilter(KeyFilter):
     def may_contain_batch(self, keys: Sequence[int]) -> list[bool]:
         """Point lookups for a key group on the full-key level.
 
-        The only point probe the LSM issues (a ``get`` is a group of one);
+        The only point probe the LSM issues (a ``get`` is a group of one,
+        which the core hands straight to the leaf probe); for larger groups
         the core picks the scalar or vector Bloom kernel from ``len(keys)``.
         """
         return self._require_populated().may_contain_each(keys)

@@ -1257,7 +1257,6 @@ class DB:
         """
         encoded = [self._encode_key(key) for key in keys]
         context.distinct_keys = len(keys)
-        self._begin(context)
         values: dict[int, bytes | None] = dict.fromkeys(keys)
         sv = self._ref_super()
         try:
@@ -1278,53 +1277,59 @@ class DB:
                 else:
                     pending[enc] = key
             context.memtable_hit = context.memtable_hits > 0
+            if not pending:
+                return values
 
-            runs = (
-                sv.version.runs_for_range(min(pending), max(pending))
-                if pending
-                else ()
-            )
-            for run in runs:
-                meta = run.reader.meta
-                group = [
-                    enc for enc in pending
-                    if meta.min_key <= enc <= meta.max_key
-                ]
+            if len(pending) == 1:
+                low = high = next(iter(pending))
+            else:
+                low, high = min(pending), max(pending)
+            get_filter = self._filter_dictionary.get_filter
+            stats = self.stats
+            quarantine = self.options.quarantine_filters
+            now = time.perf_counter_ns
+            put = ValueTag.PUT
+            for run in sv.version.runs_for_range(low, high):
+                reader = run.reader
+                meta = reader.meta
+                min_key, max_key = meta.min_key, meta.max_key
+                group = [enc for enc in pending if min_key <= enc <= max_key]
                 if not group:
                     continue
                 context.runs_considered += 1
-                filt = self._filter_dictionary.get_filter(run.reader, self.stats)
-                started = time.perf_counter_ns()
+                filt = get_filter(reader, stats, context)
+                started = now()
                 verdicts, filter_calls = batched_point_verdicts(
                     filt, [pending[enc] for enc in group]
                 )
                 if filt is not None:  # else fence pointers only: no probe
-                    context.filter_probe_ns += time.perf_counter_ns() - started
+                    context.filter_probe_ns += now() - started
                     context.filter_calls += filter_calls
                     context.filters_probed += len(group)
-                true_positives = false_positives = 0
+                negatives = true_positives = false_positives = 0
                 for enc, verdict in zip(group, verdicts):
                     if not verdict:
+                        negatives += 1
                         continue
                     context.iterators_created += 1
-                    found = run.reader.get(enc)
+                    found = reader.get(enc, context)
                     if found is None:
                         false_positives += 1
                         continue
                     true_positives += 1
                     tag, value = found
-                    if tag == ValueTag.PUT:
+                    if tag == put:
                         values[pending[enc]] = value
                         context.results += 1
                     del pending[enc]  # shadows every older run
                 if filt is not None:  # a run that was not asked said nothing
-                    self._note_filter_outcome(
-                        context,
-                        run,
-                        negatives=len(group) - sum(verdicts),
-                        true_positives=true_positives,
-                        false_positives=false_positives,
-                    )
+                    context.filter_negatives += negatives
+                    context.filter_true_positives += true_positives
+                    context.filter_false_positives += false_positives
+                    if quarantine and negatives + false_positives:
+                        self._note_filter_outcome(
+                            run, negatives, false_positives
+                        )
                 if not pending:
                     break
             return values
@@ -1362,7 +1367,7 @@ class DB:
         """
         self._check_open()
         clamped = clamp_to_domain(low, high, self.options.key_bits)
-        context = self._begin(QueryContext(kind="range", low=low, high=high))
+        context = QueryContext(kind="range", low=low, high=high)
         scan = self._range_scan(context, clamped)
         # Run the eager half now.  A generator that was started always runs
         # its ``finally`` — on close() or collection too — which one that
@@ -1410,16 +1415,17 @@ class DB:
             ]
             yield bool(positive_runs or sources)
 
+            def tracked(run: Run) -> Iterator[tuple[bytes, int, bytes]]:
+                """The run's entries from ``low``; marks a run that had an
+                in-range key."""
+                for entry in run.reader.iterate_from(low_bytes, context):
+                    if entry[0] <= high_bytes:
+                        contributed[run.name] = True
+                    yield entry
+
             for run in positive_runs:
                 contributed[run.name] = False
-                sources.append(
-                    (
-                        len(sources),
-                        self._tracking_iter(
-                            run, low_bytes, high_bytes, contributed
-                        ),
-                    )
-                )
+                sources.append((len(sources), tracked(run)))
             context.iterators_created = len(sources)
             merged = live_entries(MergingIterator(sources))
             while True:
@@ -1439,44 +1445,18 @@ class DB:
             # leaves its positives unjudged.
             if context.iterators_created:
                 for run in answered_runs:
-                    truly = contributed[run.name]
-                    self._note_filter_outcome(
-                        context,
-                        run,
-                        true_positives=int(truly),
-                        false_positives=int(not truly),
-                    )
+                    if contributed[run.name]:
+                        context.filter_true_positives += 1
+                    else:
+                        context.filter_false_positives += 1
+                        self._note_filter_outcome(run, 0, 1)
             self._publish(context)
             self._unref_super(sv)
 
-    def _begin(self, context: QueryContext) -> QueryContext:
-        """Baseline a read's context against the two block counters.
-
-        Blocks are counted where the I/O happens (``StorageEnv`` /
-        ``SSTReader``), so a query learns its own as a delta of those shared
-        integers: negative baseline here, current value added in `_publish`.
-        """
-        context.blocks_read = -self.stats.block_reads
-        context.block_cache_hits = -self.stats.block_cache_hits
-        return context
-
     def _publish(self, context: QueryContext) -> None:
         """A finished read's one write to the shared ledgers: one
-        ``PerfStats.add``, one tracker update, then ``last_query``."""
-        context.blocks_read += self.stats.block_reads
-        context.block_cache_hits += self.stats.block_cache_hits
-        self.stats.add(
-            range_queries=int(context.kind == "range"),
-            point_queries=context.distinct_keys,
-            multi_point_queries=int(context.kind == "multi_point"),
-            filter_batch_probes=context.filter_calls,
-            filter_probes=context.filters_probed,
-            filter_negatives=context.filter_negatives,
-            filter_true_positives=context.filter_true_positives,
-            filter_false_positives=context.filter_false_positives,
-            filter_probe_ns=context.filter_probe_ns,
-            residual_seek_ns=context.residual_seek_ns,
-        )
+        ``PerfStats.fold``, one tracker update, then ``last_query``."""
+        self.stats.fold(context)
         self.tracker.record_query(
             point_queries=context.distinct_keys,
             # Nothing in the histogram for a range that missed the domain.
@@ -1486,19 +1466,6 @@ class DB:
             false_positives=context.filter_false_positives,
         )
         self.last_query = context
-
-    def _tracking_iter(
-        self,
-        run: Run,
-        seek_key: bytes,
-        high_bytes: bytes,
-        contributed: dict[str, bool],
-    ) -> Iterator[tuple[bytes, int, bytes]]:
-        """Two-level iterator wrapper marking runs that had in-range keys."""
-        for key, tag, value in run.reader.iterate_from(seek_key):
-            if key <= high_bytes:
-                contributed[run.name] = True
-            yield key, tag, value
 
     def _probe_filters_range(
         self, context: QueryContext, runs: list[Run], low: int, high: int
@@ -1514,7 +1481,7 @@ class DB:
         if not runs:
             return [], []
         filters = [
-            self._filter_dictionary.get_filter(run.reader, self.stats)
+            self._filter_dictionary.get_filter(run.reader, self.stats, context)
             for run in runs
         ]
         started = time.perf_counter_ns()
@@ -1530,33 +1497,23 @@ class DB:
                 if filt is not None:
                     answered_runs.append(run)
             else:
-                self._note_filter_outcome(context, run, negatives=1)
+                context.filter_negatives += 1
+                self._note_filter_outcome(run, 1, 0)
         return positive_runs, answered_runs
 
     def _note_filter_outcome(
-        self,
-        context: QueryContext,
-        run: Run,
-        *,
-        negatives: int = 0,
-        true_positives: int = 0,
-        false_positives: int = 0,
+        self, run: Run, negatives: int, false_positives: int
     ) -> None:
-        """Count one run's settled verdicts into the query's context.
+        """Feed a run's rejectable verdicts to the attack detector.
 
-        The rejectable ones also feed the attack detector, which alone
-        needs the run's name — a no-op unless ``quarantine_filters`` is on,
-        so the benign hot path pays one attribute read.  A run newly
-        flagged here bumps ``filters_quarantined`` and, with background
-        workers available, kicks maintenance so the prioritized rebuild
-        starts immediately.
+        Callers count verdicts into their query's context themselves; the
+        detector alone needs the run's name, and is only asked when
+        ``quarantine_filters`` is on.  A run newly flagged here bumps
+        ``filters_quarantined`` and, with background workers available,
+        kicks maintenance so the prioritized rebuild starts immediately.
         """
-        context.filter_negatives += negatives
-        context.filter_true_positives += true_positives
-        context.filter_false_positives += false_positives
-        if not (self.options.quarantine_filters and negatives + false_positives):
-            return
-        if self._filter_dictionary.record_outcome(
+        detector = self._filter_dictionary
+        if detector.quarantine and detector.record_outcome(
             run.name, negatives=negatives, false_positives=false_positives
         ):
             self.stats.add(filters_quarantined=1)
@@ -1728,12 +1685,6 @@ class DB:
     @property
     def version(self) -> Version:
         """The current level/run metadata (read-mostly snapshot)."""
-        return self._super.version
-
-    @property
-    def _version(self) -> Version:
-        # Backward-compatible alias (tests and tools peeked at the old
-        # attribute); the authoritative pointer lives in the superversion.
         return self._super.version
 
     # ------------------------------------------------------------------

@@ -207,17 +207,21 @@ class StorageEnv:
         """
         self._yield(f"sync_file:{name}")
 
-    def read_block(self, name: str, offset: int, size: int) -> bytes:
+    def read_block(self, name: str, offset: int, size: int, context=None) -> bytes:
         """Random block read, charged at device latency.
 
         Transient failures (:class:`~repro.errors.TransientIOError`) are
         retried up to ``retry_attempts`` times with modeled exponential
-        backoff; permanent errors propagate immediately.
+        backoff; permanent errors propagate immediately.  The read that
+        succeeded is counted on ``context``, the calling query's own
+        ``QueryContext``, or without one on the shared stats.
         """
-        return self._retry_read(lambda: self._read_block_once(name, offset, size))
+        payload = self._retry_read(self._read_block_once, name, offset, size)
+        self._count_read(len(payload), context)
+        return payload
 
     def _read_block_once(self, name: str, offset: int, size: int) -> bytes:
-        """One unretried block read (the fault-injection override point).
+        """One unretried, uncounted block read (the fault-injection override).
 
         Handles are opened unbuffered: the block cache is the only caching
         layer, so every miss genuinely touches the file — which keeps the
@@ -230,33 +234,36 @@ class StorageEnv:
                 handle = open(self.path(name), "rb", buffering=0)
                 self._handles[name] = handle
             handle.seek(offset)
-            payload = handle.read(size)
-        self.stats.add(
-            block_reads=1,
-            block_read_bytes=len(payload),
-            block_read_time_ns=self.device.block_read_ns(len(payload)),
-        )
-        return payload
+            return handle.read(size)
 
     def read_file(self, name: str) -> bytes:
         """Read a whole file (recovery paths), charged as one big read."""
-        return self._retry_read(lambda: self._read_file_once(name))
+        payload = self._retry_read(self._read_file_once, name)
+        self._count_read(len(payload))
+        return payload
 
     def _read_file_once(self, name: str) -> bytes:
         with open(self.path(name), "rb") as handle:
-            payload = handle.read()
-        self.stats.add(
-            block_reads=1,
-            block_read_bytes=len(payload),
-            block_read_time_ns=self.device.block_read_ns(len(payload)),
-        )
-        return payload
+            return handle.read()
 
-    def _retry_read(self, op: Callable[[], bytes]) -> bytes:
+    def _count_read(self, num_bytes: int, context=None) -> None:
+        device_ns = self.device.block_read_ns(num_bytes)
+        if context is None:
+            self.stats.add(
+                block_reads=1,
+                block_read_bytes=num_bytes,
+                block_read_time_ns=device_ns,
+            )
+        else:  # one query, one thread: plain attribute writes
+            context.blocks_read += 1
+            context.block_read_bytes += num_bytes
+            context.block_read_time_ns += device_ns
+
+    def _retry_read(self, op: Callable[..., bytes], *args) -> bytes:
         attempt = 0
         while True:
             try:
-                return op()
+                return op(*args)
             except TransientIOError:
                 self.stats.add(io_transient_errors=1)
                 if attempt >= self.retry_attempts:

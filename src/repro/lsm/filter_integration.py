@@ -4,8 +4,10 @@ Three pieces:
 
 * :class:`FilterDictionary` — "we construct a dictionary containing the
   mapping of the deserialized bits of each Rosetta instance and its
-  corresponding run", preventing a deserialization per query.  Entries are
-  dropped when a compaction destroys the run.  Disabling it (an ablation in
+  corresponding run", preventing a deserialization per query.  The mapping
+  is one slot on each run's :class:`~repro.lsm.sstable.SSTReader`, so an
+  entry goes when a compaction destroys the run and a resolved filter is
+  one unlocked attribute read away.  Disabling it (an ablation in
   ``benchmarks/``) re-deserializes the filter block on every query, which
   is what the paper's deserialization-cost discussion is about.
 * :func:`batched_tightened_ranges` — the *range* probe: one
@@ -23,7 +25,7 @@ from typing import Sequence
 from repro.core.tuning import observed_fpr
 from repro.errors import SerializationError
 from repro.filters.base import KeyFilter, deserialize_filter
-from repro.lsm.sstable import SSTReader
+from repro.lsm.sstable import UNRESOLVED, SSTReader
 from repro.lsm.stats import PerfStats, Stopwatch
 
 __all__ = [
@@ -34,7 +36,7 @@ __all__ = [
 
 
 class FilterDictionary:
-    """Cache of deserialized filter instances, keyed by SST file name.
+    """Resolves each run's filter once, into ``SSTReader.resolved_filter``.
 
     With ``degrade_corrupt=True`` a filter envelope that fails to decode
     (bad CRC, bad magic, truncated bytes) marks that run *filter-less*
@@ -58,7 +60,6 @@ class FilterDictionary:
         self.quarantine = quarantine
         self.quarantine_fpr_multiple = quarantine_fpr_multiple
         self.quarantine_min_probes = quarantine_min_probes
-        self._filters: dict[str, KeyFilter] = {}
         # Foreground queries and background compaction share the
         # dictionary; the lock keeps memoization and the degraded set
         # consistent (one fetch, one degradation count per run).
@@ -75,36 +76,41 @@ class FilterDictionary:
         # Design FPR published by each run's filter, cached at fetch time.
         self._design_fpr: dict[str, float] = {}
 
-    def get_filter(self, reader: SSTReader, stats: PerfStats) -> KeyFilter | None:
-        """Fetch (and memoize) the deserialized filter of an SST.
+    def get_filter(
+        self, reader: SSTReader, stats: PerfStats, context=None
+    ) -> KeyFilter | None:
+        """The run's deserialized filter, resolved on first touch.
 
         Returns None when the SST carries no filter block — or when its
-        envelope is corrupt and degradation is on.  Fetch cost (block read)
-        and deserialization CPU are charged to ``stats``; with the
-        dictionary enabled both are paid once per run lifetime.
+        envelope is corrupt and degradation is on.  A resolved run answers
+        from the reader's slot without the lock.  The first touch fetches
+        the filter block (counted on ``context``, the touching query's own,
+        when given) and deserializes it (charged to ``stats``); with the
+        dictionary disabled only "no filter" is ever memoized and a live
+        filter is refetched every call.
         """
+        filt = reader.resolved_filter
+        if filt is not UNRESOLVED:
+            return filt
         name = reader.meta.name
         with self._lock:
-            if name in self.degraded:
-                return None
-            cached = self._filters.get(name)
-            if cached is not None:
-                return cached
-            envelope = reader.filter_block_bytes()
-            if not envelope:
-                return None
-            try:
-                with Stopwatch(stats, "deserialize_ns"):
-                    filt = deserialize_filter(envelope)
-            except SerializationError:
-                if not self.degrade_corrupt:
-                    raise
-                self.degraded.add(name)
-                stats.add(filters_degraded=1)
-                return None
-            if self.enabled:
-                self._filters[name] = filt
-            if self.quarantine and name not in self._design_fpr:
+            filt = reader.resolved_filter
+            if filt is not UNRESOLVED:
+                return filt
+            envelope = reader.filter_block_bytes(context)
+            filt = None
+            if envelope:
+                try:
+                    with Stopwatch(stats, "deserialize_ns"):
+                        filt = deserialize_filter(envelope)
+                except SerializationError:
+                    if not self.degrade_corrupt:
+                        raise
+                    self.degraded.add(name)
+                    stats.add(filters_degraded=1)
+            if filt is None or self.enabled:
+                reader.resolved_filter = filt
+            if filt is not None and self.quarantine and name not in self._design_fpr:
                 design = filt.design_fpr()
                 if design is not None and design > 0.0:
                     self._design_fpr[name] = design
@@ -148,9 +154,9 @@ class FilterDictionary:
             return tuple(sorted(self.under_attack))
 
     def drop_run(self, name: str) -> None:
-        """Forget a run's filter (its SST was compacted away)."""
+        """Forget a compacted-away run's marks (its filter went with its
+        reader)."""
         with self._lock:
-            self._filters.pop(name, None)
             self.degraded.discard(name)
             self.under_attack.discard(name)
             self._outcomes.pop(name, None)
@@ -165,9 +171,6 @@ class FilterDictionary:
         """
         with self._lock:
             return tuple(sorted(self.degraded))
-
-    def __len__(self) -> int:
-        return len(self._filters)
 
 
 def batched_point_verdicts(

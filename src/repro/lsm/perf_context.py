@@ -6,10 +6,10 @@ filters answered negative, how many blocks were actually read.  A read
 counts everything it observes into the one :class:`QueryContext` it owns
 (one call, one thread: plain attribute writes), and ``DB._publish`` folds
 the finished context into ``PerfStats`` and the ``WorkloadTracker`` once
-and exposes it as ``db.last_query``.  The numbers are the query's own
-whatever other threads do meanwhile — except ``blocks_read`` /
-``block_cache_hits``, counted where the I/O happens and taken as a
-before/after delta of those two shared counters.
+and exposes it as ``db.last_query``.  The block layer (``SSTReader``,
+``StorageEnv``) is handed the context and counts a read's blocks on it the
+same way, so every number is the query's own whatever other threads — a
+compaction, a second reader, a nested read — do meanwhile.
 
 The paper's §4 discussion ("the number of iterators is equal to the number
 of SST files") is directly observable here: ``iterators_created`` counts
@@ -45,8 +45,11 @@ class QueryContext:
     filter_true_positives: int = 0   # positives the run's data confirmed
     filter_false_positives: int = 0  # positives the run's data refuted
     iterators_created: int = 0    # per-run child iterators actually opened
-    blocks_read: int = 0          # block fetches (cache misses)
+    blocks_read: int = 0          # block fetches from the device
     block_cache_hits: int = 0
+    block_cache_misses: int = 0
+    block_read_bytes: int = 0     # bytes those fetches returned
+    block_read_time_ns: int = 0   # their modeled device latency
     results: int = 0              # live entries returned
     memtable_hit: bool = False
     filter_probe_ns: int = 0      # wall time inside the filters

@@ -54,7 +54,10 @@ _MAGIC = 0x524F5345  # "ROSE"
 # scan over one file keeps alive: this many blocks' decoded entries.
 _MAX_DECODED_BLOCKS = 16
 
-__all__ = ["SSTWriter", "SSTReader", "SSTMeta"]
+#: ``SSTReader.resolved_filter`` before the run's filter was first asked for.
+UNRESOLVED = object()
+
+__all__ = ["SSTWriter", "SSTReader", "SSTMeta", "UNRESOLVED"]
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,14 @@ class SSTReader:
 
     Block reads go through the block cache (respecting the priority/pinning
     options) and the storage environment (charging modeled device time).
-    Filter deserialization goes through the §4 filter dictionary when
-    enabled.
+    The read methods count the blocks they touch on the calling query's
+    ``QueryContext``; without one (open, compaction, verify, repair) on the
+    environment's shared stats.
+
+    ``resolved_filter`` is the §4 filter dictionary's slot for this run —
+    the deserialized filter, ``None`` (no filter block, or degraded), or
+    :data:`UNRESOLVED` — here because the reader lives exactly as long as
+    the run.  Only ``FilterDictionary.get_filter`` writes it.
     """
 
     def __init__(
@@ -252,14 +261,16 @@ class SSTReader:
         # Shared by foreground queries and background compaction reads.
         self._decoded_lock = threading.Lock()
         self._decoded_blocks: OrderedDict[int, tuple[bytes, list]] = OrderedDict()
+        self.resolved_filter = UNRESOLVED
 
     # ------------------------------------------------------------------
     # Block access
     # ------------------------------------------------------------------
-    def _read_metadata_block(self, handle: BlockHandle) -> bytes:
+    def _read_metadata_block(self, handle: BlockHandle, context=None) -> bytes:
         """Read an index/filter block with metadata cache priority."""
         return self._read_block(
             handle,
+            context,
             high_priority=self._options.cache_index_and_filter_blocks_with_high_priority,
             pinned=(
                 self._is_level0
@@ -271,6 +282,7 @@ class SSTReader:
     def _read_block(
         self,
         handle: BlockHandle,
+        context=None,
         high_priority: bool = False,
         pinned: bool = False,
         cacheable: bool = True,
@@ -279,24 +291,32 @@ class SSTReader:
         if cacheable:
             cached = self._cache.get(cache_key)
             if cached is not None:
-                self._env.stats.add(block_cache_hits=1)
+                if context is None:
+                    self._env.stats.add(block_cache_hits=1)
+                else:
+                    context.block_cache_hits += 1
                 return cached
-            self._env.stats.add(block_cache_misses=1)
-        payload = self._env.read_block(self.meta.name, handle.offset, handle.size)
+            if context is None:
+                self._env.stats.add(block_cache_misses=1)
+            else:
+                context.block_cache_misses += 1
+        payload = self._env.read_block(
+            self.meta.name, handle.offset, handle.size, context
+        )
         if cacheable:
             self._cache.put(cache_key, payload, high_priority, pinned)
         return payload
 
-    def filter_block_bytes(self) -> bytes:
+    def filter_block_bytes(self, context=None) -> bytes:
         """Raw serialized filter envelope (empty if the SST has no filter)."""
         if self._filter_handle.size == 0:
             return b""
-        return self._read_metadata_block(self._filter_handle)
+        return self._read_metadata_block(self._filter_handle, context)
 
     # ------------------------------------------------------------------
     # Point lookups
     # ------------------------------------------------------------------
-    def get(self, key: bytes) -> tuple[int, bytes] | None:
+    def get(self, key: bytes, context=None) -> tuple[int, bytes] | None:
         """Return ``(tag, value)`` or None; reads at most one data block.
 
         A point read seeks inside the raw block (restart-point bisect, one
@@ -309,10 +329,12 @@ class SSTReader:
         if block_index >= len(self._fence_pointers):
             return None
         return seek_data_block(
-            self._read_block(self._fence_pointers[block_index][1]), key
+            self._read_block(self._fence_pointers[block_index][1], context), key
         )
 
-    def _decode_data_block(self, block_index: int) -> list[tuple[bytes, int, bytes]]:
+    def _decode_data_block(
+        self, block_index: int, context=None
+    ) -> list[tuple[bytes, int, bytes]]:
         """Fetch and parse one data block, memoizing the parsed entries.
 
         The memo key is the *identity* of the payload ``_read_block``
@@ -323,7 +345,7 @@ class SSTReader:
         re-parse of an already-resident block is elided.
         """
         _, handle = self._fence_pointers[block_index]
-        payload = self._read_block(handle)
+        payload = self._read_block(handle, context)
         with self._decoded_lock:
             memo = self._decoded_blocks.get(handle.offset)
             if memo is not None and memo[0] is payload:
@@ -340,7 +362,9 @@ class SSTReader:
     # ------------------------------------------------------------------
     # Iteration (the two-level iterator)
     # ------------------------------------------------------------------
-    def iterate_from(self, key: bytes) -> Iterator[tuple[bytes, int, bytes]]:
+    def iterate_from(
+        self, key: bytes, context=None
+    ) -> Iterator[tuple[bytes, int, bytes]]:
         """Yield entries with key >= ``key``, in order, across blocks.
 
         This is the child-iterator pair of RocksDB's two-level iterator:
@@ -349,7 +373,7 @@ class SSTReader:
         """
         first = bisect_left(self._fence_keys, key)
         for block_index in range(first, len(self._fence_pointers)):
-            entries = self._decode_data_block(block_index)
+            entries = self._decode_data_block(block_index, context)
             start = 0
             if block_index == first:
                 start = bisect_left(entries, key, key=lambda e: e[0])

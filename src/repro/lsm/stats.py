@@ -16,11 +16,12 @@ taxonomy so the benchmark harness can print the same cost breakdowns
 
 Foreground queries, background workers and other clients' threads bump
 the same counter set concurrently, so every mutation goes through
-:meth:`CounterSet.add`, which serializes updates behind an internal lock;
-``snapshot``/``diff`` take the same lock and observe a consistent cut.
-They serve whoever wants a phase's deltas (``DB.health()``, benchmarks,
-tests); the read path itself writes once per query (``DB._publish``) and
-never snapshots.
+:meth:`CounterSet.add` — or, for a finished read, :meth:`PerfStats.fold` —
+which serialize updates behind an internal lock; ``snapshot``/``diff`` take
+the same lock and observe a consistent cut.  They serve whoever wants a
+phase's deltas (``DB.health()``, benchmarks, tests); the read path itself
+takes the lock once per query (``DB._publish``: one ``fold`` of everything
+the query counted, block reads included) and never snapshots.
 
 :class:`Stopwatch` is the measuring primitive (mirrors RocksDB's internal
 ``stopwatch()`` support).
@@ -173,6 +174,26 @@ class PerfStats(CounterSet):
                                   # by an install before dispatch
 
     _MAX_FIELDS = ("max_jobs_in_flight",)
+
+    def fold(self, context) -> None:
+        """Add everything one finished read counted into its
+        ``QueryContext`` — blocks included — under one lock hold."""
+        with self._lock:
+            self.block_reads += context.blocks_read
+            self.block_read_bytes += context.block_read_bytes
+            self.block_read_time_ns += context.block_read_time_ns
+            self.block_cache_hits += context.block_cache_hits
+            self.block_cache_misses += context.block_cache_misses
+            self.filter_probe_ns += context.filter_probe_ns
+            self.residual_seek_ns += context.residual_seek_ns
+            self.filter_probes += context.filters_probed
+            self.filter_batch_probes += context.filter_calls
+            self.filter_negatives += context.filter_negatives
+            self.filter_true_positives += context.filter_true_positives
+            self.filter_false_positives += context.filter_false_positives
+            self.point_queries += context.distinct_keys
+            self.multi_point_queries += context.kind == "multi_point"
+            self.range_queries += context.kind == "range"
 
     # ------------------------------------------------------------------
     # Derived metrics

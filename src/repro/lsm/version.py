@@ -171,15 +171,6 @@ class Version:
         """Total file bytes at ``level``."""
         return sum(run.file_size for run in self.level_runs(level))
 
-    def level_span(self, level: int) -> tuple[bytes | None, bytes | None]:
-        """Inclusive key span covered by ``level``; (None, None) when empty."""
-        runs = self.level_runs(level)
-        if not runs:
-            return None, None
-        low = min(run.reader.meta.min_key for run in runs)
-        high = max(run.reader.meta.max_key for run in runs)
-        return low, high
-
     def overlap_closure(
         self, level: int, low: bytes | None, high: bytes | None
     ) -> list[Run]:

@@ -17,6 +17,11 @@ picks the per-item loop or the vector kernel from the group size; range
 lookups pick the pre-order walk or the frontier engine from the call's
 dyadic interval count.  Verdicts and typed errors must not show which
 kernel ran.
+
+The same rule one layer up (``TestStoreLedgerParity``): what a store's reads
+report query by query in ``last_query`` is what ``PerfStats`` accumulates,
+and it does not depend on whether keys arrived one ``get`` at a time or in
+one ``multi_get``.
 """
 
 import random
@@ -29,8 +34,11 @@ from repro.core.doubting import doubt_frontier
 from repro.core.dyadic import count_intervals
 from repro.core.rosetta import WALK_MAX_INTERVALS, Rosetta
 from repro.errors import FilterQueryError
+from repro.bench.factories import make_factory
 from repro.filters.bloom_point import BloomPointFilter
 from repro.filters.rosetta_adapter import RosettaFilter
+from repro.lsm.db import DB
+from repro.lsm.options import DBOptions
 
 TINY_KEYS = [3, 6, 7, 8, 9, 11]  # the paper's running example (Fig. 2)
 
@@ -407,3 +415,106 @@ class TestRangeValidation:
         assert list(
             rosetta.may_contain_range_batch([0], [10**9])
         ) == [True]
+
+
+#: PerfStats field -> the QueryContext field a read folds into it.
+_LEDGER_FIELDS = {
+    "block_reads": "blocks_read",
+    "block_read_bytes": "block_read_bytes",
+    "block_read_time_ns": "block_read_time_ns",
+    "block_cache_hits": "block_cache_hits",
+    "block_cache_misses": "block_cache_misses",
+    "filter_probes": "filters_probed",
+    "filter_batch_probes": "filter_calls",
+    "filter_negatives": "filter_negatives",
+    "filter_true_positives": "filter_true_positives",
+    "filter_false_positives": "filter_false_positives",
+    "filter_probe_ns": "filter_probe_ns",
+    "residual_seek_ns": "residual_seek_ns",
+    "point_queries": "distinct_keys",
+}
+
+
+class TestStoreLedgerParity:
+    """``last_query`` and ``PerfStats`` reconcile query by query."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        """Filtered runs on several levels, a cache an eighth of the data,
+        a live memtable — and no filter resolved yet, so the stream's first
+        touches fetch filter blocks inside the touching query."""
+        options = DBOptions(
+            key_bits=32,
+            memtable_size_bytes=8 << 10,
+            sst_size_bytes=16 << 10,
+            max_bytes_for_level_base=64 << 10,
+            block_size_bytes=1024,
+            block_cache_bytes=16 << 10,
+            filter_factory=make_factory("rosetta", 32, 14, max_range=32),
+        )
+        path = str(tmp_path / "ledger")
+        with DB(path, options) as loading:
+            for i in range(4000):
+                loading.put(i * 9, b"v%d" % i)
+        db = DB(path, options)  # cold: empty cache, nothing deserialized
+        for i in range(20):
+            db.put(50_000 + i, b"buffered")
+        yield db
+        db.close()
+
+    def test_last_query_sums_to_the_perfstats_delta(self, store):
+        rng = random.Random(21)
+        before = store.stats.snapshot()
+        totals = dict.fromkeys(_LEDGER_FIELDS, 0)
+        kinds = {"point": 0, "multi_point": 0, "range": 0}
+        for _ in range(400):
+            low = rng.randrange(0, 4000 * 9 + 500)
+            op = rng.randrange(3)
+            if op == 0:
+                store.get(low)
+            elif op == 1:
+                store.multi_get(
+                    [low, low + 1] + [rng.randrange(60_000) for _ in range(6)]
+                )
+            else:
+                store.range_query(low, low + rng.randrange(1, 150))
+            context = store.last_query
+            kinds[context.kind] += 1
+            for stat_field, context_field in _LEDGER_FIELDS.items():
+                totals[stat_field] += getattr(context, context_field)
+        delta = store.stats.diff(before)
+        for stat_field, total in totals.items():
+            assert getattr(delta, stat_field) == total, stat_field
+        assert delta.range_queries == kinds["range"] > 0
+        assert delta.multi_point_queries == kinds["multi_point"] > 0
+        # The stream did touch the device, the cache and cold filter blocks.
+        assert delta.block_reads > 0 < delta.block_cache_hits
+        assert delta.filter_false_positives + delta.filter_negatives > 0
+
+    def test_multi_get_equals_the_per_key_gets(self, store):
+        rng = random.Random(22)
+        keys = [rng.randrange(0, 4000 * 9) for _ in range(60)] + [50_003]
+        keys += [key + 1 for key in keys[:20]]
+        store.multi_get(keys)  # resolve every filter the keys will touch
+        summed = (
+            "filters_probed", "filter_negatives", "filter_true_positives",
+            "filter_false_positives", "iterators_created", "results",
+            "memtable_hits",
+        )
+
+        def touched(context):
+            return context.blocks_read + context.block_cache_hits
+
+        singles, per_key = {}, dict.fromkeys(summed + ("touched",), 0)
+        for key in dict.fromkeys(keys):
+            singles[key] = store.get(key)
+            context = store.last_query
+            per_key["touched"] += touched(context)
+            for name in summed:
+                per_key[name] += getattr(context, name)
+        assert store.multi_get(keys) == singles
+        batch = store.last_query
+        assert batch.distinct_keys == len(singles)
+        assert touched(batch) == per_key["touched"]
+        for name in summed:
+            assert getattr(batch, name) == per_key[name], name

@@ -39,7 +39,7 @@ def test_range_read_uses_batched_probe(filtered_db):
 def test_verdict_per_run_equals_filter_may_contain_range(filtered_db, rng):
     """The helper's verdicts are each filter's own; no filter means positive."""
     db, keys = filtered_db
-    runs = db._version.all_runs_newest_first()  # noqa: SLF001
+    runs = db.version.all_runs_newest_first()
     filters = [
         db._filter_dictionary.get_filter(run.reader, db.stats)  # noqa: SLF001
         for run in runs

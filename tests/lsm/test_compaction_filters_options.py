@@ -7,6 +7,7 @@ from repro.errors import InvalidOptionsError
 from repro.lsm.db import DB
 from repro.lsm.filter_integration import FilterDictionary
 from repro.lsm.options import DBOptions
+from repro.lsm.sstable import UNRESOLVED
 from repro.lsm.stats import PerfStats, Stopwatch
 
 
@@ -135,10 +136,11 @@ class TestFilterDictionary:
 
     def test_drop_run(self):
         dictionary = FilterDictionary()
-        dictionary._filters["x.sst"] = object()  # noqa: SLF001
-        assert len(dictionary) == 1
+        dictionary.degraded.add("x.sst")
+        dictionary.under_attack.add("x.sst")
         dictionary.drop_run("x.sst")
-        assert len(dictionary) == 0
+        assert dictionary.degraded_snapshot() == ()
+        assert dictionary.under_attack_snapshot() == ()
         dictionary.drop_run("x.sst")  # idempotent
 
 
@@ -158,10 +160,12 @@ class TestCompactionFilters:
         built_before = db.stats.filters_built
         db.force_full_compaction()
         assert db.stats.filters_built > built_before
-        # Old filters were dropped from the dictionary along with their runs.
-        live = {run.name for runs in db.version.levels.values() for run in runs}
-        cached = set(db._filter_dictionary._filters)  # noqa: SLF001
-        assert cached <= live
+        # Old filters went with their runs' readers; a rebuilt run resolves
+        # its own on first touch.
+        live = [run for runs in db.version.levels.values() for run in runs]
+        assert all(run.reader.resolved_filter is UNRESOLVED for run in live)
+        db.get(1)
+        assert any(run.reader.resolved_filter is not UNRESOLVED for run in live)
         db.close()
 
     def test_compaction_bytes_accounting(self, tmp_path):

@@ -288,6 +288,20 @@ class TestTransientRetries:
         assert env.injected["transient_read_errors"] == db.stats.io_transient_errors
         db.close()
 
+    def test_retried_read_is_one_block_on_the_query(self, tmp_path):
+        """Failed attempts are the store's; the read that succeeded is the
+        query's, once."""
+        db, env = _faulty_db(str(tmp_path / "db"))
+        before = db.stats.snapshot()
+        env.fail_next_reads(2)
+        assert db.get(13) == b"value-1"
+        assert db.last_query.blocks_read == 1
+        delta = db.stats.diff(before)
+        assert (delta.io_transient_errors, delta.io_retries) == (2, 2)
+        assert delta.block_reads == 1
+        assert delta.block_read_time_ns > db.last_query.block_read_time_ns > 0
+        db.close()
+
     def test_retries_exhausted_raises_transient_error(self, tmp_path):
         db, env = _faulty_db(str(tmp_path / "db"), io_retry_attempts=1)
         env.fail_next_reads(10)           # more than 1 attempt can absorb

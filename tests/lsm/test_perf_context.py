@@ -14,6 +14,8 @@ import pytest
 from repro.bench.factories import make_factory
 from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
+from repro.lsm.perf_context import QueryContext
+from repro.lsm.sstable import SSTReader
 from repro.lsm.stats import PerfStats
 from tests.lsm.test_fault_injection import _flip_byte, _path_of
 
@@ -199,18 +201,18 @@ def _replay(root) -> DB:
 
 
 class _Recorder:
-    """Wraps ``db.stats.add`` / ``snapshot`` to log the calls a read makes."""
-
-    #: Counted where the I/O happens, below the DB layer.
-    BLOCK_LAYER = {
-        "block_reads", "block_read_bytes", "block_read_time_ns",
-        "block_cache_hits", "block_cache_misses",
-    }
+    """Wraps ``db.stats.fold`` / ``add`` / ``snapshot`` to log the calls a
+    read makes."""
 
     def __init__(self, db, monkeypatch):
+        self.folds: list = []
         self.adds: list[set[str]] = []
         self.snapshots = 0
-        add, snapshot = db.stats.add, db.stats.snapshot
+        fold, add, snapshot = db.stats.fold, db.stats.add, db.stats.snapshot
+
+        def recording_fold(context):
+            self.folds.append(context)
+            fold(context)
 
         def recording_add(**deltas):
             self.adds.append(set(deltas))
@@ -220,11 +222,9 @@ class _Recorder:
             self.snapshots += 1
             return snapshot()
 
+        monkeypatch.setattr(db.stats, "fold", recording_fold)
         monkeypatch.setattr(db.stats, "add", recording_add)
         monkeypatch.setattr(db.stats, "snapshot", recording_snapshot)
-
-    def db_layer_adds(self) -> list[set[str]]:
-        return [names for names in self.adds if not names <= self.BLOCK_LAYER]
 
 
 class TestReadLedger:
@@ -234,15 +234,68 @@ class TestReadLedger:
         assert db.range_query(1, 6) == []
         context = db.last_query
         assert context.filters_probed == context.filter_negatives >= 1
-        assert len(recorder.adds) == 1
+        assert recorder.folds == [context]
+        assert recorder.adds == []
         assert recorder.snapshots == 0
 
     def test_get_publishes_once(self, db, monkeypatch):
         db.get(7)  # warm
         recorder = _Recorder(db, monkeypatch)
+        before = db.stats.block_cache_hits + db.stats.block_reads
         assert db.get(14) == b"v2"
-        assert len(recorder.db_layer_adds()) == 1
+        context = db.last_query
+        assert recorder.folds == [context]
+        assert recorder.adds == []  # the block it touched rode in the fold
+        assert context.block_cache_hits + context.blocks_read == 1
+        assert db.stats.block_cache_hits + db.stats.block_reads == before + 1
         assert recorder.snapshots == 0
+
+    def test_interleaved_contexts_count_their_own_blocks(self, db):
+        """Two queries' reads interleaved on one reader stay apart, and
+        reach the shared totals only when a query publishes."""
+        reader = db.version.all_runs_newest_first()[0].reader
+        low, high = reader.meta.min_key, reader.meta.max_key
+        first, second = QueryContext(), QueryContext()
+        before = db.stats.snapshot()
+        assert reader.get(low, first) is not None
+        assert reader.get(low, second) is not None    # first just cached it
+        assert reader.get(high, first) is not None
+        assert first.blocks_read + first.block_cache_hits == 2
+        assert (second.blocks_read, second.block_cache_hits) == (0, 1)
+        for context in (first, second):
+            assert context.block_cache_misses == context.blocks_read
+            assert bool(context.block_read_bytes) == bool(context.blocks_read)
+        delta = db.stats.diff(before)
+        assert delta.block_reads == delta.block_cache_hits == 0
+
+    def test_nested_read_counts_its_own_blocks(self, db, monkeypatch):
+        """A read landing in the middle of another's — here from inside its
+        block fetch, as a second thread's would — pollutes neither."""
+
+        def touched(context):
+            return context.blocks_read + context.block_cache_hits
+
+        db.multi_get([7, 14])  # warm: filter blocks loaded and memoized
+        db.get(7)
+        alone_outer = touched(db.last_query)
+        db.get(14)
+        alone_nested = touched(db.last_query)
+        assert alone_outer >= 1 <= alone_nested
+        original = SSTReader.get
+        nested = []
+
+        def nesting(reader, key, context=None):
+            if not nested:
+                nested.append(None)
+                assert db.get(14) == b"v2"
+                nested[0] = db.last_query
+            return original(reader, key, context)
+
+        monkeypatch.setattr(SSTReader, "get", nesting)
+        assert db.get(7) == b"v1"
+        assert db.last_query.low == 7 and nested[0].low == 14
+        assert touched(db.last_query) == alone_outer
+        assert touched(nested[0]) == alone_nested
 
     def test_last_query_is_isolated_from_concurrent_counts(
         self, db, monkeypatch

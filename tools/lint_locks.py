@@ -126,16 +126,30 @@ RULES: dict[str, dict[str, Rule]] = {
         "_supervisor": _rule((), ("__init__",)),
         "_leaked_workers": _rule((), ("__init__", "close")),
     },
-    # Filter dictionary (repro.lsm.filter_integration): the memoization
-    # map, the degraded set, and the attack detector's flag set + counters
-    # are shared between foreground queries and background compaction;
-    # all of them live under the dictionary's own _lock.
+    # Filter dictionary (repro.lsm.filter_integration): the degraded set
+    # and the attack detector's flag set + counters are shared between
+    # foreground queries and background compaction; all of them live under
+    # the dictionary's own _lock.  (A run's resolved filter is a slot on
+    # its SSTReader, written under the same lock, read without it.)
     "FilterDictionary": {
-        "_filters": _rule(("_lock",), ("__init__",)),
         "degraded": _rule(("_lock",), ("__init__",)),
         "under_attack": _rule(("_lock",), ("__init__",)),
         "_outcomes": _rule(("_lock",), ("__init__",)),
         "_design_fpr": _rule(("_lock",), ("__init__",)),
+    },
+    # Counter sets (repro.lsm.stats): ``add``/``observe_max`` go through
+    # setattr under the set's _lock; a finished read's ``fold`` writes the
+    # read-path totals directly and must hold the same lock.
+    "PerfStats": {
+        name: _rule(("_lock",))
+        for name in (
+            "block_reads", "block_read_bytes", "block_read_time_ns",
+            "block_cache_hits", "block_cache_misses", "filter_probe_ns",
+            "residual_seek_ns", "filter_probes", "filter_batch_probes",
+            "filter_negatives", "filter_true_positives",
+            "filter_false_positives", "point_queries",
+            "multi_point_queries", "range_queries",
+        )
     },
     # Workload tracker (repro.core.tuning): the reading thread records one
     # query at a time while a flush/compaction install on another thread
@@ -299,6 +313,7 @@ _TARGETS = (
     os.path.join("src", "repro", "lsm", "compaction.py"),
     os.path.join("src", "repro", "lsm", "serving.py"),
     os.path.join("src", "repro", "lsm", "filter_integration.py"),
+    os.path.join("src", "repro", "lsm", "stats.py"),
     os.path.join("src", "repro", "core", "tuning.py"),
 )
 
