@@ -215,14 +215,18 @@ class Rosetta:
         """Return sorted unique keys, validating the domain."""
         if key_bits <= 64:
             try:
-                arr = np.fromiter((int(k) for k in keys), dtype=np.uint64)
+                arr = np.fromiter(map(int, keys), dtype=np.uint64)
             except (OverflowError, ValueError) as exc:
                 raise FilterBuildError(
                     f"keys must lie in [0, 2^{key_bits})"
                 ) from exc
             if len(arr) and int(arr.max()) >> key_bits:
                 raise FilterBuildError(f"keys must lie in [0, 2^{key_bits})")
-            return np.unique(arr)
+            # An SST hands its keys over strictly increasing: sort and
+            # dedupe only when a neighbour check finds they are not.
+            if len(arr) > 1 and not (arr[1:] > arr[:-1]).all():
+                arr = np.unique(arr)
+            return arr
         unique = sorted(set(int(k) for k in keys))
         if unique and (unique[0] < 0 or unique[-1] >> key_bits):
             raise FilterBuildError(f"keys must lie in [0, 2^{key_bits})")
@@ -243,9 +247,18 @@ class Rosetta:
         """
         filters: list[BloomFilter] = []
         vectorized = key_bits <= 64 and isinstance(unique_keys, np.ndarray)
+        prefixes = unique_keys
         for height, num_bits in enumerate(level_allocation.bits_per_level):
             if vectorized:
-                prefixes = np.unique(unique_keys >> np.uint64(height))
+                if height:
+                    # Level h's sorted unique prefixes, halved, are level
+                    # h+1's in order: duplicates can only be neighbours.
+                    prefixes = prefixes >> np.uint64(1)
+                    if len(prefixes) > 1:
+                        distinct = np.concatenate(
+                            ([True], prefixes[1:] != prefixes[:-1])
+                        )
+                        prefixes = prefixes[distinct]
                 count = len(prefixes)
             else:
                 prefixes = sorted({key >> height for key in unique_keys})

@@ -130,7 +130,9 @@ class StorageEnv:
         self.yield_hook: Optional[Callable[[str], None]] = None
         os.makedirs(root, exist_ok=True)
         self._handles: dict[str, BinaryIO] = {}
-        # Serializes shared read-handle use (seek+read is not atomic) and
+        # One open "ab" handle per log being appended to (the live WAL).
+        self._append_handles: dict[str, BinaryIO] = {}
+        # Serializes shared handle use (seek+read is not atomic) and
         # handle-cache mutation across foreground and worker threads.
         self._handle_lock = threading.Lock()
 
@@ -192,10 +194,20 @@ class StorageEnv:
         self.stats.add(bytes_written=len(payload))
 
     def append_file(self, name: str, payload: bytes) -> None:
-        """Append to a log file (WAL); durable only after :meth:`sync_file`."""
+        """Append to a log file (WAL); durable only after :meth:`sync_file`.
+
+        The log's unbuffered handle stays open between appends, until
+        :meth:`delete_file` or :meth:`close`: a log is only ever appended to
+        and deleted, never replaced, so the handle cannot outlive its file.
+        """
         self._yield(f"append_file:{name}")
-        with open(self.path(name), "ab") as handle:
-            handle.write(payload)
+        with self._handle_lock:
+            handle = self._append_handles.get(name)
+            if handle is None:
+                handle = open(self.path(name), "ab", buffering=0)
+                self._append_handles[name] = handle
+            if handle.write(payload) != len(payload):
+                raise OSError(f"short append to {name}")
         self.stats.add(bytes_written=len(payload))
 
     def sync_file(self, name: str) -> None:
@@ -280,16 +292,17 @@ class StorageEnv:
         """Remove a file (post-compaction cleanup)."""
         self._yield(f"delete_file:{name}")
         with self._handle_lock:
-            handle = self._handles.pop(name, None)
-        if handle is not None:
+            handles = [self._handles.pop(name, None), self._append_handles.pop(name, None)]
+        for handle in filter(None, handles):
             handle.close()
         if self.exists(name):
             os.remove(self.path(name))
 
     def close(self) -> None:
-        """Close all cached read handles."""
+        """Close all cached read and append handles."""
         with self._handle_lock:
-            handles = list(self._handles.values())
+            handles = [*self._handles.values(), *self._append_handles.values()]
             self._handles.clear()
+            self._append_handles.clear()
         for handle in handles:
             handle.close()

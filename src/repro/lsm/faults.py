@@ -155,12 +155,12 @@ class FaultInjectionEnv(StorageEnv):
         Every file keeps its durable prefix plus a *seeded* fraction of
         whatever was appended after the last sync barrier (a real device
         persists an arbitrary prefix of in-flight writes).  Stray ``.tmp``
-        files from interrupted atomic replacements are removed, read
-        handles dropped, and the env is left cold for recovery to reopen.
+        files from interrupted atomic replacements are removed, read and
+        append handles dropped — a recovered store must not append through
+        a handle to a file the cut unlinked or truncated — and the env is
+        left cold for recovery to reopen.
         """
-        for handle in self._handles.values():
-            handle.close()
-        self._handles.clear()
+        self.close()
         for name in sorted(os.listdir(self.root)):
             path = os.path.join(self.root, name)
             if name.endswith(".tmp"):

@@ -130,19 +130,25 @@ class DataBlockBuilder:
         """Append an entry; keys must arrive in strictly increasing order."""
         if self.num_entries and key <= self._last_key:
             raise ValueError("data block keys must be strictly increasing")
+        buffer = self._buffer
         if self._entries_since_restart % self._restart_interval == 0:
-            self._restarts.append(len(self._buffer))
+            self._restarts.append(len(buffer))
             shared = 0
             self._entries_since_restart = 0
         else:
             shared = _shared_prefix_len(self._last_key, key)
         unshared = key[shared:]
-        self._buffer += encode_varint(shared)
-        self._buffer += encode_varint(len(unshared))
-        self._buffer += encode_varint(len(value))
-        self._buffer.append(tag)
-        self._buffer += unshared
-        self._buffer += value
+        unshared_len, value_len = len(unshared), len(value)
+        if shared | unshared_len | value_len < 0x80:
+            # Three one-byte varints and the tag, appended in one step.
+            buffer += bytes((shared, unshared_len, value_len, tag))
+        else:
+            buffer += encode_varint(shared)
+            buffer += encode_varint(unshared_len)
+            buffer += encode_varint(value_len)
+            buffer.append(tag)
+        buffer += unshared
+        buffer += value
         self._last_key = key
         self._entries_since_restart += 1
         self.num_entries += 1
@@ -153,49 +159,39 @@ class DataBlockBuilder:
 
     def finish(self) -> bytes:
         """Seal the block: body + restart array + counts + CRC32."""
-        out = bytearray(self._buffer)
-        for restart in self._restarts:
-            out += struct.pack("<I", restart)
-        out += struct.pack("<I", len(self._restarts))
-        out += struct.pack("<I", self.num_entries)
-        out += struct.pack("<I", zlib.crc32(bytes(out)))
+        restarts = self._restarts
+        out = self._buffer + struct.pack(
+            f"<{len(restarts) + 2}I", *restarts, len(restarts), self.num_entries
+        )
+        out += _U32.pack(zlib.crc32(out))
         return bytes(out)
 
 
-def decode_data_block(payload: bytes) -> list[tuple[bytes, int, bytes]]:
-    """Decode a data block into ``[(key, tag, value), ...]``.
+def _restart_bounds(payload: bytes) -> tuple[int, ...]:
+    """Verify a data block's CRC32 and restart array; returns the intervals.
 
-    Verifies the trailing CRC32 and reconstructs prefix-compressed keys.
+    Restart interval ``i`` is ``[bounds[i], bounds[i + 1])``; the last bound
+    is where the entries end.  What both readers rely on is checked here: the
+    restart array lies inside the body, its offsets ascend from 0 and stay
+    inside the entries.
     """
-    if len(payload) < 16:
+    size = len(payload) - 4
+    if size < 12:  # a trailer and one restart offset
         raise CorruptionError("data block too small")
-    body, crc_bytes = payload[:-4], payload[-4:]
-    if zlib.crc32(body) != struct.unpack("<I", crc_bytes)[0]:
+    if zlib.crc32(memoryview(payload)[:size]) != _U32.unpack_from(payload, size)[0]:
         raise CorruptionError("data block checksum mismatch")
-    num_restarts, num_entries = struct.unpack("<II", body[-8:])
-    restart_array_start = len(body) - 8 - 4 * num_restarts
-    if restart_array_start < 0:
+    (num_restarts,) = _U32.unpack_from(payload, size - 8)
+    entries_end = size - 8 - 4 * num_restarts
+    if entries_end < 0:
         raise CorruptionError("data block restart array overflow")
-    entries: list[tuple[bytes, int, bytes]] = []
-    offset = 0
-    last_key = b""
-    while offset < restart_array_start:
-        shared, offset = decode_varint(body, offset)
-        unshared_len, offset = decode_varint(body, offset)
-        value_len, offset = decode_varint(body, offset)
-        tag = body[offset]
-        offset += 1
-        key = last_key[:shared] + body[offset : offset + unshared_len]
-        offset += unshared_len
-        value = body[offset : offset + value_len]
-        offset += value_len
-        entries.append((key, tag, value))
-        last_key = key
-    if len(entries) != num_entries:
-        raise CorruptionError(
-            f"data block advertised {num_entries} entries, decoded {len(entries)}"
-        )
-    return entries
+    bounds = struct.unpack_from(f"<{num_restarts}I", payload, entries_end)
+    bounds += (entries_end,)
+    if bounds[0] != 0:
+        raise CorruptionError("data block restart points do not start at 0")
+    for index in range(num_restarts):
+        if bounds[index] >= bounds[index + 1]:
+            raise CorruptionError("data block restart offsets out of order")
+    return bounds
 
 
 def _entry_header(payload: bytes, offset: int, end: int) -> tuple[int, int, int, int]:
@@ -230,38 +226,50 @@ def _entry_header(payload: bytes, offset: int, end: int) -> tuple[int, int, int,
     return shared, key_start, value_start, value_end
 
 
+def decode_data_block(payload: bytes) -> list[tuple[bytes, int, bytes]]:
+    """Decode a data block into ``[(key, tag, value), ...]``.
+
+    The full read (scans, compaction, verify, repair): the checks of
+    :func:`seek_data_block`, applied to every restart interval — each starts
+    from an empty key, so a restart entry that shares anything is rejected
+    with the rest — plus the advertised entry count, which only a reader that
+    visits every entry can check.
+    """
+    bounds = _restart_bounds(payload)
+    entries: list[tuple[bytes, int, bytes]] = []
+    append = entries.append
+    for index in range(len(bounds) - 1):
+        offset, end = bounds[index], bounds[index + 1]
+        key = b""
+        while offset < end:
+            shared, key_start, value_start, offset = _entry_header(payload, offset, end)
+            if shared > len(key):
+                raise CorruptionError("data block entry shares more than its predecessor")
+            key = key[:shared] + payload[key_start:value_start]
+            append((key, payload[key_start - 1], payload[value_start:offset]))
+    (num_entries,) = _U32.unpack_from(payload, len(payload) - 8)
+    if len(entries) != num_entries:
+        raise CorruptionError(
+            f"data block advertised {num_entries} entries, decoded {len(entries)}"
+        )
+    return entries
+
+
 def seek_data_block(payload: bytes, key: bytes) -> tuple[int, bytes] | None:
     """Find ``key`` in a data block: ``(tag, value)``, or None when absent.
 
     The point-read counterpart of :func:`decode_data_block`: verify the
-    CRC32, bisect the restart points on the full keys stored there, then
-    walk the one restart interval that can hold ``key``, rebuilding keys
-    until one is ``>= key``.  Everything the search relies on is checked —
-    the restart array lies inside the body, its offsets ascend from 0 and
-    stay inside the entries, a restart entry shares nothing, every entry
-    ends inside its interval.  The advertised entry count is not: nothing
-    here counts entries, so that check stays with the full decode.
+    CRC32 and restart array, bisect the restart points on the full keys
+    stored there, then walk the one restart interval that can hold ``key``,
+    rebuilding keys until one is ``>= key``.  Everything the search relies on
+    is checked — a restart entry shares nothing, every entry ends inside its
+    interval.  The advertised entry count is not: nothing here counts
+    entries, so that check stays with the full decode.
     """
-    size = len(payload) - 4
-    if size < 12:  # the decoder's floor: a trailer and one restart offset
-        raise CorruptionError("data block too small")
-    if zlib.crc32(memoryview(payload)[:size]) != _U32.unpack_from(payload, size)[0]:
-        raise CorruptionError("data block checksum mismatch")
-    (num_restarts,) = _U32.unpack_from(payload, size - 8)
-    entries_end = size - 8 - 4 * num_restarts
-    if entries_end < 0:
-        raise CorruptionError("data block restart array overflow")
-    # Interval i is [bounds[i], bounds[i + 1]).
-    bounds = struct.unpack_from(f"<{num_restarts}I", payload, entries_end)
-    bounds += (entries_end,)
-    if bounds[0] != 0:
-        raise CorruptionError("data block restart points do not start at 0")
-    for index in range(num_restarts):
-        if bounds[index] >= bounds[index + 1]:
-            raise CorruptionError("data block restart offsets out of order")
+    bounds = _restart_bounds(payload)
 
     # The last restart point whose key is <= key (the first, if none is).
-    low, high = 0, num_restarts - 1
+    low, high = 0, len(bounds) - 2
     while low < high:
         mid = (low + high + 1) >> 1
         shared, key_start, value_start, _ = _entry_header(
@@ -323,8 +331,11 @@ def decode_index_block(payload: bytes) -> list[tuple[bytes, BlockHandle]]:
 
 
 def _shared_prefix_len(a: bytes, b: bytes) -> int:
-    limit = min(len(a), len(b))
-    for index in range(limit):
-        if a[index] != b[index]:
-            return index
-    return limit
+    """Leading bytes ``a`` and ``b`` have in common: the big-endian XOR of
+    two equal-length strings is zero down to the first differing byte."""
+    limit = len(a)
+    if limit != len(b):
+        limit = min(limit, len(b))
+        a, b = a[:limit], b[:limit]
+    differing = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return limit - (differing.bit_length() + 7 >> 3)

@@ -104,6 +104,7 @@ class SSTWriter:
         # quarantine rebuild path grants flagged runs extra bits).
         self._filter_bits_per_key = filter_bits_per_key
         self._blocks: list[bytes] = []
+        self._blocks_bytes = 0  # running total of len() over _blocks
         self._index: list[tuple[bytes, int]] = []  # (last key, block length)
         self._builder = DataBlockBuilder(options.block_restart_interval)
         self._last_key: bytes | None = None
@@ -129,13 +130,14 @@ class SSTWriter:
             return
         block = self._builder.finish()
         self._blocks.append(block)
+        self._blocks_bytes += len(block)
         self._index.append((self._last_key, len(block)))
         self._builder = DataBlockBuilder(self._options.block_restart_interval)
 
     @property
     def estimated_file_size(self) -> int:
         """Bytes written so far plus the open block (for size-based cuts)."""
-        return sum(len(b) for b in self._blocks) + self._builder.size_estimate()
+        return self._blocks_bytes + self._builder.size_estimate()
 
     @property
     def num_entries(self) -> int:

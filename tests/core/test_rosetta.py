@@ -2,10 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.core.allocation import LevelAllocation
-from repro.core.bloom import BloomFilter
+from repro.core.allocation import LevelAllocation, allocate
+from repro.core.bloom import BloomFilter, optimal_num_hashes
 from repro.core.rosetta import Rosetta
 from repro.errors import FilterBuildError, FilterQueryError, SerializationError
 
@@ -72,6 +73,91 @@ class TestConstruction:
             small_keys, key_bits=32, bits_per_key=10, strategy="single"
         )
         assert filt.allocation.strategy == "single"
+
+
+def _build_with_np_unique(keys, *, key_bits, bits_per_key, max_range, strategy, salt):
+    """Algorithm 1 as ``Rosetta.build`` ran it before it trusted its input's
+    order: hash-sort-dedupe the keys, then every level's prefixes, from scratch."""
+    unique = np.unique(np.fromiter((int(k) for k in keys), dtype=np.uint64))
+    allocation = allocate(
+        strategy,
+        num_keys=len(unique),
+        total_bits=int(round(bits_per_key * len(unique))),
+        max_height=min(max_range.bit_length() - 1, key_bits),
+    )
+    filters = []
+    for height, num_bits in enumerate(allocation.bits_per_level):
+        prefixes = np.unique(unique >> np.uint64(height))
+        bloom = BloomFilter(
+            num_bits, optimal_num_hashes(num_bits / len(prefixes)), salt=salt
+        )
+        if not bloom.is_always_positive:
+            bloom.add_many_ints(prefixes)
+        filters.append(bloom)
+    return Rosetta(key_bits, filters, allocation, len(unique))
+
+
+_RNG = random.Random(0xB17D)
+_KEY_SETS = {
+    "single-key": (64, [12345]),
+    "zero-only": (64, [0]),
+    "domain-edges": (64, [0, 1, 2**63, 2**64 - 2, 2**64 - 1]),
+    "dense-run": (64, list(range(1000, 1400))),
+    "clustered": (64, [base + 4 * i for base in (2**20, 2**40, 2**63) for i in range(48)]),
+    "uniform-64": (64, [_RNG.getrandbits(64) for _ in range(1700)]),
+    "uniform-32": (32, [_RNG.getrandbits(32) for _ in range(1700)] + [0, 2**32 - 1]),
+    "small-domain": (8, list(range(0, 256, 3))),
+}
+
+
+class TestBuildUsesInputOrder:
+    """Sorted, shuffled or duplicated: the same bytes as the np.unique build."""
+
+    @pytest.mark.parametrize("strategy", ["variable", "single", "optimized"])
+    @pytest.mark.parametrize("salt", [0, 0x5EED])
+    @pytest.mark.parametrize("name", sorted(_KEY_SETS))
+    def test_bytes_equal_reference(self, name, salt, strategy):
+        key_bits, keys = _KEY_SETS[name]
+        recipe = dict(
+            key_bits=key_bits, bits_per_key=22, max_range=64, strategy=strategy, salt=salt
+        )
+        expected = _build_with_np_unique(keys, **recipe).to_bytes()
+        shuffled = list(keys)
+        random.Random(7).shuffle(shuffled)
+        orders = {
+            "sorted": sorted(set(keys)),  # what an SST hands over: no np.unique
+            "sorted-with-duplicates": sorted(keys + keys[::3]),
+            "shuffled": shuffled,
+            "shuffled-with-duplicates": shuffled + shuffled[::2],
+            "descending": sorted(keys, reverse=True),
+            "numpy-array": np.array(sorted(set(keys)), dtype=np.uint64),
+            "generator": (key for key in shuffled),
+        }
+        for order, given in orders.items():
+            built = Rosetta.build(given, **recipe)
+            assert built.to_bytes() == expected, order
+
+    def test_sorted_input_skips_np_unique(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.unique called on strictly increasing keys")
+
+        keys = sorted({_RNG.getrandbits(64) for _ in range(500)})
+        expected = _build_with_np_unique(
+            keys, key_bits=64, bits_per_key=22, max_range=64, strategy="variable", salt=0
+        ).to_bytes()
+        monkeypatch.setattr(np, "unique", forbidden)
+        built = Rosetta.build(keys, key_bits=64, bits_per_key=22, strategy="variable")
+        assert built.to_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[5, -1], [-1], [3, 2**64], [1, 2, 2**32], [2**32, 1], [np.int64(-3), 4]],
+        ids=["negative-last", "negative", "past-64-bits", "sorted-past-domain",
+             "unsorted-past-domain", "negative-numpy-scalar"],
+    )
+    def test_out_of_domain_still_rejected(self, keys):
+        with pytest.raises(FilterBuildError):
+            Rosetta.build(keys, key_bits=32, bits_per_key=10)
 
 
 class TestPointQueries:

@@ -12,6 +12,8 @@ for specific orderings the torture matrix only covers statistically:
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.lsm.db import DB
@@ -152,5 +154,65 @@ class TestTornTail:
             assert reopened.get(1) == b"first"     # acked, intact frame
             assert reopened.get(2) is None         # torn tail, dropped
             assert dict(reopened.iterator()) == {1: b"first"}
+        finally:
+            reopened.close()
+
+    def test_clean_append_after_a_tear_replays_up_to_the_tear(self, tmp_path):
+        """The torn frame and the clean one after it go through the same open
+        handle; replay still stops at the tear."""
+        db, env = _opened_with(tmp_path, FaultInjectionEnv, seed=5)
+        db.put(1, b"first")
+        intact = env.file_size("wal.log")
+        env.tear_next_append()
+        db.put(2, b"second")
+        assert env.file_size("wal.log") > intact  # a non-empty torn prefix
+        db.put(3, b"third")           # clean, right behind the torn bytes
+        env.crash()
+
+        reopened = DB(str(tmp_path), torture_options(TortureConfig()))
+        try:
+            assert dict(reopened.iterator()) == {1: b"first"}
+        finally:
+            reopened.close()
+
+
+class TestAppendHandleAcrossCrash:
+    """A power cut drops the WAL's open handle with the read handles."""
+
+    def test_crash_drops_the_handle_so_appends_reach_the_new_file(self, tmp_path):
+        env = FaultInjectionEnv(str(tmp_path), seed=9)
+        env.append_file("wal.log", b"acked")
+        env.sync_file("wal.log")
+        env.append_file("wal.log", b"in-flight")
+        (handle,) = env._append_handles.values()
+        env.crash()
+        assert handle.closed and not env._append_handles
+        assert env.read_file("wal.log").startswith(b"acked")
+        # Recovery replaces the log under the same name.  An append through
+        # the pre-crash handle would land in the unlinked inode.
+        os.remove(env.path("wal.log"))
+        env.append_file("wal.log", b"after")
+        assert env.read_file("wal.log") == b"after"
+        env.close()
+
+    def test_write_crash_recover_write_reopen(self, tmp_path):
+        db, env = _opened_with(tmp_path, FaultInjectionEnv, seed=13)
+        db.put(1, b"before the cut")  # acknowledged: appended and synced
+        env.crash()
+        assert not env._append_handles
+
+        recovered = DB(str(tmp_path), torture_options(TortureConfig()))
+        recovered.put(2, b"after the cut")
+        wal_bytes = b"".join(
+            recovered._env.read_file(name)
+            for name in recovered._env.list_files() if name.endswith(".log")
+        )
+        assert b"after the cut" in wal_bytes  # on disk, under a live name
+        recovered.kill()              # no flush: only the WAL holds key 2
+
+        reopened = DB(str(tmp_path), torture_options(TortureConfig()))
+        try:
+            assert reopened.get(1) == b"before the cut"
+            assert reopened.get(2) == b"after the cut"
         finally:
             reopened.close()

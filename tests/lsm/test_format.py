@@ -12,6 +12,7 @@ from repro.lsm.format import (
     BlockHandle,
     DataBlockBuilder,
     ValueTag,
+    _shared_prefix_len,
     decode_data_block,
     decode_index_block,
     decode_varint,
@@ -136,13 +137,15 @@ class TestIndexBlock:
         assert BlockHandle.from_bytes(handle.to_bytes()) == handle
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(
     entries=st.lists(
         st.tuples(
+            # Mixed lengths: the builder's unequal-length prefix comparison.
             st.binary(min_size=1, max_size=12),
             st.sampled_from([ValueTag.PUT, ValueTag.DELETE]),
-            st.binary(max_size=30),
+            # Either side of 128 bytes: one-byte and two-byte length headers.
+            st.one_of(st.just(b""), st.binary(max_size=30), st.binary(max_size=300)),
         ),
         min_size=1,
         max_size=60,
@@ -151,11 +154,46 @@ class TestIndexBlock:
     restart=st.integers(min_value=1, max_value=20),
 )
 def test_property_data_block_roundtrip(entries, restart):
+    """What the builder wrote is what both readers return."""
     entries = sorted(entries, key=lambda e: e[0])
     builder = DataBlockBuilder(restart_interval=restart)
     for key, tag, value in entries:
         builder.add(key, tag, value)
-    assert decode_data_block(builder.finish()) == entries
+    block = builder.finish()
+    assert decode_data_block(block) == entries
+    for key, tag, value in entries:
+        assert seek_data_block(block, key) == (tag, value)
+
+
+def _shared_prefix_len_reference(a: bytes, b: bytes) -> int:
+    """The byte loop the builder used before it compared keys as integers."""
+    limit = min(len(a), len(b))
+    for index in range(limit):
+        if a[index] != b[index]:
+            return index
+    return limit
+
+
+@settings(max_examples=300)
+@given(
+    a=st.binary(max_size=24),
+    data=st.data(),
+)
+def test_property_shared_prefix_len_equals_byte_loop(a, data):
+    same_length = st.binary(min_size=len(a), max_size=len(a))
+    pairs = [
+        (a, a),  # identical keys
+        (a, data.draw(same_length)),
+        (a, data.draw(st.binary(max_size=24))),  # unequal lengths
+        (a, a[: data.draw(st.integers(0, len(a)))] + data.draw(st.binary(max_size=4))),
+    ]
+    if a:
+        pairs.append((a, a[:-1] + bytes([a[-1] ^ 1])))  # last bit only
+        pairs.append((a, bytes([a[0] ^ 0x80]) + a[1:]))  # first bit only
+    for left, right in pairs:
+        expected = _shared_prefix_len_reference(left, right)
+        assert _shared_prefix_len(left, right) == expected
+        assert _shared_prefix_len(right, left) == expected
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +294,9 @@ class TestSeekDataBlock:
             [(b"aa", ValueTag.PUT, b"1"), (b"ab", ValueTag.PUT, b"2")], 16
         )
 
+    # One list for both readers: whatever the seek refuses to search, the
+    # full decode refuses to return (before PR 22 it returned all of these
+    # but the first as entries, one with the restart array as its value).
     # Every raw entry below is 6 bytes: three 1-byte lengths, tag, key, value.
     @pytest.mark.parametrize(
         ("block", "probe"),
@@ -333,12 +374,35 @@ class TestSeekDataBlock:
                 b"a",
                 id="entry-crosses-into-next-interval",
             ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), _entry(0, b"b", b"2", value_len=9)], [0]),
+                b"b",
+                id="final-value-swallows-restart-array-and-counts",
+            ),
+            pytest.param(
+                # The restart array's four zero bytes parse as an empty entry.
+                _seal([_entry(0, b"a", b"1"), struct.pack("<I", 0)], [], claimed_restarts=0),
+                b"a",
+                id="header-starts-inside-restart-array",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), b"\x80"], [0]),
+                b"b",
+                id="final-shared-varint-truncated",
+            ),
+            pytest.param(
+                _seal([_entry(0, b"a", b"1"), b"\x00\xff\xff"], [0]),
+                b"b",
+                id="final-key-length-varint-truncated",
+            ),
         ],
     )
     def test_malformed_block_with_valid_crc_rejected(self, block, probe):
         assert zlib.crc32(block[:-4]) == struct.unpack("<I", block[-4:])[0]
         with pytest.raises(CorruptionError):
             seek_data_block(block, probe)
+        with pytest.raises(CorruptionError):
+            decode_data_block(block)
 
 
 _KEY_SETS = st.builds(
@@ -392,3 +456,7 @@ def test_property_resealed_garbage_never_escapes_as_another_error(restart, edits
             seek_data_block(block, key)
         except CorruptionError:
             pass
+    try:
+        decode_data_block(block)
+    except CorruptionError:
+        pass

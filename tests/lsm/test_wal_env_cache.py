@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.lsm import DB, DBOptions
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import DEVICE_PRESETS, DeviceModel, StorageEnv
 from repro.lsm.format import ValueTag
@@ -70,6 +71,56 @@ class TestStorageEnv:
         env.append_file("log", b"one")
         env.append_file("log", b"two")
         assert env.read_file("log") == b"onetwo"
+
+    def test_append_handle_stays_open_until_delete(self, tmp_path):
+        env = StorageEnv(str(tmp_path))
+        env.append_file("log", b"one")
+        (handle,) = env._append_handles.values()
+        env.append_file("log", b"two")
+        assert list(env._append_handles.values()) == [handle]  # one open, reused
+        assert not handle.closed
+        env.delete_file("log")
+        assert handle.closed and not env._append_handles
+        assert not env.exists("log")
+        env.append_file("log", b"three")  # a new file, not the unlinked inode
+        assert env.read_file("log") == b"three"
+        env.close()
+
+    def test_close_releases_append_handles(self, tmp_path):
+        env = StorageEnv(str(tmp_path))
+        env.append_file("a.log", b"a")
+        env.append_file("b.log", b"b")
+        handles = list(env._append_handles.values())
+        assert len(handles) == 2
+        env.close()
+        assert all(handle.closed for handle in handles)
+        assert not env._append_handles
+        env.close()  # idempotent
+
+    def test_db_close_releases_the_wal_handle(self, tmp_path):
+        db = DB(str(tmp_path), DBOptions(key_bits=32))
+        db.put(1, b"v")
+        (handle,) = db._env._append_handles.values()
+        db.close()
+        assert handle.closed
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_open_descriptors_do_not_grow_across_wal_rotations(self, tmp_path):
+        """Every seal starts a new WAL; every flush must close the old one."""
+        db = DB(str(tmp_path), DBOptions(key_bits=32))
+        peaks = []
+        for cycle in range(60):
+            for key in range(16):  # overwrites: the tree stays a few files
+                db.put(key, b"%d/%d" % (cycle, key))
+                assert len(db._env._append_handles) <= 1
+            db.flush()
+            peaks.append(len(os.listdir("/proc/self/fd")))
+        db.close()
+        # Live SSTs (one read handle each) rise and fall with compaction, so
+        # compare like with like: the last ten cycles against the first ten.
+        assert max(peaks[-10:]) <= max(peaks[:10])
 
 
 class TestWriteAheadLog:

@@ -1,0 +1,136 @@
+"""cProfile one phase of a ledger workload: where the calls and the time go.
+
+    python3 tools/profile_workload.py --workload NAME --phase setup|window
+                                      [--seed N] [--top N] [--slices N] [--smoke]
+
+The harness every perf PR and re-anchor needs before it touches anything:
+it builds the workload's store exactly as the ledger does (``Run.setup``:
+put -> WAL -> memtable -> inline flush -> compaction -> filter build) and
+either profiles that (``--phase setup``) or reopens the store cold, replays
+the seeded prefix unprofiled as the warm-up, and profiles ``--slices`` window
+slices (``run_slice``).  It prints cProfile's top rows by self time and by
+cumulative time, and function calls per op.  Threads started while the
+profile is on (serving workers, ``serve-mixed`` clients) are profiled too
+and folded into the same table.
+
+cProfile charges every Python call and no native work, so the table ranks
+candidates; it is not a measurement.  Claim gains from the ledger
+(``benchmarks/ledger/run.py`` pairs + ``compare.py``), never from here.
+This tool only reads ``benchmarks/ledger``.
+"""
+
+from __future__ import annotations
+
+import sys
+
+sys.dont_write_bytecode = True  # like the ledger: leave the checkout as found
+
+import argparse
+import cProfile
+import pstats
+import tempfile
+import threading
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks" / "ledger"))
+
+import run as ledger  # noqa: E402  (puts src/ on the path itself)
+
+
+class ThreadedProfile:
+    """One ``cProfile.Profile`` per thread alive while the block runs.
+
+    Create it before the store (and its worker threads) exists: threads
+    started earlier never see the hook.
+    """
+
+    def __init__(self) -> None:
+        self.profiles: list[cProfile.Profile] = []
+        self._on = False
+        threading.setprofile(self._thread_hook)
+
+    def _thread_hook(self, frame, event, arg) -> None:
+        # Installed in every thread the process starts.  Until the profile
+        # is on it does nothing; at the first event after that it replaces
+        # itself, in its own thread, with a cProfile of that thread.
+        if self._on:
+            self._enable()
+
+    def _enable(self) -> None:
+        profile = cProfile.Profile()
+        self.profiles.append(profile)
+        profile.enable()
+
+    def __enter__(self) -> "ThreadedProfile":
+        self._on = True
+        self._enable()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.profiles[0].disable()
+        self._on = False
+
+    def stats(self) -> pstats.Stats:
+        """Merged table; call once every profiled thread has been joined."""
+        threading.setprofile(None)
+        merged = pstats.Stats(self.profiles[0])
+        for profile in self.profiles[1:]:
+            merged.add(profile)
+        return merged
+
+
+def profile_phase(
+    name: str, phase: str, seed: int, smoke: bool, slices: int
+) -> tuple[pstats.Stats, int]:
+    """Returns the merged profile and the number of ops it covers."""
+    profiler = ThreadedProfile()
+    with tempfile.TemporaryDirectory(prefix="profile-workload-") as work:
+        run = ledger.Run(name, seed, smoke, Path(work))
+        if phase == "setup":
+            with profiler:
+                store, _, _ = run.setup()
+            ops = len(run.items)
+        else:
+            store, path, _ = run.setup()
+            store = run.reopen_cold(store, path)
+            workload, model, stream = run.workload, run.model, run.stream
+            ledger.run_slice(store, workload, model, stream.slice(workload.prefix_ops))
+            ops = 0
+            with profiler:
+                for _ in range(slices):
+                    piece = ledger.run_slice(
+                        store, workload, model, stream.slice(workload.chunk_ops)
+                    )
+                    ops += len(piece["records"])
+        store.close()  # joins the serving workers: their profiles are final
+    return profiler.stats(), ops
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=sorted(ledger.WORKLOADS))
+    parser.add_argument("--phase", required=True, choices=("setup", "window"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--top", type=int, default=25, help="rows per table")
+    parser.add_argument("--slices", type=int, default=20,
+                        help="window slices to profile (--phase window)")
+    parser.add_argument("--smoke", action="store_true",
+                        help="the ledger's --smoke shape: a fifth of the size")
+    args = parser.parse_args(argv)
+
+    stats, ops = profile_phase(
+        args.workload, args.phase, args.seed, args.smoke, args.slices
+    )
+    stats.strip_dirs()
+    for order in ("tottime", "cumulative"):
+        stats.sort_stats(order).print_stats(args.top)
+    print(
+        f"{args.workload} {args.phase}: {ops} ops, {stats.total_calls} function calls "
+        f"= {stats.total_calls / ops:.1f} calls per op, {stats.total_tt:.3f} profiled s"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
