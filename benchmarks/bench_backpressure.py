@@ -5,21 +5,23 @@ triggers — the store is permanently behind on maintenance) through two
 configurations:
 
 * ``inline`` — ``max_background_jobs=0``: every flush/compaction runs on
-  the writing thread, the historical fully-synchronous semantics;
+  the writing thread, fully synchronously;
 * ``background`` / ``background-4`` — worker threads (2 and 4 job
   slots) with RocksDB-style backpressure: full memtables seal into the
   immutable queue and writers are admitted, slowed (debt-proportional
   modeled delay charge of up to 1 ms), or stopped (a real bounded
   block) depending on maintenance debt.  Flushes overlap compactions
-  and compactions split into key-range subcompactions, so the overlap
+  and range-disjoint compactions overlap each other, so the overlap
   counters (``jobs_overlapped``, ``max_jobs_in_flight``,
-  ``subcompactions``) must come out non-zero.
+  ``leveled_range_admissions``) must come out non-zero.
 
 Reported per configuration: wall-clock write throughput, the per-put
 latency distribution (p50/p90/p99/max — backgrounding moves flush cost
 out of the tail), and the stall counters (seals, slowdowns, stops, stall
 time, modeled delay).  The answers are cross-checked: both stores must
-agree on every key.
+agree on every key, and every store must report ``stall_state ==
+"none"`` once ``wait_idle()`` returned (the state is the store's, not the
+last write's).
 
 Usage::
 
@@ -110,7 +112,6 @@ def run_config(label: str, jobs: int, num_ops: int, workdir: str) -> dict:
         "write_stall_time_ns": stats.write_stall_time_ns,
         "write_delay_time_ns": stats.write_delay_time_ns,
         "write_stall_timeouts": stats.write_stall_timeouts,
-        "subcompactions": stats.subcompactions,
         "jobs_overlapped": stats.jobs_overlapped,
         "max_jobs_in_flight": stats.max_jobs_in_flight,
         "leveled_range_admissions": stats.leveled_range_admissions,
@@ -132,7 +133,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="fail if background (2 jobs) throughput regresses below "
-        "inline, or if no jobs ever overlapped",
+        "inline, if no jobs ever overlapped, or if an idle store reports "
+        "a write stall",
     )
     args = parser.parse_args(argv)
     num_ops = 800 if args.smoke else args.ops
@@ -212,9 +214,23 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
+        stalled = {
+            label: record["final_stall_state"]
+            for label, records in rounds_by_label.items()
+            for record in records
+            if record["final_stall_state"] != "none"
+        }
+        if stalled:
+            print(
+                f"CHECK FAILED: idle stores report a write stall after "
+                f"wait_idle(): {stalled}",
+                file=sys.stderr,
+            )
+            return 1
         print(
             f"check passed: background >= {factor}x inline, jobs "
-            "overlapped, same-level-pair leveled admissions observed"
+            "overlapped, same-level-pair leveled admissions observed, "
+            "idle stores report no stall"
         )
     return 0
 

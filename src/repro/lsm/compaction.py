@@ -54,14 +54,10 @@ can interleave it safely with foreground work:
     when their key-range footprints are disjoint (tiered installs are
     prepend/name-removal only, so disjoint-input tiered jobs may always
     share a level).
-``execute(job, scheduler=None, max_subcompactions=1) -> list[Run]``
-    The expensive part — merge the input runs into fresh output SSTs.
-    Touches no shared version state, so it runs unlocked on a worker.
-    With ``max_subcompactions > 1`` and a scheduler, the merge splits
-    into disjoint key-range slices (cut at input-block fence keys, the
-    RocksDB subcompaction heuristic) executed work-stealing style by
-    helper jobs, then stitched back into one output list for a single
-    atomic install.
+``execute(job) -> list[Run]``
+    The expensive part — merge the input runs into fresh output SSTs, on
+    the thread that calls it.  Touches no shared version state, so it
+    runs unlocked on a worker.
 ``apply(version, job, outputs)``
     Pure metadata edit: swap inputs for outputs on a ``Version`` *clone*
     under the DB mutex.  Removal is name-based and installation
@@ -84,7 +80,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.core.tuning import AutoTuner
-from repro.errors import PowerCutError, StoreError
+from repro.errors import StoreError
 from repro.filters.base import FilterFactory
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
@@ -195,7 +191,7 @@ class Compactor:
         self._filter_factory_provider = filter_factory_provider or (
             lambda: options.filter_factory
         )
-        # Resolved per merge slice: quarantined inputs rebuild their
+        # Resolved per merge: quarantined inputs rebuild their
         # filters with the tuner's attack bits bonus.
         self._tuner_provider = tuner_provider or (lambda: None)
 
@@ -615,34 +611,15 @@ class Compactor:
     # ------------------------------------------------------------------
     # Execution (no shared version state touched)
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        job: CompactionJob,
-        scheduler=None,
-        max_subcompactions: int = 1,
-    ) -> list[Run]:
-        """Merge the job's inputs into fresh output SSTs (the slow part).
-
-        Job-level accounting (``compactions``, bytes read/written, wall
-        time) happens once here regardless of how many slices the merge
-        was split into.
-        """
+    def execute(self, job: CompactionJob) -> list[Run]:
+        """Merge the job's inputs into fresh output SSTs (the slow part)."""
         stats = self._env.stats
         start_ns = time.perf_counter_ns()
         stats.add(
             compactions=1,
             compaction_bytes_read=sum(run.file_size for run in job.inputs),
         )
-        ranges = (
-            self.plan_subcompactions(job, max_subcompactions)
-            if scheduler is not None and max_subcompactions > 1
-            else [(None, None)]
-        )
-        if len(ranges) <= 1:
-            outputs = self._merge_slice(job, None, None)
-        else:
-            outputs = self._execute_partitioned(job, ranges, scheduler)
-            stats.add(subcompactions=len(ranges))
+        outputs = self._merge(job)
         if job.kind.startswith("tiered"):
             with self._counter_lock:
                 group_id = self._next_group_id
@@ -655,120 +632,10 @@ class Compactor:
         )
         return outputs
 
-    def plan_subcompactions(
-        self, job: CompactionJob, max_slices: int
-    ) -> list[tuple[bytes | None, bytes | None]]:
-        """Cut the job's key domain into up to ``max_slices`` ranges.
-
-        Boundary candidates are the input runs' fence keys (the last key
-        of each data block — RocksDB's subcompaction heuristic), so cuts
-        fall on block boundaries and slice sizes track data volume, not
-        key-space width.  Returns half-open ``[lo, hi)`` ranges (None =
-        unbounded) that partition the whole domain; a job too small to
-        cut yields the single unbounded range.
-        """
-        if max_slices <= 1:
-            return [(None, None)]
-        candidates = sorted(
-            {
-                key
-                for run in job.inputs
-                for key in run.reader.fence_keys()[:-1]
-            }
-        )
-        if not candidates:
-            return [(None, None)]
-        cut_count = min(max_slices - 1, len(candidates))
-        cuts: list[bytes | None] = sorted(
-            {
-                candidates[(index + 1) * len(candidates) // (cut_count + 1)]
-                for index in range(cut_count)
-            }
-        )
-        edges: list[bytes | None] = [None] + cuts + [None]
-        return list(zip(edges, edges[1:]))
-
-    def _execute_partitioned(
-        self,
-        job: CompactionJob,
-        ranges: list[tuple[bytes | None, bytes | None]],
-        scheduler,
-    ) -> list[Run]:
-        """Run the slices via the scheduler and stitch outputs in key order.
-
-        Work-stealing: slices sit in a shared queue; the owner thread
-        pulls slices in a loop and helper jobs submitted to the scheduler
-        pull from the same queue.  A helper that never gets a worker slot
-        finds the queue empty and exits — the owner never waits *on the
-        helpers*, only on the slice-completion count, so a saturated pool
-        cannot deadlock the merge.
-        """
-        slice_outputs: list[list[Run] | None] = [None] * len(ranges)
-        errors: list[BaseException] = []
-        done = [0]
-        queue_lock = threading.Lock()
-        next_slice = [0]
-
-        def pull() -> None:
-            while True:
-                with queue_lock:
-                    index = next_slice[0]
-                    if index >= len(ranges) or errors:
-                        return
-                    next_slice[0] = index + 1
-                low, high = ranges[index]
-                try:
-                    result = self._merge_slice(job, low, high)
-                    with queue_lock:
-                        slice_outputs[index] = result
-                finally:
-                    # Count the slice even on error so the owner's wait
-                    # terminates; the error itself re-raises below.
-                    with queue_lock:
-                        done[0] += 1
-
-        def helper() -> None:
-            try:
-                pull()
-            except PowerCutError:
-                raise
-            except BaseException as exc:  # noqa: BLE001 — reported to owner
-                with queue_lock:
-                    errors.append(exc)
-                raise
-
-        workers = getattr(scheduler, "workers", None)
-        helper_budget = len(ranges) - 1
-        if workers is not None:
-            helper_budget = min(helper_budget, max(0, workers - 1))
-        for _ in range(helper_budget):
-            scheduler.submit("subcompaction", helper)
-        try:
-            pull()  # the owner works the queue too
-        except PowerCutError:
-            raise
-        except BaseException as exc:  # noqa: BLE001 — raised after the wait
-            with queue_lock:
-                errors.append(exc)
-        # Wait on *claimed* slices only: a helper still queued behind a
-        # saturated pool never claims one, so waiting on len(ranges)
-        # could wait on work nobody will do.  On the success path the
-        # owner's loop has claimed everything before reaching here.
-        if not scheduler.wait_for(lambda: done[0] >= next_slice[0], timeout_s=None):
-            raise StoreError("subcompaction wait exhausted its yield bound")
-        if errors:
-            raise errors[0]
-        stitched: list[Run] = []
-        for outputs in slice_outputs:
-            stitched.extend(outputs or [])
-        return stitched
-
-    def _merge_slice(
-        self, job: CompactionJob, low: bytes | None, high: bytes | None
-    ) -> list[Run]:
-        """Merge the job's inputs restricted to keys in ``[low, high)``."""
+    def _merge(self, job: CompactionJob) -> list[Run]:
+        """One newest-wins pass over the job's inputs, cut into SSTs."""
         sources = [
-            (priority, run.reader.iterate_from(low or b""))
+            (priority, run.reader.iterate_from(b""))
             for priority, run in enumerate(job.inputs)
         ]
         merged = MergingIterator(sources)
@@ -777,10 +644,6 @@ class Compactor:
         factory = self._filter_factory_provider()
         bits_override = self._rebuild_bits_override(job, factory)
         for key, tag, value in merged:
-            if low is not None and key < low:
-                continue
-            if high is not None and key >= high:
-                break
             if job.drop_tombstones and tag == ValueTag.DELETE:
                 continue
             if writer is None:

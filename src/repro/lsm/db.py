@@ -20,26 +20,26 @@ filter instances adopt the workload-optimal configuration.
 
 Concurrency model
 -----------------
-All maintenance (flush of a sealed memtable, one compaction step) runs as
-jobs on a pluggable scheduler (see :mod:`repro.lsm.scheduler`).  With
-``DBOptions.max_background_jobs == 0`` (the default) the scheduler is
-inline and the store behaves exactly like the historical fully-synchronous
-implementation.  With workers, a full active memtable *seals* into a
-read-only immutable queue (the WAL rotates with it) and writes continue
-while a worker flushes it.
-
-With workers, up to ``max(1, max_background_jobs)`` jobs run *at once*:
-``_dispatch_maintenance`` fills free job slots with runnable work — at
-most one flush (oldest immutable first) plus compactions whose inputs
-and level pairs are disjoint from every in-flight job, as tracked by the
-compactor's conflict table (``begin``/``finish``).  A compaction may
-additionally split into key-range *subcompactions* executed by helper
-jobs and stitched back into one output set.  However many jobs run, the
-merge work itself is lock-free; every result funnels through a single
-serialized commit point — the version install under ``_mutex`` — so
-concurrent installs are ordered, each applies to the freshest clone
-(name-based removal + union-merge, never whole-level clobber), and
-replaced runs retire through the refcounted zombie queue exactly once.
+All maintenance (flush of the sealed memtables, one compaction) runs as
+jobs on a pluggable scheduler (see :mod:`repro.lsm.scheduler`), and one
+loop turns debt into jobs: ``_dispatch_maintenance`` fills free job slots
+with runnable work — at most one flush (oldest immutable first) plus
+compactions whose inputs and level pairs are disjoint from every
+in-flight job, as tracked by the compactor's conflict table
+(``begin``/``finish``).  With ``DBOptions.max_background_jobs == 0`` (the
+default) the scheduler is inline: there is one slot, ``submit`` runs the
+job on the writing thread before it returns, and the dispatcher's own
+loop picks the next one, so the store is fully synchronous.  With workers
+a full active memtable *seals* into a read-only immutable queue (the WAL
+rotates with it), writes continue while a worker flushes it, up to
+``max_background_jobs`` jobs run *at once*, and each finishing job
+re-dispatches (``submit`` returned before the job ran, so the submitting
+loop is long gone).  However many jobs run, the merge work itself is
+lock-free; every result funnels through a single serialized commit point
+— the version install under ``_mutex`` — so concurrent installs are
+ordered, each applies to the freshest clone (name-based removal +
+union-merge, never whole-level clobber), and replaced runs retire
+through the refcounted zombie queue exactly once.
 
 Readers never take the write path's locks.  Every read operation pins a
 *superversion* — an immutable ``(active memtable, sealed memtables, run
@@ -53,8 +53,8 @@ Lock order (outer to inner): ``_write_lock`` → ``_mutex`` → ``_sv_lock``.
 version installs and the manifest; ``_sv_lock`` (a plain mutex, never held
 across I/O) guards the superversion pointer, refcounts, and the deferred
 deletion list; ``_job_lock`` guards the job-slot bookkeeping
-(``_jobs_in_flight``, ``_flush_inflight``, the inline-mode flags); the
-compactor's ``_inflight_lock`` (conflict table) is a leaf below it.
+(``_jobs_in_flight``, ``_flush_inflight``); the compactor's
+``_inflight_lock`` (conflict table) is a leaf below it.
 
 Backpressure mirrors RocksDB's two write-stall triggers: past the
 *slowdown* thresholds each write is admitted immediately but charged
@@ -172,11 +172,12 @@ class HealthReport:
     :class:`~repro.lsm.stats.PerfStats` so an operator sees every injected
     or real fault the store absorbed.
 
-    ``stall_state`` is the write-backpressure state machine's last
-    observation: ``"none"``, ``"slowdown"`` (writes admitted with modeled
-    delay), or ``"stopped"`` (a writer is / was blocked on the stop
-    trigger).  ``pending_immutables`` / ``level0_runs`` are the two
-    quantities the triggers watch.
+    ``stall_state`` is what the write-backpressure triggers say about
+    the reported superversion, computed at report time: ``"none"``,
+    ``"slowdown"`` (a write would be admitted with modeled delay), or
+    ``"stopped"`` (a write would block on the stop trigger).
+    ``pending_immutables`` / ``level0_runs`` are the two quantities the
+    triggers watch, read from the same superversion.
     """
 
     mode: str
@@ -295,11 +296,8 @@ class DB:
         self._mutex = self._scheduler.make_lock()
         self._sv_lock = threading.Lock()
         self._job_lock = threading.Lock()
-        self._maintenance_inflight = False
-        self._maintenance_rearm = False
         self._jobs_in_flight = 0
         self._flush_inflight = False
-        self._stall_state = "none"
 
         self._epoch = 0
         self._zombies: list[tuple[int, list[Run]]] = []
@@ -503,9 +501,8 @@ class DB:
     # ------------------------------------------------------------------
     # Write backpressure (caller holds _write_lock)
     # ------------------------------------------------------------------
-    def _stall_conditions(self) -> tuple[bool, bool]:
-        """Current ``(slowdown, stop)`` trigger state."""
-        sv = self._super
+    def _stall_conditions(self, sv: _SuperVersion) -> tuple[bool, bool]:
+        """The ``(slowdown, stop)`` trigger state of one superversion."""
         level0 = len(sv.version.level0)
         backlog = len(sv.immutables)
         opts = self.options
@@ -530,10 +527,9 @@ class DB:
         so benchmarks observe the stall without timing jitter.
         """
         self._check_writable()
-        slowdown, stop = self._stall_conditions()
+        slowdown, stop = self._stall_conditions(self._super)
         if stop:
             self.stats.add(write_stops=1)
-            self._stall_state = "stopped"
             self._schedule_maintenance()
             started = time.perf_counter_ns()
 
@@ -558,20 +554,17 @@ class DB:
                 )
             self._check_open()
             self._check_writable()
-            slowdown = self._stall_conditions()[0]
+            slowdown = self._stall_conditions(self._super)[0]
         if slowdown:
             self.stats.add(
                 write_slowdowns=1,
                 write_delay_time_ns=self._write_delay_ns(),
             )
-            self._stall_state = "slowdown"
             # Debt with no job running (post-resume, races): kick the
             # dispatcher.  Racy read — with jobs live, completions
             # re-dispatch, so a stale skip here self-heals.
             if self._concurrent and self._jobs_in_flight == 0:
                 self._schedule_maintenance()
-        else:
-            self._stall_state = "none"
 
     def _stall_cleared(self) -> bool:
         """Stop-trigger release, with hysteresis on the memtable backlog.
@@ -663,35 +656,27 @@ class DB:
         return True
 
     def _schedule_maintenance(self) -> None:
-        """Ensure pending maintenance debt is (or will be) worked on.
-
-        Concurrent mode fills free job slots via the dispatcher; inline
-        mode keeps the historical single-job loop (a loop, not recursion,
-        so deep debt cannot blow the stack on the caller's thread).
-        """
-        if self._closed:
-            return
-        if self._concurrent:
+        """Ensure pending maintenance debt is (or will be) worked on."""
+        if not self._closed:
             self._dispatch_maintenance()
-            return
-        with self._job_lock:
-            if self._maintenance_inflight:
-                self._maintenance_rearm = True
-                return
-            self._maintenance_inflight = True
-        self._scheduler.submit("maintenance", self._maintenance_job)
 
     def _job_slots(self) -> int:
-        """Concurrent job-slot budget (>= 1 even for injected schedulers)."""
+        """Job-slot budget: one inline, ``max_background_jobs`` otherwise."""
         return max(1, self.options.max_background_jobs)
 
     def _dispatch_maintenance(self) -> None:
-        """Fill free job slots with runnable work (concurrent mode only).
+        """Fill free job slots with runnable work — the one maintenance loop.
 
         At most one flush runs at a time (flushes must retire immutables
         oldest-first); the remaining slots take compactions the conflict
-        table deems disjoint from everything in flight.  Each completing
-        job calls back here, so slots refill until ``plan()`` runs dry.
+        table deems disjoint from everything in flight.  An inline
+        ``submit`` has run the job by the time it returns, so this loop
+        itself walks flush, plan, compact until ``plan()`` runs dry, at
+        constant stack depth; with workers ``submit`` returns at once, the
+        loop ends when the slots are full, and each completing job calls
+        back here.  A caller that finds every slot busy just returns: the
+        running job's dispatcher (inline) or completion (workers) re-reads
+        the current superversion, so its work is not lost.
         """
         while self._background_error is None and not self._closed:
             # Racy fast path: with all slots busy, skip the lock — every
@@ -735,49 +720,47 @@ class DB:
         re-dispatch round-trip between single flushes is latency the
         stalled writer would eat.
         """
-        completed = False
         try:
             while self._background_error is None and self._super.immutables:
                 if not self._run_background(
                     "flush", self._flush_oldest_immutable
                 ):
                     break
-            completed = True
         finally:
             with self._job_lock:
                 self._flush_inflight = False
                 self._jobs_in_flight -= 1
             self._scheduler.notify()
-        # Skipped after PowerCutError/unexpected unwinding: no further
-        # submissions to a dying scheduler.
-        if completed and not self._closed:
+        # Refill the slot — only where ``submit`` returned before the job
+        # ran (inline, the dispatcher that submitted it is still looping).
+        # Not reached after PowerCutError/unexpected unwinding, and a no-op
+        # once closed: no further submissions to a dying scheduler.
+        if self._concurrent:
             self._dispatch_maintenance()
 
     def _compaction_job(self, job: CompactionJob) -> None:
         """Job body: run one registered compaction, release slot, refill."""
-        completed = False
         try:
             if self._background_error is None:
                 self._run_background(
                     "compaction", lambda: self._run_compaction_job(job)
                 )
-            completed = True
         finally:
             self._compactor.finish(job)
             with self._job_lock:
                 self._jobs_in_flight -= 1
             self._scheduler.notify()
-        if completed and not self._closed:
+        if self._concurrent:
             self._dispatch_maintenance()
 
     def _run_compaction_guarded(self, job: CompactionJob) -> bool:
         """Run a compaction bracketed by conflict-table registration.
 
-        The foreground/inline entry point (``compact``, inline
-        maintenance, trigger settling); background jobs register at
-        dispatch instead.  Returns False if the job conflicts with an
-        in-flight job (the caller simply re-plans later) or the body
-        degraded the store.
+        The one foreground bracket, for the forced jobs ``plan()`` never
+        emits (``compact``'s L0 merge, ``force_full_compaction``);
+        planned jobs register in the dispatcher instead.  Returns False if
+        the job conflicts with an in-flight job or the body degraded the
+        store.
         """
         try:
             self._compactor.begin(job, lambda: self._super.version)
@@ -789,43 +772,6 @@ class DB:
             )
         finally:
             self._compactor.finish(job)
-
-    def _maintenance_job(self) -> None:
-        """Drain maintenance debt: flush sealed memtables, then compact.
-
-        One job instance runs at a time; work submitted while it runs sets
-        the re-arm flag instead of spawning a second job.  A background
-        error stops the loop (the store is read-only until ``resume``).
-        """
-        try:
-            while True:
-                while self._background_error is None:
-                    if not self._maintenance_step():
-                        break
-                with self._job_lock:
-                    if self._maintenance_rearm and self._background_error is None:
-                        self._maintenance_rearm = False
-                        continue
-                    self._maintenance_inflight = False
-                    self._maintenance_rearm = False
-                    break
-        except BaseException:
-            with self._job_lock:
-                self._maintenance_inflight = False
-                self._maintenance_rearm = False
-            raise
-        finally:
-            self._scheduler.notify()
-
-    def _maintenance_step(self) -> bool:
-        """One unit of background work; False when nothing (more) to do."""
-        sv = self._super
-        if sv.immutables:
-            return self._run_background("flush", self._flush_oldest_immutable)
-        job = self._compactor.plan(sv.version)
-        if job is None:
-            return False
-        return self._run_compaction_guarded(job)
 
     def _flush_oldest_immutable(self) -> None:
         """Flush the oldest sealed memtable to a new L0 SST.
@@ -881,11 +827,7 @@ class DB:
         manifest persisted before the new superversion is published.
         Input files become zombies, destroyed once unreferenced.
         """
-        outputs = self._compactor.execute(
-            job,
-            scheduler=self._scheduler if self._concurrent else None,
-            max_subcompactions=self._max_subcompactions(),
-        )
+        outputs = self._compactor.execute(job)
         with self._mutex:
             current = self._super
             new_version = current.version.clone()
@@ -896,30 +838,20 @@ class DB:
             )
             self._install_super(new_sv, obsolete=job.inputs)
 
-    def _max_subcompactions(self) -> int:
-        """Effective slice budget: the option, or follow the job slots."""
-        return self.options.max_subcompactions or self._job_slots()
-
-    def _settle_triggers(self) -> None:
-        """Run planned compactions until the tree is in shape (foreground)."""
-        while self._background_error is None:
-            job = self._compactor.plan(self._super.version)
-            if job is None:
-                return
-            if not self._run_compaction_guarded(job):
-                return
-
     def _drain_maintenance(self, timeout_s: float = 60.0) -> bool:
         """Wait until background maintenance is idle (or the store degrades)."""
         if not self._concurrent:
             return True
 
         def settled() -> bool:
+            # In-flight jobs first: a parked store is settled only once its
+            # jobs have unwound and released their slots (resume() relies
+            # on it to find the flush slot free).
+            with self._job_lock:
+                if self._jobs_in_flight:
+                    return False
             if self._background_error is not None:
                 return True
-            with self._job_lock:
-                if self._maintenance_inflight or self._jobs_in_flight:
-                    return False
             sv = self._super
             # plan() is read-only and the conflict table is empty once no
             # job is in flight, so this is exactly "would dispatch do more
@@ -975,7 +907,8 @@ class DB:
                 return
             # Settle even with an empty L0: quarantined runs at deeper
             # levels plan rebuild jobs regardless of size triggers.
-            self._settle_triggers()
+            self._schedule_maintenance()
+            self._drain_maintenance()
 
     def force_full_compaction(self) -> None:
         """Merge every run into the bottom-most populated level.
@@ -1004,8 +937,11 @@ class DB:
     def _run_background(self, op: str, body: Callable[[], None]) -> bool:
         """Run a background write; on failure degrade instead of crashing.
 
-        Simulated power cuts and closed-store misuse propagate untouched —
-        only genuine I/O / store errors park the DB in read-only mode.
+        Simulated power cuts and closed-store misuse propagate untouched.
+        Anything else parks the DB in read-only mode: an I/O / store error
+        is absorbed (returns False), an unexpected exception — a bug, not
+        a device fault — is recorded the same way and then re-raised, so
+        it reaches an inline caller and is never lost on a worker thread.
         Returns True when the body completed.
         """
         try:
@@ -1016,6 +952,9 @@ class DB:
         except (OSError, ReproError) as exc:
             self._enter_background_error(op, exc)
             return False
+        except Exception as exc:
+            self._enter_background_error(op, exc)
+            raise
 
     def _guard_wal_append(self, append: Callable[[], None]) -> None:
         """Run a foreground WAL append; on I/O failure park, don't leak.
@@ -1068,23 +1007,25 @@ class DB:
         """The store's current fault state (always readable, never raises).
 
         The report is *self-consistent*: the superversion is pinned and
-        the background-error / stall fields are read once under
-        ``_mutex`` — the lock every state transition (version install,
-        degraded-mode entry) happens under — so a concurrent superversion
-        swap can never produce, say, a ``healthy`` mode paired with a
-        stale ``level0_runs`` count or a ``degraded`` mode whose
-        ``background_error`` is ``None``.  Counters come from one
-        lock-protected ``PerfStats.snapshot()``.
+        the background error is read once under ``_mutex`` — the lock
+        every state transition (version install, degraded-mode entry)
+        happens under — so a concurrent superversion swap can never
+        produce, say, a ``healthy`` mode paired with a stale
+        ``level0_runs`` count or a ``degraded`` mode whose
+        ``background_error`` is ``None``; ``stall_state`` is derived from
+        that same pinned superversion, so it always agrees with the
+        ``level0_runs`` / ``pending_immutables`` beside it.  Counters come
+        from one lock-protected ``PerfStats.snapshot()``.
         """
         with self._mutex:
             sv = self._ref_super()
             background_error = self._background_error
-            stall_state = self._stall_state
         try:
             with self._job_lock:
                 jobs_in_flight = self._jobs_in_flight
             stats = self.stats.snapshot()
             attacked = self._filter_dictionary.under_attack_snapshot()
+            slowdown, stop = self._stall_conditions(sv)
             return HealthReport(
                 mode="degraded" if background_error is not None else "healthy",
                 background_error=background_error,
@@ -1095,7 +1036,9 @@ class DB:
                 background_errors=stats.background_errors,
                 attacked_filters=attacked,
                 filters_under_attack=len(attacked),
-                stall_state=stall_state,
+                stall_state=(
+                    "stopped" if stop else "slowdown" if slowdown else "none"
+                ),
                 pending_immutables=len(sv.immutables),
                 level0_runs=len(sv.version.level0),
                 write_slowdowns=stats.write_slowdowns,
@@ -1124,10 +1067,8 @@ class DB:
             return True
         with self._mutex:
             self._background_error = None
-        self._stall_state = "none"
-        if self._super.immutables or self._compactor.plan(self._super.version):
-            self._schedule_maintenance()
-            self._drain_maintenance()
+        self._schedule_maintenance()
+        self._drain_maintenance()
         return self._background_error is None
 
     # ------------------------------------------------------------------

@@ -8,9 +8,10 @@ direct counterpart here:
   iterator count that dominates empty-query CPU);
 * ``max_bytes_for_level_base`` → :attr:`DBOptions.max_bytes_for_level_base`
   (restricting L0 growth so iterators spawn per level, not per file);
-* ``cache_index_and_filter_blocks(+_with_high_priority)`` and
-  ``pin_l0_filter_and_index_blocks_in_cache`` → the block-cache priority
-  flags;
+* ``cache_index_and_filter_blocks=true`` → always on (filter and index
+  blocks go through the block cache); its ``_with_high_priority``
+  companion and ``pin_l0_filter_and_index_blocks_in_cache`` → the
+  block-cache priority flags;
 * per-SST full filters (block-based filters are deprecated) → one filter
   instance per SST file, rebuilt at compaction.
 """
@@ -96,10 +97,9 @@ class DBOptions:
     #: Block cache capacity in bytes (0 disables caching).
     block_cache_bytes: int = 8 << 20
 
-    #: Cache filter and index blocks in the block cache (paper: true).
-    cache_index_and_filter_blocks: bool = True
-
-    #: Give filter/index blocks eviction priority over data blocks.
+    #: Give filter/index blocks eviction priority over data blocks (they
+    #: always live in the block cache: the paper's setup runs with
+    #: ``cache_index_and_filter_blocks=true``, so that is not a knob).
     cache_index_and_filter_blocks_with_high_priority: bool = True
 
     #: Pin L0 filter and index blocks so empty queries stay CPU-only.
@@ -151,8 +151,8 @@ class DBOptions:
 
     # -- Background maintenance & write backpressure --------------------
     #: Worker threads for background flush/compaction.  0 (the default)
-    #: runs all maintenance inline on the writing thread — the historical
-    #: fully-synchronous semantics.  With workers, a full active memtable
+    #: runs all maintenance inline on the writing thread, fully
+    #: synchronously.  With workers, a full active memtable
     #: seals into the immutable queue (the WAL rotates with it) and writes
     #: continue while a worker flushes it.
     max_background_jobs: int = 0
@@ -176,11 +176,6 @@ class DBOptions:
     #: Upper bound on one stop-trigger block before the write fails with
     #: :class:`~repro.errors.WriteStallTimeoutError`.
     write_stall_timeout_s: float = 10.0
-
-    #: Maximum key-range slices one compaction may be split into (RocksDB's
-    #: ``max_subcompactions``).  0 (the default) follows
-    #: ``max(1, max_background_jobs)``; 1 disables splitting.
-    max_subcompactions: int = 0
 
     #: Maximum source-level runs per leveled compaction window (RocksDB's
     #: per-file picking).  An oversize level is drained in windows of this
@@ -265,8 +260,6 @@ class DBOptions:
             )
         if self.write_stall_timeout_s <= 0:
             raise InvalidOptionsError("write_stall_timeout_s must be > 0")
-        if self.max_subcompactions < 0:
-            raise InvalidOptionsError("max_subcompactions must be >= 0")
         if self.scheduler_factory is not None and not callable(
             self.scheduler_factory
         ):

@@ -68,7 +68,7 @@ def _probe_sst(env: StorageEnv, name: str, options: DBOptions) -> int:
     entries = 0
     for block_index in range(reader.num_data_blocks()):
         _, handle = reader._fence_pointers[block_index]  # noqa: SLF001
-        payload = reader._read_block(handle, cacheable=False)  # noqa: SLF001
+        payload = reader._read_block(handle)  # noqa: SLF001
         entries += len(decode_data_block(payload))
     envelope = reader.filter_block_bytes()
     if envelope:

@@ -1,8 +1,9 @@
 """Maintenance schedulers: inline, thread-pool, and deterministic replay.
 
-The DB hands every background unit of work (flush of a sealed memtable,
-one compaction step) to a *scheduler* rather than spawning threads
-itself.  Three implementations share one small interface:
+The DB's one dispatcher (``DB._dispatch_maintenance``) hands every unit of
+maintenance work (a flush of the sealed memtables, one compaction) to a
+*scheduler* rather than spawning threads itself.  Three implementations
+share one small interface:
 
 ``submit(name, fn)``
     Run ``fn`` as a background job, returning a :class:`JobHandle`.
@@ -26,10 +27,11 @@ Implementations
 ---------------
 :class:`InlineScheduler`
     No concurrency: ``submit`` runs the job on the calling thread before
-    returning.  This is the default (``DBOptions.max_background_jobs == 0``)
-    and preserves the historical fully-synchronous semantics bit for bit —
-    including ``PowerCutError`` propagating to the writer that triggered
-    the flush.
+    returning, so the dispatcher that submitted it finds its one slot free
+    again and picks the next job itself.  This is the default
+    (``DBOptions.max_background_jobs == 0``): a fully synchronous store,
+    with ``PowerCutError`` propagating to the writer that triggered the
+    flush.
 
 :class:`ThreadPoolScheduler`
     Real worker threads and a condition variable.  ``sync_point`` is a
@@ -80,17 +82,15 @@ class JobHandle:
 
 
 class InlineScheduler:
-    """Synchronous execution on the caller's thread (the legacy semantics).
+    """Synchronous execution on the caller's thread.
 
     ``submit`` does not catch anything: the DB's job bodies convert
     ordinary I/O failures into degraded mode themselves, and exceptions
-    that must reach the caller (``PowerCutError``) do so exactly as the
-    pre-concurrency store behaved.
+    that must reach the caller (``PowerCutError``, a bug's exception) do.
     """
 
     concurrent = False
     crashed = False
-    workers = 1  # one caller thread; nothing ever runs alongside it
 
     def submit(self, name: str, fn: Callable[[], object]) -> JobHandle:
         handle = JobHandle(name)
@@ -132,9 +132,6 @@ class ThreadPoolScheduler:
         self.crashed = False
         self._closed = False
         self._threads: List[threading.Thread] = []
-        #: Pool width — callers (subcompaction fan-out) use it to bound
-        #: how many helper jobs are worth submitting.
-        self.workers = max(1, num_workers)
         for index in range(max(1, num_workers)):
             thread = threading.Thread(
                 target=self._worker_main, name=f"{name}-{index}", daemon=True
@@ -270,10 +267,6 @@ class DeterministicScheduler:
     """
 
     concurrent = True
-    #: No fixed pool: every submit gets a (parked) thread, so callers may
-    #: fan out as wide as they like and the seeded token passing decides
-    #: who actually runs.
-    workers = None
 
     def __init__(self, seed: int = 0, wait_yield_bound: int = 50_000) -> None:
         self._rng = random.Random(seed)

@@ -278,7 +278,6 @@ class SSTReader:
                 self._is_level0
                 and self._options.pin_l0_filter_and_index_blocks_in_cache
             ),
-            cacheable=self._options.cache_index_and_filter_blocks,
         )
 
     def _read_block(
@@ -287,26 +286,23 @@ class SSTReader:
         context=None,
         high_priority: bool = False,
         pinned: bool = False,
-        cacheable: bool = True,
     ) -> bytes:
         cache_key = (self.meta.name, handle.offset)
-        if cacheable:
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                if context is None:
-                    self._env.stats.add(block_cache_hits=1)
-                else:
-                    context.block_cache_hits += 1
-                return cached
+        cached = self._cache.get(cache_key)
+        if cached is not None:
             if context is None:
-                self._env.stats.add(block_cache_misses=1)
+                self._env.stats.add(block_cache_hits=1)
             else:
-                context.block_cache_misses += 1
+                context.block_cache_hits += 1
+            return cached
+        if context is None:
+            self._env.stats.add(block_cache_misses=1)
+        else:
+            context.block_cache_misses += 1
         payload = self._env.read_block(
             self.meta.name, handle.offset, handle.size, context
         )
-        if cacheable:
-            self._cache.put(cache_key, payload, high_priority, pinned)
+        self._cache.put(cache_key, payload, high_priority, pinned)
         return payload
 
     def filter_block_bytes(self, context=None) -> bytes:
@@ -384,14 +380,6 @@ class SSTReader:
     def num_data_blocks(self) -> int:
         """Number of data blocks (fence-pointer entries)."""
         return len(self._fence_pointers)
-
-    def fence_keys(self) -> list[bytes]:
-        """Last key of each data block, ascending (no I/O).
-
-        Subcompaction planning samples these as key-range cut points so
-        slices land on block boundaries.
-        """
-        return list(self._fence_keys)
 
     def approximate_bytes_in_range(self, low: bytes, high: bytes) -> int:
         """Estimated on-disk bytes of data blocks touching ``[low, high]``.

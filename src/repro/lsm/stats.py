@@ -164,7 +164,6 @@ class PerfStats(CounterSet):
     filters_built: int = 0
 
     # --- Background-job overlap ---
-    subcompactions: int = 0       # partitioned key-range slices executed
     jobs_overlapped: int = 0      # job dispatches that joined a live job
     max_jobs_in_flight: int = 0   # high-water mark of concurrent jobs
     leveled_range_admissions: int = 0  # leveled jobs admitted into a level

@@ -7,8 +7,6 @@ Covers the picker-level pieces of the concurrent maintenance design:
 * debt-score ordering — L0 debt (write stalls) always outranks deeper
   bytes-over-target (read amplification), windows within one level drain
   oldest-first;
-* ``plan_subcompactions`` edge cases and the partition property of its
-  returned ranges;
 * conflict-table keying by monotonic ``job_id`` (never ``id(job)``: a
   dropped job object's id can be recycled by a new allocation);
 * ``begin()`` re-validation against the *current* version — stale jobs
@@ -220,82 +218,6 @@ class TestDebtOrdering:
             "sst_1_00000002.sst",
         ]
         assert (job.range_low, job.range_high) == (b"cc", b"ee")
-
-
-# ----------------------------------------------------------------------
-# plan_subcompactions edge cases
-# ----------------------------------------------------------------------
-def _slicing_job(fence_key_lists):
-    inputs = [
-        SimpleNamespace(
-            name=f"in-{i}.sst",
-            reader=SimpleNamespace(fence_keys=lambda keys=keys: list(keys)),
-        )
-        for i, keys in enumerate(fence_key_lists)
-    ]
-    return CompactionJob(
-        kind="leveled-level",
-        inputs=inputs,
-        output_level=2,
-        drop_tombstones=False,
-        source_level=1,
-    )
-
-
-def _assert_partition(ranges):
-    """Half-open [lo, hi) ranges must tile the whole key domain."""
-    assert ranges[0][0] is None
-    assert ranges[-1][1] is None
-    for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]):
-        assert hi == next_lo
-        assert hi is not None
-    interior = [hi for _, hi in ranges[:-1]]
-    assert interior == sorted(set(interior)), "empty or overlapping slice"
-
-
-class TestPlanSubcompactions:
-    def test_all_equal_fence_keys_collapse_to_one_cut(self):
-        compactor = _compactor()
-        job = _slicing_job([[b"kk", b"kk", b"zz"], [b"kk", b"zz"]])
-        ranges = compactor.plan_subcompactions(job, 8)
-        assert ranges == [(None, b"kk"), (b"kk", None)]
-        _assert_partition(ranges)
-
-    def test_single_block_runs_yield_unbounded_range(self):
-        compactor = _compactor()
-        # One fence key per run = one block: fence_keys()[:-1] is empty,
-        # so there is nothing to cut on.
-        job = _slicing_job([[b"mm"], [b"qq"]])
-        assert compactor.plan_subcompactions(job, 4) == [(None, None)]
-
-    def test_max_slices_larger_than_candidates(self):
-        compactor = _compactor()
-        job = _slicing_job([[b"bb", b"dd", b"zz"]])  # 2 usable candidates
-        ranges = compactor.plan_subcompactions(job, 16)
-        assert len(ranges) == 3
-        assert ranges == [(None, b"bb"), (b"bb", b"dd"), (b"dd", None)]
-
-    def test_max_slices_one_never_cuts(self):
-        compactor = _compactor()
-        job = _slicing_job([[b"bb", b"dd", b"zz"]])
-        assert compactor.plan_subcompactions(job, 1) == [(None, None)]
-
-    def test_random_fence_sets_always_partition_the_domain(self):
-        compactor = _compactor()
-        rng = random.Random(1234)
-        for _ in range(100):
-            fence_lists = [
-                sorted(
-                    bytes([rng.randrange(97, 123)]) * 2
-                    for _ in range(rng.randrange(1, 9))
-                )
-                for _ in range(rng.randrange(1, 5))
-            ]
-            job = _slicing_job(fence_lists)
-            max_slices = rng.randrange(2, 10)
-            ranges = compactor.plan_subcompactions(job, max_slices)
-            assert 1 <= len(ranges) <= max_slices
-            _assert_partition(ranges)
 
 
 # ----------------------------------------------------------------------

@@ -73,15 +73,8 @@ RULES: dict[str, dict[str, Rule]] = {
         "_wal_seq": _rule(("_mutex",), ("__init__", "_recover")),
         "_background_error": _rule(("_mutex",), ("__init__",)),
         # Maintenance job bookkeeping: _job_lock only.
-        "_maintenance_inflight": _rule(("_job_lock",), ("__init__",)),
-        "_maintenance_rearm": _rule(("_job_lock",), ("__init__",)),
         "_jobs_in_flight": _rule(("_job_lock",), ("__init__",)),
         "_flush_inflight": _rule(("_job_lock",), ("__init__",)),
-        # Stall state: written only by the (single) writer holding
-        # _write_lock inside _apply_backpressure, and by resume().
-        "_stall_state": _rule(
-            (), ("__init__", "_apply_backpressure", "resume")
-        ),
         # Lifecycle flag: set once on the teardown paths.
         "_closed": _rule((), ("__init__", "close", "kill")),
     },
