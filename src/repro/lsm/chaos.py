@@ -89,7 +89,6 @@ class ChaosOptions:
     breaker_enabled: bool = True
     max_worker_restarts: int = 3
     max_queue_depth: int = 256
-    coalescing_window_s: float = 0.0005
     # Fault schedule (all faults disabled when ``inject_faults`` is off).
     inject_faults: bool = True
     fault_period_s: float = 0.02   # injector tick
@@ -326,7 +325,6 @@ class _Harness:
             breaker_enabled=options.breaker_enabled,
             max_worker_restarts=options.max_worker_restarts,
             max_queue_depth=options.max_queue_depth,
-            coalescing_window_s=options.coalescing_window_s,
             breaker_backoff_initial_s=0.02,
             breaker_backoff_max_s=0.2,
         )

@@ -8,11 +8,12 @@ batch API that **coalesces** concurrent ``get`` / ``multi_get`` /
 ``range_query`` calls into the store's existing batched read paths:
 
 * every shard owns a request queue and one worker thread;
-* point lookups submitted by any number of client threads within one
-  *coalescing window* are drained as a single batch and answered with
-  **one** :meth:`DB.multi_get` — which already dedups keys, sweeps the
-  memtables once, and probes every run's filter with one
-  ``may_contain_batch`` per run;
+* the worker sleeps only on an empty queue (no timed wait for company:
+  docs/internals.md has what one costs under the GIL); the point lookups
+  client threads queued while it ran the previous batch are drained
+  together and answered with **one** :meth:`DB.multi_get` — which
+  already dedups keys, sweeps the memtables once, and probes every
+  run's filter with one ``may_contain_batch`` per run;
 * range queries split at shard boundaries
   (:meth:`ShardRouter.split_range`), run on the shards they touch, and
   reassemble in shard order (shards are contiguous, so concatenation is
@@ -34,10 +35,8 @@ silently and never by hanging:
   submit, or ``ServingOptions.default_deadline_s``).  Deadlines are
   enforced at dequeue — an expired request fails with
   :class:`~repro.errors.DeadlineExceededError` instead of occupying a
-  batch — and the coalescing linger spends at most half of what the
-  earliest deadline in the queue has left, so a request with a tight
-  deadline is served instead of timed out by its own batch window.  A
-  submitter blocked on a full queue gives up when its deadline passes.
+  batch.  A submitter blocked on a full queue gives up when its
+  deadline passes.
 * **Load shedding.** ``ServingOptions.queue_policy = "shed"`` rejects
   submits over ``max_queue_depth`` immediately with
   :class:`~repro.errors.QueueFullError` (counted in
@@ -113,15 +112,6 @@ class ServingOptions:
     #: Number of key-range shards (each one independent ``DB``).
     num_shards: int = 4
 
-    #: Explicit interior shard boundaries (``num_shards - 1`` strictly
-    #: increasing keys), or None for equal-width slices of the domain.
-    shard_boundaries: tuple[int, ...] | None = None
-
-    #: How long a shard worker lingers after the first queued request to
-    #: let concurrent callers join the batch.  0 disables coalescing
-    #: waits (the worker still batches whatever is already queued).
-    coalescing_window_s: float = 0.0002
-
     #: Ceiling on requests drained into one batch.
     max_batch_requests: int = 256
 
@@ -169,8 +159,6 @@ class ServingOptions:
         """Raise :class:`InvalidOptionsError` on inconsistent settings."""
         if self.num_shards < 1:
             raise InvalidOptionsError("num_shards must be >= 1")
-        if self.coalescing_window_s < 0:
-            raise InvalidOptionsError("coalescing_window_s must be >= 0")
         if self.max_batch_requests < 1:
             raise InvalidOptionsError("max_batch_requests must be >= 1")
         if self.max_queue_depth < 1:
@@ -447,10 +435,6 @@ class _Shard:
         self.stats = stats
         self._cond = threading.Condition()
         self._queue: deque[_Request] = deque()
-        # Earliest deadline among queued requests (None when no queued
-        # request carries one), maintained O(1) at submit so the linger
-        # loop never rescans the queue; re-derived after each drain.
-        self._queue_earliest: float | None = None
         self._inflight: list[_Request] = []
         self._closed = False
         self._worker_dead = False
@@ -509,11 +493,6 @@ class _Shard:
                     self._cond.wait(timeout)
                 self._check_accepting_locked()
             self._queue.append(request)
-            if request.deadline is not None and (
-                self._queue_earliest is None
-                or request.deadline < self._queue_earliest
-            ):
-                self._queue_earliest = request.deadline
             self.stats.observe_max("max_queue_depth", len(self._queue))
             self._cond.notify_all()
 
@@ -687,16 +666,15 @@ class _Shard:
             self._on_worker_crash(exc)
 
     def _next_batch(self) -> list[_Request] | None:
-        """Drain one batch, lingering up to the coalescing window.
+        """Drain what is queued as one batch; sleep only on an empty queue.
 
-        The linger spends at most half of what the earliest deadline in
-        the queue had left when the linger began — the other half is the
-        batch's time to execute, and absorbs a late wake-up — and requests
-        whose deadline already passed are failed fast at drain time
-        instead of joining the batch.  Returns None only at shutdown with
-        an empty queue — a non-empty queue at shutdown is still drained so
-        no future is left dangling — and an empty list when everything
-        drained had expired (the caller just loops).
+        The batch is what piled up behind the previous one, up to
+        ``max_batch_requests`` / ``_MAX_BATCH_KEYS``; requests whose
+        deadline already passed are failed fast at drain time instead of
+        joining it.  Returns None only at shutdown with an empty queue — a
+        non-empty queue at shutdown is still drained so no future is left
+        dangling — and an empty list when everything drained had expired
+        (the caller just loops).
         """
         opts = self.options
         expired: list[_Request] = []
@@ -713,17 +691,6 @@ class _Shard:
                 raise fault
             if not self._queue:
                 return None  # closed and drained
-            if opts.coalescing_window_s > 0 and not self._closed:
-                started = time.monotonic()
-                linger_until = started + opts.coalescing_window_s
-                while len(self._queue) < opts.max_batch_requests:
-                    limit = linger_until
-                    if self._queue_earliest is not None:
-                        limit = min(limit, (started + self._queue_earliest) / 2)
-                    remaining = limit - time.monotonic()
-                    if remaining <= 0 or self._closed:
-                        break
-                    self._cond.wait(remaining)
             batch: list[_Request] = []
             keys = 0
             now = time.monotonic()
@@ -737,14 +704,6 @@ class _Shard:
                     break
                 batch.append(self._queue.popleft())
                 keys += weight
-            self._queue_earliest = min(
-                (
-                    r.deadline
-                    for r in self._queue
-                    if r.deadline is not None
-                ),
-                default=None,
-            )
             self._inflight = batch
             self._cond.notify_all()  # wake submitters blocked on depth
         if expired:
@@ -764,13 +723,13 @@ class _Shard:
         coalescing payoff); range requests then run in arrival order.
         """
         try:
+            self.stats.observe_max("max_batch_requests", len(batch))
             point_requests = [
                 r for r in batch if r.kind in ("point", "multi")
             ]
             point_keys = [key for r in point_requests for key in r.keys]
             if point_keys:
                 self.stats.add(batches=1, batched_keys=len(point_keys))
-                self.stats.observe_max("max_batch_requests", len(batch))
                 self.stats.observe_max("max_batch_keys", len(point_keys))
                 if len(point_requests) >= 2:
                     self.stats.add(
@@ -819,7 +778,6 @@ class _Shard:
             self._inflight = []
             victims.extend(self._queue)
             self._queue.clear()
-            self._queue_earliest = None
             self._cond.notify_all()
         self.stats.add(worker_crashes=1)
         failure = WorkerCrashedError(
@@ -852,7 +810,6 @@ class _Shard:
         with self._cond:
             victims.extend(self._queue)
             self._queue.clear()
-            self._queue_earliest = None
             if leaked:
                 # The wedged worker owns these; it may still settle them,
                 # but the caller must not wait on it — fail them now
@@ -892,7 +849,7 @@ class ShardedServer:
 
     The ``*_async`` variants return :class:`concurrent.futures.Future`
     so a client can keep many requests in flight — which is exactly what
-    feeds the coalescing window.  Every read accepts ``deadline_s``
+    lets a batch pile up behind the worker.  Every read accepts ``deadline_s``
     (relative seconds; ``ServingOptions.default_deadline_s`` when
     omitted).
     """
@@ -907,11 +864,7 @@ class ShardedServer:
         self.serving.validate()
         base = db_options if db_options is not None else DBOptions()
         base.validate()
-        self.router = ShardRouter(
-            base.key_bits,
-            self.serving.num_shards,
-            self.serving.shard_boundaries,
-        )
+        self.router = ShardRouter(base.key_bits, self.serving.num_shards)
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
         self._closed = False

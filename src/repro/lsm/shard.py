@@ -9,8 +9,7 @@ shards whose spans it overlaps, and concatenating their (sorted) partial
 answers in shard order yields the globally sorted result with no merge.
 
 Boundaries default to equal-width slices of the domain; callers with a
-skewed keyspace can pass explicit interior boundaries instead (the
-serving layer exposes this as ``ServingOptions.shard_boundaries``).
+skewed keyspace can pass explicit interior boundaries instead.
 """
 
 from __future__ import annotations

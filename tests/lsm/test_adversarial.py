@@ -391,7 +391,7 @@ class TestServingGauges:
                 filter_salt_seed=SALT_SEED,
                 quarantine_filters=True,
             ),
-            ServingOptions(num_shards=2, coalescing_window_s=0.0),
+            ServingOptions(num_shards=2),
         )
         server.put(1, b"a")
         server.put(DOMAIN - 2, b"b")
@@ -410,7 +410,7 @@ class TestServingGauges:
                 quarantine_fpr_multiple=2.0,
                 quarantine_min_probes=40,
             ),
-            ServingOptions(num_shards=2, coalescing_window_s=0.0),
+            ServingOptions(num_shards=2),
         )
         # Load shard 0's key span and flush it to a filtered run.
         span = server.router.span(0)

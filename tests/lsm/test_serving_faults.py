@@ -1,13 +1,13 @@
 """Serving-layer fault tolerance: deadlines, shedding, breaker, crashes.
 
 The contract under test: every way a request can fail is *typed*, *fast*,
-and *accounted* — deadlines are enforced at dequeue and bound the
-coalescing linger; a full queue sheds or blocks (bounded by the
-deadline) per ``queue_policy``; a degraded shard trips its circuit
-breaker (writes fail fast, reads pass, the supervisor heals it); a
-crashed drain worker strands nothing (satellite regression: blocked
-submitters used to hang forever) and is restarted within its budget; and
-``close()`` reports a stuck worker instead of silently leaking it.
+and *accounted* — deadlines are enforced at dequeue; a full queue sheds
+or blocks (bounded by the deadline) per ``queue_policy``; a degraded
+shard trips its circuit breaker (writes fail fast, reads pass, the
+supervisor heals it); a crashed drain worker strands nothing (satellite
+regression: blocked submitters used to hang forever) and is restarted
+within its budget; and ``close()`` reports a stuck worker instead of
+silently leaking it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ def _db_options(**overrides) -> DBOptions:
 def _server(tmp_path, db_overrides=None, **serving_overrides) -> ShardedServer:
     serving = dict(
         num_shards=2,
-        coalescing_window_s=0.0,
         supervisor_poll_s=0.005,
         breaker_backoff_initial_s=0.01,
         breaker_backoff_max_s=0.05,
@@ -127,50 +126,26 @@ class TestOptionValidation:
 class TestDeadlines:
     def test_expired_in_queue_fails_at_dequeue(self, tmp_path) -> None:
         """A request whose deadline passes while queued behind a stuck
-        batch fails with DeadlineExceededError instead of executing."""
+        batch fails with DeadlineExceededError instead of executing, and
+        the live request queued with it is batched without it."""
         server = _server(tmp_path)
         blocker = None
         try:
             blocker = _wedge(server, 0)
             queued = server.get_async(_key_on(server, 0), deadline_s=0.05)
+            live = server.get_async(_key_on(server, 0))
             time.sleep(0.15)  # let the deadline lapse while queued
             blocker.release.set()
             with pytest.raises(DeadlineExceededError):
                 queued.result(timeout=5.0)
-            assert server.stats().deadline_misses == 1
+            assert live.result(timeout=5.0) is None
+            stats = server.stats()
+            assert stats.deadline_misses == 1
+            # The wedge's probe, then the live request alone.
+            assert (stats.batches, stats.batched_keys) == (2, 2)
         finally:
             if blocker is not None:
                 blocker.release.set()
-            server.close()
-
-    def test_linger_bounded_by_earliest_deadline(self, tmp_path) -> None:
-        """With a 5s coalescing window, a 0.3s-deadline request is still
-        served within its deadline — the linger stops early."""
-        server = _server(tmp_path, coalescing_window_s=5.0)
-        try:
-            server.put(7, b"v")
-            started = time.monotonic()
-            assert server.get(7, deadline_s=0.3) == b"v"
-            elapsed = time.monotonic() - started
-            assert elapsed < 2.0  # nowhere near the 5s window
-            assert server.stats().deadline_misses == 0
-        finally:
-            server.close()
-
-    def test_lone_request_lingers_half_its_budget(self, tmp_path) -> None:
-        """A lone request does not wait its deadline away for company: the
-        linger stops halfway to the deadline, so the answer arrives with
-        the other half of the budget to spare (a linger that ran to 1 ms
-        before the deadline turned any late wake-up into a miss)."""
-        server = _server(tmp_path, coalescing_window_s=5.0)
-        try:
-            server.put(7, b"v")
-            started = time.monotonic()
-            assert server.get(7, deadline_s=0.3) == b"v"
-            elapsed = time.monotonic() - started
-            assert 0.1 < elapsed < 0.25  # lingered ~0.15 s, not ~0.3 s
-            assert server.stats().deadline_misses == 0
-        finally:
             server.close()
 
     def test_default_deadline_applies(self, tmp_path) -> None:

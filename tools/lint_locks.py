@@ -97,7 +97,6 @@ RULES: dict[str, dict[str, Rule]] = {
     # server's own closed flag is single-writer on the teardown path.
     "_Shard": {
         "_queue": _rule(("_cond",), ("__init__",)),
-        "_queue_earliest": _rule(("_cond",), ("__init__",)),
         "_closed": _rule(("_cond",), ("__init__",)),
         "_worker_dead": _rule(("_cond",), ("__init__",)),
         "_inflight": _rule(("_cond",), ("__init__",)),

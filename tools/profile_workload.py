@@ -13,6 +13,12 @@ cumulative time, and function calls per op.  Threads started while the
 profile is on (serving workers, ``serve-mixed`` clients) are profiled too
 and folded into the same table.
 
+With threads most of the table is waiting, not work.  ``W`` rows are a lock
+or condition wait itself (an idle serving worker, a client parked on a
+future); ``w`` rows enter a ``with <lock>:``, where cProfile sees no call, so
+the wait is charged to their *self* time (``DB.put``'s is mostly
+``_write_lock``).  The second footer line leaves the ``W`` rows out.
+
 cProfile charges every Python call and no native work, so the table ranks
 candidates; it is not a measurement.  Claim gains from the ledger
 (``benchmarks/ledger/run.py`` pairs + ``compare.py``), never from here.
@@ -27,7 +33,10 @@ sys.dont_write_bytecode = True  # like the ledger: leave the checkout as found
 
 import argparse
 import cProfile
+import inspect
+import linecache
 import pstats
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -107,6 +116,32 @@ def profile_phase(
     return profiler.stats(), ops
 
 
+_WAIT_PRIMITIVE = re.compile(r"<method '(acquire|__enter__)' of '_thread\.(lock|RLock)' objects>")
+_WITH_LOCK = re.compile(r"^\s*with\s+[\w.]*(lock|cond|mutex)", re.I | re.M)
+
+
+def wait_mark(func: tuple[str, int, str]) -> str:
+    """``W`` a lock wait itself, ``w`` self time includes one, else blank."""
+    path, line, name = func
+    if _WAIT_PRIMITIVE.fullmatch(name):
+        return "W"
+    source = linecache.getlines(path)[line - 1:]
+    if name.startswith("<") or not source:
+        return " "  # built-in, <genexpr>, <module>: no function body to read
+    return "w" if _WITH_LOCK.search("".join(inspect.getblock(source))) else " "
+
+
+def print_table(stats: pstats.Stats, order: str, top: int) -> None:
+    stats.sort_stats(order)
+    print(f"\ntop {top} by {order} (W = lock/condition wait, "
+          "w = self time includes the wait for a `with <lock>:`)")
+    print("   ncalls  tottime  cumtime     function")
+    for func in stats.fcn_list[:top]:
+        _, calls, self_s, cumulative_s, _ = stats.stats[func]
+        where = pstats.func_std_string((Path(func[0]).name, *func[1:]))
+        print(f"{calls:9d} {self_s:8.3f} {cumulative_s:8.3f}  {wait_mark(func)}  {where}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(ledger.WORKLOADS))
@@ -122,12 +157,18 @@ def main(argv: list[str] | None = None) -> int:
     stats, ops = profile_phase(
         args.workload, args.phase, args.seed, args.smoke, args.slices
     )
-    stats.strip_dirs()
     for order in ("tottime", "cumulative"):
-        stats.sort_stats(order).print_stats(args.top)
+        print_table(stats, order, args.top)
+    waited = sum(
+        row[2] for func, row in stats.stats.items() if _WAIT_PRIMITIVE.fullmatch(func[2])
+    )
     print(
-        f"{args.workload} {args.phase}: {ops} ops, {stats.total_calls} function calls "
+        f"\n{args.workload} {args.phase}: {ops} ops, {stats.total_calls} function calls "
         f"= {stats.total_calls / ops:.1f} calls per op, {stats.total_tt:.3f} profiled s"
+    )
+    print(
+        f"{stats.total_tt - waited:.3f} profiled s excluding lock/condition waits "
+        f"({waited:.3f} s in W rows; w rows hold more of it as self time)"
     )
     return 0
 
