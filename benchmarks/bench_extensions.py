@@ -2,10 +2,6 @@
 
 Quantifies the paper's qualitative side-claims and our extensions:
 
-* **Two filters per run** (§1): splitting a budget between a point Bloom
-  filter and a SuRF versus Rosetta serving both query types whole;
-* **Monkey budgets** ([24], cited in §1): optimal vs uniform cross-run
-  filter-memory allocation;
 * **Tiered compaction**: write savings vs the extra runs every query (and
   filter) must cover;
 * **Correlation sensitivity**: FPR as the query offset θ grows (Fig. 5(B)
@@ -14,36 +10,9 @@ Quantifies the paper's qualitative side-claims and our extensions:
 
 from repro.bench.experiments import (
     extension_correlation_offsets,
-    extension_monkey,
     extension_tiered_vs_leveled,
-    extension_two_filters,
 )
 from repro.bench.report import emit
-
-
-def test_two_filters_vs_rosetta(benchmark, scale):
-    """Rosetta matches the combined filter on both query types at equal
-    memory — without paying for two structures."""
-    _, rows = benchmark.pedantic(
-        extension_two_filters, args=(scale,), rounds=1, iterations=1
-    )
-    emit("Extension — one filter vs two filters per run (22 bits/key)",
-         ("filter", "point_fpr", "range16_fpr", "bits_per_key"), rows)
-    cells = {r[0]: r for r in rows}
-    assert cells["rosetta"][1] <= cells["bloom+surf"][1] + 0.02
-    assert cells["rosetta"][2] <= cells["bloom+surf"][2] + 0.02
-
-
-def test_monkey_allocation(benchmark):
-    """Monkey-style budgets beat uniform whenever run sizes are skewed."""
-    _, rows = benchmark.pedantic(
-        extension_monkey, rounds=1, iterations=1
-    )
-    emit("Extension — Monkey vs uniform filter-memory allocation",
-         ("run layout", "fp-I/O improvement (x)"), rows)
-    improvements = dict(rows)
-    assert improvements["balanced (4 equal runs)"] == 1.0
-    assert improvements["leveled (ratio 10)"] > 1.5
 
 
 def test_tiered_vs_leveled(benchmark, scale):

@@ -1,16 +1,11 @@
 #!/usr/bin/env python3
-"""Mixed YCSB-E workload + extensions: Monkey budgets, tiered compaction.
+"""Mixed YCSB-E workload under leveled and tiered compaction.
 
 This example drives the store the way the paper's motivating applications
-do — a scan-majority YCSB-E mix with interleaved point reads — and then
-demonstrates two extensions built on the paper's citations:
-
-* **Monkey-style budgets** (Dayan et al. [24], cited in §1): with runs of
-  very different sizes, a global filter-memory pool is better spent giving
-  small runs more bits per key.
-* **Tiered compaction**: more runs per level means more filter instances
-  on every read path — exactly the regime where cheap, low-FPR filters
-  matter most.
+do — a scan-majority YCSB-E mix with interleaved point reads — once per
+compaction style.  Tiered compaction keeps more runs per level, so more
+filter instances sit on every read path — exactly the regime where cheap,
+low-FPR filters matter most.
 
 Run:  python examples/ycsb_mixed_workload.py
 """
@@ -22,7 +17,6 @@ import tempfile
 from repro.bench import make_factory, run_workload
 from repro.bench.endtoend import load_database
 from repro.bench.report import format_table
-from repro.core.monkey import MonkeyBudgetPolicy
 from repro.lsm import DBOptions
 from repro.workloads import WorkloadBuilder, generate_dataset
 
@@ -75,20 +69,7 @@ def main() -> None:
         title="Rosetta under leveled vs tiered compaction",
     ))
     print("\nTiered compaction keeps more runs alive; every run carries its")
-    print("own filter, so low FPR matters even more there.\n")
-
-    # Monkey: how should a global filter budget split across those runs?
-    policy = MonkeyBudgetPolicy(total_bits_per_key=10)
-    layout = [500, 5_000, 50_000]  # a typical leveled run-size layout
-    per_run = policy.budgets_for_layout(layout)
-    print(format_table(
-        ("run_size", "bits_per_key"),
-        [(size, f"{bpk:.1f}") for size, bpk in zip(layout, per_run)],
-        title="Monkey-style filter budgets (10 bits/key global pool)",
-    ))
-    gain = policy.improvement_over_uniform(layout)
-    print(f"\nExpected false-positive I/Os per point lookup improve "
-          f"{gain:.2f}x over a uniform split.")
+    print("own filter, so low FPR matters even more there.")
 
 
 if __name__ == "__main__":

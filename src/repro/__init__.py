@@ -4,8 +4,8 @@ Pure-Python reproduction of Luo et al., SIGMOD 2020.  The package bundles:
 
 * :mod:`repro.core` — the Rosetta filter, its memory-allocation strategies,
   adaptive tuning, and the paper's theoretical models;
-* :mod:`repro.filters` — every baseline (SuRF, Prefix Bloom, Bloom, fence
-  pointers, Cuckoo) behind one master filter template;
+* :mod:`repro.filters` — every baseline the paper evaluates (SuRF, Prefix
+  Bloom, Bloom, fence pointers) behind one master filter template;
 * :mod:`repro.lsm` — an LSM-tree key-value store substrate with per-run
   filters, leveled compaction, block cache, and iterator hierarchy;
 * :mod:`repro.workloads` — YCSB-style key/query generators (uniform,

@@ -51,8 +51,6 @@ __all__ = [
     "fig9_memory_hierarchy",
     "fig10_strings",
     "theory_validation",
-    "extension_two_filters",
-    "extension_monkey",
     "extension_correlation_offsets",
     "extension_tiered_vs_leveled",
 ]
@@ -314,7 +312,6 @@ def fig7_point_queries(
     scale: Scale | None = None,
     filters: tuple[str, ...] = (
         "rosetta", "bloom", "surf-hash", "surf-real", "prefix-bloom",
-        "cuckoo", "quotient",
     ),
     bits_per_key_sweep: tuple[float, ...] = (10, 12, 14, 16, 18, 20),
 ):
@@ -560,43 +557,6 @@ def _dataset_anchored_ranges(
 # ======================================================================
 # Extensions (see DESIGN.md §4b)
 # ======================================================================
-
-def extension_two_filters(scale: Scale | None = None, bits_per_key: float = 22.0):
-    """One filter vs two filters per run (§1's tradeoff), at equal memory."""
-    from repro.bench.harness import measure_filter
-
-    scale = scale or Scale.default()
-    dataset = generate_dataset(scale.num_keys, _KEY_BITS, seed=301)
-    keys = [int(k) for k in dataset.keys]
-    builder = WorkloadBuilder(keys, _KEY_BITS, seed=302)
-    points = builder.empty_point_queries(scale.num_queries * 2)
-    ranges = builder.empty_range_queries(scale.num_queries, 16)
-    rows = []
-    for name in ("rosetta", "bloom+surf"):
-        factory = make_factory(name, _KEY_BITS, bits_per_key, max_range=64,
-                               range_size_histogram={16: 1})
-        point_m = measure_filter(factory.build, keys, points, name=name)
-        range_m = measure_filter(factory.build, keys, ranges, name=name)
-        rows.append((name, point_m.fpr, range_m.fpr, range_m.bits_per_key))
-    return ("filter", "point_fpr", "range16_fpr", "bits_per_key"), rows
-
-
-def extension_monkey():
-    """Monkey vs uniform cross-run filter-memory allocation."""
-    from repro.core.monkey import MonkeyBudgetPolicy
-
-    policy = MonkeyBudgetPolicy(total_bits_per_key=10)
-    layouts = {
-        "balanced (4 equal runs)": [25_000] * 4,
-        "leveled (ratio 10)": [100, 1_000, 10_000, 100_000],
-        "tiered (mixed tiers)": [500] * 4 + [50_000] * 2,
-    }
-    rows = [
-        (label, round(policy.improvement_over_uniform(sizes), 3))
-        for label, sizes in layouts.items()
-    ]
-    return ("run layout", "fp-I/O improvement (x)"), rows
-
 
 def extension_correlation_offsets(
     scale: Scale | None = None,

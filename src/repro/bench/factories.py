@@ -8,7 +8,6 @@ budget:
 * ``surf`` / ``surf-hash`` / ``surf-real`` / ``surf-base`` — Zhang et al.;
 * ``prefix-bloom`` — RocksDB's built-in range helper;
 * ``bloom`` — RocksDB's default point filter;
-* ``cuckoo`` — hash-based point baseline;
 * ``fence`` — no filter at all (fence pointers only): pass ``None`` to the
   store, or use the standalone :class:`FencePointerFilter` model.
 """
@@ -20,11 +19,8 @@ from typing import Mapping, Sequence
 from repro.errors import WorkloadError
 from repro.filters.base import FilterFactory, KeyFilter
 from repro.filters.bloom_point import BloomPointFilter
-from repro.filters.combined import CombinedPointRangeFilter
-from repro.filters.cuckoo import CuckooFilter
 from repro.filters.fence import FencePointerFilter
 from repro.filters.prefix_bloom import PrefixBloomFilter
-from repro.filters.quotient import QuotientFilter
 from repro.filters.rosetta_adapter import RosettaFilter
 from repro.filters.surf.surf import SurfFilter
 
@@ -43,18 +39,14 @@ FILTER_NAMES = (
     "surf-base",
     "prefix-bloom",
     "bloom",
-    "bloom+surf",
-    "cuckoo",
-    "quotient",
     "fence",
 )
 
 
 #: Recipes whose filters hash their keys and therefore accept a per-SST
 #: salt (and a rebuild-time bits-per-key override).  Structural recipes —
-#: the SuRF variants, the fence-pointer pseudo-filter, and ``bloom+surf``
-#: (its SuRF half is structural) — derive their layout from the keys
-#: themselves, so their builders deliberately take no ``salt`` parameter
+#: the SuRF variants and the fence-pointer pseudo-filter — derive their
+#: layout from the keys themselves, so their builders deliberately take no ``salt`` parameter
 #: and :meth:`FilterFactory.build` raises if one is supplied.
 _SALTABLE = frozenset(
     {
@@ -66,8 +58,6 @@ _SALTABLE = frozenset(
         "rosetta-equilibrium",
         "prefix-bloom",
         "bloom",
-        "cuckoo",
-        "quotient",
     }
 )
 
@@ -146,24 +136,12 @@ def _instantiate(
         return SurfFilter(
             key_bits=key_bits, variant=variant, bits_per_key=bits_per_key
         )
-    if name == "bloom+surf":
-        return CombinedPointRangeFilter(
-            key_bits=key_bits, bits_per_key=bits_per_key
-        )
     if name == "prefix-bloom":
         return PrefixBloomFilter(
             key_bits=key_bits, bits_per_key=bits_per_key, salt=salt
         )
     if name == "bloom":
         return BloomPointFilter(
-            key_bits=key_bits, bits_per_key=bits_per_key, salt=salt
-        )
-    if name == "cuckoo":
-        return CuckooFilter(
-            key_bits=key_bits, bits_per_key=bits_per_key, salt=salt
-        )
-    if name == "quotient":
-        return QuotientFilter(
             key_bits=key_bits, bits_per_key=bits_per_key, salt=salt
         )
     if name == "fence":

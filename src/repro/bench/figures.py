@@ -51,8 +51,6 @@ FIGURES: dict[str, Callable[[], tuple]] = {
         lambda: experiments.fig8_tradeoff(range_size=16)
     ),
     "§3 — theory validation": experiments.theory_validation,
-    "Extension — two filters per run": experiments.extension_two_filters,
-    "Extension — Monkey budgets": experiments.extension_monkey,
     "Extension — correlation offsets": (
         experiments.extension_correlation_offsets
     ),

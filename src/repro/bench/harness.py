@@ -69,20 +69,12 @@ def measure_filter(
     keys: Sequence[int],
     workload: Workload,
     name: str | None = None,
-    batch_size: int | None = None,
 ) -> FilterMeasurement:
     """Build a filter over ``keys`` and drive ``workload`` through it.
 
     ``workload`` must contain only empty queries (the standard filter
     evaluation setting); every positive verdict is counted as a false
     positive.
-
-    ``batch_size`` switches probing to the filter's bulk APIs
-    (:meth:`~repro.filters.base.KeyFilter.may_contain_batch` /
-    :meth:`~repro.filters.base.KeyFilter.may_contain_range_batch`),
-    grouping consecutive same-kind queries into chunks of at most that
-    many — the frontier-engine fast path for Rosetta.  Verdict counts are
-    identical to the scalar loop; only the probing mechanics change.
     """
     keys = list(keys)
     start = time.perf_counter()
@@ -92,25 +84,13 @@ def measure_filter(
     filt.reset_probe_count()
     positives = 0
     start = time.perf_counter()
-    if batch_size is not None and batch_size > 0:
-        for kind, lows, highs in _chunked_queries(workload, batch_size):
-            if kind == "point":
-                positives += sum(map(bool, filt.may_contain_batch(lows)))
-            else:
-                positives += sum(
-                    map(bool, filt.may_contain_range_batch(lows, highs))
-                )
-    else:
-        for query in workload:
-            if query.kind == "point":
-                positives += filt.may_contain(query.low)
-            else:
-                positives += filt.may_contain_range(query.low, query.high)
+    for query in workload:
+        if query.kind == "point":
+            positives += filt.may_contain(query.low)
+        else:
+            positives += filt.may_contain_range(query.low, query.high)
     probe_seconds = time.perf_counter() - start
 
-    metadata = dict(workload.metadata)
-    if batch_size is not None:
-        metadata["batch_size"] = batch_size
     return FilterMeasurement(
         filter_name=name if name is not None else filt.name,
         num_keys=len(set(keys)),
@@ -120,24 +100,8 @@ def measure_filter(
         positives=positives,
         probe_seconds=probe_seconds,
         internal_probes=filt.probe_count(),
-        metadata=metadata,
+        metadata=dict(workload.metadata),
     )
-
-
-def _chunked_queries(workload: Workload, batch_size: int):
-    """Yield ``(kind, lows, highs)`` runs of consecutive same-kind queries."""
-    kind: str | None = None
-    lows: list[int] = []
-    highs: list[int] = []
-    for query in workload:
-        if query.kind != kind or len(lows) >= batch_size:
-            if lows:
-                yield kind, lows, highs
-            kind, lows, highs = query.kind, [], []
-        lows.append(query.low)
-        highs.append(query.high)
-    if lows:
-        yield kind, lows, highs
 
 
 def end_to_end_latency_model(

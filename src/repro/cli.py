@@ -39,8 +39,6 @@ _EXPERIMENTS = {
         workload=args.workload, range_size=min(args.range_size, 16)
     ),
     "theory": lambda args: experiments.theory_validation(),
-    "ext-twofilters": lambda args: experiments.extension_two_filters(),
-    "ext-monkey": lambda args: experiments.extension_monkey(),
     "ext-correlation": lambda args: experiments.extension_correlation_offsets(),
     "ext-tiered": lambda args: experiments.extension_tiered_vs_leveled(),
 }

@@ -18,7 +18,6 @@ from repro.core.allocation import STRATEGIES, LevelAllocation, allocate
 from repro.core.bitarray import BitArray
 from repro.core.bloom import BloomFilter, bits_for_fpr, fpr_for_bits, optimal_num_hashes
 from repro.core.dyadic import DyadicInterval, decompose, max_intervals_for_range
-from repro.core.monkey import MonkeyBudgetPolicy, allocate_run_budgets
 from repro.core.rosetta import ProbeStats, Rosetta
 from repro.core.tuning import AutoTuner, TuningDecision, WorkloadTracker
 
@@ -28,14 +27,12 @@ __all__ = [
     "BloomFilter",
     "DyadicInterval",
     "LevelAllocation",
-    "MonkeyBudgetPolicy",
     "ProbeStats",
     "Rosetta",
     "STRATEGIES",
     "TuningDecision",
     "WorkloadTracker",
     "allocate",
-    "allocate_run_budgets",
     "bits_for_fpr",
     "decompose",
     "fpr_for_bits",

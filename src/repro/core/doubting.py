@@ -62,7 +62,7 @@ class FrontierResult:
     bulk_probe_calls: int
 
 
-def _decompose_chunk_reference(
+def _decompose_chunk(
     cursor: int, high: int, max_height: int, max_leaves: int
 ) -> tuple[list[tuple[int, int, int]], int, int]:
     """Greedy dyadic decomposition of ``[cursor, high]``, budget-limited.
@@ -75,8 +75,10 @@ def _decompose_chunk_reference(
     a huge span never costs a Python iteration per block.  Always makes
     progress: at least one block is emitted even if it overshoots the budget.
 
-    This is the original scalar walk, kept as the oracle for the closed-form
-    :func:`_decompose_chunk` (the parity tests compare the two bit for bit).
+    :func:`doubt_frontier` uses it for the query that straddles a round's
+    budget (it stops as soon as the budget is spent) and for trees of
+    height 64 or more, which :func:`_decompose_batch` does not take; it is
+    also the oracle :func:`_decompose_batch` is tested against.
     """
     segments: list[tuple[int, int, int]] = []
     leaves = 0
@@ -118,115 +120,6 @@ def _climb_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _decompose_chunk(
-    cursor: int, high: int, max_height: int, max_leaves: int
-) -> tuple[list[tuple[int, int, int]], int, int]:
-    """Budget-limited dyadic decomposition of ``[cursor, high]``.
-
-    Dispatches between the scalar greedy walk and the closed form: the
-    closed form computes the entire cover at once, so it only wins when
-    the cover is needed in full (no budget cut) and the climbs are tall
-    enough to amortize the NumPy dispatch overhead.  Budget-cut calls
-    (where the walk early-exits) and short trees stay scalar.  Batches of
-    full-span queries go through :func:`_decompose_batch` instead, which
-    amortizes that overhead across the whole round.
-    """
-    if max_height >= 48 and high - cursor < max_leaves:
-        return _decompose_chunk_closed(cursor, high, max_height, max_leaves)
-    return _decompose_chunk_reference(cursor, high, max_height, max_leaves)
-
-
-def _decompose_chunk_closed(
-    cursor: int, high: int, max_height: int, max_leaves: int
-) -> tuple[list[tuple[int, int, int]], int, int]:
-    """Closed-form dyadic decomposition of ``[cursor, high]``, budget-limited.
-
-    Bit-for-bit replacement for :func:`_decompose_chunk_reference`.  The
-    greedy largest-aligned-block walk produces exactly the canonical dyadic
-    cover, which has a closed form: with ``l_h = ceil(cursor / 2**h)`` and
-    ``r_h = floor((high + 1) / 2**h)``, the cover holds
-
-    * a *left-climb* block ``(h, l_h)`` at every height ``h < max_height``
-      where ``l_h`` is odd and ``l_h < r_h`` (ascending heights, in cursor
-      order);
-    * a *middle run* of ``r_H - l_H`` full-height blocks at
-      ``H = max_height``;
-    * a *right-climb* block ``(h, r_h - 1)`` at every height where ``r_h``
-      is odd and a block still fits after the left climb
-      (``r_h > l_h + (l_h odd)``), descending heights.
-
-    Both sequences are evaluated for all heights at once with two NumPy
-    expressions instead of a per-block loop; only the final budget trim
-    stays scalar.  Height 0 and the middle run use Python ints so a
-    ``2**64 - 1`` bound never overflows ``uint64`` arithmetic.
-    """
-    if cursor > high or max_leaves <= 0:
-        return [], cursor, 0
-    ordered: list[tuple[int, int, int]] = []
-    if cursor & 1 and max_height > 0:
-        ordered.append((0, cursor, 1))
-    # Heights above 64 can never emit a climb block for sub-2**64 bounds
-    # (l_h is at most 1 there, and r_h can never exceed it by 2); height 64
-    # itself fires only for the full-domain query, handled below.
-    top = min(max_height, 64)
-    right_blocks: list[tuple[int, int]] = []
-    if top > 1:
-        heights, masks = _climb_tables(top)
-        start = np.uint64(cursor)
-        stop = np.uint64(high)
-        lo = (start >> heights) + ((start & masks) != 0)
-        hi = (stop >> heights) + ((stop & masks) == masks)
-        odd = np.uint64(1)
-        lo_odd = (lo & odd) != 0
-        left_idx = np.nonzero(lo_odd & (lo < hi))[0]
-        right_idx = np.nonzero(
-            ((hi & odd) != 0) & (hi > lo + lo_odd)
-        )[0]
-        if left_idx.size:
-            ordered.extend(
-                (h + 1, p, 1)
-                for h, p in zip(
-                    left_idx.tolist(), lo[left_idx].tolist()
-                )
-            )
-        if right_idx.size:
-            right_blocks = list(
-                zip(right_idx.tolist(), hi[right_idx].tolist())
-            )
-    mid_low = (cursor + (1 << max_height) - 1) >> max_height
-    mid_high = (high + 1) >> max_height
-    if mid_high > mid_low:
-        ordered.append((max_height, mid_low, mid_high - mid_low))
-    if max_height > 64 and cursor == 0 and high == int(_U64_MAX):
-        # Full 64-bit domain under a taller tree: r_64 = 1 (odd), l_64 = 0,
-        # so the canonical cover is exactly one height-64 block — and
-        # nothing else can coexist with it.
-        ordered.append((64, 0, 1))
-    for idx, bound in reversed(right_blocks):
-        ordered.append((idx + 1, bound - 1, 1))
-    if (
-        max_height > 0
-        and high & 1 == 0
-        and high >= cursor + (cursor & 1)
-    ):
-        ordered.append((0, high, 1))
-
-    # Budget trim, same rules as the greedy walk: whole blocks always land
-    # (the first may overshoot), only a middle run is count-truncated.
-    segments: list[tuple[int, int, int]] = []
-    leaves = 0
-    for height, first, count in ordered:
-        if leaves >= max_leaves:
-            break
-        if count > 1:
-            block = 1 << height
-            budgeted = max(1, -(-(max_leaves - leaves) // block))
-            count = min(count, budgeted)
-        segments.append((height, first, count))
-        leaves += count << height
-    return segments, cursor + leaves, leaves
-
-
 def _decompose_batch(
     cursors: Sequence[int], highs: Sequence[int], tops: Sequence[int]
 ) -> list[list[tuple[int, int, int]]]:
@@ -234,12 +127,23 @@ def _decompose_batch(
 
     Returns, per query, the same segment list as
     ``_decompose_chunk(cursor, high, top, span)`` with an unconstraining
-    budget — the whole cover, in cursor order.  The left/right climb
-    formulas of :func:`_decompose_chunk_closed` are evaluated for every
-    query simultaneously on a ``(queries, heights)`` matrix, which is what
-    amortizes NumPy's per-call overhead: this is the hot path of the round
-    assembly in :func:`doubt_frontier`, where per-query scalar walks used
-    to dominate the whole batch sweep.
+    budget — the whole cover, in cursor order.  The greedy walk produces
+    exactly the canonical dyadic cover, which has a closed form: with
+    ``l_h = ceil(cursor / 2**h)`` and ``r_h = floor((high + 1) / 2**h)``,
+    the cover holds
+
+    * a *left-climb* block ``(h, l_h)`` at every height ``h < top`` where
+      ``l_h`` is odd and ``l_h < r_h`` (ascending heights, in cursor order);
+    * a *middle run* of ``r_top - l_top`` full-height blocks;
+    * a *right-climb* block ``(h, r_h - 1)`` at every height where ``r_h``
+      is odd and a block still fits after the left climb
+      (``r_h > l_h + (l_h odd)``), descending heights.
+
+    Both climbs are evaluated for every query simultaneously on a
+    ``(queries, heights)`` matrix, which is what amortizes NumPy's per-call
+    overhead: this is the hot path of the round assembly in
+    :func:`doubt_frontier`, where per-query scalar walks used to dominate
+    the whole batch sweep.
 
     Callers guarantee ``cursor <= high`` and ``0 <= top < 64`` per query.
     """
@@ -340,11 +244,11 @@ def doubt_frontier(
         #    until the leaf budget is spent.  Queries whose whole remaining
         #    span fits the budget are decomposed together with one batched
         #    closed-form evaluation (per-query scalar walks used to
-        #    dominate the sweep); only the budget-boundary query falls back
-        #    to the scalar, early-exiting walk.  Segments stay scalar
-        #    triples here; they are materialized into arrays once per level
-        #    below.  A query already answered positive by an earlier round
-        #    is dropped: that is the early exit.
+        #    dominate the sweep); the budget-boundary query, and every
+        #    query of a tree of height >= 64, take the scalar, early-exiting
+        #    walk.  Segments stay scalar triples here; they are materialized
+        #    into arrays once per level below.  A query already answered
+        #    positive by an earlier round is dropped: that is the early exit.
         budget_left = CHUNK_LEAVES
         round_segments: list[tuple[int, list[tuple[int, int, int]]]] = []
         batched: list[int] = []

@@ -1,8 +1,8 @@
 """Filter implementations behind the master filter template (paper §4).
 
 Rosetta (the paper's contribution) plus every baseline it is evaluated
-against: SuRF [74], Prefix Bloom filters [33], plain Bloom filters [10],
-fence pointers, and a Cuckoo filter [37] for the hash-based-filter taxonomy.
+against in §5: SuRF [74], Prefix Bloom filters [33], plain Bloom filters
+[10] and fence pointers.
 """
 
 from repro.filters.base import (
@@ -13,23 +13,17 @@ from repro.filters.base import (
     serialize_envelope,
 )
 from repro.filters.bloom_point import BloomPointFilter
-from repro.filters.combined import CombinedPointRangeFilter
-from repro.filters.cuckoo import CuckooFilter
 from repro.filters.fence import FencePointerFilter
 from repro.filters.prefix_bloom import PrefixBloomFilter
-from repro.filters.quotient import QuotientFilter
 from repro.filters.rosetta_adapter import RosettaFilter
 from repro.filters.surf import SuRF, SurfFilter
 
 __all__ = [
     "BloomPointFilter",
-    "CombinedPointRangeFilter",
-    "CuckooFilter",
     "FencePointerFilter",
     "FilterFactory",
     "KeyFilter",
     "PrefixBloomFilter",
-    "QuotientFilter",
     "RosettaFilter",
     "SuRF",
     "SurfFilter",

@@ -5,8 +5,8 @@ filter functionalities — populating the filter, querying the filter about the
 existence of one or more keys (point lookups and range scans), and
 serializing and deserializing the filter contents and its structure."
 
-Every filter in this library — Rosetta, SuRF, Prefix Bloom, plain Bloom,
-fence-pointer pseudo-filter, Cuckoo — implements :class:`KeyFilter` through a
+Every filter in this library — Rosetta, SuRF, Prefix Bloom, plain Bloom and
+the fence-pointer pseudo-filter — implements :class:`KeyFilter` through a
 small adapter so the LSM-tree store (:mod:`repro.lsm`) and the benchmark
 harness can swap them freely.  Adapters operate on *integer keys* in a
 ``2^key_bits`` domain; the workload layer provides codecs between application

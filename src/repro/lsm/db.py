@@ -259,7 +259,6 @@ class DB:
         env_factory = self.options.env_factory or StorageEnv
         self._env = env_factory(path, self.options.device, self.stats)
         self._env.retry_attempts = self.options.io_retry_attempts
-        self._env.retry_backoff_ns = self.options.io_retry_backoff_ns
         self._cache = BlockCache(self.options.block_cache_bytes)
         self._filter_dictionary = FilterDictionary(
             enabled=self.options.use_filter_dictionary,

@@ -84,6 +84,11 @@ DEVICE_PRESETS: dict[str, DeviceModel] = {
 }
 
 
+#: Modeled backoff charged for the first retry of a transiently failing
+#: read, doubling each further attempt (see :meth:`StorageEnv._retry_read`).
+RETRY_BACKOFF_NS = 1_000_000
+
+
 class StorageEnv:
     """File I/O gateway charging modeled device time into :class:`PerfStats`.
 
@@ -115,12 +120,10 @@ class StorageEnv:
         self.root = root
         self.stats = stats if stats is not None else PerfStats()
         #: Bounded retry policy for *transient* read errors: how many extra
-        #: attempts one block read gets, and the (modeled, exponential)
-        #: backoff charged per retry.  The DB wires these from
-        #: ``DBOptions.io_retry_attempts`` / ``io_retry_backoff_ns``; a bare
-        #: env retries nothing.
+        #: attempts one block read gets (each charged
+        #: :data:`RETRY_BACKOFF_NS`, doubling).  The DB wires it from
+        #: ``DBOptions.io_retry_attempts``; a bare env retries nothing.
         self.retry_attempts = 0
-        self.retry_backoff_ns = 0
         #: Scheduler hook fired at the top of every durable operation
         #: (write/append/sync/delete).  The DB points this at
         #: ``scheduler.sync_point`` when a concurrent scheduler is active,
@@ -284,7 +287,7 @@ class StorageEnv:
                 # lands in the same bucket as device latency.
                 self.stats.add(
                     io_retries=1,
-                    block_read_time_ns=self.retry_backoff_ns << attempt,
+                    block_read_time_ns=RETRY_BACKOFF_NS << attempt,
                 )
                 attempt += 1
 

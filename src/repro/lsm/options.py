@@ -126,12 +126,10 @@ class DBOptions:
 
     # -- Online fault handling ------------------------------------------
     #: Extra attempts a transiently failing block read gets before the
-    #: error propagates (0 disables retrying).
+    #: error propagates (0 disables retrying).  Each retry charges a
+    #: modeled backoff (``repro.lsm.env.RETRY_BACKOFF_NS``, doubling per
+    #: attempt) into ``PerfStats.block_read_time_ns``; no real sleep.
     io_retry_attempts: int = 3
-
-    #: Modeled backoff charged per retry, doubling each attempt (charged
-    #: into ``PerfStats.block_read_time_ns``; no real sleep).
-    io_retry_backoff_ns: int = 1_000_000
 
     #: A corrupt/undecodable filter envelope marks that run filter-less and
     #: queries fall through to the data read (counted in
@@ -237,8 +235,6 @@ class DBOptions:
             raise InvalidOptionsError("quarantine_min_probes must be >= 1")
         if self.io_retry_attempts < 0:
             raise InvalidOptionsError("io_retry_attempts must be >= 0")
-        if self.io_retry_backoff_ns < 0:
-            raise InvalidOptionsError("io_retry_backoff_ns must be >= 0")
         if self.env_factory is not None and not callable(self.env_factory):
             raise InvalidOptionsError("env_factory must be callable or None")
         if self.max_background_jobs < 0:

@@ -26,6 +26,7 @@ import pytest
 
 from repro.core import doubting
 from repro.core.bloom import BloomFilter, base_hash_arrays
+from repro.core.dyadic import decompose
 from repro.core.rosetta import Rosetta
 
 STRATEGIES = ("optimized", "single", "equilibrium", "uniform")
@@ -198,53 +199,10 @@ def test_survivors_hashed_match_scalar_probe(small_keys):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form dyadic decomposition parity (vs. the scalar greedy walk)
+# Dyadic decomposition: the greedy walk and the batched closed form
 # ---------------------------------------------------------------------------
 
 _U64_TOP = (1 << 64) - 1
-
-
-def _parity_case(lo, hi, max_height, budget):
-    got = doubting._decompose_chunk_closed(lo, hi, max_height, budget)
-    want = doubting._decompose_chunk_reference(lo, hi, max_height, budget)
-    assert got == want, (lo, hi, max_height, budget)
-
-
-def test_decompose_closed_matches_reference_exhaustive():
-    """Every (cursor, high, height, budget) over a small domain agrees."""
-    for max_height in range(5):
-        for lo in range(24):
-            for hi in range(lo, 24):
-                for budget in (1, 2, 5, 100):
-                    _parity_case(lo, hi, max_height, budget)
-
-
-def test_decompose_closed_matches_reference_random(rng):
-    for _ in range(2000):
-        bits = rng.choice([8, 16, 32, 48, 63, 64])
-        max_height = rng.choice([0, 1, bits // 2, bits, bits + 3])
-        hi = rng.randrange(1 << bits)
-        lo = rng.randrange(hi + 1)
-        budget = rng.choice([1, 10, 1 << 8, 1 << 16, 1 << 40])
-        _parity_case(lo, hi, max_height, budget)
-
-
-def test_decompose_closed_uint64_edges():
-    """The 2**64 - 1 bound and full-domain cover never overflow."""
-    top = _U64_TOP
-    for lo in (0, 1, top - 1, top, 1 << 63):
-        for hi in (1 << 63, top - 1, top):
-            if lo > hi:
-                continue
-            for max_height in (0, 1, 32, 64, 65, 80):
-                for budget in (1, 1 << 16, 1 << 70):
-                    _parity_case(lo, hi, max_height, budget)
-    # Full domain under a taller-than-64 tree: exactly one height-64 block.
-    segments, cursor, leaves = doubting._decompose_chunk_closed(
-        0, top, 66, 1 << 70
-    )
-    assert segments == [(64, 0, 1)]
-    assert cursor == 1 << 64 and leaves == 1 << 64
 
 
 def test_decompose_batch_matches_reference(rng):
@@ -261,7 +219,7 @@ def test_decompose_batch_matches_reference(rng):
         covers = doubting._decompose_batch(cursors, highs, tops)
         for lo, hi, top, got in zip(cursors, highs, tops, covers):
             span = hi - lo + 1
-            want = doubting._decompose_chunk_reference(lo, hi, top, span)[0]
+            want = doubting._decompose_chunk(lo, hi, top, span)[0]
             assert got == want, (lo, hi, top)
 
 
@@ -272,17 +230,30 @@ def test_decompose_batch_uint64_edges():
     covers = doubting._decompose_batch(cursors, highs, tops)
     for lo, hi, top, got in zip(cursors, highs, tops, covers):
         span = hi - lo + 1
-        want = doubting._decompose_chunk_reference(lo, hi, top, span)[0]
+        want = doubting._decompose_chunk(lo, hi, top, span)[0]
         assert got == want, (lo, hi, top)
 
 
 def test_decompose_dispatcher_budget_and_progress():
-    """The dispatcher front door keeps the walk's budget semantics."""
-    # Budget-cut call: exactly the scalar result, cursor mid-range.
+    """The walk ``doubt_frontier`` calls: a budget cut resumes where it
+    stopped, and the pieces rebuild the canonical dyadic cover."""
     segments, cursor, leaves = doubting._decompose_chunk(3, 1 << 20, 8, 64)
-    assert segments == doubting._decompose_chunk_reference(3, 1 << 20, 8, 64)[0]
-    assert cursor <= (1 << 20) and leaves >= 64
+    assert segments and cursor <= (1 << 20) and leaves >= 64
+    for low, high, max_height in (
+        (3, 1 << 20, 8), (5, 1000, 0), (0, _U64_TOP, 63), (1, _U64_TOP - 1, 64),
+    ):
+        want = [(i.height, i.prefix) for i in decompose(low, high, max_height)]
+        got, cursor = [], low
+        while cursor <= high:
+            segments, cursor, _ = doubting._decompose_chunk(
+                cursor, high, max_height, 1000
+            )
+            got.extend(
+                (height, first + k)
+                for height, first, count in segments
+                for k in range(count)
+            )
+        assert got == want, (low, high, max_height)
     # Degenerate calls make no progress and emit nothing.
     assert doubting._decompose_chunk(5, 4, 3, 10) == ([], 5, 0)
-    assert doubting._decompose_chunk_closed(5, 4, 3, 10) == ([], 5, 0)
-    assert doubting._decompose_chunk_closed(0, 100, 4, 0) == ([], 0, 0)
+    assert doubting._decompose_chunk(0, 100, 4, 0) == ([], 0, 0)

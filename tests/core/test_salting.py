@@ -4,8 +4,8 @@ Salting exists so a rebuilt filter stops honoring the false positives an
 adversary learned against its predecessor.  The contract under test:
 
 * salt 0 is the *bit-exact identity* — unsalted stores keep producing the
-  historical filter blocks (``RBF1`` for Bloom, trailer-less payloads for
-  cuckoo/quotient), so pre-salting serialized filters stay loadable;
+  historical filter blocks (``RBF1`` for Bloom), so pre-salting serialized
+  filters stay loadable;
 * a nonzero salt re-keys the FP set (learned FPs go stale) while never
   introducing false negatives, and survives a serialize/deserialize
   round-trip;
@@ -36,8 +36,6 @@ from repro.errors import (
 )
 from repro.filters.base import FilterFactory
 from repro.filters.bloom_point import BloomPointFilter
-from repro.filters.cuckoo import CuckooFilter
-from repro.filters.quotient import QuotientFilter
 from repro.filters.rosetta_adapter import RosettaFilter
 from repro.filters.surf.surf import SurfFilter
 from repro.lsm.options import DBOptions
@@ -192,7 +190,7 @@ class TestBloomSerializationVersioning:
 
 
 # ----------------------------------------------------------------------
-# Salted adapters: Rosetta, point Bloom, cuckoo, quotient
+# Salted adapters: Rosetta, point Bloom
 # ----------------------------------------------------------------------
 def _populated(filt, keys):
     filt.populate(keys)
@@ -211,14 +209,8 @@ class TestSaltedAdapters:
             lambda salt: BloomPointFilter(
                 key_bits=24, bits_per_key=10.0, salt=salt
             ),
-            lambda salt: CuckooFilter(
-                key_bits=24, bits_per_key=12.0, salt=salt
-            ),
-            lambda salt: QuotientFilter(
-                key_bits=24, bits_per_key=12.0, salt=salt
-            ),
         ],
-        ids=["rosetta", "bloom", "cuckoo", "quotient"],
+        ids=["rosetta", "bloom"],
     )
     def test_roundtrip_preserves_salt_and_membership(self, make):
         filt = _populated(make(SALT), self.KEYS)
@@ -229,25 +221,6 @@ class TestSaltedAdapters:
         for _ in range(300):
             probe = rng.randrange(1 << 24)
             assert restored.may_contain(probe) == filt.may_contain(probe)
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda salt: CuckooFilter(key_bits=24, bits_per_key=12.0, salt=salt),
-            lambda salt: QuotientFilter(key_bits=24, bits_per_key=12.0, salt=salt),
-        ],
-        ids=["cuckoo", "quotient"],
-    )
-    def test_legacy_payload_loads_as_salt_zero(self, make):
-        """Pre-salting payloads carry no trailer and load as salt 0."""
-        unsalted = _populated(make(0), self.KEYS)
-        salted = _populated(make(SALT), self.KEYS)
-        legacy_payload = unsalted.serialize()
-        # The salt rides as an 8-byte trailer: same payload, +8 bytes.
-        assert len(salted.serialize()) == len(legacy_payload) + 8
-        restored = type(unsalted).deserialize(legacy_payload)
-        assert restored.salt == 0
-        assert all(restored.may_contain(k) for k in self.KEYS)
 
     def test_rosetta_salted_ranges_no_false_negatives(self):
         filt = _populated(
@@ -302,8 +275,7 @@ class TestStructuralSaltRejection:
     def test_factory_salt_capability_flags(self):
         assert make_factory("bloom", 32, 10.0).salt_capable
         assert make_factory("rosetta", 32, 14, max_range=32).salt_capable
-        assert make_factory("cuckoo", 32, 12.0).salt_capable
-        assert make_factory("quotient", 32, 12.0).salt_capable
+        assert make_factory("prefix-bloom", 32, 10.0).salt_capable
 
     def test_plain_builder_without_salt_parameter(self):
         factory = FilterFactory(

@@ -1,4 +1,4 @@
-"""Unit tests for the point-filter baselines: Bloom, Cuckoo, fence pointers."""
+"""Unit tests for the point-filter baselines: Bloom, fence pointers."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import FilterBuildError, FilterQueryError
 from repro.filters.bloom_point import BloomPointFilter
-from repro.filters.cuckoo import CuckooFilter
 from repro.filters.fence import FencePointerFilter
 
 
@@ -78,45 +77,6 @@ class TestBloomPointFilter:
         assert filt.probe_count() == 2
         filt.reset_probe_count()
         assert filt.probe_count() == 0
-
-
-class TestCuckooFilter:
-    def test_no_false_negatives(self, keys):
-        filt = CuckooFilter(key_bits=32, bits_per_key=12)
-        filt.populate(keys)
-        assert all(filt.may_contain(k) for k in keys)
-
-    def test_point_fpr(self, keys, rng):
-        filt = CuckooFilter(key_bits=32, bits_per_key=12)
-        filt.populate(keys)
-        key_set = set(keys)
-        fp = sum(
-            filt.may_contain(k)
-            for k in (rng.randrange(1 << 32) for _ in range(5000))
-            if k not in key_set
-        )
-        assert fp / 5000 < 0.05
-
-    def test_ranges_always_pass(self, keys):
-        filt = CuckooFilter(key_bits=32)
-        filt.populate(keys)
-        assert filt.may_contain_range(1, 100)
-
-    def test_dense_key_set_still_inserts(self):
-        # Sequential keys stress the kick loop.
-        filt = CuckooFilter(key_bits=32, bits_per_key=8)
-        filt.populate(list(range(5000)))
-        assert all(filt.may_contain(k) for k in range(5000))
-
-    def test_serialization_roundtrip(self, keys):
-        filt = CuckooFilter(key_bits=32, bits_per_key=12)
-        filt.populate(keys)
-        restored = CuckooFilter.deserialize(filt.serialize())
-        assert all(restored.may_contain(k) for k in keys[:200])
-
-    def test_invalid_budget(self):
-        with pytest.raises(FilterBuildError):
-            CuckooFilter(bits_per_key=0)
 
 
 class TestFencePointerFilter:

@@ -22,6 +22,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.lsm.db import DB
+from repro.lsm.env import RETRY_BACKOFF_NS
 from repro.lsm.faults import FaultInjectionEnv
 from repro.lsm.options import DBOptions
 
@@ -322,15 +323,12 @@ class TestTransientRetries:
         db.close()
 
     def test_retry_backoff_charged_to_read_time(self, tmp_path):
-        db, env = _faulty_db(
-            str(tmp_path / "db"),
-            io_retry_attempts=3, io_retry_backoff_ns=1_000_000,
-        )
+        db, env = _faulty_db(str(tmp_path / "db"), io_retry_attempts=3)
         before = db.stats.block_read_time_ns
         env.fail_next_reads(2)
         db.get(13)
-        # Modeled exponential backoff: 1ms + 2ms for the two retries.
-        assert db.stats.block_read_time_ns - before >= 3_000_000
+        # Modeled exponential backoff: 1x + 2x for the two retries.
+        assert db.stats.block_read_time_ns - before >= 3 * RETRY_BACKOFF_NS
         db.close()
 
     def test_rate_injected_workload_matches_fault_free(self, tmp_path):
