@@ -21,7 +21,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/torture.py           # 20 seeds (full)
     PYTHONPATH=src python benchmarks/torture.py --smoke   # 5 seeds (CI)
-    PYTHONPATH=src python benchmarks/torture.py --seeds 3 --style tiered
 
 Exits non-zero on any violation; writes ``BENCH_torture.json`` at the repo
 root with the per-seed matrix.
@@ -49,8 +48,8 @@ from repro.lsm.torture import (  # noqa: E402
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_torture.json"
 
 
-def run_matrix(seeds: int, style: str, sched_seeds: int) -> dict:
-    config = TortureConfig(compaction_style=style)
+def run_matrix(seeds: int, sched_seeds: int) -> dict:
+    config = TortureConfig()
     # The default workload's narrow key space never splinters a level, so
     # same-level-pair leveled parallelism gets a dedicated short sweep: a
     # wide-key, single-run-window config where an oversize level yields
@@ -62,14 +61,11 @@ def run_matrix(seeds: int, style: str, sched_seeds: int) -> dict:
         value_repeat=96,
         put_bias=0.95,
         max_compaction_input_files=1,
-        compaction_style=style,
     )
     # Salted filters ride inside the SST envelope, so a power cut at any
     # durable write must recover a store whose surviving runs still probe
     # with the exact per-file hash family they were built with.
-    salted_config = TortureConfig(
-        compaction_style=style, filter_salt_seed=0x5EED_CAFE
-    )
+    salted_config = TortureConfig(filter_salt_seed=0x5EED_CAFE)
     interleavings = tuple(range(sched_seeds))
     records = []
     violations: list[str] = []
@@ -186,7 +182,6 @@ def run_matrix(seeds: int, style: str, sched_seeds: int) -> dict:
             )
     return {
         "bench": "torture",
-        "compaction_style": style,
         "seeds": seeds,
         "scheduler_seeds": sched_seeds,
         "total_crash_points": total_crash_points,
@@ -211,17 +206,13 @@ def main(argv: list[str] | None = None) -> int:
         help="CI smoke matrix: 5 seeds",
     )
     parser.add_argument(
-        "--style", choices=("leveled", "tiered"), default="leveled",
-        help="compaction style under test (default: leveled)",
-    )
-    parser.add_argument(
         "--sched-seeds", type=int, default=2,
         help="deterministic scheduler seeds per workload seed (default: 2)",
     )
     args = parser.parse_args(argv)
     seeds = 5 if args.smoke else args.seeds
 
-    result = run_matrix(seeds, args.style, args.sched_seeds)
+    result = run_matrix(seeds, args.sched_seeds)
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print(
         f"\n{result['total_crash_points']} inline + "

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Mixed YCSB-E workload under leveled and tiered compaction.
+"""Mixed YCSB-E workload under leveled compaction.
 
 This example drives the store the way the paper's motivating applications
-do — a scan-majority YCSB-E mix with interleaved point reads — once per
-compaction style.  Tiered compaction keeps more runs per level, so more
-filter instances sit on every read path — exactly the regime where cheap,
-low-FPR filters matter most.
+do — a scan-majority YCSB-E mix with interleaved point reads.  Every live
+run carries its own filter, so each run on a read path is one more filter
+that must answer "empty" cheaply and with a low FPR.
 
 Run:  python examples/ycsb_mixed_workload.py
 """
@@ -24,7 +23,7 @@ KEY_BITS = 64
 NUM_KEYS = int(os.environ.get("REPRO_EXAMPLE_KEYS", "15000"))
 
 
-def run_mix(compaction_style: str) -> tuple:
+def run_mix() -> tuple:
     dataset = generate_dataset(NUM_KEYS, KEY_BITS, seed=31, value_size=64)
     keys = [int(k) for k in dataset.keys]
     workload = WorkloadBuilder(keys, KEY_BITS, seed=32).workload_e(
@@ -36,12 +35,11 @@ def run_mix(compaction_style: str) -> tuple:
         sst_size_bytes=128 << 10,
         max_bytes_for_level_base=512 << 10,
         level_size_ratio=4,
-        compaction_style=compaction_style,
         device="ssd-scaled",
     )
     factory = make_factory("rosetta", KEY_BITS, 22, max_range=64,
                            range_size_histogram={16: 1})
-    path = tempfile.mkdtemp(prefix=f"repro-ycsb-{compaction_style}-")
+    path = tempfile.mkdtemp(prefix="repro-ycsb-")
     try:
         db = load_database(path, dataset, factory, options,
                            write_path_fraction=0.3)
@@ -49,7 +47,6 @@ def run_mix(compaction_style: str) -> tuple:
         result = run_workload(db, workload)
         db.close()
         return (
-            compaction_style,
             runs,
             f"{result.end_to_end_seconds * 1e3:.1f}",
             f"{result.fpr:.4f}",
@@ -63,13 +60,10 @@ def main() -> None:
     print("YCSB-E mix (95% scans of 1-32 keys, 5% point reads), all empty")
     print("queries — the filters stand between every operation and the disk.\n")
 
-    rows = [run_mix("leveled"), run_mix("tiered")]
     print(format_table(
-        ("compaction", "runs", "end_to_end_ms", "fpr", "block_reads"), rows,
-        title="Rosetta under leveled vs tiered compaction",
+        ("runs", "end_to_end_ms", "fpr", "block_reads"), [run_mix()],
+        title="Rosetta under leveled compaction",
     ))
-    print("\nTiered compaction keeps more runs alive; every run carries its")
-    print("own filter, so low FPR matters even more there.")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ __all__ = [
     "fig10_strings",
     "theory_validation",
     "extension_correlation_offsets",
-    "extension_tiered_vs_leveled",
 ]
 
 _KEY_BITS = 64
@@ -585,45 +584,6 @@ def extension_correlation_offsets(
             )
         rows.append(tuple(row))
     return ("theta", "rosetta_fpr", "surf_fpr"), rows
-
-
-def extension_tiered_vs_leveled(
-    scale: Scale | None = None, bits_per_key: float = 18.0
-):
-    """Tiered writes less; leveled leaves fewer runs to probe."""
-    import shutil
-    import tempfile
-
-    from repro.lsm.db import DB
-
-    scale = scale or Scale.default()
-    rows = []
-    for style in ("leveled", "tiered"):
-        options = DBOptions(
-            key_bits=_KEY_BITS,
-            memtable_size_bytes=16 << 10,
-            sst_size_bytes=64 << 10,
-            max_bytes_for_level_base=128 << 10,
-            level_size_ratio=4,
-            block_size_bytes=1024,
-            compaction_style=style,
-            filter_factory=make_factory("rosetta", _KEY_BITS, bits_per_key,
-                                        max_range=64),
-        )
-        path = tempfile.mkdtemp(prefix=f"repro-tiered-{style}-")
-        try:
-            db = DB(path, options)
-            for i in range(scale.num_keys // 2):
-                db.put(i * 31, bytes(24))
-            db.flush()
-            rows.append(
-                (style, db.stats.compaction_bytes_written,
-                 len(db.version.all_runs_newest_first()))
-            )
-            db.close()
-        finally:
-            shutil.rmtree(path, ignore_errors=True)
-    return ("style", "compaction_bytes_written", "live_runs"), rows
 
 
 # ======================================================================

@@ -40,7 +40,6 @@ _EXPERIMENTS = {
     ),
     "theory": lambda args: experiments.theory_validation(),
     "ext-correlation": lambda args: experiments.extension_correlation_offsets(),
-    "ext-tiered": lambda args: experiments.extension_tiered_vs_leveled(),
 }
 
 

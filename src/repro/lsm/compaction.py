@@ -1,4 +1,4 @@
-"""Leveled/tiered compaction — merge runs downward, rebuilding filters.
+"""Leveled compaction — merge runs downward, rebuilding filters.
 
 Policy (RocksDB leveled, per-file granularity):
 
@@ -50,10 +50,8 @@ can interleave it safely with foreground work:
     job planned against a stale snapshot can never execute against
     deleted runs or wrongly drop tombstones.  ``finish`` always runs,
     success or not.  The invariants the table enforces: no two in-flight
-    jobs share an input run, and two leveled jobs may share a level only
-    when their key-range footprints are disjoint (tiered installs are
-    prepend/name-removal only, so disjoint-input tiered jobs may always
-    share a level).
+    jobs share an input run, and two jobs may share a level only when
+    their key-range footprints are disjoint.
 ``execute(job) -> list[Run]``
     The expensive part — merge the input runs into fresh output SSTs, on
     the thread that calls it.  Touches no shared version state, so it
@@ -67,7 +65,7 @@ can interleave it safely with foreground work:
     destroyed afterwards (and only once no reader still holds a
     superversion referencing them) via :meth:`destroy_runs`.
 
-Name/group counters are lock-protected because flush jobs and compaction
+The file-name counter is lock-protected because flush jobs and compaction
 jobs allocate file names concurrently; the conflict table has its own
 ``_inflight_lock`` (leaf lock, nothing is acquired while holding it).
 """
@@ -89,7 +87,7 @@ from repro.lsm.format import ValueTag, sst_file_number
 from repro.lsm.iterators import MergingIterator
 from repro.lsm.options import DBOptions
 from repro.lsm.sstable import SSTReader, SSTWriter
-from repro.lsm.version import Run, Version
+from repro.lsm.version import NUM_LEVELS, Run, Version
 
 __all__ = ["Compactor", "CompactionJob"]
 
@@ -100,10 +98,10 @@ class CompactionJob:
 
     ``kind`` is one of ``leveled-l0`` (all of L0 + its L1 overlap closure
     -> L1), ``leveled-level`` (a window of Ln runs + its Ln+1 overlap
-    closure -> Ln+1), ``tiered-l0`` / ``tiered-level`` (whole level ->
-    one fresh group prepended at the target), or ``full`` (everything ->
-    the bottom level).  ``inputs`` are recency-ordered, which is what
-    makes the merging iterator's newest-wins shadowing correct.
+    closure -> Ln+1), or ``full`` (everything -> the bottom level).  All
+    three install by the same rule; the kind only names the job.
+    ``inputs`` are recency-ordered, which is what makes the merging
+    iterator's newest-wins shadowing correct.
 
     ``range_low`` / ``range_high`` are the job's inclusive key-range
     footprint — the span of every input run, which also bounds every
@@ -129,7 +127,6 @@ class CompactionJob:
 class _InflightJob:
     """Conflict-table registration: what an in-flight job holds locked."""
 
-    kind: str
     levels: frozenset[int]
     names: frozenset[str]
     range_low: bytes | None
@@ -171,12 +168,11 @@ class Compactor:
         self._options = options
         self._cache = cache
         self._filter_dictionary = filter_dictionary
-        # Guards the name/group counters: flush (on one worker) and
+        # Guards the file-name counter: flush (on one worker) and
         # compaction (possibly on another, or a forced foreground job)
         # both allocate file names.
         self._counter_lock = threading.Lock()
         self._next_file_number = 1
-        self._next_group_id = 1
         # Conflict table: input-run names, {source, output} level pair,
         # and key-range footprint of every in-flight job, keyed by the
         # monotonic job_id issued at begin() (never by id(job): a dropped
@@ -199,11 +195,6 @@ class Compactor:
         """Never emit a file number <= ``past`` (recovery collision guard)."""
         with self._counter_lock:
             self._next_file_number = max(self._next_file_number, past + 1)
-
-    def advance_group_id(self, past: int) -> None:
-        """Never emit a group id <= ``past`` (recovery collision guard)."""
-        with self._counter_lock:
-            self._next_group_id = max(self._next_group_id, past + 1)
 
     # ------------------------------------------------------------------
     # Planning & conflict tracking
@@ -232,7 +223,7 @@ class Compactor:
         L0's score is its run count over the trigger, weighted to dominate
         every size-triggered level; a deeper level scores its
         bytes-over-target ratio (ties broken shallowest-first).  Each
-        oversize leveled level contributes one job per
+        oversize level contributes one job per
         ``max_compaction_input_files``-wide source window (oldest window
         first), so the planner can hand out several disjoint jobs inside
         one level pair.
@@ -246,34 +237,15 @@ class Compactor:
                     self._L0_DEBT_WEIGHT * len(version.level0) / trigger
                 )
                 scored.append((job.debt_score, 0, [job]))
-        if self._options.compaction_style == "tiered":
-            ratio = self._options.level_size_ratio
-            for level in range(1, self._options.num_levels - 1):
-                groups = version.num_groups(level)
-                if groups >= ratio:
-                    inputs = version.level_runs(level)
-                    low, high = _runs_span(inputs)
-                    job = CompactionJob(
-                        kind="tiered-level",
-                        inputs=inputs,
-                        output_level=level + 1,
-                        drop_tombstones=self._tiered_bottom(version, level + 1),
-                        source_level=level,
-                        range_low=low,
-                        range_high=high,
-                        debt_score=groups / ratio,
-                    )
-                    scored.append((job.debt_score, level, [job]))
-        else:
-            for level in range(1, self._options.num_levels - 1):
-                target = self._options.level_target_bytes(level)
-                size = version.level_size_bytes(level)
-                if size > target:
-                    score = size / target
-                    jobs = self._leveled_window_jobs(version, level)
-                    for job in jobs:
-                        job.debt_score = score
-                    scored.append((score, level, jobs))
+        for level in range(1, NUM_LEVELS - 1):
+            target = self._options.level_target_bytes(level)
+            size = version.level_size_bytes(level)
+            if size > target:
+                score = size / target
+                jobs = self._leveled_window_jobs(version, level)
+                for job in jobs:
+                    job.debt_score = score
+                scored.append((score, level, jobs))
         attacked = self._attacked_runs()
         if attacked:
             self._add_quarantine_candidates(version, scored, attacked)
@@ -328,36 +300,19 @@ class Compactor:
                 job.debt_score = self._ATTACK_DEBT_BONUS
                 scored.append((job.debt_score, 0, [job]))
                 remaining -= {run.name for run in job.inputs}
-        for level in range(1, self._options.num_levels - 1):
+        for level in range(1, NUM_LEVELS - 1):
             if not remaining:
                 return
             runs = version.level_runs(level)
             if not any(run.name in remaining for run in runs):
                 continue
-            if self._options.compaction_style == "tiered":
-                low, high = _runs_span(runs)
-                jobs = [
-                    CompactionJob(
-                        kind="tiered-level",
-                        inputs=runs,
-                        output_level=level + 1,
-                        drop_tombstones=self._tiered_bottom(
-                            version, level + 1
-                        ),
-                        source_level=level,
-                        range_low=low,
-                        range_high=high,
-                        debt_score=self._ATTACK_DEBT_BONUS,
-                    )
-                ]
-            else:
-                jobs = [
-                    job
-                    for job in self._leveled_window_jobs(version, level)
-                    if any(run.name in remaining for run in job.inputs)
-                ]
-                for job in jobs:
-                    job.debt_score = self._ATTACK_DEBT_BONUS
+            jobs = [
+                job
+                for job in self._leveled_window_jobs(version, level)
+                if any(run.name in remaining for run in job.inputs)
+            ]
+            for job in jobs:
+                job.debt_score = self._ATTACK_DEBT_BONUS
             if jobs:
                 scored.append((self._ATTACK_DEBT_BONUS, level, jobs))
                 remaining -= {
@@ -367,7 +322,7 @@ class Compactor:
     def _leveled_window_jobs(
         self, version: Version, level: int
     ) -> list[CompactionJob]:
-        """Per-file jobs draining one oversize leveled level.
+        """Per-file jobs draining one oversize level.
 
         The level's sorted runs are cut into contiguous windows of up to
         ``max_compaction_input_files``; each window pulls its overlap
@@ -408,15 +363,6 @@ class Compactor:
             )
         return jobs
 
-    #: Kinds whose install rewrites part of a level under the non-overlap
-    #: invariant: they may share a level with another in-flight leveled
-    #: job only when the two key-range footprints are disjoint.  Tiered
-    #: installs are prepend/name-removal only, so disjoint-input tiered
-    #: jobs may share a level unconditionally; mixed leveled/tiered level
-    #: sharing stays forbidden (``full`` has an unbounded footprint, so
-    #: the range check conflicts it with everything on its levels).
-    _LEVELED_KINDS = frozenset({"leveled-l0", "leveled-level", "full"})
-
     def conflicts(self, job: CompactionJob) -> bool:
         """Whether ``job`` overlaps any in-flight job (inputs or ranges)."""
         names = frozenset(run.name for run in job.inputs)
@@ -438,31 +384,28 @@ class Compactor:
         return True
 
     def _conflicts_locked(self, job: CompactionJob, names: frozenset[str]) -> bool:
+        """A shared input run, or a shared level with overlapping footprints.
+
+        Two jobs with disjoint footprints may share a level: outputs land
+        inside each footprint, name-based removal plus union-merge installs
+        never touch the other job's range, and the non-overlap invariant
+        holds.  ``full`` has an unbounded footprint, so it conflicts with
+        everything on its levels.
+        """
         job_levels = {job.source_level, job.output_level}
-        strict = job.kind in self._LEVELED_KINDS
-        for entry in self._inflight.values():
-            if names & entry.names:
-                return True
-            if (strict or entry.kind in self._LEVELED_KINDS) and (
+        return any(
+            names & entry.names
+            or (
                 job_levels & entry.levels
-            ):
-                # Two leveled jobs with disjoint footprints may share a
-                # level: outputs land inside the footprint, name-based
-                # removal plus union-merge installs never touch the other
-                # job's range, and the non-overlap invariant holds.
-                if (
-                    strict
-                    and entry.kind in self._LEVELED_KINDS
-                    and not self._ranges_overlap(
-                        job.range_low,
-                        job.range_high,
-                        entry.range_low,
-                        entry.range_high,
-                    )
-                ):
-                    continue
-                return True
-        return False
+                and self._ranges_overlap(
+                    job.range_low,
+                    job.range_high,
+                    entry.range_low,
+                    entry.range_high,
+                )
+            )
+            for entry in self._inflight.values()
+        )
 
     def begin(
         self,
@@ -507,16 +450,13 @@ class Compactor:
                     job, version
                 )
             entry = _InflightJob(
-                kind=job.kind,
                 levels=frozenset({job.source_level, job.output_level}),
                 names=names,
                 range_low=job.range_low,
                 range_high=job.range_high,
             )
-            if job.kind in self._LEVELED_KINDS and any(
-                other.kind in self._LEVELED_KINDS
-                and (entry.levels & other.levels)
-                for other in self._inflight.values()
+            if any(
+                entry.levels & other.levels for other in self._inflight.values()
             ):
                 self._count(leveled_range_admissions=1)
             job.job_id = self._next_job_id
@@ -535,10 +475,6 @@ class Compactor:
         """Whether ``job`` may drop tombstones, judged on ``version``."""
         if job.kind == "full":
             return True
-        if job.kind == "tiered-l0":
-            return self._tiered_bottom(version, 1)
-        if job.kind == "tiered-level":
-            return self._tiered_bottom(version, job.output_level)
         return version.max_populated_level() <= job.output_level
 
     def finish(self, job: CompactionJob) -> None:
@@ -557,18 +493,6 @@ class Compactor:
         """An L0 merge regardless of the trigger (explicit ``compact()``)."""
         if not version.level0:
             return None
-        if self._options.compaction_style == "tiered":
-            inputs = version.level_runs(0)
-            low, high = _runs_span(inputs)
-            return CompactionJob(
-                kind="tiered-l0",
-                inputs=inputs,
-                output_level=1,
-                drop_tombstones=self._tiered_bottom(version, 1),
-                source_level=0,
-                range_low=low,
-                range_high=high,
-            )
         l0 = version.level_runs(0)
         span_low, span_high = _runs_span(l0)
         inputs = l0 + version.overlap_closure(1, span_low, span_high)
@@ -596,18 +520,6 @@ class Compactor:
             source_level=0,
         )
 
-    def _tiered_bottom(self, version: Version, target: int) -> bool:
-        """Whether a tiered merge into ``target`` may drop tombstones.
-
-        Only when nothing older can resurface: no deeper level holds data
-        and the target level has no older groups.
-        """
-        deeper_data = any(
-            version.level_runs(level)
-            for level in range(target + 1, self._options.num_levels)
-        )
-        return not deeper_data and not version.level_runs(target)
-
     # ------------------------------------------------------------------
     # Execution (no shared version state touched)
     # ------------------------------------------------------------------
@@ -620,12 +532,6 @@ class Compactor:
             compaction_bytes_read=sum(run.file_size for run in job.inputs),
         )
         outputs = self._merge(job)
-        if job.kind.startswith("tiered"):
-            with self._counter_lock:
-                group_id = self._next_group_id
-                self._next_group_id += 1
-            for run in outputs:
-                run.group_id = group_id
         stats.add(
             compaction_bytes_written=sum(run.file_size for run in outputs),
             compaction_time_ns=time.perf_counter_ns() - start_ns,
@@ -666,46 +572,22 @@ class Compactor:
     ) -> None:
         """Swap the job's inputs for ``outputs`` in ``version``.
 
-        Removal is by file name (not "clear the level") so a job planned
-        against an older snapshot cannot swallow runs it never merged,
-        and leveled installs union-merge with the level's surviving runs
-        (via :meth:`Version.merge_into_level`) so runs another job
+        One rule for every kind: drop the input names from L0 and from
+        every level, then union-merge the outputs into the output level
+        (:meth:`Version.merge_into_level`).  Removal is by file name (not
+        "clear the level") so a job planned against an older snapshot
+        cannot swallow runs it never merged, and runs another job
         published at the output level between plan and install survive.
         """
         input_names = {run.name for run in job.inputs}
-        if job.kind in ("leveled-l0", "tiered-l0", "full"):
-            version.level0 = [
-                run for run in version.level0 if run.name not in input_names
+        version.level0 = [
+            run for run in version.level0 if run.name not in input_names
+        ]
+        for level in list(version.levels):
+            version.levels[level] = [
+                run for run in version.levels[level] if run.name not in input_names
             ]
-        if job.kind == "full":
-            for level in list(version.levels):
-                version.levels[level] = [
-                    run
-                    for run in version.levels[level]
-                    if run.name not in input_names
-                ]
-            version.merge_into_level(job.output_level, outputs, input_names)
-            return
-        if job.kind == "leveled-l0":
-            version.merge_into_level(1, outputs, input_names)
-        elif job.kind == "leveled-level":
-            version.levels[job.source_level] = [
-                run
-                for run in version.level_runs(job.source_level)
-                if run.name not in input_names
-            ]
-            version.merge_into_level(job.output_level, outputs, input_names)
-        elif job.kind == "tiered-l0":
-            version.prepend_group(1, outputs)
-        elif job.kind == "tiered-level":
-            version.levels[job.source_level] = [
-                run
-                for run in version.level_runs(job.source_level)
-                if run.name not in input_names
-            ]
-            version.prepend_group(job.output_level, outputs)
-        else:
-            raise StoreError(f"unknown compaction job kind {job.kind!r}")
+        version.merge_into_level(job.output_level, outputs, input_names)
 
     # ------------------------------------------------------------------
     # Machinery

@@ -104,11 +104,10 @@ from repro.lsm.scheduler import InlineScheduler, ThreadPoolScheduler
 from repro.lsm.shard import clamp_to_domain
 from repro.lsm.sstable import SSTMeta, SSTReader, SSTWriter
 from repro.lsm.stats import PerfStats
-from repro.lsm.version import Run, Version
+from repro.lsm.version import MANIFEST, NUM_LEVELS, Run, Version, manifest_entry_name
 from repro.lsm.wal import BATCH_OP, WriteAheadLog, parse_wal_seq, wal_file_name
 from repro.lsm.write_batch import WriteBatch
 
-_MANIFEST = "MANIFEST.json"
 
 _SST_NAME = re.compile(r"^sst_(\d+)_(\d+)\.sst$")
 
@@ -1094,11 +1093,11 @@ class DB:
                 )
                 level = 1
                 while (
-                    level < self.options.num_levels - 1
+                    level < NUM_LEVELS - 1
                     and estimated > self.options.level_target_bytes(level)
                 ):
                     level += 1
-            if not 1 <= level < self.options.num_levels:
+            if not 1 <= level < NUM_LEVELS:
                 raise StoreError(f"ingest level {level} out of range")
             if self._super.version.level_runs(level):
                 raise StoreError(f"ingest target level {level} is not empty")
@@ -1634,7 +1633,7 @@ class DB:
         manifest = {
             "level0": [run.name for run in version.level0],
             "levels": {
-                str(level): [[run.name, run.group_id] for run in runs]
+                str(level): [run.name for run in runs]
                 for level, runs in version.levels.items()
             },
             # Workload statistics survive restarts so the §2.4 tuner can
@@ -1644,7 +1643,7 @@ class DB:
         # Atomic replacement: a crash mid-write leaves the previous
         # manifest intact, never a torn half-JSON.
         self._env.write_file_atomic(
-            _MANIFEST,
+            MANIFEST,
             json.dumps(manifest).encode(),
             fsync=self.options.manifest_fsync,
         )
@@ -1653,13 +1652,12 @@ class DB:
         version = Version()
         referenced: set[str] = set()
         max_file_number = 0
-        max_group_id = 0
         for file_name in self._env.list_files():
             match = _SST_NAME.match(file_name)
             if match:
                 max_file_number = max(max_file_number, int(match.group(2)))
-        if self._env.exists(_MANIFEST):
-            manifest = json.loads(self._env.read_file(_MANIFEST))
+        if self._env.exists(MANIFEST):
+            manifest = json.loads(self._env.read_file(MANIFEST))
             if "tracker" in manifest:
                 self.tracker = WorkloadTracker.from_dict(manifest["tracker"])
             for name in manifest.get("level0", []):
@@ -1673,25 +1671,23 @@ class DB:
                 level = int(level_str)
                 runs = []
                 for entry in entries:
-                    name, group_id = entry
+                    name = manifest_entry_name(entry)
                     referenced.add(name)
-                    max_group_id = max(max_group_id, int(group_id or 0))
                     meta = self._read_meta(name)
                     reader = SSTReader(
                         self._env, meta, self.options, self._cache, is_level0=False
                     )
-                    runs.append(Run(reader=reader, level=level, group_id=group_id))
+                    runs.append(Run(reader=reader, level=level))
                 if runs:
-                    # Preserve manifest (recency) order verbatim; tiered
-                    # levels legitimately hold overlapping groups.
-                    version.levels[level] = runs
+                    # Refuses a level whose files overlap: loading one
+                    # would break the first compaction that touches it.
+                    version.install_level(level, runs)
         # Recovery hygiene.  (1) Never reuse a live file name: a fresh
         # counter colliding with a recovered SST would let a later
         # compaction overwrite or delete live data.  (2) Purge obsolete
         # files — SSTs a crash orphaned before/after their manifest entry,
         # and torn ``.tmp`` halves of interrupted atomic replacements.
         self._compactor.advance_file_number(max_file_number)
-        self._compactor.advance_group_id(max_group_id)
         for file_name in self._env.list_files():
             if file_name.endswith(".tmp") or (
                 _SST_NAME.match(file_name) and file_name not in referenced

@@ -13,7 +13,11 @@ direct counterpart here:
   companion and ``pin_l0_filter_and_index_blocks_in_cache`` → the
   block-cache priority flags;
 * per-SST full filters (block-based filters are deprecated) → one filter
-  instance per SST file, rebuilt at compaction.
+  instance per SST file, rebuilt at compaction;
+* leveled compaction over RocksDB's default ``num_levels=7`` → not knobs:
+  the paper runs nothing else, so the level count is
+  :data:`repro.lsm.version.NUM_LEVELS` and :mod:`repro.lsm.compaction`
+  has one policy.
 """
 
 from __future__ import annotations
@@ -56,15 +60,6 @@ class DBOptions:
 
     #: LSM size ratio between adjacent levels (RocksDB default 10).
     level_size_ratio: int = 10
-
-    #: Maximum number of levels.
-    num_levels: int = 7
-
-    #: Compaction policy: "leveled" (one sorted run per level, RocksDB
-    #: default — what the paper evaluates) or "tiered" (up to
-    #: ``level_size_ratio`` sorted runs per level before they merge down —
-    #: cheaper writes, more runs for queries/filters to probe).
-    compaction_style: str = "leveled"
 
     #: Filter recipe applied to every new SST (None = fence pointers only).
     filter_factory: FilterFactory | None = None
@@ -203,15 +198,8 @@ class DBOptions:
             )
         if self.level_size_ratio < 2:
             raise InvalidOptionsError("level_size_ratio must be >= 2")
-        if self.num_levels < 2:
-            raise InvalidOptionsError("num_levels must be >= 2")
         if self.block_restart_interval < 1:
             raise InvalidOptionsError("block_restart_interval must be >= 1")
-        if self.compaction_style not in ("leveled", "tiered"):
-            raise InvalidOptionsError(
-                f"compaction_style must be 'leveled' or 'tiered', "
-                f"got {self.compaction_style!r}"
-            )
         if not 0 <= self.filter_salt_seed < 1 << 64:
             raise InvalidOptionsError(
                 f"filter_salt_seed must be a 64-bit value, "

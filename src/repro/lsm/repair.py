@@ -20,8 +20,7 @@ from repro.lsm.env import StorageEnv
 from repro.lsm.format import decode_data_block
 from repro.lsm.options import DBOptions
 from repro.lsm.sstable import SSTMeta, SSTReader
-
-_MANIFEST = "MANIFEST.json"
+from repro.lsm.version import MANIFEST, manifest_entry_name
 
 __all__ = ["RepairOutcome", "repair_store"]
 
@@ -86,9 +85,9 @@ def repair_store(path: str, options: DBOptions | None = None) -> RepairOutcome:
     """
     options = options if options is not None else DBOptions()
     env = StorageEnv(path, "memory")
-    if not env.exists(_MANIFEST):
+    if not env.exists(MANIFEST):
         raise StoreError(f"no manifest at {path}; nothing to repair from")
-    manifest = json.loads(env.read_file(_MANIFEST))
+    manifest = json.loads(env.read_file(MANIFEST))
     outcome = RepairOutcome()
 
     def file_ok(name: str) -> bool:
@@ -112,14 +111,16 @@ def repair_store(path: str, options: DBOptions | None = None) -> RepairOutcome:
     manifest["level0"] = [
         name for name in manifest.get("level0", []) if file_ok(name)
     ]
-    repaired_levels: dict[str, list] = {}
+    repaired_levels: dict[str, list[str]] = {}
     for level, entries in manifest.get("levels", {}).items():
-        kept = [entry for entry in entries if file_ok(entry[0])]
+        kept = [
+            name for name in map(manifest_entry_name, entries) if file_ok(name)
+        ]
         if kept:
             repaired_levels[level] = kept
     manifest["levels"] = repaired_levels
     # Atomic replacement: a crash mid-repair must not leave a torn manifest
     # on top of an already-damaged store.
-    env.write_file_atomic(_MANIFEST, json.dumps(manifest).encode())
+    env.write_file_atomic(MANIFEST, json.dumps(manifest).encode())
     env.close()
     return outcome

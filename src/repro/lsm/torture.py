@@ -65,7 +65,6 @@ class TortureConfig:
     key_space: int = 96
     batch_max: int = 5
     value_repeat: int = 3          # value payload size multiplier
-    compaction_style: str = "leveled"
     with_filters: bool = True
     io_retry_attempts: int = 6     # generous: rate-injected runs must finish
     #: Probability mass given to plain puts.  The default keeps the
@@ -115,7 +114,6 @@ def torture_options(
         block_cache_bytes=0,  # every read touches the (possibly hostile) device
         level0_file_num_compaction_trigger=2,
         max_bytes_for_level_base=8192,
-        compaction_style=config.compaction_style,
         max_compaction_input_files=config.max_compaction_input_files,
         filter_factory=factory,
         filter_salt_seed=config.filter_salt_seed,

@@ -114,17 +114,12 @@ def _verify_run(run: Run, report: VerificationReport) -> None:
 
 
 def _verify_level_invariants(version: Version, report: VerificationReport) -> None:
-    """Leveled levels must stay sorted and disjoint per group."""
+    """Every level >= 1 must stay one sorted, disjoint run."""
     for level, runs in sorted(version.levels.items()):
-        by_group: dict[object, list[Run]] = {}
-        for index, run in enumerate(runs):
-            group = run.group_id if run.group_id is not None else f"solo-{index}"
-            by_group.setdefault(group, []).append(run)
-        for group, members in by_group.items():
-            ordered = sorted(members, key=lambda r: r.reader.meta.min_key)
-            for left, right in zip(ordered, ordered[1:]):
-                if left.reader.meta.max_key >= right.reader.meta.min_key:
-                    report.add_error(
-                        f"level {level} group {group}",
-                        f"files {left.name} and {right.name} overlap",
-                    )
+        ordered = sorted(runs, key=lambda r: r.reader.meta.min_key)
+        for left, right in zip(ordered, ordered[1:]):
+            if left.reader.meta.max_key >= right.reader.meta.min_key:
+                report.add_error(
+                    f"level {level}",
+                    f"files {left.name} and {right.name} overlap",
+                )

@@ -1,9 +1,11 @@
 """Level/run metadata — which SST files make up the tree right now.
 
 ``Version`` tracks L0 (overlapping files, newest first — each a flushed
-memtable) and levels 1+ (sorted, non-overlapping files forming one run per
-level).  Readers enumerate runs newest-to-oldest so the merging iterator's
-priorities implement shadowing; compaction swaps file sets atomically.
+memtable) and levels 1 .. ``NUM_LEVELS - 1`` (sorted, non-overlapping
+files forming one run per level).  Readers enumerate runs newest-to-oldest
+so the merging iterator's priorities implement shadowing; compaction swaps
+file sets atomically.  The DB persists a version as the JSON ``MANIFEST``:
+``level0`` and each level list their file names.
 """
 
 from __future__ import annotations
@@ -14,23 +16,31 @@ from dataclasses import dataclass, field
 from repro.errors import StoreError
 from repro.lsm.sstable import SSTReader
 
-__all__ = ["Run", "Version"]
+__all__ = ["MANIFEST", "NUM_LEVELS", "Run", "Version", "manifest_entry_name"]
+
+#: Levels in the tree, L0 included (RocksDB's default ``num_levels``).
+NUM_LEVELS = 7
+
+#: File name of the persisted version.
+MANIFEST = "MANIFEST.json"
+
+
+def manifest_entry_name(entry: str | list) -> str:
+    """File name of one manifest level entry.
+
+    An entry is a plain file name.  Stores written before levels held
+    one run each wrote ``[name, group]`` pairs; the name is read from
+    those too.
+    """
+    return entry if isinstance(entry, str) else entry[0]
 
 
 @dataclass
 class Run:
-    """One SST file plus its reader handle and its level.
-
-    ``group_id`` ties together the files produced by one merge: under
-    tiered compaction a level holds several sorted *groups* (runs in the
-    LSM sense), each possibly spanning multiple size-capped files.  Files
-    in the same group never overlap; files in different groups may.
-    Leveled compaction leaves it None (one group per level).
-    """
+    """One SST file plus its reader handle and its level."""
 
     reader: SSTReader
     level: int
-    group_id: int | None = None
 
     @property
     def name(self) -> str:
@@ -50,8 +60,8 @@ class Run:
 class _LevelIndex:
     """One level's files with their spans laid out for searching.
 
-    ``disjoint`` says the files are sorted and non-overlapping (a leveled
-    level, or a tiered one holding a single group), so ``min_keys`` and
+    ``disjoint`` says the files are sorted and non-overlapping (every level
+    >= 1, and an L0 whose files happen not to overlap), so ``min_keys`` and
     ``max_keys`` both ascend and a range is answered by bisecting them.
     """
 
@@ -98,9 +108,9 @@ class Version:
         self.level0.insert(0, run)
 
     def install_level(self, level: int, runs: list[Run]) -> None:
-        """Replace the whole file set of ``level`` (leveled compaction).
+        """Replace the whole file set of ``level``.
 
-        Enforces the leveled invariant: one sorted, non-overlapping run.
+        Enforces the level invariant: one sorted, non-overlapping run.
         """
         if level < 1:
             raise StoreError("install_level applies to levels >= 1")
@@ -108,7 +118,7 @@ class Version:
         for left, right in zip(runs, runs[1:]):
             if left.reader.meta.max_key >= right.reader.meta.min_key:
                 raise StoreError(
-                    f"level {level} files overlap after compaction"
+                    f"level {level} files {left.name} and {right.name} overlap"
                 )
         self.levels[level] = runs
 
@@ -130,33 +140,6 @@ class Version:
             if run.name not in removed_names
         ]
         self.install_level(level, survivors + runs)
-
-    def prepend_group(self, level: int, runs: list[Run]) -> None:
-        """Add a fresh sorted group at the *front* of ``level`` (tiered).
-
-        Groups at a tiered level may overlap each other; recency order is
-        list order (newest first), which the merging iterator's priorities
-        rely on for shadowing.
-        """
-        if level < 1:
-            raise StoreError("prepend_group applies to levels >= 1")
-        ordered = sorted(runs, key=lambda r: r.reader.meta.min_key)
-        for left, right in zip(ordered, ordered[1:]):
-            if left.reader.meta.max_key >= right.reader.meta.min_key:
-                raise StoreError("files within one group must not overlap")
-        self.levels[level] = ordered + self.levels.get(level, [])
-
-    def num_groups(self, level: int) -> int:
-        """Distinct sorted groups at ``level`` (files w/o a group count 1 each)."""
-        runs = self.level_runs(level)
-        group_ids = {run.group_id for run in runs if run.group_id is not None}
-        loose = sum(1 for run in runs if run.group_id is None)
-        return len(group_ids) + loose
-
-    def clear_level0(self) -> list[Run]:
-        """Remove and return all L0 runs (they were just compacted)."""
-        runs, self.level0 = self.level0, []
-        return runs
 
     # ------------------------------------------------------------------
     # Introspection
@@ -225,7 +208,7 @@ class Version:
 
         L0 newest-first, then levels ascending, files ascending — recency
         order, which is what shadowing reads.  A level that is one sorted,
-        disjoint run is bisected; L0 and tiered levels are scanned.  A
+        disjoint run is bisected; an L0 whose files overlap is scanned.  A
         version not yet frozen answers from an index built for the call.
         """
         index = self._file_index

@@ -25,7 +25,6 @@ class TestOptions:
             ("block_size_bytes", 10),
             ("level0_file_num_compaction_trigger", 0),
             ("level_size_ratio", 1),
-            ("num_levels", 1),
             ("block_restart_interval", 0),
         ],
     )

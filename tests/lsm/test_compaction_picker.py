@@ -226,10 +226,10 @@ class TestDebtOrdering:
 class TestJobIdKeying:
     def test_job_ids_are_monotonic_and_never_reused(self):
         compactor = _compactor()
-        first = CompactionJob("tiered-level", [], 1, False, source_level=1)
+        first = CompactionJob("leveled-level", [], 1, False, source_level=1)
         compactor.begin(first)
         compactor.finish(first)
-        second = CompactionJob("tiered-level", [], 3, False, source_level=3)
+        second = CompactionJob("leveled-level", [], 3, False, source_level=3)
         compactor.begin(second)
         assert first.job_id == 1
         assert second.job_id == 2
@@ -242,7 +242,7 @@ class TestJobIdKeying:
         later ``finish()`` on the new job would silently evict it.
         """
         compactor = _compactor()
-        job = CompactionJob("tiered-level", [], 1, False, source_level=1)
+        job = CompactionJob("leveled-level", [], 1, False, source_level=1)
         compactor.begin(job)
         stale_id = job.job_id
         del job  # the registration must outlive the object
@@ -250,19 +250,19 @@ class TestJobIdKeying:
         # new job must land in its own slot regardless.
         for output in range(3, 9):
             replacement = CompactionJob(
-                "tiered-level", [], output, False, source_level=output
+                "leveled-level", [], output, False, source_level=output
             )
             compactor.begin(replacement)
             compactor.finish(replacement)
         assert compactor.inflight_jobs() == 1  # the stale entry survived
-        ghost = CompactionJob("tiered-level", [], 1, False, source_level=1)
+        ghost = CompactionJob("leveled-level", [], 1, False, source_level=1)
         ghost.job_id = stale_id
         compactor.finish(ghost)
         assert compactor.inflight_jobs() == 0
 
     def test_finish_before_begin_is_a_no_op(self):
         compactor = _compactor()
-        job = CompactionJob("tiered-level", [], 1, False, source_level=1)
+        job = CompactionJob("leveled-level", [], 1, False, source_level=1)
         compactor.finish(job)  # job_id is None: nothing to drop
         assert compactor.inflight_jobs() == 0
 

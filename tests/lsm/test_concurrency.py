@@ -588,9 +588,9 @@ def _bare_compactor():
 class TestConflictTable:
     def test_shared_input_run_conflicts(self):
         compactor = _bare_compactor()
-        first = _fake_job("tiered-level", ["000001.sst", "000002.sst"], 1, 2)
+        first = _fake_job("leveled-level", ["000001.sst", "000002.sst"], 1, 2)
         compactor.begin(first)
-        overlapping = _fake_job("tiered-level", ["000002.sst"], 3, 4)
+        overlapping = _fake_job("leveled-level", ["000002.sst"], 3, 4)
         assert compactor.conflicts(overlapping)
         with pytest.raises(StoreError):
             compactor.begin(overlapping)
@@ -644,34 +644,6 @@ class TestConflictTable:
             )
         )
         assert compactor.inflight_jobs() == 3
-
-    def test_ranged_leveled_vs_tiered_on_shared_level_conflicts(self):
-        compactor = _bare_compactor()
-        compactor.begin(
-            _fake_job(
-                "leveled-level", ["000001.sst"], 1, 2, low=b"aa", high=b"bb"
-            )
-        )
-        # Tiered jobs carry ranges too, but mixed styles on one level are
-        # never admitted: a tiered prepend would break the leveled
-        # install's non-overlap reasoning.
-        assert compactor.conflicts(
-            _fake_job(
-                "tiered-level", ["000002.sst"], 2, 3, low=b"yy", high=b"zz"
-            )
-        )
-
-    def test_tiered_jobs_may_share_a_level(self):
-        compactor = _bare_compactor()
-        compactor.begin(_fake_job("tiered-level", ["000001.sst"], 1, 2))
-        # Tiered installs only prepend a group / remove inputs by name,
-        # so a disjoint-input job targeting the same level is safe.
-        neighbor = _fake_job("tiered-level", ["000005.sst"], 2, 3)
-        assert not compactor.conflicts(neighbor)
-        # ...but a leveled job on those levels still conflicts.
-        assert compactor.conflicts(
-            _fake_job("leveled-level", ["000007.sst"], 2, 3)
-        )
 
     def test_finish_is_idempotent(self):
         compactor = _bare_compactor()

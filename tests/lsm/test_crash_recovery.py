@@ -74,15 +74,9 @@ def _opened_with(tmp_path, env_cls, config=None, **env_kwargs):
 class TestTortureMatrix:
     """Crash at every durable op of a seeded schedule; verify recovery."""
 
-    @pytest.mark.parametrize(
-        "seed,style",
-        [(1, "leveled"), (2, "leveled"), (3, "tiered")],
-    )
-    def test_no_acknowledged_loss_at_any_crash_point(
-        self, tmp_path, seed, style
-    ):
-        config = TortureConfig(compaction_style=style)
-        report = torture_seed(str(tmp_path), seed, config)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_acknowledged_loss_at_any_crash_point(self, tmp_path, seed):
+        report = torture_seed(str(tmp_path), seed, TortureConfig())
         assert report.violations == []
         # Sanity: the sweep actually enumerated a non-trivial matrix.
         assert report.crash_points > 20

@@ -165,13 +165,6 @@ class TestVersion:
         assert "L0: 1 files" in summary
         assert "L1: 1 files" in summary
 
-    def test_clear_level0(self):
-        version = Version()
-        version.add_level0(_run("0", b"a", b"b", level=0))
-        cleared = version.clear_level0()
-        assert len(cleared) == 1
-        assert version.level0 == []
-
 
 # ----------------------------------------------------------------------
 # runs_for_range: the per-level file index equals the scan it replaces
@@ -180,15 +173,12 @@ def _key(number):
     return number.to_bytes(2, "big")
 
 
-def _disjoint_files(points, prefix, level, group_id=None):
+def _disjoint_files(points, prefix, level):
     """Consecutive pairs of sorted distinct ``points`` become disjoint files."""
-    from repro.lsm.version import Run
-
-    files = []
-    for index in range(0, len(points) - 1, 2):
-        meta = _FakeMeta(f"{prefix}-{index}", _key(points[index]), _key(points[index + 1]))
-        files.append(Run(reader=_FakeReader(meta), level=level, group_id=group_id))
-    return files
+    return [
+        _run(f"{prefix}-{index}", _key(points[index]), _key(points[index + 1]), level)
+        for index in range(0, len(points) - 1, 2)
+    ]
 
 
 _POINTS = st.lists(st.integers(0, 120), min_size=2, max_size=24, unique=True).map(sorted)
@@ -197,19 +187,12 @@ _POINTS = st.lists(st.integers(0, 120), min_size=2, max_size=24, unique=True).ma
 @st.composite
 def _trees(draw):
     version = Version()
-    for index in range(draw(st.integers(0, 4))):  # L0: spans overlap freely
+    # L0: spans overlap freely, so its index is scanned, not bisected.
+    for index in range(draw(st.integers(0, 4))):
         low, high = sorted(draw(st.tuples(st.integers(0, 120), st.integers(0, 120))))
         version.add_level0(_run(f"l0-{index}", _key(low), _key(high), level=0))
-    leveled = draw(st.integers(1, 3))
-    tiered_level = draw(st.integers(1, leveled + 1))  # anywhere among them
-    for level in range(1, leveled + 2):
-        if level != tiered_level:
-            version.install_level(level, _disjoint_files(draw(_POINTS), f"l{level}", level))
-            continue
-        for group in range(draw(st.integers(2, 3))):  # groups overlap each other
-            version.prepend_group(
-                level, _disjoint_files(draw(_POINTS), f"t{level}g{group}", level, group)
-            )
+    for level in range(1, draw(st.integers(1, 4)) + 1):
+        version.install_level(level, _disjoint_files(draw(_POINTS), f"l{level}", level))
     return version
 
 
@@ -257,9 +240,8 @@ class TestFileIndex:
         edited.freeze()
         assert [r.name for r in edited.runs_for_range(b"y", b"y")] == ["x"]
 
-    @pytest.mark.parametrize("style", ["leveled", "tiered"])
     def test_every_installed_version_answers_through_the_index(
-        self, tmp_path, style, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         from repro.lsm.db import DB
         from repro.lsm.options import DBOptions
@@ -272,16 +254,13 @@ class TestFileIndex:
                 max_bytes_for_level_base=32 << 10,
                 block_size_bytes=1024,
                 level_size_ratio=3,
-                compaction_style=style,
             )
 
         def check(db):
             version = db.version
             index = version._file_index  # noqa: SLF001
             assert index is not None
-            deep = [level for level in index[1:] if len(level.runs) > 1]
-            if style == "leveled":
-                assert all(level.disjoint for level in deep)
+            assert all(level.disjoint for level in index[1:])
             # A reader never builds an index of its own.
             with monkeypatch.context() as patch:
                 patch.setattr(Version, "_build_file_index", None)
@@ -292,7 +271,7 @@ class TestFileIndex:
                         assert found == _scan(version, *bounds)
             return version
 
-        path = str(tmp_path / style)
+        path = str(tmp_path / "db")
         db = DB(path, options())
         for i in range(300):
             db.put(i * 29 % 8000, bytes(24))
@@ -305,15 +284,6 @@ class TestFileIndex:
         compacted = check(db)
         assert compacted is not flushed
         assert compacted.max_populated_level() >= 1
-        if style == "tiered":  # overlapping groups share a level: it is scanned
-            grouped = [
-                index_level
-                for level, index_level in zip(
-                    sorted(compacted.levels), compacted._file_index[1:]  # noqa: SLF001
-                )
-                if compacted.num_groups(level) > 1
-            ]
-            assert grouped and not any(level.disjoint for level in grouped)
         db.close()
         reopened = DB(path, options())
         recovered = check(reopened)

@@ -1,6 +1,6 @@
 """Kitchen-sink stress test: every store feature interacting at once.
 
-Tiered compaction + Rosetta filters + atomic batches + deletes + retuning
+Leveled compaction + Rosetta filters + atomic batches + deletes + retuning
 + full compaction + verification + recovery, driven against a dict oracle.
 If any two features interact badly, this is where it shows.
 """
@@ -8,15 +8,12 @@ If any two features interact badly, this is where it shows.
 import bisect
 import random
 
-import pytest
-
 from repro.bench.factories import make_factory
 from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
 
 
-@pytest.mark.parametrize("style", ["leveled", "tiered"])
-def test_everything_at_once(tmp_path, style):
+def test_everything_at_once(tmp_path):
     options = DBOptions(
         key_bits=32,
         memtable_size_bytes=4 << 10,
@@ -25,10 +22,9 @@ def test_everything_at_once(tmp_path, style):
         level_size_ratio=3,
         block_size_bytes=512,
         block_cache_bytes=32 << 10,
-        compaction_style=style,
         filter_factory=make_factory("rosetta", 32, 16, max_range=64),
     )
-    path = str(tmp_path / f"sink-{style}")
+    path = str(tmp_path / "sink")
     db = DB(path, options)
     rng = random.Random(0xABCDEF)
     model: dict[int, bytes] = {}

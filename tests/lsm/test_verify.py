@@ -79,23 +79,6 @@ class TestVerify:
         assert db.verify().ok
         db.close()
 
-    def test_verify_tiered_store(self, tmp_path):
-        options = DBOptions(
-            key_bits=32,
-            memtable_size_bytes=4 << 10,
-            sst_size_bytes=16 << 10,
-            block_size_bytes=1024,
-            level_size_ratio=3,
-            compaction_style="tiered",
-        )
-        db = DB(str(tmp_path / "tiered"), options)
-        for i in range(4000):
-            db.put(i, bytes(16))
-        db.flush()
-        report = db.verify()
-        assert report.ok, report.summary()
-        db.close()
-
     def test_verify_counts_blocks(self, tmp_path):
         db = _db(tmp_path)
         report = db.verify()

@@ -80,7 +80,6 @@ RULES: dict[str, dict[str, Rule]] = {
     },
     "Compactor": {
         "_next_file_number": _rule(("_counter_lock",), ("__init__",)),
-        "_next_group_id": _rule(("_counter_lock",), ("__init__",)),
         # Conflict table: registered/dropped under _inflight_lock only;
         # ``_conflicts_locked`` carries the caller-holds-it convention.
         # The monotonic job-id counter lives under the same lock so a
