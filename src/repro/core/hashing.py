@@ -88,8 +88,8 @@ def mix_salt(value: int, salt: int) -> int:
     """Re-key a 64-bit hash with a salt; ``salt == 0`` is the identity.
 
     Filters apply this *after* their base hash so salted and unsalted
-    instances can share one base-hash computation (the batch range engine
-    hashes every candidate prefix once across all runs).  Salt 0 reproduces
+    instances can share one base-hash computation (the array kernels hash
+    each item once and re-key it per filter).  Salt 0 reproduces
     the historical unsalted hash bit-for-bit, which keeps pre-salting
     serialized filters loadable and parity suites meaningful.
     """

@@ -37,29 +37,25 @@ from repro.errors import FilterBuildError, FilterQueryError, SerializationError
 
 __all__ = ["Rosetta", "ProbeStats", "WALK_MAX_INTERVALS"]
 
-#: Most top-level dyadic intervals one range call (a query, or a batch's
-#: queries summed) may cover and still take the pre-order walk; above it the
-#: frontier engine runs.  Measured by ``benchmarks/bench_batch_range.py`` on
-#: the ledger's filter shape (22 bits/key, max_range 64, a 2 k-key run), both
-#: kernels timed back to back on the same call; walk time over engine time:
+#: Most top-level dyadic intervals a range may cover and still take the
+#: pre-order walk; above it the frontier engine runs.  Walk time over engine
+#: time on the ledger's filter shape (22 bits/key, max_range 64, a 2 k-key
+#: run), both kernels timed back to back on the same range, on a 2-core
+#: Intel Xeon host:
 #:
-#:   intervals in the call          36    76   118   143   189   218   263   378
-#:   N short (1..64 wide) queries  .20   .41   .58   .71   .92  1.02  1.21  1.50
+#:   intervals in the range          8    16    32    48    64    96   128   192   384
+#:   one wide empty range          .50   .85  1.55  2.27  2.50  3.65  4.27  6.55  8.12
+#:   one wide range, key midway    .27   .39   .77  1.02  1.34  1.92  2.32  2.80  5.32
 #:
-#:   intervals in the call           8    16    32    48    64    96   128   192   384
-#:   one wide empty range          .26   .39   .67  1.00  1.42  1.71  2.27  2.53  5.13
-#:   one wide range, key midway    .17   .22   .38   .50   .65   .92  1.31  1.74  1.87
-#:
-#: The engine costs ~550-750 us flat plus ~1 us an interval; the walk pays by
-#: the probe, and an interval is not a fixed number of probes: ~1.5 in a
-#: short query (mostly low blocks, dead at the first probe), ~9 for a
-#: full-height block of an empty wide range (the ledger's allocation leaves
-#: the top two levels bit-less, so four children are probed before anything
-#: can die).  The calls therefore cross at ~205, ~48 and ~100 intervals, and
-#: no count serves all three.  96 is where the two outer shapes lose the
-#: same factor: just above it a batch of short queries runs on the engine at
-#: 1.7-2x the walk's cost, just below it one wide empty range runs on the
-#: walk at 1.7-2x the engine's.
+#: The engine costs ~0.3-0.5 ms a range at these sizes; the walk pays by the
+#: probe, ~9 for a full-height block of an empty wide range (the ledger's
+#: allocation leaves the top two levels bit-less, so four children are
+#: probed before anything can die) and fewer once a key ends the doubt.  The
+#: shapes cross at ~20 and ~48 intervals, so a range of 48-96 intervals
+#: walks at 1.0-3.7x the engine's cost.  96 stays because the ledger
+#: asks no range in between: ``range-empty`` and ``serve-mixed`` ask widths
+#: <= 64, at most 10 intervals (walk), and ``scan-wide`` ~27 k intervals a
+#: run (engine).
 WALK_MAX_INTERVALS = 96
 
 
@@ -409,45 +405,6 @@ class Rosetta:
         """
         return np.asarray(self.may_contain_each(keys), dtype=bool)
 
-    def may_contain_range_batch(
-        self,
-        lows,
-        highs,
-        *,
-        probe_budget: int | None = None,
-    ) -> np.ndarray:
-        """Range lookups for a group of queries: one boolean per pair.
-
-        Verdicts agree with :meth:`may_contain_range` query for query.  The
-        kernel is picked from the group's summed interval count (see
-        :meth:`_doubt_ranges`): a small group is a loop of pre-order walks
-        and charges exactly what the scalar calls would; a large one is
-        one frontier sweep (:mod:`repro.core.doubting`), where a prefix
-        shared by several queries is hashed and probed once and work is
-        chunked so oversized ranges never materialize huge arrays.
-        ``probe_budget`` applies per query, as in :meth:`may_contain_range`.
-        """
-        lows = [int(v) for v in lows]
-        highs = [int(v) for v in highs]
-        if len(lows) != len(highs):
-            raise FilterQueryError("lows and highs must align")
-        clamped = [self._clamp_range(lo, hi) for lo, hi in zip(lows, highs)]
-        self.stats.range_queries += len(lows)
-        answers = np.zeros(len(lows), dtype=bool)
-        if self._num_keys == 0 or not lows:
-            return answers
-        if probe_budget is not None and probe_budget < 1:
-            # Exhausted before the first probe: every query degrades to a
-            # (sound) positive, as in the scalar path.
-            answers[:] = True
-            return answers
-        live = [i for i, (lo, hi) in enumerate(clamped) if lo <= hi]
-        if live:
-            answers[live] = self._doubt_ranges(
-                [clamped[i] for i in live], probe_budget
-            )
-        return answers
-
     def may_contain_range(
         self, low: int, high: int, probe_budget: int | None = None
     ) -> bool:
@@ -461,49 +418,34 @@ class Rosetta:
         budget runs out mid-doubt the filter answers ``True``
         (conservative: bounded CPU can only cost false positives, never
         correctness).
+
+        The kernel is chosen from the range itself: the pre-order walk
+        (:meth:`_walk`) serves ranges covering at most
+        :data:`WALK_MAX_INTERVALS` top-level dyadic intervals, every domain
+        wider than the engine's ``uint64`` arrays, and every budgeted call
+        (it honours a budget natively and its cost is bounded by it); the
+        frontier engine (:mod:`repro.core.doubting`) serves the rest.  Both
+        charge ``bloom_probes`` with the probes they actually issued.
         """
         low, high = self._clamp_range(low, high)
-        self.stats.range_queries += 1
+        stats = self.stats
+        stats.range_queries += 1
         if self._num_keys == 0 or low > high:
             return False
         if probe_budget is not None and probe_budget < 1:
             return True
-        return self._doubt_ranges([(low, high)], probe_budget)[0]
-
-    def _doubt_ranges(
-        self, ranges: Sequence[tuple[int, int]], probe_budget: int | None
-    ) -> list[bool]:
-        """Doubt validated, clamped, non-empty ranges; pick the kernel.
-
-        The one place a range probe chooses between the pre-order walk and
-        the frontier engine, from the call's own input: the walk serves
-        calls covering at most :data:`WALK_MAX_INTERVALS` top-level dyadic
-        intervals, every domain wider than the engine's ``uint64`` arrays,
-        and every budgeted call (it honours a budget natively and its cost
-        is bounded by it); the engine serves the rest.  Both charge
-        ``bloom_probes`` with the probes they actually issued.
-        """
-        walks = probe_budget is not None or self._key_bits > 64
-        # Every range holds at least one interval, so a long batch is past
-        # the crossover without counting.
-        if not walks and len(ranges) <= WALK_MAX_INTERVALS:
-            max_height = self._max_height
-            intervals = 0
-            for low, high in ranges:
-                intervals += dyadic.count_intervals(low, high, max_height)
-            walks = intervals <= WALK_MAX_INTERVALS
-        if walks:
-            walk = self._walk
-            return [walk(low, high, probe_budget) for low, high in ranges]
-        result = doubting.doubt_frontier(
-            self._filters,
-            [low for low, _ in ranges],
-            [high for _, high in ranges],
-        )
-        self.stats.bloom_probes += result.probes
-        self.stats.dyadic_intervals += result.intervals
-        self.stats.bulk_probe_calls += result.bulk_probe_calls
-        return result.answers.tolist()
+        if (
+            probe_budget is not None
+            or self._key_bits > 64
+            or dyadic.count_intervals(low, high, self._max_height)
+            <= WALK_MAX_INTERVALS
+        ):
+            return self._walk(low, high, probe_budget)
+        result = doubting.doubt_frontier(self._filters, low, high)
+        stats.bloom_probes += result.probes
+        stats.dyadic_intervals += result.intervals
+        stats.bulk_probe_calls += result.bulk_probe_calls
+        return result.answer
 
     def _walk(self, low: int, high: int, probe_budget: int | None) -> bool:
         """Algorithm 2: doubt each dyadic interval, left to right, pre-order.

@@ -71,17 +71,6 @@ class KeyFilter(abc.ABC):
         """
         return [self.may_contain(int(key)) for key in keys]
 
-    def may_contain_range_batch(self, lows: Sequence[int], highs: Sequence[int]) -> list[bool]:
-        """Vectorized range lookups; one verdict per (low, high) pair.
-
-        Default is a loop over :meth:`may_contain_range`; overridden where
-        the filter can resolve the whole batch in bulk.
-        """
-        return [
-            self.may_contain_range(int(lo), int(hi))
-            for lo, hi in zip(lows, highs)
-        ]
-
     def tightened_range(self, low: int, high: int) -> tuple[int, int] | None:
         """Optionally narrow a positive range (None = definitely empty).
 

@@ -68,7 +68,11 @@ class RosettaFilter(KeyFilter):
         return self._require_populated().may_contain(int(key))
 
     def may_contain_range(self, low: int, high: int) -> bool:
-        """Dyadic decomposition + frontier doubting (Algorithm 2)."""
+        """Dyadic decomposition + doubting (Algorithm 2).
+
+        The core walks the range's intervals one probe at a time, or past
+        ``WALK_MAX_INTERVALS`` of them sweeps them level by level.
+        """
         return self._require_populated().may_contain_range(low, high)
 
     def may_contain_batch(self, keys: Sequence[int]) -> list[bool]:
@@ -79,13 +83,6 @@ class RosettaFilter(KeyFilter):
         the core picks the scalar or vector Bloom kernel from ``len(keys)``.
         """
         return self._require_populated().may_contain_each(keys)
-
-    def may_contain_range_batch(
-        self, lows: Sequence[int], highs: Sequence[int]
-    ) -> list[bool]:
-        """Bulk range lookups via the frontier engine (one sweep per level)."""
-        core = self._require_populated()
-        return [bool(v) for v in core.may_contain_range_batch(lows, highs)]
 
     def tightened_range(self, low: int, high: int) -> tuple[int, int] | None:
         """§2.2.1 effective-range tightening."""

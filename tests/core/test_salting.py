@@ -240,11 +240,21 @@ class TestSaltedAdapters:
         assert filt.may_contain_batch(points) == [
             filt.may_contain(p) for p in points
         ]
-        lows = [rng.randrange((1 << 24) - 32) for _ in range(100)]
-        highs = [lo + 31 for lo in lows]
-        assert filt.may_contain_range_batch(lows, highs) == [
-            filt.may_contain_range(lo, hi) for lo, hi in zip(lows, highs)
-        ]
+        # Wide salted ranges (~160 intervals) take the frontier engine and
+        # answer what the walk does.
+        core = filt.rosetta
+        core.stats.reset()
+        for i in range(60):
+            if i % 2:
+                low = rng.randrange((1 << 24) - 5000)
+            else:
+                low = max(0, rng.choice(self.KEYS) - rng.randrange(5000))
+            high = low + 4999
+            want = core._walk(low, high, None)
+            assert filt.may_contain_range(low, high) == want
+            if i % 2 == 0:
+                assert want
+        assert core.stats.bulk_probe_calls > 0
 
     def test_bloom_point_scalar_batch_parity_with_salt(self):
         filt = _populated(

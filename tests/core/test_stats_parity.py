@@ -1,22 +1,20 @@
-"""Scalar/batch accounting parity and range-validation edge cases.
+"""Kernel-independent accounting and range-validation edge cases.
 
 Regression suite for two paper-fidelity bugs:
 
-* A batch holding a single (live) query used to charge the bulk frontier's
-  level-synchronous probe counts (8 probes / 2 intervals for ``[8, 12]`` on
-  the Fig. 2 example) where the scalar path charged the sequential
-  recursion's (3 / 1).  ``ProbeStats`` must not depend on which entry point
-  issued a query.
-* Queries whose clamped range is empty (``low > high``) are skipped
-  internally.  That skip must never leak out as a silent ``False``
-  for *publicly inverted* ranges — every entry point raises
+* A short range used to be charged the bulk frontier's level-synchronous
+  probe counts (8 probes / 2 intervals for ``[8, 12]`` on the Fig. 2
+  example) where the sequential recursion charges 3 / 1.  A range the
+  walk serves must charge what the walk does.
+* Ranges whose clamped bounds are empty (``low > high``) answer ``False``
+  without probing.  That must never leak out as a silent ``False`` for
+  *publicly inverted* ranges — every entry point raises
   :exc:`FilterQueryError` first.
 
 Point lookups have one batched entry (``BloomFilter.contains_batch``) that
-picks the per-item loop or the vector kernel from the group size; range
-lookups pick the pre-order walk or the frontier engine from the call's
-dyadic interval count.  Verdicts and typed errors must not show which
-kernel ran.
+picks the per-item loop or the vector kernel from the group size; a range
+lookup picks the pre-order walk or the frontier engine from its own dyadic
+interval count.  Verdicts and typed errors must not show which kernel ran.
 
 The same rule one layer up (``TestStoreLedgerParity``): what a store's reads
 report query by query in ``last_query`` is what ``PerfStats`` accumulates,
@@ -38,6 +36,7 @@ from repro.bench.factories import make_factory
 from repro.filters.bloom_point import BloomPointFilter
 from repro.filters.rosetta_adapter import RosettaFilter
 from repro.lsm.db import DB
+from repro.lsm.filter_integration import batched_tightened_ranges
 from repro.lsm.options import DBOptions
 
 TINY_KEYS = [3, 6, 7, 8, 9, 11]  # the paper's running example (Fig. 2)
@@ -62,34 +61,14 @@ def _charges(rosetta, issue):
 
 class TestSingleQueryParity:
     def test_tiny_example_pinned_charges(self):
-        """[8, 12] on Fig. 2: 1 dyadic interval, 3 probes, on every path."""
+        """[8, 12] on Fig. 2: 1 dyadic interval, 3 probes, entry and walk."""
         scalar = _charges(_tiny(), lambda r: r.may_contain_range(8, 12))
         walk = _charges(_tiny(), lambda r: r._walk(8, 12, None))
-        batch = _charges(
-            _tiny(), lambda r: bool(r.may_contain_range_batch([8], [12])[0])
-        )
-        assert scalar == walk == batch == (True, 3, 1)
-
-    def test_true_batches_keep_bulk_accounting(self):
-        """A batch past the crossover charges the probes the engine issued."""
-        first = _charges(_tiny(), lambda r: r.may_contain_range(8, 12))
-        second = _charges(_tiny(), lambda r: r.may_contain_range(3, 7))
-        copies = WALK_MAX_INTERVALS  # 2 + 2 intervals a pair: well past it
-        rosetta = _tiny()
-        verdicts = rosetta.may_contain_range_batch(
-            [8, 3] * copies, [12, 7] * copies
-        )
-        assert verdicts.tolist() == [first[0], second[0]] * copies
-        assert rosetta.stats.bulk_probe_calls > 0
-        # Bulk accounting: every interval enters the round (no per-interval
-        # early exit), and a prefix shared by several queries is probed
-        # once per level — neither charge is the sequential walks' sum.
-        assert rosetta.stats.dyadic_intervals == 4 * copies
-        assert rosetta.stats.dyadic_intervals > (first[2] + second[2]) * copies
-        assert rosetta.stats.bloom_probes < (first[1] + second[1]) * copies
+        assert scalar == walk == (True, 3, 1)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_random_single_query_parity(self, strategy, rng, small_keys):
+        """The entry charges what the walk does, on a round-tripped copy."""
         rosetta = Rosetta.build(
             small_keys,
             key_bits=32,
@@ -97,36 +76,29 @@ class TestSingleQueryParity:
             max_range=64,
             strategy=strategy,
         )
-        batch = Rosetta.from_bytes(rosetta.to_bytes())
+        copy = Rosetta.from_bytes(rosetta.to_bytes())
         for _ in range(50):
             low = rng.randrange((1 << 32) - 64)
             high = low + rng.randrange(64)
             want = _charges(
                 rosetta, lambda r: r.may_contain_range(low, high)
             )
-            got = _charges(
-                batch,
-                lambda r: bool(r.may_contain_range_batch([low], [high])[0]),
-            )
+            got = _charges(copy, lambda r: r._walk(low, high, None))
             assert got == want, (low, high)
 
     def test_batch_of_one_dead_query_among_live(self, small_keys):
-        """Domain clamping may kill all but one query; parity still holds."""
+        """A range clamped dead costs nothing; the live one next to it
+        still charges what the walk does."""
         rosetta = Rosetta.build(
             small_keys, key_bits=32, bits_per_key=14.0, max_range=64
         )
-        beyond = 1 << 40  # clamps to an empty range, skipped internally
-        scalar = _charges(
-            rosetta, lambda r: r.may_contain_range(small_keys[0], small_keys[0])
-        )
-        batched = _charges(
-            rosetta,
-            lambda r: r.may_contain_range_batch(
-                [small_keys[0], beyond], [small_keys[0], beyond]
-            ),
-        )
-        assert batched[0][0] and not batched[0][1]
-        assert batched[1:] == scalar[1:]
+        key = small_keys[0]
+        beyond = 1 << 40  # clamps to an empty range
+        walk = _charges(rosetta, lambda r: r._walk(key, key, None))
+        dead = _charges(rosetta, lambda r: r.may_contain_range(beyond, beyond))
+        live = _charges(rosetta, lambda r: r.may_contain_range(key, key))
+        assert dead == (False, 0, 0)
+        assert live == walk and live[0]
 
 
 #: Group sizes on both sides of the scalar/vector kernel switch — and the
@@ -255,12 +227,12 @@ def _range_of(intervals, anchor):
 
 
 class TestRangeKernelBoundaryParity:
-    """The public entries answer what the walk and the engine both do."""
+    """The public entry answers what the walk and the engine both do."""
 
     @staticmethod
-    def _kernels(rosetta, lows, highs):
-        walk = [rosetta._walk(lo, hi, None) for lo, hi in zip(lows, highs)]
-        engine = doubt_frontier(rosetta.levels, lows, highs).answers.tolist()
+    def _kernels(rosetta, low, high):
+        walk = rosetta._walk(low, high, None)
+        engine = doubt_frontier(rosetta.levels, low, high).answer
         return walk, engine
 
     @pytest.mark.parametrize("intervals", BOUNDARY_INTERVALS)
@@ -276,19 +248,19 @@ class TestRangeKernelBoundaryParity:
         anchors = stored[:20] + [rng.randrange(margin, top) for _ in range(40)]
         for position, anchor in enumerate(anchors):
             low, high = _range_of(intervals, anchor)
-            walk, engine = self._kernels(rosetta, [low], [high])
+            walk, engine = self._kernels(rosetta, low, high)
             rosetta.stats.reset()
-            assert rosetta.may_contain_range(low, high) == walk[0] == engine[0]
-            assert rosetta.may_contain_range_batch([low], [high])[0] == walk[0]
+            assert rosetta.may_contain_range(low, high) == walk == engine
             took_engine = rosetta.stats.bulk_probe_calls > 0
             assert took_engine == (intervals > WALK_MAX_INTERVALS)
             if position < 20:
-                assert walk[0]  # holds a stored key: no false negative
+                assert walk  # holds a stored key: no false negative
 
     @pytest.mark.parametrize("intervals", BOUNDARY_INTERVALS)
     @pytest.mark.parametrize("shape", sorted(_RANGE_FILTERS))
     def test_many_short_queries(self, shape, intervals):
-        """The batch entry sums its queries' intervals: here one each."""
+        """Short ranges walk however many arrive: the rule reads one
+        range's intervals, never a sum over calls."""
         params = _RANGE_FILTERS[shape]
         rng = random.Random(intervals)
         domain = 1 << params["key_bits"]
@@ -298,13 +270,13 @@ class TestRangeKernelBoundaryParity:
             rng.choice(stored) if rng.random() < 0.5 else rng.randrange(domain)
             for _ in range(intervals)
         ]
-        walk, engine = self._kernels(rosetta, keys, keys)
         rosetta.stats.reset()
-        assert rosetta.may_contain_range_batch(keys, keys).tolist() == walk
-        took_engine = rosetta.stats.bulk_probe_calls > 0
-        assert took_engine == (intervals > WALK_MAX_INTERVALS)
-        assert engine == walk
-        assert all(walk[i] for i, key in enumerate(keys) if key in stored)
+        for key in keys:
+            walk, engine = self._kernels(rosetta, key, key)
+            assert rosetta.may_contain_range(key, key) == walk == engine
+            assert walk or key not in stored
+        assert rosetta.stats.range_queries == intervals
+        assert rosetta.stats.bulk_probe_calls == 0
 
     @pytest.mark.parametrize("intervals", BOUNDARY_INTERVALS)
     def test_domain_top_and_full_domain(self, intervals):
@@ -313,27 +285,27 @@ class TestRangeKernelBoundaryParity:
         short = Rosetta.build(stored, key_bits=64, bits_per_key=16.0, max_range=16)
         low = top + 1 - (intervals << _RANGE_HEIGHT)
         assert count_intervals(low, top, _RANGE_HEIGHT) == intervals
-        walk, engine = self._kernels(short, [low, 0], [top, top])
-        assert walk == engine == [True, True]
+        assert self._kernels(short, low, top) == (True, True)
+        assert self._kernels(short, 0, top) == (True, True)
         assert short.may_contain_range(low, top)
         assert short.may_contain_range(low, top + 10**6)  # clamped
         assert short.may_contain_range(0, top)
         empty_low, empty_high = _range_of(intervals, 1 << 50)
-        walk, engine = self._kernels(short, [empty_low], [empty_high])
-        assert short.may_contain_range(empty_low, empty_high) == walk[0] == engine[0]
+        walk, engine = self._kernels(short, empty_low, empty_high)
+        assert short.may_contain_range(empty_low, empty_high) == walk == engine
         # A tree as tall as the domain covers it with a single interval.
         tall = Rosetta.build(
             stored, key_bits=64, bits_per_key=130.0, max_range=1 << 64
         )
-        walk, engine = self._kernels(tall, [0], [top])
-        assert tall.may_contain_range(0, top) and walk == engine == [True]
+        assert tall.may_contain_range(0, top)
+        assert self._kernels(tall, 0, top) == (True, True)
 
     @pytest.mark.parametrize("intervals", BOUNDARY_INTERVALS)
     def test_empty_filter_and_wide_domain(self, intervals):
         empty = Rosetta.build([], key_bits=32, bits_per_key=12.0, max_range=16)
         low, high = _range_of(intervals, 1 << 20)
         assert not empty.may_contain_range(low, high)
-        assert not empty.may_contain_range_batch([low] * 3, [high] * 3).any()
+        assert empty.stats.bloom_probes == 0
         # 96-bit keys cannot ride the engine's uint64 arrays: walk only.
         rng = random.Random(intervals)
         stored = [rng.randrange(1 << 90, 1 << 95) for _ in range(200)]
@@ -343,8 +315,6 @@ class TestRangeKernelBoundaryParity:
         want = [wide._walk(lo, hi, None) for lo, hi in ranges]
         assert all(want[:10])
         assert [wide.may_contain_range(lo, hi) for lo, hi in ranges] == want
-        lows, highs = zip(*ranges)
-        assert wide.may_contain_range_batch(lows, highs).tolist() == want
         assert wide.stats.bulk_probe_calls == 0
 
     @pytest.mark.parametrize("intervals", BOUNDARY_INTERVALS)
@@ -361,16 +331,11 @@ class TestRangeKernelBoundaryParity:
         assert not rosetta._walk(low, high, None)
         assert rosetta.stats.bloom_probes >= intervals
         for budget in (1, 5, WALK_MAX_INTERVALS - 2):
-            for issue in (
-                lambda: rosetta.may_contain_range(low, high, probe_budget=budget),
-                lambda: rosetta.may_contain_range_batch(
-                    [low], [high], probe_budget=budget
-                )[0],
-            ):
-                rosetta.stats.reset()
-                assert issue()  # gave up: a sound positive
-                assert rosetta.stats.bloom_probes == budget
-                assert rosetta.stats.bulk_probe_calls == 0
+            rosetta.stats.reset()
+            # Gave up: a sound positive.
+            assert rosetta.may_contain_range(low, high, probe_budget=budget)
+            assert rosetta.stats.bloom_probes == budget
+            assert rosetta.stats.bulk_probe_calls == 0
 
 
 class TestRangeValidation:
@@ -380,41 +345,47 @@ class TestRangeValidation:
         rosetta = _tiny()
         adapter = RosettaFilter(key_bits=4, bits_per_key=24.0, max_range=8)
         adapter.populate(TINY_KEYS)
+        empty = Rosetta.build([], key_bits=4, bits_per_key=24.0, max_range=8)
         entry_points = [
             lambda: rosetta.may_contain_range(9, 5),
             lambda: rosetta.tightened_range(9, 5),
-            lambda: rosetta.may_contain_range_batch([9], [5]),
             lambda: adapter.may_contain_range(9, 5),
             lambda: adapter.tightened_range(9, 5),
-            lambda: adapter.may_contain_range_batch([9], [5]),
+            # Checked before the empty-filter and dead-range shortcuts.
+            lambda: empty.may_contain_range(9, 5),
+            lambda: rosetta.may_contain_range(1 << 9, 1 << 5),
         ]
         for issue in entry_points:
             with pytest.raises(FilterQueryError):
                 issue()
 
     def test_inverted_pair_inside_live_batch_raises(self):
-        """One bad pair poisons the whole batch — never a silent False."""
-        rosetta = _tiny()
+        """The store's per-run loop raises on an inverted range among live
+        and fence-only runs — never a silent False."""
+        adapter = RosettaFilter(key_bits=4, bits_per_key=24.0, max_range=8)
+        adapter.populate(TINY_KEYS)
+        runs = [None, _tiny(), adapter]
+        assert batched_tightened_ranges(runs, 8, 12) == ([True] * 3, 2)
         with pytest.raises(FilterQueryError):
-            rosetta.may_contain_range_batch([8, 9, 3], [12, 5, 7])
+            batched_tightened_ranges(runs, 9, 5)
 
     def test_single_key_range(self):
         rosetta = _tiny()
         for key in TINY_KEYS:
             assert rosetta.may_contain_range(key, key)
-            assert rosetta.may_contain_range_batch([key], [key])[0]
         # 5 is absent from the example keys and 4 is a dyadic boundary.
         assert not rosetta.may_contain_range(5, 5)
-        assert not rosetta.may_contain_range_batch([5], [5])[0]
 
     def test_full_domain_range_clamps(self):
         """Out-of-domain endpoints clamp (not raise) when low <= high."""
         rosetta = _tiny()
         assert rosetta.may_contain_range(0, (1 << 4) - 1)
         assert rosetta.may_contain_range(0, 10**9)  # clamped to domain max
-        assert list(
-            rosetta.may_contain_range_batch([0], [10**9])
-        ) == [True]
+        # Wholly past the domain: clamps empty, answers False, probes nothing.
+        assert _charges(
+            rosetta, lambda r: r.may_contain_range(1 << 40, 1 << 41)
+        ) == (False, 0, 0)
+        assert rosetta.stats.range_queries == 3
 
 
 #: PerfStats field -> the QueryContext field a read folds into it.
