@@ -10,12 +10,12 @@ workload under injected transient read errors (with retries) must produce
 exactly the fault-free answers, with every injected fault visible in the
 health report.
 
-On top of the inline sweep, every seed repeats the full crash-point sweep
-with background maintenance workers on a seeded deterministic scheduler
-(``--sched-seeds`` interleavings per seed — power cuts land mid-flush,
-mid-compaction, and mid-superversion-install on a worker), and checks
-interleaving equivalence: inline and every scheduler seed must answer
-identically on a crash-free run.
+One ``torture_seed`` call per seed sweeps every crash point inline and
+again with background maintenance workers on a seeded deterministic
+scheduler (``--sched-seeds`` interleavings per seed — power cuts land
+mid-flush, mid-compaction, and mid-superversion-install on a worker).
+Each seed also checks interleaving equivalence: inline and every
+scheduler seed must answer identically on a crash-free run.
 
 Usage::
 
@@ -39,7 +39,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.lsm.torture import (  # noqa: E402
     TortureConfig,
-    concurrent_torture_seed,
     schedule_equivalence,
     torture_seed,
     transient_fault_equivalence,
@@ -75,19 +74,19 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
     started = time.time()
     with tempfile.TemporaryDirectory(prefix="torture-") as workdir:
         for seed in range(seeds):
-            report = torture_seed(workdir, seed, config)
-            equivalence = transient_fault_equivalence(workdir, seed, config)
-            concurrent = concurrent_torture_seed(
-                workdir, seed, config, sched_seeds=interleavings
+            report = torture_seed(
+                workdir, seed, config, sched_seeds=(None, *interleavings)
             )
+            equivalence = transient_fault_equivalence(workdir, seed, config)
             interleaving_eq = schedule_equivalence(
                 workdir, seed, config, sched_seeds=interleavings
             )
-            total_crash_points += report.crash_points
-            total_concurrent_crash_points += concurrent.crash_points
-            total_range_admissions += concurrent.leveled_range_admissions
+            inline = report.crash_points_by_schedule[None]
+            concurrent = report.crash_points - inline
+            total_crash_points += inline
+            total_concurrent_crash_points += concurrent
+            total_range_admissions += report.leveled_range_admissions
             violations.extend(report.violations)
-            violations.extend(concurrent.violations)
             if not interleaving_eq["equivalent"]:
                 violations.append(
                     f"seed={seed}: interleavings diverged: "
@@ -110,27 +109,29 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
             records.append(
                 {
                     "seed": seed,
-                    "crash_points": report.crash_points,
-                    "recoveries": report.recoveries,
-                    "violations": report.violations,
+                    "crash_points": inline,
+                    "violations": [
+                        v for v in report.violations if "sched_seed=" not in v
+                    ],
                     "transient_answers_match": equivalence["answers_match"],
                     "injected_transient_errors": equivalence[
                         "injected_transient_errors"
                     ],
                     "io_retries": equivalence["io_retries"],
-                    "concurrent_crash_points": concurrent.crash_points,
-                    "concurrent_recoveries": concurrent.recoveries,
-                    "concurrent_violations": concurrent.violations,
+                    "concurrent_crash_points": concurrent,
+                    "concurrent_violations": [
+                        v for v in report.violations if "sched_seed=" in v
+                    ],
                     "leveled_range_admissions": (
-                        concurrent.leveled_range_admissions
+                        report.leveled_range_admissions
                     ),
                     "interleavings_equivalent": interleaving_eq["equivalent"],
                 }
             )
             print(
-                f"seed {seed:3d}: {report.crash_points:4d} inline + "
-                f"{concurrent.crash_points:4d} concurrent crash points, "
-                f"{len(report.violations) + len(concurrent.violations)} "
+                f"seed {seed:3d}: {inline:4d} inline + "
+                f"{concurrent:4d} concurrent crash points, "
+                f"{len(report.violations)} "
                 f"violations; transient-equivalence "
                 f"{'ok' if equivalence['answers_match'] else 'FAILED'}, "
                 f"interleaving-equivalence "
@@ -138,32 +139,33 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
             )
         range_records = []
         for seed in range(min(3, seeds)):
-            concurrent = concurrent_torture_seed(
+            report = torture_seed(
                 workdir, seed, range_config, sched_seeds=interleavings
             )
-            total_concurrent_crash_points += concurrent.crash_points
-            total_range_admissions += concurrent.leveled_range_admissions
-            violations.extend(concurrent.violations)
+            total_concurrent_crash_points += report.crash_points
+            total_range_admissions += report.leveled_range_admissions
+            violations.extend(report.violations)
             range_records.append(
                 {
                     "seed": seed,
-                    "crash_points": concurrent.crash_points,
-                    "recoveries": concurrent.recoveries,
+                    "crash_points": report.crash_points,
                     "leveled_range_admissions": (
-                        concurrent.leveled_range_admissions
+                        report.leveled_range_admissions
                     ),
-                    "violations": concurrent.violations,
+                    "violations": report.violations,
                 }
             )
             print(
-                f"range seed {seed:3d}: {concurrent.crash_points:4d} "
+                f"range seed {seed:3d}: {report.crash_points:4d} "
                 f"concurrent crash points, "
-                f"{concurrent.leveled_range_admissions} range admissions, "
-                f"{len(concurrent.violations)} violations"
+                f"{report.leveled_range_admissions} range admissions, "
+                f"{len(report.violations)} violations"
             )
         salted_records = []
         for seed in range(min(3, seeds)):
-            report = torture_seed(workdir, seed, salted_config)
+            report = torture_seed(
+                workdir, seed, salted_config, sched_seeds=(None,)
+            )
             total_crash_points += report.crash_points
             violations.extend(
                 f"salted {violation}" for violation in report.violations
@@ -172,7 +174,6 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
                 {
                     "seed": seed,
                     "crash_points": report.crash_points,
-                    "recoveries": report.recoveries,
                     "violations": report.violations,
                 }
             )

@@ -15,8 +15,10 @@ module drives that contract end to end:
 * the key domain is split so answers are checkable under concurrency:
   the lower half is preloaded once and never written again (every read
   there has one correct answer), and the upper half is divided into
-  per-client disjoint write slices (each client verifies its own reads
-  against its own acked writes — nobody else touches its slice);
+  per-client disjoint write slices (nobody else touches a client's
+  slice, so each client checks every read against one dict — the stable
+  region plus its own acked writes — through the op model it shares with
+  the torture harness, :func:`repro.lsm.torture.expected`);
 * every async read is collected with a bounded ``Future.result`` wait;
   a timeout is a **hang violation**, a non-allowlisted exception is a
   **typed-error violation**, and a mismatched answer is a **wrong-answer
@@ -55,6 +57,7 @@ from repro.lsm.db import DB
 from repro.lsm.faults import FaultInjectionEnv
 from repro.lsm.options import DBOptions
 from repro.lsm.serving import ServingOptions, ShardedServer
+from repro.lsm.torture import _apply, _effects, expected
 
 __all__ = ["ChaosOptions", "ChaosReport", "run_chaos"]
 
@@ -130,8 +133,17 @@ def _stable_value(key: int) -> bytes:
     return b"stable:%d" % key
 
 
+def _describe(op: tuple) -> str:
+    return f"{op[0]}({', '.join(map(str, op[1:]))})"
+
+
 class _Client:
-    """One traffic thread: seeded op mix + its own verification model."""
+    """One traffic thread: seeded op mix + its own verification model.
+
+    The model is one dict: the stable region plus this client's own
+    acknowledged puts — nobody else writes either, so every read this
+    client issues has exactly one right answer.
+    """
 
     def __init__(
         self,
@@ -145,44 +157,37 @@ class _Client:
         self.rng = random.Random(harness.options.seed * 1009 + index)
         self.write_low = write_low      # inclusive, this client's alone
         self.write_high = write_high    # exclusive
-        self.model: dict[int, bytes] = {}  # acked writes in own slice
+        self.model: dict[int, bytes | None] = {
+            key: _stable_value(key) for key in harness.stable_sorted
+        }
         self.write_seq = 0
         self.report = ChaosReport()
-
-    # -- expected answers ------------------------------------------------
-    def _expect_point(self, key: int) -> bytes | None:
-        if key in self.harness.stable:
-            return _stable_value(key)
-        if self.write_low <= key < self.write_high:
-            return self.model.get(key)
-        return None
 
     # -- one op ----------------------------------------------------------
     def run_op(self) -> None:
         roll = self.rng.random()
         if roll < 0.45:
-            self._op_get()
+            self._read(("get", self._pick_read_key()))
         elif roll < 0.65:
-            self._op_multi_get()
+            count = self.rng.randint(2, 8)
+            keys = [self._pick_read_key() for _ in range(count)]
+            self._read(("multi_get", keys))
         elif roll < 0.80:
-            self._op_range()
+            # Ranges stay inside the stable region so the answer is fixed.
+            low = self.rng.randrange(0, self.harness.stable_top)
+            high = min(
+                low + self.rng.randint(1, 64), self.harness.stable_top - 1
+            )
+            self._read(("range", low, high))
         else:
             self._op_put()
 
     def _pick_read_key(self) -> int:
         # 70% stable region (always verifiable), 30% own write slice.
-        if self.rng.random() < 0.7 or not self.harness.stable_list:
-            if self.harness.stable_list:
-                return self.rng.choice(self.harness.stable_list)
+        stable = self.harness.stable_sorted
+        if self.rng.random() < 0.7 and stable:
+            return self.rng.choice(stable)
         return self.rng.randrange(self.write_low, self.write_high)
-
-    def _collect(self, future: concurrent.futures.Future) -> object:
-        """Bounded wait; a timeout here is the hang violation."""
-        options = self.harness.options
-        bound = options.grace_s
-        if options.default_deadline_s is not None:
-            bound = options.default_deadline_s + options.grace_s
-        return future.result(timeout=bound)
 
     def _record(self, start: float, ok: bool) -> None:
         self.report.ops += 1
@@ -204,82 +209,42 @@ class _Client:
             )
         self._record(start, ok=False)
 
-    def _op_get(self) -> None:
-        key = self._pick_read_key()
+    def _read(self, op: tuple) -> None:
+        """Submit one read op, collect it with a bounded wait (a timeout is
+        the hang violation), and check it against the model."""
+        server, options = self.harness.server, self.harness.options
+        submit = {
+            "get": server.get_async,
+            "multi_get": server.multi_get_async,
+            "range": server.range_query_async,
+        }[op[0]]
+        bound = options.grace_s + (options.default_deadline_s or 0.0)
         start = time.monotonic()
         try:
-            value = self._collect(self.harness.server.get_async(key))
+            got = submit(*op[1:]).result(timeout=bound)
         except BaseException as exc:  # noqa: BLE001 - classified above
-            self._fail(start, exc, f"get({key})")
+            self._fail(start, exc, _describe(op))
             return
-        expected = self._expect_point(key)
-        if value != expected:
+        want = expected(self.model, op)
+        ok = got == want
+        if not ok:
             self.report.violations.append(
-                f"client {self.index}: WRONG ANSWER get({key}) -> "
-                f"{value!r}, expected {expected!r}"
+                f"client {self.index}: WRONG ANSWER {_describe(op)} -> "
+                f"{got!r}, expected {want!r}"
             )
-            self._record(start, ok=False)
-        else:
-            self._record(start, ok=True)
-
-    def _op_multi_get(self) -> None:
-        keys = [self._pick_read_key() for _ in range(self.rng.randint(2, 8))]
-        start = time.monotonic()
-        try:
-            values = self._collect(self.harness.server.multi_get_async(keys))
-        except BaseException as exc:  # noqa: BLE001 - classified above
-            self._fail(start, exc, f"multi_get({len(keys)} keys)")
-            return
-        bad = [
-            key for key in keys if values.get(key) != self._expect_point(key)
-        ]
-        if bad:
-            self.report.violations.append(
-                f"client {self.index}: WRONG ANSWER multi_get — keys {bad}"
-            )
-            self._record(start, ok=False)
-        else:
-            self._record(start, ok=True)
-
-    def _op_range(self) -> None:
-        # Ranges stay inside the stable region so the answer is fixed.
-        low = self.rng.randrange(0, self.harness.stable_top)
-        high = min(
-            low + self.rng.randint(1, 64), self.harness.stable_top - 1
-        )
-        start = time.monotonic()
-        try:
-            result = self._collect(
-                self.harness.server.range_query_async(low, high)
-            )
-        except BaseException as exc:  # noqa: BLE001 - classified above
-            self._fail(start, exc, f"range_query({low}, {high})")
-            return
-        expected = [
-            (key, _stable_value(key))
-            for key in self.harness.stable_sorted
-            if low <= key <= high
-        ]
-        if result != expected:
-            self.report.violations.append(
-                f"client {self.index}: WRONG ANSWER range_query({low}, "
-                f"{high}) — {len(result)} rows, expected {len(expected)}"
-            )
-            self._record(start, ok=False)
-        else:
-            self._record(start, ok=True)
+        self._record(start, ok)
 
     def _op_put(self) -> None:
         key = self.rng.randrange(self.write_low, self.write_high)
         self.write_seq += 1
-        value = b"c%d:%d" % (self.index, self.write_seq)
+        op = ("put", key, b"c%d:%d" % (self.index, self.write_seq))
         start = time.monotonic()
         try:
-            self.harness.server.put(key, value)
+            _apply(self.harness.server, op)
         except BaseException as exc:  # noqa: BLE001 - classified above
             self._fail(start, exc, f"put({key})")
             return
-        self.model[key] = value  # acked -> must be readable from now on
+        self.model.update(_effects(op))  # acked -> readable from now on
         self._record(start, ok=True)
 
     def run(self) -> None:
@@ -332,11 +297,10 @@ class _Harness:
         domain = 1 << options.key_bits
         self.stable_top = domain // 2
         rng = random.Random(options.seed)
-        self.stable: set[int] = set()
-        while len(self.stable) < options.preload:
-            self.stable.add(rng.randrange(0, self.stable_top))
-        self.stable_sorted = sorted(self.stable)
-        self.stable_list = self.stable_sorted
+        stable: set[int] = set()
+        while len(stable) < options.preload:
+            stable.add(rng.randrange(0, self.stable_top))
+        self.stable_sorted = sorted(stable)
         self.barrier = threading.Barrier(options.clients)
         self._stop_injector = threading.Event()
 

@@ -261,7 +261,6 @@ class DB:
         self._cache = BlockCache(self.options.block_cache_bytes)
         self._filter_dictionary = FilterDictionary(
             enabled=self.options.use_filter_dictionary,
-            degrade_corrupt=self.options.degrade_corrupt_filters,
             quarantine=self.options.quarantine_filters,
             quarantine_fpr_multiple=self.options.quarantine_fpr_multiple,
             quarantine_min_probes=self.options.quarantine_min_probes,

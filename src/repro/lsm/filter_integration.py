@@ -38,9 +38,9 @@ __all__ = [
 class FilterDictionary:
     """Resolves each run's filter once, into ``SSTReader.resolved_filter``.
 
-    With ``degrade_corrupt=True`` a filter envelope that fails to decode
-    (bad CRC, bad magic, truncated bytes) marks that run *filter-less*
-    instead of failing the query: the probe returns positive, the query
+    A filter envelope that fails to decode (bad CRC, bad magic, truncated
+    bytes) marks that run *filter-less* instead of failing the query: the
+    probe returns positive, the query
     falls through to the data read — whose own per-block CRCs still guard
     against silently wrong answers — and ``PerfStats.filters_degraded``
     counts the run once.  Degradation is sticky for the run's lifetime;
@@ -50,13 +50,11 @@ class FilterDictionary:
     def __init__(
         self,
         enabled: bool = True,
-        degrade_corrupt: bool = True,
         quarantine: bool = False,
         quarantine_fpr_multiple: float = 8.0,
         quarantine_min_probes: int = 50,
     ) -> None:
         self.enabled = enabled
-        self.degrade_corrupt = degrade_corrupt
         self.quarantine = quarantine
         self.quarantine_fpr_multiple = quarantine_fpr_multiple
         self.quarantine_min_probes = quarantine_min_probes
@@ -82,7 +80,7 @@ class FilterDictionary:
         """The run's deserialized filter, resolved on first touch.
 
         Returns None when the SST carries no filter block — or when its
-        envelope is corrupt and degradation is on.  A resolved run answers
+        envelope is corrupt.  A resolved run answers
         from the reader's slot without the lock.  The first touch fetches
         the filter block (counted on ``context``, the touching query's own,
         when given) and deserializes it (charged to ``stats``); with the
@@ -104,8 +102,6 @@ class FilterDictionary:
                     with Stopwatch(stats, "deserialize_ns"):
                         filt = deserialize_filter(envelope)
                 except SerializationError:
-                    if not self.degrade_corrupt:
-                        raise
                     self.degraded.add(name)
                     stats.add(filters_degraded=1)
             if filt is None or self.enabled:

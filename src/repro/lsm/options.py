@@ -126,12 +126,6 @@ class DBOptions:
     #: attempt) into ``PerfStats.block_read_time_ns``; no real sleep.
     io_retry_attempts: int = 3
 
-    #: A corrupt/undecodable filter envelope marks that run filter-less and
-    #: queries fall through to the data read (counted in
-    #: ``PerfStats.filters_degraded``) instead of raising.  Off = the old
-    #: paranoid behavior: raise ``SerializationError`` to the caller.
-    degrade_corrupt_filters: bool = True
-
     #: fsync manifest replacements (atomicity comes from ``os.replace``
     #: either way; fsync additionally orders it against power loss on a
     #: real device — off by default to keep benchmarks fast).

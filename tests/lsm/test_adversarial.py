@@ -5,9 +5,9 @@ Three defenses land together and these tests pin their contracts:
 * **Per-SST salting** — ``filter_salt_seed`` re-keys every flushed and
   compacted filter with a per-file salt; the salted envelope round-trips
   through the SST filter block, pre-salting (unsalted) envelopes keep
-  loading under a salted configuration, and a corrupt salt field rides
-  the existing degrade-corrupt-filters path (the envelope CRC catches
-  it) rather than serving a silently mis-keyed filter.
+  loading under a salted configuration, and a corrupt salt field takes
+  the corrupt-filter degrade path (the envelope CRC catches it) rather
+  than serving a silently mis-keyed filter.
 * **FP-feedback quarantine** — a run whose observed FPR blows past a
   multiple of its design FPR is flagged in ``DB.health()``, compaction
   prioritizes rebuilding it, and the rebuilt (re-salted, bonus-bits)
@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.bench.factories import make_factory
-from repro.errors import SerializationError, WorkloadError
+from repro.errors import WorkloadError
 from repro.filters.base import deserialize_filter
 from repro.lsm.db import DB
 from repro.lsm.filter_integration import FilterDictionary
@@ -163,24 +163,6 @@ class TestSaltedEnvelope:
         assert db.get(absent) is None  # correct answer, filter-less
         assert db.stats.filters_degraded == 1
         assert run.name in db.health().degraded_filters
-        db.close()
-
-    def test_corrupt_salt_raises_when_degradation_off(self, tmp_path):
-        db = _loaded_db(
-            tmp_path / "db",
-            filter_salt_seed=SALT_SEED,
-            degrade_corrupt_filters=False,
-        )
-        run = _single_run(db)
-        handle = run.reader._filter_handle  # noqa: SLF001
-        tag_len = 1 + len(b"bloom") + 4
-        _flip_byte(_sst_path(db, run), handle.offset + tag_len + 16 + 3)
-        # An absent key inside the run's span, so the filter is consulted.
-        absent = next(
-            k for k in range(STORED[0], STORED[-1]) if k not in set(STORED)
-        )
-        with pytest.raises(SerializationError):
-            db.get(absent)
         db.close()
 
     def test_scalar_batch_parity_with_nonzero_salt(self, tmp_path):

@@ -9,9 +9,11 @@ harness itself doesn't manufacture failures.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import replace
 
 from repro.lsm.chaos import ChaosOptions, run_chaos
+from repro.lsm.serving import ShardedServer
 
 _BASE = ChaosOptions(
     seed=11,
@@ -60,3 +62,19 @@ class TestChaosHarness:
         report = run_chaos(str(tmp_path / "undefended"), options)
         assert report.violations == []
         assert report.ops == _BASE.clients * _BASE.ops_per_client
+
+    def test_wrong_answer_is_a_violation(self, tmp_path, monkeypatch) -> None:
+        """The verifier can fail: a server that answers a get wrongly is
+        caught by the client's model."""
+
+        def lying_get_async(self, key, deadline_s=None):
+            future: Future = Future()
+            future.set_result(b"wrong")
+            return future
+
+        monkeypatch.setattr(ShardedServer, "get_async", lying_get_async)
+        options = replace(_BASE, inject_faults=False, ops_per_client=20)
+        report = run_chaos(str(tmp_path / "lying"), options)
+        assert report.violations
+        assert all("WRONG ANSWER get(" in v for v in report.violations)
+        assert report.ok_ops + len(report.violations) == report.ops

@@ -11,9 +11,9 @@ answers).
 
 from repro.lsm.torture import (
     TortureConfig,
-    concurrent_torture_seed,
-    run_concurrent_crash_point,
+    run_crash_point,
     schedule_equivalence,
+    torture_seed,
 )
 
 _SMALL = TortureConfig(num_ops=16, key_space=48)
@@ -41,15 +41,17 @@ _RANGE = TortureConfig(
 class TestConcurrentCrashSweep:
     def test_every_crash_point_recovers_clean(self, tmp_path):
         for seed in (1, 2):
-            report = concurrent_torture_seed(
+            report = torture_seed(
                 str(tmp_path), seed, _SMALL, sched_seeds=(0, 1)
             )
             assert report.crash_points > 0, "sweep never crashed — misconfigured"
-            assert report.recoveries == report.crash_points
+            by_schedule = report.crash_points_by_schedule
+            assert set(by_schedule) == {0, 1}
+            assert sum(by_schedule.values()) == report.crash_points
             assert report.ok, "\n".join(report.violations)
 
     def test_single_crash_point_result_shape(self, tmp_path):
-        result = run_concurrent_crash_point(str(tmp_path), 3, 0, 5, _SMALL)
+        result = run_crash_point(str(tmp_path), 3, 5, _SMALL, sched_seed=0)
         assert result.crash_point == 5
         assert result.crashed           # op 5 lands well inside the schedule
         assert result.durable_ops >= 1
@@ -65,7 +67,7 @@ class TestConcurrentCrashSweep:
         files — a botched refcount on a run cancelled mid-install would
         show up here.
         """
-        report = concurrent_torture_seed(
+        report = torture_seed(
             str(tmp_path), 7, _OVERLAP, sched_seeds=(0,)
         )
         assert report.crash_points > 0
@@ -81,7 +83,7 @@ class TestConcurrentCrashSweep:
         union-merge install path and zombie GC run under partial-level
         concurrency, exactly the shape per-file picking introduced.
         """
-        report = concurrent_torture_seed(
+        report = torture_seed(
             str(tmp_path), 7, _RANGE, sched_seeds=(0,)
         )
         assert report.crash_points > 0
@@ -90,8 +92,8 @@ class TestConcurrentCrashSweep:
         assert report.ok, "\n".join(report.violations)
 
     def test_crash_point_past_schedule_never_fires(self, tmp_path):
-        result = run_concurrent_crash_point(
-            str(tmp_path), 3, 0, 1_000_000, _SMALL
+        result = run_crash_point(
+            str(tmp_path), 3, 1_000_000, _SMALL, sched_seed=0
         )
         assert not result.crashed
         assert result.acked_ops == _SMALL.num_ops

@@ -12,16 +12,26 @@ for specific orderings the torture matrix only covers statistically:
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
 
+from repro.lsm import torture
 from repro.lsm.db import DB
 from repro.lsm.faults import FaultInjectionEnv
 from repro.lsm.torture import (
     TortureConfig,
+    build_schedule,
     torture_options,
     torture_seed,
+)
+
+#: SHA-256 over ``repr(build_schedule(seed, TortureConfig()))`` for seeds
+#: 0-19, concatenated: every default schedule, and so every committed
+#: crash-point count, stays byte-identical.
+_DEFAULT_SCHEDULES_SHA256 = (
+    "630a352b39a35b2d699ab5ba100095199b8dbb4685722ce24adc6258e7463666"
 )
 
 
@@ -80,7 +90,45 @@ class TestTortureMatrix:
         assert report.violations == []
         # Sanity: the sweep actually enumerated a non-trivial matrix.
         assert report.crash_points > 20
-        assert report.recoveries == report.crash_points
+
+    def test_default_schedules_are_pinned(self):
+        schedules = "".join(
+            repr(build_schedule(seed, TortureConfig())) for seed in range(20)
+        )
+        digest = hashlib.sha256(schedules.encode()).hexdigest()
+        assert digest == _DEFAULT_SCHEDULES_SHA256
+
+    def test_sweep_reports_a_lost_acknowledged_write(self, tmp_path, monkeypatch):
+        """The verifier can fail: a recovery that drops one acked key is
+        reported, as exactly that."""
+        config = TortureConfig(num_ops=12, key_space=24)
+        last = torture_seed(str(tmp_path), 1, config).crash_points
+        assert last > 0
+
+        class LosesOneWrite(DB):
+            """At the last crash point every op but ``close`` is acked;
+            the store recovered there reads its first live key as absent."""
+
+            def __init__(self, path, options=None):
+                super().__init__(path, options)
+                self.lies = (
+                    path.endswith(f"-cp{last}")
+                    and self.options.env_factory is None
+                )
+
+            def get(self, key):
+                value = super().get(key)
+                if self.lies and value is not None:
+                    self.lies = False
+                    return None
+                return value
+
+        monkeypatch.setattr(torture, "DB", LosesOneWrite)
+        report = torture_seed(str(tmp_path), 1, config)
+        assert report.crash_points == last
+        assert len(report.violations) == 1, report.violations
+        assert report.violations[0].startswith(f"seed=1 crash_point={last}: ")
+        assert "lost acknowledged write" in report.violations[0]
 
 
 class TestFlushOrdering:

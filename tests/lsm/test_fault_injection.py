@@ -18,7 +18,6 @@ from repro.bench.factories import make_factory
 from repro.errors import (
     CorruptionError,
     ReadOnlyStoreError,
-    SerializationError,
     TransientIOError,
 )
 from repro.lsm.db import DB
@@ -184,18 +183,6 @@ class TestDataCorruption:
         db.force_full_compaction()        # rewrites the run, fresh filter
         assert db.health().degraded_filters == ()
         assert db.get(13) == b"value-1"
-        db.close()
-
-    def test_corrupt_filter_envelope_raises_when_degradation_off(self, tmp_path):
-        db = _loaded_db(
-            str(tmp_path / "db"), with_filter=True,
-            degrade_corrupt_filters=False,
-        )
-        run = _run_for_key(db, 7)
-        handle = run.reader._filter_handle  # noqa: SLF001
-        _flip_byte(_path_of(db, run), handle.offset)
-        with pytest.raises(SerializationError):
-            db.get(7)  # filter probe -> deserialization of corrupt bytes
         db.close()
 
 
