@@ -11,9 +11,9 @@ exactly the fault-free answers, with every injected fault visible in the
 health report.
 
 One ``torture_seed`` call per seed sweeps every crash point inline and
-again with background maintenance workers on a seeded deterministic
+again with the background maintenance worker on a seeded deterministic
 scheduler (``--sched-seeds`` interleavings per seed — power cuts land
-mid-flush, mid-compaction, and mid-superversion-install on a worker).
+mid-flush, mid-compaction, and mid-superversion-install on the worker).
 Each seed also checks interleaving equivalence: inline and every
 scheduler seed must answer identically on a crash-free run.
 
@@ -49,18 +49,6 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_torture.json"
 
 def run_matrix(seeds: int, sched_seeds: int) -> dict:
     config = TortureConfig()
-    # The default workload's narrow key space never splinters a level, so
-    # same-level-pair leveled parallelism gets a dedicated short sweep: a
-    # wide-key, single-run-window config where an oversize level yields
-    # several disjoint-footprint jobs per pass and the conflict table
-    # admits two leveled compactions into one level pair concurrently.
-    range_config = TortureConfig(
-        num_ops=32,
-        key_space=512,
-        value_repeat=96,
-        put_bias=0.95,
-        max_compaction_input_files=1,
-    )
     # Salted filters ride inside the SST envelope, so a power cut at any
     # durable write must recover a store whose surviving runs still probe
     # with the exact per-file hash family they were built with.
@@ -70,7 +58,6 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
     violations: list[str] = []
     total_crash_points = 0
     total_concurrent_crash_points = 0
-    total_range_admissions = 0
     started = time.time()
     with tempfile.TemporaryDirectory(prefix="torture-") as workdir:
         for seed in range(seeds):
@@ -85,7 +72,6 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
             concurrent = report.crash_points - inline
             total_crash_points += inline
             total_concurrent_crash_points += concurrent
-            total_range_admissions += report.leveled_range_admissions
             violations.extend(report.violations)
             if not interleaving_eq["equivalent"]:
                 violations.append(
@@ -122,9 +108,6 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
                     "concurrent_violations": [
                         v for v in report.violations if "sched_seed=" in v
                     ],
-                    "leveled_range_admissions": (
-                        report.leveled_range_admissions
-                    ),
                     "interleavings_equivalent": interleaving_eq["equivalent"],
                 }
             )
@@ -136,30 +119,6 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
                 f"{'ok' if equivalence['answers_match'] else 'FAILED'}, "
                 f"interleaving-equivalence "
                 f"{'ok' if interleaving_eq['equivalent'] else 'FAILED'}"
-            )
-        range_records = []
-        for seed in range(min(3, seeds)):
-            report = torture_seed(
-                workdir, seed, range_config, sched_seeds=interleavings
-            )
-            total_concurrent_crash_points += report.crash_points
-            total_range_admissions += report.leveled_range_admissions
-            violations.extend(report.violations)
-            range_records.append(
-                {
-                    "seed": seed,
-                    "crash_points": report.crash_points,
-                    "leveled_range_admissions": (
-                        report.leveled_range_admissions
-                    ),
-                    "violations": report.violations,
-                }
-            )
-            print(
-                f"range seed {seed:3d}: {report.crash_points:4d} "
-                f"concurrent crash points, "
-                f"{report.leveled_range_admissions} range admissions, "
-                f"{len(report.violations)} violations"
             )
         salted_records = []
         for seed in range(min(3, seeds)):
@@ -187,11 +146,9 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
         "scheduler_seeds": sched_seeds,
         "total_crash_points": total_crash_points,
         "total_concurrent_crash_points": total_concurrent_crash_points,
-        "total_leveled_range_admissions": total_range_admissions,
         "elapsed_seconds": round(time.time() - started, 2),
         "violations": violations,
         "per_seed": records,
-        "range_sweep": range_records,
         "salted_sweep": salted_records,
     }
 

@@ -9,8 +9,8 @@ Policy (RocksDB leveled, per-file granularity):
 * A level exceeding its size target (``max_bytes_for_level_base * ratio^i``)
   merges down in bounded *windows*: up to ``max_compaction_input_files``
   contiguous source runs (oldest window first) plus their overlap closure
-  at the target level, so one oversize level yields several independent
-  jobs with disjoint key-range footprints instead of one giant merge.
+  at the target level, so one oversize level drains in several bounded
+  merges instead of one giant one.
 * Candidates are ordered by a *debt score* — L0 run count over its
   trigger (weighted to always dominate) before bytes-over-target ratio of
   the deeper levels — not by fixed level order.
@@ -28,46 +28,31 @@ by the configured factory (charged to the Fig. 6 construction counters).
 
 Job API
 -------
-Compaction is split into three phases so the DB's maintenance scheduler
-can interleave it safely with foreground work:
+The DB runs at most one maintenance job at a time (its one job slot), so
+nothing edits the version between planning a job and installing it.  A
+job goes through three phases:
 
 ``plan(version) -> CompactionJob | None``
-    Read of the tree shape plus the conflict table: walks the
-    trigger-satisfying merge candidates in debt-score order (L0 debt
-    always first, then deeper levels by bytes-over-target ratio, windows
-    within a level oldest-first) and returns the first whose inputs and
-    key-range footprint are disjoint from every in-flight job — so with
-    multiple job slots, plan() hands out *overlappable* work instead of
-    blocking behind the top candidate.  ``forced_l0_job`` and
+    Read of the tree shape: the highest-debt trigger-satisfying merge
+    (L0 debt always first, then deeper levels by bytes-over-target ratio,
+    windows within a level oldest-first).  ``forced_l0_job`` and
     ``full_compaction_job`` build the explicit-``compact()`` /
-    ``force_full_compaction()`` variants regardless of triggers.
-``begin(job, version_provider=None)`` / ``finish(job)``
-    Conflict-table bracket around a job's lifetime.  ``begin`` re-checks
-    and registers atomically (raises on a lost race), issues the job its
-    monotonic ``job_id``, and — when given a version provider — re-reads
-    the *current* version under the table lock to verify every planned
-    input run is still live and to re-derive ``drop_tombstones``, so a
-    job planned against a stale snapshot can never execute against
-    deleted runs or wrongly drop tombstones.  ``finish`` always runs,
-    success or not.  The invariants the table enforces: no two in-flight
-    jobs share an input run, and two jobs may share a level only when
-    their key-range footprints are disjoint.
+    ``force_full_compaction()`` variants regardless of triggers.  The
+    caller plans while holding the slot, so every input is live when the
+    job installs.
 ``execute(job) -> list[Run]``
     The expensive part — merge the input runs into fresh output SSTs, on
     the thread that calls it.  Touches no shared version state, so it
     runs unlocked on a worker.
 ``apply(version, job, outputs)``
     Pure metadata edit: swap inputs for outputs on a ``Version`` *clone*
-    under the DB mutex.  Removal is name-based and installation
-    union-merges with the level's surviving runs, so an install never
-    clobbers state published by a concurrent job.  The caller persists
-    the manifest and installs the clone atomically; input files are
-    destroyed afterwards (and only once no reader still holds a
-    superversion referencing them) via :meth:`destroy_runs`.
+    under the DB mutex.  The caller persists the manifest and installs
+    the clone atomically; input files are destroyed afterwards (and only
+    once no reader still holds a superversion referencing them) via
+    :meth:`destroy_runs`.
 
-The file-name counter is lock-protected because flush jobs and compaction
-jobs allocate file names concurrently; the conflict table has its own
-``_inflight_lock`` (leaf lock, nothing is acquired while holding it).
+The file-name counter is lock-protected: recovery, flush, compaction and
+ingest all allocate file names through :meth:`next_file_name`.
 """
 
 from __future__ import annotations
@@ -75,10 +60,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from repro.core.tuning import AutoTuner
-from repro.errors import StoreError
 from repro.filters.base import FilterFactory
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
@@ -101,15 +85,8 @@ class CompactionJob:
     closure -> Ln+1), or ``full`` (everything -> the bottom level).  All
     three install by the same rule; the kind only names the job.
     ``inputs`` are recency-ordered, which is what makes the merging
-    iterator's newest-wins shadowing correct.
-
-    ``range_low`` / ``range_high`` are the job's inclusive key-range
-    footprint — the span of every input run, which also bounds every
-    output key.  ``None`` means unbounded on that side (``full`` jobs,
-    hand-built jobs); the conflict table treats an unbounded side as
-    overlapping everything.  ``debt_score`` is the picker's priority
-    (diagnostics only); ``job_id`` is the monotonic conflict-table key
-    issued by :meth:`Compactor.begin`.
+    iterator's newest-wins shadowing correct.  ``debt_score`` is the
+    picker's priority (diagnostics only).
     """
 
     kind: str
@@ -117,20 +94,7 @@ class CompactionJob:
     output_level: int
     drop_tombstones: bool
     source_level: int = 0
-    range_low: bytes | None = None
-    range_high: bytes | None = None
     debt_score: float = 0.0
-    job_id: int | None = None
-
-
-@dataclass(frozen=True)
-class _InflightJob:
-    """Conflict-table registration: what an in-flight job holds locked."""
-
-    levels: frozenset[int]
-    names: frozenset[str]
-    range_low: bytes | None
-    range_high: bytes | None
 
 
 #: ``sst_<level>_<number>.sst`` — the number is allocation order, so the
@@ -168,20 +132,11 @@ class Compactor:
         self._options = options
         self._cache = cache
         self._filter_dictionary = filter_dictionary
-        # Guards the file-name counter: flush (on one worker) and
-        # compaction (possibly on another, or a forced foreground job)
-        # both allocate file names.
+        # Guards the file-name counter, which flush, compaction and ingest
+        # jobs advance (one at a time, on whichever thread holds the DB's
+        # job slot) and recovery raises.
         self._counter_lock = threading.Lock()
         self._next_file_number = 1
-        # Conflict table: input-run names, {source, output} level pair,
-        # and key-range footprint of every in-flight job, keyed by the
-        # monotonic job_id issued at begin() (never by id(job): a dropped
-        # job object's id can be recycled by a new allocation, aliasing
-        # entries).  plan() consults it so concurrent jobs always work on
-        # disjoint inputs.
-        self._inflight_lock = threading.Lock()
-        self._inflight: dict[int, _InflightJob] = {}
-        self._next_job_id = 1
         # The auto-tuner can swap the factory between compactions (§2.4);
         # resolve it lazily at each compaction.
         self._filter_factory_provider = filter_factory_provider or (
@@ -197,27 +152,18 @@ class Compactor:
             self._next_file_number = max(self._next_file_number, past + 1)
 
     # ------------------------------------------------------------------
-    # Planning & conflict tracking
+    # Planning
     # ------------------------------------------------------------------
     def plan(self, version: Version) -> CompactionJob | None:
-        """Next runnable trigger-satisfying compaction, or None.
-
-        "Runnable" means conflict-free against every in-flight job, so
-        with jobs live this may skip the top-priority candidate and
-        return deeper disjoint work instead.  With an empty conflict
-        table it reduces to the classic single-job planner.
-        """
-        for job in self._candidates(version):
-            if not self.conflicts(job):
-                return job
-        return None
+        """The highest-debt trigger-satisfying compaction, or None."""
+        return next(self._candidates(version), None)
 
     #: Weight making any triggered L0 candidate outrank any size-triggered
     #: deeper level: L0 debt stalls writers (the stop trigger watches the
     #: L0 run count), bytes-over-target only costs read amplification.
     _L0_DEBT_WEIGHT = 1_000_000.0
 
-    def _candidates(self, version: Version) -> Iterable[CompactionJob]:
+    def _candidates(self, version: Version) -> Iterator[CompactionJob]:
         """Trigger-satisfying merges, highest debt score first.
 
         L0's score is its run count over the trigger, weighted to dominate
@@ -225,8 +171,7 @@ class Compactor:
         bytes-over-target ratio (ties broken shallowest-first).  Each
         oversize level contributes one job per
         ``max_compaction_input_files``-wide source window (oldest window
-        first), so the planner can hand out several disjoint jobs inside
-        one level pair.
+        first).
         """
         scored: list[tuple[float, int, list[CompactionJob]]] = []
         trigger = self._options.level0_file_num_compaction_trigger
@@ -327,8 +272,7 @@ class Compactor:
         The level's sorted runs are cut into contiguous windows of up to
         ``max_compaction_input_files``; each window pulls its overlap
         closure at the target level (every target run intersecting the
-        window's key span, nothing else) and carries the exact key-range
-        footprint of that input set.  Windows are ordered oldest-first
+        window's key span, nothing else).  Windows are ordered oldest-first
         (lowest allocated file number), the RocksDB-style tiebreak that
         drains long-lived debt before fresh spill.
         """
@@ -348,146 +292,16 @@ class Compactor:
         for window in windows:
             span_low, span_high = _runs_span(window)
             closure = version.overlap_closure(level + 1, span_low, span_high)
-            inputs = window + closure
-            low, high = _runs_span(inputs)
             jobs.append(
                 CompactionJob(
                     kind="leveled-level",
-                    inputs=inputs,
+                    inputs=window + closure,
                     output_level=level + 1,
                     drop_tombstones=drop,
                     source_level=level,
-                    range_low=low,
-                    range_high=high,
                 )
             )
         return jobs
-
-    def conflicts(self, job: CompactionJob) -> bool:
-        """Whether ``job`` overlaps any in-flight job (inputs or ranges)."""
-        names = frozenset(run.name for run in job.inputs)
-        with self._inflight_lock:
-            return self._conflicts_locked(job, names)
-
-    @staticmethod
-    def _ranges_overlap(
-        a_low: bytes | None,
-        a_high: bytes | None,
-        b_low: bytes | None,
-        b_high: bytes | None,
-    ) -> bool:
-        """Inclusive key-range intersection; ``None`` = unbounded side."""
-        if a_low is not None and b_high is not None and b_high < a_low:
-            return False
-        if b_low is not None and a_high is not None and a_high < b_low:
-            return False
-        return True
-
-    def _conflicts_locked(self, job: CompactionJob, names: frozenset[str]) -> bool:
-        """A shared input run, or a shared level with overlapping footprints.
-
-        Two jobs with disjoint footprints may share a level: outputs land
-        inside each footprint, name-based removal plus union-merge installs
-        never touch the other job's range, and the non-overlap invariant
-        holds.  ``full`` has an unbounded footprint, so it conflicts with
-        everything on its levels.
-        """
-        job_levels = {job.source_level, job.output_level}
-        return any(
-            names & entry.names
-            or (
-                job_levels & entry.levels
-                and self._ranges_overlap(
-                    job.range_low,
-                    job.range_high,
-                    entry.range_low,
-                    entry.range_high,
-                )
-            )
-            for entry in self._inflight.values()
-        )
-
-    def begin(
-        self,
-        job: CompactionJob,
-        version_provider: Callable[[], Version] | None = None,
-    ) -> None:
-        """Atomically re-check conflicts and register ``job`` as in flight.
-
-        Raises :class:`StoreError` if the job lost a race to a
-        conflicting registration between plan() and here — the caller
-        simply drops the stale job and re-plans.
-
-        With ``version_provider``, the *current* version is re-read under
-        the table lock and the job is re-validated against it: every
-        input run must still be live (an install may have retired runs
-        between plan() and dispatch), and ``drop_tombstones`` is
-        re-derived from the current shape rather than trusted from plan
-        time.  Any job the table admits then keeps its inputs live until
-        it finishes — another job removing them would share inputs and be
-        refused — so validating here closes the plan/dispatch race.
-        """
-        names = frozenset(run.name for run in job.inputs)
-        with self._inflight_lock:
-            if self._conflicts_locked(job, names):
-                raise StoreError(
-                    f"compaction job {job.kind!r} conflicts with an "
-                    "in-flight job"
-                )
-            if version_provider is not None:
-                version = version_provider()
-                live = {
-                    run.name for run in version.all_runs_newest_first()
-                }
-                missing = names - live
-                if missing:
-                    self._count(stale_jobs_rejected=1)
-                    raise StoreError(
-                        f"compaction job {job.kind!r} inputs retired by a "
-                        f"concurrent install: {sorted(missing)}"
-                    )
-                job.drop_tombstones = self._derive_drop_tombstones(
-                    job, version
-                )
-            entry = _InflightJob(
-                levels=frozenset({job.source_level, job.output_level}),
-                names=names,
-                range_low=job.range_low,
-                range_high=job.range_high,
-            )
-            if any(
-                entry.levels & other.levels for other in self._inflight.values()
-            ):
-                self._count(leveled_range_admissions=1)
-            job.job_id = self._next_job_id
-            self._next_job_id += 1
-            self._inflight[job.job_id] = entry
-
-    def _count(self, **deltas: int) -> None:
-        """Charge compactor counters when a stats sink is wired up."""
-        stats = getattr(self._env, "stats", None)
-        if stats is not None:
-            stats.add(**deltas)
-
-    def _derive_drop_tombstones(
-        self, job: CompactionJob, version: Version
-    ) -> bool:
-        """Whether ``job`` may drop tombstones, judged on ``version``."""
-        if job.kind == "full":
-            return True
-        return version.max_populated_level() <= job.output_level
-
-    def finish(self, job: CompactionJob) -> None:
-        """Drop ``job`` from the conflict table (idempotent)."""
-        if job.job_id is None:
-            return
-        with self._inflight_lock:
-            self._inflight.pop(job.job_id, None)
-
-    def inflight_jobs(self) -> int:
-        """Number of registered in-flight compaction jobs."""
-        with self._inflight_lock:
-            return len(self._inflight)
 
     def forced_l0_job(self, version: Version) -> CompactionJob | None:
         """An L0 merge regardless of the trigger (explicit ``compact()``)."""
@@ -495,16 +309,12 @@ class Compactor:
             return None
         l0 = version.level_runs(0)
         span_low, span_high = _runs_span(l0)
-        inputs = l0 + version.overlap_closure(1, span_low, span_high)
-        low, high = _runs_span(inputs)
         return CompactionJob(
             kind="leveled-l0",
-            inputs=inputs,
+            inputs=l0 + version.overlap_closure(1, span_low, span_high),
             output_level=1,
             drop_tombstones=version.max_populated_level() <= 1,
             source_level=0,
-            range_low=low,
-            range_high=high,
         )
 
     def full_compaction_job(self, version: Version) -> CompactionJob | None:
@@ -573,11 +383,10 @@ class Compactor:
         """Swap the job's inputs for ``outputs`` in ``version``.
 
         One rule for every kind: drop the input names from L0 and from
-        every level, then union-merge the outputs into the output level
-        (:meth:`Version.merge_into_level`).  Removal is by file name (not
-        "clear the level") so a job planned against an older snapshot
-        cannot swallow runs it never merged, and runs another job
-        published at the output level between plan and install survive.
+        every level, then add the outputs to the output level
+        (:meth:`Version.install_level` re-checks that its files do not
+        overlap).  Removal is by file name (not "clear the level"), so the
+        runs of a level outside a window's inputs survive its install.
         """
         input_names = {run.name for run in job.inputs}
         version.level0 = [
@@ -587,7 +396,9 @@ class Compactor:
             version.levels[level] = [
                 run for run in version.levels[level] if run.name not in input_names
             ]
-        version.merge_into_level(job.output_level, outputs, input_names)
+        version.install_level(
+            job.output_level, version.level_runs(job.output_level) + outputs
+        )
 
     # ------------------------------------------------------------------
     # Machinery

@@ -21,25 +21,25 @@ filter instances adopt the workload-optimal configuration.
 Concurrency model
 -----------------
 All maintenance (flush of the sealed memtables, one compaction) runs as
-jobs on a pluggable scheduler (see :mod:`repro.lsm.scheduler`), and one
-loop turns debt into jobs: ``_dispatch_maintenance`` fills free job slots
-with runnable work — at most one flush (oldest immutable first) plus
-compactions whose inputs and level pairs are disjoint from every
-in-flight job, as tracked by the compactor's conflict table
-(``begin``/``finish``).  With ``DBOptions.max_background_jobs == 0`` (the
-default) the scheduler is inline: there is one slot, ``submit`` runs the
-job on the writing thread before it returns, and the dispatcher's own
-loop picks the next one, so the store is fully synchronous.  With workers
+jobs on a pluggable scheduler (see :mod:`repro.lsm.scheduler`), and the
+store runs **at most one job at a time**: its one job slot, a flag under
+``_job_lock``, is the whole mutual-exclusion story.  One loop turns debt
+into jobs: ``_dispatch_maintenance`` takes the free slot for a flush
+(oldest immutable first) or else ``plan()``'s highest-debt compaction.
+The foreground jobs — ``compact()``'s forced L0 merge,
+``force_full_compaction()`` and ``ingest()`` — take the same slot, waiting
+out a running job.  Whoever holds the slot plans against the current
+version and nothing else can edit it before the install, so a job's
+inputs are always live.  With ``DBOptions.max_background_jobs == 0`` (the
+default) the scheduler is inline: ``submit`` runs the job on the writing
+thread before it returns, and the dispatcher's own loop picks the next
+one, so the store is fully synchronous.  With ``max_background_jobs == 1``
 a full active memtable *seals* into a read-only immutable queue (the WAL
-rotates with it), writes continue while a worker flushes it, up to
-``max_background_jobs`` jobs run *at once*, and each finishing job
-re-dispatches (``submit`` returned before the job ran, so the submitting
-loop is long gone).  However many jobs run, the merge work itself is
-lock-free; every result funnels through a single serialized commit point
-— the version install under ``_mutex`` — so concurrent installs are
-ordered, each applies to the freshest clone (name-based removal +
-union-merge, never whole-level clobber), and replaced runs retire
-through the refcounted zombie queue exactly once.
+rotates with it), writes continue while the worker flushes it, and each
+finishing job re-dispatches (``submit`` returned before the job ran, so
+the submitting loop is long gone).  Every result funnels through the
+version install under ``_mutex``, and replaced runs retire through the
+refcounted zombie queue exactly once.
 
 Readers never take the write path's locks.  Every read operation pins a
 *superversion* — an immutable ``(active memtable, sealed memtables, run
@@ -52,9 +52,8 @@ Lock order (outer to inner): ``_write_lock`` → ``_mutex`` → ``_sv_lock``.
 ``_write_lock`` serializes writers and seals; ``_mutex`` serializes
 version installs and the manifest; ``_sv_lock`` (a plain mutex, never held
 across I/O) guards the superversion pointer, refcounts, and the deferred
-deletion list; ``_job_lock`` guards the job-slot bookkeeping
-(``_jobs_in_flight``, ``_flush_inflight``); the compactor's
-``_inflight_lock`` (conflict table) is a leaf below it.
+deletion list; ``_job_lock`` (a leaf) guards the job slot
+(``_job_running``).
 
 Backpressure mirrors RocksDB's two write-stall triggers: past the
 *slowdown* thresholds each write is admitted immediately but charged
@@ -72,6 +71,7 @@ import json
 import re
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -279,8 +279,8 @@ class DB:
         scheduler_factory = self.options.scheduler_factory
         if scheduler_factory is not None:
             self._scheduler = scheduler_factory(self.options)
-        elif self.options.max_background_jobs > 0:
-            self._scheduler = ThreadPoolScheduler(self.options.max_background_jobs)
+        elif self.options.max_background_jobs:
+            self._scheduler = ThreadPoolScheduler()
         else:
             self._scheduler = InlineScheduler()
         self._concurrent = bool(getattr(self._scheduler, "concurrent", False))
@@ -293,8 +293,7 @@ class DB:
         self._mutex = self._scheduler.make_lock()
         self._sv_lock = threading.Lock()
         self._job_lock = threading.Lock()
-        self._jobs_in_flight = 0
-        self._flush_inflight = False
+        self._job_running = False
 
         self._epoch = 0
         self._zombies: list[tuple[int, list[Run]]] = []
@@ -558,9 +557,9 @@ class DB:
                 write_delay_time_ns=self._write_delay_ns(),
             )
             # Debt with no job running (post-resume, races): kick the
-            # dispatcher.  Racy read — with jobs live, completions
-            # re-dispatch, so a stale skip here self-heals.
-            if self._concurrent and self._jobs_in_flight == 0:
+            # dispatcher.  Racy read — a running job re-dispatches when
+            # it finishes, so a stale skip here self-heals.
+            if self._concurrent and not self._job_running:
                 self._schedule_maintenance()
 
     def _stall_cleared(self) -> bool:
@@ -657,118 +656,103 @@ class DB:
         if not self._closed:
             self._dispatch_maintenance()
 
-    def _job_slots(self) -> int:
-        """Job-slot budget: one inline, ``max_background_jobs`` otherwise."""
-        return max(1, self.options.max_background_jobs)
-
     def _dispatch_maintenance(self) -> None:
-        """Fill free job slots with runnable work — the one maintenance loop.
+        """Hand the next piece of debt to the job slot — the one loop.
 
-        At most one flush runs at a time (flushes must retire immutables
-        oldest-first); the remaining slots take compactions the conflict
-        table deems disjoint from everything in flight.  An inline
-        ``submit`` has run the job by the time it returns, so this loop
-        itself walks flush, plan, compact until ``plan()`` runs dry, at
-        constant stack depth; with workers ``submit`` returns at once, the
-        loop ends when the slots are full, and each completing job calls
-        back here.  A caller that finds every slot busy just returns: the
-        running job's dispatcher (inline) or completion (workers) re-reads
-        the current superversion, so its work is not lost.
+        A flush of the sealed memtables comes first, else ``plan()``'s
+        highest-debt compaction.  An inline ``submit`` has run the job by
+        the time it returns, so this loop itself walks flush, plan,
+        compact until ``plan()`` runs dry, at constant stack depth; with a
+        worker ``submit`` returns at once, the loop ends, and the job
+        calls back here when it finishes.  A caller that finds the slot
+        busy just returns: the running job's dispatcher (inline) or
+        completion (worker) re-reads the current superversion, so its
+        work is not lost.
         """
         while self._background_error is None and not self._closed:
-            # Racy fast path: with all slots busy, skip the lock — every
-            # job completion re-dispatches, so a stale read self-heals.
-            if self._jobs_in_flight >= self._job_slots():
+            # Racy fast path: a busy slot re-dispatches when it frees, so
+            # a stale read here self-heals.
+            if self._job_running or not self._try_take_slot():
                 return
-            kind: str
-            body: Callable[[], None]
-            with self._job_lock:
-                if self._jobs_in_flight >= self._job_slots():
-                    return
-                sv = self._super
-                if sv.immutables and not self._flush_inflight:
-                    self._flush_inflight = True
-                    kind, body = "flush", self._flush_job
-                else:
-                    cjob = self._compactor.plan(sv.version)
-                    if cjob is None:
-                        return
-                    try:
-                        self._compactor.begin(
-                            cjob, lambda: self._super.version
-                        )
-                    except StoreError:
-                        return  # lost a plan/begin race; a finishing job re-plans
-                    kind = "compaction"
-                    body = lambda job=cjob: self._compaction_job(job)  # noqa: E731
-                self._jobs_in_flight += 1
-                if self._jobs_in_flight > 1:
-                    self.stats.add(jobs_overlapped=1)
-                self.stats.observe_max(
-                    "max_jobs_in_flight", self._jobs_in_flight
-                )
-            self._scheduler.submit(kind, body)
+            sv = self._super
+            if sv.immutables:
+                self._scheduler.submit("flush", self._flush_job)
+                continue
+            job = self._compactor.plan(sv.version)
+            if job is None:
+                self._release_slot()
+                return
+            self._scheduler.submit(
+                "compaction", lambda job=job: self._compaction_job(job)
+            )
+
+    def _try_take_slot(self) -> bool:
+        """Claim the job slot if it is free."""
+        with self._job_lock:
+            if self._job_running:
+                return False
+            self._job_running = True
+            return True
+
+    def _release_slot(self) -> None:
+        """Free the job slot and wake anyone waiting for it."""
+        with self._job_lock:
+            self._job_running = False
+        self._scheduler.notify()
+
+    @contextmanager
+    def _slot_held(self) -> Iterator[None]:
+        """Run a job body in the held slot; free it, then refill it.
+
+        Only a worker refills: inline, the dispatcher that submitted the
+        job is still looping and picks the next one itself.  The refill is
+        not reached after ``PowerCutError`` or other unwinding: no further
+        submissions to a dying scheduler.
+        """
+        try:
+            yield
+        finally:
+            self._release_slot()
+        if self._concurrent:
+            self._dispatch_maintenance()
+
+    @contextmanager
+    def _job_slot(self) -> Iterator[None]:
+        """Take the job slot for a foreground job, waiting out a running one.
+
+        ``compact()``'s forced L0 merge, ``force_full_compaction()`` and
+        ``ingest()`` plan and install inside it, so no other job can
+        retire their inputs or fill their target level meanwhile.
+        """
+        while not self._scheduler.wait_for(self._try_take_slot, None):
+            # Inline, wait_for checks once; the holder is another
+            # thread's dispatcher, which frees the slot when it runs dry.
+            time.sleep(0.001)
+        with self._slot_held():
+            yield
 
     def _flush_job(self) -> None:
-        """Job body: drain the immutable backlog, release the slot, refill.
+        """Job body: drain the immutable backlog in the held slot.
 
         Drains in a loop rather than one-memtable-per-job: under write
         pressure the backlog is what stops writers, and the
         re-dispatch round-trip between single flushes is latency the
         stalled writer would eat.
         """
-        try:
+        with self._slot_held():
             while self._background_error is None and self._super.immutables:
                 if not self._run_background(
                     "flush", self._flush_oldest_immutable
                 ):
                     break
-        finally:
-            with self._job_lock:
-                self._flush_inflight = False
-                self._jobs_in_flight -= 1
-            self._scheduler.notify()
-        # Refill the slot — only where ``submit`` returned before the job
-        # ran (inline, the dispatcher that submitted it is still looping).
-        # Not reached after PowerCutError/unexpected unwinding, and a no-op
-        # once closed: no further submissions to a dying scheduler.
-        if self._concurrent:
-            self._dispatch_maintenance()
 
     def _compaction_job(self, job: CompactionJob) -> None:
-        """Job body: run one registered compaction, release slot, refill."""
-        try:
+        """Job body: run one planned compaction in the held slot."""
+        with self._slot_held():
             if self._background_error is None:
                 self._run_background(
                     "compaction", lambda: self._run_compaction_job(job)
                 )
-        finally:
-            self._compactor.finish(job)
-            with self._job_lock:
-                self._jobs_in_flight -= 1
-            self._scheduler.notify()
-        if self._concurrent:
-            self._dispatch_maintenance()
-
-    def _run_compaction_guarded(self, job: CompactionJob) -> bool:
-        """Run a compaction bracketed by conflict-table registration.
-
-        The one foreground bracket, for the forced jobs ``plan()`` never
-        emits (``compact``'s L0 merge, ``force_full_compaction``);
-        planned jobs register in the dispatcher instead.  Returns False if
-        the job conflicts with an in-flight job or the body degraded the
-        store.
-        """
-        try:
-            self._compactor.begin(job, lambda: self._super.version)
-        except StoreError:
-            return False
-        try:
-            return self._run_background(
-                "compaction", lambda: self._run_compaction_job(job)
-            )
-        finally:
-            self._compactor.finish(job)
 
     def _flush_oldest_immutable(self) -> None:
         """Flush the oldest sealed memtable to a new L0 SST.
@@ -841,20 +825,18 @@ class DB:
             return True
 
         def settled() -> bool:
-            # In-flight jobs first: a parked store is settled only once its
-            # jobs have unwound and released their slots (resume() relies
-            # on it to find the flush slot free).
-            with self._job_lock:
-                if self._jobs_in_flight:
-                    return False
+            # The running job first: a parked store is settled only once
+            # its job has unwound and freed the slot (resume() relies on it
+            # to find the slot free).
+            if self._job_running:
+                return False
             if self._background_error is not None:
                 return True
             sv = self._super
-            # plan() is read-only and the conflict table is empty once no
-            # job is in flight, so this is exactly "would dispatch do more
-            # work" — with job completions re-dispatching, reaching here
-            # with a non-None plan can only be a transient race, and the
-            # next predicate evaluation settles it.
+            # plan() is read-only, so this is exactly "would dispatch do
+            # more work" — with job completions re-dispatching, reaching
+            # here with a non-None plan can only be a transient race, and
+            # the next predicate evaluation settles it.
             return not sv.immutables and self._compactor.plan(sv.version) is None
 
         return self._scheduler.wait_for(settled, timeout_s)
@@ -873,7 +855,7 @@ class DB:
     def flush(self) -> None:
         """Flush buffered writes to L0 SSTs and settle compaction triggers.
 
-        A synchronous barrier regardless of background workers: the active
+        A synchronous barrier regardless of a background worker: the active
         memtable seals and the call returns only once every sealed
         memtable is flushed (or the store degraded).  A failing background
         write does not raise: the store enters degraded read-only mode
@@ -897,10 +879,7 @@ class DB:
                 self._schedule_maintenance()
                 if not self._drain_maintenance():
                     return
-            if self._background_error is not None:
-                return
-            job = self._compactor.forced_l0_job(self._super.version)
-            if job is not None and not self._run_compaction_guarded(job):
+            if not self._run_forced(self._compactor.forced_l0_job):
                 return
             # Settle even with an empty L0: quarantined runs at deeper
             # levels plan rebuild jobs regardless of size triggers.
@@ -922,11 +901,24 @@ class DB:
                 self._schedule_maintenance()
                 if not self._drain_maintenance():
                     return
+            self._run_forced(self._compactor.full_compaction_job)
+
+    def _run_forced(
+        self, plan: Callable[[Version], CompactionJob | None]
+    ) -> bool:
+        """Plan a forced compaction in the job slot and run it there.
+
+        The one foreground bracket, for the jobs ``plan()`` never emits
+        (``compact``'s L0 merge, ``force_full_compaction``).  Returns
+        False when the store is degraded, before or by the job.
+        """
+        with self._job_slot():
             if self._background_error is not None:
-                return
-            job = self._compactor.full_compaction_job(self._super.version)
-            if job is not None:
-                self._run_compaction_guarded(job)
+                return False
+            job = plan(self._super.version)
+            return job is None or self._run_background(
+                "compaction", lambda: self._run_compaction_job(job)
+            )
 
     # ------------------------------------------------------------------
     # Background-error state machine
@@ -1018,8 +1010,6 @@ class DB:
             sv = self._ref_super()
             background_error = self._background_error
         try:
-            with self._job_lock:
-                jobs_in_flight = self._jobs_in_flight
             stats = self.stats.snapshot()
             attacked = self._filter_dictionary.under_attack_snapshot()
             slowdown, stop = self._stall_conditions(sv)
@@ -1043,7 +1033,7 @@ class DB:
                 write_stall_time_ns=stats.write_stall_time_ns,
                 write_stall_timeouts=stats.write_stall_timeouts,
                 workers=self.options.max_background_jobs,
-                jobs_in_flight=jobs_in_flight,
+                jobs_in_flight=int(self._job_running),
             )
         finally:
             self._unref_super(sv)
@@ -1098,42 +1088,48 @@ class DB:
                     level += 1
             if not 1 <= level < NUM_LEVELS:
                 raise StoreError(f"ingest level {level} out of range")
-            if self._super.version.level_runs(level):
-                raise StoreError(f"ingest target level {level} is not empty")
+            with self._job_slot():
+                # Holding the slot, no compaction can fill the level
+                # between this check and the install.
+                if self._super.version.level_runs(level):
+                    raise StoreError(f"ingest target level {level} is not empty")
+                runs = self._write_ingest_runs(pairs, level)
+                with self._mutex:
+                    current = self._super
+                    new_version = current.version.clone()
+                    new_version.install_level(level, runs)
+                    self._write_manifest(new_version)
+                    new_sv = _SuperVersion(
+                        current.active, current.immutables, new_version
+                    )
+                    self._install_super(new_sv)
 
-            runs: list[Run] = []
-            writer: SSTWriter | None = None
-            previous: int | None = None
-            for key, value in pairs:
-                if key == previous:
-                    continue
-                previous = key
-                if writer is None:
-                    writer = SSTWriter(
-                        self._env,
-                        self._compactor.next_file_name(level),
-                        self.options,
-                        filter_factory=self._current_filter_factory,
-                    )
-                writer.add(self._encode_key(key), ValueTag.PUT, bytes(value))
-                if writer.estimated_file_size >= self.options.sst_size_bytes:
-                    runs.append(self._finish_ingest_writer(writer, level))
-                    writer = None
-            if writer is not None and writer.num_entries:
-                runs.append(self._finish_ingest_writer(writer, level))
-            with self._mutex:
-                current = self._super
-                if current.version.level_runs(level):
-                    raise StoreError(
-                        f"ingest target level {level} is not empty"
-                    )
-                new_version = current.version.clone()
-                new_version.install_level(level, runs)
-                self._write_manifest(new_version)
-                new_sv = _SuperVersion(
-                    current.active, current.immutables, new_version
+    def _write_ingest_runs(
+        self, pairs: list[tuple[int, bytes]], level: int
+    ) -> list[Run]:
+        """Cut sorted ``pairs`` (first of each duplicate key wins) into
+        fresh SSTs for ``level``."""
+        runs: list[Run] = []
+        writer: SSTWriter | None = None
+        previous: int | None = None
+        for key, value in pairs:
+            if key == previous:
+                continue
+            previous = key
+            if writer is None:
+                writer = SSTWriter(
+                    self._env,
+                    self._compactor.next_file_name(level),
+                    self.options,
+                    filter_factory=self._current_filter_factory,
                 )
-                self._install_super(new_sv)
+            writer.add(self._encode_key(key), ValueTag.PUT, bytes(value))
+            if writer.estimated_file_size >= self.options.sst_size_bytes:
+                runs.append(self._finish_ingest_writer(writer, level))
+                writer = None
+        if writer is not None and writer.num_entries:
+            runs.append(self._finish_ingest_writer(writer, level))
+        return runs
 
     def _finish_ingest_writer(self, writer: SSTWriter, level: int) -> Run:
         meta = writer.finish()
@@ -1447,7 +1443,7 @@ class DB:
         Callers count verdicts into their query's context themselves; the
         detector alone needs the run's name, and is only asked when
         ``quarantine_filters`` is on.  A run newly flagged here bumps
-        ``filters_quarantined`` and, with background workers available,
+        ``filters_quarantined`` and, with the background worker available,
         kicks maintenance so the prioritized rebuild starts immediately.
         """
         detector = self._filter_dictionary
@@ -1766,7 +1762,7 @@ class DB:
     def close(self) -> None:
         """Flush if possible, persist the manifest, release file handles.
 
-        Joins background workers before returning.  Safe in degraded
+        Joins the background worker before returning.  Safe in degraded
         read-only mode: the failing flush is skipped (the WAL still holds
         the buffered writes), the manifest is persisted best-effort, and
         nothing raises — so ``with DB(...)`` never throws from ``__exit__``

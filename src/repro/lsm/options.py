@@ -137,11 +137,13 @@ class DBOptions:
     env_factory: object | None = None
 
     # -- Background maintenance & write backpressure --------------------
-    #: Worker threads for background flush/compaction.  0 (the default)
-    #: runs all maintenance inline on the writing thread, fully
-    #: synchronously.  With workers, a full active memtable
-    #: seals into the immutable queue (the WAL rotates with it) and writes
-    #: continue while a worker flushes it.
+    #: Background maintenance: 0 (the default) runs every flush and
+    #: compaction inline on the writing thread, fully synchronously; 1
+    #: runs them on one worker thread, one job at a time.  With the
+    #: worker, a full active memtable seals into the immutable queue (the
+    #: WAL rotates with it) and writes continue while the worker flushes
+    #: it.  No other value is accepted: under the GIL a second concurrent
+    #: job cost throughput (docs/internals.md, "Concurrency model").
     max_background_jobs: int = 0
 
     #: Ceiling on sealed-but-unflushed memtables.  Reaching it is a *stop*
@@ -156,7 +158,7 @@ class DBOptions:
 
     #: L0 run count at which writes *stop*: the writer blocks (bounded by
     #: ``write_stall_timeout_s``) until compaction brings L0 back down.
-    #: Only engages with ``max_background_jobs > 0`` — inline maintenance
+    #: Only engages with ``max_background_jobs == 1`` — inline maintenance
     #: can never be behind its own writer.
     level0_stop_writes_trigger: int = 12
 
@@ -167,13 +169,14 @@ class DBOptions:
     #: Maximum source-level runs per leveled compaction window (RocksDB's
     #: per-file picking).  An oversize level is drained in windows of this
     #: many contiguous runs (plus their target-level overlap closure), so
-    #: several disjoint jobs in the same level pair can run concurrently
-    #: instead of one whole-level merge.
+    #: one merge rewrites a bounded slice of the level instead of all of
+    #: it — which is what ``write_amp`` pays for.
     max_compaction_input_files: int = 4
 
     #: Scheduler constructor ``(options) -> scheduler`` overriding the
-    #: default choice (None = InlineScheduler for 0 jobs, ThreadPoolScheduler
-    #: otherwise).  The torture harness injects DeterministicScheduler here.
+    #: default choice (None = InlineScheduler for 0 jobs, a one-worker
+    #: ThreadPoolScheduler for 1).  The torture harness injects
+    #: DeterministicScheduler here.
     scheduler_factory: object | None = None
 
     def validate(self) -> None:
@@ -219,8 +222,11 @@ class DBOptions:
             raise InvalidOptionsError("io_retry_attempts must be >= 0")
         if self.env_factory is not None and not callable(self.env_factory):
             raise InvalidOptionsError("env_factory must be callable or None")
-        if self.max_background_jobs < 0:
-            raise InvalidOptionsError("max_background_jobs must be >= 0")
+        if self.max_background_jobs not in (0, 1):
+            raise InvalidOptionsError(
+                "max_background_jobs must be 0 (inline) or 1, "
+                f"got {self.max_background_jobs}"
+            )
         if self.max_compaction_input_files < 1:
             raise InvalidOptionsError(
                 "max_compaction_input_files must be >= 1"

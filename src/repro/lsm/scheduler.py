@@ -27,16 +27,16 @@ Implementations
 ---------------
 :class:`InlineScheduler`
     No concurrency: ``submit`` runs the job on the calling thread before
-    returning, so the dispatcher that submitted it finds its one slot free
-    again and picks the next job itself.  This is the default
+    returning, so the dispatcher that submitted it finds the DB's job slot
+    free again and picks the next job itself.  This is the default
     (``DBOptions.max_background_jobs == 0``): a fully synchronous store,
     with ``PowerCutError`` propagating to the writer that triggered the
     flush.
 
 :class:`ThreadPoolScheduler`
-    Real worker threads and a condition variable.  ``sync_point`` is a
+    One real worker thread and a condition variable.  ``sync_point`` is a
     no-op; interleavings are whatever the OS produces.  This is what
-    production-style configurations (``max_background_jobs > 0``) use.
+    ``max_background_jobs == 1`` uses.
 
 :class:`DeterministicScheduler`
     Cooperative token passing over real threads for torture testing: only
@@ -117,27 +117,26 @@ class InlineScheduler:
 
 
 class ThreadPoolScheduler:
-    """A small pool of real daemon worker threads.
+    """One real daemon worker thread.
 
-    Jobs are queued FIFO; workers record results/errors on the handle and
-    broadcast on a condition variable so ``wait_for`` (stall waits,
-    ``DB.wait_idle``) re-evaluates its predicate promptly.
+    The DB never has more than one job running, so one worker serves it.
+    Jobs are queued FIFO; the worker records results/errors on the handle
+    and broadcasts on a condition variable so ``wait_for`` (stall waits,
+    ``DB.wait_idle``, a foreground job waiting for the slot) re-evaluates
+    its predicate promptly.
     """
 
     concurrent = True
 
-    def __init__(self, num_workers: int = 1, name: str = "lsm-maintenance") -> None:
+    def __init__(self, name: str = "lsm-maintenance") -> None:
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._cond = threading.Condition()
         self.crashed = False
         self._closed = False
-        self._threads: List[threading.Thread] = []
-        for index in range(max(1, num_workers)):
-            thread = threading.Thread(
-                target=self._worker_main, name=f"{name}-{index}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+        self._thread = threading.Thread(
+            target=self._worker_main, name=name, daemon=True
+        )
+        self._thread.start()
 
     def _worker_main(self) -> None:
         while True:
@@ -193,10 +192,8 @@ class ThreadPoolScheduler:
         if self._closed:
             return
         self._closed = True
-        for _ in self._threads:
-            self._queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout=10.0)
+        self._queue.put(None)
+        self._thread.join(timeout=10.0)
 
 
 class CooperativeLock:

@@ -163,17 +163,6 @@ class PerfStats(CounterSet):
     filter_construction_ns: int = 0
     filters_built: int = 0
 
-    # --- Background-job overlap ---
-    jobs_overlapped: int = 0      # job dispatches that joined a live job
-    max_jobs_in_flight: int = 0   # high-water mark of concurrent jobs
-    leveled_range_admissions: int = 0  # leveled jobs admitted into a level
-                                       # pair already holding a leveled job
-                                       # (disjoint key ranges)
-    stale_jobs_rejected: int = 0  # begin() refusals: planned inputs retired
-                                  # by an install before dispatch
-
-    _MAX_FIELDS = ("max_jobs_in_flight",)
-
     def fold(self, context) -> None:
         """Add everything one finished read counted into its
         ``QueryContext`` — blocks included — under one lock hold."""

@@ -23,10 +23,11 @@ manifest replace, between manifest replace and WAL truncate, and between
 compaction install and input-file GC.
 
 A sweep runs under a list of scheduler seeds.  ``None`` runs maintenance
-inline on the writing thread; an int runs it on background workers under
-a :class:`~repro.lsm.scheduler.DeterministicScheduler` with that seed, so
-the cut can also land mid-flush, mid-compaction or mid-superversion-install
-on a worker, and every such interleaving replays exactly.
+inline on the writing thread; an int runs it on the background worker
+under a :class:`~repro.lsm.scheduler.DeterministicScheduler` with that
+seed, so the cut can also land mid-flush, mid-compaction or
+mid-superversion-install on the worker, and every such interleaving
+replays exactly.
 
 The op vocabulary and its dict model (:func:`_effects`, :func:`expected`)
 are shared with the chaos harness (:mod:`repro.lsm.chaos`), which adds the
@@ -78,21 +79,8 @@ class TortureConfig:
     with_filters: bool = True
     io_retry_attempts: int = 6     # generous: rate-injected runs must finish
     #: Probability mass given to plain puts; the rest splits 17 : 16 : 8 : 4
-    #: over delete, batch, flush and compact.  Overlap-focused configs
-    #: raise it so seals come fast enough for flushes and compactions to
-    #: genuinely collide.
+    #: over delete, batch, flush and compact.
     put_bias: float = 0.55
-    #: Seal threshold for the store under test (options floor: 1 KiB).
-    #: Background jobs yield only at durable writes, so to observe
-    #: overlapping jobs the writer must seal within a job's handful of
-    #: yields — overlap configs keep this at the floor and grow
-    #: ``value_repeat`` until nearly every put seals.
-    memtable_size_bytes: int = 1024
-    #: Source-run window width for leveled compaction (the DBOptions
-    #: default).  Overlap configs drop it to 1 so an oversize level yields
-    #: several single-run jobs with disjoint footprints — the shape that
-    #: exercises two leveled compactions in flight in one level pair.
-    max_compaction_input_files: int = 4
     #: Per-SST filter-salting seed (0 = unsalted, the historical format).
     #: Salted configs prove the salt survives power cuts: it rides in the
     #: filter envelope inside the SST, so a recovered store probes every
@@ -105,11 +93,11 @@ def torture_options(
 ) -> DBOptions:
     """A deliberately tiny store: every schedule crosses flush/compaction.
 
-    With ``sched_seed`` set, maintenance runs on two background workers
-    under a :class:`DeterministicScheduler` seeded with it, and the
-    backpressure triggers sit low (slowdown at 3 L0 runs, stop at 4, two
-    sealed memtables max) so the tiny workload crosses the slowdown/stop
-    state machine too.
+    With ``sched_seed`` set, maintenance runs on the background worker
+    (one job at a time) under a :class:`DeterministicScheduler` seeded
+    with it, and the backpressure triggers sit low (slowdown at 3 L0
+    runs, stop at 4, two sealed memtables max) so the tiny workload
+    crosses the slowdown/stop state machine too.
     """
     factory = None
     if config.with_filters:
@@ -125,20 +113,19 @@ def torture_options(
         )
     options = DBOptions(
         key_bits=32,
-        memtable_size_bytes=config.memtable_size_bytes,
+        memtable_size_bytes=1024,  # the options floor: frequent seals
         sst_size_bytes=4096,
         block_size_bytes=512,
         block_cache_bytes=0,  # every read touches the (possibly hostile) device
         level0_file_num_compaction_trigger=2,
         max_bytes_for_level_base=8192,
-        max_compaction_input_files=config.max_compaction_input_files,
         filter_factory=factory,
         filter_salt_seed=config.filter_salt_seed,
         io_retry_attempts=config.io_retry_attempts,
         env_factory=env_factory,
     )
     if sched_seed is not None:
-        options.max_background_jobs = 2
+        options.max_background_jobs = 1
         options.max_immutable_memtables = 2
         options.level0_slowdown_writes_trigger = 3
         options.level0_stop_writes_trigger = 4
@@ -250,13 +237,6 @@ class CrashPointResult:
     durable_ops: int
     acked_ops: int
     violations: list[str] = field(default_factory=list)
-    #: Maintenance overlap observed before the cut: dispatches that joined
-    #: a live job, the in-flight high-water mark, and leveled jobs admitted
-    #: into an already-busy level pair on the strength of a disjoint
-    #: key-range footprint.  Inline, the overlap counts read zero.
-    jobs_overlapped: int = 0
-    max_jobs_in_flight: int = 0
-    leveled_range_admissions: int = 0
 
 
 @dataclass
@@ -268,12 +248,6 @@ class SeedReport:
     #: Crash points per scheduler seed (``None`` = inline).
     crash_points_by_schedule: dict = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
-    #: Aggregated over the sweep: crash points whose run had overlapping
-    #: jobs, the highest in-flight count seen, and the total range-disjoint
-    #: same-level-pair leveled admissions.
-    overlapped_crash_points: int = 0
-    max_jobs_in_flight: int = 0
-    leveled_range_admissions: int = 0
 
     @property
     def ok(self) -> bool:
@@ -290,10 +264,10 @@ def run_crash_point(
     """Replay seed's schedule, cut power at ``crash_point``, verify recovery.
 
     ``sched_seed=None`` runs maintenance inline; an int runs it on
-    deterministic background workers (:func:`torture_options`).  Under
-    workers the writer may observe the cut only indirectly (its next WAL
+    the deterministic background worker (:func:`torture_options`).  With
+    the worker the writer may observe the cut only indirectly (its next WAL
     append, stall wait or ``close()`` raises), or not at all when a job
-    absorbed it; either way the store is killed (workers joined, no
+    absorbed it; either way the store is killed (worker joined, no
     further I/O), the seeded partial crash effects applied, and recovery
     verified against the model with the same acked/in-flight rules.
     """
@@ -322,7 +296,7 @@ def run_crash_point(
     except PowerCutError:
         crashed = True
     finally:
-        # Join workers and stop all further I/O before mutating the image.
+        # Join the worker and stop all further I/O before mutating the image.
         # A cut observed only by a background job leaves the foreground
         # loop running to completion; kill() is idempotent either way.
         db.kill()
@@ -332,9 +306,6 @@ def run_crash_point(
         crashed=crashed or env.crashed,
         durable_ops=env.durable_ops,
         acked_ops=acked,
-        jobs_overlapped=db.stats.jobs_overlapped,
-        max_jobs_in_flight=db.stats.max_jobs_in_flight,
-        leveled_range_admissions=db.stats.leveled_range_admissions,
     )
     if result.crashed:
         env.crash()
@@ -395,7 +366,7 @@ def _verify_recovery(
             if not allowed(key, value)
         )
         # Zombie-run hygiene: after recovery the on-disk image must be
-        # exactly the manifest — a cut between a concurrent install and its
+        # exactly the manifest — a cut between a background install and its
         # input GC must not leak orphan SSTs, and no temp files survive.
         live = {run.name for run in db._super.version.all_runs_newest_first()}
         on_disk = {
@@ -432,12 +403,6 @@ def torture_seed(
             result = run_crash_point(
                 base_dir, seed, crash_point, config, sched_seed
             )
-            report.max_jobs_in_flight = max(
-                report.max_jobs_in_flight, result.max_jobs_in_flight
-            )
-            report.leveled_range_admissions += result.leveled_range_admissions
-            if result.jobs_overlapped:
-                report.overlapped_crash_points += 1
             if not result.crashed:
                 # The schedule (incl. close) finished before the countdown:
                 # the crash-point space is exhausted.
@@ -525,7 +490,7 @@ def schedule_equivalence(
 
     Runs one seed's schedule to completion inline (the historical
     synchronous semantics) and once per scheduler seed with background
-    workers, then compares every point lookup and a grid of range queries.
+    maintenance, then compares every point lookup and a grid of range queries.
     Background maintenance may only change *when* flushes and compactions
     happen — never what the store answers.
     """
@@ -534,23 +499,16 @@ def schedule_equivalence(
         base_dir, "sched-equiv-inline", seed, config, torture_options(config)
     )
     mismatches = []
-    overlapped = admissions = max_in_flight = 0
     for sched_seed in sched_seeds:
-        db, points, ranges = _answers(
+        _, points, ranges = _answers(
             base_dir, f"sched-equiv-g{sched_seed}", seed, config,
             torture_options(config, sched_seed),
         )
         if points != base_points or ranges != base_ranges:
             mismatches.append(f"sched{sched_seed}")
-        overlapped += db.stats.jobs_overlapped
-        admissions += db.stats.leveled_range_admissions
-        max_in_flight = max(max_in_flight, db.stats.max_jobs_in_flight)
     return {
         "seed": seed,
         "interleavings": 1 + len(sched_seeds),
         "equivalent": not mismatches,
         "mismatches": mismatches,
-        "jobs_overlapped": overlapped,
-        "max_jobs_in_flight": max_in_flight,
-        "leveled_range_admissions": admissions,
     }

@@ -122,25 +122,6 @@ class Version:
                 )
         self.levels[level] = runs
 
-    def merge_into_level(
-        self, level: int, runs: list[Run], removed_names: set[str]
-    ) -> None:
-        """Union-merge ``runs`` into ``level``, dropping ``removed_names``.
-
-        The concurrent-compaction install path: the level may have gained
-        runs (from another job's install) between plan and apply, so a
-        whole-level replace would clobber them.  Survivors — runs at the
-        level that were not inputs to this job — are kept and the job's
-        outputs merged in; :meth:`install_level` still enforces the
-        non-overlap invariant over the union.
-        """
-        survivors = [
-            run
-            for run in self.levels.get(level, [])
-            if run.name not in removed_names
-        ]
-        self.install_level(level, survivors + runs)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

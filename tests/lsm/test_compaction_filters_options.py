@@ -26,6 +26,7 @@ class TestOptions:
             ("level0_file_num_compaction_trigger", 0),
             ("level_size_ratio", 1),
             ("block_restart_interval", 0),
+            ("max_background_jobs", 2),
         ],
     )
     def test_invalid_rejected(self, field, value):

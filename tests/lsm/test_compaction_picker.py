@@ -1,26 +1,16 @@
-"""Per-file compaction picking, debt scoring, and begin()-time validation.
-
-Covers the picker-level pieces of the concurrent maintenance design:
+"""Per-file compaction picking and debt scoring.
 
 * overlap closure — every target-level run intersecting the chosen
   source span is pulled in, and nothing else;
 * debt-score ordering — L0 debt (write stalls) always outranks deeper
   bytes-over-target (read amplification), windows within one level drain
-  oldest-first;
-* conflict-table keying by monotonic ``job_id`` (never ``id(job)``: a
-  dropped job object's id can be recycled by a new allocation);
-* ``begin()`` re-validation against the *current* version — stale jobs
-  whose inputs were retired by a concurrent install are refused, and
-  ``drop_tombstones`` is re-derived rather than trusted from plan time.
+  oldest-first.
 """
 
 import random
 from types import SimpleNamespace
 
-import pytest
-
-from repro.errors import StoreError
-from repro.lsm.compaction import CompactionJob, Compactor
+from repro.lsm.compaction import Compactor
 from repro.lsm.options import DBOptions
 from repro.lsm.stats import PerfStats
 from repro.lsm.version import Run, Version
@@ -170,8 +160,6 @@ class TestDebtOrdering:
             "sst_1_00000001.sst",
             "sst_1_00000002.sst",
         ]
-        assert candidates[0].range_low == b"ee"
-        assert candidates[0].range_high == b"hh"
 
     def test_window_pulls_exact_target_closure(self):
         compactor = _compactor(
@@ -196,7 +184,6 @@ class TestDebtOrdering:
             "sst_2_00000003.sst",
             "sst_2_00000004.sst",
         ]
-        assert (job.range_low, job.range_high) == (b"cc", b"ff")
         # Bottom-most populated level is the output: tombstones drop.
         assert job.drop_tombstones
 
@@ -217,112 +204,4 @@ class TestDebtOrdering:
             "sst_0_00000009.sst",
             "sst_1_00000002.sst",
         ]
-        assert (job.range_low, job.range_high) == (b"cc", b"ee")
 
-
-# ----------------------------------------------------------------------
-# Conflict-table keying (regression: id(job) aliasing)
-# ----------------------------------------------------------------------
-class TestJobIdKeying:
-    def test_job_ids_are_monotonic_and_never_reused(self):
-        compactor = _compactor()
-        first = CompactionJob("leveled-level", [], 1, False, source_level=1)
-        compactor.begin(first)
-        compactor.finish(first)
-        second = CompactionJob("leveled-level", [], 3, False, source_level=3)
-        compactor.begin(second)
-        assert first.job_id == 1
-        assert second.job_id == 2
-
-    def test_recycled_object_identity_cannot_alias_entries(self):
-        """A new job at a dead job's address must not shadow its entry.
-
-        Keyed by ``id(job)``, CPython reusing the freed dataclass
-        allocation would overwrite the still-in-flight registration and a
-        later ``finish()`` on the new job would silently evict it.
-        """
-        compactor = _compactor()
-        job = CompactionJob("leveled-level", [], 1, False, source_level=1)
-        compactor.begin(job)
-        stale_id = job.job_id
-        del job  # the registration must outlive the object
-        # Allocate until the address space demonstrably recycles; every
-        # new job must land in its own slot regardless.
-        for output in range(3, 9):
-            replacement = CompactionJob(
-                "leveled-level", [], output, False, source_level=output
-            )
-            compactor.begin(replacement)
-            compactor.finish(replacement)
-        assert compactor.inflight_jobs() == 1  # the stale entry survived
-        ghost = CompactionJob("leveled-level", [], 1, False, source_level=1)
-        ghost.job_id = stale_id
-        compactor.finish(ghost)
-        assert compactor.inflight_jobs() == 0
-
-    def test_finish_before_begin_is_a_no_op(self):
-        compactor = _compactor()
-        job = CompactionJob("leveled-level", [], 1, False, source_level=1)
-        compactor.finish(job)  # job_id is None: nothing to drop
-        assert compactor.inflight_jobs() == 0
-
-
-# ----------------------------------------------------------------------
-# begin()-time revalidation against the current version
-# ----------------------------------------------------------------------
-class TestBeginRevalidation:
-    def _job(self, names, source=1, output=2, drop=False):
-        return CompactionJob(
-            kind="leveled-level",
-            inputs=[
-                _run(name, source, b"aa", b"zz") for name in names
-            ],
-            output_level=output,
-            drop_tombstones=drop,
-            source_level=source,
-        )
-
-    def test_stale_inputs_are_refused_and_counted(self):
-        compactor = _compactor()
-        job = self._job(["sst_1_00000001.sst", "sst_1_00000002.sst"])
-        # Between plan() and dispatch an install retired one input.
-        current = Version(
-            levels={1: [_run("sst_1_00000001.sst", 1, b"aa", b"mm")]}
-        )
-        with pytest.raises(StoreError, match="retired"):
-            compactor.begin(job, lambda: current)
-        assert compactor.inflight_jobs() == 0
-        assert compactor._env.stats.stale_jobs_rejected == 1
-
-    def test_live_inputs_admit_and_rederive_drop_tombstones(self):
-        compactor = _compactor()
-        # Planned when L3 held data: drop_tombstones was False.
-        job = self._job(["sst_1_00000001.sst"], drop=False)
-        # By dispatch time L3 drained: the output level is now the
-        # bottom, so the merge may drop tombstones after all.
-        current = Version(
-            levels={1: [_run("sst_1_00000001.sst", 1, b"aa", b"zz")]}
-        )
-        compactor.begin(job, lambda: current)
-        assert job.drop_tombstones is True
-        assert compactor._env.stats.stale_jobs_rejected == 0
-
-    def test_rederivation_can_also_revoke_tombstone_drop(self):
-        compactor = _compactor()
-        # Planned when the output was the bottom level; a concurrent
-        # install then populated L3, so dropping would resurrect deletes.
-        job = self._job(["sst_1_00000001.sst"], drop=True)
-        current = Version(
-            levels={
-                1: [_run("sst_1_00000001.sst", 1, b"aa", b"zz")],
-                3: [_run("sst_3_00000009.sst", 3, b"aa", b"zz")],
-            }
-        )
-        compactor.begin(job, lambda: current)
-        assert job.drop_tombstones is False
-
-    def test_no_provider_preserves_plan_time_decision(self):
-        compactor = _compactor()
-        job = self._job(["sst_1_00000001.sst"], drop=True)
-        compactor.begin(job)
-        assert job.drop_tombstones is True

@@ -17,6 +17,9 @@ Covers the pieces the crash-recovery torture harness composes:
   loses no work;
 * reads are superversion-pinned: an open iterator survives a full
   compaction deleting every file it is reading;
+* the job slot is exclusive: flushes, planned and forced compactions and
+  ingest never run at once, and a compaction's inputs are live when it
+  installs;
 * scalar and batch write paths agree on answers and ``PerfStats``
   accounting with workers enabled.
 """
@@ -27,13 +30,12 @@ import time
 
 import pytest
 
+from repro.bench.factories import make_factory
 from repro.errors import (
     PowerCutError,
     ReadOnlyStoreError,
-    StoreError,
     WriteStallTimeoutError,
 )
-from repro.lsm.compaction import CompactionJob, Compactor
 from repro.lsm.db import DB
 from repro.lsm.faults import FaultInjectionEnv
 from repro.lsm.options import DBOptions
@@ -90,7 +92,7 @@ class TestInlineScheduler:
 
 class TestThreadPoolScheduler:
     def test_jobs_run_on_workers_and_errors_are_recorded(self):
-        sched = ThreadPoolScheduler(num_workers=2)
+        sched = ThreadPoolScheduler()
         main = threading.get_ident()
         seen = []
         ok = sched.submit("ok", lambda: seen.append(threading.get_ident()))
@@ -328,7 +330,7 @@ class TestWorkerFlushFailure:
 
     def test_worker_failure_counters_match_inline_path(self, tmp_path):
         reports = {}
-        for label, jobs in (("inline", 0), ("workers", 2)):
+        for label, jobs in (("inline", 0), ("workers", 1)):
             db, env = _faulty_db(
                 str(tmp_path / label),
                 memtable_size_bytes=8 << 10,
@@ -425,7 +427,6 @@ class TestInlineDispatcher:
         # Every job of every dispatch ran one submit below the writer.
         assert len(set(depths["flush"])) == 1
         assert len(set(depths["compaction"])) == 1
-        assert db.stats.max_jobs_in_flight == 1
         db.close()
 
     def test_second_schedule_during_inline_job_is_absorbed(self, tmp_path):
@@ -453,7 +454,6 @@ class TestInlineDispatcher:
         db.flush()
         assert second["jobs_seen"] == 1
         assert set(ran_on) == {threading.get_ident()} and len(ran_on) == 2
-        assert db.stats.max_jobs_in_flight == 1
         assert db.health().pending_immutables == 0  # the late seal flushed
         assert db.get(1) == b"early" and db.get(2) == b"late" * 300
         db.close()
@@ -484,7 +484,7 @@ class TestSuperversionReads:
         db = DB(
             str(tmp_path / "db"),
             _options(
-                max_background_jobs=2,
+                max_background_jobs=1,
                 scheduler_factory=lambda _o: DeterministicScheduler(seed=11),
             ),
         )
@@ -511,7 +511,7 @@ class TestParityWithWorkers:
         writes = {}
         for label in ("scalar", "batch"):
             db = DB(
-                str(tmp_path / label), _options(max_background_jobs=2)
+                str(tmp_path / label), _options(max_background_jobs=1)
             )
             if label == "scalar":
                 for key, value in items:
@@ -531,7 +531,7 @@ class TestParityWithWorkers:
 
     def test_workers_match_inline_answers(self, tmp_path):
         final = {}
-        for label, jobs in (("inline", 0), ("workers", 2)):
+        for label, jobs in (("inline", 0), ("workers", 1)):
             db = DB(str(tmp_path / label), _options(max_background_jobs=jobs))
             for key in range(120):
                 db.put(key % 40, b"round-%d" % key)
@@ -548,11 +548,11 @@ class TestParityWithWorkers:
 # ----------------------------------------------------------------------
 class TestHealthSurface:
     def test_health_reports_backpressure_fields(self, tmp_path):
-        db = DB(str(tmp_path / "db"), _options(max_background_jobs=3))
+        db = DB(str(tmp_path / "db"), _options(max_background_jobs=1))
         for key in range(30):
             db.put(key, b"h" * 150)
         health = db.health()
-        assert health.workers == 3
+        assert health.workers == 1
         assert health.stall_state in ("none", "slowdown", "stopped")
         assert health.pending_immutables >= 0
         assert health.level0_runs >= 0
@@ -563,158 +563,97 @@ class TestHealthSurface:
 
 
 # ----------------------------------------------------------------------
-# Compactor conflict table
+# The one job slot
 # ----------------------------------------------------------------------
-def _fake_job(kind, names, source, output, low=None, high=None):
-    from types import SimpleNamespace
+class TestJobSlot:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_maintenance_bodies_never_overlap(self, tmp_path, seed):
+        """Every maintenance path takes the one slot, under any interleaving.
 
-    return CompactionJob(
-        kind=kind,
-        inputs=[SimpleNamespace(name=name) for name in names],
-        output_level=output,
-        drop_tombstones=False,
-        source_level=source,
-        range_low=low,
-        range_high=high,
-    )
-
-
-def _bare_compactor():
-    # begin/finish/conflicts touch only the conflict table; the storage
-    # collaborators are never consulted.
-    return Compactor(None, DBOptions(key_bits=32), None, None)
-
-
-class TestConflictTable:
-    def test_shared_input_run_conflicts(self):
-        compactor = _bare_compactor()
-        first = _fake_job("leveled-level", ["000001.sst", "000002.sst"], 1, 2)
-        compactor.begin(first)
-        overlapping = _fake_job("leveled-level", ["000002.sst"], 3, 4)
-        assert compactor.conflicts(overlapping)
-        with pytest.raises(StoreError):
-            compactor.begin(overlapping)
-        # finish() releases the inputs; the same job is then admissible.
-        compactor.finish(first)
-        compactor.begin(overlapping)
-        assert compactor.inflight_jobs() == 1
-
-    def test_unbounded_leveled_jobs_never_share_a_level(self):
-        compactor = _bare_compactor()
-        compactor.begin(_fake_job("leveled-level", ["000001.sst"], 1, 2))
-        # Disjoint inputs but touching L2 with no range footprint: an
-        # unbounded range overlaps everything, so this must be refused.
-        blocked = _fake_job("leveled-level", ["000009.sst"], 2, 3)
-        assert compactor.conflicts(blocked)
-        disjoint = _fake_job("leveled-level", ["000009.sst"], 3, 4)
-        assert not compactor.conflicts(disjoint)
-        compactor.begin(disjoint)
-        assert compactor.inflight_jobs() == 2
-
-    def test_disjoint_ranges_admit_leveled_jobs_in_one_level_pair(self):
-        compactor = _bare_compactor()
-        compactor.begin(
-            _fake_job(
-                "leveled-level", ["000001.sst"], 1, 2, low=b"aa", high=b"ff"
-            )
-        )
-        # Same L1->L2 pair, disjoint key footprint: admissible.
-        disjoint = _fake_job(
-            "leveled-level", ["000002.sst"], 1, 2, low=b"gg", high=b"pp"
-        )
-        assert not compactor.conflicts(disjoint)
-        compactor.begin(disjoint)
-        assert compactor.inflight_jobs() == 2
-        # Touching either footprint (inclusive bounds) conflicts...
-        overlapping = _fake_job(
-            "leveled-level", ["000003.sst"], 1, 2, low=b"ff", high=b"gg"
-        )
-        assert compactor.conflicts(overlapping)
-        # ...as does an unbounded job on the pair, and a full compaction.
-        assert compactor.conflicts(
-            _fake_job("leveled-level", ["000004.sst"], 1, 2)
-        )
-        assert compactor.conflicts(
-            _fake_job("full", ["000005.sst"], 0, 2)
-        )
-        # A third disjoint window still fits.
-        compactor.begin(
-            _fake_job(
-                "leveled-level", ["000006.sst"], 1, 2, low=b"qq", high=b"zz"
-            )
-        )
-        assert compactor.inflight_jobs() == 3
-
-    def test_finish_is_idempotent(self):
-        compactor = _bare_compactor()
-        job = _fake_job("leveled-l0", ["000001.sst"], 0, 1)
-        compactor.begin(job)
-        compactor.finish(job)
-        compactor.finish(job)
-        assert compactor.inflight_jobs() == 0
-        assert not compactor.conflicts(job)
-
-
-# ----------------------------------------------------------------------
-# Overlap accounting
-# ----------------------------------------------------------------------
-class TestJobOverlap:
-    def test_deterministic_run_overlaps_jobs(self, tmp_path):
-        """With 2 job slots and per-put seals, jobs genuinely overlap.
-
-        Values nearly fill the memtable so every put seals, queueing a
-        flush while the previous flush's compaction is still in flight.
-        The deterministic scheduler makes the interleaving replayable, so
-        this pins ``jobs_overlapped``/``max_jobs_in_flight`` rather than
-        hoping thread timing cooperates.
+        The mix covers each way a job starts: sealing writes (flush and
+        planned compactions on the worker), ``compact()``'s forced L0
+        merge, ``resume()`` after a background write fault, ``ingest()``
+        into an empty level, and quarantine flags that dispatch a rebuild
+        while ``compact()`` is about to start and while ``ingest()`` runs.
         """
-        db = DB(
+        db, env = _faulty_db(
             str(tmp_path / "db"),
-            _options(
-                max_background_jobs=2,
-                scheduler_factory=lambda _opts: DeterministicScheduler(seed=0),
-            ),
+            max_background_jobs=1,
+            filter_factory=make_factory("rosetta", 32, 14, max_range=32),
+            quarantine_filters=True,
+            quarantine_fpr_multiple=1.5,
+            quarantine_min_probes=1,
+            scheduler_factory=lambda _o: DeterministicScheduler(seed=seed),
         )
-        for key in range(24):
-            db.put(key % 8, b"x" * 960)
-        db.wait_idle()
-        assert db.stats.max_jobs_in_flight >= 2
-        assert db.stats.jobs_overlapped > 0
-        answers = {key: db.get(key) for key in range(8)}
-        db.close()
-        assert all(value == b"x" * 960 for value in answers.values())
+        running: list[str] = []
+        violations: list[str] = []
 
-    def test_two_leveled_jobs_in_flight_in_one_level_pair(self, tmp_path):
-        """Per-file picking admits disjoint leveled jobs into one pair.
+        def exclusive(name, body):
+            def wrapped(*args):
+                if running:
+                    violations.append(f"{name} started while {running} ran")
+                running.append(name)
+                try:
+                    return body(*args)
+                finally:
+                    running.remove(name)
+            return wrapped
 
-        Single-run windows (``max_compaction_input_files=1``) over a
-        scattered key space produce several L1->L2 candidates with
-        disjoint footprints; with two job slots the conflict table must
-        admit a second one while the first is still in flight —
-        ``leveled_range_admissions`` counts exactly those admissions.
-        The deterministic scheduler makes the interleaving replayable.
-        """
-        values = {}
-        db = DB(
-            str(tmp_path / "db"),
-            _options(
-                sst_size_bytes=2048,
-                max_bytes_for_level_base=4096,
-                max_background_jobs=2,
-                max_compaction_input_files=1,
-                scheduler_factory=lambda _opts: DeterministicScheduler(seed=0),
-            ),
+        def flag_newest_run():
+            # What a read does when the detector flags its run: the rebuild
+            # is dispatched from the reading thread.
+            run = db.version.all_runs_newest_first()[0]
+            db._filter_dictionary.get_filter(run.reader, db.stats)  # noqa: SLF001
+            db._note_filter_outcome(run, 0, 1)  # noqa: SLF001
+
+        compactor = db._compactor  # noqa: SLF001
+        apply = compactor.apply
+
+        def checked_apply(version, job, outputs):
+            live = {run.name for run in version.all_runs_newest_first()}
+            retired = {run.name for run in job.inputs} - live
+            if retired:
+                violations.append(f"{job.kind} installed retired {retired}")
+            apply(version, job, outputs)
+
+        write_ingest_runs = db._write_ingest_runs  # noqa: SLF001
+
+        def ingest_runs(pairs, level):
+            flag_newest_run()
+            return write_ingest_runs(pairs, level)
+
+        compactor.execute = exclusive("compaction", compactor.execute)
+        compactor.apply = checked_apply
+        db._flush_oldest_immutable = exclusive(  # noqa: SLF001
+            "flush", db._flush_oldest_immutable  # noqa: SLF001
         )
-        for i in range(400):
-            key = (i * 7919) % 4096  # coprime stride scatters the space
-            values[key] = (b"r%d" % i).ljust(120, b"x")
-            db.put(key, values[key])
+        db._write_ingest_runs = exclusive("ingest", ingest_runs)  # noqa: SLF001
+
+        model = {}
+        for key in range(60):
+            model[key] = b"v%d-" % key * 40  # ~200 B: a seal every few puts
+            db.put(key, model[key])
+            if key % 20 == 19:
+                db.compact()
+        model[100] = b"fault" * 40
+        db.put(100, model[100])
+        env.fail_next_writes(1)
+        db.flush()  # the worker's flush fails and parks the store
+        assert db.health().mode == "degraded"
+        assert db.resume()
+        # One L0 run is left; its rebuild is dispatched and holds the slot
+        # when compact() plans its own merge of the same run.
+        assert len(db.version.level0) == 1
+        flag_newest_run()
+        db.compact()
+        ingested = {key: b"i%d" % key for key in range(1000, 1600)}
+        db.ingest(ingested.items(), level=5)
         db.wait_idle()
-        assert db.stats.max_jobs_in_flight >= 2
-        assert db.stats.leveled_range_admissions > 0
-        # Nothing lost under same-pair parallelism: last write per key wins.
-        for key, value in values.items():
-            assert db.get(key) == value
-        report = db.verify()
-        assert report.ok
+
+        assert violations == []
+        assert db.stats.filters_quarantined == 2
+        assert db.health().attacked_filters == ()  # both rebuilds ran
+        assert db.version.level_runs(5)
+        model.update(ingested)
+        assert {key: db.get(key) for key in model} == model
         db.close()

@@ -109,7 +109,7 @@ class TestThreadedObservers:
     def test_health_never_tears_under_worker_churn(self, tmp_path):
         db = DB(
             str(tmp_path / "db"),
-            _options(max_background_jobs=2, max_immutable_memtables=4),
+            _options(max_background_jobs=1, max_immutable_memtables=4),
         )
         stop = threading.Event()
         failures: list[AssertionError] = []

@@ -120,9 +120,7 @@ _GOLDEN_COUNTERS = {
     "point_queries": 802, "multi_point_queries": 20, "range_queries": 212,
     "writes": 2002, "flushes": 10, "compactions": 3,
     "compaction_bytes_read": 55141, "compaction_bytes_written": 52610,
-    "filters_built": 14, "jobs_overlapped": 0,
-    "max_jobs_in_flight": 1,  # an inline store counts its one slot
-    "leveled_range_admissions": 0, "stale_jobs_rejected": 0,
+    "filters_built": 14,
 }
 _GOLDEN_TRACKER = {
     "false_positives": 38, "filter_negatives": 461, "filter_positives": 349,
@@ -339,7 +337,7 @@ class TestReadLedger:
                 for f in fields(PerfStats)
                 if not f.name.endswith("_ns")
             }
-            assert len(fields(PerfStats)) == 41
+            assert len(fields(PerfStats)) == 37
             assert counters == _GOLDEN_COUNTERS
             tracker = db.tracker.to_dict()
             tracker["range_sizes"] = {

@@ -294,15 +294,16 @@ class TestCounterAggregation:
 
     def test_perf_totals(self, tmp_path):
         server = _server(tmp_path, num_shards=2)
-        low, high = (shard.db.stats for shard in server._shards)  # noqa: SLF001
-        low.add(block_reads=3, filter_probes=10)
-        low.observe_max("max_jobs_in_flight", 3)
-        high.add(block_reads=4, filter_negatives=6)
-        high.observe_max("max_jobs_in_flight", 2)
+        low, high = server._shards  # noqa: SLF001
+        low.db.stats.add(block_reads=3, filter_probes=10)
+        high.db.stats.add(block_reads=4, filter_negatives=6)
         totals = server.perf_totals()
         assert (totals.block_reads, totals.filter_probes) == (7, 10)
         assert totals.filter_negatives == 6
-        assert totals.max_jobs_in_flight == 3
+        # High-water fields take the max across shards, not the sum.
+        low.stats.observe_max("max_batch_requests", 3)
+        high.stats.observe_max("max_batch_requests", 2)
+        assert server.stats().max_batch_requests == 3
         server.close()
 
 

@@ -72,20 +72,13 @@ RULES: dict[str, dict[str, Rule]] = {
         "_active_wal": _rule(("_mutex",), ("__init__", "_recover")),
         "_wal_seq": _rule(("_mutex",), ("__init__", "_recover")),
         "_background_error": _rule(("_mutex",), ("__init__",)),
-        # Maintenance job bookkeeping: _job_lock only.
-        "_jobs_in_flight": _rule(("_job_lock",), ("__init__",)),
-        "_flush_inflight": _rule(("_job_lock",), ("__init__",)),
+        # The one maintenance job slot: _job_lock only.
+        "_job_running": _rule(("_job_lock",), ("__init__",)),
         # Lifecycle flag: set once on the teardown paths.
         "_closed": _rule((), ("__init__", "close", "kill")),
     },
     "Compactor": {
         "_next_file_number": _rule(("_counter_lock",), ("__init__",)),
-        # Conflict table: registered/dropped under _inflight_lock only;
-        # ``_conflicts_locked`` carries the caller-holds-it convention.
-        # The monotonic job-id counter lives under the same lock so a
-        # begin() issues the id and registers the entry atomically.
-        "_inflight": _rule(("_inflight_lock",), ("__init__",)),
-        "_next_job_id": _rule(("_inflight_lock",), ("__init__",)),
     },
     # Serving layer (repro.lsm.serving): per-shard request queue, the
     # closed/worker-death flags, the in-flight batch, and the injected
