@@ -34,7 +34,6 @@ def run_mix() -> tuple:
         memtable_size_bytes=32 << 10,
         sst_size_bytes=128 << 10,
         max_bytes_for_level_base=512 << 10,
-        level_size_ratio=4,
         device="ssd-scaled",
     )
     factory = make_factory("rosetta", KEY_BITS, 22, max_range=64,

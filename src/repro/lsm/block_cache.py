@@ -1,11 +1,10 @@
 """LRU block cache with a high-priority pool for filter/index blocks.
 
 Reproduces the RocksDB caching behaviour the paper configures (§4
-footnotes): ``cache_index_and_filter_blocks=true`` puts metadata blocks in
-the same cache as data blocks;
-``cache_index_and_filter_blocks_with_high_priority=true`` makes data blocks
-evict first; ``pin_l0_filter_and_index_blocks_in_cache=true`` exempts L0
-metadata from eviction entirely.
+footnotes), always on rather than as options: filter and index blocks
+share the cache with data blocks, sit in a high-priority pool so data
+blocks evict first, and on L0 are pinned, exempt from eviction entirely.
+The reader asks for that per block (``SSTReader._read_metadata_block``).
 
 Implementation: two LRU pools (low = data, high = filter/index) sharing one
 byte budget, plus a pinned set that is charged but never evicted.  Eviction

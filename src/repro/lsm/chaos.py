@@ -75,6 +75,17 @@ TYPED_ERRORS: tuple[type[BaseException], ...] = (
     ClosedStoreError,
 )
 
+#: The store under test: 16-bit keys (the lower half is the stable region,
+#: the upper half the clients' write slices), 256-deep shard queues, and a
+#: background-write fault armed every third injector tick.
+_KEY_BITS = 16
+_MAX_QUEUE_DEPTH = 256
+_WRITE_FAULT_EVERY = 3
+
+#: Extra slack on top of the deadline before a pending future counts as
+#: hung.  Also the whole wait bound when there is no deadline.
+_GRACE_S = 30.0
+
 
 @dataclass
 class ChaosOptions:
@@ -84,22 +95,16 @@ class ChaosOptions:
     clients: int = 4
     ops_per_client: int = 200
     num_shards: int = 4
-    key_bits: int = 16
     preload: int = 500          # stable-region keys loaded before traffic
     # Serving configuration under test.
     queue_policy: str = "shed"
-    default_deadline_s: float | None = 0.5
+    default_deadline_s: float | None = 0.5  # every read's deadline_s
     breaker_enabled: bool = True
     max_worker_restarts: int = 3
-    max_queue_depth: int = 256
     # Fault schedule (all faults disabled when ``inject_faults`` is off).
     inject_faults: bool = True
     fault_period_s: float = 0.02   # injector tick
-    write_fault_every: int = 3     # ticks between armed background-write faults
     worker_crash_every: int = 6    # ticks between injected worker crashes
-    #: Extra slack on top of the deadline before a pending future counts
-    #: as hung.  Also the whole wait bound when there is no deadline.
-    grace_s: float = 30.0
 
 
 @dataclass
@@ -218,10 +223,11 @@ class _Client:
             "multi_get": server.multi_get_async,
             "range": server.range_query_async,
         }[op[0]]
-        bound = options.grace_s + (options.default_deadline_s or 0.0)
+        deadline_s = options.default_deadline_s
+        bound = _GRACE_S + (deadline_s or 0.0)
         start = time.monotonic()
         try:
-            got = submit(*op[1:]).result(timeout=bound)
+            got = submit(*op[1:], deadline_s=deadline_s).result(timeout=bound)
         except BaseException as exc:  # noqa: BLE001 - classified above
             self._fail(start, exc, _describe(op))
             return
@@ -276,7 +282,7 @@ class _Harness:
             return env
 
         db_options = DBOptions(
-            key_bits=options.key_bits,
+            key_bits=_KEY_BITS,
             memtable_size_bytes=4 << 10,
             sst_size_bytes=8 << 10,
             block_size_bytes=512,
@@ -286,16 +292,14 @@ class _Harness:
         serving = ServingOptions(
             num_shards=options.num_shards,
             queue_policy=options.queue_policy,
-            default_deadline_s=options.default_deadline_s,
             breaker_enabled=options.breaker_enabled,
             max_worker_restarts=options.max_worker_restarts,
-            max_queue_depth=options.max_queue_depth,
+            max_queue_depth=_MAX_QUEUE_DEPTH,
             breaker_backoff_initial_s=0.02,
             breaker_backoff_max_s=0.2,
         )
         self.server = ShardedServer(path, db_options, serving)
-        domain = 1 << options.key_bits
-        self.stable_top = domain // 2
+        self.stable_top = (1 << _KEY_BITS) // 2
         rng = random.Random(options.seed)
         stable: set[int] = set()
         while len(stable) < options.preload:
@@ -310,8 +314,7 @@ class _Harness:
         self.server.flush()
 
     def client_slices(self) -> list[tuple[int, int]]:
-        domain = 1 << self.options.key_bits
-        span = (domain - self.stable_top) // self.options.clients
+        span = ((1 << _KEY_BITS) - self.stable_top) // self.options.clients
         return [
             (self.stable_top + i * span, self.stable_top + (i + 1) * span)
             for i in range(self.options.clients)
@@ -328,7 +331,7 @@ class _Harness:
             # bounded retry most of the time, surfaced (typed) otherwise.
             env.fail_next_reads(rng.randint(1, 2))
             injected["transient_reads"] += 1
-            if tick % self.options.write_fault_every == 0:
+            if tick % _WRITE_FAULT_EVERY == 0:
                 # The next background write on this shard fails ->
                 # degraded read-only flip -> breaker territory.
                 env.fail_next_writes(1)

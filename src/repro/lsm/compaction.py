@@ -6,7 +6,7 @@ Policy (RocksDB leveled, per-file granularity):
   L0 (L0 files overlap arbitrarily) with the L1 runs intersecting L0's key
   span — the *overlap closure* — into fresh L1 files of at most
   ``sst_size_bytes``.
-* A level exceeding its size target (``max_bytes_for_level_base * ratio^i``)
+* A level exceeding its size target (:func:`~repro.lsm.version.level_target_bytes`)
   merges down in bounded *windows*: up to ``max_compaction_input_files``
   contiguous source runs (oldest window first) plus their overlap closure
   at the target level, so one oversize level drains in several bounded
@@ -71,7 +71,7 @@ from repro.lsm.format import ValueTag, sst_file_number
 from repro.lsm.iterators import MergingIterator
 from repro.lsm.options import DBOptions
 from repro.lsm.sstable import SSTReader, SSTWriter
-from repro.lsm.version import NUM_LEVELS, Run, Version
+from repro.lsm.version import NUM_LEVELS, Run, Version, level_target_bytes
 
 __all__ = ["Compactor", "CompactionJob"]
 
@@ -182,8 +182,9 @@ class Compactor:
                     self._L0_DEBT_WEIGHT * len(version.level0) / trigger
                 )
                 scored.append((job.debt_score, 0, [job]))
+        base = self._options.max_bytes_for_level_base
         for level in range(1, NUM_LEVELS - 1):
-            target = self._options.level_target_bytes(level)
+            target = level_target_bytes(base, level)
             size = version.level_size_bytes(level)
             if size > target:
                 score = size / target
@@ -442,9 +443,7 @@ class Compactor:
 
     def _finish_writer(self, writer: SSTWriter, output_level: int) -> Run:
         meta = writer.finish()
-        reader = SSTReader(
-            self._env, meta, self._options, self._cache, is_level0=False
-        )
+        reader = SSTReader(self._env, meta, self._cache, is_level0=False)
         return Run(reader=reader, level=output_level)
 
     def destroy_runs(self, runs: Iterable[Run]) -> None:

@@ -104,7 +104,9 @@ from repro.lsm.scheduler import InlineScheduler, ThreadPoolScheduler
 from repro.lsm.shard import clamp_to_domain
 from repro.lsm.sstable import SSTMeta, SSTReader, SSTWriter
 from repro.lsm.stats import PerfStats
-from repro.lsm.version import MANIFEST, NUM_LEVELS, Run, Version, manifest_entry_name
+from repro.lsm.version import (
+    MANIFEST, NUM_LEVELS, Run, Version, level_target_bytes, manifest_entry_name,
+)
 from repro.lsm.wal import BATCH_OP, WriteAheadLog, parse_wal_seq, wal_file_name
 from repro.lsm.write_batch import WriteBatch
 
@@ -678,7 +680,14 @@ class DB:
             if sv.immutables:
                 self._scheduler.submit("flush", self._flush_job)
                 continue
-            job = self._compactor.plan(sv.version)
+            try:
+                job = self._compactor.plan(sv.version)
+            except Exception as exc:
+                # A planner bug, not a device fault: park the store the
+                # way _run_background does, and never keep the slot.
+                self._enter_background_error("compaction-plan", exc)
+                self._release_slot()
+                raise
             if job is None:
                 self._release_slot()
                 return
@@ -778,9 +787,7 @@ class DB:
             for key, tag, value in bundle.memtable.entries():
                 writer.add(key, tag, value)
             meta = writer.finish()
-            reader = SSTReader(
-                self._env, meta, self.options, self._cache, is_level0=True
-            )
+            reader = SSTReader(self._env, meta, self._cache, is_level0=True)
             run = Run(reader=reader, level=0)
         with self._mutex:
             current = self._super
@@ -1080,10 +1087,11 @@ class DB:
                 estimated = sum(
                     self.options.key_width_bytes + len(v) + 8 for _, v in pairs
                 )
+                base = self.options.max_bytes_for_level_base
                 level = 1
                 while (
                     level < NUM_LEVELS - 1
-                    and estimated > self.options.level_target_bytes(level)
+                    and estimated > level_target_bytes(base, level)
                 ):
                     level += 1
             if not 1 <= level < NUM_LEVELS:
@@ -1133,9 +1141,7 @@ class DB:
 
     def _finish_ingest_writer(self, writer: SSTWriter, level: int) -> Run:
         meta = writer.finish()
-        reader = SSTReader(
-            self._env, meta, self.options, self._cache, is_level0=False
-        )
+        reader = SSTReader(self._env, meta, self._cache, is_level0=False)
         return Run(reader=reader, level=level)
 
     # ------------------------------------------------------------------
@@ -1658,9 +1664,7 @@ class DB:
             for name in manifest.get("level0", []):
                 referenced.add(name)
                 meta = self._read_meta(name)
-                reader = SSTReader(
-                    self._env, meta, self.options, self._cache, is_level0=True
-                )
+                reader = SSTReader(self._env, meta, self._cache, is_level0=True)
                 version.level0.append(Run(reader=reader, level=0))
             for level_str, entries in manifest.get("levels", {}).items():
                 level = int(level_str)
@@ -1669,9 +1673,7 @@ class DB:
                     name = manifest_entry_name(entry)
                     referenced.add(name)
                     meta = self._read_meta(name)
-                    reader = SSTReader(
-                        self._env, meta, self.options, self._cache, is_level0=False
-                    )
+                    reader = SSTReader(self._env, meta, self._cache, is_level0=False)
                     runs.append(Run(reader=reader, level=level))
                 if runs:
                     # Refuses a level whose files overlap: loading one

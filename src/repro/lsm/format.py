@@ -114,7 +114,12 @@ def decode_varint(
 
 
 class DataBlockBuilder:
-    """Accumulates sorted entries into one prefix-compressed data block."""
+    """Accumulates sorted entries into one prefix-compressed data block.
+
+    ``restart_interval`` is the longest in-block walk of a point read;
+    every restart costs 4 bytes plus one key stored whole.  SST files use
+    the default, RocksDB's 16.
+    """
 
     def __init__(self, restart_interval: int = 16) -> None:
         if restart_interval < 1:

@@ -8,21 +8,22 @@ direct counterpart here:
   iterator count that dominates empty-query CPU);
 * ``max_bytes_for_level_base`` → :attr:`DBOptions.max_bytes_for_level_base`
   (restricting L0 growth so iterators spawn per level, not per file);
-* ``cache_index_and_filter_blocks=true`` → always on (filter and index
-  blocks go through the block cache); its ``_with_high_priority``
-  companion and ``pin_l0_filter_and_index_blocks_in_cache`` → the
-  block-cache priority flags;
+* ``cache_index_and_filter_blocks=true``, with high priority, and L0's
+  pinned → always on, not knobs: filter and index blocks go through the
+  block cache in its high-priority pool, and L0's are pinned
+  (``SSTReader._read_metadata_block``);
 * per-SST full filters (block-based filters are deprecated) → one filter
   instance per SST file, rebuilt at compaction;
-* leveled compaction over RocksDB's default ``num_levels=7`` → not knobs:
-  the paper runs nothing else, so the level count is
-  :data:`repro.lsm.version.NUM_LEVELS` and :mod:`repro.lsm.compaction`
-  has one policy.
+* leveled compaction over RocksDB's default ``num_levels=7`` and size
+  ratio 10 → not knobs: the paper runs nothing else, so they are
+  :data:`repro.lsm.version.NUM_LEVELS` and
+  :data:`repro.lsm.version.LEVEL_SIZE_RATIO`, and
+  :mod:`repro.lsm.compaction` has one policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import InvalidOptionsError
 from repro.filters.base import FilterFactory
@@ -55,11 +56,9 @@ class DBOptions:
     #: Number of L0 files that triggers an L0->L1 compaction (paper: 3).
     level0_file_num_compaction_trigger: int = 3
 
-    #: Target size of L1; level i holds base * ratio^(i-1) bytes.
+    #: Target size of L1; level i holds ``base * LEVEL_SIZE_RATIO^(i-1)``
+    #: bytes (:func:`repro.lsm.version.level_target_bytes`).
     max_bytes_for_level_base: int = 4 << 20
-
-    #: LSM size ratio between adjacent levels (RocksDB default 10).
-    level_size_ratio: int = 10
 
     #: Filter recipe applied to every new SST (None = fence pointers only).
     filter_factory: FilterFactory | None = None
@@ -92,14 +91,6 @@ class DBOptions:
     #: Block cache capacity in bytes (0 disables caching).
     block_cache_bytes: int = 8 << 20
 
-    #: Give filter/index blocks eviction priority over data blocks (they
-    #: always live in the block cache: the paper's setup runs with
-    #: ``cache_index_and_filter_blocks=true``, so that is not a knob).
-    cache_index_and_filter_blocks_with_high_priority: bool = True
-
-    #: Pin L0 filter and index blocks so empty queries stay CPU-only.
-    pin_l0_filter_and_index_blocks_in_cache: bool = True
-
     #: Keep deserialized filters in the §4 filter dictionary (ablation
     #: point: switching this off re-deserializes on every query).
     use_filter_dictionary: bool = True
@@ -112,12 +103,6 @@ class DBOptions:
     #: (:meth:`StorageEnv.sync_file`): the write-acknowledgement contract the
     #: crash harness verifies — a power cut never loses an acked write.
     use_wal: bool = True
-
-    #: Number of entries between restart points in a data block.  Read
-    #: side: the longest in-block walk of a point read, which bisects the
-    #: restart points and scans one interval.  Write side: every restart
-    #: costs 4 bytes plus one key stored without prefix compression.
-    block_restart_interval: int = 16
 
     # -- Online fault handling ------------------------------------------
     #: Extra attempts a transiently failing block read gets before the
@@ -193,10 +178,10 @@ class DBOptions:
             raise InvalidOptionsError(
                 "level0_file_num_compaction_trigger must be >= 1"
             )
-        if self.level_size_ratio < 2:
-            raise InvalidOptionsError("level_size_ratio must be >= 2")
-        if self.block_restart_interval < 1:
-            raise InvalidOptionsError("block_restart_interval must be >= 1")
+        if self.max_bytes_for_level_base < 1:
+            raise InvalidOptionsError("max_bytes_for_level_base must be >= 1")
+        if self.block_cache_bytes < 0:
+            raise InvalidOptionsError("block_cache_bytes must be >= 0")
         if not 0 <= self.filter_salt_seed < 1 << 64:
             raise InvalidOptionsError(
                 f"filter_salt_seed must be a 64-bit value, "
@@ -253,11 +238,3 @@ class DBOptions:
     def key_width_bytes(self) -> int:
         """Fixed on-disk key width (keys are stored big-endian)."""
         return (self.key_bits + 7) // 8
-
-    def level_target_bytes(self, level: int) -> int:
-        """Capacity target for ``level`` (level 0 is file-count driven)."""
-        if level <= 0:
-            raise InvalidOptionsError("level targets are defined for level >= 1")
-        return self.max_bytes_for_level_base * (
-            self.level_size_ratio ** (level - 1)
-        )

@@ -18,7 +18,6 @@ from repro.errors import ReproError, StoreError
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
 from repro.lsm.format import decode_data_block
-from repro.lsm.options import DBOptions
 from repro.lsm.sstable import SSTMeta, SSTReader
 from repro.lsm.version import MANIFEST, manifest_entry_name
 
@@ -54,7 +53,7 @@ class RepairOutcome:
         )
 
 
-def _probe_sst(env: StorageEnv, name: str, options: DBOptions) -> int:
+def _probe_sst(env: StorageEnv, name: str) -> int:
     """Fully read one SST; returns its entry count or raises on damage."""
     from repro.filters.base import deserialize_filter
 
@@ -63,7 +62,7 @@ def _probe_sst(env: StorageEnv, name: str, options: DBOptions) -> int:
         name=name, num_entries=0, min_key=b"", max_key=b"",
         file_size=file_size,
     )
-    reader = SSTReader(env, meta, options, BlockCache(0))
+    reader = SSTReader(env, meta, BlockCache(0))
     entries = 0
     for block_index in range(reader.num_data_blocks()):
         _, handle = reader._fence_pointers[block_index]  # noqa: SLF001
@@ -75,7 +74,7 @@ def _probe_sst(env: StorageEnv, name: str, options: DBOptions) -> int:
     return entries
 
 
-def repair_store(path: str, options: DBOptions | None = None) -> RepairOutcome:
+def repair_store(path: str) -> RepairOutcome:
     """Make the store at ``path`` openable again, dropping damaged runs.
 
     Verifies every SST referenced by the manifest; unreadable or missing
@@ -83,7 +82,6 @@ def repair_store(path: str, options: DBOptions | None = None) -> RepairOutcome:
     ``<name>.quarantine`` for offline inspection.  A store without a
     manifest cannot be repaired (there is no file list to salvage from).
     """
-    options = options if options is not None else DBOptions()
     env = StorageEnv(path, "memory")
     if not env.exists(MANIFEST):
         raise StoreError(f"no manifest at {path}; nothing to repair from")
@@ -95,7 +93,7 @@ def repair_store(path: str, options: DBOptions | None = None) -> RepairOutcome:
             outcome.dropped_files.append(name)
             return False
         try:
-            entries = _probe_sst(env, name, options)
+            entries = _probe_sst(env, name)
         except (ReproError, OSError):
             outcome.dropped_files.append(name)
             try:

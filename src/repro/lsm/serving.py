@@ -31,9 +31,9 @@ and each shard's own write lock.
 Fault tolerance — the serving layer fails *fast and typed*, never
 silently and never by hanging:
 
-* **Deadlines.** Every read can carry a deadline (``deadline_s=`` on the
-  submit, or ``ServingOptions.default_deadline_s``).  Deadlines are
-  enforced at dequeue — an expired request fails with
+* **Deadlines.** Every queued read can carry a deadline, per call
+  (``deadline_s=`` on the submit; there is no server-wide default).
+  Deadlines are enforced at dequeue — an expired request fails with
   :class:`~repro.errors.DeadlineExceededError` instead of occupying a
   batch.  A submitter blocked on a full queue gives up when its
   deadline passes.
@@ -100,9 +100,18 @@ __all__ = [
     "ShardedServer",
 ]
 
+#: Ceiling on requests drained into one batch.
+_MAX_BATCH_REQUESTS = 256
+
 #: Ceiling on point keys resolved by one batched ``multi_get`` (a single
 #: oversized request still runs alone).
 _MAX_BATCH_KEYS = 512
+
+#: Supervisor tick (breaker probes, health polls, worker liveness), and
+#: how long :meth:`ShardedServer.close` waits for each drain worker to
+#: exit before declaring it leaked and failing its futures.
+_SUPERVISOR_POLL_S = 0.02
+_WORKER_JOIN_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -112,9 +121,6 @@ class ServingOptions:
     #: Number of key-range shards (each one independent ``DB``).
     num_shards: int = 4
 
-    #: Ceiling on requests drained into one batch.
-    max_batch_requests: int = 256
-
     #: Queue-depth ceiling per shard (see :attr:`queue_policy`).
     max_queue_depth: int = 4096
 
@@ -123,10 +129,6 @@ class ServingOptions:
     #: request's deadline, if any); ``"shed"`` rejects immediately with
     #: :class:`~repro.errors.QueueFullError`.
     queue_policy: str = "block"
-
-    #: Deadline applied to every read submitted without an explicit
-    #: ``deadline_s``; None means no deadline (requests wait forever).
-    default_deadline_s: float | None = None
 
     #: Run the per-shard circuit breaker + supervisor thread.  Off, the
     #: serving layer behaves like the pre-breaker code: degraded shards
@@ -147,28 +149,16 @@ class ServingOptions:
     #: before declaring the shard permanently ``failed``.
     max_worker_restarts: int = 3
 
-    #: Supervisor tick interval (breaker probes, health polls, worker
-    #: liveness checks all run on this cadence).
-    supervisor_poll_s: float = 0.02
-
-    #: How long :meth:`ShardedServer.close` waits for each drain worker
-    #: to exit before declaring it leaked and failing its futures.
-    worker_join_timeout_s: float = 30.0
-
     def validate(self) -> None:
         """Raise :class:`InvalidOptionsError` on inconsistent settings."""
         if self.num_shards < 1:
             raise InvalidOptionsError("num_shards must be >= 1")
-        if self.max_batch_requests < 1:
-            raise InvalidOptionsError("max_batch_requests must be >= 1")
         if self.max_queue_depth < 1:
             raise InvalidOptionsError("max_queue_depth must be >= 1")
         if self.queue_policy not in ("block", "shed"):
             raise InvalidOptionsError(
                 f"queue_policy must be 'block' or 'shed': {self.queue_policy!r}"
             )
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise InvalidOptionsError("default_deadline_s must be > 0 or None")
         if self.breaker_backoff_initial_s <= 0:
             raise InvalidOptionsError("breaker_backoff_initial_s must be > 0")
         if self.breaker_backoff_max_s < self.breaker_backoff_initial_s:
@@ -177,10 +167,6 @@ class ServingOptions:
             )
         if self.max_worker_restarts < 0:
             raise InvalidOptionsError("max_worker_restarts must be >= 0")
-        if self.supervisor_poll_s <= 0:
-            raise InvalidOptionsError("supervisor_poll_s must be > 0")
-        if self.worker_join_timeout_s <= 0:
-            raise InvalidOptionsError("worker_join_timeout_s must be > 0")
 
 
 @dataclass
@@ -669,14 +655,13 @@ class _Shard:
         """Drain what is queued as one batch; sleep only on an empty queue.
 
         The batch is what piled up behind the previous one, up to
-        ``max_batch_requests`` / ``_MAX_BATCH_KEYS``; requests whose
+        ``_MAX_BATCH_REQUESTS`` / ``_MAX_BATCH_KEYS``; requests whose
         deadline already passed are failed fast at drain time instead of
         joining it.  Returns None only at shutdown with an empty queue — a
         non-empty queue at shutdown is still drained so no future is left
         dangling — and an empty list when everything drained had expired
         (the caller just loops).
         """
-        opts = self.options
         expired: list[_Request] = []
         with self._cond:
             while (
@@ -694,7 +679,7 @@ class _Shard:
             batch: list[_Request] = []
             keys = 0
             now = time.monotonic()
-            while self._queue and len(batch) < opts.max_batch_requests:
+            while self._queue and len(batch) < _MAX_BATCH_REQUESTS:
                 request = self._queue[0]
                 if request.expired(now):
                     expired.append(self._queue.popleft())
@@ -795,7 +780,7 @@ class _Shard:
         """Stop the worker (drains the queue first), then the DB.
 
         Returns True when the worker leaked — still alive after
-        ``worker_join_timeout_s`` — in which case its in-flight futures
+        ``_WORKER_JOIN_TIMEOUT_S`` — in which case its in-flight futures
         are failed with :class:`ClosedStoreError` rather than silently
         abandoned, and ``worker_leaks`` is counted.
         """
@@ -804,7 +789,7 @@ class _Shard:
             self._cond.notify_all()
         with self._breaker_lock:
             thread = self._thread
-        thread.join(timeout=self.options.worker_join_timeout_s)
+        thread.join(timeout=_WORKER_JOIN_TIMEOUT_S)
         leaked = thread.is_alive()
         victims: list[_Request] = []
         with self._cond:
@@ -849,9 +834,8 @@ class ShardedServer:
 
     The ``*_async`` variants return :class:`concurrent.futures.Future`
     so a client can keep many requests in flight — which is exactly what
-    lets a batch pile up behind the worker.  Every read accepts ``deadline_s``
-    (relative seconds; ``ServingOptions.default_deadline_s`` when
-    omitted).
+    lets a batch pile up behind the worker.  Every queued read accepts
+    ``deadline_s`` (relative seconds; omitted, the read has no deadline).
     """
 
     def __init__(
@@ -895,18 +879,11 @@ class ShardedServer:
     # ------------------------------------------------------------------
     def _resolve_deadline(self, deadline_s: float | None) -> float | None:
         """Relative caller deadline -> absolute monotonic instant."""
-        effective = (
-            deadline_s
-            if deadline_s is not None
-            else self.serving.default_deadline_s
-        )
-        if effective is None:
+        if deadline_s is None:
             return None
-        if effective <= 0:
-            raise InvalidOptionsError(
-                f"deadline_s must be > 0: {effective}"
-            )
-        return time.monotonic() + effective
+        if deadline_s <= 0:
+            raise InvalidOptionsError(f"deadline_s must be > 0: {deadline_s}")
+        return time.monotonic() + deadline_s
 
     # ------------------------------------------------------------------
     # Point reads
@@ -1087,7 +1064,8 @@ class ShardedServer:
         shard.guarded_write(lambda: shard.db.delete(key))
 
     def put_batch(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Insert many items, grouped per shard."""
+        """Insert many items: one :meth:`put` per item, in order (not
+        grouped per shard, and not atomic)."""
         self._check_open()
         for key, value in items:
             self.put(key, value)
@@ -1103,8 +1081,7 @@ class ShardedServer:
         per-shard errors are contained (they surface through the shard's
         own breaker state, not by killing the supervisor).
         """
-        poll = self.serving.supervisor_poll_s
-        while not self._stop_supervisor.wait(poll):
+        while not self._stop_supervisor.wait(_SUPERVISOR_POLL_S):
             for shard in self._shards:
                 try:
                     shard.supervise()
@@ -1212,7 +1189,7 @@ class ShardedServer:
         """Drain every queue, stop the workers, close every shard DB.
 
         Returns the indexes of shards whose workers leaked (stayed alive
-        past ``worker_join_timeout_s``; their pending futures were
+        past ``_WORKER_JOIN_TIMEOUT_S``; their pending futures were
         failed with :class:`ClosedStoreError` rather than stranded, and
         each leak is counted in ``ServingStats.worker_leaks``).  Empty
         on a clean shutdown.  Idempotent: repeat calls return the same

@@ -106,7 +106,7 @@ class SSTWriter:
         self._blocks: list[bytes] = []
         self._blocks_bytes = 0  # running total of len() over _blocks
         self._index: list[tuple[bytes, int]] = []  # (last key, block length)
-        self._builder = DataBlockBuilder(options.block_restart_interval)
+        self._builder = DataBlockBuilder()
         self._last_key: bytes | None = None
         self._min_key: bytes | None = None
         self._num_entries = 0
@@ -132,7 +132,7 @@ class SSTWriter:
         self._blocks.append(block)
         self._blocks_bytes += len(block)
         self._index.append((self._last_key, len(block)))
-        self._builder = DataBlockBuilder(self._options.block_restart_interval)
+        self._builder = DataBlockBuilder()
 
     @property
     def estimated_file_size(self) -> int:
@@ -221,8 +221,9 @@ class SSTWriter:
 class SSTReader:
     """Query-side handle to one SST file.
 
-    Block reads go through the block cache (respecting the priority/pinning
-    options) and the storage environment (charging modeled device time).
+    Block reads go through the block cache (filter and index blocks in its
+    high-priority pool, pinned on L0) and the storage environment (charging
+    modeled device time).
     The read methods count the blocks they touch on the calling query's
     ``QueryContext``; without one (open, compaction, verify, repair) on the
     environment's shared stats.
@@ -237,13 +238,11 @@ class SSTReader:
         self,
         env: StorageEnv,
         meta: SSTMeta,
-        options: DBOptions,
         cache: BlockCache,
         is_level0: bool = False,
     ) -> None:
         self._env = env
         self.meta = meta
-        self._options = options
         self._cache = cache
         self._is_level0 = is_level0
         footer_payload = env.read_block(
@@ -269,15 +268,9 @@ class SSTReader:
     # Block access
     # ------------------------------------------------------------------
     def _read_metadata_block(self, handle: BlockHandle, context=None) -> bytes:
-        """Read an index/filter block with metadata cache priority."""
+        """Read an index/filter block: high cache priority, pinned on L0."""
         return self._read_block(
-            handle,
-            context,
-            high_priority=self._options.cache_index_and_filter_blocks_with_high_priority,
-            pinned=(
-                self._is_level0
-                and self._options.pin_l0_filter_and_index_blocks_in_cache
-            ),
+            handle, context, high_priority=True, pinned=self._is_level0
         )
 
     def _read_block(

@@ -68,19 +68,27 @@ __all__ = [
 ]
 
 
+#: At most 5 items per ``batch`` op, value payloads repeated 3 times, and
+#: 6 block-read retries (generous: rate-injected runs must finish).
+_BATCH_MAX = 5
+_VALUE_REPEAT = 3
+_IO_RETRY_ATTEMPTS = 6
+
+#: Probability mass given to plain puts; the rest splits 17 : 16 : 8 : 4
+#: over delete, batch, flush and compact (the cuts below).  The SHA-256
+#: pin in ``tests/lsm/test_crash_recovery.py`` holds this arithmetic.
+_PUT_BIAS = 0.55
+_DELETE_CUT = _PUT_BIAS + (1.0 - _PUT_BIAS) * (17 / 45)
+_BATCH_CUT = _PUT_BIAS + (1.0 - _PUT_BIAS) * (33 / 45)
+_FLUSH_CUT = _PUT_BIAS + (1.0 - _PUT_BIAS) * (41 / 45)
+
+
 @dataclass(frozen=True)
 class TortureConfig:
     """Shape of one torture workload (kept tiny so crash sweeps stay fast)."""
 
     num_ops: int = 36
     key_space: int = 96
-    batch_max: int = 5
-    value_repeat: int = 3          # value payload size multiplier
-    with_filters: bool = True
-    io_retry_attempts: int = 6     # generous: rate-injected runs must finish
-    #: Probability mass given to plain puts; the rest splits 17 : 16 : 8 : 4
-    #: over delete, batch, flush and compact.
-    put_bias: float = 0.55
     #: Per-SST filter-salting seed (0 = unsalted, the historical format).
     #: Salted configs prove the salt survives power cuts: it rides in the
     #: filter envelope inside the SST, so a recovered store probes every
@@ -99,18 +107,16 @@ def torture_options(
     runs, stop at 4, two sealed memtables max) so the tiny workload
     crosses the slowdown/stop state machine too.
     """
-    factory = None
-    if config.with_filters:
-        def build(keys, salt=0):
-            filt = RosettaFilter(
-                key_bits=32, bits_per_key=14.0, max_range=32, salt=salt
-            )
-            filt.populate(keys)
-            return filt
-
-        factory = FilterFactory(
-            name="rosetta-torture", builder=build, bits_per_key=14.0
+    def build(keys, salt=0):
+        filt = RosettaFilter(
+            key_bits=32, bits_per_key=14.0, max_range=32, salt=salt
         )
+        filt.populate(keys)
+        return filt
+
+    factory = FilterFactory(
+        name="rosetta-torture", builder=build, bits_per_key=14.0
+    )
     options = DBOptions(
         key_bits=32,
         memtable_size_bytes=1024,  # the options floor: frequent seals
@@ -121,7 +127,7 @@ def torture_options(
         max_bytes_for_level_base=8192,
         filter_factory=factory,
         filter_salt_seed=config.filter_salt_seed,
-        io_retry_attempts=config.io_retry_attempts,
+        io_retry_attempts=_IO_RETRY_ATTEMPTS,
         env_factory=env_factory,
     )
     if sched_seed is not None:
@@ -139,21 +145,15 @@ def build_schedule(seed: int, config: TortureConfig) -> list[tuple]:
     """Deterministic op list; values are unique per (seed, op index)."""
     rng = random.Random(seed)
     ops: list[tuple] = []
-    rest = max(1.0 - config.put_bias, 1e-9)
-    delete_cut = config.put_bias + rest * (17 / 45)
-    batch_cut = config.put_bias + rest * (33 / 45)
-    flush_cut = config.put_bias + rest * (41 / 45)
     for index in range(config.num_ops):
-        value = f"s{seed}o{index}".encode() * config.value_repeat
+        value = f"s{seed}o{index}".encode() * _VALUE_REPEAT
         draw = rng.random()
-        if draw < config.put_bias:
+        if draw < _PUT_BIAS:
             ops.append(("put", rng.randrange(config.key_space), value))
-        elif draw < delete_cut:
+        elif draw < _DELETE_CUT:
             ops.append(("delete", rng.randrange(config.key_space)))
-        elif draw < batch_cut:
-            keys = rng.sample(
-                range(config.key_space), rng.randint(1, config.batch_max)
-            )
+        elif draw < _BATCH_CUT:
+            keys = rng.sample(range(config.key_space), rng.randint(1, _BATCH_MAX))
             items = tuple(
                 (
                     ("delete", key, None)
@@ -163,7 +163,7 @@ def build_schedule(seed: int, config: TortureConfig) -> list[tuple]:
                 for position, key in enumerate(keys)
             )
             ops.append(("batch", items))
-        elif draw < flush_cut:
+        elif draw < _FLUSH_CUT:
             ops.append(("flush",))
         else:
             ops.append(("compact",))

@@ -16,13 +16,29 @@ from dataclasses import dataclass, field
 from repro.errors import StoreError
 from repro.lsm.sstable import SSTReader
 
-__all__ = ["MANIFEST", "NUM_LEVELS", "Run", "Version", "manifest_entry_name"]
+__all__ = [
+    "LEVEL_SIZE_RATIO", "MANIFEST", "NUM_LEVELS", "Run", "Version",
+    "level_target_bytes", "manifest_entry_name",
+]
 
 #: Levels in the tree, L0 included (RocksDB's default ``num_levels``).
 NUM_LEVELS = 7
 
+#: Size ratio between adjacent levels >= 1 (RocksDB's default).
+LEVEL_SIZE_RATIO = 10
+
 #: File name of the persisted version.
 MANIFEST = "MANIFEST.json"
+
+
+def level_target_bytes(base: int, level: int) -> int:
+    """Capacity target of ``level`` >= 1 when L1's is ``base`` bytes.
+
+    Level 0 has none: it is file-count driven.
+    """
+    if level <= 0:
+        raise ValueError("level targets are defined for level >= 1")
+    return base * LEVEL_SIZE_RATIO ** (level - 1)
 
 
 def manifest_entry_name(entry: str | list) -> str:

@@ -12,8 +12,8 @@ from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
 
 
-def _options(cache_bytes: int, **overrides) -> DBOptions:
-    options = DBOptions(
+def _options(cache_bytes: int) -> DBOptions:
+    return DBOptions(
         key_bits=32,
         memtable_size_bytes=16 << 10,
         sst_size_bytes=64 << 10,
@@ -21,9 +21,6 @@ def _options(cache_bytes: int, **overrides) -> DBOptions:
         block_cache_bytes=cache_bytes,
         filter_factory=make_factory("rosetta", 32, 14, max_range=32),
     )
-    for field, value in overrides.items():
-        setattr(options, field, value)
-    return options
 
 
 def _load(db: DB, n: int = 4000) -> None:
@@ -78,17 +75,4 @@ class TestPressure:
         db.get(3)
         assert db.stats.block_cache_hits == 0
         assert db.stats.block_reads >= 2
-        db.close()
-
-    def test_unpinned_config_still_correct(self, tmp_path):
-        options = _options(
-            cache_bytes=8 << 10,
-            pin_l0_filter_and_index_blocks_in_cache=False,
-            cache_index_and_filter_blocks_with_high_priority=False,
-        )
-        db = DB(str(tmp_path / "unpinned"), options)
-        _load(db, n=1500)
-        for probe in (3, 6, 4500, 1):
-            expected = bytes(24) if probe % 3 == 0 and probe < 4500 else None
-            assert db.get(probe) == expected
         db.close()

@@ -22,7 +22,6 @@ _BASE = ChaosOptions(
     num_shards=2,
     preload=150,
     fault_period_s=0.01,
-    write_fault_every=3,
     worker_crash_every=5,
 )
 

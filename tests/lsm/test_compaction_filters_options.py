@@ -9,6 +9,7 @@ from repro.lsm.filter_integration import FilterDictionary
 from repro.lsm.options import DBOptions
 from repro.lsm.sstable import UNRESOLVED
 from repro.lsm.stats import PerfStats, Stopwatch
+from repro.lsm.version import LEVEL_SIZE_RATIO, level_target_bytes
 
 
 class TestOptions:
@@ -24,8 +25,8 @@ class TestOptions:
             ("sst_size_bytes", 100),
             ("block_size_bytes", 10),
             ("level0_file_num_compaction_trigger", 0),
-            ("level_size_ratio", 1),
-            ("block_restart_interval", 0),
+            ("max_bytes_for_level_base", 0),
+            ("block_cache_bytes", -1),
             ("max_background_jobs", 2),
         ],
     )
@@ -35,13 +36,19 @@ class TestOptions:
         with pytest.raises(InvalidOptionsError):
             options.validate()
 
-    def test_level_targets_grow_by_ratio(self):
-        options = DBOptions(max_bytes_for_level_base=1000, level_size_ratio=10)
-        assert options.level_target_bytes(1) == 1000
-        assert options.level_target_bytes(2) == 10_000
-        assert options.level_target_bytes(3) == 100_000
+    def test_invalid_options_create_no_store_directory(self, tmp_path):
+        path = tmp_path / "never"
         with pytest.raises(InvalidOptionsError):
-            options.level_target_bytes(0)
+            DB(str(path), DBOptions(block_cache_bytes=-1))
+        assert not path.exists()
+
+    def test_level_targets_grow_by_ratio(self):
+        assert LEVEL_SIZE_RATIO == 10
+        assert level_target_bytes(1000, 1) == 1000
+        assert level_target_bytes(1000, 2) == 10_000
+        assert level_target_bytes(1000, 3) == 100_000
+        with pytest.raises(ValueError):
+            level_target_bytes(1000, 0)
 
     def test_key_width(self):
         assert DBOptions(key_bits=64).key_width_bytes == 8

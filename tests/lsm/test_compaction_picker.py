@@ -104,7 +104,6 @@ class TestDebtOrdering:
         compactor = _compactor(
             level0_file_num_compaction_trigger=2,
             max_bytes_for_level_base=1000,
-            level_size_ratio=2,
         )
         version = Version(
             level0=[
@@ -124,13 +123,12 @@ class TestDebtOrdering:
         compactor = _compactor(
             level0_file_num_compaction_trigger=8,
             max_bytes_for_level_base=1000,
-            level_size_ratio=2,
         )
         version = Version(
             levels={
-                # L1 target 1000 -> ratio 1.5; L2 target 2000 -> ratio 3.
+                # L1 target 1000 -> ratio 1.5; L2 target 10000 -> ratio 3.
                 1: [_run("sst_1_00000001.sst", 1, b"aa", b"bb", size=1500)],
-                2: [_run("sst_2_00000002.sst", 2, b"cc", b"dd", size=6000)],
+                2: [_run("sst_2_00000002.sst", 2, b"cc", b"dd", size=30_000)],
             }
         )
         candidates = list(compactor._candidates(version))

@@ -11,7 +11,8 @@ Covers the pieces the crash-recovery torture harness composes:
 * a flush failing *on a worker thread* parks the store in degraded
   read-only mode exactly like the inline failure path — same health
   report, same counters — and ``resume()`` retries it on a worker; an
-  unexpected exception in a job parks the store too instead of vanishing;
+  unexpected exception in a job parks the store too instead of vanishing,
+  and one from ``plan()`` also frees the job slot;
 * the one dispatcher: inline debt is worked at constant stack depth, and
   a second scheduling call during an inline job starts no second job and
   loses no work;
@@ -36,6 +37,7 @@ from repro.errors import (
     ReadOnlyStoreError,
     WriteStallTimeoutError,
 )
+from repro.lsm.compaction import Compactor
 from repro.lsm.db import DB
 from repro.lsm.faults import FaultInjectionEnv
 from repro.lsm.options import DBOptions
@@ -380,6 +382,48 @@ class TestWorkerFlushFailure:
         assert db.health().ok
         assert db.health().pending_immutables == 0
         assert db.get(1) == b"buffered"
+        db.close()
+
+    @pytest.mark.parametrize("jobs", [0, 1])
+    def test_planner_exception_frees_the_job_slot(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        """``plan()`` raising parks the store and frees the slot, so a later
+        ``resume()`` + ``compact()`` returns instead of waiting forever."""
+        real_plan = Compactor.plan
+        raised = []
+
+        def plan_raising_once(self, version):
+            if not raised:
+                raised.append(True)
+                raise RuntimeError("bug in plan")
+            return real_plan(self, version)
+
+        monkeypatch.setattr(Compactor, "plan", plan_raising_once)
+        db = DB(str(tmp_path / "db"), _options(max_background_jobs=jobs))
+        # Inline the planner runs in the put; with the worker it may run
+        # there or on the worker, whose error parks the store.
+        surfaced = RuntimeError if jobs == 0 else (RuntimeError, ReadOnlyStoreError)
+        with pytest.raises(surfaced, match="bug in plan"):
+            for key in range(200):
+                db.put(key, b"v" * 64)
+        assert db.health().background_error == (
+            "compaction-plan: RuntimeError: bug in plan"
+        )
+        resumed = []
+
+        def resume_and_compact():
+            resumed.append(db.resume())
+            db.compact()
+            resumed.append("compacted")
+
+        finisher = threading.Thread(target=resume_and_compact, daemon=True)
+        finisher.start()
+        finisher.join(timeout=30.0)
+        assert not finisher.is_alive(), "resume() + compact() never returned"
+        assert resumed == [True, "compacted"]
+        assert db.health().ok
+        assert db.get(0) == b"v" * 64
         db.close()
 
 

@@ -437,7 +437,7 @@ class TestRepairProperty:
         db.close()
 
         options = DBOptions(key_bits=32, block_cache_bytes=0)
-        outcome = repair_store(path, options)
+        outcome = repair_store(path)
         assert env.injected["bit_flips"] > 0
         # Every run repair kept must be genuinely healthy, every run it
         # dropped must be one we corrupted (bit flips can land in padding

@@ -267,6 +267,28 @@ class TestSeekDataBlock:
         assert seek_data_block(block, b"key-001") is None  # inside a gap
         assert seek_data_block(block, b"zzz") is None  # above the last key
 
+    @pytest.mark.parametrize("restart", [1, 4, 16, 1000])
+    def test_seek_equals_decode(self, restart):
+        """Every stored key and every gap around it, per restart interval
+        (1000 leaves one restart point: the seek walks the whole block)."""
+        entries = [
+            (
+                (i * 7).to_bytes(4, "big"),
+                ValueTag.DELETE if i % 11 == 0 else ValueTag.PUT,
+                b"" if i % 11 == 0 else b"v%d" % i,
+            )
+            for i in range(1, 600)
+        ]
+        block = _build(entries, restart)
+        assert decode_data_block(block) == entries
+        for key, tag, value in entries:
+            assert seek_data_block(block, key) == (tag, value)
+            number = int.from_bytes(key, "big")
+            for absent in (number - 1, number + 1, number + 6):
+                assert seek_data_block(block, absent.to_bytes(4, "big")) is None
+            assert seek_data_block(block, key[:-1]) is None
+            assert seek_data_block(block, key + b"\x00") is None
+
     def test_tombstone_returned_with_its_tag(self):
         block = _build([(b"a", ValueTag.PUT, b"1"), (b"b", ValueTag.DELETE, b"")], 16)
         assert seek_data_block(block, b"b") == (ValueTag.DELETE, b"")

@@ -251,9 +251,8 @@ class TestFileIndex:
                 key_bits=32,
                 memtable_size_bytes=4 << 10,
                 sst_size_bytes=8 << 10,
-                max_bytes_for_level_base=32 << 10,
+                max_bytes_for_level_base=10 << 10,  # L1, L2 and L3 populate
                 block_size_bytes=1024,
-                level_size_ratio=3,
             )
 
         def check(db):

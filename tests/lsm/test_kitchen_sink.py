@@ -19,7 +19,6 @@ def test_everything_at_once(tmp_path):
         memtable_size_bytes=4 << 10,
         sst_size_bytes=16 << 10,
         max_bytes_for_level_base=48 << 10,
-        level_size_ratio=3,
         block_size_bytes=512,
         block_cache_bytes=32 << 10,
         filter_factory=make_factory("rosetta", 32, 16, max_range=64),

@@ -69,7 +69,7 @@ class TestManifest:
         assert _answers(path) == expected
 
         _write(path, manifest)  # closing the store rewrote it
-        outcome = repair_store(path, _options())
+        outcome = repair_store(path)
         assert outcome.lossless
         assert sorted(outcome.healthy_files) == sorted(files)
         assert _answers(path) == expected

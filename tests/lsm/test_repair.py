@@ -43,7 +43,7 @@ class TestRepair:
     def test_healthy_store_untouched(self, tmp_path):
         path = str(tmp_path / "db")
         model = _build_store(path)
-        outcome = repair_store(path, _options())
+        outcome = repair_store(path)
         assert outcome.lossless
         assert outcome.salvaged_entries == len(model)
         assert "healthy" in outcome.summary()
@@ -61,7 +61,7 @@ class TestRepair:
         victim = ssts[0]
         _flip(os.path.join(path, victim), 10)
 
-        outcome = repair_store(path, _options())
+        outcome = repair_store(path)
         assert not outcome.lossless
         assert victim in outcome.dropped_files
         assert any(victim in q for q in outcome.quarantined)
@@ -79,7 +79,7 @@ class TestRepair:
         _build_store(path)
         ssts = [name for name in os.listdir(path) if name.endswith(".sst")]
         os.remove(os.path.join(path, ssts[0]))
-        outcome = repair_store(path, _options())
+        outcome = repair_store(path)
         assert ssts[0] in outcome.dropped_files
         assert not outcome.quarantined  # nothing to rename
         db = DB(path, _options())
@@ -95,7 +95,7 @@ class TestRepair:
         victim = run.name
         db.close()
         _flip(os.path.join(path, victim), handle.offset + handle.size // 2)
-        outcome = repair_store(path, _options())
+        outcome = repair_store(path)
         assert victim in outcome.dropped_files
 
     def test_no_manifest_rejected(self, tmp_path):
@@ -109,8 +109,8 @@ class TestRepair:
             name for name in os.listdir(path) if name.endswith(".sst")
         )
         _flip(os.path.join(path, ssts[0]), 10)
-        first = repair_store(path, _options())
-        second = repair_store(path, _options())
+        first = repair_store(path)
+        second = repair_store(path)
         assert not first.lossless
         assert second.lossless  # damage already excised
         assert second.salvaged_entries == first.salvaged_entries

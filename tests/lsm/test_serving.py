@@ -12,7 +12,6 @@ parity with the equivalent direct calls.
 from __future__ import annotations
 
 import threading
-from dataclasses import fields
 
 import pytest
 
@@ -112,7 +111,6 @@ class TestServingOptions:
         "overrides",
         [
             {"num_shards": 0},
-            {"max_batch_requests": 0},
             {"max_queue_depth": 0},
         ],
     )
@@ -125,7 +123,6 @@ class TestServingOptions:
         for retired in ("coalescing_" + "window_s", "shard_boundaries"):
             with pytest.raises(TypeError):
                 ServingOptions(**{retired: None})
-        assert len(fields(ServingOptions)) == 11
 
 
 # ----------------------------------------------------------------------

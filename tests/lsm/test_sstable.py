@@ -77,34 +77,34 @@ class TestReader:
     def test_get_every_key(self, tmp_path):
         env = StorageEnv(str(tmp_path))
         meta, entries, options = _write_sst(env)
-        reader = SSTReader(env, meta, options, BlockCache(1 << 20))
+        reader = SSTReader(env, meta, BlockCache(1 << 20))
         for key, value in entries:
             assert reader.get(key) == (ValueTag.PUT, value)
 
     def test_get_absent_keys(self, tmp_path):
         env = StorageEnv(str(tmp_path))
         meta, entries, options = _write_sst(env)
-        reader = SSTReader(env, meta, options, BlockCache(1 << 20))
+        reader = SSTReader(env, meta, BlockCache(1 << 20))
         assert reader.get((1).to_bytes(4, "big")) is None  # in a gap
         assert reader.get(b"\xff\xff\xff\xff") is None  # beyond max
 
     def test_multiple_data_blocks(self, tmp_path):
         env = StorageEnv(str(tmp_path))
         meta, _, options = _write_sst(env, n=2000)
-        reader = SSTReader(env, meta, options, BlockCache(1 << 20))
+        reader = SSTReader(env, meta, BlockCache(1 << 20))
         assert reader.num_data_blocks() > 1
 
     def test_iterate_from_start(self, tmp_path):
         env = StorageEnv(str(tmp_path))
         meta, entries, options = _write_sst(env)
-        reader = SSTReader(env, meta, options, BlockCache(1 << 20))
+        reader = SSTReader(env, meta, BlockCache(1 << 20))
         scanned = [(k, v) for k, _, v in reader.iterate_from(b"")]
         assert scanned == entries
 
     def test_iterate_from_midpoint(self, tmp_path):
         env = StorageEnv(str(tmp_path))
         meta, entries, options = _write_sst(env)
-        reader = SSTReader(env, meta, options, BlockCache(1 << 20))
+        reader = SSTReader(env, meta, BlockCache(1 << 20))
         mid_key = entries[250][0]
         scanned = list(reader.iterate_from(mid_key))
         assert scanned[0][0] == mid_key
@@ -113,7 +113,7 @@ class TestReader:
     def test_iterate_from_between_keys(self, tmp_path):
         env = StorageEnv(str(tmp_path))
         meta, entries, options = _write_sst(env)
-        reader = SSTReader(env, meta, options, BlockCache(1 << 20))
+        reader = SSTReader(env, meta, BlockCache(1 << 20))
         probe = (7 * 100 + 1).to_bytes(4, "big")  # just above key 100
         scanned = list(reader.iterate_from(probe))
         assert scanned[0][0] == entries[101][0]
@@ -122,7 +122,7 @@ class TestReader:
         env = StorageEnv(str(tmp_path))
         meta, entries, options = _write_sst(env)
         cache = BlockCache(1 << 20)
-        reader = SSTReader(env, meta, options, cache, is_level0=True)
+        reader = SSTReader(env, meta, cache, is_level0=True)
         reads_before = env.stats.block_reads
         reader.get(entries[0][0])
         first_read = env.stats.block_reads - reads_before
@@ -132,7 +132,7 @@ class TestReader:
     def test_filter_block_roundtrip(self, tmp_path):
         env = StorageEnv(str(tmp_path))
         meta, entries, options = _write_sst(env, factory=_bloom_factory())
-        reader = SSTReader(env, meta, options, BlockCache(1 << 20))
+        reader = SSTReader(env, meta, BlockCache(1 << 20))
         from repro.filters.base import deserialize_filter
 
         filt = deserialize_filter(reader.filter_block_bytes())
@@ -143,7 +143,7 @@ class TestReader:
     def test_no_filter_block_when_factory_absent(self, tmp_path):
         env = StorageEnv(str(tmp_path))
         meta, _, options = _write_sst(env, factory=None)
-        reader = SSTReader(env, meta, options, BlockCache(1 << 20))
+        reader = SSTReader(env, meta, BlockCache(1 << 20))
         assert reader.filter_block_bytes() == b""
 
     def test_corrupt_footer_detected(self, tmp_path):
@@ -156,7 +156,7 @@ class TestReader:
         from repro.errors import CorruptionError
 
         with pytest.raises(CorruptionError):
-            SSTReader(env, meta, options, BlockCache(0))
+            SSTReader(env, meta, BlockCache(0))
 
     def test_tombstones_preserved(self, tmp_path):
         env = StorageEnv(str(tmp_path))
@@ -165,26 +165,27 @@ class TestReader:
         writer.add(b"\x00\x00\x00\x01", ValueTag.DELETE, b"")
         writer.add(b"\x00\x00\x00\x02", ValueTag.PUT, b"live")
         meta = writer.finish()
-        reader = SSTReader(env, meta, options, BlockCache(0))
+        reader = SSTReader(env, meta, BlockCache(0))
         assert reader.get(b"\x00\x00\x00\x01") == (ValueTag.DELETE, b"")
         assert reader.get(b"\x00\x00\x00\x02") == (ValueTag.PUT, b"live")
 
 
 class TestPointReadSeeks:
-    """``get`` seeks inside the raw block; only scans decode whole blocks."""
+    """``get`` seeks inside the raw block; only scans decode whole blocks.
 
-    @pytest.mark.parametrize("restart_interval", [1, 4, 16])
-    def test_get_equals_the_scan(self, tmp_path, restart_interval):
+    Other restart intervals are the format layer's: ``test_format.py``'s
+    ``test_seek_equals_decode``.
+    """
+
+    def test_get_equals_the_scan(self, tmp_path):
         env = StorageEnv(str(tmp_path))
-        options = DBOptions(
-            key_bits=32, block_size_bytes=512, block_restart_interval=restart_interval
-        )
+        options = DBOptions(key_bits=32, block_size_bytes=512)
         writer = SSTWriter(env, "t.sst", options)
         for i in range(1, 600):  # min_key is 7, so there is room below it
             tag = ValueTag.DELETE if i % 11 == 0 else ValueTag.PUT
             writer.add((i * 7).to_bytes(4, "big"), tag, b"" if tag else b"v%d" % i)
         meta = writer.finish()
-        reader = SSTReader(env, meta, options, BlockCache(1 << 20))
+        reader = SSTReader(env, meta, BlockCache(1 << 20))
         assert reader.num_data_blocks() > 3
         scanned = {key: (tag, value) for key, tag, value in reader.iterate_from(b"")}
         assert len(scanned) == 599

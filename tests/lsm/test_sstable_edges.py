@@ -9,16 +9,13 @@ from repro.lsm.options import DBOptions
 from repro.lsm.sstable import SSTReader, SSTWriter
 
 
-def _write(env, entries, block_size=512, restart=16, name="edge.sst"):
-    options = DBOptions(
-        key_bits=32, block_size_bytes=block_size,
-        block_restart_interval=restart,
-    )
+def _write(env, entries, block_size=512, name="edge.sst"):
+    options = DBOptions(key_bits=32, block_size_bytes=block_size)
     writer = SSTWriter(env, name, options)
     for key, tag, value in entries:
         writer.add(key, tag, value)
     meta = writer.finish()
-    return SSTReader(env, meta, options, BlockCache(1 << 20)), meta
+    return SSTReader(env, meta, BlockCache(1 << 20)), meta
 
 
 def _entries(n, stride=1, value_size=8):
@@ -50,15 +47,6 @@ class TestShapes:
         assert reader.num_data_blocks() > 20
         for key, _, _ in entries[::97]:
             assert reader.get(key) is not None
-
-    def test_restart_interval_extremes(self, tmp_path):
-        env = StorageEnv(str(tmp_path))
-        for restart, name in ((1, "r1.sst"), (1000, "r1000.sst")):
-            reader, _ = _write(
-                env, _entries(500), restart=restart, name=name
-            )
-            scanned = list(reader.iterate_from(b""))
-            assert len(scanned) == 500
 
 
 class TestIterationBoundaries:
@@ -123,7 +111,7 @@ class TestCacheInteraction:
         for key, tag, value in _entries(100):
             writer.add(key, tag, value)
         meta = writer.finish()
-        reader = SSTReader(env, meta, options, BlockCache(0))
+        reader = SSTReader(env, meta, BlockCache(0))
         key = (50).to_bytes(4, "big")
         reader.get(key)
         first = env.stats.block_reads
