@@ -5,7 +5,10 @@ Policy (RocksDB leveled, per-file granularity):
 * L0 reaching ``level0_file_num_compaction_trigger`` files merges all of
   L0 (L0 files overlap arbitrarily) with the L1 runs intersecting L0's key
   span — the *overlap closure* — into fresh L1 files of at most
-  ``sst_size_bytes``.
+  ``sst_size_bytes``.  While that closure holds more than
+  ``LEVEL_SIZE_RATIO`` times L0's bytes, L0 instead merges into itself:
+  one new L0 file, tombstones kept (an *intra-L0* merge).  Pushing a
+  sliver of L0 into L1 would rewrite the whole closure for it.
 * A level exceeding its size target (:func:`~repro.lsm.version.level_target_bytes`)
   merges down in bounded *windows*: up to ``max_compaction_input_files``
   contiguous source runs (oldest window first) plus their overlap closure
@@ -71,7 +74,9 @@ from repro.lsm.format import ValueTag, sst_file_number
 from repro.lsm.iterators import MergingIterator
 from repro.lsm.options import DBOptions
 from repro.lsm.sstable import SSTReader, SSTWriter
-from repro.lsm.version import NUM_LEVELS, Run, Version, level_target_bytes
+from repro.lsm.version import (
+    LEVEL_SIZE_RATIO, NUM_LEVELS, Run, Version, level_target_bytes,
+)
 
 __all__ = ["Compactor", "CompactionJob"]
 
@@ -80,10 +85,12 @@ __all__ = ["Compactor", "CompactionJob"]
 class CompactionJob:
     """One planned merge: what goes in, where the output lands.
 
-    ``kind`` is one of ``leveled-l0`` (all of L0 + its L1 overlap closure
-    -> L1), ``leveled-level`` (a window of Ln runs + its Ln+1 overlap
-    closure -> Ln+1), or ``full`` (everything -> the bottom level).  All
-    three install by the same rule; the kind only names the job.
+    ``kind`` is one of ``intra-l0`` (all of L0 -> one L0 file, while L1
+    dwarfs L0), ``leveled-l0`` (all of L0 + its L1 overlap closure -> L1),
+    ``leveled-level`` (a window of Ln runs + its Ln+1 overlap closure ->
+    Ln+1), or ``full`` (everything -> the bottom level).  The kind only
+    names the job; ``output_level`` 0 is what makes an install replace
+    its inputs in L0.
     ``inputs`` are recency-ordered, which is what makes the merging
     iterator's newest-wins shadowing correct.  ``debt_score`` is the
     picker's priority (diagnostics only).
@@ -176,12 +183,9 @@ class Compactor:
         scored: list[tuple[float, int, list[CompactionJob]]] = []
         trigger = self._options.level0_file_num_compaction_trigger
         if len(version.level0) >= trigger:
-            job = self.forced_l0_job(version)
-            if job is not None:
-                job.debt_score = (
-                    self._L0_DEBT_WEIGHT * len(version.level0) / trigger
-                )
-                scored.append((job.debt_score, 0, [job]))
+            job = self._l0_job(version)
+            job.debt_score = self._L0_DEBT_WEIGHT * len(version.level0) / trigger
+            scored.append((job.debt_score, 0, [job]))
         base = self._options.max_bytes_for_level_base
         for level in range(1, NUM_LEVELS - 1):
             target = level_target_bytes(base, level)
@@ -304,6 +308,23 @@ class Compactor:
             )
         return jobs
 
+    def _l0_job(self, version: Version) -> CompactionJob:
+        """L0 at its trigger: into L1, or into itself while L1 dwarfs it.
+
+        The threshold is the size ratio the tree keeps between every other
+        pair of levels.  The intra-L0 merge needs two inputs and writes one
+        file, so each one lowers the L0 file count and planning runs dry.
+        """
+        job = self.forced_l0_job(version)
+        l0 = version.level_runs(0)
+        l0_bytes = sum(run.file_size for run in l0)
+        closure_bytes = sum(run.file_size for run in job.inputs[len(l0):])
+        if len(l0) >= 2 and l0_bytes * LEVEL_SIZE_RATIO < closure_bytes:
+            return CompactionJob(
+                kind="intra-l0", inputs=l0, output_level=0, drop_tombstones=False
+            )
+        return job
+
     def forced_l0_job(self, version: Version) -> CompactionJob | None:
         """An L0 merge regardless of the trigger (explicit ``compact()``)."""
         if not version.level0:
@@ -360,6 +381,7 @@ class Compactor:
         writer: SSTWriter | None = None
         factory = self._filter_factory_provider()
         bits_override = self._rebuild_bits_override(job, factory)
+        cut = job.output_level > 0  # an intra-L0 merge writes one file
         for key, tag, value in merged:
             if job.drop_tombstones and tag == ValueTag.DELETE:
                 continue
@@ -368,7 +390,7 @@ class Compactor:
                     job.output_level, factory, bits_override
                 )
             writer.add(key, tag, value)
-            if writer.estimated_file_size >= self._options.sst_size_bytes:
+            if cut and writer.estimated_file_size >= self._options.sst_size_bytes:
                 outputs.append(self._finish_writer(writer, job.output_level))
                 writer = None
         if writer is not None and writer.num_entries:
@@ -383,13 +405,17 @@ class Compactor:
     ) -> None:
         """Swap the job's inputs for ``outputs`` in ``version``.
 
-        One rule for every kind: drop the input names from L0 and from
-        every level, then add the outputs to the output level
-        (:meth:`Version.install_level` re-checks that its files do not
-        overlap).  Removal is by file name (not "clear the level"), so the
-        runs of a level outside a window's inputs survive its install.
+        L0 outputs take their inputs' place in L0's recency order
+        (:meth:`Version.install_level0`).  Otherwise: drop the input names
+        from L0 and from every level, then add the outputs to the output
+        level (:meth:`Version.install_level` re-checks that its files do
+        not overlap).  Removal is by file name (not "clear the level"), so
+        the runs of a level outside a window's inputs survive its install.
         """
         input_names = {run.name for run in job.inputs}
+        if job.output_level == 0:
+            version.install_level0(input_names, outputs)
+            return
         version.level0 = [
             run for run in version.level0 if run.name not in input_names
         ]
@@ -443,7 +469,9 @@ class Compactor:
 
     def _finish_writer(self, writer: SSTWriter, output_level: int) -> Run:
         meta = writer.finish()
-        reader = SSTReader(self._env, meta, self._cache, is_level0=False)
+        reader = SSTReader(
+            self._env, meta, self._cache, is_level0=output_level == 0
+        )
         return Run(reader=reader, level=output_level)
 
     def destroy_runs(self, runs: Iterable[Run]) -> None:

@@ -1563,30 +1563,6 @@ class DB:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def approximate_size(self, low: int, high: int) -> int:
-        """Estimated on-disk bytes covering ``[low, high]`` (no I/O).
-
-        The ``GetApproximateSizes`` analogue: sums the fence-pointer block
-        sizes of every overlapping run.  Block-granular and level-additive
-        (overlapping runs each contribute), so it upper-bounds the live
-        data in the range.
-        """
-        self._check_open()
-        if low > high:
-            raise FilterQueryError(f"invalid range: low={low} > high={high}")
-        low_bytes = self._encode_key(low)
-        high_bytes = self._encode_key(
-            min(high, (1 << self.options.key_bits) - 1)
-        )
-        sv = self._ref_super()
-        try:
-            return sum(
-                run.reader.approximate_bytes_in_range(low_bytes, high_bytes)
-                for run in sv.version.runs_for_range(low_bytes, high_bytes)
-            )
-        finally:
-            self._unref_super(sv)
-
     def verify(self):
         """Walk every SST and validate checksums, ordering, and filters.
 

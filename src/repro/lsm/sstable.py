@@ -373,20 +373,3 @@ class SSTReader:
     def num_data_blocks(self) -> int:
         """Number of data blocks (fence-pointer entries)."""
         return len(self._fence_pointers)
-
-    def approximate_bytes_in_range(self, low: bytes, high: bytes) -> int:
-        """Estimated on-disk bytes of data blocks touching ``[low, high]``.
-
-        Fence-pointer arithmetic only — no I/O.  Block granular, so small
-        ranges round up to one block (RocksDB's GetApproximateSizes has the
-        same behaviour).
-        """
-        if low > high or not self.meta.overlaps(low, high):
-            return 0
-        first = bisect_left(self._fence_keys, low)
-        last = bisect_left(self._fence_keys, high)
-        last = min(last, len(self._fence_pointers) - 1)
-        return sum(
-            self._fence_pointers[index][1].size
-            for index in range(first, last + 1)
-        )

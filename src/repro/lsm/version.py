@@ -34,7 +34,9 @@ MANIFEST = "MANIFEST.json"
 def level_target_bytes(base: int, level: int) -> int:
     """Capacity target of ``level`` >= 1 when L1's is ``base`` bytes.
 
-    Level 0 has none: it is file-count driven.
+    Level 0 has none: its file count triggers it, and its bytes against
+    its L1 closure's route it (into L1, or into itself while L1 holds more
+    than ``LEVEL_SIZE_RATIO`` times L0).
     """
     if level <= 0:
         raise ValueError("level targets are defined for level >= 1")
@@ -122,6 +124,16 @@ class Version:
     def add_level0(self, run: Run) -> None:
         """Register a freshly flushed L0 file (most recent first)."""
         self.level0.insert(0, run)
+
+    def install_level0(self, replaced: set[str], runs: list[Run]) -> None:
+        """Put ``runs`` in L0 where the newest ``replaced`` file sat.
+
+        An intra-L0 merge's output holds exactly its inputs' entries, so
+        it takes their place in L0's newest-first order.
+        """
+        at = next(i for i, run in enumerate(self.level0) if run.name in replaced)
+        self.level0 = [run for run in self.level0 if run.name not in replaced]
+        self.level0[at:at] = runs
 
     def install_level(self, level: int, runs: list[Run]) -> None:
         """Replace the whole file set of ``level``.

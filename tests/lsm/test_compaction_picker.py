@@ -4,13 +4,16 @@
   source span is pulled in, and nothing else;
 * debt-score ordering — L0 debt (write stalls) always outranks deeper
   bytes-over-target (read amplification), windows within one level drain
-  oldest-first.
+  oldest-first;
+* L0 routing — at its trigger L0 merges into itself while its L1 closure
+  holds more than ``LEVEL_SIZE_RATIO`` times its bytes, else into L1.
 """
 
 import random
 from types import SimpleNamespace
 
 from repro.lsm.compaction import Compactor
+from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
 from repro.lsm.stats import PerfStats
 from repro.lsm.version import Run, Version
@@ -115,7 +118,7 @@ class TestDebtOrdering:
             levels={1: [_run("sst_1_00000001.sst", 1, b"aa", b"zz", size=50_000)]},
         )
         candidates = list(compactor._candidates(version))
-        assert candidates[0].kind == "leveled-l0"
+        assert candidates[0].source_level == 0
         assert candidates[0].debt_score > candidates[-1].debt_score
         assert any(job.kind == "leveled-level" for job in candidates)
 
@@ -203,3 +206,139 @@ class TestDebtOrdering:
             "sst_1_00000002.sst",
         ]
 
+
+
+# ----------------------------------------------------------------------
+# L0 routing: intra-L0 merge while L1 dwarfs L0
+# ----------------------------------------------------------------------
+class TestIntraL0:
+    def _version(self, l1_size, l0_sizes=(100, 100, 100)):
+        level0 = [
+            _run(f"sst_0_{9 - i:08d}.sst", 0, b"bb", b"yy", size=size)
+            for i, size in enumerate(l0_sizes)
+        ]
+        levels = {}
+        if l1_size:
+            levels[1] = [_run("sst_1_00000001.sst", 1, b"aa", b"zz", size=l1_size)]
+        return Version(level0=level0, levels=levels)
+
+    def _plan(self, version, trigger=3):
+        compactor = _compactor(
+            level0_file_num_compaction_trigger=trigger,
+            max_bytes_for_level_base=1 << 30,
+        )
+        return compactor.plan(version)
+
+    def test_closure_over_ten_times_l0_merges_l0_into_itself(self):
+        version = self._version(l1_size=3001)
+        job = self._plan(version)
+        assert job.kind == "intra-l0"
+        assert [r.name for r in job.inputs] == [r.name for r in version.level0]
+        assert job.output_level == 0
+        assert not job.drop_tombstones
+
+    def test_closure_within_ten_times_l0_merges_into_l1(self):
+        # Exactly the size ratio is a level the tree already keeps.
+        job = self._plan(self._version(l1_size=3000))
+        assert job.kind == "leveled-l0"
+        assert job.output_level == 1
+
+    def test_empty_l1_takes_l0(self):
+        job = self._plan(self._version(l1_size=0))
+        assert job.kind == "leveled-l0"
+
+    def test_one_l0_file_at_trigger_one_goes_to_l1(self):
+        version = self._version(l1_size=1 << 20, l0_sizes=(100,))
+        job = self._plan(version, trigger=1)
+        assert job.kind == "leveled-l0"
+
+    def test_install_puts_the_output_in_the_inputs_place(self):
+        version = self._version(l1_size=3001)
+        job = self._plan(version)
+        output = _run("sst_0_00000010.sst", 0, b"bb", b"yy", size=300)
+        _compactor().apply(version, job, [output])
+        assert version.level0 == [output]
+        assert [r.name for r in version.level_runs(1)] == ["sst_1_00000001.sst"]
+
+
+def _loaded_db(path, trigger, **overrides):
+    """A store whose L1 dwarfs its L0 memtables: intra-L0 territory."""
+    options = DBOptions(
+        key_bits=32,
+        memtable_size_bytes=1024,
+        block_size_bytes=128,
+        level0_file_num_compaction_trigger=trigger,
+        max_bytes_for_level_base=1 << 20,
+        **overrides,
+    )
+    db = DB(str(path), options)
+    for key in range(0, 6000, 3):
+        db.put(key, bytes(16))
+    db.compact()
+    return db
+
+
+class TestIntraL0Store:
+    def test_compact_still_forces_l0_into_l1(self, tmp_path):
+        db = _loaded_db(tmp_path / "db", trigger=3, sst_size_bytes=4096)
+        for batch in range(2):
+            for key in range(batch + 1, 6000, 150):
+                db.put(key, b"fresh")
+            db.flush()
+        # Two L0 files under an L1 over ten times their size: at a trigger
+        # of 2 the planner would merge them into L0.
+        assert len(db.version.level0) == 2
+        routed = _compactor(level0_file_num_compaction_trigger=2).plan(db.version)
+        assert routed.kind == "intra-l0"
+        db.compact()
+        assert db.version.level0 == []
+        assert db.get(1) == b"fresh" and db.get(3) == bytes(16)
+        db.close()
+
+    def test_intra_l0_output_is_one_pinned_l0_file(self, tmp_path):
+        db = _loaded_db(tmp_path / "db", trigger=2, sst_size_bytes=128)
+        assert db.version.level0 == []
+        # Keys spread over the whole key span: the closure is all of L1.
+        for batch in range(2):
+            for key in range(batch + 1, 6000, 150):
+                db.put(key, b"fresh")
+            db.flush()
+        [run] = db.version.level0
+        assert run.reader.meta.num_entries == 80
+        assert run.file_size > 128  # never cut at sst_size_bytes
+        assert run.reader._is_level0  # noqa: SLF001
+        assert db.get(5852) == b"fresh" and db.get(0) == bytes(16)
+        db.close()
+
+    def test_plan_runs_dry_at_low_triggers_with_tiny_files(
+        self, tmp_path, monkeypatch
+    ):
+        """Each intra merge lowers the L0 file count, so planning stops."""
+        for trigger in (1, 2):
+            db = _loaded_db(
+                tmp_path / f"t{trigger}", trigger=trigger, sst_size_bytes=128
+            )
+            real_plan = db._compactor.plan  # noqa: SLF001
+            streak, kinds = [], set()
+
+            def bounded_plan(
+                version, real_plan=real_plan, streak=streak, kinds=kinds
+            ):
+                job = real_plan(version)
+                streak.append(job)
+                if job is None:
+                    streak.clear()
+                else:
+                    kinds.add(job.kind)
+                assert len(streak) <= 8, [j.kind for j in streak]
+                return job
+
+            monkeypatch.setattr(db._compactor, "plan", bounded_plan)  # noqa: SLF001
+            keys = random.Random(trigger).sample(range(1, 6000, 3), 1000)
+            for key in keys:
+                db.put(key, b"fresh")
+            db.flush()
+            # Trigger 1 never has the two inputs an intra merge needs.
+            assert ("intra-l0" in kinds) == (trigger == 2)
+            assert all(db.get(key) == b"fresh" for key in keys[::50])
+            db.close()

@@ -7,16 +7,20 @@ for specific orderings the torture matrix only covers statistically:
 * flush persists the manifest *before* truncating the WAL, so a crash
   between the two recovers from one or the other, never neither;
 * a torn WAL tail (partial last append) is dropped on replay without
-  disturbing earlier acknowledged records.
+  disturbing earlier acknowledged records;
+* an intra-L0 merge (torture's tiny tree never reaches one) recovers its
+  inputs or its output at every sync point, never both.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 
 import pytest
 
+from repro.errors import PowerCutError
 from repro.lsm import torture
 from repro.lsm.db import DB
 from repro.lsm.faults import FaultInjectionEnv
@@ -168,8 +172,6 @@ class TestFlushOrdering:
             db.put(key, b"v%d" % key)
         # Recorded indices are absolute; the countdown starts from here.
         env.schedule_crash(truncate_at - env.durable_ops)
-        from repro.errors import PowerCutError
-
         with pytest.raises(PowerCutError):
             db.flush()
         env.crash()
@@ -258,3 +260,99 @@ class TestAppendHandleAcrossCrash:
             assert reopened.get(2) == b"after the cut"
         finally:
             reopened.close()
+
+
+class TestIntraL0Crash:
+    """Crash at every sync point of a flush that sets off an intra-L0 merge.
+
+    The store is pre-built with an L1 far over ten times its L0 and one L0
+    file; the flush of a second memtable brings L0 to the trigger (2), so
+    the merge writes one L0 file, replaces the manifest and deletes both
+    inputs.  Its second memtable overwrites and deletes keys that live in
+    L1 and in the first L0 file: the merge keeps its tombstones.
+    """
+
+    def _options(self, salt, env_factory=None):
+        options = torture_options(
+            TortureConfig(filter_salt_seed=salt), env_factory=env_factory
+        )
+        options.max_bytes_for_level_base = 1 << 20  # L1 never spills
+        return options
+
+    def _base(self, path, salt):
+        """Returns the model of what the pre-built store holds."""
+        model = {}
+        db = DB(str(path), self._options(salt))
+        for key in range(0, 3000, 2):
+            model[key] = b"l1-%d" % key
+            db.put(key, model[key])
+        db.compact()
+        for key in range(1, 3000, 100):
+            model[key] = b"first-%d" % key
+            db.put(key, model[key])
+        db.flush()
+        assert len(db.version.level0) == 1
+        db.close()
+        return model
+
+    @staticmethod
+    def _second_memtable(db, model):
+        for key in range(0, 3000, 150):
+            model[key] = b"second-%d" % key
+            db.put(key, model[key])
+        for key in (2, 101, 1002):
+            model.pop(key, None)
+            db.delete(key)
+
+    @pytest.mark.parametrize("salt", [0, 0x5EED_CAFE_F00D])
+    def test_recovers_inputs_or_output_at_every_sync_point(self, tmp_path, salt):
+        base = tmp_path / "base"
+        model = self._base(base, salt)
+
+        # The uncut run names the job's files and counts its sync points.
+        shutil.copytree(base, tmp_path / "reference")
+        db, env = self._open(tmp_path / "reference", salt, RecordingEnv, 0)
+        [first] = [run.name for run in db.version.level0]
+        self._second_memtable(db, dict(model))
+        start = env.durable_ops
+        env.ops.clear()
+        db.flush()
+        ops = list(env.ops)
+        [merged] = [run.name for run in db.version.level0]
+        db.close()
+        flushed, output = [
+            name for _, kind, name in ops
+            if kind == "write" and name.endswith(".sst")
+        ]
+        assert output == merged
+        inputs = {first, flushed}
+        assert inputs <= {name for _, kind, name in ops if kind == "delete"}
+        sync_points = ops[-1][0] - start
+
+        for point in range(1, sync_points + 1):
+            path = tmp_path / f"cp{point}"
+            shutil.copytree(base, path)
+            expected = dict(model)
+            db, env = self._open(path, salt, FaultInjectionEnv, point)
+            self._second_memtable(db, expected)
+            env.schedule_crash(point)
+            with pytest.raises(PowerCutError):
+                db.flush()
+            env.crash()
+
+            recovered = DB(str(path), self._options(salt))
+            try:
+                level0 = {run.name for run in recovered.version.level0}
+                assert not (output in level0 and level0 & inputs), (point, level0)
+                assert dict(recovered.iterator()) == expected, point
+            finally:
+                recovered.close()
+
+    def _open(self, path, salt, env_cls, seed):
+        holder = {}
+
+        def factory(root, device, stats):
+            holder["env"] = env_cls(root, device, stats, seed=seed)
+            return holder["env"]
+
+        return DB(str(path), self._options(salt, factory)), holder["env"]

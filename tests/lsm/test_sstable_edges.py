@@ -75,22 +75,6 @@ class TestIterationBoundaries:
     def test_full_scan_matches_entry_count(self, reader):
         assert len(list(reader.iterate_from(b""))) == 1000
 
-    def test_approximate_sizes_partition_roughly(self, reader):
-        whole = reader.approximate_bytes_in_range(
-            b"\x00\x00\x00\x00", b"\xff\xff\xff\xff"
-        )
-        half_point = (1500).to_bytes(4, "big")
-        left = reader.approximate_bytes_in_range(b"\x00\x00\x00\x00", half_point)
-        right = reader.approximate_bytes_in_range(half_point, b"\xff\xff\xff\xff")
-        # Halves overlap by at most one block.
-        assert whole <= left + right
-        assert left + right <= whole * 1.2
-
-    def test_approximate_size_empty_outside_span(self, reader):
-        assert reader.approximate_bytes_in_range(
-            b"\xff\xff\xff\x00", b"\xff\xff\xff\xff"
-        ) == 0
-
 
 class TestCacheInteraction:
     def test_cached_reads_skip_device(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for WriteBatch atomicity and approximate_size estimation."""
+"""Tests for WriteBatch encoding and atomicity."""
 
 import os
 
@@ -94,40 +94,3 @@ class TestBatchWrites:
         assert db.get(1999) == bytes(16)
         db.close()
 
-
-class TestApproximateSize:
-    @pytest.fixture
-    def loaded(self, tmp_path, small_db_options):
-        db = DB(str(tmp_path / "sz"), small_db_options)
-        for i in range(5000):
-            db.put(i, bytes(32))
-        db.flush()
-        yield db
-        db.close()
-
-    def test_whole_keyspace_covers_all_files(self, loaded):
-        total_files = sum(
-            run.file_size
-            for run in loaded.version.all_runs_newest_first()
-        )
-        estimate = loaded.approximate_size(0, (1 << 32) - 1)
-        assert 0 < estimate <= total_files
-
-    def test_small_range_much_smaller_than_total(self, loaded):
-        whole = loaded.approximate_size(0, (1 << 32) - 1)
-        small = loaded.approximate_size(100, 130)
-        assert 0 < small < whole / 4
-
-    def test_empty_region_is_zero(self, loaded):
-        assert loaded.approximate_size(1 << 30, (1 << 30) + 1000) == 0
-
-    def test_monotone_in_range_width(self, loaded):
-        narrow = loaded.approximate_size(1000, 1100)
-        wide = loaded.approximate_size(1000, 4000)
-        assert wide >= narrow
-
-    def test_invalid_range(self, loaded):
-        from repro.errors import FilterQueryError
-
-        with pytest.raises(FilterQueryError):
-            loaded.approximate_size(5, 4)

@@ -18,6 +18,8 @@ or condition wait itself (an idle serving worker, a client parked on a
 future); ``w`` rows enter a ``with <lock>:``, where cProfile sees no call, so
 the wait is charged to their *self* time (``DB.put``'s is mostly
 ``_write_lock``).  The second footer line leaves the ``W`` rows out.
+``--phase setup`` adds a third: the bytes each compaction kind wrote, and
+the rest (WAL, flush, manifest), each over the user bytes loaded.
 
 cProfile charges every Python call and no native work, so the table ranks
 candidates; it is not a measurement.  Claim gains from the ledger
@@ -39,12 +41,18 @@ import pstats
 import re
 import tempfile
 import threading
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks" / "ledger"))
 
 import run as ledger  # noqa: E402  (puts src/ on the path itself)
+from repro.lsm.compaction import Compactor  # noqa: E402
+
+#: Every ``CompactionJob.kind``, in the order the footer prints them.
+JOB_KINDS = ("intra-l0", "leveled-l0", "leveled-level", "full")
 
 
 class ThreadedProfile:
@@ -89,17 +97,50 @@ class ThreadedProfile:
         return merged
 
 
+@contextmanager
+def bytes_by_job_kind(written: Counter):
+    """Add each compaction's output bytes to ``written[job.kind]``."""
+    execute = Compactor.execute
+    lock = threading.Lock()  # shards of one server may compact on different threads
+
+    def counted(self, job):
+        outputs = execute(self, job)
+        with lock:
+            written[job.kind] += sum(run.file_size for run in outputs)
+        return outputs
+
+    Compactor.execute = counted
+    try:
+        yield
+    finally:
+        Compactor.execute = execute
+
+
+def write_split(written: Counter, total: int, user: int) -> str:
+    """Bytes written per user byte: each job kind, then the rest."""
+    parts = [f"{kind} {written[kind] / user:.2f}" for kind in JOB_KINDS]
+    rest = total - sum(written.values())
+    parts.append(f"rest (WAL, flush, manifest) {rest / user:.2f}")
+    return f"bytes written per user byte: {', '.join(parts)} = {total / user:.2f}"
+
+
 def profile_phase(
     name: str, phase: str, seed: int, smoke: bool, slices: int
-) -> tuple[pstats.Stats, int]:
-    """Returns the merged profile and the number of ops it covers."""
+) -> tuple[pstats.Stats, int, str | None]:
+    """Returns the merged profile, the ops it covers and, for the set-up,
+    its write split."""
     profiler = ThreadedProfile()
+    split = None
     with tempfile.TemporaryDirectory(prefix="profile-workload-") as work:
         run = ledger.Run(name, seed, smoke, Path(work))
         if phase == "setup":
-            with profiler:
+            written: Counter = Counter()
+            with profiler, bytes_by_job_kind(written):
                 store, _, _ = run.setup()
             ops = len(run.items)
+            split = write_split(
+                written, ledger.perf(store).bytes_written, run.user_bytes(0)
+            )
         else:
             store, path, _ = run.setup()
             store = run.reopen_cold(store, path)
@@ -113,7 +154,7 @@ def profile_phase(
                     )
                     ops += len(piece["records"])
         store.close()  # joins the serving workers: their profiles are final
-    return profiler.stats(), ops
+    return profiler.stats(), ops, split
 
 
 _WAIT_PRIMITIVE = re.compile(r"<method '(acquire|__enter__)' of '_thread\.(lock|RLock)' objects>")
@@ -154,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="the ledger's --smoke shape: a fifth of the size")
     args = parser.parse_args(argv)
 
-    stats, ops = profile_phase(
+    stats, ops, split = profile_phase(
         args.workload, args.phase, args.seed, args.smoke, args.slices
     )
     for order in ("tottime", "cumulative"):
@@ -170,6 +211,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{stats.total_tt - waited:.3f} profiled s excluding lock/condition waits "
         f"({waited:.3f} s in W rows; w rows hold more of it as self time)"
     )
+    if split is not None:
+        print(split)
     return 0
 
 
