@@ -191,13 +191,6 @@ class BloomFilter:
             bf.add(key)
         return bf
 
-    @classmethod
-    def from_fpr(cls, num_keys: int, fpr: float) -> "BloomFilter":
-        """Build an empty filter sized for ``num_keys`` at target ``fpr``."""
-        num_bits = bits_for_fpr(num_keys, fpr)
-        bits_per_key = num_bits / num_keys if num_keys else 1.0
-        return cls(num_bits, optimal_num_hashes(bits_per_key))
-
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------

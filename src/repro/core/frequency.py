@@ -27,7 +27,6 @@ time.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -128,20 +127,3 @@ def weighted_frequencies(
         for r, freq in enumerate(access_frequencies(clamped)):
             averaged[r] += mass * freq
     return [value / total_mass for value in averaged]
-
-
-def expected_probe_bound(range_size: int, theta: float) -> float:
-    """Theoretical expected-probe upper bound ``O(log R / theta^2)`` (§3.2).
-
-    For a Rosetta whose per-level FPR is ``0.5 + theta`` (``theta != 0``),
-    the expected number of probes for an empty range is bounded by
-    ``2 log2(R) * (E0 + 3 / (4 theta^2 sqrt(pi)))`` where ``E0`` is the
-    constant single-probe term.  Exposed for the theory benchmarks.
-    """
-    if not 0.0 < abs(theta) < 0.5:
-        raise ValueError(f"theta must satisfy 0 < |theta| < 0.5, got {theta}")
-    if range_size < 1:
-        raise ValueError(f"range_size must be >= 1, got {range_size}")
-    dyadic_terms = max(1, 2 * math.ceil(math.log2(max(range_size, 2))))
-    per_range = 1.0 + 3.0 / (4.0 * theta * theta * math.sqrt(math.pi))
-    return dyadic_terms * per_range

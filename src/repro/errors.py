@@ -24,10 +24,6 @@ class FilterQueryError(FilterError):
     """A filter was queried with invalid arguments (bad range, bad key type)."""
 
 
-class ImmutableFilterError(FilterError):
-    """A mutation was attempted on a finalized (immutable) filter instance."""
-
-
 class AllocationError(FilterError):
     """A memory-allocation strategy received an infeasible budget or shape."""
 
@@ -88,10 +84,6 @@ class PowerCutError(StoreError):
     background-error state machine), because everything after it models a
     machine that no longer exists.
     """
-
-
-class CompactionError(StoreError):
-    """A background compaction failed."""
 
 
 class ServingError(StoreError):

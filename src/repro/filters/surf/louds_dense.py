@@ -83,11 +83,6 @@ class LoudsDense:
         return len(self._label_masks)
 
     @property
-    def num_children(self) -> int:
-        """Total child edges leaving this region's nodes."""
-        return int(self._cum_children[-1])
-
-    @property
     def num_leaves(self) -> int:
         """Total leaf edges (value slots) in this region."""
         return int(self._cum_leaves[-1])

@@ -102,7 +102,7 @@ from repro.lsm.options import DBOptions
 from repro.lsm.perf_context import QueryContext
 from repro.lsm.scheduler import InlineScheduler, ThreadPoolScheduler
 from repro.lsm.shard import clamp_to_domain
-from repro.lsm.sstable import SSTMeta, SSTReader, SSTWriter
+from repro.lsm.sstable import SSTReader, SSTWriter, read_sst_meta
 from repro.lsm.stats import PerfStats
 from repro.lsm.version import (
     MANIFEST, NUM_LEVELS, Run, Version, level_target_bytes, manifest_entry_name,
@@ -434,11 +434,6 @@ class DB:
             self._super.active.delete(encoded)
             self.stats.add(writes=1)
             self._maybe_seal()
-
-    def put_batch(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Insert many items through the normal write path."""
-        for key, value in items:
-            self.put(key, value)
 
     def write(self, batch) -> None:
         """Apply a :class:`~repro.lsm.write_batch.WriteBatch` atomically.
@@ -1305,10 +1300,38 @@ class DB:
         :meth:`ShardRouter.split_range` give.  Filter probing is eager too
         (the probes decide whether there is anything to stream at all).
         """
-        self._check_open()
-        clamped = clamp_to_domain(low, high, self.options.key_bits)
         context = QueryContext(kind="range", low=low, high=high)
-        scan = self._range_scan(context, clamped)
+        return self._start_scan(context, probe=True)
+
+    def iterator(
+        self, start: int | None = None, end: int | None = None
+    ) -> Iterator[tuple[int, bytes]]:
+        """Ordered scan over live entries, optionally bounded (inclusive).
+
+        The full-scan path — the RocksDB-iterator analogue: the merge of
+        :meth:`range_iter` with the filter probe off.  A scan reads the
+        data anyway, so there is nothing for a filter to prune (the
+        paper's filters matter for *selective* range queries).  Nor is it
+        a query: the tracker and ``last_query`` never see it; its block
+        reads and merge time still land in ``stats``.  Validation, the
+        superversion pin and its release are :meth:`range_iter`'s.
+        """
+        context = QueryContext(
+            kind="scan",
+            low=0 if start is None else start,
+            high=(1 << self.options.key_bits) - 1 if end is None else end,
+        )
+        return self._start_scan(context, probe=False)
+
+    def _start_scan(
+        self, context: QueryContext, probe: bool
+    ) -> Iterator[tuple[int, bytes]]:
+        """Open a :meth:`_range_scan` over ``[context.low, context.high]``."""
+        self._check_open()
+        clamped = clamp_to_domain(
+            context.low, context.high, self.options.key_bits
+        )
+        scan = self._range_scan(context, clamped, probe)
         # Run the eager half now.  A generator that was started always runs
         # its ``finally`` — on close() or collection too — which one that
         # was merely created never does.
@@ -1319,12 +1342,16 @@ class DB:
         return scan
 
     def _range_scan(
-        self, context: QueryContext, clamped: tuple[int, int] | None
+        self, context: QueryContext, clamped: tuple[int, int] | None, probe: bool
     ) -> Iterator:
-        """Generator behind :meth:`range_iter`, counting into ``context``.
+        """The one merge loop of :meth:`range_iter` and :meth:`iterator`,
+        counting into ``context``.
 
-        Its first yield, after the filters were probed, is a handshake
-        :meth:`range_iter` consumes — anything to stream? — entries follow.
+        Its first yield, after the filters were probed (``probe``; else
+        every overlapping run is read), is a handshake :meth:`_start_scan`
+        consumes — anything to stream? — entries follow.  A probed scan
+        publishes its context; an unprobed one only folds it into
+        ``stats``.
         """
         sv = self._ref_super()
         answered_runs: list[Run] = []
@@ -1344,9 +1371,12 @@ class DB:
             # nothing here: a filter has no false negatives, so the run
             # holds no key in [low, leftmost survivor), and iterating
             # from either bound lands on the same entry of the same block.
-            positive_runs, answered_runs = self._probe_filters_range(
-                context, candidates, low, high
-            )
+            if probe:
+                positive_runs, answered_runs = self._probe_filters_range(
+                    context, candidates, low, high
+                )
+            else:
+                positive_runs = candidates
             sources: list[tuple[int, Iterator]] = [
                 (priority, memtable.entries_from(low_bytes))
                 for priority, memtable in enumerate(
@@ -1390,7 +1420,10 @@ class DB:
                     else:
                         context.filter_false_positives += 1
                         self._note_filter_outcome(run, 0, 1)
-            self._publish(context)
+            if probe:
+                self._publish(context)
+            else:
+                self.stats.fold(context)
             self._unref_super(sv)
 
     def _publish(self, context: QueryContext) -> None:
@@ -1459,53 +1492,6 @@ class DB:
             self.stats.add(filters_quarantined=1)
             if self._concurrent and self._background_error is None:
                 self._schedule_maintenance()
-
-    def iterator(
-        self, start: int | None = None, end: int | None = None
-    ) -> Iterator[tuple[int, bytes]]:
-        """Ordered scan over live entries, optionally bounded (inclusive).
-
-        This is the full-scan path — the RocksDB-iterator analogue.  It
-        deliberately bypasses the range filters: a scan reads the data
-        anyway, so there is nothing for a filter to prune (the paper's
-        filters matter for *selective* range queries, served by
-        :meth:`range_query`).  The superversion pinned at creation stays
-        pinned until the iterator is exhausted or closed, so the scan is
-        stable even while flushes and compactions land mid-iteration.
-        """
-        self._check_open()
-        domain_max = (1 << self.options.key_bits) - 1
-        clamped = clamp_to_domain(
-            start if start is not None else 0,
-            end if end is not None else domain_max,
-            self.options.key_bits,
-        )
-        if clamped is None:
-            return
-        start_bytes = self._encode_key(clamped[0])
-        end_bytes = self._encode_key(clamped[1])
-        sv = self._ref_super()
-        try:
-            sources: list[tuple[int, Iterator]] = []
-            priority = 0
-            for memtable in sv.memtables():
-                if not memtable.is_empty:
-                    sources.append(
-                        (priority, memtable.entries_from(start_bytes))
-                    )
-                    priority += 1
-            for offset, run in enumerate(
-                sv.version.runs_for_range(start_bytes, end_bytes)
-            ):
-                sources.append(
-                    (priority + offset, run.reader.iterate_from(start_bytes))
-                )
-            for key, value in live_entries(MergingIterator(sources)):
-                if key > end_bytes:
-                    return
-                yield self._decode_key(key), value
-        finally:
-            self._unref_super(sv)
 
     # ------------------------------------------------------------------
     # Adaptive tuning (§2.4)
@@ -1639,7 +1625,7 @@ class DB:
                 self.tracker = WorkloadTracker.from_dict(manifest["tracker"])
             for name in manifest.get("level0", []):
                 referenced.add(name)
-                meta = self._read_meta(name)
+                meta = read_sst_meta(self._env, name)
                 reader = SSTReader(self._env, meta, self._cache, is_level0=True)
                 version.level0.append(Run(reader=reader, level=0))
             for level_str, entries in manifest.get("levels", {}).items():
@@ -1648,7 +1634,7 @@ class DB:
                 for entry in entries:
                     name = manifest_entry_name(entry)
                     referenced.add(name)
-                    meta = self._read_meta(name)
+                    meta = read_sst_meta(self._env, name)
                     reader = SSTReader(self._env, meta, self._cache, is_level0=False)
                     runs.append(Run(reader=reader, level=level))
                 if runs:
@@ -1715,27 +1701,6 @@ class DB:
                 memtable.put(key, value)
             else:
                 memtable.delete(key)
-
-    def _read_meta(self, name: str) -> SSTMeta:
-        """Reconstruct SSTMeta by reading the file's meta block."""
-        import struct
-
-        file_size = self._env.file_size(name)
-        footer = self._env.read_block(name, file_size - 52, 52)
-        fields = struct.Struct("<QQQQQQI").unpack(footer)
-        meta_payload = self._env.read_block(name, fields[4], fields[5])
-        (num_entries,) = struct.unpack_from("<Q", meta_payload, 0)
-        (min_len,) = struct.unpack_from("<I", meta_payload, 8)
-        min_key = meta_payload[12 : 12 + min_len]
-        (max_len,) = struct.unpack_from("<I", meta_payload, 12 + min_len)
-        max_key = meta_payload[16 + min_len : 16 + min_len + max_len]
-        return SSTMeta(
-            name=name,
-            num_entries=num_entries,
-            min_key=min_key,
-            max_key=max_key,
-            file_size=file_size,
-        )
 
     def close(self) -> None:
         """Flush if possible, persist the manifest, release file handles.

@@ -36,15 +36,10 @@ class DeviceModel:
     name: str
     read_seek_ns: int      # fixed cost per random block read
     read_per_byte_ns: float  # transfer cost
-    write_per_byte_ns: float
 
     def block_read_ns(self, num_bytes: int) -> int:
         """Modeled latency of one random block read of ``num_bytes``."""
         return self.read_seek_ns + int(self.read_per_byte_ns * num_bytes)
-
-    def write_ns(self, num_bytes: int) -> int:
-        """Modeled latency of appending ``num_bytes`` (sequential)."""
-        return int(self.write_per_byte_ns * num_bytes)
 
 
 def _scaled(model: DeviceModel, factor: float) -> DeviceModel:
@@ -52,19 +47,15 @@ def _scaled(model: DeviceModel, factor: float) -> DeviceModel:
         name=f"{model.name}-scaled",
         read_seek_ns=int(model.read_seek_ns * factor),
         read_per_byte_ns=model.read_per_byte_ns * factor,
-        write_per_byte_ns=model.write_per_byte_ns * factor,
     )
 
 
 #: Real-hardware constants (§5, Fig. 9): DRAM, a SATA consumer SSD (~80 us
 #: random read), and a 7200-RPM SATA HDD (~10 ms seek).
 _RAW_PRESETS = {
-    "memory": DeviceModel("memory", read_seek_ns=100, read_per_byte_ns=0.01,
-                          write_per_byte_ns=0.01),
-    "ssd": DeviceModel("ssd", read_seek_ns=80_000, read_per_byte_ns=0.4,
-                       write_per_byte_ns=0.4),
-    "hdd": DeviceModel("hdd", read_seek_ns=10_000_000, read_per_byte_ns=5.0,
-                       write_per_byte_ns=5.0),
+    "memory": DeviceModel("memory", read_seek_ns=100, read_per_byte_ns=0.01),
+    "ssd": DeviceModel("ssd", read_seek_ns=80_000, read_per_byte_ns=0.4),
+    "hdd": DeviceModel("hdd", read_seek_ns=10_000_000, read_per_byte_ns=5.0),
 }
 
 #: Pure-Python CPU runs roughly two to three orders of magnitude slower than

@@ -31,7 +31,8 @@ class QueryContext:
     into one context: ``low``/``high`` span the distinct keys requested,
     ``runs_considered`` counts the runs that received at least one batched
     probe, and the ``keys_requested`` / ``distinct_keys`` /
-    ``memtable_hits`` trio describes the batch shape.
+    ``memtable_hits`` trio describes the batch shape.  ``kind="scan"`` is
+    :meth:`DB.iterator`'s unprobed scan, folded into ``PerfStats`` only.
     """
 
     kind: str = ""
@@ -62,11 +63,6 @@ class QueryContext:
     keys_requested: int = 0       # input keys, duplicates included
     distinct_keys: int = 0        # lookups actually resolved
     memtable_hits: int = 0        # keys answered by the memtable alone
-
-    @property
-    def runs_pruned_by_filters(self) -> int:
-        """Runs the filters excused from I/O."""
-        return self.filter_negatives
 
     def summary(self) -> str:
         """One-line human-readable digest."""

@@ -2,7 +2,8 @@
 
 When a store fails to open (corrupt SST, missing file), `repair_store`
 salvages what it can: it walks the manifest, verifies each referenced SST
-in isolation, drops the unreadable ones from the manifest, and leaves the
+in isolation (its meta block, then :func:`~repro.lsm.verify.verify_sst`'s
+block walk), drops the damaged ones from the manifest, and leaves the
 store openable again.  Repair is *lossy by design* — dropping a run loses
 that run's updates — so it reports exactly which files were sacrificed and
 quarantines (renames aside) rather than deletes the damaged ones.
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError, StoreError
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
-from repro.lsm.format import decode_data_block
-from repro.lsm.sstable import SSTMeta, SSTReader
+from repro.lsm.sstable import SSTReader, read_sst_meta
+from repro.lsm.verify import VerificationReport, verify_sst
 from repro.lsm.version import MANIFEST, manifest_entry_name
 
 __all__ = ["RepairOutcome", "repair_store"]
@@ -53,27 +54,6 @@ class RepairOutcome:
         )
 
 
-def _probe_sst(env: StorageEnv, name: str) -> int:
-    """Fully read one SST; returns its entry count or raises on damage."""
-    from repro.filters.base import deserialize_filter
-
-    file_size = env.file_size(name)
-    meta = SSTMeta(
-        name=name, num_entries=0, min_key=b"", max_key=b"",
-        file_size=file_size,
-    )
-    reader = SSTReader(env, meta, BlockCache(0))
-    entries = 0
-    for block_index in range(reader.num_data_blocks()):
-        _, handle = reader._fence_pointers[block_index]  # noqa: SLF001
-        payload = reader._read_block(handle)  # noqa: SLF001
-        entries += len(decode_data_block(payload))
-    envelope = reader.filter_block_bytes()
-    if envelope:
-        deserialize_filter(envelope)  # envelope CRC failures surface here
-    return entries
-
-
 def repair_store(path: str) -> RepairOutcome:
     """Make the store at ``path`` openable again, dropping damaged runs.
 
@@ -92,9 +72,13 @@ def repair_store(path: str) -> RepairOutcome:
         if not env.exists(name):
             outcome.dropped_files.append(name)
             return False
+        report = VerificationReport()
         try:
-            entries = _probe_sst(env, name)
-        except (ReproError, OSError):
+            reader = SSTReader(env, read_sst_meta(env, name), BlockCache(0))
+            verify_sst(reader, report)
+        except (ReproError, OSError) as exc:
+            report.add_error(name, str(exc))
+        if not report.ok:
             outcome.dropped_files.append(name)
             try:
                 os.rename(env.path(name), env.path(name) + ".quarantine")
@@ -103,7 +87,7 @@ def repair_store(path: str) -> RepairOutcome:
                 pass
             return False
         outcome.healthy_files.append(name)
-        outcome.salvaged_entries += entries
+        outcome.salvaged_entries += report.entries_checked
         return True
 
     manifest["level0"] = [

@@ -17,10 +17,7 @@ batch API that **coalesces** concurrent ``get`` / ``multi_get`` /
 * range queries split at shard boundaries
   (:meth:`ShardRouter.split_range`), run on the shards they touch, and
   reassemble in shard order (shards are contiguous, so concatenation is
-  the sorted merge);
-* :meth:`ShardedServer.range_iter` streams instead of queueing: it walks
-  the shards in key order through the genuinely-lazy :meth:`DB.range_iter`,
-  yielding each entry as the underlying merge advances.
+  the sorted merge).
 
 Filters are immutable once built and every read pins a refcounted
 superversion, so batched probes fan out across client and worker threads
@@ -77,7 +74,7 @@ from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.errors import (
     ClosedStoreError,
@@ -189,7 +186,6 @@ class ServingStats(CounterSet):
     point_requests: int = 0      # get() calls routed to this shard
     multi_requests: int = 0      # multi_get() sub-requests for this shard
     range_requests: int = 0      # range pieces executed on this shard
-    stream_requests: int = 0     # range_iter pieces streamed off this shard
     write_requests: int = 0      # put/delete routed to this shard
     batches: int = 0             # worker dispatches that ran a multi_get
     coalesced_batches: int = 0   # batches serving >= 2 point-bearing requests
@@ -1015,36 +1011,6 @@ class ShardedServer:
         """Blocking inclusive range scan across shards."""
         return self.range_query_async(low, high, deadline_s).result()
 
-    def range_iter(self, low: int, high: int) -> Iterator[tuple[int, bytes]]:
-        """Streaming inclusive range scan across shards.
-
-        Validation is eager (closed server, inverted range); the returned
-        generator then walks the overlapping shards in key order through
-        each shard DB's genuinely-lazy :meth:`DB.range_iter`, so the
-        first entry is yielded before any later shard — or even the rest
-        of the current shard — has been read.  Bypasses the request queue
-        (and therefore deadlines): a stream holds its shard's
-        superversion pinned while the consumer iterates, which must not
-        block queued point batches behind it.
-        """
-        self._check_open()
-        pieces = self.router.split_range(low, high)
-        for shard_index, _, _ in pieces:
-            self._shards[shard_index].stats.add(stream_requests=1)
-        return self._range_stream(pieces)
-
-    def _range_stream(
-        self, pieces: list[tuple[int, int, int]]
-    ) -> Iterator[tuple[int, bytes]]:
-        for shard_index, piece_low, piece_high in pieces:
-            iterator = self._shards[shard_index].db.range_iter(
-                piece_low, piece_high
-            )
-            try:
-                yield from iterator
-            finally:
-                iterator.close()
-
     # ------------------------------------------------------------------
     # Writes (routed straight to the owning shard's write path,
     # gated by that shard's circuit breaker)
@@ -1062,13 +1028,6 @@ class ShardedServer:
         shard = self._shards[self.router.shard_of(key)]
         shard.stats.add(write_requests=1)
         shard.guarded_write(lambda: shard.db.delete(key))
-
-    def put_batch(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Insert many items: one :meth:`put` per item, in order (not
-        grouped per shard, and not atomic)."""
-        self._check_open()
-        for key, value in items:
-            self.put(key, value)
 
     # ------------------------------------------------------------------
     # Supervisor
@@ -1096,22 +1055,11 @@ class ShardedServer:
         """The underlying per-shard DBs (read-mostly; for tests/tools)."""
         return tuple(shard.db for shard in self._shards)
 
-    @property
-    def leaked_workers(self) -> tuple[int, ...]:
-        """Shards whose workers outlived the close join timeout."""
-        return tuple(self._leaked_workers)
-
     def flush(self) -> None:
         """Flush every shard (synchronous barrier per shard)."""
         self._check_open()
         for shard in self._shards:
             shard.db.flush()
-
-    def compact(self) -> None:
-        """Settle compaction triggers on every shard."""
-        self._check_open()
-        for shard in self._shards:
-            shard.db.compact()
 
     def wait_idle(self, timeout_s: float = 60.0) -> bool:
         """Wait until no shard has background maintenance pending."""
@@ -1119,15 +1067,6 @@ class ShardedServer:
         return all(
             shard.db.wait_idle(timeout_s) for shard in self._shards
         )
-
-    def resume(self) -> bool:
-        """Clear degraded mode on every shard; True when all recovered.
-
-        The manual counterpart of the supervisor's automatic probing
-        (still useful with ``breaker_enabled=False``).
-        """
-        self._check_open()
-        return all(shard.db.resume() for shard in self._shards)
 
     def health(self) -> ServingHealth:
         """Aggregate + per-shard health, including live queue depths,
@@ -1166,21 +1105,9 @@ class ShardedServer:
             shard.stats for shard in self._shards
         )
 
-    def shard_stats(self) -> tuple[ServingStats, ...]:
-        """Per-shard front-end counter snapshots, in shard order."""
-        return tuple(shard.stats.snapshot() for shard in self._shards)
-
     def perf_totals(self) -> PerfStats:
         """Sum of every shard DB's :class:`PerfStats` (one snapshot each)."""
         return PerfStats.aggregate(shard.db.stats for shard in self._shards)
-
-    def describe(self) -> str:
-        """Shard layout plus each shard's tree shape."""
-        lines = [self.router.describe()]
-        for shard in self._shards:
-            lines.append(f"-- shard {shard.index} --")
-            lines.append(shard.db.describe())
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -131,11 +131,3 @@ class ShardRouter:
         for key in keys:
             groups.setdefault(self.shard_of(key), []).append(key)
         return groups
-
-    def describe(self) -> str:
-        """One-line human-readable span table."""
-        spans = ", ".join(
-            f"s{index}=[{self.span(index)[0]}, {self.span(index)[1]}]"
-            for index in range(self.num_shards)
-        )
-        return f"ShardRouter({self.num_shards} shards: {spans})"

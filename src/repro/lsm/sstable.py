@@ -47,6 +47,9 @@ from repro.lsm.stats import Stopwatch
 
 _FOOTER = struct.Struct("<QQQQQQI")
 _MAGIC = 0x524F5345  # "ROSE"
+# Meta block: entry count, then min and max key, each behind its length.
+_COUNT = struct.Struct("<Q")
+_KEY_LEN = struct.Struct("<I")
 
 # Parsed data blocks memoized per reader (entry lists are ~10x the work of
 # the raw block fetch).  Only scans and compaction reads decode whole blocks
@@ -57,7 +60,7 @@ _MAX_DECODED_BLOCKS = 16
 #: ``SSTReader.resolved_filter`` before the run's filter was first asked for.
 UNRESOLVED = object()
 
-__all__ = ["SSTWriter", "SSTReader", "SSTMeta", "UNRESOLVED"]
+__all__ = ["SSTWriter", "SSTReader", "SSTMeta", "UNRESOLVED", "read_sst_meta"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,46 @@ class SSTMeta:
     def overlaps(self, low: bytes, high: bytes) -> bool:
         """Whether the file's key span intersects ``[low, high]``."""
         return self.min_key <= high and self.max_key >= low
+
+
+def _read_footer(
+    env: StorageEnv, name: str, file_size: int
+) -> tuple[BlockHandle, BlockHandle, BlockHandle]:
+    """The footer's index, filter and meta block handles."""
+    if file_size < _FOOTER.size:
+        raise CorruptionError(f"{name} is shorter than an SST footer")
+    fields = _FOOTER.unpack(
+        env.read_block(name, file_size - _FOOTER.size, _FOOTER.size)
+    )
+    if fields[6] != _MAGIC:
+        raise CorruptionError(f"bad SST magic in {name}")
+    return (
+        BlockHandle(fields[0], fields[1]),
+        BlockHandle(fields[2], fields[3]),
+        BlockHandle(fields[4], fields[5]),
+    )
+
+
+def read_sst_meta(env: StorageEnv, name: str) -> SSTMeta:
+    """Rebuild a file's :class:`SSTMeta` from its footer and meta block.
+
+    The one parser of what :meth:`SSTWriter.finish` writes there; a footer
+    or meta block that does not parse — short, or with a key length that
+    overruns the block — raises :class:`~repro.errors.CorruptionError`.
+    """
+    file_size = env.file_size(name)
+    _, _, meta_handle = _read_footer(env, name, file_size)
+    payload = env.read_block(name, meta_handle.offset, meta_handle.size)
+    keys: list[bytes] = []
+    offset = _COUNT.size
+    while len(keys) < 2 and offset + _KEY_LEN.size <= len(payload):
+        (length,) = _KEY_LEN.unpack_from(payload, offset)
+        offset += _KEY_LEN.size + length
+        keys.append(payload[offset - length : offset])
+    if len(keys) < 2 or offset != len(payload):
+        raise CorruptionError(f"meta block of {name} does not parse")
+    (num_entries,) = _COUNT.unpack_from(payload)
+    return SSTMeta(name, num_entries, keys[0], keys[1], file_size)
 
 
 class SSTWriter:
@@ -183,13 +226,13 @@ class SSTWriter:
         parts.append(filter_block)
         offset += len(filter_block)
 
-        meta_block = (
-            struct.pack("<Q", self._num_entries)
-            + struct.pack("<I", len(self._min_key))
-            + self._min_key
-            + struct.pack("<I", len(self._last_key))
-            + self._last_key
-        )
+        meta_block = b"".join((
+            _COUNT.pack(self._num_entries),
+            _KEY_LEN.pack(len(self._min_key)),
+            self._min_key,
+            _KEY_LEN.pack(len(self._last_key)),
+            self._last_key,
+        ))
         meta_handle = BlockHandle(offset, len(meta_block))
         parts.append(meta_block)
         offset += len(meta_block)
@@ -245,15 +288,9 @@ class SSTReader:
         self.meta = meta
         self._cache = cache
         self._is_level0 = is_level0
-        footer_payload = env.read_block(
-            meta.name, meta.file_size - _FOOTER.size, _FOOTER.size
+        self._index_handle, self._filter_handle, _ = _read_footer(
+            env, meta.name, meta.file_size
         )
-        fields = _FOOTER.unpack(footer_payload)
-        if fields[6] != _MAGIC:
-            raise CorruptionError(f"bad SST magic in {meta.name}")
-        self._index_handle = BlockHandle(fields[0], fields[1])
-        self._filter_handle = BlockHandle(fields[2], fields[3])
-        self._meta_handle = BlockHandle(fields[4], fields[5])
         index_payload = self._read_metadata_block(self._index_handle)
         self._fence_pointers = decode_index_block(index_payload)
         self._fence_keys = [key for key, _ in self._fence_pointers]

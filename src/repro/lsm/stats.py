@@ -200,16 +200,6 @@ class PerfStats(CounterSet):
             self.filter_false_positives, self.filter_negatives
         )
 
-    @property
-    def cpu_ns(self) -> int:
-        """Total attributed CPU time (sum of the sub-cost stopwatches)."""
-        return (
-            self.filter_probe_ns
-            + self.serialize_ns
-            + self.deserialize_ns
-            + self.residual_seek_ns
-        )
-
     def compaction_overhead_us_per_byte(self) -> float:
         """Fig. 6's ``T / (R + W)`` metric in microseconds per byte."""
         moved = self.compaction_bytes_read + self.compaction_bytes_written

@@ -14,6 +14,8 @@ model under the WAL contract —
   applies partially, a torn WAL tail is never resurrected;
 * **no wrong reads**: no key reports a value the model never acknowledged,
   and a full scan agrees with point lookups;
+* **a sound image**: :meth:`~repro.lsm.db.DB.verify` finds every SST's
+  blocks, fences, meta block and filter intact and the levels disjoint;
 * **recovery itself never raises**.
 
 Because crash points enumerate *every* durable operation the schedule
@@ -329,6 +331,12 @@ def _verify_recovery(
     except Exception as exc:  # recovery must never raise, whatever the cut
         return [f"recovery raised {type(exc).__name__}: {exc}"]
     try:
+        # Structure first: every block's checksum and order, fence and meta
+        # agreement, the filters, disjoint levels.  The reads below would
+        # only trip over the same damage.
+        report = db.verify()
+        if not report.ok:
+            return [f"verify: {error}" for error in report.errors]
         for key in range(config.key_space):
             got = db.get(key)
             old = model.get(key)

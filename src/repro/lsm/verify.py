@@ -4,8 +4,10 @@ Walks every live SST file and validates, block by block, everything the
 formats can self-check: data-block CRCs and key ordering, index-block
 CRCs and fence consistency, filter-envelope decodability, meta/footer
 agreement, and cross-run level invariants.  Returns a structured report
-rather than raising, so operators can inspect all damage at once; the
-DB wrapper (:meth:`repro.lsm.db.DB.verify`) is the public entry point.
+rather than raising, so operators can inspect all damage at once.  One
+walk, :func:`verify_sst`, serves :meth:`repro.lsm.db.DB.verify` (which the
+crash-recovery torture harness runs at every crash point) and
+:func:`repro.lsm.repair.repair_store` (which drops the files it faults).
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 from repro.filters.base import deserialize_filter
 from repro.lsm.format import decode_data_block
-from repro.lsm.version import Run, Version
+from repro.lsm.sstable import SSTReader
+from repro.lsm.version import Version
 
-__all__ = ["VerificationReport", "verify_version"]
+__all__ = ["VerificationReport", "verify_sst", "verify_version"]
 
 
 @dataclass
@@ -55,17 +58,17 @@ def verify_version(version: Version) -> VerificationReport:
     """Verify every run of a :class:`Version` (all levels, newest first)."""
     report = VerificationReport()
     for run in version.all_runs_newest_first():
-        _verify_run(run, report)
+        verify_sst(run.reader, report)
     _verify_level_invariants(version, report)
     return report
 
 
-def _verify_run(run: Run, report: VerificationReport) -> None:
-    reader = run.reader
+def verify_sst(reader: SSTReader, report: VerificationReport) -> None:
+    """Walk one SST block by block, adding what it finds to ``report``."""
     name = reader.meta.name
     report.files_checked += 1
 
-    previous_key: bytes | None = None
+    first_key = previous_key = None
     entry_count = 0
     for block_index in range(reader.num_data_blocks()):
         fence_key, handle = reader._fence_pointers[block_index]  # noqa: SLF001
@@ -78,7 +81,9 @@ def _verify_run(run: Run, report: VerificationReport) -> None:
         report.blocks_checked += 1
         for key, _tag, _value in entries:
             entry_count += 1
-            if previous_key is not None and key <= previous_key:
+            if previous_key is None:
+                first_key = key
+            elif key <= previous_key:
                 report.add_error(
                     f"{name} block {block_index}",
                     f"keys out of order ({previous_key!r} then {key!r})",
@@ -97,8 +102,10 @@ def _verify_run(run: Run, report: VerificationReport) -> None:
             f"meta advertises {reader.meta.num_entries} entries, "
             f"decoded {entry_count}",
         )
-    if previous_key is not None and previous_key != reader.meta.max_key:
-        report.add_error(name, "meta max_key does not match the data")
+    if entry_count and (first_key, previous_key) != (
+        reader.meta.min_key, reader.meta.max_key
+    ):
+        report.add_error(name, "meta key span does not match the data")
 
     envelope = b""
     try:

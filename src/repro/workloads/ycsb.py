@@ -9,7 +9,6 @@ key set, it generates
 * **empty range queries** of a chosen size distribution (anchors drawn from
   the key distribution, rejected if they overlap a stored key),
 * **empty point queries** (absent keys),
-* optional **present** point/range queries for mixed workloads,
 * **correlated** variants where the query's lower bound sits a fixed offset
   ``theta`` above an existing key (Fig. 5(B)),
 
@@ -223,44 +222,6 @@ class WorkloadBuilder:
             description=f"empty-point dist={distribution}",
             metadata={"distribution": distribution},
         )
-
-    def occupied_range_queries(self, count: int, range_size: int) -> Workload:
-        """``count`` range queries guaranteed to contain a stored key.
-
-        Each range is anchored on a random stored key with a random offset
-        inside the window — the true-positive complement of
-        :meth:`empty_range_queries`, used to measure tightening benefits
-        and true-positive I/O costs.
-        """
-        if range_size < 1:
-            raise WorkloadError(f"range_size must be >= 1, got {range_size}")
-        if self._num_keys() == 0:
-            raise WorkloadError("no stored keys to anchor ranges on")
-        picks = self._rng.integers(0, self._num_keys(), size=count)
-        offsets = self._rng.integers(0, range_size, size=count)
-        queries: list[Query] = []
-        for pick, offset in zip(picks, offsets):
-            anchor = self._key_at(int(pick))
-            low = max(0, anchor - int(offset))
-            high = min(low + range_size - 1, self.domain_max)
-            low = min(low, high)
-            queries.append(Query("range", low, high))
-        return Workload(
-            queries,
-            description=f"occupied-range size={range_size}",
-            metadata={"range_size": range_size, "occupied": True},
-        )
-
-    def present_point_queries(self, count: int) -> Workload:
-        """``count`` point queries on keys that exist."""
-        if self._num_keys() == 0:
-            raise WorkloadError("no stored keys to query")
-        picks = self._rng.integers(0, self._num_keys(), size=count)
-        queries = [
-            Query("point", self._key_at(int(p)), self._key_at(int(p)))
-            for p in picks
-        ]
-        return Workload(queries, description="present-point")
 
     def workload_e(
         self,

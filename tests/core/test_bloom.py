@@ -161,11 +161,6 @@ class TestVectorizedPaths:
 
 
 class TestConstructionAndSerialization:
-    def test_from_fpr_produces_target(self):
-        bf = BloomFilter.from_fpr(1000, 0.01)
-        assert bf.num_bits == bits_for_fpr(1000, 0.01)
-        assert bf.num_hashes == optimal_num_hashes(bf.num_bits / 1000)
-
     def test_invalid_num_hashes(self):
         with pytest.raises(FilterBuildError):
             BloomFilter(100, 0)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.frequency import (
     access_frequencies,
     cumulative_weights,
-    expected_probe_bound,
     floor_log2,
     single_level_term,
     weighted_frequencies,
@@ -115,20 +114,6 @@ class TestWeightedFrequencies:
             weighted_frequencies({4: -1}, 3)
         with pytest.raises(ValueError):
             weighted_frequencies({4: 1}, -1)
-
-
-class TestExpectedProbeBound:
-    def test_grows_with_range(self):
-        assert expected_probe_bound(256, 0.25) > expected_probe_bound(4, 0.25)
-
-    def test_shrinks_with_theta(self):
-        assert expected_probe_bound(64, 0.4) < expected_probe_bound(64, 0.1)
-
-    def test_invalid_theta(self):
-        with pytest.raises(ValueError):
-            expected_probe_bound(64, 0.0)
-        with pytest.raises(ValueError):
-            expected_probe_bound(64, 0.5)
 
 
 @given(range_size=st.integers(min_value=1, max_value=1 << 20))

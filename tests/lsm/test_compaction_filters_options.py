@@ -94,14 +94,6 @@ class TestStats:
         stats.reset()
         assert stats.block_reads == 0
 
-    def test_cpu_ns_sums_subcosts(self):
-        stats = PerfStats()
-        stats.filter_probe_ns = 1
-        stats.serialize_ns = 2
-        stats.deserialize_ns = 3
-        stats.residual_seek_ns = 4
-        assert stats.cpu_ns == 10
-
 
 class TestFilterDictionary:
     def _db_with_filter(self, tmp_path, enabled: bool) -> DB:

@@ -134,6 +134,27 @@ class TestTortureMatrix:
         assert report.violations[0].startswith(f"seed=1 crash_point={last}: ")
         assert "lost acknowledged write" in report.violations[0]
 
+    def test_recovery_check_reports_a_corrupt_data_block(self, tmp_path):
+        """The structural check can fail: a recovered image whose first
+        data block has one flipped byte is reported by ``verify``."""
+        config = TortureConfig(num_ops=12, key_space=24)
+        path = str(tmp_path / "image")
+        model = {key: b"v%d" % key for key in range(config.key_space)}
+        db = DB(path, torture_options(config))
+        for key, value in model.items():
+            db.put(key, value)
+        db.close()
+        assert torture._verify_recovery(path, config, model, {}) == []
+        sst = sorted(name for name in os.listdir(path) if name.endswith(".sst"))[0]
+        with open(os.path.join(path, sst), "r+b") as handle:
+            handle.seek(4)  # inside data block 0
+            byte = handle.read(1)
+            handle.seek(4)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        violations = torture._verify_recovery(path, config, model, {})
+        assert violations[0].startswith(f"verify: {sst} block 0: ")
+        assert all(v.startswith(f"verify: {sst}") for v in violations)
+
 
 class TestFlushOrdering:
     """Satellite regression: manifest before WAL truncate, pinned."""

@@ -12,10 +12,8 @@ from repro.lsm.env import (
 
 class TestDeviceModel:
     def test_block_read_decomposition(self):
-        model = DeviceModel("t", read_seek_ns=1000, read_per_byte_ns=2.0,
-                            write_per_byte_ns=3.0)
+        model = DeviceModel("t", read_seek_ns=1000, read_per_byte_ns=2.0)
         assert model.block_read_ns(100) == 1000 + 200
-        assert model.write_ns(100) == 300
 
     def test_zero_byte_read_costs_the_seek(self):
         model = DEVICE_PRESETS["hdd"]
@@ -39,7 +37,6 @@ class TestDeviceModel:
         for model in DEVICE_PRESETS.values():
             assert model.read_seek_ns > 0
             assert model.read_per_byte_ns > 0
-            assert model.write_per_byte_ns > 0
 
 
 class TestEnvCharging:

@@ -81,11 +81,6 @@ class TestRangeContext:
             assert ctx.iterators_created == 0
             assert ctx.blocks_read == 0
 
-    def test_runs_pruned_property(self, db):
-        db.range_query(1, 6)
-        ctx = db.last_query
-        assert ctx.runs_pruned_by_filters == ctx.filter_negatives
-
     def test_context_replaced_per_query(self, db):
         db.range_query(0, 10)
         first = db.last_query

@@ -1,14 +1,16 @@
 """Tests for offline store repair."""
 
 import os
+import struct
 
 import pytest
 
 from repro.bench.factories import make_factory
-from repro.errors import StoreError
+from repro.errors import ReproError, StoreError
 from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
 from repro.lsm.repair import repair_store
+from repro.lsm.sstable import _FOOTER
 
 
 def _options() -> DBOptions:
@@ -40,6 +42,32 @@ def _flip(path: str, offset: int) -> None:
 
 
 class TestRepair:
+    def test_corrupt_meta_block_fails_typed_and_repairs(self, tmp_path):
+        """A meta block whose ``min_key`` length overruns it: open raises a
+        ``ReproError`` (not ``struct.error``), repair drops that one file,
+        and the store reopens sound."""
+        path = str(tmp_path / "db")
+        _build_store(path)
+        ssts = sorted(
+            name for name in os.listdir(path) if name.endswith(".sst")
+        )
+        sst = os.path.join(path, ssts[0])
+        # The meta block ends where the footer starts: an 8-byte entry
+        # count, then min and max key (4 bytes at key_bits=32), each
+        # behind a 4-byte length.
+        meta_offset = os.path.getsize(sst) - _FOOTER.size - (8 + 2 * (4 + 4))
+        with open(sst, "r+b") as handle:
+            handle.seek(meta_offset + 8)
+            handle.write(struct.pack("<I", 0xFFFF))  # min_key's length
+        with pytest.raises(ReproError):
+            DB(path, _options())
+        outcome = repair_store(path)
+        assert outcome.dropped_files == [ssts[0]]
+        db = DB(path, _options())
+        assert db.verify().ok
+        assert db.num_live_files() == len(ssts) - 1
+        db.close()
+
     def test_healthy_store_untouched(self, tmp_path):
         path = str(tmp_path / "db")
         model = _build_store(path)

@@ -339,7 +339,6 @@ class TestCloseStuckWorker:
         queued = server.get_async(_key_on(server, 0))
         leaked = server.close()
         assert leaked == [0]
-        assert server.leaked_workers == (0,)
         with pytest.raises(ClosedStoreError):
             stuck.result(timeout=5.0)
         with pytest.raises(ClosedStoreError):
@@ -352,7 +351,6 @@ class TestCloseStuckWorker:
         server = _server(tmp_path)
         server.put(1, b"v")
         assert server.close() == []
-        assert server.leaked_workers == ()
 
 
 # ---------------------------------------------------------------------------

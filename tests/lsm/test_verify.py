@@ -1,10 +1,15 @@
 """Tests for the store integrity checker (DB.verify)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.factories import make_factory
+from repro.lsm.block_cache import BlockCache
 from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
+from repro.lsm.sstable import SSTReader
+from repro.lsm.verify import VerificationReport, verify_sst
 
 
 def _db(tmp_path, name="vdb", with_filter=True) -> DB:
@@ -71,6 +76,18 @@ class TestVerify:
         report = db.verify()
         assert not report.ok
         assert any("filter" in error for error in report.errors)
+        db.close()
+
+    def test_detects_meta_key_span_mismatch(self, tmp_path):
+        """A meta block that parses but names the wrong min key."""
+        db = _db(tmp_path)
+        reader = db.version.all_runs_newest_first()[0].reader
+        wrong = replace(reader.meta, min_key=reader.meta.max_key)
+        report = VerificationReport()
+        verify_sst(SSTReader(db._env, wrong, BlockCache(0)), report)  # noqa: SLF001
+        assert report.errors == [
+            f"{wrong.name}: meta key span does not match the data"
+        ]
         db.close()
 
     def test_verify_after_compaction(self, tmp_path):

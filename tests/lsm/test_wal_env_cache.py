@@ -45,8 +45,7 @@ class TestStorageEnv:
             StorageEnv(str(tmp_path), device="floppy")
 
     def test_custom_device_model(self, tmp_path):
-        model = DeviceModel("test", read_seek_ns=5, read_per_byte_ns=1.0,
-                            write_per_byte_ns=1.0)
+        model = DeviceModel("test", read_seek_ns=5, read_per_byte_ns=1.0)
         env = StorageEnv(str(tmp_path), device=model)
         env.write_file("f", b"ab")
         env.read_block("f", 0, 2)

@@ -83,15 +83,6 @@ class TestPointQueries:
         assert all(q.low not in key_set for q in workload)
         assert all(q.kind == "point" for q in workload)
 
-    def test_present_points_exist(self, keys):
-        workload = WorkloadBuilder(keys, 32, seed=9).present_point_queries(100)
-        key_set = set(keys)
-        assert all(q.low in key_set for q in workload)
-
-    def test_present_points_on_empty_set_rejected(self):
-        with pytest.raises(WorkloadError):
-            WorkloadBuilder([], 32).present_point_queries(5)
-
 
 class TestWorkloadE:
     def test_mix_proportions(self, keys):
@@ -157,36 +148,15 @@ class TestQueryDataclass:
 
 
 class TestOccupiedRangeQueries:
-    def test_every_range_contains_a_key(self, keys):
-        builder = WorkloadBuilder(keys, 32, seed=16)
-        workload = builder.occupied_range_queries(150, 16)
-        assert len(workload) == 150
-        for query in workload:
-            assert query.range_size <= 16
-            assert not _is_empty(keys, query.low, query.high)
-
-    def test_metadata(self, keys):
-        workload = WorkloadBuilder(keys, 32, seed=17).occupied_range_queries(
-            10, 8
-        )
-        assert workload.metadata["occupied"] is True
-
-    def test_requires_keys(self):
-        with pytest.raises(WorkloadError):
-            WorkloadBuilder([], 32).occupied_range_queries(5, 8)
-
-    def test_invalid_size(self, keys):
-        with pytest.raises(WorkloadError):
-            WorkloadBuilder(keys, 32).occupied_range_queries(5, 0)
-
-    def test_filters_always_positive_on_occupied_ranges(self, keys):
+    def test_filters_always_positive_on_occupied_ranges(self, keys, rng):
         """No filter may reject an occupied range (soundness end to end)."""
         from repro.bench.factories import make_factory
 
-        workload = WorkloadBuilder(keys, 32, seed=18).occupied_range_queries(
-            100, 16
-        )
+        ranges = []
+        for anchor in rng.sample(keys, 100):
+            low = max(0, anchor - rng.randrange(16))
+            ranges.append((low, low + 15))
         for name in ("rosetta", "surf"):
             filt = make_factory(name, 32, 16, max_range=16).build(keys)
-            for query in workload:
-                assert filt.may_contain_range(query.low, query.high), name
+            for low, high in ranges:
+                assert filt.may_contain_range(low, high), name
