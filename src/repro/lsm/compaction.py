@@ -63,6 +63,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from repro.core.tuning import AutoTuner
@@ -372,30 +373,51 @@ class Compactor:
 
     def _merge(self, job: CompactionJob) -> list[Run]:
         """One newest-wins pass over the job's inputs, cut into SSTs."""
-        sources = [
+        merged = MergingIterator(
             (priority, run.reader.iterate_from(b""))
             for priority, run in enumerate(job.inputs)
-        ]
-        merged = MergingIterator(sources)
-        outputs: list[Run] = []
-        writer: SSTWriter | None = None
+        )
+        if job.drop_tombstones:
+            merged = (entry for entry in merged if entry[1] != ValueTag.DELETE)
         factory = self._filter_factory_provider()
-        bits_override = self._rebuild_bits_override(job, factory)
-        cut = job.output_level > 0  # an intra-L0 merge writes one file
-        for key, tag, value in merged:
-            if job.drop_tombstones and tag == ValueTag.DELETE:
-                continue
-            if writer is None:
-                writer = self._new_writer(
-                    job.output_level, factory, bits_override
-                )
-            writer.add(key, tag, value)
-            if cut and writer.estimated_file_size >= self._options.sst_size_bytes:
-                outputs.append(self._finish_writer(writer, job.output_level))
-                writer = None
-        if writer is not None and writer.num_entries:
-            outputs.append(self._finish_writer(writer, job.output_level))
-        return outputs
+        return self.write_runs(
+            merged, job.output_level, factory,
+            cut=job.output_level > 0,  # an intra-L0 merge writes one file
+            filter_bits_per_key=self._rebuild_bits_override(job, factory),
+        )
+
+    def write_runs(
+        self,
+        entries: Iterable[tuple[bytes, int, bytes]],
+        level: int,
+        factory: FilterFactory | None,
+        cut: bool = True,
+        filter_bits_per_key: float | None = None,
+    ) -> list[Run]:
+        """Write sorted ``entries`` as fresh SSTs for ``level``.
+
+        The one writer loop of flush, compaction and ingest: with ``cut``, a
+        file ends once it reaches ``sst_size_bytes``; without, everything
+        goes into one file.  A file name is allocated only once the file's
+        first entry exists, so an empty stream writes nothing.
+        """
+        limit = self._options.sst_size_bytes if cut else None
+        entries = iter(entries)
+        runs: list[Run] = []
+        for first in entries:
+            writer = SSTWriter(
+                self._env,
+                self.next_file_name(level),
+                self._options,
+                filter_factory=factory,
+                filter_bits_per_key=filter_bits_per_key,
+            )
+            writer.extend(chain((first,), entries), limit)
+            reader = SSTReader(
+                self._env, writer.finish(), self._cache, is_level0=level == 0
+            )
+            runs.append(Run(reader=reader, level=level))
+        return runs
 
     # ------------------------------------------------------------------
     # Installation (caller holds the DB mutex, version is a clone)
@@ -452,27 +474,6 @@ class Compactor:
         ):
             return None
         return tuner.rebuild_bits_per_key(factory.bits_per_key, True)
-
-    def _new_writer(
-        self,
-        output_level: int,
-        factory: FilterFactory | None,
-        filter_bits_per_key: float | None = None,
-    ) -> SSTWriter:
-        return SSTWriter(
-            self._env,
-            self.next_file_name(output_level),
-            self._options,
-            filter_factory=factory,
-            filter_bits_per_key=filter_bits_per_key,
-        )
-
-    def _finish_writer(self, writer: SSTWriter, output_level: int) -> Run:
-        meta = writer.finish()
-        reader = SSTReader(
-            self._env, meta, self._cache, is_level0=output_level == 0
-        )
-        return Run(reader=reader, level=output_level)
 
     def destroy_runs(self, runs: Iterable[Run]) -> None:
         """Delete input files; purge their cache and filter-dictionary state."""

@@ -102,7 +102,7 @@ from repro.lsm.options import DBOptions
 from repro.lsm.perf_context import QueryContext
 from repro.lsm.scheduler import InlineScheduler, ThreadPoolScheduler
 from repro.lsm.shard import clamp_to_domain
-from repro.lsm.sstable import SSTReader, SSTWriter, read_sst_meta
+from repro.lsm.sstable import SSTReader, read_sst_meta
 from repro.lsm.stats import PerfStats
 from repro.lsm.version import (
     MANIFEST, NUM_LEVELS, Run, Version, level_target_bytes, manifest_entry_name,
@@ -770,26 +770,16 @@ class DB:
         if not sv.immutables:
             return
         bundle = sv.immutables[-1]  # oldest
-        run: Run | None = None
-        if not bundle.memtable.is_empty:
-            name = self._compactor.next_file_name(0)
-            writer = SSTWriter(
-                self._env,
-                name,
-                self.options,
-                filter_factory=self._current_filter_factory,
-            )
-            for key, tag, value in bundle.memtable.entries():
-                writer.add(key, tag, value)
-            meta = writer.finish()
-            reader = SSTReader(self._env, meta, self._cache, is_level0=True)
-            run = Run(reader=reader, level=0)
+        # One uncut L0 file; none for an empty memtable.
+        runs = self._compactor.write_runs(
+            bundle.memtable.entries(), 0, self._current_filter_factory, cut=False
+        )
         with self._mutex:
             current = self._super
             new_version = current.version
-            if run is not None:
+            if runs:
                 new_version = current.version.clone()
-                new_version.add_level0(run)
+                new_version.add_level0(runs[0])
                 self._write_manifest(new_version)
             new_sv = _SuperVersion(
                 current.active, current.immutables[:-1], new_version
@@ -799,7 +789,7 @@ class DB:
         # logged copy can no longer lose acknowledged writes.
         if bundle.wal_name is not None:
             self._env.delete_file(bundle.wal_name)
-        if run is not None:
+        if runs:
             self.stats.add(flushes=1)
 
     def _run_compaction_job(self, job: CompactionJob) -> None:
@@ -1112,32 +1102,17 @@ class DB:
     ) -> list[Run]:
         """Cut sorted ``pairs`` (first of each duplicate key wins) into
         fresh SSTs for ``level``."""
-        runs: list[Run] = []
-        writer: SSTWriter | None = None
-        previous: int | None = None
-        for key, value in pairs:
-            if key == previous:
-                continue
-            previous = key
-            if writer is None:
-                writer = SSTWriter(
-                    self._env,
-                    self._compactor.next_file_name(level),
-                    self.options,
-                    filter_factory=self._current_filter_factory,
-                )
-            writer.add(self._encode_key(key), ValueTag.PUT, bytes(value))
-            if writer.estimated_file_size >= self.options.sst_size_bytes:
-                runs.append(self._finish_ingest_writer(writer, level))
-                writer = None
-        if writer is not None and writer.num_entries:
-            runs.append(self._finish_ingest_writer(writer, level))
-        return runs
 
-    def _finish_ingest_writer(self, writer: SSTWriter, level: int) -> Run:
-        meta = writer.finish()
-        reader = SSTReader(self._env, meta, self._cache, is_level0=False)
-        return Run(reader=reader, level=level)
+        def entries() -> Iterator[tuple[bytes, int, bytes]]:
+            previous: int | None = None
+            for key, value in pairs:
+                if key != previous:
+                    previous = key
+                    yield self._encode_key(key), ValueTag.PUT, bytes(value)
+
+        return self._compactor.write_runs(
+            entries(), level, self._current_filter_factory
+        )
 
     # ------------------------------------------------------------------
     # Point reads

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 import struct
 import zlib
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.errors import CorruptionError
 
@@ -114,62 +114,137 @@ def decode_varint(
 
 
 class DataBlockBuilder:
-    """Accumulates sorted entries into one prefix-compressed data block.
+    """Encodes strictly increasing entries into prefix-compressed data blocks.
+
+    :meth:`extend` is the one encoding loop; :meth:`add` is a one-entry call
+    into it.  It keeps the open block's size and the finished blocks' total
+    as running ints, and the previous key as an int, so the shared prefix of
+    two equal-length keys is one XOR.  With ``block_size`` the open block is
+    sealed into ``blocks`` (its last key into ``last_keys``) once its size
+    reaches ``block_size``; without it the open block grows until
+    :meth:`finish`.  ``int_keys`` holds every key as a big-endian int, for
+    the file's filter.
 
     ``restart_interval`` is the longest in-block walk of a point read;
     every restart costs 4 bytes plus one key stored whole.  SST files use
     the default, RocksDB's 16.
     """
 
-    def __init__(self, restart_interval: int = 16) -> None:
+    def __init__(
+        self, restart_interval: int = 16, block_size: int | None = None
+    ) -> None:
         if restart_interval < 1:
             raise ValueError("restart_interval must be >= 1")
         self._restart_interval = restart_interval
+        self._block_size = block_size or _UNBOUNDED
+        self.blocks: list[bytes] = []
+        self.last_keys: list[bytes] = []
+        self.int_keys: list[int] = []
+        self.num_entries = self._finished = 0
+        self.first_key = self.last_key = b""
+        self._new_block()
+
+    def _new_block(self) -> None:
         self._buffer = bytearray()
         self._restarts: list[int] = []
-        self._entries_since_restart = 0
-        self._last_key = b""
-        self.num_entries = 0
+        self.open_entries = 0
+        self._size = 12  # entries + restart array + trailer + CRC32
 
     def add(self, key: bytes, tag: int, value: bytes) -> None:
         """Append an entry; keys must arrive in strictly increasing order."""
-        if self.num_entries and key <= self._last_key:
-            raise ValueError("data block keys must be strictly increasing")
-        buffer = self._buffer
-        if self._entries_since_restart % self._restart_interval == 0:
-            self._restarts.append(len(buffer))
-            shared = 0
-            self._entries_since_restart = 0
-        else:
-            shared = _shared_prefix_len(self._last_key, key)
-        unshared = key[shared:]
-        unshared_len, value_len = len(unshared), len(value)
-        if shared | unshared_len | value_len < 0x80:
-            # Three one-byte varints and the tag, appended in one step.
-            buffer += bytes((shared, unshared_len, value_len, tag))
-        else:
-            buffer += encode_varint(shared)
-            buffer += encode_varint(unshared_len)
-            buffer += encode_varint(value_len)
-            buffer.append(tag)
-        buffer += unshared
-        buffer += value
-        self._last_key = key
-        self._entries_since_restart += 1
-        self.num_entries += 1
+        self.extend(((key, tag, value),))
+
+    def extend(
+        self,
+        entries: Iterable[tuple[bytes, int, bytes]],
+        file_limit: int | None = None,
+    ) -> None:
+        """Encode ``entries`` until they run out or, with ``file_limit``,
+        until the finished blocks plus the open block's size reach it (the
+        rest of ``entries`` is left unread).
+
+        Both cuts are checked after every entry, the block's first.
+        """
+        interval, block_size = self._restart_interval, self._block_size
+        file_limit = file_limit or _UNBOUNDED
+        blocks, last_keys = self.blocks, self.last_keys
+        append_int, from_bytes = self.int_keys.append, int.from_bytes
+        count, finished, last_key = self.num_entries, self._finished, self.last_key
+        last_int, last_len = from_bytes(last_key, "big"), len(last_key)
+        buffer, restarts = self._buffer, self._restarts
+        block_entries, size = self.open_entries, self._size
+        for key, tag, value in entries:
+            if key <= last_key and count:
+                raise ValueError("data block keys must be strictly increasing")
+            key_int = from_bytes(key, "big")
+            key_len = len(key)
+            if block_entries % interval == 0:
+                if not count:
+                    self.first_key = key
+                restarts.append(len(buffer))
+                size += 4
+                shared = 0
+            elif key_len == last_len:
+                shared = key_len - ((key_int ^ last_int).bit_length() + 7 >> 3)
+            else:
+                shared = _shared_prefix_len(last_key, key)
+            unshared_len, value_len = key_len - shared, len(value)
+            if shared | unshared_len | value_len < 0x80:
+                # Three one-byte varints and the tag, appended in one step.
+                buffer += bytes((shared, unshared_len, value_len, tag))
+                size += 4
+            else:
+                header = b"".join((
+                    encode_varint(shared),
+                    encode_varint(unshared_len),
+                    encode_varint(value_len),
+                    bytes((tag,)),
+                ))
+                buffer += header
+                size += len(header)
+            buffer += key[shared:]
+            buffer += value
+            size += unshared_len + value_len
+            append_int(key_int)
+            last_key, last_int, last_len = key, key_int, key_len
+            block_entries += 1
+            count += 1
+            if size >= block_size:
+                blocks.append(_seal_block(buffer, restarts, block_entries))
+                last_keys.append(key)
+                finished += size
+                buffer, restarts, block_entries, size = bytearray(), [], 0, 12
+            if finished + size >= file_limit:
+                break
+        self.num_entries, self._finished, self.last_key = count, finished, last_key
+        self._buffer, self._restarts = buffer, restarts
+        self.open_entries, self._size = block_entries, size
 
     def size_estimate(self) -> int:
-        """Bytes the finished block will occupy (approximately)."""
-        return len(self._buffer) + 4 * len(self._restarts) + 12
+        """Bytes the open block will occupy once sealed."""
+        return self._size
 
     def finish(self) -> bytes:
-        """Seal the block: body + restart array + counts + CRC32."""
-        restarts = self._restarts
-        out = self._buffer + struct.pack(
-            f"<{len(restarts) + 2}I", *restarts, len(restarts), self.num_entries
-        )
-        out += _U32.pack(zlib.crc32(out))
-        return bytes(out)
+        """Seal the open block into ``blocks`` and return it."""
+        block = _seal_block(self._buffer, self._restarts, self.open_entries)
+        self.blocks.append(block)
+        self.last_keys.append(self.last_key)
+        self._finished += len(block)
+        self._new_block()
+        return block
+
+
+#: A block or file size limit nothing reaches.
+_UNBOUNDED = 1 << 63
+
+
+def _seal_block(buffer: bytearray, restarts: list[int], num_entries: int) -> bytes:
+    """A data block: entries + restart array + counts + CRC32."""
+    out = buffer + struct.pack(
+        f"<{len(restarts) + 2}I", *restarts, len(restarts), num_entries
+    )
+    out += _U32.pack(zlib.crc32(out))
+    return bytes(out)
 
 
 def _restart_bounds(payload: bytes) -> tuple[int, ...]:

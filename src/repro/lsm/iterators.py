@@ -15,7 +15,8 @@ entries in global key order with newest-wins deduplication.  Tombstones are
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heapreplace
+from itertools import islice
 from typing import Iterable, Iterator
 
 from repro.lsm.format import ValueTag
@@ -37,22 +38,24 @@ class MergingIterator:
     def __init__(
         self, sources: Iterable[tuple[int, Iterator[tuple[bytes, int, bytes]]]]
     ) -> None:
-        self._heap: list[tuple[bytes, int, int, bytes, Iterator]] = []
-        for priority, iterator in sources:
-            self._push(priority, iterator)
-
-    def _push(self, priority: int, iterator: Iterator) -> None:
-        try:
-            key, tag, value = next(iterator)
-        except StopIteration:
-            return
-        heapq.heappush(self._heap, (key, priority, tag, value, iterator))
+        self._heap: list[tuple[bytes, int, int, bytes, Iterator]] = [
+            (key, priority, tag, value, iterator)
+            for priority, iterator in sources
+            for key, tag, value in islice(iterator, 1)  # the source's first
+        ]
+        heapify(self._heap)
 
     def __iter__(self) -> Iterator[tuple[bytes, int, bytes]]:
+        heap = self._heap
         previous_key: bytes | None = None
-        while self._heap:
-            key, priority, tag, value, iterator = heapq.heappop(self._heap)
-            self._push(priority, iterator)
+        while heap:
+            key, priority, tag, value, iterator = heap[0]
+            try:
+                next_key, next_tag, next_value = next(iterator)
+            except StopIteration:
+                heappop(heap)
+            else:
+                heapreplace(heap, (next_key, priority, next_tag, next_value, iterator))
             if key == previous_key:
                 continue  # an older (higher-priority-number) duplicate
             previous_key = key

@@ -25,7 +25,7 @@ import threading
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.hashing import derive_filter_salt
 from repro.errors import CorruptionError, FilterBuildError
@@ -146,46 +146,22 @@ class SSTWriter:
         # Optional bits-per-key override for this file's filter (the
         # quarantine rebuild path grants flagged runs extra bits).
         self._filter_bits_per_key = filter_bits_per_key
-        self._blocks: list[bytes] = []
-        self._blocks_bytes = 0  # running total of len() over _blocks
-        self._index: list[tuple[bytes, int]] = []  # (last key, block length)
-        self._builder = DataBlockBuilder()
-        self._last_key: bytes | None = None
-        self._min_key: bytes | None = None
-        self._num_entries = 0
-        self._int_keys: list[int] = []
+        self._blocks = DataBlockBuilder(block_size=options.block_size_bytes)
 
     def add(self, key: bytes, tag: int, value: bytes) -> None:
         """Append one entry (keys strictly increasing)."""
-        if self._last_key is not None and key <= self._last_key:
-            raise FilterBuildError("SST keys must be strictly increasing")
-        if self._min_key is None:
-            self._min_key = key
-        self._builder.add(key, tag, value)
-        self._last_key = key
-        self._num_entries += 1
-        self._int_keys.append(int.from_bytes(key, "big"))
-        if self._builder.size_estimate() >= self._options.block_size_bytes:
-            self._cut_block()
+        try:
+            self._blocks.extend(((key, tag, value),))
+        except ValueError as exc:
+            raise FilterBuildError("SST keys must be strictly increasing") from exc
 
-    def _cut_block(self) -> None:
-        if self._builder.num_entries == 0:
-            return
-        block = self._builder.finish()
-        self._blocks.append(block)
-        self._blocks_bytes += len(block)
-        self._index.append((self._last_key, len(block)))
-        self._builder = DataBlockBuilder()
-
-    @property
-    def estimated_file_size(self) -> int:
-        """Bytes written so far plus the open block (for size-based cuts)."""
-        return self._blocks_bytes + self._builder.size_estimate()
-
-    @property
-    def num_entries(self) -> int:
-        """Entries added so far."""
-        return self._num_entries
+    def extend(
+        self,
+        entries: Iterable[tuple[bytes, int, bytes]],
+        file_limit: int | None = None,
+    ) -> None:
+        """Encode into the file's data blocks (:meth:`DataBlockBuilder.extend`)."""
+        self._blocks.extend(entries, file_limit)
 
     def finish(self) -> SSTMeta:
         """Seal and persist the file; returns its metadata.
@@ -193,18 +169,20 @@ class SSTWriter:
         Filter construction time and serialization time are charged to the
         environment's stats (Fig. 6's construction-cost accounting).
         """
-        if self._num_entries == 0:
+        blocks = self._blocks
+        if blocks.num_entries == 0:
             raise FilterBuildError("cannot finish an empty SST")
-        self._cut_block()
+        if blocks.open_entries:
+            blocks.finish()
         stats = self._env.stats
 
         offset = 0
         parts: list[bytes] = []
         index_entries: list[tuple[bytes, BlockHandle]] = []
-        for block, (last_key, length) in zip(self._blocks, self._index):
+        for block, last_key in zip(blocks.blocks, blocks.last_keys):
             parts.append(block)
-            index_entries.append((last_key, BlockHandle(offset, length)))
-            offset += length
+            index_entries.append((last_key, BlockHandle(offset, len(block))))
+            offset += len(block)
 
         index_block = encode_index_block(index_entries)
         index_handle = BlockHandle(offset, len(index_block))
@@ -215,7 +193,7 @@ class SSTWriter:
         if self._filter_factory is not None:
             with Stopwatch(stats, "filter_construction_ns"):
                 filt = self._filter_factory.build(
-                    self._int_keys,
+                    blocks.int_keys,
                     salt=self._filter_salt,
                     bits_per_key=self._filter_bits_per_key,
                 )
@@ -227,11 +205,11 @@ class SSTWriter:
         offset += len(filter_block)
 
         meta_block = b"".join((
-            _COUNT.pack(self._num_entries),
-            _KEY_LEN.pack(len(self._min_key)),
-            self._min_key,
-            _KEY_LEN.pack(len(self._last_key)),
-            self._last_key,
+            _COUNT.pack(blocks.num_entries),
+            _KEY_LEN.pack(len(blocks.first_key)),
+            blocks.first_key,
+            _KEY_LEN.pack(len(blocks.last_key)),
+            blocks.last_key,
         ))
         meta_handle = BlockHandle(offset, len(meta_block))
         parts.append(meta_block)
@@ -254,9 +232,9 @@ class SSTWriter:
         self._env.write_file(self.name, payload, sync=True)
         return SSTMeta(
             name=self.name,
-            num_entries=self._num_entries,
-            min_key=self._min_key,
-            max_key=self._last_key,
+            num_entries=blocks.num_entries,
+            min_key=blocks.first_key,
+            max_key=blocks.last_key,
             file_size=len(payload),
         )
 
@@ -334,6 +312,13 @@ class SSTReader:
         )
         self._cache.put(cache_key, payload, high_priority, pinned)
         return payload
+
+    def read_from_device(self, handle: BlockHandle) -> bytes:
+        """One block read from the file itself: the block cache is neither
+        asked nor filled, so a verify sees what is on disk."""
+        if handle.size == 0:
+            return b""
+        return self._env.read_block(self.meta.name, handle.offset, handle.size)
 
     def filter_block_bytes(self, context=None) -> bytes:
         """Raw serialized filter envelope (empty if the SST has no filter)."""

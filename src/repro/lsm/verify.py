@@ -73,7 +73,7 @@ def verify_sst(reader: SSTReader, report: VerificationReport) -> None:
     for block_index in range(reader.num_data_blocks()):
         fence_key, handle = reader._fence_pointers[block_index]  # noqa: SLF001
         try:
-            payload = reader._read_block(handle)  # noqa: SLF001
+            payload = reader.read_from_device(handle)
             entries = decode_data_block(payload)
         except ReproError as exc:
             report.add_error(f"{name} block {block_index}", str(exc))
@@ -109,7 +109,7 @@ def verify_sst(reader: SSTReader, report: VerificationReport) -> None:
 
     envelope = b""
     try:
-        envelope = reader.filter_block_bytes()
+        envelope = reader.read_from_device(reader._filter_handle)  # noqa: SLF001
     except ReproError as exc:
         report.add_error(f"{name} filter block", str(exc))
     if envelope:

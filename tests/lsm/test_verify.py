@@ -67,6 +67,29 @@ class TestVerify:
         assert "ERROR" in report.summary()
         db.close()
 
+    def test_reads_the_file_not_the_block_cache(self, tmp_path):
+        """Blocks cached before the file was corrupted still fail verify."""
+        options = DBOptions(
+            key_bits=32,
+            block_size_bytes=512,
+            filter_factory=make_factory("rosetta", 32, 14, max_range=32),
+        )
+        db = DB(str(tmp_path / "cached"), options)
+        for key in range(800):
+            db.put(key, f"v{key}".encode())
+        db.flush()
+        assert all(db.get(key) == f"v{key}".encode() for key in range(800))
+        [run] = db.version.level0
+        path = db._env.path(run.name)  # noqa: SLF001
+        _flip(path, 100)
+        report = db.verify()
+        assert not report.ok
+        assert any("block 0" in error for error in report.errors), report.errors
+        handle = run.reader._filter_handle  # noqa: SLF001
+        _flip(path, handle.offset + handle.size // 2)
+        assert any("filter" in error for error in db.verify().errors)
+        db.close()
+
     def test_detects_filter_corruption(self, tmp_path):
         db = _db(tmp_path)
         run = db.version.all_runs_newest_first()[0]

@@ -7,6 +7,10 @@ every SST and WAL file it leaves is pinned in ``golden_write_path.json``.
 The digests were captured before the write path was first optimised (PR 22);
 a change that moves any of them changed the file format, a block or file cut,
 or a filter — which also moves the ledger's ``write_amp`` / ``space_amp``.
+A fifth store (``MERGE_SHAPE``) covers the writers the puts-only shapes never
+reach: ``ingest`` with duplicate keys, intra-L0 merges and a full compaction
+that drops tombstones; its digests were captured before the per-entry encode
+was fused into one loop.
 
 Regenerate (only for a deliberate format change)::
 
@@ -47,6 +51,25 @@ def _options(key_bits: int, salt_seed: int) -> DBOptions:
     return options
 
 
+def _hash_store(root: str, db: DB) -> dict:
+    """SHA-256 of every SST and WAL file, taken with the store still open:
+    the tail of the op stream is in the WAL only, and an append is on disk
+    when ``put`` returns."""
+    files = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path(root).iterdir())
+        if path.suffix in (".sst", ".log")
+    }
+    stats = db.stats.snapshot()
+    levels = sorted(level for level, runs in db.version.levels.items() if runs)
+    return {
+        "files": files,
+        "compactions": stats.compactions,
+        "flushes": stats.flushes,
+        "levels": levels,
+    }
+
+
 def build_store(root: str, key_bits: int, salt_seed: int) -> dict:
     """Run the seeded op sequence; returns ``{"files": {name: sha256}, ...}``."""
     rng = random.Random(f"golden/{key_bits}/{salt_seed}")
@@ -70,22 +93,9 @@ def build_store(root: str, key_bits: int, salt_seed: int) -> dict:
             else:
                 value = rng.randbytes(64)
             db.put(key, value)
-    # Hashed with the store still open: the tail of the op stream is in the
-    # WAL only, and an append is on disk when ``put`` returns.
-    files = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(Path(root).iterdir())
-        if path.suffix in (".sst", ".log")
-    }
-    stats = db.stats.snapshot()
-    levels = sorted(level for level, runs in db.version.levels.items() if runs)
+    built = _hash_store(root, db)
     db.close()
-    return {
-        "files": files,
-        "compactions": stats.compactions,
-        "flushes": stats.flushes,
-        "levels": levels,
-    }
+    return built
 
 
 @pytest.mark.parametrize("key_bits,salt_seed", SHAPES)
@@ -98,6 +108,53 @@ def test_sst_and_wal_bytes_are_pinned(tmp_path, key_bits, salt_seed):
     assert sum(name.endswith(".sst") for name in built["files"]) >= 4
     assert built["compactions"] >= 2
     assert max(built["levels"]) >= 2
+    assert built == golden
+
+
+MERGE_SHAPE = "ingest-intra-l0-full"
+
+
+def build_merge_store(root: str) -> dict:
+    """Ingest (duplicate keys: the first wins) into an L1 that dwarfs every
+    flush, so L0 merges into itself; then deletes and a full compaction that
+    drops the tombstones.  Also returns the compaction kinds that ran."""
+    rng = random.Random(f"golden/{MERGE_SHAPE}")
+    options = _options(32, 0x5EED)
+    options.max_bytes_for_level_base = 1 << 20  # L1 keeps the whole ingest
+    db = DB(root, options)
+    kinds: list[str] = []
+    execute = db._compactor.execute  # noqa: SLF001
+
+    def recorded(job):
+        kinds.append(job.kind)
+        return execute(job)
+
+    db._compactor.execute = recorded  # noqa: SLF001
+    keys = [rng.getrandbits(32) for _ in range(5000)]
+    items = [(key, rng.randbytes(64)) for key in keys]
+    items += [(key, rng.randbytes(64)) for key in rng.sample(keys, 500)]
+    db.ingest(items, level=1)
+    for step in range(2000):
+        if rng.random() < 0.2:
+            db.delete(rng.choice(keys))
+        else:
+            key = rng.getrandbits(32)
+            keys.append(key)
+            db.put(key, b"" if step % 97 == 0 else rng.randbytes(64))
+    db.force_full_compaction()
+    for key in rng.sample(keys, 20):  # a WAL tail after the full compaction
+        db.put(key, rng.randbytes(64))
+    built = _hash_store(root, db)
+    built["kinds"] = sorted(set(kinds))
+    db.close()
+    return built
+
+
+def test_ingest_intra_l0_and_full_compaction_bytes_are_pinned(tmp_path):
+    golden = json.loads(GOLDEN.read_text())[MERGE_SHAPE]
+    built = build_merge_store(str(tmp_path / "store"))
+    assert {"intra-l0", "full"} <= set(built["kinds"])
+    assert built["levels"] == [1]
     assert built == golden
 
 
@@ -131,13 +188,18 @@ def _calls_per_rewritten_entry(root: str, sst_size_bytes: int) -> tuple[float, i
 
 def test_compaction_calls_per_entry_do_not_grow_with_file_size(tmp_path):
     """Counted, not timed: a file eight times larger must not cost more per
-    entry.  ``SSTWriter.estimated_file_size`` is read once per entry; while it
-    summed the file's finished blocks, the 512 KiB file below cost several
-    times the calls of the 64 KiB ones for the same 6 000 entries."""
+    entry.  While the file's size was summed over its finished blocks at
+    every entry, the 512 KiB file below cost several times the calls of the
+    64 KiB ones for the same 6 000 entries.
+
+    The ceiling holds the fused encoder (one loop from merged entry to block
+    bytes, ~18 calls per entry): the per-entry ``add`` / ``size_estimate``
+    calls it replaced cost ~33."""
     small, small_files = _calls_per_rewritten_entry(str(tmp_path / "small"), 64 << 10)
     large, large_files = _calls_per_rewritten_entry(str(tmp_path / "large"), 512 << 10)
     assert (small_files, large_files) == (7, 1)
     assert abs(large - small) / small < 0.10, (small, large)
+    assert max(small, large) <= 20, (small, large)
 
 
 if __name__ == "__main__":
@@ -145,5 +207,7 @@ if __name__ == "__main__":
     for bits, seed in SHAPES:
         with tempfile.TemporaryDirectory() as scratch:
             out[f"{bits}/{seed}"] = build_store(scratch + "/store", bits, seed)
+    with tempfile.TemporaryDirectory() as scratch:
+        out[MERGE_SHAPE] = build_merge_store(scratch + "/store")
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -18,8 +18,9 @@ or condition wait itself (an idle serving worker, a client parked on a
 future); ``w`` rows enter a ``with <lock>:``, where cProfile sees no call, so
 the wait is charged to their *self* time (``DB.put``'s is mostly
 ``_write_lock``).  The second footer line leaves the ``W`` rows out.
-``--phase setup`` adds a third: the bytes each compaction kind wrote, and
-the rest (WAL, flush, manifest), each over the user bytes loaded.
+``--phase setup`` adds two more: the bytes each compaction kind wrote, and
+the rest (WAL, flush, manifest), each over the user bytes loaded; then the
+entries each compaction kind rewrote, and their sum per put.
 
 cProfile charges every Python call and no native work, so the table ranks
 candidates; it is not a measurement.  Claim gains from the ledger
@@ -98,8 +99,9 @@ class ThreadedProfile:
 
 
 @contextmanager
-def bytes_by_job_kind(written: Counter):
-    """Add each compaction's output bytes to ``written[job.kind]``."""
+def output_by_job_kind(written: Counter, rewritten: Counter):
+    """Add each compaction's output bytes to ``written[job.kind]`` and its
+    output entries to ``rewritten[job.kind]``."""
     execute = Compactor.execute
     lock = threading.Lock()  # shards of one server may compact on different threads
 
@@ -107,6 +109,7 @@ def bytes_by_job_kind(written: Counter):
         outputs = execute(self, job)
         with lock:
             written[job.kind] += sum(run.file_size for run in outputs)
+            rewritten[job.kind] += sum(run.reader.meta.num_entries for run in outputs)
         return outputs
 
     Compactor.execute = counted
@@ -124,23 +127,34 @@ def write_split(written: Counter, total: int, user: int) -> str:
     return f"bytes written per user byte: {', '.join(parts)} = {total / user:.2f}"
 
 
+def entry_split(rewritten: Counter, puts: int) -> str:
+    """Entries each job kind rewrote, and all of them per put."""
+    parts = [f"{kind} {rewritten[kind]}" for kind in JOB_KINDS]
+    total = sum(rewritten.values())
+    return (
+        f"entries rewritten by compaction: {', '.join(parts)} = {total} "
+        f"({total / puts:.2f} per put)"
+    )
+
+
 def profile_phase(
     name: str, phase: str, seed: int, smoke: bool, slices: int
 ) -> tuple[pstats.Stats, int, str | None]:
     """Returns the merged profile, the ops it covers and, for the set-up,
-    its write split."""
+    its write split (bytes, then entries)."""
     profiler = ThreadedProfile()
     split = None
     with tempfile.TemporaryDirectory(prefix="profile-workload-") as work:
         run = ledger.Run(name, seed, smoke, Path(work))
         if phase == "setup":
             written: Counter = Counter()
-            with profiler, bytes_by_job_kind(written):
+            rewritten: Counter = Counter()
+            with profiler, output_by_job_kind(written, rewritten):
                 store, _, _ = run.setup()
             ops = len(run.items)
             split = write_split(
                 written, ledger.perf(store).bytes_written, run.user_bytes(0)
-            )
+            ) + "\n" + entry_split(rewritten, ops)
         else:
             store, path, _ = run.setup()
             store = run.reopen_cold(store, path)
