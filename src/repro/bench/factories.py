@@ -81,7 +81,8 @@ def make_factory(
             f"unknown filter recipe {name!r}; expected one of {FILTER_NAMES}"
         )
 
-    if name in _SALTABLE:
+    saltable = name in _SALTABLE
+    if saltable:
 
         def build(
             keys: Sequence[int],
@@ -109,7 +110,13 @@ def make_factory(
             filt.populate(keys)
             return filt
 
-    return FilterFactory(name, build, bits_per_key=bits_per_key)
+    return FilterFactory(
+        name,
+        build,
+        bits_per_key=bits_per_key,
+        salt_capable=saltable,
+        bits_capable=saltable,
+    )
 
 
 def _instantiate(

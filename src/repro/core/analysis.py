@@ -10,8 +10,11 @@ These functions predict Rosetta's behaviour from first principles; the
 * :func:`compound_subtree_fpr` / :func:`predict_range_fpr` — exact doubt-FPR
   recursion over a level-FPR profile, generalising the §2.3 equilibrium
   identity ``phi * (2 - eps) = 1``.
-* :func:`catalan_probe_distribution` / :func:`expected_probes_per_interval` —
-  the Catalan-number probe-count analysis of §3.2 for empty ranges.
+* :func:`catalan_probe_distribution` / :func:`expected_probes_per_interval` /
+  :func:`expected_range_probe_cost` — the Catalan-number probe-count
+  analysis of §3.2 for empty ranges.
+* :func:`nonuniform_theta` / :func:`expected_range_probe_cost_nonuniform` —
+  the same bound for unequal per-level FPRs (§3.2).
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ __all__ = [
     "expected_range_probe_cost",
     "expected_range_probe_cost_nonuniform",
     "nonuniform_theta",
-    "achievable_fpr_for_budget",
-    "budget_for_target_fpr",
 ]
 
 
@@ -180,51 +181,6 @@ def expected_range_probe_cost(
         raise ValueError(f"range_size must be >= 1, got {range_size}")
     intervals = 1 if range_size == 1 else 2 * math.ceil(math.log2(range_size))
     return intervals * expected_probes_per_interval(fpr, max_terms)
-
-
-def _dyadic_interval_count(max_range: int) -> int:
-    if max_range == 1:
-        return 1
-    return 2 * math.ceil(math.log2(max_range))
-
-
-def achievable_fpr_for_budget(
-    num_keys: int, max_range: int, bits_per_key: float
-) -> float:
-    """Capacity planning: the whole-query range FPR a budget buys.
-
-    Inverts :func:`budget_for_target_fpr`: the §3.1 bound gives the
-    per-subtree FPR ``ε = R · 2^(-bpk/1.44)`` the equilibrium allocation
-    achieves; a query decomposes into up to ``2·ceil(log2 R)`` dyadic
-    intervals, each an independent chance to fire, so the query-level FPR
-    multiplies that count back in.  Clamped to (0, 1].
-    """
-    if num_keys < 0:
-        raise ValueError(f"num_keys must be >= 0, got {num_keys}")
-    if max_range < 1:
-        raise ValueError(f"max_range must be >= 1, got {max_range}")
-    if bits_per_key < 0:
-        raise ValueError(f"bits_per_key must be >= 0, got {bits_per_key}")
-    epsilon = max_range * 2.0 ** (-bits_per_key / math.log2(math.e))
-    return min(1.0, epsilon * _dyadic_interval_count(max_range))
-
-
-def budget_for_target_fpr(max_range: int, fpr: float) -> float:
-    """Capacity planning: bits/key needed for a target *query* FPR.
-
-    §3.1's bound ``1.44 · log2(R/ε)`` prices the per-subtree FPR ``ε``; a
-    worst-case query probes up to ``2·ceil(log2 R)`` dyadic subtrees, so
-    planning for a whole-query target divides it across the intervals
-    first.  Use before provisioning a store's filter memory.
-
-    >>> round(budget_for_target_fpr(64, 0.01), 1)
-    23.4
-    """
-    if max_range < 1:
-        raise ValueError(f"max_range must be >= 1, got {max_range}")
-    _checked_fpr(fpr)
-    per_subtree = fpr / _dyadic_interval_count(max_range)
-    return math.log2(math.e) * math.log2(max_range / per_subtree)
 
 
 def _check_common(num_keys: int, max_range: int, fpr: float) -> None:

@@ -3,11 +3,11 @@
 This is the storage substrate for every Bloom-filter-like structure in the
 library (:mod:`repro.core.bloom`, the SuRF rank/select bit vectors, ...).
 Bits are packed into a ``uint64`` NumPy array; single-bit operations are plain
-integer arithmetic, and bulk operations (union, popcount) vectorize over the
-backing words.  The words are stored little-endian on every host, so the same
-memory read as bytes holds bit ``i`` in bit ``i & 7`` of byte ``i >> 3``:
-:meth:`BitArray.byte_view` hands that reading to the scalar Bloom probe, which
-tests a bit without creating a NumPy scalar.
+integer arithmetic, and bulk operations (``set_many``, popcount) vectorize
+over the backing words.  The words are stored little-endian on every host, so
+the same memory read as bytes holds bit ``i`` in bit ``i & 7`` of byte
+``i >> 3``: :meth:`BitArray.byte_view` hands that reading to the scalar Bloom
+probe, which tests a bit without creating a NumPy scalar.
 
 The array has a fixed size chosen at construction; this mirrors how filters in
 an LSM-tree are sized once per immutable run and never grow.
@@ -137,15 +137,6 @@ class BitArray:
             return 0.0
         return self.popcount() / self._num_bits
 
-    def union_with(self, other: "BitArray") -> None:
-        """In-place union (bitwise OR) with another equal-size array."""
-        if other.num_bits != self._num_bits:
-            raise ValueError(
-                f"cannot union bit arrays of different sizes "
-                f"({self._num_bits} vs {other.num_bits})"
-            )
-        np.bitwise_or(self._words, other._words, out=self._words)
-
     def words(self) -> np.ndarray:
         """Return the backing word array (a view; mutate with care)."""
         return self._words
@@ -153,7 +144,7 @@ class BitArray:
     def byte_view(self) -> memoryview:
         """The backing words as a zero-copy ``memoryview`` of bytes.
 
-        Live: every later ``set``/``set_many``/``union_with`` shows through.
+        Live: every later ``set``/``set_many`` shows through.
         Bit ``i`` is ``view[i >> 3] >> (i & 7) & 1``, the same bit
         :meth:`test` reads; indexing it yields plain ``int`` s.
         """
@@ -177,15 +168,15 @@ class BitArray:
         if len(payload) < 8:
             raise SerializationError("bit array payload too short for header")
         num_bits = int.from_bytes(payload[:8], "little")
-        arr = cls(num_bits)
-        expected = arr._words.nbytes
+        expected = (num_bits + _WORD_BITS - 1) // _WORD_BITS * 8
         body = payload[8:]
         if len(body) != expected:
             raise SerializationError(
                 f"bit array payload has {len(body)} body bytes, expected {expected}"
             )
-        if expected:
-            arr._bind(np.frombuffer(body, dtype=_WORD_DTYPE).copy())
+        arr = cls.__new__(cls)
+        arr._num_bits = num_bits
+        arr._bind(np.frombuffer(body, dtype=_WORD_DTYPE).copy())
         return arr
 
     # ------------------------------------------------------------------

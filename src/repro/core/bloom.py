@@ -419,38 +419,6 @@ class BloomFilter:
         return alive
 
     # ------------------------------------------------------------------
-    # Combination
-    # ------------------------------------------------------------------
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        """A filter answering positive for anything either input would.
-
-        Bloom filters of identical geometry (size and hash count) union by
-        OR-ing their bit arrays; the result behaves exactly like a filter
-        built over the combined key sets (same hash positions), at the
-        combined fill ratio.
-        """
-        if (
-            other.num_bits != self.num_bits
-            or other.num_hashes != self._num_hashes
-        ):
-            raise FilterBuildError(
-                "can only union Bloom filters of identical geometry "
-                f"({self.num_bits}/{self._num_hashes} vs "
-                f"{other.num_bits}/{other.num_hashes})"
-            )
-        if other.salt != self._salt:
-            raise FilterBuildError(
-                "can only union Bloom filters with identical salts "
-                f"({self._salt:#x} vs {other.salt:#x}): differently-salted "
-                "filters map the same key to different bit positions"
-            )
-        merged = BloomFilter(self.num_bits, self._num_hashes, salt=self._salt)
-        merged._bits.union_with(self._bits)
-        merged._bits.union_with(other._bits)
-        merged._num_items = self._num_items + other._num_items
-        return merged
-
-    # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
     #: Legacy unsalted format; still written when ``salt == 0`` so stores
@@ -485,7 +453,13 @@ class BloomFilter:
         magic = payload[:4]
         if magic not in (cls._MAGIC, cls._MAGIC_SALTED):
             raise SerializationError("bad BloomFilter magic")
+        if len(payload) < 16:
+            raise SerializationError("truncated BloomFilter header")
         num_hashes = int.from_bytes(payload[4:8], "little")
+        if num_hashes < 1:
+            raise SerializationError(
+                f"BloomFilter payload has {num_hashes} hash functions"
+            )
         num_items = int.from_bytes(payload[8:16], "little")
         offset = 16
         salt = 0

@@ -24,7 +24,6 @@ __all__ = [
     "DyadicInterval",
     "count_intervals",
     "decompose",
-    "max_intervals_for_range",
 ]
 
 
@@ -113,16 +112,3 @@ def count_intervals(low: int, high: int, max_height: int) -> int:
     split_bit = (low ^ stop).bit_length() - 1
     split = (stop >> split_bit) << split_bit
     return (split - low).bit_count() + (stop - split).bit_count()
-
-
-def max_intervals_for_range(range_size: int) -> int:
-    """Upper bound on the number of dyadic intervals for a range of a size.
-
-    A range of size ``R`` splits into at most ``2 * ceil(log2 R)`` maximal
-    dyadic ranges (and at least 1).
-    """
-    if range_size < 1:
-        raise ValueError(f"range_size must be >= 1, got {range_size}")
-    if range_size == 1:
-        return 1
-    return 2 * (range_size - 1).bit_length()

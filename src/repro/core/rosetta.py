@@ -321,10 +321,6 @@ class Rosetta:
             return 0.0
         return self.size_in_bits() / self._num_keys
 
-    def level_filter(self, height: int) -> BloomFilter:
-        """The Bloom filter at ``height`` above the leaves (0 = full keys)."""
-        return self._filters[height]
-
     def memory_breakdown(self) -> list[int]:
         """Bits actually used per level, leaf first."""
         return [f.size_in_bits() for f in self._filters]
@@ -394,16 +390,6 @@ class Rosetta:
         if probe is not None:
             stats.bloom_probes += count
         return verdicts
-
-    def may_contain_batch(self, keys) -> np.ndarray:
-        """:meth:`may_contain_each` as a boolean array.
-
-        For callers that go on computing with the verdicts.  The LSM's
-        per-run key groups are mostly a key or two, which an array would
-        only carry from one list to the next, so the store's adapter takes
-        the list.
-        """
-        return np.asarray(self.may_contain_each(keys), dtype=bool)
 
     def may_contain_range(
         self, low: int, high: int, probe_budget: int | None = None
@@ -571,7 +557,7 @@ class Rosetta:
         return self._rightmost_positive(prefix << 1, height - 1)
 
     # ------------------------------------------------------------------
-    # Prediction / combination
+    # Prediction
     # ------------------------------------------------------------------
     def predicted_range_fpr(self, range_size: int, alignment: int = 1) -> float:
         """This instance's analytically predicted empty-range FPR.
@@ -587,37 +573,6 @@ class Rosetta:
             for filt in self._filters
         ]
         return predict_range_fpr(level_fprs, range_size, alignment)
-
-    def union(self, other: "Rosetta") -> "Rosetta":
-        """Merge two same-geometry instances without rebuilding (OR levels).
-
-        The result answers positive wherever either input would — sound
-        for a merged run's key set, at the *combined* fill ratio (so FPR
-        degrades versus a fresh rebuild, which is why the paper rebuilds
-        at compaction; the union is the cheap alternative when compaction
-        throughput matters more than FPR).
-        """
-        if (
-            other._key_bits != self._key_bits
-            or other.num_levels != self.num_levels
-        ):
-            raise FilterBuildError(
-                "can only union Rosetta instances with identical geometry"
-            )
-        merged_filters = [
-            mine.union(theirs)
-            for mine, theirs in zip(self._filters, other._filters)
-        ]
-        allocation = LevelAllocation(
-            bits_per_level=tuple(f.size_in_bits() for f in merged_filters),
-            strategy="union",
-        )
-        return Rosetta(
-            self._key_bits,
-            merged_filters,
-            allocation,
-            self._num_keys + other._num_keys,
-        )
 
     # ------------------------------------------------------------------
     # Validation helpers
@@ -659,9 +614,15 @@ class Rosetta:
         """Reconstruct a filter from :meth:`to_bytes` output."""
         if payload[:8] != cls._MAGIC:
             raise SerializationError("bad Rosetta magic")
+        if len(payload) < 20:
+            raise SerializationError("truncated Rosetta header")
         key_bits = int.from_bytes(payload[8:10], "little")
         num_levels = int.from_bytes(payload[10:12], "little")
         num_keys = int.from_bytes(payload[12:20], "little")
+        if key_bits < 1 or not 1 <= num_levels <= key_bits + 1:
+            raise SerializationError(
+                f"Rosetta header: {num_levels} levels over {key_bits} key bits"
+            )
         offset = 20
         filters: list[BloomFilter] = []
         for _ in range(num_levels):
@@ -673,6 +634,10 @@ class Rosetta:
                 raise SerializationError("truncated Rosetta level payload")
             filters.append(BloomFilter.from_bytes(payload[offset : offset + length]))
             offset += length
+        if offset != len(payload):
+            raise SerializationError(
+                f"{len(payload) - offset} trailing bytes after Rosetta levels"
+            )
         allocation = LevelAllocation(
             bits_per_level=tuple(f.size_in_bits() for f in filters),
             strategy="deserialized",

@@ -32,9 +32,8 @@ def observed_fpr(false_positives: int, negatives: int) -> float:
     failed to.  True positives are excluded from the denominator — a
     filter is never wrong on them, so counting them would let a
     positive-heavy workload mask an attack.  This is the single shared
-    definition: ``PerfStats.observed_fpr``, the tracker below, and the
-    FP-feedback attack detector all call it, so the tuner and the
-    detector can never disagree.
+    definition: ``PerfStats.observed_fpr`` and the FP-feedback attack
+    detector both call it, so they can never disagree.
     """
     rejectable = negatives + false_positives
     if rejectable == 0:
@@ -56,6 +55,8 @@ class WorkloadTracker:
         self._lock = threading.Lock()
         self._range_sizes: Counter[int] = Counter()
         self._point_queries = 0
+        # The verdict counters are only checkpointed (``to_dict``): the
+        # manifest's tracker format carries them, so they stay.
         self._filter_positives = 0
         self._filter_negatives = 0
         self._false_positives = 0
@@ -156,15 +157,6 @@ class WorkloadTracker:
     def num_point_queries(self) -> int:
         """Total point queries recorded."""
         return self._point_queries
-
-    @property
-    def observed_false_positive_rate(self) -> float:
-        """Measured FPR of filter verdicts (0.0 with no data).
-
-        Shares the rejectable-query convention of :func:`observed_fpr`
-        with ``PerfStats.observed_fpr`` and the attack detector.
-        """
-        return observed_fpr(self._false_positives, self._filter_negatives)
 
     def dominant_small_ranges(self) -> bool:
         """True when ranges of size <= 16 carry most of the query mass."""

@@ -20,7 +20,6 @@ filter instances at every flush/compaction, as the paper requires.
 from __future__ import annotations
 
 import abc
-import inspect
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import FilterBuildError, SerializationError
@@ -103,21 +102,25 @@ class FilterFactory:
     """A named recipe that builds fresh :class:`KeyFilter` instances.
 
     The LSM store calls :meth:`build` once per flush/compaction output run;
-    benchmarks call it once per configuration point.
+    benchmarks call it once per configuration point.  ``salt_capable`` and
+    ``bits_capable`` say whether ``builder`` takes a ``salt=`` and a
+    ``bits_per_key=`` keyword.
     """
 
     def __init__(
         self,
         name: str,
-        builder: Callable[[Sequence[int]], KeyFilter],
+        builder: Callable[..., KeyFilter],
         *,
         bits_per_key: float | None = None,
+        salt_capable: bool = False,
+        bits_capable: bool = False,
     ) -> None:
         self.name = name
         self._builder = builder
         self.bits_per_key = bits_per_key
-        self.salt_capable = _accepts_keyword(builder, "salt")
-        self._bits_capable = _accepts_keyword(builder, "bits_per_key")
+        self.salt_capable = salt_capable
+        self._bits_capable = bits_capable
 
     def build(
         self,
@@ -153,23 +156,6 @@ class FilterFactory:
 
     def __repr__(self) -> str:
         return f"FilterFactory(name={self.name!r}, bits_per_key={self.bits_per_key})"
-
-
-def _accepts_keyword(builder: Callable, keyword: str) -> bool:
-    """Whether ``builder`` can be called with ``keyword=...``."""
-    try:
-        signature = inspect.signature(builder)
-    except (TypeError, ValueError):
-        return False
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-        if parameter.name == keyword and parameter.kind in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        ):
-            return True
-    return False
 
 
 # ----------------------------------------------------------------------

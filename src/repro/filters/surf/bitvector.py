@@ -9,8 +9,7 @@ O(log n) ``select1`` (binary search over the directory).
 
 The directory is a query-time acceleration structure; SuRF's memory
 accounting (like the paper's) charges only the raw bits, so
-:meth:`size_in_bits` reports the payload and
-:meth:`overhead_bits` the directory separately.
+:meth:`size_in_bits` reports the payload alone.
 """
 
 from __future__ import annotations
@@ -104,10 +103,6 @@ class RankBitVector:
     def size_in_bits(self) -> int:
         """Payload bits only (the succinct structure SuRF charges for)."""
         return len(self)
-
-    def overhead_bits(self) -> int:
-        """Query-acceleration directory size (not charged to the filter)."""
-        return int(self._word_ranks.nbytes * 8)
 
     def to_bytes(self) -> bytes:
         """Serialize the payload bits (directory is rebuilt on load)."""

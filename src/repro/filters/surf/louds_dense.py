@@ -90,10 +90,6 @@ class LoudsDense:
     # ------------------------------------------------------------------
     # Navigation primitives
     # ------------------------------------------------------------------
-    def has_label(self, node: int, symbol: int) -> bool:
-        """Does ``node`` have an out-edge labelled ``symbol``?"""
-        return bool((self._label_masks[node] >> symbol) & 1)
-
     def has_child(self, node: int, symbol: int) -> bool:
         """Does the edge ``(node, symbol)`` lead to an internal node?"""
         return bool((self._child_masks[node] >> symbol) & 1)

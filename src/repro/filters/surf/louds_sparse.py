@@ -113,13 +113,6 @@ class LoudsSparse:
         position = start + index
         return int(self._labels[position]), position
 
-    def label_position(self, node: int, symbol: int) -> int | None:
-        """Position of edge ``(node, symbol)``, or None if absent."""
-        found = self.smallest_label_ge(node, symbol)
-        if found is None or found[0] != symbol:
-            return None
-        return found[1]
-
     def edge_has_child(self, position: int) -> bool:
         """Whether the edge at ``position`` leads to an internal node."""
         return self._has_child.get(position)

@@ -1518,6 +1518,8 @@ class DB:
             name=f"rosetta-tuned[{decision.strategy}]",
             builder=build,
             bits_per_key=bits_per_key,
+            salt_capable=True,
+            bits_capable=True,
         )
         return decision
 

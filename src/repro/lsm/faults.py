@@ -108,10 +108,6 @@ class FaultInjectionEnv(StorageEnv):
         """Make every read of ``name`` raise ``OSError`` (permanent)."""
         self._fail_permanent.add(name)
 
-    def heal_file_reads(self, name: str) -> None:
-        """Undo :meth:`fail_file_reads`."""
-        self._fail_permanent.discard(name)
-
     def tear_next_append(self) -> None:
         """Persist only a seeded prefix of the next append (torn write)."""
         self._tear_next_append = True

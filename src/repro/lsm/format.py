@@ -220,10 +220,6 @@ class DataBlockBuilder:
         self._buffer, self._restarts = buffer, restarts
         self.open_entries, self._size = block_entries, size
 
-    def size_estimate(self) -> int:
-        """Bytes the open block will occupy once sealed."""
-        return self._size
-
     def finish(self) -> bytes:
         """Seal the open block into ``blocks`` and return it."""
         block = _seal_block(self._buffer, self._restarts, self.open_entries)

@@ -73,10 +73,6 @@ class SSTMeta:
     max_key: bytes
     file_size: int
 
-    def overlaps(self, low: bytes, high: bytes) -> bool:
-        """Whether the file's key span intersects ``[low, high]``."""
-        return self.min_key <= high and self.max_key >= low
-
 
 def _read_footer(
     env: StorageEnv, name: str, file_size: int

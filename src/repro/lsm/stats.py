@@ -193,8 +193,8 @@ class PerfStats(CounterSet):
         Matches the paper's convention of evaluating filters on empty
         queries: among queries the filter *could* have rejected, the share
         it failed to.  Delegates to the shared
-        :func:`repro.core.tuning.observed_fpr` helper so this, the
-        workload tracker, and the attack detector agree by construction.
+        :func:`repro.core.tuning.observed_fpr` helper so this and the
+        attack detector agree by construction.
         """
         return _observed_fpr(
             self.filter_false_positives, self.filter_negatives

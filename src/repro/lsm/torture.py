@@ -117,7 +117,10 @@ def torture_options(
         return filt
 
     factory = FilterFactory(
-        name="rosetta-torture", builder=build, bits_per_key=14.0
+        name="rosetta-torture",
+        builder=build,
+        bits_per_key=14.0,
+        salt_capable=True,
     )
     options = DBOptions(
         key_bits=32,

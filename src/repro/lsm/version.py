@@ -70,10 +70,6 @@ class Run:
         """Size of the SST file in bytes."""
         return self.reader.meta.file_size
 
-    def overlaps(self, low: bytes, high: bytes) -> bool:
-        """Whether the run's key span intersects ``[low, high]``."""
-        return self.reader.meta.overlaps(low, high)
-
 
 class _LevelIndex:
     """One level's files with their spans laid out for searching.

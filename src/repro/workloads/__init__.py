@@ -6,12 +6,7 @@ mixes, empty-query construction, and θ-correlated workloads.
 
 from repro.workloads.adversarial import AdversarialAttacker, AttackReport
 from repro.workloads.correlation import correlated_range_queries, correlation_sweep
-from repro.workloads.distributions import (
-    normal_keys,
-    sample_distinct,
-    uniform_keys,
-    zipfian_ranks,
-)
+from repro.workloads.distributions import normal_keys, sample_distinct, uniform_keys
 from repro.workloads.keygen import Dataset, generate_dataset, synthesize_value
 from repro.workloads.strings import (
     StringKeyCodec,
@@ -37,5 +32,4 @@ __all__ = [
     "string_to_int_key",
     "synthesize_value",
     "uniform_keys",
-    "zipfian_ranks",
 ]

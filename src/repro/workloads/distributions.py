@@ -1,9 +1,8 @@
 """Key/query distributions used across the paper's experiments (§5).
 
 The paper generates keys and query anchor points from *uniform* and
-*normal* distributions over a 64-bit domain, plus Zipfian access skew for
-query popularity.  All samplers here are deterministic given a seed and
-vectorized via NumPy.
+*normal* distributions over a 64-bit domain.  All samplers here are
+deterministic given a seed and vectorized via NumPy.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from repro.errors import WorkloadError
 __all__ = [
     "uniform_keys",
     "normal_keys",
-    "zipfian_ranks",
     "sample_distinct",
 ]
 
@@ -57,39 +55,6 @@ def normal_keys(
     return clipped.astype(np.uint64)
 
 
-def zipfian_ranks(
-    count: int,
-    universe: int,
-    theta: float = 0.99,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Zipf-skewed ranks in ``[0, universe)`` (YCSB's scrambled-zipf core).
-
-    Uses the standard rejection-free inverse-CDF approximation for the
-    Zipf(θ) distribution over a finite universe.
-    """
-    if universe < 1:
-        raise WorkloadError(f"universe must be >= 1, got {universe}")
-    if not 0.0 < theta < 1.0:
-        raise WorkloadError(f"theta must be in (0, 1), got {theta}")
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    # Gray/Jim Gray's method constants.
-    zetan = _zeta(universe, theta)
-    alpha = 1.0 / (1.0 - theta)
-    eta = (1.0 - (2.0 / universe) ** (1.0 - theta)) / (1.0 - _zeta(2, theta) / zetan)
-    u = rng.random(count)
-    uz = u * zetan
-    ranks = np.empty(count, dtype=np.uint64)
-    low_mask = uz < 1.0
-    ranks[low_mask] = 0
-    mid_mask = (~low_mask) & (uz < 1.0 + 0.5 ** theta)
-    ranks[mid_mask] = 1
-    rest = ~(low_mask | mid_mask)
-    ranks[rest] = (universe * (eta * u[rest] - eta + 1.0) ** alpha).astype(np.uint64)
-    return np.minimum(ranks, universe - 1)
-
-
 def sample_distinct(count: int, key_bits: int, seed: int = 0) -> np.ndarray:
     """``count`` *distinct* uniform keys, sorted (the loaded key set).
 
@@ -107,11 +72,6 @@ def sample_distinct(count: int, key_bits: int, seed: int = 0) -> np.ndarray:
         extra = uniform_keys(count, key_bits, rng=rng)
         keys = np.unique(np.concatenate([keys, extra]))
     return keys[:count]
-
-
-def _zeta(n: int, theta: float) -> float:
-    ranks = np.arange(1, min(n, 10_000_000) + 1)
-    return float(np.sum(1.0 / ranks ** theta))
 
 
 def _check(count: int, key_bits: int) -> None:

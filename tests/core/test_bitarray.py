@@ -103,19 +103,6 @@ class TestBulkOps:
             bits.set(index)
         assert bits.fill_ratio() == pytest.approx(0.25)
 
-    def test_union_with(self):
-        a = BitArray(64)
-        b = BitArray(64)
-        a.set(1)
-        b.set(2)
-        a.union_with(b)
-        assert a.test(1) and a.test(2)
-        assert not b.test(1)
-
-    def test_union_size_mismatch(self):
-        with pytest.raises(ValueError):
-            BitArray(64).union_with(BitArray(128))
-
 
 class TestSerialization:
     def test_roundtrip(self):

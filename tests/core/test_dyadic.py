@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dyadic import (
-    DyadicInterval,
-    count_intervals,
-    decompose,
-    max_intervals_for_range,
-)
+from repro.core.dyadic import DyadicInterval, count_intervals, decompose
 
 
 class TestDyadicInterval:
@@ -76,17 +71,6 @@ class TestDecompose:
         assert [b.size for b in blocks] == [4, 2, 1]
 
 
-class TestIntervalBound:
-    def test_bound_values(self):
-        assert max_intervals_for_range(1) == 1
-        assert max_intervals_for_range(2) == 2
-        assert max_intervals_for_range(64) == 12
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            max_intervals_for_range(0)
-
-
 @settings(max_examples=300)
 @given(
     low=st.integers(min_value=0, max_value=2**32),
@@ -129,7 +113,7 @@ def test_count_intervals_small_domain_and_wide_edges():
 def test_property_block_count_bound(low, size):
     """At most 2*ceil(log2(size)) maximal blocks when the cap allows."""
     blocks = list(decompose(low, low + size - 1, max_height=64))
-    assert len(blocks) <= max_intervals_for_range(size)
+    assert len(blocks) <= max(1, 2 * (size - 1).bit_length())
 
 
 @settings(max_examples=200)

@@ -144,7 +144,7 @@ class TestKernelBoundaryParity:
         probes += probes[:2]  # duplicates are probed and charged per key
         assert len(probes) == size
         want = [looped.may_contain(key) for key in probes]
-        assert grouped.may_contain_batch(probes).tolist() == want
+        assert grouped.may_contain_each(probes) == want
         assert grouped.stats == looped.stats
         assert grouped.stats.point_queries == size
 
@@ -178,8 +178,8 @@ class TestKernelBoundaryParity:
         large = list(range(SCALAR_PROBE_MAX + 4)) + [bad]
         entry_points = [
             lambda: rosetta.may_contain(bad),
-            lambda: rosetta.may_contain_batch([bad]),
-            lambda: rosetta.may_contain_batch(large),
+            lambda: rosetta.may_contain_each([bad]),
+            lambda: rosetta.may_contain_each(large),
             lambda: adapter.may_contain(bad),
             lambda: adapter.may_contain_batch([bad]),
             lambda: adapter.may_contain_batch(large),

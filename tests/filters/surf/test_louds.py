@@ -23,8 +23,8 @@ class TestLoudsDense:
         dense = LoudsDense.from_levels(small_trie.levels)
         root = 0
         for symbol in (ord("a") + 1, ord("b") + 1, ord("c") + 1):
-            assert dense.has_label(root, symbol)
-        assert not dense.has_label(root, ord("z") + 1)
+            assert dense.smallest_label_ge(root, symbol) == symbol
+        assert dense.smallest_label_ge(root, ord("z") + 1) is None
         # 'c' edge culls to a leaf ("cow" unique at first byte).
         assert not dense.has_child(root, ord("c") + 1)
         assert dense.has_child(root, ord("a") + 1)
@@ -47,7 +47,7 @@ class TestLoudsDense:
         indexes = []
         for node in range(dense.num_nodes):
             for symbol in range(257):
-                if dense.has_label(node, symbol) and not dense.has_child(
+                if dense.smallest_label_ge(node, symbol) == symbol and not dense.has_child(
                     node, symbol
                 ):
                     indexes.append(dense.leaf_value_index(node, symbol))
@@ -64,9 +64,9 @@ class TestLoudsDense:
         assert restored.num_leaves == dense.num_leaves
         for node in range(dense.num_nodes):
             for symbol in (0, 50, 98, 99, 120, 256):
-                assert restored.has_label(node, symbol) == dense.has_label(
+                assert restored.smallest_label_ge(
                     node, symbol
-                )
+                ) == dense.smallest_label_ge(node, symbol)
 
     def test_empty_region(self):
         dense = LoudsDense.from_levels([])
@@ -102,8 +102,9 @@ class TestLoudsSparse:
 
     def test_label_position_exact(self, small_trie):
         sparse = LoudsSparse.from_levels(small_trie.levels)
-        assert sparse.label_position(0, ord("b") + 1) is not None
-        assert sparse.label_position(0, ord("q") + 1) is None
+        # The root's edges are a, b, c in label order: 'b' sits at 1.
+        assert sparse.smallest_label_ge(0, ord("b") + 1) == (ord("b") + 1, 1)
+        assert sparse.smallest_label_ge(0, ord("q") + 1) is None
 
     def test_child_node_mapping(self, small_trie):
         sparse = LoudsSparse.from_levels(small_trie.levels)

