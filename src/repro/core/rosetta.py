@@ -383,8 +383,10 @@ class Rosetta:
             return [False] * count
         probe = self._level_probes[0]
         if count == 1:
-            self._check_key(keys[0])
-            verdicts = [probe is None or probe(keys[0])]
+            key = keys[0]
+            if key < 0 or key >> self._key_bits:
+                self._check_key(key)  # raises
+            verdicts = [probe is None or probe(key)]
         else:
             verdicts = self._filters[0].contains_batch(keys, self._key_bits)
         if probe is not None:

@@ -82,7 +82,10 @@ class RosettaFilter(KeyFilter):
         which the core hands straight to the leaf probe); for larger groups
         the core picks the scalar or vector Bloom kernel from ``len(keys)``.
         """
-        return self._require_populated().may_contain_each(keys)
+        rosetta = self._rosetta
+        if rosetta is None:
+            rosetta = self._require_populated()  # raises
+        return rosetta.may_contain_each(keys)
 
     def tightened_range(self, low: int, high: int) -> tuple[int, int] | None:
         """§2.2.1 effective-range tightening."""

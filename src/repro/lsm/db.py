@@ -1,6 +1,6 @@
 """The LSM-tree key-value store (the paper's RocksDB stand-in).
 
-Write path: WAL append → skip-list memtable → flush to an L0 SST (with a
+Write path: WAL append → dict memtable → flush to an L0 SST (with a
 freshly built per-SST filter) → leveled compaction.  Read path: memtable,
 then every overlapping run newest-to-oldest, each guarded by its filter —
 "for every run of the tree, a point or range query first probes the
@@ -140,7 +140,7 @@ class _SuperVersion:
     managed under ``DB._sv_lock`` only.
     """
 
-    __slots__ = ("active", "immutables", "version", "refs", "epoch")
+    __slots__ = ("active", "immutables", "memtables", "version", "refs", "epoch")
 
     def __init__(
         self,
@@ -150,16 +150,12 @@ class _SuperVersion:
     ) -> None:
         self.active = active
         self.immutables = immutables
+        #: Active then sealed memtables, newest to oldest.
+        self.memtables = (active, *(i.memtable for i in immutables))
         version.freeze()
         self.version = version
         self.refs = 0
         self.epoch = 0
-
-    def memtables(self) -> Iterator[MemTable]:
-        """Active then sealed memtables, newest to oldest."""
-        yield self.active
-        for immutable in self.immutables:
-            yield immutable.memtable
 
 
 @dataclass(frozen=True)
@@ -349,7 +345,7 @@ class DB:
             sv.refs -= 1
             if sv.refs == 0 and sv in self._live_svs:
                 self._live_svs.remove(sv)
-            ready = self._collect_zombies_locked()
+            ready = self._zombies and self._collect_zombies_locked()
         if ready:
             self._destroy_zombies(ready)
 
@@ -413,7 +409,7 @@ class DB:
             self._apply_backpressure()
             if self._active_wal is not None:
                 self._guard_wal_append(
-                    lambda: self._active_wal.append_put(encoded, value)
+                    self._active_wal.append_put, encoded, value
                 )
             self._super.active.put(encoded, bytes(value))
             self.stats.add(writes=1)
@@ -428,9 +424,7 @@ class DB:
             self._check_open()
             self._apply_backpressure()
             if self._active_wal is not None:
-                self._guard_wal_append(
-                    lambda: self._active_wal.append_delete(encoded)
-                )
+                self._guard_wal_append(self._active_wal.append_delete, encoded)
             self._super.active.delete(encoded)
             self.stats.add(writes=1)
             self._maybe_seal()
@@ -458,7 +452,7 @@ class DB:
             self._apply_backpressure()
             if self._active_wal is not None:
                 self._guard_wal_append(
-                    lambda: self._active_wal.append_batch(batch.encode())
+                    self._active_wal.append_batch, batch.encode()
                 )
             active = self._super.active
             for tag, key, value in batch:
@@ -937,8 +931,9 @@ class DB:
             self._enter_background_error(op, exc)
             raise
 
-    def _guard_wal_append(self, append: Callable[[], None]) -> None:
-        """Run a foreground WAL append; on I/O failure park, don't leak.
+    def _guard_wal_append(self, append: Callable[..., None], *args) -> None:
+        """Run a foreground WAL append, ``append(*args)``; on I/O failure
+        park, don't leak.
 
         A failed WAL append means durability is gone for this write, so
         the memtable is left untouched (nothing is acked that the log
@@ -949,7 +944,7 @@ class DB:
         everywhere.
         """
         try:
-            append()
+            append(*args)
         except PowerCutError:
             raise
         except OSError as exc:
@@ -1155,95 +1150,119 @@ class DB:
     ) -> dict[int, bytes | None]:
         """The one point-read pipeline (§2.2.2), for one key or many.
 
-        ``keys`` are distinct.  The memtables (active, then sealed, newest
-        first) answer what they hold; the rest are grouped per overlapping
-        run, newest to oldest, and each run's filter answers its whole
-        group with one :meth:`~repro.filters.base.KeyFilter.may_contain_batch`
-        call (a ``get`` is a group of one; the filter, not the DB, decides
-        how to probe a group of that size).  Run recency is preserved: a
+        ``keys`` are distinct.  The non-empty memtables (active, then
+        sealed, newest first) answer what they hold; the rest are grouped
+        per overlapping run, newest to oldest, and each run's filter
+        answers its whole group with one
+        :meth:`~repro.filters.base.KeyFilter.may_contain_batch` call (a
+        ``get`` is a group of one; the filter, not the DB, decides how to
+        probe a group of that size).  Run recency is preserved: a
         key resolved by a newer run (value or tombstone) is never probed
         against older runs, so verdicts, values and filter outcome counters
         do not depend on how keys were batched.
         """
-        encoded = [self._encode_key(key) for key in keys]
+        encoded = list(map(self._encode_key, keys))
         context.distinct_keys = len(keys)
         values: dict[int, bytes | None] = dict.fromkeys(keys)
+        put = ValueTag.PUT
+        # Counters add up in locals and reach the context once, in
+        # ``finally``, so a read that raises still publishes them — all but
+        # the verdict tallies of the run whose block read raised, which
+        # never finished answering.
+        runs_considered = filter_calls = filters_probed = probe_ns = 0
+        iterators = results = negatives = true_positives = false_positives = 0
         sv = self._ref_super()
         try:
             # Buffered entries (puts and tombstones) resolve immediately
             # and never reach the filters.
-            memtables = list(sv.memtables())
-            pending: dict[bytes, int] = {}
-            for key, enc in zip(keys, encoded):
-                for memtable in memtables:
-                    buffered = memtable.get(enc)
-                    if buffered is not None:
-                        tag, value = buffered
-                        if tag == ValueTag.PUT:
-                            values[key] = value
-                            context.results += 1
-                        context.memtable_hits += 1
-                        break
-                else:
-                    pending[enc] = key
-            context.memtable_hit = context.memtable_hits > 0
-            if not pending:
-                return values
+            memtables = [m for m in sv.memtables if not m.is_empty]
+            if memtables:
+                pending: dict[bytes, int] = {}
+                hits = 0
+                for key, enc in zip(keys, encoded):
+                    for memtable in memtables:
+                        buffered = memtable.get(enc)
+                        if buffered is not None:
+                            hits += 1
+                            if buffered[0] == put:
+                                values[key] = buffered[1]
+                                results += 1
+                            break
+                    else:
+                        pending[enc] = key
+                context.memtable_hits = hits
+                context.memtable_hit = hits > 0
+                if not pending:
+                    return values
+            else:
+                pending = dict(zip(encoded, keys))
 
-            if len(pending) == 1:
+            # A group of one keeps its lists across runs and checks each
+            # run's span; a larger group is cut per run from ``pending``.
+            single = len(pending) == 1
+            if single:
                 low = high = next(iter(pending))
+                group, group_keys = [low], [pending[low]]
             else:
                 low, high = min(pending), max(pending)
             get_filter = self._filter_dictionary.get_filter
             stats = self.stats
             quarantine = self.options.quarantine_filters
             now = time.perf_counter_ns
-            put = ValueTag.PUT
             for run in sv.version.runs_for_range(low, high):
                 reader = run.reader
                 meta = reader.meta
                 min_key, max_key = meta.min_key, meta.max_key
-                group = [enc for enc in pending if min_key <= enc <= max_key]
-                if not group:
-                    continue
-                context.runs_considered += 1
+                if single:
+                    if not min_key <= low <= max_key:
+                        continue
+                else:
+                    group = [enc for enc in pending if min_key <= enc <= max_key]
+                    if not group:
+                        continue
+                    group_keys = [pending[enc] for enc in group]
+                runs_considered += 1
                 filt = get_filter(reader, stats, context)
                 started = now()
-                verdicts, filter_calls = batched_point_verdicts(
-                    filt, [pending[enc] for enc in group]
-                )
+                verdicts, calls = batched_point_verdicts(filt, group_keys)
                 if filt is not None:  # else fence pointers only: no probe
-                    context.filter_probe_ns += now() - started
-                    context.filter_calls += filter_calls
-                    context.filters_probed += len(group)
-                negatives = true_positives = false_positives = 0
+                    probe_ns += now() - started
+                    filter_calls += calls
+                    filters_probed += len(group)
+                run_negatives = run_true = run_false = 0
                 for enc, verdict in zip(group, verdicts):
                     if not verdict:
-                        negatives += 1
+                        run_negatives += 1
                         continue
-                    context.iterators_created += 1
+                    iterators += 1
                     found = reader.get(enc, context)
                     if found is None:
-                        false_positives += 1
+                        run_false += 1
                         continue
-                    true_positives += 1
-                    tag, value = found
-                    if tag == put:
-                        values[pending[enc]] = value
-                        context.results += 1
+                    run_true += 1
+                    if found[0] == put:
+                        values[pending[enc]] = found[1]
+                        results += 1
                     del pending[enc]  # shadows every older run
                 if filt is not None:  # a run that was not asked said nothing
-                    context.filter_negatives += negatives
-                    context.filter_true_positives += true_positives
-                    context.filter_false_positives += false_positives
-                    if quarantine and negatives + false_positives:
-                        self._note_filter_outcome(
-                            run, negatives, false_positives
-                        )
+                    negatives += run_negatives
+                    true_positives += run_true
+                    false_positives += run_false
+                    if quarantine and run_negatives + run_false:
+                        self._note_filter_outcome(run, run_negatives, run_false)
                 if not pending:
                     break
             return values
         finally:
+            context.runs_considered += runs_considered
+            context.filter_calls += filter_calls
+            context.filters_probed += filters_probed
+            context.filter_probe_ns += probe_ns
+            context.iterators_created += iterators
+            context.results += results
+            context.filter_negatives += negatives
+            context.filter_true_positives += true_positives
+            context.filter_false_positives += false_positives
             self._publish(context)
             self._unref_super(sv)
 
@@ -1355,7 +1374,7 @@ class DB:
             sources: list[tuple[int, Iterator]] = [
                 (priority, memtable.entries_from(low_bytes))
                 for priority, memtable in enumerate(
-                    m for m in sv.memtables() if not m.is_empty
+                    m for m in sv.memtables if not m.is_empty
                 )
             ]
             yield bool(positive_runs or sources)

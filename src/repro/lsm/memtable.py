@@ -1,49 +1,42 @@
-"""Skip-list memtable — the in-memory write buffer of the LSM-tree.
+"""Dict memtable — the in-memory write buffer of the LSM-tree.
 
-A classic probabilistic skip list keyed by byte-string keys.  Overwrites
-replace in place (the memtable holds at most one entry per key; sequence
-ordering across runs is provided by run recency, as in LevelDB-style
-stores).  Deletions store a tombstone tag so a flush propagates them.
+A plain ``dict`` from byte-string key to an immutable ``(tag, value)``
+entry.  Overwrites replace in place (the memtable holds at most one entry
+per key; sequence ordering across runs is provided by run recency, as in
+LevelDB-style stores).  Deletions store a tombstone tag so a flush
+propagates them.
 
-The skip list is implemented from scratch (no ``sortedcontainers``): tower
-nodes with geometric height, deterministic per-instance RNG so tests are
-reproducible.
+Key order is made on demand: :meth:`MemTable.entries` and
+:meth:`MemTable.entries_from` sort the keys and cache the sorted list under
+the insert count it was taken at, so a sealed memtable sorts once and an
+active one re-sorts only after a new key arrived.
 
 Concurrency contract: one writer, any number of readers, no lock.  Every
-mutation that a reader could observe mid-flight is a single reference
-assignment — an overwrite swaps one immutable ``(tag, value)`` entry
-tuple, and an insert links the new node bottom-up after the node is fully
-built — so under the GIL a concurrent reader sees either the old or the
-new state of a key, never a torn ``(new_tag, old_value)`` pair.  Sealed
-(immutable) memtables are never mutated at all.
+mutation a reader could observe is one dict store under the GIL: an
+overwrite swaps one immutable ``(tag, value)`` tuple, so a reader sees the
+old or the new entry of a key, never a torn ``(new_tag, old_value)`` pair;
+keys are never removed, so a key in a sorted snapshot is always still
+there.  A new key bumps ``_version`` *after* its dict store, and a reader
+reads ``_version`` *before* it sorts; ``sorted()`` over a dict of bytes
+keys runs in C (bytes compare in C) and so is atomic under the GIL.  A key
+that lands between the two reads is then either in the sorted list or
+newer than the version the list is cached under, so the next reader
+re-sorts and sees it; a list is never cached under a version newer than
+its contents.  Sealed (immutable) memtables are never mutated at all.
 """
 
 from __future__ import annotations
 
-import random
+from bisect import bisect_left
 from typing import Iterator
 
 from repro.lsm.format import ValueTag
 
-_MAX_HEIGHT = 12
-_BRANCHING = 4
-
 __all__ = ["MemTable"]
 
 
-class _Node:
-    __slots__ = ("key", "entry", "next")
-
-    def __init__(self, key: bytes, tag: int, value: bytes, height: int) -> None:
-        self.key = key
-        # One atomically-swappable slot instead of separate tag/value
-        # attributes: overwrite-vs-read is then a single pointer race.
-        self.entry: tuple[int, bytes] = (tag, value)
-        self.next: list["_Node | None"] = [None] * height
-
-
 class MemTable:
-    """Sorted in-memory buffer with approximate byte accounting.
+    """In-memory buffer with approximate byte accounting, sorted on read.
 
     ``approximate_bytes`` counts key+value payload plus a small per-entry
     overhead so the flush trigger tracks real memory use.
@@ -51,18 +44,17 @@ class MemTable:
 
     _ENTRY_OVERHEAD = 16
 
-    def __init__(self, seed: int = 0) -> None:
-        self._head = _Node(b"", ValueTag.PUT, b"", _MAX_HEIGHT)
-        self._height = 1
-        self._rng = random.Random(seed)
-        self._num_entries = 0
+    def __init__(self) -> None:
+        self._entries: dict[bytes, tuple[int, bytes]] = {}
         self._bytes = 0
+        self._version = 0  # new keys inserted so far
+        self._sorted: tuple[int, list[bytes]] = (0, [])  # (version, keys)
 
     # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._num_entries
+        return len(self._entries)
 
     @property
     def approximate_bytes(self) -> int:
@@ -72,91 +64,55 @@ class MemTable:
     @property
     def is_empty(self) -> bool:
         """True when no entries are buffered."""
-        return self._num_entries == 0
+        return not self._entries
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key``."""
-        self._upsert(key, ValueTag.PUT, value)
+        self._upsert(key, (ValueTag.PUT, value))
 
     def delete(self, key: bytes) -> None:
         """Record a tombstone for ``key``."""
-        self._upsert(key, ValueTag.DELETE, b"")
+        self._upsert(key, (ValueTag.DELETE, b""))
 
-    def _random_height(self) -> int:
-        height = 1
-        while height < _MAX_HEIGHT and self._rng.randrange(_BRANCHING) == 0:
-            height += 1
-        return height
-
-    def _find_predecessors(self, key: bytes) -> list[_Node]:
-        """Per-level rightmost nodes with key < ``key``."""
-        previous = [self._head] * _MAX_HEIGHT
-        node = self._head
-        for level in range(self._height - 1, -1, -1):
-            while node.next[level] is not None and node.next[level].key < key:
-                node = node.next[level]
-            previous[level] = node
-        return previous
-
-    def _upsert(self, key: bytes, tag: int, value: bytes) -> None:
-        previous = self._find_predecessors(key)
-        candidate = previous[0].next[0]
-        if candidate is not None and candidate.key == key:
-            self._bytes += len(value) - len(candidate.entry[1])
-            candidate.entry = (tag, value)
-            return
-        height = self._random_height()
-        if height > self._height:
-            self._height = height
-        node = _Node(key, tag, value, height)
-        for level in range(height):
-            node.next[level] = previous[level].next[level]
-            previous[level].next[level] = node
-        self._num_entries += 1
-        self._bytes += len(key) + len(value) + self._ENTRY_OVERHEAD
+    def _upsert(self, key: bytes, entry: tuple[int, bytes]) -> None:
+        entries = self._entries
+        old = entries.get(key)
+        entries[key] = entry
+        if old is None:
+            self._version += 1  # after the store: see the module docstring
+            self._bytes += len(key) + len(entry[1]) + self._ENTRY_OVERHEAD
+        else:
+            self._bytes += len(entry[1]) - len(old[1])
 
     # ------------------------------------------------------------------
     # Lookup / iteration
     # ------------------------------------------------------------------
     def get(self, key: bytes) -> tuple[int, bytes] | None:
         """Return ``(tag, value)`` or None when the key is not buffered."""
-        node = self._find_predecessors(key)[0].next[0]
-        if node is not None and node.key == key:
-            return node.entry
-        return None
+        return self._entries.get(key)
+
+    def _sorted_keys(self) -> list[bytes]:
+        version, keys = self._sorted
+        if version != self._version:
+            version = self._version  # before the sort: see the module docstring
+            keys = sorted(self._entries)
+            self._sorted = (version, keys)
+        return keys
 
     def entries(self) -> Iterator[tuple[bytes, int, bytes]]:
         """Yield ``(key, tag, value)`` in ascending key order."""
-        node = self._head.next[0]
-        while node is not None:
-            tag, value = node.entry
-            yield node.key, tag, value
-            node = node.next[0]
+        entries = self._entries
+        for key in self._sorted_keys():
+            tag, value = entries[key]
+            yield key, tag, value
 
     def entries_from(self, key: bytes) -> Iterator[tuple[bytes, int, bytes]]:
         """Yield entries with key >= ``key`` in ascending order."""
-        node = self._find_predecessors(key)[0].next[0]
-        while node is not None:
-            tag, value = node.entry
-            yield node.key, tag, value
-            node = node.next[0]
-
-    def min_key(self) -> bytes | None:
-        """Smallest buffered key (None when empty)."""
-        node = self._head.next[0]
-        return node.key if node is not None else None
-
-    def max_key(self) -> bytes | None:
-        """Largest buffered key (None when empty) — O(n) walk."""
-        node = self._head.next[0]
-        if node is None:
-            return None
-        # Walk the highest populated levels for an O(log n)-ish descent.
-        current = self._head
-        for level in range(self._height - 1, -1, -1):
-            while current.next[level] is not None:
-                current = current.next[level]
-        return current.key
+        entries = self._entries
+        keys = self._sorted_keys()
+        for found in keys[bisect_left(keys, key):]:
+            tag, value = entries[found]
+            yield found, tag, value

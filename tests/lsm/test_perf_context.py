@@ -12,6 +12,7 @@ from dataclasses import fields
 import pytest
 
 from repro.bench.factories import make_factory
+from repro.errors import CorruptionError
 from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
 from repro.lsm.perf_context import QueryContext
@@ -196,6 +197,112 @@ def _replay(root) -> DB:
     return db
 
 
+def _erroring_store(root) -> tuple[DB, list[int], list[int]]:
+    """A newer L0 run over an older L2 file whose first data block is
+    corrupt.  Returns the store, the ``get`` keys and the ``multi_get``
+    keys; every read of each raises ``CorruptionError`` in the L2 file.
+
+    The get key sits in the corrupt block and is refuted by the newer run's
+    filter first.  The multi_get asks, in order: a buffered key, a key of
+    the newer run, a key of the L2 file's last (intact) block and the get
+    key — so the error lands mid-group, after a memtable hit, a resolved
+    run and one entry the failing run already returned.
+    """
+    options = DBOptions(
+        key_bits=32,
+        memtable_size_bytes=8 << 10,
+        sst_size_bytes=16 << 10,
+        max_bytes_for_level_base=64 << 10,
+        block_size_bytes=1024,
+        block_cache_bytes=1 << 20,
+    )
+    options.filter_factory = make_factory("rosetta", 32, 16, max_range=32)
+    db = DB(str(root / "erroring"), options)
+    db.ingest([(i * 10, b"old-%d" % i) for i in range(2000)], level=2)
+    for i in range(100):
+        db.put(i * 200 + 5, b"new-%d" % i)
+    db.flush()
+    db.put(3, b"buffered")
+    newer, older = db.version.runs_for_range(
+        db._encode_key(10), db._encode_key(10)  # noqa: SLF001
+    )
+    assert newer.level == 0 and older.level == 2
+    refutes = db._filter_dictionary.get_filter(  # noqa: SLF001
+        newer.reader, db.stats
+    ).may_contain_batch
+    first_block = [key for key in range(10, 200, 10) if not refutes([key])[0]]
+    high = int.from_bytes(older.reader.meta.max_key, "big")
+    last_block = [key for key in range(high, high - 100, -10)
+                  if not refutes([key])[0]]
+    db._filter_dictionary.get_filter(older.reader, db.stats)  # noqa: SLF001
+    _flip_byte(_path_of(db, older), 10)
+    return db, [first_block[0]], [3, 205, last_block[0], first_block[0]]
+
+
+def _counted(db) -> dict:
+    """Every ``PerfStats`` counter but the stopwatches, and the tracker's
+    counts."""
+    snapshot = db.stats.snapshot()
+    counted = {
+        f.name: getattr(snapshot, f.name)
+        for f in fields(PerfStats)
+        if not f.name.endswith("_ns")
+    }
+    tracker = db.tracker.to_dict()
+    counted.update(
+        (f"tracker.{name}", value)
+        for name, value in tracker.items()
+        if isinstance(value, int)
+    )
+    return counted
+
+
+# Captured at the commit before a point read counted in locals: what a read
+# that raises mid-run has counted.  The failing run's own verdicts never
+# reach the ledgers (it gave none), its probes and block reads do.
+_RAISING_READS = {
+    "get": (
+        {
+            "block_reads": 1, "block_read_bytes": 1026,
+            "block_cache_misses": 1, "filter_probes": 2,
+            "filter_batch_probes": 2, "filter_negatives": 1,
+            "point_queries": 1, "tracker.point_queries": 1,
+            "tracker.filter_negatives": 1,
+        },
+        {
+            "kind": "point", "low": 10, "high": 10, "runs_considered": 2,
+            "filter_calls": 2, "filters_probed": 2, "filter_negatives": 1,
+            "filter_true_positives": 0, "filter_false_positives": 0,
+            "iterators_created": 1, "blocks_read": 1, "block_cache_hits": 0,
+            "block_cache_misses": 1, "block_read_bytes": 1026, "results": 0,
+            "memtable_hit": False, "width": 0, "keys_requested": 0,
+            "distinct_keys": 1, "memtable_hits": 0,
+        },
+    ),
+    "multi_get": (
+        {
+            "block_reads": 2, "block_read_bytes": 1986,
+            "block_cache_hits": 1, "block_cache_misses": 2,
+            "filter_probes": 5, "filter_batch_probes": 2,
+            "filter_negatives": 2, "filter_true_positives": 1,
+            "point_queries": 4, "multi_point_queries": 1,
+            "tracker.point_queries": 4, "tracker.filter_positives": 1,
+            "tracker.filter_negatives": 2,
+        },
+        {
+            "kind": "multi_point", "low": 3, "high": 12770,
+            "runs_considered": 2, "filter_calls": 2, "filters_probed": 5,
+            "filter_negatives": 2, "filter_true_positives": 1,
+            "filter_false_positives": 0, "iterators_created": 3,
+            "blocks_read": 2, "block_cache_hits": 1, "block_cache_misses": 2,
+            "block_read_bytes": 1986, "results": 3, "memtable_hit": True,
+            "width": 0, "keys_requested": 4, "distinct_keys": 4,
+            "memtable_hits": 1,
+        },
+    ),
+}
+
+
 class _Recorder:
     """Wraps ``db.stats.fold`` / ``add`` / ``snapshot`` to log the calls a
     read makes."""
@@ -319,6 +426,29 @@ class TestReadLedger:
         context = db.last_query
         assert 1 <= context.filters_probed == context.runs_considered < 1000
         assert context.filter_negatives <= context.filters_probed
+
+    def test_a_read_that_raises_still_publishes_what_it_counted(self, tmp_path):
+        db, get_keys, multi_keys = _erroring_store(tmp_path)
+        try:
+            assert (get_keys, multi_keys) == ([10], [3, 205, 12770, 10])
+            for read, arg in ((db.get, get_keys[0]), (db.multi_get, multi_keys)):
+                before = _counted(db)
+                with pytest.raises(CorruptionError):
+                    read(arg)
+                after = _counted(db)
+                delta = {
+                    name: after[name] - value
+                    for name, value in before.items()
+                    if after[name] != value
+                }
+                context = {
+                    f.name: getattr(db.last_query, f.name)
+                    for f in fields(QueryContext)
+                    if not f.name.endswith("_ns")
+                }
+                assert (delta, context) == _RAISING_READS[read.__name__]
+        finally:
+            db.close()
 
     def test_counters_match_the_per_event_bookkeeping(self, tmp_path):
         db = _replay(tmp_path)

@@ -19,6 +19,7 @@ import repro.lsm
 import repro.workloads
 from repro.filters.base import KeyFilter
 from repro.lsm.db import DB
+from repro.lsm.memtable import MemTable
 from repro.lsm.serving import ShardedServer
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -82,6 +83,15 @@ _PUBLIC = {
         "shards",
         "stats",
         "wait_idle",
+    ),
+    MemTable: (
+        "approximate_bytes",
+        "delete",
+        "entries",
+        "entries_from",
+        "get",
+        "is_empty",
+        "put",
     ),
     KeyFilter: (
         "design_fpr",
