@@ -20,8 +20,10 @@ same store:
 
 Reported per config: benign FPR and throughput, FPR under attack, the
 attacker's replay hit rate before and after the rebuild, and the
-detector's flag/heal cycle.  A black-box section cross-validates the
-timing-only classifier against the stats oracle.
+detector's flag/heal cycle.  Benign throughput is timed on all three
+stores at once, chunk by chunk in a rotating order, so a noisy moment on
+the machine lands on every config instead of on one.  A black-box section
+cross-validates the timing-only classifier against the stats oracle.
 
 Usage::
 
@@ -58,6 +60,16 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_adversarial.json"
 KEY_BITS = 24
 BITS_PER_KEY = 10.0
 SALT_SEED = 0x5EED_F17E
+#: Benign timing: passes over the query list, and queries per timed chunk.
+BENIGN_PASSES = 3
+BENIGN_CHUNK = 100
+
+#: ``(label, filter_salt_seed, quarantine)`` per configuration.
+CONFIGS = (
+    ("undefended", 0, False),
+    ("salted", SALT_SEED, False),
+    ("salted+quarantine", SALT_SEED, True),
+)
 
 
 def make_options(salt_seed: int, quarantine: bool) -> DBOptions:
@@ -90,10 +102,9 @@ def design_fpr(stored: list[int]) -> float:
     return reference.design_fpr() or 0.0
 
 
-def benign_phase(
-    db: DB, stored: list[int], probes: int, seed: int
-) -> tuple[float, float]:
-    """Mixed benign traffic; returns (observed_fpr, ops_per_second)."""
+def benign_queries(stored: list[int], probes: int, seed: int) -> list[int]:
+    """Mixed benign traffic: ``probes`` absent keys and a quarter as many
+    stored ones, shuffled."""
     rng = random.Random(seed)
     avoid = set(stored)
     absent = []
@@ -104,80 +115,107 @@ def benign_phase(
     present = [stored[rng.randrange(len(stored))] for _ in range(probes // 4)]
     queries = absent + present
     rng.shuffle(queries)
+    return queries
+
+
+def measure_fpr(db: DB, queries: list[int]) -> float:
+    """Observed FPR of ``queries`` on ``db``."""
     before = db.stats.snapshot()
-    started = time.perf_counter()
     for key in queries:
         db.get(key)
-    elapsed = time.perf_counter() - started
-    delta = db.stats.diff(before)
-    return delta.observed_fpr, len(queries) / max(elapsed, 1e-9)
+    return db.stats.diff(before).observed_fpr
+
+
+def benign_rates(
+    stores: dict[str, DB], queries: list[int]
+) -> dict[str, tuple[float, float]]:
+    """Per store: (observed FPR, ops/s) of ``queries`` run
+    ``BENIGN_PASSES`` times, timed one ``BENIGN_CHUNK`` at a time with the
+    stores taking turns in an order that rotates every chunk."""
+    labels = list(stores)
+    before = {label: stores[label].stats.snapshot() for label in labels}
+    spent = dict.fromkeys(labels, 0.0)
+    chunks = [
+        queries[at:at + BENIGN_CHUNK]
+        for at in range(0, len(queries), BENIGN_CHUNK)
+    ] * BENIGN_PASSES
+    for index, chunk in enumerate(chunks):
+        shift = index % len(labels)
+        for label in labels[shift:] + labels[:shift]:
+            get = stores[label].get
+            started = time.perf_counter()
+            for key in chunk:
+                get(key)
+            spent[label] += time.perf_counter() - started
+    timed = len(queries) * BENIGN_PASSES
+    return {
+        label: (
+            stores[label].stats.diff(before[label]).observed_fpr,
+            timed / max(spent[label], 1e-9),
+        )
+        for label in labels
+    }
 
 
 def run_config(
-    workdir: str,
+    db: DB,
     label: str,
     salt_seed: int,
     quarantine: bool,
     stored: list[int],
     sizes: dict,
+    benign: tuple[float, float],
 ) -> dict:
-    db = build_store(f"{workdir}/{label}", make_options(salt_seed, quarantine), stored)
-    try:
-        benign_fpr, benign_ops = benign_phase(
-            db, stored, sizes["benign_probes"], seed=11
-        )
+    benign_fpr, benign_ops = benign
+    attacker = AdversarialAttacker(db, mode="oracle", seed=7, avoid=stored)
+    before = db.stats.snapshot()
+    report = attacker.run(
+        point_probes=sizes["learn_probes"],
+        range_probes=0,
+        replay_rounds=sizes["replay_rounds"],
+        replay_pressure=3,
+        max_replay_probes=sizes["max_replay_probes"],
+    )
+    attack_fpr = db.stats.diff(before).observed_fpr
+    flagged_during_attack = db.health().filters_under_attack
 
-        attacker = AdversarialAttacker(db, mode="oracle", seed=7, avoid=stored)
-        before = db.stats.snapshot()
-        report = attacker.run(
-            point_probes=sizes["learn_probes"],
-            range_probes=0,
-            replay_rounds=sizes["replay_rounds"],
-            replay_pressure=3,
-            max_replay_probes=sizes["max_replay_probes"],
-        )
-        attack_fpr = db.stats.diff(before).observed_fpr
-        flagged_during_attack = db.health().filters_under_attack
+    # Rebuild: the quarantine config heals itself (compact() settles
+    # the detector's prioritized jobs); the others need the operator
+    # to force a rewrite — which, undefended, changes nothing the
+    # attacker cares about.
+    if quarantine:
+        db.compact()
+    else:
+        db.force_full_compaction()
+    flagged_after_rebuild = db.health().filters_under_attack
 
-        # Rebuild: the quarantine config heals itself (compact() settles
-        # the detector's prioritized jobs); the others need the operator
-        # to force a rewrite — which, undefended, changes nothing the
-        # attacker cares about.
-        if quarantine:
-            db.compact()
-        else:
-            db.force_full_compaction()
-        flagged_after_rebuild = db.health().filters_under_attack
-
-        # Post-rebuild: the attacker replays its learned set amid fresh
-        # benign traffic.  Undefended, the learned set still hits 100%;
-        # salted, it reverted to the design FPR.
-        before = db.stats.snapshot()
-        replayed, replay_hits = attacker.replay(rounds=2, pressure=2)
-        post_benign_fpr, _ = benign_phase(
-            db, stored, sizes["post_probes"], seed=13
-        )
-        post_fpr = db.stats.diff(before).observed_fpr
-        return {
-            "config": label,
-            "filter_salt_seed": salt_seed,
-            "quarantine": quarantine,
-            "benign_fpr": benign_fpr,
-            "benign_ops_per_s": round(benign_ops, 1),
-            "learned_fp_queries": report.learned,
-            "attack_fpr": attack_fpr,
-            "attack_replay_fpr": report.replay_fpr,
-            "filters_under_attack_during_attack": flagged_during_attack,
-            "filters_under_attack_after_rebuild": flagged_after_rebuild,
-            "filters_quarantined_total": db.stats.filters_quarantined,
-            "post_rebuild_replay_fpr": (
-                replay_hits / replayed if replayed else 0.0
-            ),
-            "post_rebuild_fpr": post_fpr,
-            "post_rebuild_benign_fpr": post_benign_fpr,
-        }
-    finally:
-        db.close()
+    # Post-rebuild: the attacker replays its learned set amid fresh
+    # benign traffic.  Undefended, the learned set still hits 100%;
+    # salted, it reverted to the design FPR.
+    before = db.stats.snapshot()
+    replayed, replay_hits = attacker.replay(rounds=2, pressure=2)
+    post_benign_fpr = measure_fpr(
+        db, benign_queries(stored, sizes["post_probes"], seed=13)
+    )
+    post_fpr = db.stats.diff(before).observed_fpr
+    return {
+        "config": label,
+        "filter_salt_seed": salt_seed,
+        "quarantine": quarantine,
+        "benign_fpr": benign_fpr,
+        "benign_ops_per_s": round(benign_ops, 1),
+        "learned_fp_queries": report.learned,
+        "attack_fpr": attack_fpr,
+        "attack_replay_fpr": report.replay_fpr,
+        "filters_under_attack_during_attack": flagged_during_attack,
+        "filters_under_attack_after_rebuild": flagged_after_rebuild,
+        "filters_quarantined_total": db.stats.filters_quarantined,
+        "post_rebuild_replay_fpr": (
+            replay_hits / replayed if replayed else 0.0
+        ),
+        "post_rebuild_fpr": post_fpr,
+        "post_rebuild_benign_fpr": post_benign_fpr,
+    }
 
 
 def blackbox_section(workdir: str, stored: list[int], sizes: dict) -> dict:
@@ -232,13 +270,26 @@ def run_matrix(smoke: bool) -> dict:
     stored = sorted(rng.sample(range(1 << KEY_BITS), sizes["num_keys"]))
     started = time.time()
     with tempfile.TemporaryDirectory(prefix="bench-adversarial-") as workdir:
-        configs = [
-            run_config(workdir, "undefended", 0, False, stored, sizes),
-            run_config(workdir, "salted", SALT_SEED, False, stored, sizes),
-            run_config(
-                workdir, "salted+quarantine", SALT_SEED, True, stored, sizes
-            ),
-        ]
+        stores: dict[str, DB] = {}
+        try:
+            for label, salt_seed, quarantine in CONFIGS:
+                stores[label] = build_store(
+                    f"{workdir}/{label}", make_options(salt_seed, quarantine),
+                    stored,
+                )
+            benign = benign_rates(
+                stores, benign_queries(stored, sizes["benign_probes"], seed=11)
+            )
+            configs = [
+                run_config(
+                    stores[label], label, salt_seed, quarantine, stored,
+                    sizes, benign[label],
+                )
+                for label, salt_seed, quarantine in CONFIGS
+            ]
+        finally:
+            for db in stores.values():
+                db.close()
         blackbox = blackbox_section(workdir, stored, sizes)
     return {
         "bench": "adversarial",

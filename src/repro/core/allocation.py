@@ -63,16 +63,6 @@ class LevelAllocation:
     strategy: str
     weights: tuple[float, ...] = field(default=())
 
-    @property
-    def num_levels(self) -> int:
-        """Number of levels covered by this allocation."""
-        return len(self.bits_per_level)
-
-    @property
-    def total_bits(self) -> int:
-        """Sum of all per-level budgets."""
-        return sum(self.bits_per_level)
-
 
 def allocate(
     strategy: str,

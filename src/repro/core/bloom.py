@@ -200,16 +200,6 @@ class BloomFilter:
         return self._num_bits
 
     @property
-    def num_hashes(self) -> int:
-        """Number of hash probes per item."""
-        return self._num_hashes
-
-    @property
-    def num_items(self) -> int:
-        """Number of items added so far."""
-        return self._num_items
-
-    @property
     def salt(self) -> int:
         """The re-keying salt (0 for a legacy unsalted filter)."""
         return self._salt
@@ -228,12 +218,6 @@ class BloomFilter:
         if self.is_always_positive:
             return 1.0
         return self._bits.fill_ratio() ** self._num_hashes
-
-    def fill_ratio(self) -> float:
-        """Actual fraction of set bits (popcount ratio; 0.0 when bit-less)."""
-        if self.is_always_positive:
-            return 0.0
-        return self._bits.fill_ratio()
 
     # ------------------------------------------------------------------
     # Hashing

@@ -306,11 +306,6 @@ class Rosetta:
         :func:`repro.core.doubting.doubt_frontier` consumes."""
         return tuple(self._filters)
 
-    @property
-    def allocation(self) -> LevelAllocation:
-        """The memory allocation this filter was built with."""
-        return self._allocation
-
     def size_in_bits(self) -> int:
         """Total filter memory in bits (sum of all levels)."""
         return sum(f.size_in_bits() for f in self._filters)
@@ -324,34 +319,6 @@ class Rosetta:
     def memory_breakdown(self) -> list[int]:
         """Bits actually used per level, leaf first."""
         return [f.size_in_bits() for f in self._filters]
-
-    def describe(self) -> str:
-        """Human-readable per-level summary (introspection/debugging aid).
-
-        One line per Bloom-filter level: prefix length, memory, hash count,
-        items indexed, the *actual* bit-array fill ratio (popcount), the
-        FPR-derived fill estimate, and the estimated raw FPR.
-        """
-        lines = [
-            f"Rosetta: {self._num_keys} keys over a 2^{self._key_bits} domain, "
-            f"{self.num_levels} levels, strategy={self._allocation.strategy!r}, "
-            f"{self.bits_per_key():.2f} bits/key",
-            f"{'height':>6}  {'prefix_bits':>11}  {'bits':>10}  {'k':>2}  "
-            f"{'items':>9}  {'fill':>6}  {'est_fill':>8}  {'est_fpr':>9}",
-        ]
-        for height, filt in enumerate(self._filters):
-            if filt.is_always_positive:
-                fill, est_fill, fpr = "-", "-", "1 (empty)"
-            else:
-                fill = f"{filt.fill_ratio():.3f}"
-                est_fill = f"{filt.expected_fpr() ** (1 / filt.num_hashes):.3f}"
-                fpr = f"{filt.expected_fpr():.3e}"
-            lines.append(
-                f"{height:>6}  {self._key_bits - height:>11}  "
-                f"{filt.size_in_bits():>10}  {filt.num_hashes:>2}  "
-                f"{filt.num_items:>9}  {fill:>6}  {est_fill:>8}  {fpr:>9}"
-            )
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # Queries

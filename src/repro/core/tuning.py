@@ -47,8 +47,7 @@ class WorkloadTracker:
     Thread-safe: the store updates it once per query (``record_query``, from
     the reading thread) while a flush or compaction install on another
     thread checkpoints it (``to_dict``), so every mutation and every reader
-    that walks the histogram takes the tracker's lock.  Cheap to merge, so
-    per-run trackers can be reconciled at compaction time.
+    that walks the histogram takes the tracker's lock.
     """
 
     def __init__(self) -> None:
@@ -88,28 +87,6 @@ class WorkloadTracker:
             self._filter_negatives += negatives
             self._filter_positives += true_positives + false_positives
             self._false_positives += false_positives
-
-    def merge(self, other: "WorkloadTracker") -> None:
-        """Fold another tracker's statistics into this one."""
-        # Copy out under ``other``'s lock first: never hold both, so two
-        # trackers merging into each other cannot deadlock.
-        theirs = other.to_dict()
-        with self._lock:
-            for size, count in theirs["range_sizes"].items():
-                self._range_sizes[int(size)] += count
-            self._point_queries += theirs["point_queries"]
-            self._filter_positives += theirs["filter_positives"]
-            self._filter_negatives += theirs["filter_negatives"]
-            self._false_positives += theirs["false_positives"]
-
-    def reset(self) -> None:
-        """Clear all statistics (post-compaction reconciliation)."""
-        with self._lock:
-            self._range_sizes.clear()
-            self._point_queries = 0
-            self._filter_positives = 0
-            self._filter_negatives = 0
-            self._false_positives = 0
 
     # ------------------------------------------------------------------
     # Persistence (the store checkpoints statistics with its manifest)

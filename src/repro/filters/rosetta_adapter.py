@@ -58,11 +58,6 @@ class RosettaFilter(KeyFilter):
             salt=self.salt,
         )
 
-    @property
-    def rosetta(self) -> Rosetta:
-        """The wrapped core filter (raises if not populated)."""
-        return self._require_populated()
-
     def may_contain(self, key: int) -> bool:
         """Point lookup on the full-key level only (§2.2.2)."""
         return self._require_populated().may_contain(int(key))

@@ -75,11 +75,6 @@ class CulledTrie:
         """Total edges across all levels."""
         return sum(level.num_edges for level in self.levels)
 
-    @property
-    def num_nodes(self) -> int:
-        """Total nodes across all levels (excluding the conceptual root)."""
-        return sum(level.num_nodes for level in self.levels)
-
     def leaf_key_ids_in_order(self) -> list[int]:
         """Key ids of every leaf edge in global (level, position) order."""
         ids: list[int] = []

@@ -82,16 +82,6 @@ class LoudsSparse:
         """Total nodes in the region."""
         return self._louds.num_ones
 
-    @property
-    def num_root_nodes(self) -> int:
-        """Nodes whose parents live in the dense region."""
-        return self._num_root_nodes
-
-    @property
-    def num_leaves(self) -> int:
-        """Leaf edges (value slots) in the region."""
-        return self.num_edges - self._has_child.num_ones
-
     # ------------------------------------------------------------------
     # Navigation primitives (sparse-local node ids)
     # ------------------------------------------------------------------

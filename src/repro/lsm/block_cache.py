@@ -105,11 +105,6 @@ class BlockCache:
                 self._used -= len(block)
                 return
 
-    def remove(self, key: Hashable) -> None:
-        """Drop one entry if present (any pool)."""
-        with self._lock:
-            self._remove_locked(key)
-
     def remove_file(self, file_name: str) -> None:
         """Drop every entry belonging to ``file_name`` (post-compaction)."""
         with self._lock:

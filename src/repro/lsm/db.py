@@ -9,10 +9,11 @@ disk if [it] returns a positive" (§2).
 
 Range queries follow §4's implementation overview: probe all relevant
 filter instances; if all answer negative, delete the iterator and return
-empty; otherwise seek the merging iterator at the (possibly *tightened*,
-§2.2.1) lower bound and advance until the upper bound.  Every sub-cost the
-paper measures (filter probe, deserialization, residual seek, block read
-time) is charged to :class:`~repro.lsm.stats.PerfStats`.
+empty; otherwise seek the merging iterator at the query's own lower bound
+(never a §2.2.1 tightened one: ``DB._range_scan`` says why) and advance
+until the upper bound.  Every sub-cost the paper measures (filter probe,
+deserialization, residual seek, block read time) is charged to
+:class:`~repro.lsm.stats.PerfStats`.
 
 Workload statistics flow into a :class:`~repro.core.tuning.WorkloadTracker`;
 :meth:`DB.retune_filters` applies the §2.4 auto-tuner so post-compaction
@@ -198,39 +199,6 @@ class HealthReport:
     write_stall_timeouts: int = 0
     workers: int = 0
     jobs_in_flight: int = 0
-
-    @property
-    def ok(self) -> bool:
-        """True when fully healthy (no degraded state of any kind)."""
-        return (
-            self.mode == "healthy"
-            and not self.degraded_filters
-            and not self.attacked_filters
-        )
-
-    def summary(self) -> str:
-        """One-line human-readable digest."""
-        parts = [f"mode={self.mode}"]
-        if self.background_error:
-            parts.append(f"background_error={self.background_error!r}")
-        if self.degraded_filters:
-            parts.append(
-                f"degraded_filters=[{', '.join(self.degraded_filters)}]"
-            )
-        if self.attacked_filters:
-            parts.append(
-                f"filters_under_attack=[{', '.join(self.attacked_filters)}]"
-            )
-        parts.append(
-            f"io: {self.io_transient_errors} transient errors, "
-            f"{self.io_retries} retries"
-        )
-        if self.stall_state != "none" or self.write_stops or self.write_slowdowns:
-            parts.append(
-                f"writes: stall={self.stall_state}, "
-                f"{self.write_slowdowns} slowdowns, {self.write_stops} stops"
-            )
-        return "; ".join(parts)
 
 
 class DB:

@@ -150,10 +150,6 @@ class DataBlockBuilder:
         self.open_entries = 0
         self._size = 12  # entries + restart array + trailer + CRC32
 
-    def add(self, key: bytes, tag: int, value: bytes) -> None:
-        """Append an entry; keys must arrive in strictly increasing order."""
-        self.extend(((key, tag, value),))
-
     def extend(
         self,
         entries: Iterable[tuple[bytes, int, bytes]],

@@ -63,24 +63,3 @@ class QueryContext:
     keys_requested: int = 0       # input keys, duplicates included
     distinct_keys: int = 0        # lookups actually resolved
     memtable_hits: int = 0        # keys answered by the memtable alone
-
-    def summary(self) -> str:
-        """One-line human-readable digest."""
-        if self.kind == "point":
-            label = f"point({self.low})"
-        elif self.kind == "multi_point":
-            label = (
-                f"multi_point({self.distinct_keys} keys in "
-                f"[{self.low}, {self.high}], {self.memtable_hits} memtable)"
-            )
-        else:
-            label = f"range[{self.low}, {self.high}]"
-        return (
-            f"{label}: {self.runs_considered} runs considered, "
-            f"{self.filters_probed} filters probed "
-            f"({self.filter_negatives} negative), "
-            f"{self.iterators_created} iterators, "
-            f"{self.blocks_read} block reads "
-            f"({self.block_cache_hits} cache hits), "
-            f"{self.results} result(s)"
-        )

@@ -34,25 +34,6 @@ class RepairOutcome:
     salvaged_entries: int = 0
     quarantined: list[str] = field(default_factory=list)
 
-    @property
-    def lossless(self) -> bool:
-        """True when nothing had to be dropped."""
-        return not self.dropped_files
-
-    def summary(self) -> str:
-        """Human-readable outcome."""
-        if self.lossless:
-            return (
-                f"repair: store healthy — {len(self.healthy_files)} files, "
-                f"{self.salvaged_entries} entries kept"
-            )
-        return (
-            f"repair: dropped {len(self.dropped_files)} damaged file(s); "
-            f"kept {len(self.healthy_files)} files / "
-            f"{self.salvaged_entries} entries; "
-            f"quarantined: {', '.join(self.quarantined) or 'none'}"
-        )
-
 
 def repair_store(path: str) -> RepairOutcome:
     """Make the store at ``path`` openable again, dropping damaged runs.

@@ -233,48 +233,6 @@ class ServingHealth:
     breaker_states: tuple[str, ...] = ()
     workers_alive: tuple[bool, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        """True when every shard is fully healthy and serving."""
-        return (
-            all(report.ok for report in self.shards)
-            and all(state == "closed" for state in self.breaker_states)
-            and all(self.workers_alive)
-        )
-
-    def summary(self) -> str:
-        """One-line human-readable digest."""
-        degraded = sum(1 for r in self.shards if r.mode != "healthy")
-        line = (
-            f"mode={self.mode}; {len(self.shards)} shards "
-            f"({degraded} degraded); queues={list(self.queue_depths)}"
-        )
-        tripped = [
-            f"s{index}={state}"
-            for index, state in enumerate(self.breaker_states)
-            if state != "closed"
-        ]
-        if tripped:
-            line += f"; breakers=[{', '.join(tripped)}]"
-        down = [
-            index
-            for index, alive in enumerate(self.workers_alive)
-            if not alive
-        ]
-        if down:
-            line += f"; workers_down={down}"
-        if self.filters_under_attack:
-            attacked_shards = [
-                index
-                for index, report in enumerate(self.shards)
-                if report.filters_under_attack
-            ]
-            line += (
-                f"; filters_under_attack={self.filters_under_attack} "
-                f"(shards {attacked_shards})"
-            )
-        return line
-
 
 class _ScatterSink:
     """Gathers the per-shard pieces of one scattered request.
@@ -821,15 +779,15 @@ class ShardedServer:
     ...     ServingOptions(num_shards=2),
     ... )
     >>> server.put(42, b"value")
-    >>> server.get(42)
+    >>> server.get_async(42).result()
     b'value'
-    >>> server.range_query(40, 50)
+    >>> server.range_query_async(40, 50).result()
     [(42, b'value')]
     >>> server.close()
     []
 
-    The ``*_async`` variants return :class:`concurrent.futures.Future`
-    so a client can keep many requests in flight — which is exactly what
+    Every read returns a :class:`concurrent.futures.Future`, so a
+    client can keep many requests in flight — which is exactly what
     lets a batch pile up behind the worker.  Every queued read accepts
     ``deadline_s`` (relative seconds; omitted, the read has no deadline).
     """
@@ -894,10 +852,6 @@ class ShardedServer:
         shard.submit(request)
         return request.future
 
-    def get(self, key: int, deadline_s: float | None = None) -> bytes | None:
-        """Blocking point lookup through the batched front-end."""
-        return self.get_async(key, deadline_s).result()
-
     def multi_get_async(
         self, keys: Iterable[int], deadline_s: float | None = None
     ) -> Future:
@@ -944,12 +898,6 @@ class ShardedServer:
                 )
             )
         return sink.future
-
-    def multi_get(
-        self, keys: Iterable[int], deadline_s: float | None = None
-    ) -> dict[int, bytes | None]:
-        """Blocking batched lookup through the front-end."""
-        return self.multi_get_async(keys, deadline_s).result()
 
     # ------------------------------------------------------------------
     # Range reads
@@ -1005,12 +953,6 @@ class ShardedServer:
             )
         return sink.future
 
-    def range_query(
-        self, low: int, high: int, deadline_s: float | None = None
-    ) -> list[tuple[int, bytes]]:
-        """Blocking inclusive range scan across shards."""
-        return self.range_query_async(low, high, deadline_s).result()
-
     # ------------------------------------------------------------------
     # Writes (routed straight to the owning shard's write path,
     # gated by that shard's circuit breaker)
@@ -1021,13 +963,6 @@ class ShardedServer:
         shard = self._shards[self.router.shard_of(key)]
         shard.stats.add(write_requests=1)
         shard.guarded_write(lambda: shard.db.put(key, value))
-
-    def delete(self, key: int) -> None:
-        """Delete a key (tombstone) on its owning shard."""
-        self._check_open()
-        shard = self._shards[self.router.shard_of(key)]
-        shard.stats.add(write_requests=1)
-        shard.guarded_write(lambda: shard.db.delete(key))
 
     # ------------------------------------------------------------------
     # Supervisor

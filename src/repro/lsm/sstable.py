@@ -144,13 +144,6 @@ class SSTWriter:
         self._filter_bits_per_key = filter_bits_per_key
         self._blocks = DataBlockBuilder(block_size=options.block_size_bytes)
 
-    def add(self, key: bytes, tag: int, value: bytes) -> None:
-        """Append one entry (keys strictly increasing)."""
-        try:
-            self._blocks.extend(((key, tag, value),))
-        except ValueError as exc:
-            raise FilterBuildError("SST keys must be strictly increasing") from exc
-
     def extend(
         self,
         entries: Iterable[tuple[bytes, int, bytes]],

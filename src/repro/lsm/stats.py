@@ -54,7 +54,7 @@ class CounterSet:
 
     def __post_init__(self) -> None:
         # Not a dataclass field: ``fields(self)`` must keep iterating only
-        # the counters for snapshot/diff/reset and keyword construction.
+        # the counters for snapshot/diff/aggregate and keyword construction.
         object.__setattr__(self, "_lock", threading.Lock())
 
     def add(self, **deltas: int) -> None:
@@ -83,12 +83,6 @@ class CounterSet:
         """Counter deltas since ``earlier`` (for per-phase reporting)."""
         now = astuple(self.snapshot())
         return type(self)(*map(operator.sub, now, astuple(earlier)))
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        with self._lock:
-            for f in fields(self):
-                setattr(self, f.name, 0)
 
     @classmethod
     def aggregate(cls: type[_C], parts: Iterable[_C]) -> _C:

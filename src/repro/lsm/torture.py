@@ -254,10 +254,6 @@ class SeedReport:
     crash_points_by_schedule: dict = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def run_crash_point(
     base_dir: str,

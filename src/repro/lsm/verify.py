@@ -42,17 +42,6 @@ class VerificationReport:
         """Record one finding."""
         self.errors.append(f"{context}: {problem}")
 
-    def summary(self) -> str:
-        """One-paragraph human-readable result."""
-        status = "OK" if self.ok else f"{len(self.errors)} ERROR(S)"
-        lines = [
-            f"integrity check: {status} — {self.files_checked} files, "
-            f"{self.blocks_checked} blocks, {self.entries_checked} entries, "
-            f"{self.filters_checked} filters"
-        ]
-        lines.extend(f"  - {error}" for error in self.errors)
-        return "\n".join(lines)
-
 
 def verify_version(version: Version) -> VerificationReport:
     """Verify every run of a :class:`Version` (all levels, newest first)."""

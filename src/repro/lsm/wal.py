@@ -107,7 +107,3 @@ class WriteAheadLog:
             value = body[5 + key_len :]
             yield op, key, value
             offset = body_start + length
-
-    def truncate(self) -> None:
-        """Discard the log (called after a successful flush)."""
-        self._env.delete_file(self.name)

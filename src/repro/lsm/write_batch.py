@@ -44,22 +44,11 @@ class WriteBatch:
         self._operations.append((ValueTag.DELETE, bytes(key), b""))
         return self
 
-    def clear(self) -> None:
-        """Discard all queued operations."""
-        self._operations.clear()
-
     def __len__(self) -> int:
         return len(self._operations)
 
     def __iter__(self) -> Iterator[tuple[int, bytes, bytes]]:
         return iter(self._operations)
-
-    @property
-    def approximate_bytes(self) -> int:
-        """Payload size of the queued operations."""
-        return sum(
-            1 + len(key) + len(value) for _, key, value in self._operations
-        )
 
     # ------------------------------------------------------------------
     # Wire format (one WAL payload for the whole batch)

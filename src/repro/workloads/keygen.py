@@ -8,7 +8,6 @@ configurable size (the paper uses 512-byte values over 64-bit keys).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -30,11 +29,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def items(self) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(key, value)`` pairs with synthesized values."""
-        for key in self.keys:
-            yield int(key), synthesize_value(int(key), self.value_size)
 
 
 def synthesize_value(key: int, value_size: int) -> bytes:

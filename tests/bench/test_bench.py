@@ -45,8 +45,8 @@ class TestFactories:
     def test_rosetta_strategy_variants_differ(self, keys):
         single = make_factory("rosetta-single", 64, 16, max_range=64).build(keys)
         uniform = make_factory("rosetta-uniform", 64, 16, max_range=64).build(keys)
-        assert single.rosetta.allocation.strategy == "single"
-        assert uniform.rosetta.allocation.strategy == "uniform"
+        assert single._rosetta._allocation.strategy == "single"
+        assert uniform._rosetta._allocation.strategy == "uniform"
 
 
 class TestMeasureFilter:

@@ -20,24 +20,24 @@ class TestCommonInvariants:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_budget_respected(self, strategy):
         alloc = allocate(strategy, num_keys=N, total_bits=M, max_height=6)
-        assert alloc.num_levels == 7
+        assert len(alloc.bits_per_level) == 7
         assert all(bits >= 0 for bits in alloc.bits_per_level)
-        assert alloc.total_bits == pytest.approx(M, rel=0.001)
+        assert sum(alloc.bits_per_level) == pytest.approx(M, rel=0.001)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_zero_budget(self, strategy):
         alloc = allocate(strategy, num_keys=N, total_bits=0, max_height=4)
-        assert alloc.total_bits == 0
+        assert sum(alloc.bits_per_level) == 0
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_zero_keys(self, strategy):
         alloc = allocate(strategy, num_keys=0, total_bits=M, max_height=4)
-        assert alloc.total_bits == 0
+        assert sum(alloc.bits_per_level) == 0
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_single_level_tree(self, strategy):
         alloc = allocate(strategy, num_keys=N, total_bits=M, max_height=0)
-        assert alloc.num_levels == 1
+        assert len(alloc.bits_per_level) == 1
         assert alloc.bits_per_level[0] == pytest.approx(M, rel=0.001)
 
     def test_unknown_strategy(self):
@@ -174,4 +174,4 @@ def test_property_allocation_feasible(strategy, num_keys, bits_per_key, max_heig
     )
     assert len(alloc.bits_per_level) == max_height + 1
     assert all(bits >= 0 for bits in alloc.bits_per_level)
-    assert abs(alloc.total_bits - total_bits) <= max(8, 0.01 * total_bits)
+    assert abs(sum(alloc.bits_per_level) - total_bits) <= max(8, 0.01 * total_bits)

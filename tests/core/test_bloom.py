@@ -168,9 +168,7 @@ class TestConstructionAndSerialization:
     def test_roundtrip(self):
         bf = BloomFilter.from_keys_and_bits(range(100), num_bits=2000)
         restored = BloomFilter.from_bytes(bf.to_bytes())
-        assert restored.num_bits == bf.num_bits
-        assert restored.num_hashes == bf.num_hashes
-        assert restored.num_items == bf.num_items
+        assert restored.to_bytes() == bf.to_bytes()
         assert all(restored.may_contain(k) for k in range(100))
 
     def test_bad_magic_rejected(self):

@@ -60,7 +60,7 @@ def reference_probe(bloom: BloomFilter, item) -> bool:
         [
             bits.test(pos)
             for pos in reference_positions(
-                item, bloom.salt, bloom.num_hashes, bloom.num_bits
+                item, bloom.salt, bloom._num_hashes, bloom.num_bits
             )
         ]
     )

@@ -72,7 +72,7 @@ class TestConstruction:
         filt = Rosetta.build(
             small_keys, key_bits=32, bits_per_key=10, strategy="single"
         )
-        assert filt.allocation.strategy == "single"
+        assert filt._allocation.strategy == "single"
 
 
 def _build_with_np_unique(keys, *, key_bits, bits_per_key, max_range, strategy, salt):

@@ -1,5 +1,4 @@
-"""Tests for Rosetta's grouped point lookups (``may_contain_each``) and
-describe()."""
+"""Tests for Rosetta's grouped point lookups (``may_contain_each``)."""
 
 import numpy as np
 import pytest
@@ -65,18 +64,3 @@ class TestBatchPointLookups:
         scalar_time = (time.perf_counter() - start) * 10  # extrapolate
         assert batch_time < scalar_time
 
-
-class TestDescribe:
-    def test_mentions_every_level(self, filt):
-        text = filt.describe()
-        assert f"{filt.num_levels} levels" in text
-        assert len(text.splitlines()) == 2 + filt.num_levels
-
-    def test_empty_levels_marked(self, small_keys):
-        filt = Rosetta.build(
-            small_keys, key_bits=32, bits_per_key=20, max_range=64,
-            strategy="single",
-        )
-        text = filt.describe()
-        assert "empty" in text
-        assert "single" in text

@@ -236,7 +236,7 @@ class TestSaltedAdapters:
         ]
         # Wide salted ranges (~160 intervals) take the frontier engine and
         # answer what the walk does.
-        core = filt.rosetta
+        core = filt._rosetta
         core.stats.reset()
         for i in range(60):
             if i % 2:

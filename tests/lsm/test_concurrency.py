@@ -309,7 +309,6 @@ class TestWorkerFlushFailure:
         db.flush()  # flush runs on the worker, fails, degrades the store
         health = db.health()
         assert health.mode == "degraded"
-        assert not health.ok
         assert "flush" in health.background_error
         assert health.background_errors == 1
         assert env.injected["write_errors"] == 1
@@ -322,7 +321,7 @@ class TestWorkerFlushFailure:
         # Device healed: resume retries the flush (on the worker) and the
         # store is writable again, nothing lost.
         assert db.resume()
-        assert db.health().ok
+        assert db.health().mode == "healthy"
         db.put(8, b"post-resume")
         db.close()
         reopened = DB(str(tmp_path / "db"), _options())
@@ -379,7 +378,7 @@ class TestWorkerFlushFailure:
             db.put(2, b"nope")
         del db._flush_oldest_immutable  # noqa: SLF001 - the bug is "fixed"
         assert db.resume()
-        assert db.health().ok
+        assert db.health().mode == "healthy"
         assert db.health().pending_immutables == 0
         assert db.get(1) == b"buffered"
         db.close()
@@ -422,7 +421,7 @@ class TestWorkerFlushFailure:
         finisher.join(timeout=30.0)
         assert not finisher.is_alive(), "resume() + compact() never returned"
         assert resumed == [True, "compacted"]
-        assert db.health().ok
+        assert db.health().mode == "healthy"
         assert db.get(0) == b"v" * 64
         db.close()
 

@@ -29,7 +29,7 @@ class TestConcurrentCrashSweep:
             by_schedule = report.crash_points_by_schedule
             assert set(by_schedule) == {0, 1}
             assert sum(by_schedule.values()) == report.crash_points
-            assert report.ok, "\n".join(report.violations)
+            assert not report.violations, "\n".join(report.violations)
 
     def test_single_crash_point_result_shape(self, tmp_path):
         result = run_crash_point(str(tmp_path), 3, 5, _SMALL, sched_seed=0)

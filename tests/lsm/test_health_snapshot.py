@@ -42,9 +42,6 @@ def _assert_consistent(report) -> None:
     assert (report.mode == "degraded") == (
         report.background_error is not None
     ), report
-    assert report.ok == (
-        report.mode == "healthy" and not report.degraded_filters
-    )
     assert report.pending_immutables >= 0
     assert report.level0_runs >= 0
     assert report.jobs_in_flight >= 0

@@ -66,7 +66,7 @@ def test_everything_at_once(tmp_path):
     assert decision.strategy == "single"  # size-8 ranges dominated
     db.force_full_compaction()
     report = db.verify()
-    assert report.ok, report.summary()
+    assert report.ok, report.errors
 
     # Phase 3: post-rebuild correctness, point and range.
     sample = rng.sample(sorted(model), 200)

@@ -70,7 +70,7 @@ class TestManifest:
 
         _write(path, manifest)  # closing the store rewrote it
         outcome = repair_store(path)
-        assert outcome.lossless
+        assert outcome.dropped_files == []
         assert sorted(outcome.healthy_files) == sorted(files)
         assert _answers(path) == expected
 

@@ -127,7 +127,6 @@ class TestAggregatedContext:
         assert ctx.distinct_keys == len(set(batch))
         assert ctx.low == min(batch) and ctx.high == max(batch)
         assert ctx.runs_considered >= 2
-        assert "multi_point" in ctx.summary()
 
     def test_duplicates_resolved_once(self, layered_db):
         db, keys = layered_db

@@ -42,7 +42,6 @@ class TestPointContext:
         assert ctx.low == 7
         assert ctx.results == 1
         assert ctx.runs_considered >= 1
-        assert "point(7)" in ctx.summary()
 
     def test_memtable_hit_short_circuits(self, db):
         db.put(999_999, b"fresh")

@@ -32,7 +32,7 @@ def _write_sst(env, name="test.sst", n=500, factory=None, options=None):
     for i in range(n):
         key = (i * 7).to_bytes(4, "big")
         value = f"value-{i}".encode()
-        writer.add(key, ValueTag.PUT, value)
+        writer.extend([(key, ValueTag.PUT, value)])
         entries.append((key, value))
     return writer.finish(), entries, options
 
@@ -49,9 +49,9 @@ class TestWriter:
     def test_unsorted_keys_rejected(self, tmp_path):
         env = StorageEnv(str(tmp_path))
         writer = SSTWriter(env, "x.sst", _options())
-        writer.add(b"\x00\x00\x00\x05", ValueTag.PUT, b"")
-        with pytest.raises(FilterBuildError):
-            writer.add(b"\x00\x00\x00\x04", ValueTag.PUT, b"")
+        writer.extend([(b"\x00\x00\x00\x05", ValueTag.PUT, b"")])
+        with pytest.raises(ValueError):
+            writer.extend([(b"\x00\x00\x00\x04", ValueTag.PUT, b"")])
 
     def test_empty_sst_rejected(self, tmp_path):
         env = StorageEnv(str(tmp_path))
@@ -161,8 +161,8 @@ class TestReader:
         env = StorageEnv(str(tmp_path))
         options = _options()
         writer = SSTWriter(env, "t.sst", options)
-        writer.add(b"\x00\x00\x00\x01", ValueTag.DELETE, b"")
-        writer.add(b"\x00\x00\x00\x02", ValueTag.PUT, b"live")
+        writer.extend([(b"\x00\x00\x00\x01", ValueTag.DELETE, b"")])
+        writer.extend([(b"\x00\x00\x00\x02", ValueTag.PUT, b"live")])
         meta = writer.finish()
         reader = SSTReader(env, meta, BlockCache(0))
         assert reader.get(b"\x00\x00\x00\x01") == (ValueTag.DELETE, b"")
@@ -182,7 +182,8 @@ class TestPointReadSeeks:
         writer = SSTWriter(env, "t.sst", options)
         for i in range(1, 600):  # min_key is 7, so there is room below it
             tag = ValueTag.DELETE if i % 11 == 0 else ValueTag.PUT
-            writer.add((i * 7).to_bytes(4, "big"), tag, b"" if tag else b"v%d" % i)
+            value = b"" if tag else b"v%d" % i
+            writer.extend([((i * 7).to_bytes(4, "big"), tag, value)])
         meta = writer.finish()
         reader = SSTReader(env, meta, BlockCache(1 << 20))
         assert reader.num_data_blocks() > 3

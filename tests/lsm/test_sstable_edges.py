@@ -13,7 +13,7 @@ def _write(env, entries, block_size=512, name="edge.sst"):
     options = DBOptions(key_bits=32, block_size_bytes=block_size)
     writer = SSTWriter(env, name, options)
     for key, tag, value in entries:
-        writer.add(key, tag, value)
+        writer.extend([(key, tag, value)])
     meta = writer.finish()
     return SSTReader(env, meta, BlockCache(1 << 20)), meta
 
@@ -93,7 +93,7 @@ class TestCacheInteraction:
                             block_cache_bytes=0)
         writer = SSTWriter(env, "nc.sst", options)
         for key, tag, value in _entries(100):
-            writer.add(key, tag, value)
+            writer.extend([(key, tag, value)])
         meta = writer.finish()
         reader = SSTReader(env, meta, BlockCache(0))
         key = (50).to_bytes(4, "big")

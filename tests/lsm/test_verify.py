@@ -43,11 +43,10 @@ class TestVerify:
     def test_clean_store_passes(self, tmp_path):
         db = _db(tmp_path)
         report = db.verify()
-        assert report.ok, report.summary()
+        assert report.ok, report.errors
         assert report.files_checked == db.num_live_files()
         assert report.entries_checked == 2000
         assert report.filters_checked == report.files_checked
-        assert "OK" in report.summary()
         db.close()
 
     def test_no_filter_store_passes(self, tmp_path):
@@ -64,7 +63,6 @@ class TestVerify:
         report = db.verify()
         assert not report.ok
         assert any("checksum" in e or "block" in e for e in report.errors)
-        assert "ERROR" in report.summary()
         db.close()
 
     def test_reads_the_file_not_the_block_cache(self, tmp_path):

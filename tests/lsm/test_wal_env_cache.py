@@ -163,13 +163,6 @@ class TestWriteAheadLog:
             handle.write(b"\xff")
         assert list(wal.replay()) == [(ValueTag.PUT, b"first", b"1")]
 
-    def test_truncate(self, tmp_path):
-        env = StorageEnv(str(tmp_path))
-        wal = WriteAheadLog(env)
-        wal.append_put(b"k", b"v")
-        wal.truncate()
-        assert list(wal.replay()) == []
-
 
 class TestBlockCache:
     def test_hit_and_miss(self):

@@ -26,15 +26,9 @@ class TestWriteBatchEncoding:
     def test_empty_roundtrip(self):
         assert len(WriteBatch.decode(WriteBatch().encode())) == 0
 
-    def test_chaining_and_clear(self):
+    def test_chaining(self):
         batch = WriteBatch().put(b"a", b"1").delete(b"b")
         assert len(batch) == 2
-        batch.clear()
-        assert len(batch) == 0
-
-    def test_approximate_bytes(self):
-        batch = WriteBatch().put(b"ab", b"cdef")
-        assert batch.approximate_bytes == 7
 
     def test_corrupt_payload_rejected(self):
         with pytest.raises(StoreError):

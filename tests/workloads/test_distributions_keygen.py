@@ -82,14 +82,6 @@ class TestDataset:
         with pytest.raises(WorkloadError):
             generate_dataset(10, distribution="pareto")
 
-    def test_items_yield_values(self):
-        dataset = generate_dataset(10, key_bits=32, value_size=64, seed=12)
-        items = list(dataset.items())
-        assert len(items) == 10
-        for key, value in items:
-            assert len(value) == 64
-            assert int.from_bytes(value[:8], "big") == key
-
     def test_value_synthesis_verifiable(self):
         value = synthesize_value(12345, 512)
         assert len(value) == 512
