@@ -35,13 +35,14 @@ _SEED1 = 0x9AE16A3B2F90404F
 _SEED2 = 0xC3A5C85C97CB3127
 
 # hash_int's seed stage, computed once: for an item below 2^64,
-# hash_int(item, seed) == splitmix64(item ^ stage).  Both probe kernels (the
-# scalar one in BloomFilter.may_contain, the vector one in base_hash_arrays)
-# start from these.
+# hash_int(item, seed) == splitmix64(item ^ stage).  Every probe kernel (the
+# scalar one in BloomFilter.may_contain, Rosetta's range walk, the vector one
+# in base_hash_arrays) starts from these.
 _H1_STAGE = splitmix64(_SEED1 ^ 0x2545F4914F6CDD1D)
 _H2_STAGE = splitmix64(_SEED2 ^ 0x2545F4914F6CDD1D)
 
-# splitmix64's constants, for the copy of it inlined in BloomFilter.may_contain.
+# splitmix64's constants, for the copies of it inlined in BloomFilter.may_contain
+# and Rosetta's range walk.
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9

@@ -32,10 +32,14 @@ import numpy as np
 
 from repro.core import doubting, dyadic
 from repro.core.allocation import LevelAllocation, allocate
-from repro.core.bloom import BloomFilter, optimal_num_hashes
+from repro.core.bloom import (
+    _GOLDEN, _H1_STAGE, _H2_STAGE, _MASK64, _MIX1, _MIX2, _SEED1, _SEED2,
+    BloomFilter, optimal_num_hashes,
+)
+from repro.core.hashing import hash_int, mix_salt
 from repro.errors import FilterBuildError, FilterQueryError, SerializationError
 
-__all__ = ["Rosetta", "ProbeStats", "WALK_MAX_INTERVALS"]
+__all__ = ["Rosetta", "ProbeStats", "WALK_MAX_INTERVALS", "range_verdicts"]
 
 #: Most top-level dyadic intervals a range may cover and still take the
 #: pre-order walk; above it the frontier engine runs.  Walk time over engine
@@ -107,6 +111,7 @@ class Rosetta:
         "_max_height",
         "_filters",
         "_level_probes",
+        "_walk_levels",
         "_allocation",
         "_num_keys",
         "stats",
@@ -131,11 +136,18 @@ class Rosetta:
         self._key_bits = key_bits
         self._max_height = len(filters) - 1
         self._filters = list(filters)
-        # What a walk step needs of each level: its probe, or None where the
+        # What a probe needs of each level: its probe, or None where the
         # level has no bits and passes every prefix uncharged.
         self._level_probes = tuple(
             None if filt.is_always_positive else filt.may_contain
             for filt in self._filters
+        )
+        # The same for the walk kernel, which inlines the probe: what
+        # BloomFilter.may_contain reads.
+        self._walk_levels = tuple(
+            None if f.is_always_positive
+            else (f._view, f._num_bits, f._num_hashes, f._salt)
+            for f in self._filters
         )
         self._allocation = allocation
         self._num_keys = num_keys
@@ -281,6 +293,12 @@ class Rosetta:
         return self._key_bits
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """``(key_bits, num_levels)``: filters of one shape can share a walk
+        (:func:`range_verdicts`)."""
+        return self._key_bits, self._max_height + 1
+
+    @property
     def num_levels(self) -> int:
         """Number of materialised Bloom-filter levels."""
         return self._max_height + 1
@@ -372,86 +390,24 @@ class Rosetta:
         CPU side of the paper's CPU/FPR tradeoff made explicit.  When the
         budget runs out mid-doubt the filter answers ``True``
         (conservative: bounded CPU can only cost false positives, never
-        correctness).
-
-        The kernel is chosen from the range itself: the pre-order walk
-        (:meth:`_walk`) serves ranges covering at most
-        :data:`WALK_MAX_INTERVALS` top-level dyadic intervals, every domain
-        wider than the engine's ``uint64`` arrays, and every budgeted call
-        (it honours a budget natively and its cost is bounded by it); the
-        frontier engine (:mod:`repro.core.doubting`) serves the rest.  Both
-        charge ``bloom_probes`` with the probes they actually issued.
+        correctness).  The kernel is :func:`range_verdicts`'s choice.
         """
-        low, high = self._clamp_range(low, high)
-        stats = self.stats
-        stats.range_queries += 1
-        if self._num_keys == 0 or low > high:
+        return range_verdicts((self,), low, high, probe_budget)[0]
+
+    def _walk(self, low: int, high: int, probe_budget: int | None) -> bool:
+        """The walk kernel over this filter alone, whatever the range."""
+        return _doubt_walk((self,), low, high, probe_budget)[0]
+
+    def _frontier(self, low: int, high: int) -> bool:
+        """The frontier engine's verdict, charged to :attr:`stats`."""
+        if not self._num_keys:
             return False
-        if probe_budget is not None and probe_budget < 1:
-            return True
-        if (
-            probe_budget is not None
-            or self._key_bits > 64
-            or dyadic.count_intervals(low, high, self._max_height)
-            <= WALK_MAX_INTERVALS
-        ):
-            return self._walk(low, high, probe_budget)
         result = doubting.doubt_frontier(self._filters, low, high)
+        stats = self.stats
         stats.bloom_probes += result.probes
         stats.dyadic_intervals += result.intervals
         stats.bulk_probe_calls += result.bulk_probe_calls
         return result.answer
-
-    def _walk(self, low: int, high: int, probe_budget: int | None) -> bool:
-        """Algorithm 2: doubt each dyadic interval, left to right, pre-order.
-
-        The intervals are :func:`repro.core.dyadic.decompose`'s, produced
-        in place, and each is doubted from an explicit stack: probe a
-        block's prefix; on a positive push its two halves, left on top, and
-        stop at the first leaf that answers positive.  A level without bits
-        passes its prefix uncharged.  With a ``probe_budget`` the walk gives
-        up (positive) on reaching the first node it cannot pay for.
-        """
-        level_probes = self._level_probes
-        max_height = self._max_height
-        budget = -1 if probe_budget is None else probe_budget
-        probes = intervals = 0
-        found = False
-        stack: list[tuple[int, int]] = []
-        cursor = low
-        while cursor <= high and not found:
-            # Largest aligned block at `cursor`: capped by its alignment,
-            # by what still fits, and by the tallest level kept.
-            height = (high - cursor + 1).bit_length() - 1
-            if height > max_height:
-                height = max_height
-            if cursor:
-                aligned = (cursor & -cursor).bit_length() - 1
-                if aligned < height:
-                    height = aligned
-            intervals += 1
-            stack.append((cursor >> height, height))
-            cursor += 1 << height
-            while stack:
-                if probes == budget:
-                    found = True
-                    break
-                prefix, at = stack.pop()
-                probe = level_probes[at]
-                if probe is not None:
-                    probes += 1
-                    if not probe(prefix):
-                        continue
-                if at == 0:
-                    found = True
-                    break
-                at -= 1
-                prefix <<= 1
-                stack.append((prefix | 1, at))
-                stack.append((prefix, at))
-        self.stats.bloom_probes += probes
-        self.stats.dyadic_intervals += intervals
-        return found
 
     def tightened_range(self, low: int, high: int) -> tuple[int, int] | None:
         """Range lookup with effective-range tightening (§2.2.1).
@@ -619,3 +575,140 @@ class Rosetta:
             f"keys={self._num_keys}, bits={self.size_in_bits()}, "
             f"strategy={self._allocation.strategy!r})"
         )
+
+
+def range_verdicts(
+    rosettas: Sequence[Rosetta],
+    low: int,
+    high: int,
+    probe_budget: int | None = None,
+) -> list[bool]:
+    """:meth:`Rosetta.may_contain_range` for each of several filters of one
+    shape (``key_bits`` and level count); verdicts and each filter's
+    :class:`ProbeStats` equal separate calls'.
+
+    The kernel is chosen once, from the range: ranges covering at most
+    :data:`WALK_MAX_INTERVALS` top-level dyadic intervals, domains wider
+    than the engine's ``uint64`` arrays and budgeted calls take one
+    pre-order walk for all the filters (it honours a budget natively);
+    the rest take the frontier engine (:mod:`repro.core.doubting`) one
+    filter at a time.
+    """
+    head = rosettas[0]
+    low, high = head._clamp_range(low, high)
+    for rosetta in rosettas:
+        rosetta.stats.range_queries += 1
+    if low > high:
+        return [False] * len(rosettas)
+    if probe_budget is not None and probe_budget < 1:
+        return [rosetta._num_keys > 0 for rosetta in rosettas]
+    if (
+        probe_budget is None
+        and head._key_bits <= 64
+        and dyadic.count_intervals(low, high, head._max_height)
+        > WALK_MAX_INTERVALS
+    ):
+        return [rosetta._frontier(low, high) for rosetta in rosettas]
+    return _doubt_walk(rosettas, low, high, probe_budget)
+
+
+def _doubt_walk(
+    rosettas: Sequence[Rosetta], low: int, high: int, probe_budget: int | None
+) -> list[bool]:
+    """Algorithm 2: doubt each dyadic interval, left to right, pre-order,
+    for every filter at once.
+
+    The intervals are :func:`repro.core.dyadic.decompose`'s, produced in
+    place, and doubted from an explicit stack whose nodes carry the filters
+    still doubting them.  A node's prefix is hashed once; each filter tests
+    its own bits (a level without bits passes uncharged), and the node's
+    halves are pushed, left on top, with the filters that passed.  A filter
+    stops at its first positive leaf or, with a ``probe_budget``, answers
+    positive on reaching the first node it cannot pay for — so each one's
+    verdict and charges are those of walking it alone.  An empty filter
+    answers negative unprobed.
+    """
+    levels = [rosetta._walk_levels for rosetta in rosettas]
+    max_height = rosettas[0]._max_height
+    budget = -1 if probe_budget is None else probe_budget
+    probes = [0] * len(rosettas)
+    intervals = probes.copy()
+    found = [False] * len(rosettas)
+    doubting = [index for index, r in enumerate(rosettas) if r._num_keys]
+    undecided = len(doubting)
+    stack: list[tuple[int, int, list[int]]] = []
+    cursor = low
+    while cursor <= high and undecided:
+        # Largest aligned block at `cursor`: capped by its alignment,
+        # by what still fits, and by the tallest level kept.
+        height = (high - cursor + 1).bit_length() - 1
+        if height > max_height:
+            height = max_height
+        if cursor:
+            aligned = (cursor & -cursor).bit_length() - 1
+            if aligned < height:
+                height = aligned
+        for index in doubting:
+            if not found[index]:
+                intervals[index] += 1
+        stack.append((cursor >> height, height, doubting))
+        cursor += 1 << height
+        while stack:
+            prefix, at, doubters = stack.pop()
+            passed = []
+            h1 = h2 = -1  # the prefix's base hashes, once a filter needs them
+            for index in doubters:
+                if found[index]:
+                    continue
+                if probes[index] == budget:
+                    found[index] = True
+                    undecided -= 1
+                    continue
+                level = levels[index][at]
+                if level is None:
+                    passed.append(index)
+                    continue
+                probes[index] += 1
+                view, num_bits, num_hashes, salt = level
+                # BloomFilter.may_contain, inlined: the first bit needs
+                # only the first base hash.
+                if h1 < 0:
+                    if prefix >> 64:
+                        h1, h2 = hash_int(prefix, _SEED1), hash_int(prefix, _SEED2)
+                    else:
+                        z = ((prefix ^ _H1_STAGE) + _GOLDEN) & _MASK64
+                        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+                        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                        h1 = z ^ (z >> 31)
+                pos = mix_salt(h1, salt) if salt else h1
+                bit = pos % num_bits
+                if not view[bit >> 3] >> (bit & 7) & 1:
+                    continue
+                if h2 < 0:
+                    z = ((prefix ^ _H2_STAGE) + _GOLDEN) & _MASK64
+                    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+                    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                    h2 = z ^ (z >> 31)
+                step = (mix_salt(h2, salt) if salt else h2) | 1
+                for _ in range(num_hashes - 1):
+                    pos = (pos + step) & _MASK64
+                    bit = pos % num_bits
+                    if not view[bit >> 3] >> (bit & 7) & 1:
+                        break
+                else:
+                    passed.append(index)
+            if not passed:
+                continue
+            if at:
+                at -= 1
+                prefix <<= 1
+                stack.append((prefix | 1, at, passed))
+                stack.append((prefix, at, passed))
+            else:
+                for index in passed:
+                    found[index] = True
+                undecided -= len(passed)
+    for rosetta, spent, walked in zip(rosettas, probes, intervals):
+        rosetta.stats.bloom_probes += spent
+        rosetta.stats.dyadic_intervals += walked
+    return found

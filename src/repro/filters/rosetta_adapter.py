@@ -58,6 +58,11 @@ class RosettaFilter(KeyFilter):
             salt=self.salt,
         )
 
+    @property
+    def core(self) -> Rosetta:
+        """The populated :class:`~repro.core.Rosetta` behind this filter."""
+        return self._require_populated()
+
     def may_contain(self, key: int) -> bool:
         """Point lookup on the full-key level only (§2.2.2)."""
         return self._require_populated().may_contain(int(key))

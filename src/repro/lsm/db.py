@@ -74,6 +74,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.tuning import AutoTuner, TuningDecision, WorkloadTracker
@@ -119,6 +120,12 @@ _SST_NAME = re.compile(r"^sst_(\d+)_(\d+)\.sst$")
 _DELAYED_WRITE_NS = 1_000_000
 
 __all__ = ["DB", "HealthReport"]
+
+
+def _no_entries() -> Iterator[tuple[int, bytes]]:
+    """What a scan with nothing to stream returns: a generator like every
+    other scan (``close()`` works), which yields nothing."""
+    yield from ()
 
 
 class _Immutable:
@@ -1262,8 +1269,7 @@ class DB:
         :meth:`ShardRouter.split_range` give.  Filter probing is eager too
         (the probes decide whether there is anything to stream at all).
         """
-        context = QueryContext(kind="range", low=low, high=high)
-        return self._start_scan(context, probe=True)
+        return self._start_scan(QueryContext(kind="range", low=low, high=high))
 
     def iterator(
         self, start: int | None = None, end: int | None = None
@@ -1278,87 +1284,90 @@ class DB:
         reads and merge time still land in ``stats``.  Validation, the
         superversion pin and its release are :meth:`range_iter`'s.
         """
-        context = QueryContext(
+        return self._start_scan(QueryContext(
             kind="scan",
             low=0 if start is None else start,
             high=(1 << self.options.key_bits) - 1 if end is None else end,
-        )
-        return self._start_scan(context, probe=False)
+        ))
 
-    def _start_scan(
-        self, context: QueryContext, probe: bool
-    ) -> Iterator[tuple[int, bytes]]:
-        """Open a :meth:`_range_scan` over ``[context.low, context.high]``."""
+    def _start_scan(self, context: QueryContext) -> Iterator[tuple[int, bytes]]:
+        """The eager half of :meth:`range_iter` and :meth:`iterator`: pin a
+        superversion and find the overlapping runs to read (a ``"range"``
+        asks their filters, a ``"scan"`` reads them all).  With nothing to
+        stream — "if all filters answer negative, we delete the iterator and
+        return an empty result" — the scan ends here; otherwise the started
+        :meth:`_range_scan` owns the pin from now on.
+        """
         self._check_open()
         clamped = clamp_to_domain(
             context.low, context.high, self.options.key_bits
         )
-        scan = self._range_scan(context, clamped, probe)
-        # Run the eager half now.  A generator that was started always runs
-        # its ``finally`` — on close() or collection too — which one that
-        # was merely created never does.
-        if not next(scan):
-            # "If all filters answer negative, we delete the iterator
-            # and return an empty result."
-            scan.close()
-        return scan
+        sv = self._ref_super()
+        scan = None
+        try:
+            if clamped is not None:
+                low, high = clamped
+                context.width = high - low + 1
+                low_bytes, high_bytes = self._encode_key(low), self._encode_key(high)
+                runs = sv.version.runs_for_range(low_bytes, high_bytes)
+                context.runs_considered = len(runs)
+                positives = (
+                    self._probe_filters_range(context, runs, low, high)
+                    if context.kind == "range"
+                    else [(run, False) for run in runs]
+                )
+                memtables = [m for m in sv.memtables if not m.is_empty]
+                if positives or memtables:
+                    scan = self._range_scan(
+                        context, sv, low_bytes, high_bytes, positives, memtables
+                    )
+                    # A started generator always runs its ``finally`` — on
+                    # close() or collection too; a merely created one never.
+                    next(scan)
+                    return scan
+        finally:
+            if scan is None:
+                self._end_scan(context, sv)
+        return _no_entries()
 
     def _range_scan(
-        self, context: QueryContext, clamped: tuple[int, int] | None, probe: bool
+        self,
+        context: QueryContext,
+        sv: _SuperVersion,
+        low_bytes: bytes,
+        high_bytes: bytes,
+        positives: list[tuple[Run, bool]],
+        memtables: list[MemTable],
     ) -> Iterator:
         """The one merge loop of :meth:`range_iter` and :meth:`iterator`,
-        counting into ``context``.
+        counting into ``context``; its first yield is the start.
 
-        Its first yield, after the filters were probed (``probe``; else
-        every overlapping run is read), is a handshake :meth:`_start_scan`
-        consumes — anything to stream? — entries follow.  A probed scan
-        publishes its context; an unprobed one only folds it into
-        ``stats``.
+        The first advance reads each positive run's first entry at or above
+        ``low`` and chains it back in front of the rest.  A run whose filter
+        answered (``positives``' flag) is judged by that entry once read: a
+        true positive if it is <= ``high``.  Positive runs all seek at
+        ``low``: a filter's leftmost surviving key (§2.2.1) would land on
+        the same entry, since a filter has no false negatives.
         """
-        sv = self._ref_super()
-        answered_runs: list[Run] = []
-        contributed: dict[str, bool] = {}
         try:
-            if clamped is None:
-                yield False
-                return
-            low, high = clamped
-            context.width = high - low + 1
-            low_bytes = self._encode_key(low)
-            high_bytes = self._encode_key(high)
-            candidates = sv.version.runs_for_range(low_bytes, high_bytes)
-            context.runs_considered = len(candidates)
-            # Positive runs all seek at ``low_bytes``.  Seeking at a
-            # filter's leftmost surviving key instead (§2.2.1) buys
-            # nothing here: a filter has no false negatives, so the run
-            # holds no key in [low, leftmost survivor), and iterating
-            # from either bound lands on the same entry of the same block.
-            if probe:
-                positive_runs, answered_runs = self._probe_filters_range(
-                    context, candidates, low, high
-                )
-            else:
-                positive_runs = candidates
+            yield
             sources: list[tuple[int, Iterator]] = [
                 (priority, memtable.entries_from(low_bytes))
-                for priority, memtable in enumerate(
-                    m for m in sv.memtables if not m.is_empty
-                )
+                for priority, memtable in enumerate(memtables)
             ]
-            yield bool(positive_runs or sources)
-
-            def tracked(run: Run) -> Iterator[tuple[bytes, int, bytes]]:
-                """The run's entries from ``low``; marks a run that had an
-                in-range key."""
-                for entry in run.reader.iterate_from(low_bytes, context):
-                    if entry[0] <= high_bytes:
-                        contributed[run.name] = True
-                    yield entry
-
-            for run in positive_runs:
-                contributed[run.name] = False
-                sources.append((len(sources), tracked(run)))
-            context.iterators_created = len(sources)
+            context.iterators_created = len(sources) + len(positives)
+            for run, judged in positives:
+                entries = run.reader.iterate_from(low_bytes, context)
+                first = next(entries, None)
+                if first is not None:
+                    sources.append((len(sources), chain((first,), entries)))
+                if not judged:
+                    continue
+                if first is not None and first[0] <= high_bytes:
+                    context.filter_true_positives += 1
+                else:
+                    context.filter_false_positives += 1
+                    self._note_filter_outcome(run, 0, 1)
             merged = live_entries(MergingIterator(sources))
             while True:
                 # Charge only the merge-advance time to residual_seek_ns,
@@ -1371,22 +1380,16 @@ class DB:
                 context.results += 1
                 yield self._decode_key(entry[0]), entry[1]
         finally:
-            # The merge's first advance reads every positive run's first
-            # candidate, which tells a true positive from a false one; a
-            # scan never advanced (no iterator wired) read nothing and
-            # leaves its positives unjudged.
-            if context.iterators_created:
-                for run in answered_runs:
-                    if contributed[run.name]:
-                        context.filter_true_positives += 1
-                    else:
-                        context.filter_false_positives += 1
-                        self._note_filter_outcome(run, 0, 1)
-            if probe:
-                self._publish(context)
-            else:
-                self.stats.fold(context)
-            self._unref_super(sv)
+            self._end_scan(context, sv)
+
+    def _end_scan(self, context: QueryContext, sv: _SuperVersion) -> None:
+        """Publish a range's context (fold a scan's into ``stats``) and
+        release its pin."""
+        if context.kind == "range":
+            self._publish(context)
+        else:
+            self.stats.fold(context)
+        self._unref_super(sv)
 
     def _publish(self, context: QueryContext) -> None:
         """A finished read's one write to the shared ledgers: one
@@ -1404,17 +1407,17 @@ class DB:
 
     def _probe_filters_range(
         self, context: QueryContext, runs: list[Run], low: int, high: int
-    ) -> tuple[list[Run], list[Run]]:
+    ) -> list[tuple[Run, bool]]:
         """One emptiness verdict per overlapping run; count the verdicts.
 
-        Each filtered run's filter answers ``may_contain_range`` through
+        Every filtered run's filter is asked through
         :func:`~repro.lsm.filter_integration.batched_tightened_ranges`;
         runs without a filter block pass through positive, uncounted
         (fence pointers already said "overlaps").  Returns the runs to
-        read and, of those, the runs whose filter said so.
+        read, each with whether its filter said so.
         """
         if not runs:
-            return [], []
+            return []
         filters = [
             self._filter_dictionary.get_filter(run.reader, self.stats, context)
             for run in runs
@@ -1424,17 +1427,14 @@ class DB:
         context.filter_probe_ns += time.perf_counter_ns() - started
         context.filter_calls += filter_calls
         context.filters_probed += filter_calls
-        positive_runs: list[Run] = []
-        answered_runs: list[Run] = []
+        positives: list[tuple[Run, bool]] = []
         for run, filt, verdict in zip(runs, filters, verdicts):
             if verdict:
-                positive_runs.append(run)
-                if filt is not None:
-                    answered_runs.append(run)
+                positives.append((run, filt is not None))
             else:
                 context.filter_negatives += 1
                 self._note_filter_outcome(run, 1, 0)
-        return positive_runs, answered_runs
+        return positives
 
     def _note_filter_outcome(
         self, run: Run, negatives: int, false_positives: int

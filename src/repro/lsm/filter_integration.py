@@ -10,8 +10,9 @@ Three pieces:
   one unlocked attribute read away.  Disabling it (an ablation in
   ``benchmarks/``) re-deserializes the filter block on every query, which
   is what the paper's deserialization-cost discussion is about.
-* :func:`batched_tightened_ranges` — the *range* probe: one
-  ``may_contain_range`` call per overlapping run.
+* :func:`batched_tightened_ranges` — the *range* probe: one Algorithm 2
+  walk for every overlapping run with a Rosetta of one shape, one
+  ``may_contain_range`` call per other filtered run.
 * :func:`batched_point_verdicts` — the *point* probe: one
   ``may_contain_batch`` call per run for that run's whole key group
   (a ``get`` is a group of one).
@@ -22,9 +23,11 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
+from repro.core.rosetta import Rosetta, range_verdicts
 from repro.core.tuning import observed_fpr
 from repro.errors import SerializationError
 from repro.filters.base import KeyFilter, deserialize_filter
+from repro.filters.rosetta_adapter import RosettaFilter
 from repro.lsm.sstable import UNRESOLVED, SSTReader
 from repro.lsm.stats import PerfStats, Stopwatch
 
@@ -194,20 +197,31 @@ def batched_tightened_ranges(
 ) -> tuple[list[bool], int]:
     """Ask every overlapping run's filter whether ``[low, high]`` is empty.
 
-    One :meth:`~repro.filters.base.KeyFilter.may_contain_range` call per
-    filtered run — the filter picks its own kernel from the range.
+    The Rosettas of the first one's shape answer together through
+    :func:`~repro.core.rosetta.range_verdicts` (one walk for all of them);
+    any other filter through its own
+    :meth:`~repro.filters.base.KeyFilter.may_contain_range` call.
     ``filters[i] is None`` means run *i* has fence pointers only and passes
-    through positive at zero probe cost.  Returns
-    ``(verdicts, filter_calls)``; ``filter_calls`` feeds
-    ``PerfStats.filter_batch_probes`` exactly like the point path's.
+    through positive at zero probe cost.  Returns ``(verdicts,
+    filter_calls)``; ``filter_calls`` feeds ``PerfStats.filter_batch_probes``
+    exactly like the point path's.
 
     The name predates the contract (it once returned §2.2.1 seek windows
     from a multi-run sweep) and stays because the ledger's tracer patches
     ``repro.lsm.db.batched_tightened_ranges`` by name; renaming it is for
     the next benchmark-only PR.
     """
-    verdicts = [
-        True if filt is None else filt.may_contain_range(low, high)
-        for filt in filters
-    ]
-    return verdicts, sum(filt is not None for filt in filters)
+    verdicts = [True] * len(filters)
+    walked: list[int] = []
+    cores: list[Rosetta] = []
+    for index, filt in enumerate(filters):
+        core = filt.core if isinstance(filt, RosettaFilter) else None
+        if core is not None and (not cores or core.shape == cores[0].shape):
+            walked.append(index)
+            cores.append(core)
+        elif filt is not None:
+            verdicts[index] = filt.may_contain_range(low, high)
+    if cores:
+        for index, verdict in zip(walked, range_verdicts(cores, low, high)):
+            verdicts[index] = verdict
+    return verdicts, len(filters) - filters.count(None)

@@ -4,9 +4,10 @@ Data blocks use restart-point prefix compression: within a block, each
 entry stores how many key bytes it shares with its predecessor, and every
 ``restart_interval`` entries a *restart point* stores the full key so a
 reader can binary-search restart points and scan forward
-(:func:`seek_data_block`, the point read; :func:`decode_data_block` parses
-every entry, for scans).  Blocks end with the restart offset array, its
-length, the entry count, and a CRC32 checksum.
+(:func:`seek_data_block`, the point read; :func:`decode_data_block`, the
+cursor every scan reads a block through, seeks the same way).  Blocks end
+with the restart offset array, its length, the entry count, and a CRC32
+checksum.
 
 Entries carry a one-byte value tag distinguishing puts from deletion
 tombstones — the merge machinery needs tombstones to shadow older values
@@ -298,49 +299,9 @@ def _entry_header(payload: bytes, offset: int, end: int) -> tuple[int, int, int,
     return shared, key_start, value_start, value_end
 
 
-def decode_data_block(payload: bytes) -> list[tuple[bytes, int, bytes]]:
-    """Decode a data block into ``[(key, tag, value), ...]``.
-
-    The full read (scans, compaction, verify, repair): the checks of
-    :func:`seek_data_block`, applied to every restart interval — each starts
-    from an empty key, so a restart entry that shares anything is rejected
-    with the rest — plus the advertised entry count, which only a reader that
-    visits every entry can check.
-    """
-    bounds = _restart_bounds(payload)
-    entries: list[tuple[bytes, int, bytes]] = []
-    append = entries.append
-    for index in range(len(bounds) - 1):
-        offset, end = bounds[index], bounds[index + 1]
-        key = b""
-        while offset < end:
-            shared, key_start, value_start, offset = _entry_header(payload, offset, end)
-            if shared > len(key):
-                raise CorruptionError("data block entry shares more than its predecessor")
-            key = key[:shared] + payload[key_start:value_start]
-            append((key, payload[key_start - 1], payload[value_start:offset]))
-    (num_entries,) = _U32.unpack_from(payload, len(payload) - 8)
-    if len(entries) != num_entries:
-        raise CorruptionError(
-            f"data block advertised {num_entries} entries, decoded {len(entries)}"
-        )
-    return entries
-
-
-def seek_data_block(payload: bytes, key: bytes) -> tuple[int, bytes] | None:
-    """Find ``key`` in a data block: ``(tag, value)``, or None when absent.
-
-    The point-read counterpart of :func:`decode_data_block`: verify the
-    CRC32 and restart array, bisect the restart points on the full keys
-    stored there, then walk the one restart interval that can hold ``key``,
-    rebuilding keys until one is ``>= key``.  Everything the search relies on
-    is checked — a restart entry shares nothing, every entry ends inside its
-    interval.  The advertised entry count is not: nothing here counts
-    entries, so that check stays with the full decode.
-    """
-    bounds = _restart_bounds(payload)
-
-    # The last restart point whose key is <= key (the first, if none is).
+def _seek_restart(payload: bytes, bounds: tuple[int, ...], key: bytes) -> int:
+    """Bisect the restart points on the full keys stored there: the last
+    restart interval whose first key is <= ``key`` (the first, if none is)."""
     low, high = 0, len(bounds) - 2
     while low < high:
         mid = (low + high + 1) >> 1
@@ -353,7 +314,58 @@ def seek_data_block(payload: bytes, key: bytes) -> tuple[int, bytes] | None:
             low = mid
         else:
             high = mid - 1
+    return low
 
+
+def decode_data_block(
+    payload: bytes, key: bytes = b""
+) -> Iterator[tuple[bytes, int, bytes]]:
+    """The block cursor: yield the entries ``(key, tag, value)`` at or
+    above ``key``, in order, parsing one entry per step.
+
+    Every reader that iterates a block (scans, compaction, verify, repair)
+    uses it.  Before the first entry it verifies the CRC32 and restart
+    array and bisects the restart points to ``key`` (as
+    :func:`seek_data_block` does); then every interval it walks is checked
+    as the seek checks its one — each starts from an empty key, so a
+    restart entry that shares anything is rejected with the rest.  A cursor
+    that started at the block's first interval counts what it parsed and, on
+    reaching the end, checks the advertised entry count; one that seeked
+    past entries it never parsed cannot.
+    """
+    bounds = _restart_bounds(payload)
+    first = _seek_restart(payload, bounds, key) if key else 0
+    parsed = 0
+    for index in range(first, len(bounds) - 1):
+        offset, end = bounds[index], bounds[index + 1]
+        current = b""
+        while offset < end:
+            shared, key_start, value_start, offset = _entry_header(payload, offset, end)
+            if shared > len(current):
+                raise CorruptionError("data block entry shares more than its predecessor")
+            current = current[:shared] + payload[key_start:value_start]
+            parsed += 1
+            if current >= key:
+                yield current, payload[key_start - 1], payload[value_start:offset]
+    (num_entries,) = _U32.unpack_from(payload, len(payload) - 8)
+    if not first and parsed != num_entries:
+        raise CorruptionError(
+            f"data block advertised {num_entries} entries, decoded {parsed}"
+        )
+
+
+def seek_data_block(payload: bytes, key: bytes) -> tuple[int, bytes] | None:
+    """Find ``key`` in a data block: ``(tag, value)``, or None when absent.
+
+    The point read: the cursor's checks and restart bisect
+    (:func:`decode_data_block`), then one restart interval walked, rebuilding
+    keys until one is ``>= key``.  Everything the search relies on is
+    checked — a restart entry shares nothing, every entry ends inside its
+    interval.  The advertised entry count is not: nothing here counts
+    entries.
+    """
+    bounds = _restart_bounds(payload)
+    low = _seek_restart(payload, bounds, key)
     offset, end = bounds[low], bounds[low + 1]
     current = b""
     while offset < end:

@@ -21,10 +21,9 @@ path that touches the file.
 from __future__ import annotations
 
 import struct
-import threading
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.core.hashing import derive_filter_salt
@@ -50,12 +49,6 @@ _MAGIC = 0x524F5345  # "ROSE"
 # Meta block: entry count, then min and max key, each behind its length.
 _COUNT = struct.Struct("<Q")
 _KEY_LEN = struct.Struct("<I")
-
-# Parsed data blocks memoized per reader (entry lists are ~10x the work of
-# the raw block fetch).  Only scans and compaction reads decode whole blocks
-# (a ``get`` seeks inside the raw payload), so the bound caps what a long
-# scan over one file keeps alive: this many blocks' decoded entries.
-_MAX_DECODED_BLOCKS = 16
 
 #: ``SSTReader.resolved_filter`` before the run's filter was first asked for.
 UNRESOLVED = object()
@@ -261,11 +254,6 @@ class SSTReader:
         index_payload = self._read_metadata_block(self._index_handle)
         self._fence_pointers = decode_index_block(index_payload)
         self._fence_keys = [key for key, _ in self._fence_pointers]
-        # offset -> (payload, entries); valid only while the block cache
-        # still returns the identical payload object (see _decode_data_block).
-        # Shared by foreground queries and background compaction reads.
-        self._decoded_lock = threading.Lock()
-        self._decoded_blocks: OrderedDict[int, tuple[bytes, list]] = OrderedDict()
         self.resolved_filter = UNRESOLVED
 
     # ------------------------------------------------------------------
@@ -322,8 +310,7 @@ class SSTReader:
         """Return ``(tag, value)`` or None; reads at most one data block.
 
         A point read seeks inside the raw block (restart-point bisect, one
-        interval walked) instead of decoding all of it, so it neither reads
-        nor fills the decoded-block memo.
+        interval walked) instead of iterating it.
         """
         if not self.meta.min_key <= key <= self.meta.max_key:
             return None
@@ -334,33 +321,6 @@ class SSTReader:
             self._read_block(self._fence_pointers[block_index][1], context), key
         )
 
-    def _decode_data_block(
-        self, block_index: int, context=None
-    ) -> list[tuple[bytes, int, bytes]]:
-        """Fetch and parse one data block, memoizing the parsed entries.
-
-        The memo key is the *identity* of the payload ``_read_block``
-        returns: a block-cache hit hands back the same bytes object, so the
-        varint parse is skipped; a device read (cache miss, eviction, or
-        cache disabled) produces a fresh object and re-decodes.  Cache-hit /
-        device-read accounting is therefore untouched — only the redundant
-        re-parse of an already-resident block is elided.
-        """
-        _, handle = self._fence_pointers[block_index]
-        payload = self._read_block(handle, context)
-        with self._decoded_lock:
-            memo = self._decoded_blocks.get(handle.offset)
-            if memo is not None and memo[0] is payload:
-                self._decoded_blocks.move_to_end(handle.offset)
-                return memo[1]
-        entries = decode_data_block(payload)
-        with self._decoded_lock:
-            self._decoded_blocks[handle.offset] = (payload, entries)
-            self._decoded_blocks.move_to_end(handle.offset)
-            if len(self._decoded_blocks) > _MAX_DECODED_BLOCKS:
-                self._decoded_blocks.popitem(last=False)
-        return entries
-
     # ------------------------------------------------------------------
     # Iteration (the two-level iterator)
     # ------------------------------------------------------------------
@@ -370,16 +330,17 @@ class SSTReader:
         """Yield entries with key >= ``key``, in order, across blocks.
 
         This is the child-iterator pair of RocksDB's two-level iterator:
-        an index cursor choosing data blocks and a block cursor scanning
-        entries; each data block is fetched lazily.
+        an index cursor choosing data blocks and a block cursor
+        (:func:`~repro.lsm.format.decode_data_block`) per block, which seeks
+        to ``key`` in the first; each data block is fetched when the
+        cursor before it runs out.
         """
         first = bisect_left(self._fence_keys, key)
-        for block_index in range(first, len(self._fence_pointers)):
-            entries = self._decode_data_block(block_index, context)
-            start = 0
-            if block_index == first:
-                start = bisect_left(entries, key, key=lambda e: e[0])
-            yield from entries[start:]
+        read = self._read_block
+        return chain.from_iterable(
+            decode_data_block(read(handle, context), key if index == first else b"")
+            for index, (_, handle) in enumerate(self._fence_pointers[first:], first)
+        )
 
     def num_data_blocks(self) -> int:
         """Number of data blocks (fence-pointer entries)."""

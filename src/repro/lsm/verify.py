@@ -63,7 +63,8 @@ def verify_sst(reader: SSTReader, report: VerificationReport) -> None:
         fence_key, handle = reader._fence_pointers[block_index]  # noqa: SLF001
         try:
             payload = reader.read_from_device(handle)
-            entries = decode_data_block(payload)
+            # The cursor checks as it parses: read the whole block here.
+            entries = list(decode_data_block(payload))
         except ReproError as exc:
             report.add_error(f"{name} block {block_index}", str(exc))
             continue

@@ -51,7 +51,7 @@ def test_any_single_byte_flip_detected_or_equal(entries, data):
     flip = data.draw(st.integers(min_value=1, max_value=255))
     block[position] ^= flip
     try:
-        decoded = decode_data_block(bytes(block))
+        decoded = list(decode_data_block(bytes(block)))
     except CorruptionError:
         return  # detected, as required
     # CRC32 cannot miss a single-byte change over the covered region; the

@@ -60,7 +60,7 @@ class TestDataBlock:
         entries = self._entries()
         for key, tag, value in entries:
             builder.extend([(key, tag, value)])
-        decoded = decode_data_block(builder.finish())
+        decoded = list(decode_data_block(builder.finish()))
         assert decoded == entries
 
     def test_prefix_compression_saves_space(self):
@@ -75,7 +75,7 @@ class TestDataBlock:
         builder = DataBlockBuilder()
         builder.extend([(b"dead", ValueTag.DELETE, b"")])
         builder.extend([(b"live", ValueTag.PUT, b"v")])
-        decoded = decode_data_block(builder.finish())
+        decoded = list(decode_data_block(builder.finish()))
         assert decoded[0] == (b"dead", ValueTag.DELETE, b"")
         assert decoded[1] == (b"live", ValueTag.PUT, b"v")
 
@@ -93,18 +93,18 @@ class TestDataBlock:
         payload = bytearray(builder.finish())
         payload[0] ^= 0xFF
         with pytest.raises(CorruptionError):
-            decode_data_block(bytes(payload))
+            list(decode_data_block(bytes(payload)))
 
     def test_too_small_rejected(self):
         with pytest.raises(CorruptionError):
-            decode_data_block(b"tiny")
+            list(decode_data_block(b"tiny"))
 
     def test_restart_interval_one(self):
         builder = DataBlockBuilder(restart_interval=1)
         entries = self._entries(10)
         for key, tag, value in entries:
             builder.extend([(key, tag, value)])
-        assert decode_data_block(builder.finish()) == entries
+        assert list(decode_data_block(builder.finish())) == entries
 
     def test_size_estimate_tracks_growth(self):
         initial = len(DataBlockBuilder().finish())
@@ -160,7 +160,7 @@ def test_property_data_block_roundtrip(entries, restart):
     for key, tag, value in entries:
         builder.extend([(key, tag, value)])
     block = builder.finish()
-    assert decode_data_block(block) == entries
+    assert list(decode_data_block(block)) == entries
     for key, tag, value in entries:
         assert seek_data_block(block, key) == (tag, value)
 
@@ -280,7 +280,7 @@ class TestSeekDataBlock:
             for i in range(1, 600)
         ]
         block = _build(entries, restart)
-        assert decode_data_block(block) == entries
+        assert list(decode_data_block(block)) == entries
         for key, tag, value in entries:
             assert seek_data_block(block, key) == (tag, value)
             number = int.from_bytes(key, "big")
@@ -297,7 +297,7 @@ class TestSeekDataBlock:
         """Same floor as the decoder: an entry-less block is not a block."""
         for payload in (b"", b"tiny", b"\x00" * 15, DataBlockBuilder().finish()):
             with pytest.raises(CorruptionError):
-                decode_data_block(payload)
+                list(decode_data_block(payload))
             with pytest.raises(CorruptionError):
                 seek_data_block(payload, b"k")
 
@@ -424,7 +424,27 @@ class TestSeekDataBlock:
         with pytest.raises(CorruptionError):
             seek_data_block(block, probe)
         with pytest.raises(CorruptionError):
-            decode_data_block(block)
+            list(decode_data_block(block))
+        with pytest.raises(CorruptionError):
+            list(decode_data_block(block, probe))
+
+    def test_entry_count_checked_on_every_block_read_to_its_end(self):
+        """Three entries where the trailer advertises two: a cursor that read
+        the block from its first interval to its end refuses it, after the
+        entries it could return; the seek, which counts nothing, and a
+        cursor that seeked past the first interval cannot tell."""
+        block = _seal(
+            [_entry(0, b"a", b"1") + _entry(0, b"b", b"2"), _entry(0, b"c", b"3")],
+            [0, 12],
+        )
+        assert struct.unpack_from("<I", block, len(block) - 8)[0] == 2
+        for probe in (b"", b"a", b"b", b"bb"):
+            cursor = decode_data_block(block, probe)
+            assert next(cursor)[0] >= probe
+            with pytest.raises(CorruptionError, match="advertised 2 entries"):
+                list(cursor)
+        assert list(decode_data_block(block, b"c")) == [(b"c", ValueTag.PUT, b"3")]
+        assert seek_data_block(block, b"a") == (ValueTag.PUT, b"1")
 
 
 _KEY_SETS = st.builds(
@@ -451,13 +471,18 @@ def test_property_seek_equals_decode(keys, restart, extra_probes, data):
         for key in keys
     ]
     block = _build(entries, restart)
-    oracle = {key: (tag, value) for key, tag, value in decode_data_block(block)}
+    full = list(decode_data_block(block))
+    oracle = {key: (tag, value) for key, tag, value in full}
     probes = set(extra_probes) | {b"", keys[0][:-1], keys[-1] + b"\xff"}
     for key in keys:
         # equal to / strict prefix of / extension of / just past a stored key
         probes |= {key, key[:-1], key + b"\x00", key[:-1] + bytes([key[-1] ^ 1])}
     for probe in probes:
         assert seek_data_block(block, probe) == oracle.get(probe)
+        # The cursor seeked to ``probe`` is the full read from there on.
+        assert list(decode_data_block(block, probe)) == [
+            entry for entry in full if entry[0] >= probe
+        ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -479,6 +504,6 @@ def test_property_resealed_garbage_never_escapes_as_another_error(restart, edits
         except CorruptionError:
             pass
     try:
-        decode_data_block(block)
+        list(decode_data_block(block))
     except CorruptionError:
         pass

@@ -1,11 +1,22 @@
-"""Counted, not timed: the calls one ``put`` and one ``get`` make.
+"""Counted, not timed: the calls one ``put``, one ``get`` and one range read
+make.
 
-cProfile counts every Python and builtin call, so the numbers repeat exactly
-on one interpreter and a ceiling catches a read or write path that grew a
-step.  The store is fixed: 32-bit keys, two L0 files over two L1 and four L2
-files, every filter and block warm.  The ceilings hold the one-pass point
-read over a dict memtable (48.0 calls per put, 83.0 per get); the skip-list
-memtable and the per-run list building it replaced cost 59.1 and 101.7.
+cProfile counts every Python and builtin call (a generator's every resume
+too), so the numbers repeat exactly on one interpreter and a ceiling catches
+a read or write path that grew a step.  The store is fixed: 32-bit keys, two
+L0 files over two L1 and four L2 files, every filter and block warm.  The
+ceilings hold the one-pass point read over a dict memtable (48.0 calls per
+put, 83.0 per get); the skip-list memtable and the per-run list building it
+replaced cost 59.1 and 101.7.
+
+The range ceilings hold the range read that does only what its answer needs
+(one filter walk over every run, no scan built for an empty answer, a block
+cursor that seeks): 147.8 calls per empty ``range_query`` (224.4 before),
+1907.6 per 16-record ``range_query`` (1833.5 before: the memo of parsed
+blocks it dropped answered these warm repeats without parsing; the range's
+filter probes take the frontier engine, most of the count), 1691.1 per
+``range_iter`` read to its first entry and closed (1627.9) and 428.9 per
+16-record ``iterator`` (352.7).
 """
 
 import cProfile
@@ -17,6 +28,10 @@ from repro.lsm import DB, DBOptions
 
 PUT_CEILING = 50
 GET_CEILING = 87
+EMPTY_RANGE_CEILING = 155
+RANGE_CEILING = 1990
+RANGE_ITER_CEILING = 1770
+ITERATOR_CEILING = 450
 
 
 def _calls_per_op(calls, arguments) -> float:
@@ -28,7 +43,9 @@ def _calls_per_op(calls, arguments) -> float:
     return pstats.Stats(profile).total_calls / len(arguments)
 
 
-def test_calls_per_put_and_per_get(tmp_path):
+def _eight_file_store(path) -> tuple[DB, list[int], random.Random]:
+    """Two L0 files over two L1 and four L2 files; returns the store, the
+    keys in insertion order (the last 1000 not yet written) and the RNG."""
     rng = random.Random("op-call-counts")
     keys = rng.sample(range(1 << 32), 2550)
     options = DBOptions(
@@ -39,18 +56,23 @@ def test_calls_per_put_and_per_get(tmp_path):
         max_bytes_for_level_base=64 << 10,
     )
     options.filter_factory = make_factory("rosetta", 32, 22, max_range=64)
-    with DB(str(tmp_path / "store"), options) as db:
-        db.ingest([(key, rng.randbytes(64)) for key in keys[:900]], level=2)
-        db.ingest([(key, rng.randbytes(64)) for key in keys[900:1350]], level=1)
-        for start in (1350, 1450):
-            for key in keys[start:start + 100]:
-                db.put(key, rng.randbytes(64))
-            db.flush()
-        version = db.version
-        shape = (len(version.level0), len(version.level_runs(1)),
-                 len(version.level_runs(2)))
-        assert shape == (2, 2, 4)
+    db = DB(str(path), options)
+    db.ingest([(key, rng.randbytes(64)) for key in keys[:900]], level=2)
+    db.ingest([(key, rng.randbytes(64)) for key in keys[900:1350]], level=1)
+    for start in (1350, 1450):
+        for key in keys[start:start + 100]:
+            db.put(key, rng.randbytes(64))
+        db.flush()
+    version = db.version
+    shape = (len(version.level0), len(version.level_runs(1)),
+             len(version.level_runs(2)))
+    assert shape == (2, 2, 4)
+    return db, keys, rng
 
+
+def test_calls_per_put_and_per_get(tmp_path):
+    db, keys, rng = _eight_file_store(tmp_path / "store")
+    with db:
         stored = set(keys)
         absent = [key for key in rng.sample(range(1 << 32), 1100)
                   if key not in stored][:1000]
@@ -67,3 +89,39 @@ def test_calls_per_put_and_per_get(tmp_path):
 
     assert per_put <= PUT_CEILING, per_put
     assert per_get <= GET_CEILING, per_get
+
+
+def _first_then_close(db: DB, low: int, high: int) -> None:
+    scan = db.range_iter(low, high)
+    next(scan)
+    scan.close()
+
+
+def test_calls_per_range_read(tmp_path):
+    db, keys, rng = _eight_file_store(tmp_path / "store")
+    with db:
+        stored = sorted(keys[:1550])
+        gaps = [
+            (low + 1, min(high - 1, low + rng.randrange(1, 65)))
+            for low, high in zip(stored, stored[1:])
+            if high - low > 2
+        ]
+        empty = rng.sample(gaps, 1000)
+        starts = [rng.randrange(len(stored) - 16) for _ in range(300)]
+        scans = [(stored[i], stored[i + 15]) for i in starts]
+        # Warm, and check the shapes.
+        assert not any(db.range_query(low, high) for low, high in empty)
+        assert all(len(db.range_query(low, high)) == 16 for low, high in scans)
+        per_empty = _calls_per_op(db.range_query, empty)
+        per_scan = _calls_per_op(db.range_query, scans)
+        per_first = _calls_per_op(
+            lambda low, high: _first_then_close(db, low, high), scans
+        )
+        per_iterator = _calls_per_op(
+            lambda low, high: list(db.iterator(low, high)), scans
+        )
+
+    assert per_empty <= EMPTY_RANGE_CEILING, per_empty
+    assert per_scan <= RANGE_CEILING, per_scan
+    assert per_first <= RANGE_ITER_CEILING, per_first
+    assert per_iterator <= ITERATOR_CEILING, per_iterator

@@ -299,6 +299,25 @@ _RAISING_READS = {
             "memtable_hits": 1,
         },
     ),
+    # Both runs' filters answer positive (their blocks are cached by now);
+    # the newer run's first entry confirms it, the L2 file fails reading its
+    # first, so it is not judged.
+    "range_query": (
+        {
+            "block_cache_hits": 2, "filter_probes": 2,
+            "filter_batch_probes": 2, "filter_true_positives": 1,
+            "range_queries": 1, "tracker.filter_positives": 1,
+        },
+        {
+            "kind": "range", "low": 0, "high": 300, "runs_considered": 2,
+            "filter_calls": 2, "filters_probed": 2, "filter_negatives": 0,
+            "filter_true_positives": 1, "filter_false_positives": 0,
+            "iterators_created": 3, "blocks_read": 0, "block_cache_hits": 2,
+            "block_cache_misses": 0, "block_read_bytes": 0, "results": 0,
+            "memtable_hit": False, "width": 301, "keys_requested": 0,
+            "distinct_keys": 0, "memtable_hits": 0,
+        },
+    ),
 }
 
 
@@ -430,10 +449,14 @@ class TestReadLedger:
         db, get_keys, multi_keys = _erroring_store(tmp_path)
         try:
             assert (get_keys, multi_keys) == ([10], [3, 205, 12770, 10])
-            for read, arg in ((db.get, get_keys[0]), (db.multi_get, multi_keys)):
+            for read, args in (
+                (db.get, (get_keys[0],)),
+                (db.multi_get, (multi_keys,)),
+                (db.range_query, (0, 300)),
+            ):
                 before = _counted(db)
                 with pytest.raises(CorruptionError):
-                    read(arg)
+                    read(*args)
                 after = _counted(db)
                 delta = {
                     name: after[name] - value

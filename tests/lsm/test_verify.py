@@ -1,5 +1,7 @@
 """Tests for the store integrity checker (DB.verify)."""
 
+import struct
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -63,6 +65,31 @@ class TestVerify:
         report = db.verify()
         assert not report.ok
         assert any("checksum" in e or "block" in e for e in report.errors)
+        db.close()
+
+    def test_block_that_fails_mid_read_is_reported(self, tmp_path):
+        """A block whose CRC holds but whose entry count lies fails only
+        once read to its end: verify reports it and goes on."""
+        db = _db(tmp_path)
+        run = db.version.all_runs_newest_first()[0]
+        handle = run.reader._fence_pointers[1][1]  # noqa: SLF001
+        path = db._env.path(run.name)  # noqa: SLF001
+        with open(path, "r+b") as sst:
+            sst.seek(handle.offset)
+            block = bytearray(sst.read(handle.size))
+            (entries,) = struct.unpack_from("<I", block, len(block) - 8)
+            struct.pack_into("<I", block, len(block) - 8, entries + 1)
+            struct.pack_into("<I", block, len(block) - 4, zlib.crc32(block[:-4]))
+            sst.seek(handle.offset)
+            sst.write(block)
+        report = db.verify()
+        assert (
+            f"{run.name} block 1: data block advertised {entries + 1} entries, "
+            f"decoded {entries}"
+        ) in report.errors
+        assert report.blocks_checked == sum(
+            r.reader.num_data_blocks() for r in db.version.all_runs_newest_first()
+        ) - 1
         db.close()
 
     def test_reads_the_file_not_the_block_cache(self, tmp_path):

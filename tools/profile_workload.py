@@ -13,14 +13,13 @@ cumulative time, and function calls per op.  Threads started while the
 profile is on (serving workers, ``serve-mixed`` clients) are profiled too
 and folded into the same table.
 
-With threads most of the table is waiting, not work.  ``W`` rows are a lock
-or condition wait itself (an idle serving worker, a client parked on a
-future); ``w`` rows enter a ``with <lock>:``, where cProfile sees no call, so
-the wait is charged to their *self* time (``DB.put``'s is mostly
-``_write_lock``).  The second footer line leaves the ``W`` rows out.
-``--phase setup`` adds two more: the bytes each compaction kind wrote, and
-the rest (WAL, flush, manifest), each over the user bytes loaded; then the
-entries each compaction kind rewrote, and their sum per put.
+Every thread's profile is timed by that thread's CPU clock
+(``time.thread_time``), so a thread parked on a lock, a condition or a
+future accrues nothing there: with threads, a wall-clock table would rank
+the handoffs of the interpreter lock, not the work.
+``--phase setup`` adds two footer lines: the bytes each compaction kind
+wrote, and the rest (WAL, flush, manifest), each over the user bytes loaded;
+then the entries each compaction kind rewrote, and their sum per put.
 
 cProfile charges every Python call and no native work, so the table ranks
 candidates; it is not a measurement.  Claim gains from the ledger
@@ -36,12 +35,10 @@ sys.dont_write_bytecode = True  # like the ledger: leave the checkout as found
 
 import argparse
 import cProfile
-import inspect
-import linecache
 import pstats
-import re
 import tempfile
 import threading
+import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -57,7 +54,8 @@ JOB_KINDS = ("intra-l0", "leveled-l0", "leveled-level", "full")
 
 
 class ThreadedProfile:
-    """One ``cProfile.Profile`` per thread alive while the block runs.
+    """One ``cProfile.Profile`` per thread alive while the block runs, each
+    timed by its own thread's CPU clock.
 
     Create it before the store (and its worker threads) exists: threads
     started earlier never see the hook.
@@ -76,7 +74,7 @@ class ThreadedProfile:
             self._enable()
 
     def _enable(self) -> None:
-        profile = cProfile.Profile()
+        profile = cProfile.Profile(time.thread_time)
         self.profiles.append(profile)
         profile.enable()
 
@@ -171,30 +169,14 @@ def profile_phase(
     return profiler.stats(), ops, split
 
 
-_WAIT_PRIMITIVE = re.compile(r"<method '(acquire|__enter__)' of '_thread\.(lock|RLock)' objects>")
-_WITH_LOCK = re.compile(r"^\s*with\s+[\w.]*(lock|cond|mutex)", re.I | re.M)
-
-
-def wait_mark(func: tuple[str, int, str]) -> str:
-    """``W`` a lock wait itself, ``w`` self time includes one, else blank."""
-    path, line, name = func
-    if _WAIT_PRIMITIVE.fullmatch(name):
-        return "W"
-    source = linecache.getlines(path)[line - 1:]
-    if name.startswith("<") or not source:
-        return " "  # built-in, <genexpr>, <module>: no function body to read
-    return "w" if _WITH_LOCK.search("".join(inspect.getblock(source))) else " "
-
-
 def print_table(stats: pstats.Stats, order: str, top: int) -> None:
     stats.sort_stats(order)
-    print(f"\ntop {top} by {order} (W = lock/condition wait, "
-          "w = self time includes the wait for a `with <lock>:`)")
-    print("   ncalls  tottime  cumtime     function")
+    print(f"\ntop {top} by {order} (CPU seconds)")
+    print("   ncalls  tottime  cumtime  function")
     for func in stats.fcn_list[:top]:
         _, calls, self_s, cumulative_s, _ = stats.stats[func]
         where = pstats.func_std_string((Path(func[0]).name, *func[1:]))
-        print(f"{calls:9d} {self_s:8.3f} {cumulative_s:8.3f}  {wait_mark(func)}  {where}")
+        print(f"{calls:9d} {self_s:8.3f} {cumulative_s:8.3f}  {where}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -214,16 +196,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     for order in ("tottime", "cumulative"):
         print_table(stats, order, args.top)
-    waited = sum(
-        row[2] for func, row in stats.stats.items() if _WAIT_PRIMITIVE.fullmatch(func[2])
-    )
     print(
         f"\n{args.workload} {args.phase}: {ops} ops, {stats.total_calls} function calls "
-        f"= {stats.total_calls / ops:.1f} calls per op, {stats.total_tt:.3f} profiled s"
-    )
-    print(
-        f"{stats.total_tt - waited:.3f} profiled s excluding lock/condition waits "
-        f"({waited:.3f} s in W rows; w rows hold more of it as self time)"
+        f"= {stats.total_calls / ops:.1f} calls per op, {stats.total_tt:.3f} profiled "
+        "CPU s"
     )
     if split is not None:
         print(split)
