@@ -10,13 +10,6 @@ workload under injected transient read errors (with retries) must produce
 exactly the fault-free answers, with every injected fault visible in the
 health report.
 
-One ``torture_seed`` call per seed sweeps every crash point inline and
-again with the background maintenance worker on a seeded deterministic
-scheduler (``--sched-seeds`` interleavings per seed — power cuts land
-mid-flush, mid-compaction, and mid-superversion-install on the worker).
-Each seed also checks interleaving equivalence: inline and every
-scheduler seed must answer identically on a crash-free run.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/torture.py           # 20 seeds (full)
@@ -39,7 +32,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.lsm.torture import (  # noqa: E402
     TortureConfig,
-    schedule_equivalence,
     torture_seed,
     transient_fault_equivalence,
 )
@@ -47,37 +39,22 @@ from repro.lsm.torture import (  # noqa: E402
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_torture.json"
 
 
-def run_matrix(seeds: int, sched_seeds: int) -> dict:
+def run_matrix(seeds: int) -> dict:
     config = TortureConfig()
     # Salted filters ride inside the SST envelope, so a power cut at any
     # durable write must recover a store whose surviving runs still probe
     # with the exact per-file hash family they were built with.
     salted_config = TortureConfig(filter_salt_seed=0x5EED_CAFE)
-    interleavings = tuple(range(sched_seeds))
     records = []
     violations: list[str] = []
     total_crash_points = 0
-    total_concurrent_crash_points = 0
     started = time.time()
     with tempfile.TemporaryDirectory(prefix="torture-") as workdir:
         for seed in range(seeds):
-            report = torture_seed(
-                workdir, seed, config, sched_seeds=(None, *interleavings)
-            )
+            report = torture_seed(workdir, seed, config)
             equivalence = transient_fault_equivalence(workdir, seed, config)
-            interleaving_eq = schedule_equivalence(
-                workdir, seed, config, sched_seeds=interleavings
-            )
-            inline = report.crash_points_by_schedule[None]
-            concurrent = report.crash_points - inline
-            total_crash_points += inline
-            total_concurrent_crash_points += concurrent
+            total_crash_points += report.crash_points
             violations.extend(report.violations)
-            if not interleaving_eq["equivalent"]:
-                violations.append(
-                    f"seed={seed}: interleavings diverged: "
-                    f"{interleaving_eq['mismatches']}"
-                )
             if not equivalence["answers_match"]:
                 violations.append(
                     f"seed={seed}: answers diverged under transient faults"
@@ -95,36 +72,24 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
             records.append(
                 {
                     "seed": seed,
-                    "crash_points": inline,
-                    "violations": [
-                        v for v in report.violations if "sched_seed=" not in v
-                    ],
+                    "crash_points": report.crash_points,
+                    "violations": report.violations,
                     "transient_answers_match": equivalence["answers_match"],
                     "injected_transient_errors": equivalence[
                         "injected_transient_errors"
                     ],
                     "io_retries": equivalence["io_retries"],
-                    "concurrent_crash_points": concurrent,
-                    "concurrent_violations": [
-                        v for v in report.violations if "sched_seed=" in v
-                    ],
-                    "interleavings_equivalent": interleaving_eq["equivalent"],
                 }
             )
             print(
-                f"seed {seed:3d}: {inline:4d} inline + "
-                f"{concurrent:4d} concurrent crash points, "
-                f"{len(report.violations)} "
-                f"violations; transient-equivalence "
-                f"{'ok' if equivalence['answers_match'] else 'FAILED'}, "
-                f"interleaving-equivalence "
-                f"{'ok' if interleaving_eq['equivalent'] else 'FAILED'}"
+                f"seed {seed:3d}: {report.crash_points:4d} inline crash "
+                f"points, {len(report.violations)} violations; "
+                f"transient-equivalence "
+                f"{'ok' if equivalence['answers_match'] else 'FAILED'}"
             )
         salted_records = []
         for seed in range(min(3, seeds)):
-            report = torture_seed(
-                workdir, seed, salted_config, sched_seeds=(None,)
-            )
+            report = torture_seed(workdir, seed, salted_config)
             total_crash_points += report.crash_points
             violations.extend(
                 f"salted {violation}" for violation in report.violations
@@ -143,9 +108,7 @@ def run_matrix(seeds: int, sched_seeds: int) -> dict:
     return {
         "bench": "torture",
         "seeds": seeds,
-        "scheduler_seeds": sched_seeds,
         "total_crash_points": total_crash_points,
-        "total_concurrent_crash_points": total_concurrent_crash_points,
         "elapsed_seconds": round(time.time() - started, 2),
         "violations": violations,
         "per_seed": records,
@@ -163,18 +126,13 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke", action="store_true",
         help="CI smoke matrix: 5 seeds",
     )
-    parser.add_argument(
-        "--sched-seeds", type=int, default=2,
-        help="deterministic scheduler seeds per workload seed (default: 2)",
-    )
     args = parser.parse_args(argv)
     seeds = 5 if args.smoke else args.seeds
 
-    result = run_matrix(seeds, args.sched_seeds)
+    result = run_matrix(seeds)
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print(
-        f"\n{result['total_crash_points']} inline + "
-        f"{result['total_concurrent_crash_points']} concurrent crash points "
+        f"\n{result['total_crash_points']} inline crash points "
         f"across {seeds} seeds in {result['elapsed_seconds']}s "
         f"-> {RESULT_PATH.name}"
     )

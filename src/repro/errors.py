@@ -66,16 +66,6 @@ class ReadOnlyStoreError(StoreError):
     """
 
 
-class WriteStallTimeoutError(StoreError):
-    """A stopped writer waited longer than ``DBOptions.write_stall_timeout_s``.
-
-    The stop trigger (L0 run count or sealed-memtable backlog at its
-    ceiling) blocks writers until background maintenance drains the debt;
-    if it cannot within the bound, the write fails with this error instead
-    of hanging forever.  The write had no side effects and may be retried.
-    """
-
-
 class PowerCutError(StoreError):
     """A simulated power cut interrupted an I/O operation mid-flight.
 

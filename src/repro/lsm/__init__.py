@@ -14,11 +14,7 @@ from repro.lsm.memtable import MemTable
 from repro.lsm.options import DBOptions
 from repro.lsm.perf_context import QueryContext
 from repro.lsm.repair import RepairOutcome, repair_store
-from repro.lsm.scheduler import (
-    DeterministicScheduler,
-    InlineScheduler,
-    ThreadPoolScheduler,
-)
+from repro.lsm.scheduler import InlineScheduler
 from repro.lsm.serving import (
     ServingHealth,
     ServingOptions,
@@ -35,7 +31,6 @@ __all__ = [
     "DB",
     "DBOptions",
     "DEVICE_PRESETS",
-    "DeterministicScheduler",
     "DeviceModel",
     "FaultInjectionEnv",
     "HealthReport",
@@ -51,7 +46,6 @@ __all__ = [
     "ShardedServer",
     "StorageEnv",
     "Stopwatch",
-    "ThreadPoolScheduler",
     "VerificationReport",
     "WriteBatch",
     "repair_store",

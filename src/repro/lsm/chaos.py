@@ -51,7 +51,6 @@ from repro.errors import (
     ShardUnavailableError,
     TransientIOError,
     WorkerCrashedError,
-    WriteStallTimeoutError,
 )
 from repro.lsm.db import DB
 from repro.lsm.faults import FaultInjectionEnv
@@ -70,7 +69,6 @@ TYPED_ERRORS: tuple[type[BaseException], ...] = (
     ShardUnavailableError,
     WorkerCrashedError,
     ReadOnlyStoreError,
-    WriteStallTimeoutError,
     TransientIOError,
     ClosedStoreError,
 )

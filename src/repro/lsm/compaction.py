@@ -10,7 +10,7 @@ Policy (RocksDB leveled, per-file granularity):
   one new L0 file, tombstones kept (an *intra-L0* merge).  Pushing a
   sliver of L0 into L1 would rewrite the whole closure for it.
 * A level exceeding its size target (:func:`~repro.lsm.version.level_target_bytes`)
-  merges down in bounded *windows*: up to ``max_compaction_input_files``
+  merges down in bounded *windows*: up to :data:`MAX_COMPACTION_INPUT_FILES`
   contiguous source runs (oldest window first) plus their overlap closure
   at the target level, so one oversize level drains in several bounded
   merges instead of one giant one.
@@ -31,7 +31,7 @@ by the configured factory (charged to the Fig. 6 construction counters).
 
 Job API
 -------
-The DB runs at most one maintenance job at a time (its one job slot), so
+The DB runs every maintenance job under its write lock, one at a time, so
 nothing edits the version between planning a job and installing it.  A
 job goes through three phases:
 
@@ -41,12 +41,11 @@ job goes through three phases:
     windows within a level oldest-first).  ``forced_l0_job`` and
     ``full_compaction_job`` build the explicit-``compact()`` /
     ``force_full_compaction()`` variants regardless of triggers.  The
-    caller plans while holding the slot, so every input is live when the
-    job installs.
+    caller plans while holding the write lock, so every input is live
+    when the job installs.
 ``execute(job) -> list[Run]``
     The expensive part — merge the input runs into fresh output SSTs, on
-    the thread that calls it.  Touches no shared version state, so it
-    runs unlocked on a worker.
+    the thread that calls it.  Touches no shared version state.
 ``apply(version, job, outputs)``
     Pure metadata edit: swap inputs for outputs on a ``Version`` *clone*
     under the DB mutex.  The caller persists the manifest and installs
@@ -79,7 +78,14 @@ from repro.lsm.version import (
     LEVEL_SIZE_RATIO, NUM_LEVELS, Run, Version, level_target_bytes,
 )
 
-__all__ = ["Compactor", "CompactionJob"]
+__all__ = ["Compactor", "CompactionJob", "MAX_COMPACTION_INPUT_FILES"]
+
+#: Maximum source-level runs per leveled compaction window (RocksDB's
+#: per-file picking).  An oversize level is drained in windows of this many
+#: contiguous runs (plus their target-level overlap closure), so one merge
+#: rewrites a bounded slice of the level instead of all of it — which is
+#: what ``write_amp`` pays for.
+MAX_COMPACTION_INPUT_FILES = 4
 
 
 @dataclass
@@ -142,7 +148,7 @@ class Compactor:
         self._filter_dictionary = filter_dictionary
         # Guards the file-name counter, which flush, compaction and ingest
         # jobs advance (one at a time, on whichever thread holds the DB's
-        # job slot) and recovery raises.
+        # write lock) and recovery raises.
         self._counter_lock = threading.Lock()
         self._next_file_number = 1
         # The auto-tuner can swap the factory between compactions (§2.4);
@@ -167,8 +173,8 @@ class Compactor:
         return next(self._candidates(version), None)
 
     #: Weight making any triggered L0 candidate outrank any size-triggered
-    #: deeper level: L0 debt stalls writers (the stop trigger watches the
-    #: L0 run count), bytes-over-target only costs read amplification.
+    #: deeper level: every L0 run is one more iterator on every read,
+    #: bytes-over-target only costs read amplification at depth.
     _L0_DEBT_WEIGHT = 1_000_000.0
 
     def _candidates(self, version: Version) -> Iterator[CompactionJob]:
@@ -178,7 +184,7 @@ class Compactor:
         every size-triggered level; a deeper level scores its
         bytes-over-target ratio (ties broken shallowest-first).  Each
         oversize level contributes one job per
-        ``max_compaction_input_files``-wide source window (oldest window
+        :data:`MAX_COMPACTION_INPUT_FILES`-wide source window (oldest window
         first).
         """
         scored: list[tuple[float, int, list[CompactionJob]]] = []
@@ -205,7 +211,7 @@ class Compactor:
             yield from jobs
 
     #: Weight pushing a quarantine rebuild ahead of every size-triggered
-    #: candidate but below L0 debt (stalled writers still come first): a
+    #: candidate but below L0 debt: a
     #: flagged filter leaks a device read per attack probe until rebuilt.
     _ATTACK_DEBT_BONUS = 500_000.0
 
@@ -276,7 +282,7 @@ class Compactor:
         """Per-file jobs draining one oversize level.
 
         The level's sorted runs are cut into contiguous windows of up to
-        ``max_compaction_input_files``; each window pulls its overlap
+        :data:`MAX_COMPACTION_INPUT_FILES`; each window pulls its overlap
         closure at the target level (every target run intersecting the
         window's key span, nothing else).  Windows are ordered oldest-first
         (lowest allocated file number), the RocksDB-style tiebreak that
@@ -285,7 +291,7 @@ class Compactor:
         source = version.level_runs(level)
         if not source:
             return []
-        width = max(1, self._options.max_compaction_input_files)
+        width = MAX_COMPACTION_INPUT_FILES
         windows = [
             source[start:start + width]
             for start in range(0, len(source), width)

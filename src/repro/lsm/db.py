@@ -21,49 +21,35 @@ filter instances adopt the workload-optimal configuration.
 
 Concurrency model
 -----------------
-All maintenance (flush of the sealed memtables, one compaction) runs as
-jobs on a pluggable scheduler (see :mod:`repro.lsm.scheduler`), and the
-store runs **at most one job at a time**: its one job slot, a flag under
-``_job_lock``, is the whole mutual-exclusion story.  One loop turns debt
-into jobs: ``_dispatch_maintenance`` takes the free slot for a flush
-(oldest immutable first) or else ``plan()``'s highest-debt compaction.
-The foreground jobs — ``compact()``'s forced L0 merge,
-``force_full_compaction()`` and ``ingest()`` — take the same slot, waiting
-out a running job.  Whoever holds the slot plans against the current
-version and nothing else can edit it before the install, so a job's
-inputs are always live.  With ``DBOptions.max_background_jobs == 0`` (the
-default) the scheduler is inline: ``submit`` runs the job on the writing
-thread before it returns, and the dispatcher's own loop picks the next
-one, so the store is fully synchronous.  With ``max_background_jobs == 1``
-a full active memtable *seals* into a read-only immutable queue (the WAL
-rotates with it), writes continue while the worker flushes it, and each
-finishing job re-dispatches (``submit`` returned before the job ran, so
-the submitting loop is long gone).  Every result funnels through the
-version install under ``_mutex``, and replaced runs retire through the
-refcounted zombie queue exactly once.
+Maintenance runs inline, one job at a time, under ``_write_lock``.  One
+loop turns debt into jobs: ``_dispatch_maintenance`` flushes the oldest
+sealed memtable, or else runs ``plan()``'s highest-debt compaction, until
+``plan()`` has nothing left; each job runs through
+:meth:`~repro.lsm.scheduler.InlineScheduler.submit` on the calling thread.
+A write that fills the active memtable seals it (the WAL rotates with it)
+and dispatches before it returns, so the store never carries a backlog
+past the write that made it.  ``flush()``, ``compact()``,
+``force_full_compaction()``, ``ingest()``, ``resume()`` and ``close()``
+dispatch or install under the same lock, so **every maintenance body runs
+under ``_write_lock``**: whoever holds it plans against the current
+version and nothing else can edit that version before the install, so a
+job's inputs are always live.  Every result funnels through the version
+install under ``_mutex``, and replaced runs retire through the refcounted
+zombie queue exactly once.
 
 Readers never take the write path's locks.  Every read operation pins a
 *superversion* — an immutable ``(active memtable, sealed memtables, run
 metadata)`` triple swapped atomically under ``_sv_lock`` — so a query sees
-one consistent cut of the store even while installs happen mid-query.
-SST files replaced by a compaction are destroyed only once no pinned
-superversion can still reach them (epoch-based deferred deletion).
+one consistent cut of the store even while another thread's write
+installs mid-query.  SST files replaced by a compaction are destroyed only
+once no pinned superversion can still reach them (epoch-based deferred
+deletion).
 
 Lock order (outer to inner): ``_write_lock`` → ``_mutex`` → ``_sv_lock``.
-``_write_lock`` serializes writers and seals; ``_mutex`` serializes
-version installs and the manifest; ``_sv_lock`` (a plain mutex, never held
-across I/O) guards the superversion pointer, refcounts, and the deferred
-deletion list; ``_job_lock`` (a leaf) guards the job slot
-(``_job_running``).
-
-Backpressure mirrors RocksDB's two write-stall triggers: past the
-*slowdown* thresholds each write is admitted immediately but charged
-up to 1 ms of modeled delay; past the *stop* thresholds (L0 run
-count, sealed-memtable backlog) the writer blocks — bounded by
-``write_stall_timeout_s``, after which it fails with
-:class:`~repro.errors.WriteStallTimeoutError` — until maintenance catches
-up.  The stop trigger only engages when maintenance actually runs in the
-background; inline maintenance can never fall behind its own writer.
+``_write_lock`` serializes writers, seals and maintenance; ``_mutex``
+serializes version installs and the manifest; ``_sv_lock`` (a plain mutex,
+never held across I/O) guards the superversion pointer, refcounts, and the
+deferred deletion list.
 """
 
 from __future__ import annotations
@@ -72,7 +58,6 @@ import json
 import re
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
@@ -85,7 +70,6 @@ from repro.errors import (
     ReadOnlyStoreError,
     ReproError,
     StoreError,
-    WriteStallTimeoutError,
 )
 from repro.filters.base import FilterFactory, KeyFilter
 from repro.filters.rosetta_adapter import RosettaFilter
@@ -102,7 +86,7 @@ from repro.lsm.iterators import MergingIterator, live_entries
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import DBOptions
 from repro.lsm.perf_context import QueryContext
-from repro.lsm.scheduler import InlineScheduler, ThreadPoolScheduler
+from repro.lsm.scheduler import InlineScheduler
 from repro.lsm.shard import clamp_to_domain
 from repro.lsm.sstable import SSTReader, read_sst_meta
 from repro.lsm.stats import PerfStats
@@ -114,10 +98,6 @@ from repro.lsm.write_batch import WriteBatch
 
 
 _SST_NAME = re.compile(r"^sst_(\d+)_(\d+)\.sst$")
-
-#: Modeled delay charged to one write at full slowdown debt (RocksDB's
-#: ``delayed_write_rate`` analogue, simplified; never slept).
-_DELAYED_WRITE_NS = 1_000_000
 
 __all__ = ["DB", "HealthReport"]
 
@@ -177,12 +157,8 @@ class HealthReport:
     :class:`~repro.lsm.stats.PerfStats` so an operator sees every injected
     or real fault the store absorbed.
 
-    ``stall_state`` is what the write-backpressure triggers say about
-    the reported superversion, computed at report time: ``"none"``,
-    ``"slowdown"`` (a write would be admitted with modeled delay), or
-    ``"stopped"`` (a write would block on the stop trigger).
-    ``pending_immutables`` / ``level0_runs`` are the two quantities the
-    triggers watch, read from the same superversion.
+    ``pending_immutables`` / ``level0_runs`` are the sealed-memtable
+    backlog and the L0 run count of the reported superversion.
     """
 
     mode: str
@@ -197,15 +173,8 @@ class HealthReport:
     #: ``PerfStats.filters_quarantined``).
     attacked_filters: tuple[str, ...] = ()
     filters_under_attack: int = 0
-    stall_state: str = "none"
     pending_immutables: int = 0
     level0_runs: int = 0
-    write_slowdowns: int = 0
-    write_stops: int = 0
-    write_stall_time_ns: int = 0
-    write_stall_timeouts: int = 0
-    workers: int = 0
-    jobs_in_flight: int = 0
 
 
 class DB:
@@ -249,24 +218,15 @@ class DB:
             tuner_provider=lambda: self._auto_tuner,
         )
 
-        scheduler_factory = self.options.scheduler_factory
-        if scheduler_factory is not None:
-            self._scheduler = scheduler_factory(self.options)
-        elif self.options.max_background_jobs:
-            self._scheduler = ThreadPoolScheduler()
-        else:
-            self._scheduler = InlineScheduler()
-        self._concurrent = bool(getattr(self._scheduler, "concurrent", False))
+        self._scheduler = InlineScheduler()
 
-        # Lock order: _write_lock -> _mutex -> _sv_lock.  The first two
-        # come from the scheduler so the deterministic torture scheduler
-        # can yield inside them; _sv_lock/_job_lock are plain mutexes that
-        # are never held across I/O.
-        self._write_lock = self._scheduler.make_lock()
-        self._mutex = self._scheduler.make_lock()
+        # Lock order: _write_lock -> _mutex -> _sv_lock.  _sv_lock is never
+        # held across I/O.  _mutex must be reentrant: a failed zombie
+        # deletion inside an install parks the store under it.  _write_lock
+        # is too, so a thread holding it may still call the write API.
+        self._write_lock = threading.RLock()
+        self._mutex = threading.RLock()
         self._sv_lock = threading.Lock()
-        self._job_lock = threading.Lock()
-        self._job_running = False
 
         self._epoch = 0
         self._zombies: list[tuple[int, list[Run]]] = []
@@ -282,12 +242,6 @@ class DB:
         #: Per-query performance context of the most recent read operation.
         self.last_query: QueryContext | None = None
         self._recover()
-        # Only now start interleaving: recovery I/O runs before any job
-        # exists, so it never consumes scheduler randomness.
-        if self._concurrent:
-            self._env.yield_hook = self._scheduler.sync_point
-            if self._super.immutables:
-                self._schedule_maintenance()
 
     # ------------------------------------------------------------------
     # Key codec
@@ -350,7 +304,6 @@ class DB:
             ready = self._collect_zombies_locked()
         if ready:
             self._destroy_zombies(ready)
-        self._scheduler.notify()
 
     def _collect_zombies_locked(self) -> list[Run] | None:
         """Zombie runs whose epoch no live superversion predates."""
@@ -381,7 +334,7 @@ class DB:
         encoded = self._encode_key(key)
         with self._write_lock:
             self._check_open()
-            self._apply_backpressure()
+            self._check_writable()
             if self._active_wal is not None:
                 self._guard_wal_append(
                     self._active_wal.append_put, encoded, value
@@ -397,7 +350,7 @@ class DB:
         encoded = self._encode_key(key)
         with self._write_lock:
             self._check_open()
-            self._apply_backpressure()
+            self._check_writable()
             if self._active_wal is not None:
                 self._guard_wal_append(self._active_wal.append_delete, encoded)
             self._super.active.delete(encoded)
@@ -424,7 +377,7 @@ class DB:
                 )
         with self._write_lock:
             self._check_open()
-            self._apply_backpressure()
+            self._check_writable()
             if self._active_wal is not None:
                 self._guard_wal_append(
                     self._active_wal.append_batch, batch.encode()
@@ -461,125 +414,7 @@ class DB:
         return _IntBatch()
 
     # ------------------------------------------------------------------
-    # Write backpressure (caller holds _write_lock)
-    # ------------------------------------------------------------------
-    def _stall_conditions(self, sv: _SuperVersion) -> tuple[bool, bool]:
-        """The ``(slowdown, stop)`` trigger state of one superversion."""
-        level0 = len(sv.version.level0)
-        backlog = len(sv.immutables)
-        opts = self.options
-        stop = self._concurrent and (
-            level0 >= opts.level0_stop_writes_trigger
-            or backlog >= opts.max_immutable_memtables
-        )
-        slowdown = (
-            level0 >= opts.level0_slowdown_writes_trigger
-            or backlog >= max(1, opts.max_immutable_memtables - 1)
-        )
-        return slowdown, stop
-
-    def _apply_backpressure(self) -> None:
-        """Admit, slow, or stop this write based on maintenance debt.
-
-        Stop = a real bounded block (the RocksDB stop trigger): wait until
-        maintenance drains below the trigger, the store degrades, or
-        ``write_stall_timeout_s`` elapses — then
-        :class:`WriteStallTimeoutError`.  Slowdown = the write proceeds but
-        is charged a modeled delay (:meth:`_write_delay_ns`; no real sleep),
-        so benchmarks observe the stall without timing jitter.
-        """
-        self._check_writable()
-        slowdown, stop = self._stall_conditions(self._super)
-        if stop:
-            self.stats.add(write_stops=1)
-            self._schedule_maintenance()
-            started = time.perf_counter_ns()
-
-            def cleared() -> bool:
-                if self._background_error is not None or self._closed:
-                    return True
-                return self._stall_cleared()
-
-            drained = self._scheduler.wait_for(
-                cleared, self.options.write_stall_timeout_s
-            )
-            self.stats.add(
-                write_stall_time_ns=time.perf_counter_ns() - started
-            )
-            if not drained:
-                self.stats.add(write_stall_timeouts=1)
-                raise WriteStallTimeoutError(
-                    f"write stalled longer than "
-                    f"{self.options.write_stall_timeout_s}s "
-                    f"(L0={len(self._super.version.level0)}, "
-                    f"sealed={len(self._super.immutables)})"
-                )
-            self._check_open()
-            self._check_writable()
-            slowdown = self._stall_conditions(self._super)[0]
-        if slowdown:
-            self.stats.add(
-                write_slowdowns=1,
-                write_delay_time_ns=self._write_delay_ns(),
-            )
-            # Debt with no job running (post-resume, races): kick the
-            # dispatcher.  Racy read — a running job re-dispatches when
-            # it finishes, so a stale skip here self-heals.
-            if self._concurrent and not self._job_running:
-                self._schedule_maintenance()
-
-    def _stall_cleared(self) -> bool:
-        """Stop-trigger release, with hysteresis on the memtable backlog.
-
-        Resuming the moment the backlog dips below
-        ``max_immutable_memtables`` lets the writer seal once and stop
-        again immediately — a stop per seal.  Requiring one extra step of
-        drain (the backlog below the *slowdown* threshold) costs one fast
-        flush of extra wait and halves the stop frequency.
-        """
-        sv = self._super
-        opts = self.options
-        return (
-            len(sv.version.level0) < opts.level0_stop_writes_trigger
-            and len(sv.immutables) < max(1, opts.max_immutable_memtables - 1)
-        )
-
-    def _write_delay_ns(self) -> int:
-        """Debt-proportional modeled slowdown charge for one write.
-
-        RocksDB's ``delayed_write_rate`` analogue, simplified: the charge
-        scales with how far the worse of the two debt gauges (L0 run
-        count, sealed-memtable backlog) has travelled from its slowdown
-        trigger toward its stop trigger — mild debt costs a fraction of
-        ``_DELAYED_WRITE_NS``, near-stop debt the full charge.  Always at
-        least 1 ns so a slowed write is visible in the counters.
-        """
-        opts = self.options
-        sv = self._super
-
-        def travelled(value: int, slow: int, stop: int) -> float:
-            if value < slow:
-                return 0.0
-            if stop <= slow:
-                return 1.0
-            return min(1.0, (value - slow + 1) / (stop - slow + 1))
-
-        debt = max(
-            travelled(
-                len(sv.version.level0),
-                opts.level0_slowdown_writes_trigger,
-                opts.level0_stop_writes_trigger,
-            ),
-            travelled(
-                len(sv.immutables),
-                max(1, opts.max_immutable_memtables - 1),
-                opts.max_immutable_memtables,
-            ),
-        )
-        return max(1, int(_DELAYED_WRITE_NS * debt))
-
-    # ------------------------------------------------------------------
-    # Sealing and background maintenance
+    # Sealing and maintenance
     # ------------------------------------------------------------------
     def _maybe_seal(self) -> None:
         if (
@@ -587,7 +422,7 @@ class DB:
             >= self.options.memtable_size_bytes
         ):
             if self._seal_active():
-                self._schedule_maintenance()
+                self._dispatch_maintenance()
 
     def _seal_active(self) -> bool:
         """Rotate the active memtable into the immutable queue.
@@ -617,115 +452,41 @@ class DB:
         self.stats.add(memtable_seals=1)
         return True
 
-    def _schedule_maintenance(self) -> None:
-        """Ensure pending maintenance debt is (or will be) worked on."""
-        if not self._closed:
-            self._dispatch_maintenance()
-
     def _dispatch_maintenance(self) -> None:
-        """Hand the next piece of debt to the job slot — the one loop.
+        """Work off the maintenance debt — the one loop (caller holds
+        ``_write_lock``).
 
-        A flush of the sealed memtables comes first, else ``plan()``'s
-        highest-debt compaction.  An inline ``submit`` has run the job by
-        the time it returns, so this loop itself walks flush, plan,
-        compact until ``plan()`` runs dry, at constant stack depth; with a
-        worker ``submit`` returns at once, the loop ends, and the job
-        calls back here when it finishes.  A caller that finds the slot
-        busy just returns: the running job's dispatcher (inline) or
-        completion (worker) re-reads the current superversion, so its
-        work is not lost.
+        Flush the oldest sealed memtable, else run ``plan()``'s
+        highest-debt compaction, until ``plan()`` has nothing left or the
+        store degrades.  Each job runs inline through the scheduler, so the
+        loop walks flush, plan, compact at constant stack depth.
         """
         while self._background_error is None and not self._closed:
-            # Racy fast path: a busy slot re-dispatches when it frees, so
-            # a stale read here self-heals.
-            if self._job_running or not self._try_take_slot():
-                return
-            sv = self._super
-            if sv.immutables:
+            if self._super.immutables:
                 self._scheduler.submit("flush", self._flush_job)
                 continue
             try:
-                job = self._compactor.plan(sv.version)
+                job = self._compactor.plan(self._super.version)
             except Exception as exc:
                 # A planner bug, not a device fault: park the store the
-                # way _run_background does, and never keep the slot.
+                # way _run_background does.
                 self._enter_background_error("compaction-plan", exc)
-                self._release_slot()
                 raise
             if job is None:
-                self._release_slot()
                 return
             self._scheduler.submit(
                 "compaction", lambda job=job: self._compaction_job(job)
             )
 
-    def _try_take_slot(self) -> bool:
-        """Claim the job slot if it is free."""
-        with self._job_lock:
-            if self._job_running:
-                return False
-            self._job_running = True
-            return True
+    def _flush_job(self) -> bool:
+        """Job body: flush the oldest sealed memtable."""
+        return self._run_background("flush", self._flush_oldest_immutable)
 
-    def _release_slot(self) -> None:
-        """Free the job slot and wake anyone waiting for it."""
-        with self._job_lock:
-            self._job_running = False
-        self._scheduler.notify()
-
-    @contextmanager
-    def _slot_held(self) -> Iterator[None]:
-        """Run a job body in the held slot; free it, then refill it.
-
-        Only a worker refills: inline, the dispatcher that submitted the
-        job is still looping and picks the next one itself.  The refill is
-        not reached after ``PowerCutError`` or other unwinding: no further
-        submissions to a dying scheduler.
-        """
-        try:
-            yield
-        finally:
-            self._release_slot()
-        if self._concurrent:
-            self._dispatch_maintenance()
-
-    @contextmanager
-    def _job_slot(self) -> Iterator[None]:
-        """Take the job slot for a foreground job, waiting out a running one.
-
-        ``compact()``'s forced L0 merge, ``force_full_compaction()`` and
-        ``ingest()`` plan and install inside it, so no other job can
-        retire their inputs or fill their target level meanwhile.
-        """
-        while not self._scheduler.wait_for(self._try_take_slot, None):
-            # Inline, wait_for checks once; the holder is another
-            # thread's dispatcher, which frees the slot when it runs dry.
-            time.sleep(0.001)
-        with self._slot_held():
-            yield
-
-    def _flush_job(self) -> None:
-        """Job body: drain the immutable backlog in the held slot.
-
-        Drains in a loop rather than one-memtable-per-job: under write
-        pressure the backlog is what stops writers, and the
-        re-dispatch round-trip between single flushes is latency the
-        stalled writer would eat.
-        """
-        with self._slot_held():
-            while self._background_error is None and self._super.immutables:
-                if not self._run_background(
-                    "flush", self._flush_oldest_immutable
-                ):
-                    break
-
-    def _compaction_job(self, job: CompactionJob) -> None:
-        """Job body: run one planned compaction in the held slot."""
-        with self._slot_held():
-            if self._background_error is None:
-                self._run_background(
-                    "compaction", lambda: self._run_compaction_job(job)
-                )
+    def _compaction_job(self, job: CompactionJob) -> bool:
+        """Job body: run one compaction and install its result."""
+        return self._run_background(
+            "compaction", lambda: self._run_compaction_job(job)
+        )
 
     def _flush_oldest_immutable(self) -> None:
         """Flush the oldest sealed memtable to a new L0 SST.
@@ -780,72 +541,45 @@ class DB:
             )
             self._install_super(new_sv, obsolete=job.inputs)
 
-    def _drain_maintenance(self, timeout_s: float = 60.0) -> bool:
-        """Wait until background maintenance is idle (or the store degrades)."""
-        if not self._concurrent:
-            return True
+    def wait_idle(self) -> bool:
+        """Return True: maintenance runs inline, so none is pending or
+        running once the call that caused it returns.
 
-        def settled() -> bool:
-            # The running job first: a parked store is settled only once
-            # its job has unwound and freed the slot (resume() relies on it
-            # to find the slot free).
-            if self._job_running:
-                return False
-            if self._background_error is not None:
-                return True
-            sv = self._super
-            # plan() is read-only, so this is exactly "would dispatch do
-            # more work" — with job completions re-dispatching, reaching
-            # here with a non-None plan can only be a transient race, and
-            # the next predicate evaluation settles it.
-            return not sv.immutables and self._compactor.plan(sv.version) is None
-
-        return self._scheduler.wait_for(settled, timeout_s)
-
-    def wait_idle(self, timeout_s: float = 60.0) -> bool:
-        """Block until no background maintenance is pending or running.
-
-        Returns True when the store settled (or runs inline, where there
-        is never pending work); False on timeout.  A store parked in
-        degraded mode counts as settled — the pending work cannot proceed
-        until :meth:`resume`.
+        Kept for callers that settle a store before measuring it (the
+        ledger, :meth:`ShardedServer.wait_idle`).
         """
         self._check_open()
-        return self._drain_maintenance(timeout_s)
+        return True
 
     def flush(self) -> None:
         """Flush buffered writes to L0 SSTs and settle compaction triggers.
 
-        A synchronous barrier regardless of a background worker: the active
-        memtable seals and the call returns only once every sealed
-        memtable is flushed (or the store degraded).  A failing background
-        write does not raise: the store enters degraded read-only mode
-        (see :meth:`health` / :meth:`resume`) with the sealed memtables
-        and their WAL files intact, so no acknowledged write is lost.
+        A synchronous barrier: the active memtable seals and the call
+        returns only once every sealed memtable is flushed (or the store
+        degraded).  A failing flush does not raise: the store enters
+        degraded read-only mode (see :meth:`health` / :meth:`resume`) with
+        the sealed memtables and their WAL files intact, so no
+        acknowledged write is lost.
         """
         self._check_open()
         self._check_writable()
         with self._write_lock:
-            sealed = self._seal_active()
-        if sealed or self._super.immutables:
-            self._schedule_maintenance()
-            self._drain_maintenance()
+            self._check_open()
+            if self._seal_active() or self._super.immutables:
+                self._dispatch_maintenance()
 
     def compact(self) -> None:
         """Force L0 into the tree and settle all compaction triggers."""
         self._check_open()
         self._check_writable()
         with self._write_lock:
+            self._check_open()
             if self._seal_active() or self._super.immutables:
-                self._schedule_maintenance()
-                if not self._drain_maintenance():
-                    return
-            if not self._run_forced(self._compactor.forced_l0_job):
-                return
-            # Settle even with an empty L0: quarantined runs at deeper
-            # levels plan rebuild jobs regardless of size triggers.
-            self._schedule_maintenance()
-            self._drain_maintenance()
+                self._dispatch_maintenance()
+            if self._run_forced(self._compactor.forced_l0_job):
+                # Settle even with an empty L0: quarantined runs at deeper
+                # levels plan rebuild jobs regardless of size triggers.
+                self._dispatch_maintenance()
 
     def force_full_compaction(self) -> None:
         """Merge every run into the bottom-most populated level.
@@ -858,28 +592,25 @@ class DB:
         self._check_open()
         self._check_writable()
         with self._write_lock:
+            self._check_open()
             if self._seal_active() or self._super.immutables:
-                self._schedule_maintenance()
-                if not self._drain_maintenance():
-                    return
+                self._dispatch_maintenance()
             self._run_forced(self._compactor.full_compaction_job)
 
     def _run_forced(
         self, plan: Callable[[Version], CompactionJob | None]
     ) -> bool:
-        """Plan a forced compaction in the job slot and run it there.
+        """Plan a forced compaction and run it (caller holds
+        ``_write_lock``).
 
-        The one foreground bracket, for the jobs ``plan()`` never emits
-        (``compact``'s L0 merge, ``force_full_compaction``).  Returns
-        False when the store is degraded, before or by the job.
+        For the jobs ``plan()`` never emits (``compact``'s L0 merge,
+        ``force_full_compaction``).  Returns False when the store is
+        degraded, before or by the job.
         """
-        with self._job_slot():
-            if self._background_error is not None:
-                return False
-            job = plan(self._super.version)
-            return job is None or self._run_background(
-                "compaction", lambda: self._run_compaction_job(job)
-            )
+        if self._background_error is not None:
+            return False
+        job = plan(self._super.version)
+        return job is None or self._compaction_job(job)
 
     # ------------------------------------------------------------------
     # Background-error state machine
@@ -890,9 +621,8 @@ class DB:
         Simulated power cuts and closed-store misuse propagate untouched.
         Anything else parks the DB in read-only mode: an I/O / store error
         is absorbed (returns False), an unexpected exception — a bug, not
-        a device fault — is recorded the same way and then re-raised, so
-        it reaches an inline caller and is never lost on a worker thread.
-        Returns True when the body completed.
+        a device fault — is recorded the same way and then re-raised to
+        the caller.  Returns True when the body completed.
         """
         try:
             body()
@@ -933,7 +663,6 @@ class DB:
         with self._mutex:
             self._background_error = f"{op}: {type(exc).__name__}: {exc}"
         self.stats.add(background_errors=1)
-        self._scheduler.notify()
 
     def _check_writable(self) -> None:
         if self._background_error is not None:
@@ -963,10 +692,8 @@ class DB:
         happens under — so a concurrent superversion swap can never
         produce, say, a ``healthy`` mode paired with a stale
         ``level0_runs`` count or a ``degraded`` mode whose
-        ``background_error`` is ``None``; ``stall_state`` is derived from
-        that same pinned superversion, so it always agrees with the
-        ``level0_runs`` / ``pending_immutables`` beside it.  Counters come
-        from one lock-protected ``PerfStats.snapshot()``.
+        ``background_error`` is ``None``.  Counters come from one
+        lock-protected ``PerfStats.snapshot()``.
         """
         with self._mutex:
             sv = self._ref_super()
@@ -974,7 +701,6 @@ class DB:
         try:
             stats = self.stats.snapshot()
             attacked = self._filter_dictionary.under_attack_snapshot()
-            slowdown, stop = self._stall_conditions(sv)
             return HealthReport(
                 mode="degraded" if background_error is not None else "healthy",
                 background_error=background_error,
@@ -985,17 +711,8 @@ class DB:
                 background_errors=stats.background_errors,
                 attacked_filters=attacked,
                 filters_under_attack=len(attacked),
-                stall_state=(
-                    "stopped" if stop else "slowdown" if slowdown else "none"
-                ),
                 pending_immutables=len(sv.immutables),
                 level0_runs=len(sv.version.level0),
-                write_slowdowns=stats.write_slowdowns,
-                write_stops=stats.write_stops,
-                write_stall_time_ns=stats.write_stall_time_ns,
-                write_stall_timeouts=stats.write_stall_timeouts,
-                workers=self.options.max_background_jobs,
-                jobs_in_flight=int(self._job_running),
             )
         finally:
             self._unref_super(sv)
@@ -1006,18 +723,16 @@ class DB:
         Mirrors RocksDB's ``DB::Resume``: clears the background error and
         re-attempts whatever the failed background write left behind —
         sealed memtables flush again (their WALs were kept), interrupted
-        compactions re-plan.  The retry runs wherever maintenance normally
-        runs (inline or on a worker).  Returns True when the store is
-        writable again (a fresh failure re-enters degraded mode and
-        returns False).
+        compactions re-plan.  Returns True when the store is writable again
+        (a fresh failure re-enters degraded mode and returns False).
         """
         self._check_open()
         if self._background_error is None:
             return True
-        with self._mutex:
-            self._background_error = None
-        self._schedule_maintenance()
-        self._drain_maintenance()
+        with self._write_lock:
+            with self._mutex:
+                self._background_error = None
+            self._dispatch_maintenance()
         return self._background_error is None
 
     # ------------------------------------------------------------------
@@ -1037,7 +752,6 @@ class DB:
         if not pairs:
             return
         with self._write_lock:
-            self._drain_maintenance()
             if level is None:
                 estimated = sum(
                     self.options.key_width_bytes + len(v) + 8 for _, v in pairs
@@ -1051,21 +765,20 @@ class DB:
                     level += 1
             if not 1 <= level < NUM_LEVELS:
                 raise StoreError(f"ingest level {level} out of range")
-            with self._job_slot():
-                # Holding the slot, no compaction can fill the level
-                # between this check and the install.
-                if self._super.version.level_runs(level):
-                    raise StoreError(f"ingest target level {level} is not empty")
-                runs = self._write_ingest_runs(pairs, level)
-                with self._mutex:
-                    current = self._super
-                    new_version = current.version.clone()
-                    new_version.install_level(level, runs)
-                    self._write_manifest(new_version)
-                    new_sv = _SuperVersion(
-                        current.active, current.immutables, new_version
-                    )
-                    self._install_super(new_sv)
+            # Holding the lock, no compaction can fill the level between
+            # this check and the install.
+            if self._super.version.level_runs(level):
+                raise StoreError(f"ingest target level {level} is not empty")
+            runs = self._write_ingest_runs(pairs, level)
+            with self._mutex:
+                current = self._super
+                new_version = current.version.clone()
+                new_version.install_level(level, runs)
+                self._write_manifest(new_version)
+                new_sv = _SuperVersion(
+                    current.active, current.immutables, new_version
+                )
+                self._install_super(new_sv)
 
     def _write_ingest_runs(
         self, pairs: list[tuple[int, bytes]], level: int
@@ -1444,16 +1157,14 @@ class DB:
         Callers count verdicts into their query's context themselves; the
         detector alone needs the run's name, and is only asked when
         ``quarantine_filters`` is on.  A run newly flagged here bumps
-        ``filters_quarantined`` and, with the background worker available,
-        kicks maintenance so the prioritized rebuild starts immediately.
+        ``filters_quarantined``; its prioritized rebuild runs at the next
+        maintenance dispatch (a reader never runs maintenance).
         """
         detector = self._filter_dictionary
         if detector.quarantine and detector.record_outcome(
             run.name, negatives=negatives, false_positives=false_positives
         ):
             self.stats.add(filters_quarantined=1)
-            if self._concurrent and self._background_error is None:
-                self._schedule_maintenance()
 
     # ------------------------------------------------------------------
     # Adaptive tuning (§2.4)
@@ -1669,8 +1380,7 @@ class DB:
     def close(self) -> None:
         """Flush if possible, persist the manifest, release file handles.
 
-        Joins the background worker before returning.  Safe in degraded
-        read-only mode: the failing flush is skipped (the WAL still holds
+        Safe in degraded read-only mode: the failing flush is skipped (the WAL still holds
         the buffered writes), the manifest is persisted best-effort, and
         nothing raises — so ``with DB(...)`` never throws from ``__exit__``
         because a background write failed earlier.  Only a simulated power
@@ -1681,10 +1391,8 @@ class DB:
         try:
             if self._background_error is None:
                 with self._write_lock:
-                    sealed = self._seal_active()
-                if sealed or self._super.immutables:
-                    self._schedule_maintenance()
-                    self._drain_maintenance()
+                    if self._seal_active() or self._super.immutables:
+                        self._dispatch_maintenance()
             try:
                 with self._mutex:
                     self._write_manifest(self._super.version)
@@ -1694,23 +1402,18 @@ class DB:
                 pass  # best-effort; the last durable manifest still stands
         finally:
             self._closed = True
-            self._env.yield_hook = None
-            self._scheduler.close()
             self._env.close()
 
     def kill(self) -> None:
         """Abandon the store without any further I/O (simulated power loss).
 
         The torture harness's teardown after an injected power cut: no
-        flush, no manifest write — background jobs are unwound, worker
-        threads joined, and file handles dropped.  Whatever the crash left
+        flush, no manifest write — file handles are dropped.  Whatever the crash left
         on disk is exactly what recovery will see.
         """
         if self._closed:
             return
         self._closed = True
-        self._env.yield_hook = None
-        self._scheduler.close(force=True)
         try:
             self._env.close()
         except (OSError, ReproError):

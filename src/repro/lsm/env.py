@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Optional
+from typing import BinaryIO, Callable
 
 from repro.errors import TransientIOError
 from repro.lsm.stats import PerfStats
@@ -115,25 +115,13 @@ class StorageEnv:
         #: :data:`RETRY_BACKOFF_NS`, doubling).  The DB wires it from
         #: ``DBOptions.io_retry_attempts``; a bare env retries nothing.
         self.retry_attempts = 0
-        #: Scheduler hook fired at the top of every durable operation
-        #: (write/append/sync/delete).  The DB points this at
-        #: ``scheduler.sync_point`` when a concurrent scheduler is active,
-        #: which is what lets the deterministic torture scheduler
-        #: interleave foreground and background work at exactly the
-        #: boundaries where crashes can occur.  Reads do not yield.
-        self.yield_hook: Optional[Callable[[str], None]] = None
         os.makedirs(root, exist_ok=True)
         self._handles: dict[str, BinaryIO] = {}
         # One open "ab" handle per log being appended to (the live WAL).
         self._append_handles: dict[str, BinaryIO] = {}
         # Serializes shared handle use (seek+read is not atomic) and
-        # handle-cache mutation across foreground and worker threads.
+        # handle-cache mutation across reader and writer threads.
         self._handle_lock = threading.Lock()
-
-    def _yield(self, tag: str) -> None:
-        hook = self.yield_hook
-        if hook is not None:
-            hook(tag)
 
     # ------------------------------------------------------------------
     # Paths
@@ -163,7 +151,6 @@ class StorageEnv:
         ``sync=True`` marks the file durable at completion — the boundary a
         fault-injecting env uses to decide what a power cut may destroy.
         """
-        self._yield(f"write_file:{name}")
         with open(self.path(name), "wb") as handle:
             handle.write(payload)
         self.stats.add(bytes_written=len(payload))
@@ -177,7 +164,6 @@ class StorageEnv:
         ``os.replace``s it over the target, so a crash at any point leaves
         either the old file or the new one — never a torn mixture.
         """
-        self._yield(f"write_file_atomic:{name}")
         tmp = self.path(name + ".tmp")
         with open(tmp, "wb") as handle:
             handle.write(payload)
@@ -194,7 +180,6 @@ class StorageEnv:
         :meth:`delete_file` or :meth:`close`: a log is only ever appended to
         and deleted, never replaced, so the handle cannot outlive its file.
         """
-        self._yield(f"append_file:{name}")
         with self._handle_lock:
             handle = self._append_handles.get(name)
             if handle is None:
@@ -211,7 +196,6 @@ class StorageEnv:
         the hook exists so :class:`~repro.lsm.faults.FaultInjectionEnv` can
         track exactly which suffix of a log a crash is allowed to destroy.
         """
-        self._yield(f"sync_file:{name}")
 
     def read_block(self, name: str, offset: int, size: int, context=None) -> bytes:
         """Random block read, charged at device latency.
@@ -284,7 +268,6 @@ class StorageEnv:
 
     def delete_file(self, name: str) -> None:
         """Remove a file (post-compaction cleanup)."""
-        self._yield(f"delete_file:{name}")
         with self._handle_lock:
             handles = [self._handles.pop(name, None), self._append_handles.pop(name, None)]
         for handle in filter(None, handles):

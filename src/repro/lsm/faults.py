@@ -198,10 +198,6 @@ class FaultInjectionEnv(StorageEnv):
         if self._crash_countdown > 0:
             return
         self._crashed = True
-        # The machine is dead: no more scheduler yields.  The partial
-        # effect below reuses the base durable ops, which would otherwise
-        # hand control to another task mid-power-cut.
-        self.yield_hook = None
         partial_effect()
         self.injected["power_cuts"] += 1
         raise PowerCutError(f"simulated power cut at durable op {self.durable_ops}")

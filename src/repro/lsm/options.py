@@ -121,49 +121,6 @@ class DBOptions:
     #: fault-injection harness uses to put a hostile device under a DB.
     env_factory: object | None = None
 
-    # -- Background maintenance & write backpressure --------------------
-    #: Background maintenance: 0 (the default) runs every flush and
-    #: compaction inline on the writing thread, fully synchronously; 1
-    #: runs them on one worker thread, one job at a time.  With the
-    #: worker, a full active memtable seals into the immutable queue (the
-    #: WAL rotates with it) and writes continue while the worker flushes
-    #: it.  No other value is accepted: under the GIL a second concurrent
-    #: job cost throughput (docs/internals.md, "Concurrency model").
-    max_background_jobs: int = 0
-
-    #: Ceiling on sealed-but-unflushed memtables.  Reaching it is a *stop*
-    #: condition: writers block until a flush drains one (RocksDB's
-    #: ``max_write_buffer_number`` analogue).
-    max_immutable_memtables: int = 2
-
-    #: L0 run count at which writes are *slowed*: each write is admitted
-    #: immediately but charged up to 1 ms of modeled delay
-    #: (``PerfStats.write_delay_time_ns``; no real sleep).
-    level0_slowdown_writes_trigger: int = 8
-
-    #: L0 run count at which writes *stop*: the writer blocks (bounded by
-    #: ``write_stall_timeout_s``) until compaction brings L0 back down.
-    #: Only engages with ``max_background_jobs == 1`` — inline maintenance
-    #: can never be behind its own writer.
-    level0_stop_writes_trigger: int = 12
-
-    #: Upper bound on one stop-trigger block before the write fails with
-    #: :class:`~repro.errors.WriteStallTimeoutError`.
-    write_stall_timeout_s: float = 10.0
-
-    #: Maximum source-level runs per leveled compaction window (RocksDB's
-    #: per-file picking).  An oversize level is drained in windows of this
-    #: many contiguous runs (plus their target-level overlap closure), so
-    #: one merge rewrites a bounded slice of the level instead of all of
-    #: it — which is what ``write_amp`` pays for.
-    max_compaction_input_files: int = 4
-
-    #: Scheduler constructor ``(options) -> scheduler`` overriding the
-    #: default choice (None = InlineScheduler for 0 jobs, a one-worker
-    #: ThreadPoolScheduler for 1).  The torture harness injects
-    #: DeterministicScheduler here.
-    scheduler_factory: object | None = None
-
     def validate(self) -> None:
         """Raise :class:`InvalidOptionsError` on inconsistent settings."""
         if self.key_bits < 1 or self.key_bits > 512:
@@ -207,32 +164,6 @@ class DBOptions:
             raise InvalidOptionsError("io_retry_attempts must be >= 0")
         if self.env_factory is not None and not callable(self.env_factory):
             raise InvalidOptionsError("env_factory must be callable or None")
-        if self.max_background_jobs not in (0, 1):
-            raise InvalidOptionsError(
-                "max_background_jobs must be 0 (inline) or 1, "
-                f"got {self.max_background_jobs}"
-            )
-        if self.max_compaction_input_files < 1:
-            raise InvalidOptionsError(
-                "max_compaction_input_files must be >= 1"
-            )
-        if self.max_immutable_memtables < 1:
-            raise InvalidOptionsError("max_immutable_memtables must be >= 1")
-        if self.level0_slowdown_writes_trigger < 1:
-            raise InvalidOptionsError(
-                "level0_slowdown_writes_trigger must be >= 1"
-            )
-        if self.level0_stop_writes_trigger < self.level0_slowdown_writes_trigger:
-            raise InvalidOptionsError(
-                "level0_stop_writes_trigger must be >= "
-                "level0_slowdown_writes_trigger"
-            )
-        if self.write_stall_timeout_s <= 0:
-            raise InvalidOptionsError("write_stall_timeout_s must be > 0")
-        if self.scheduler_factory is not None and not callable(
-            self.scheduler_factory
-        ):
-            raise InvalidOptionsError("scheduler_factory must be callable or None")
 
     @property
     def key_width_bytes(self) -> int:

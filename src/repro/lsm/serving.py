@@ -996,12 +996,10 @@ class ShardedServer:
         for shard in self._shards:
             shard.db.flush()
 
-    def wait_idle(self, timeout_s: float = 60.0) -> bool:
-        """Wait until no shard has background maintenance pending."""
+    def wait_idle(self) -> bool:
+        """Whether every shard is settled (each ``DB.wait_idle``)."""
         self._check_open()
-        return all(
-            shard.db.wait_idle(timeout_s) for shard in self._shards
-        )
+        return all(shard.db.wait_idle() for shard in self._shards)
 
     def health(self) -> ServingHealth:
         """Aggregate + per-shard health, including live queue depths,

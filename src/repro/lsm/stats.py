@@ -14,8 +14,8 @@ taxonomy so the benchmark harness can print the same cost breakdowns
   sub-costs of Fig. 5(A2);
 * compaction counters for Fig. 6's ``T/(R+W)`` overhead metric.
 
-Foreground queries, background workers and other clients' threads bump
-the same counter set concurrently, so every mutation goes through
+Foreground queries, writers running maintenance and other clients'
+threads bump the same counter set concurrently, so every mutation goes through
 :meth:`CounterSet.add` — or, for a finished read, :meth:`PerfStats.fold` —
 which serialize updates behind an internal lock; ``snapshot``/``diff`` take
 the same lock and observe a consistent cut.  They serve whoever wants a
@@ -60,7 +60,7 @@ class CounterSet:
     def add(self, **deltas: int) -> None:
         """Atomically add ``deltas`` to the named counters.
 
-        The sole supported mutation path once worker threads are running:
+        The sole supported mutation path once other threads are running:
         plain ``stats.field += n`` is a read-modify-write race under
         concurrency.
         """
@@ -118,13 +118,12 @@ class PerfStats(CounterSet):
     filters_quarantined: int = 0  # runs flagged as under FP replay attack
     background_errors: int = 0    # flush/compaction failures -> degraded mode
 
-    # --- Write backpressure ---
+    # --- Writes ---
     memtable_seals: int = 0       # active memtable rotated into the queue
-    write_slowdowns: int = 0      # writes admitted with a modeled delay
-    write_stops: int = 0          # writes that blocked on the stop trigger
-    write_delay_time_ns: int = 0  # modeled slowdown delay (not slept)
-    write_stall_time_ns: int = 0  # measured wall time spent stop-blocked
-    write_stall_timeouts: int = 0  # stop waits that gave up (WriteStallTimeoutError)
+    # Wall time writers spent blocked on maintenance.  Maintenance runs
+    # inline, so no writer ever waits for it and this stays 0; it is kept
+    # for readers that report it as a stall figure.
+    write_stall_time_ns: int = 0
 
     # --- CPU sub-costs (measured wall time of the code paths) ---
     filter_probe_ns: int = 0

@@ -24,21 +24,17 @@ here" — including mid-append torn WAL frames, between SST write and
 manifest replace, between manifest replace and WAL truncate, and between
 compaction install and input-file GC.
 
-A sweep runs under a list of scheduler seeds.  ``None`` runs maintenance
-inline on the writing thread; an int runs it on the background worker
-under a :class:`~repro.lsm.scheduler.DeterministicScheduler` with that
-seed, so the cut can also land mid-flush, mid-compaction or
-mid-superversion-install on the worker, and every such interleaving
-replays exactly.
+Maintenance runs inline on the writing thread, so a cut that lands
+mid-flush or mid-compaction surfaces to the op that triggered it, and the
+same (seed, crash point) pair always replays the same run.
 
 The op vocabulary and its dict model (:func:`_effects`, :func:`expected`)
 are shared with the chaos harness (:mod:`repro.lsm.chaos`), which adds the
 read ops ``("get", key)``, ``("multi_get", keys)`` and
 ``("range", low, high)``.
 
-Shared by ``tests/lsm/test_crash_recovery.py`` and
-``tests/lsm/test_concurrency_torture.py`` (small matrices, run in CI's
-tier-1 suite) and ``benchmarks/torture.py`` (the full seed matrix).
+Shared by ``tests/lsm/test_crash_recovery.py`` (small matrices, run in
+the tier-1 suite) and ``benchmarks/torture.py`` (the full seed matrix).
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from repro.filters.rosetta_adapter import RosettaFilter
 from repro.lsm.db import DB
 from repro.lsm.faults import FaultInjectionEnv
 from repro.lsm.options import DBOptions
-from repro.lsm.scheduler import DeterministicScheduler
 
 __all__ = [
     "TortureConfig",
@@ -66,7 +61,6 @@ __all__ = [
     "torture_seed",
     "transient_fault_equivalence",
     "torture_options",
-    "schedule_equivalence",
 ]
 
 
@@ -98,17 +92,8 @@ class TortureConfig:
     filter_salt_seed: int = 0
 
 
-def torture_options(
-    config: TortureConfig, sched_seed: int | None = None, env_factory=None
-) -> DBOptions:
-    """A deliberately tiny store: every schedule crosses flush/compaction.
-
-    With ``sched_seed`` set, maintenance runs on the background worker
-    (one job at a time) under a :class:`DeterministicScheduler` seeded
-    with it, and the backpressure triggers sit low (slowdown at 3 L0
-    runs, stop at 4, two sealed memtables max) so the tiny workload
-    crosses the slowdown/stop state machine too.
-    """
+def torture_options(config: TortureConfig, env_factory=None) -> DBOptions:
+    """A deliberately tiny store: every schedule crosses flush/compaction."""
     def build(keys, salt=0):
         filt = RosettaFilter(
             key_bits=32, bits_per_key=14.0, max_range=32, salt=salt
@@ -122,7 +107,7 @@ def torture_options(
         bits_per_key=14.0,
         salt_capable=True,
     )
-    options = DBOptions(
+    return DBOptions(
         key_bits=32,
         memtable_size_bytes=1024,  # the options floor: frequent seals
         sst_size_bytes=4096,
@@ -135,15 +120,6 @@ def torture_options(
         io_retry_attempts=_IO_RETRY_ATTEMPTS,
         env_factory=env_factory,
     )
-    if sched_seed is not None:
-        options.max_background_jobs = 1
-        options.max_immutable_memtables = 2
-        options.level0_slowdown_writes_trigger = 3
-        options.level0_stop_writes_trigger = 4
-        options.scheduler_factory = (
-            lambda _options: DeterministicScheduler(seed=sched_seed)
-        )
-    return options
 
 
 def build_schedule(seed: int, config: TortureConfig) -> list[tuple]:
@@ -235,7 +211,7 @@ def expected(model: dict[int, bytes | None], op: tuple):
 
 @dataclass
 class CrashPointResult:
-    """Outcome of one (seed, scheduler seed, crash point) run."""
+    """Outcome of one (seed, crash point) run."""
 
     crash_point: int
     crashed: bool              # False = schedule finished before the cut
@@ -250,8 +226,6 @@ class SeedReport:
 
     seed: int
     crash_points: int = 0      # durable ops enumerated == runs that crashed
-    #: Crash points per scheduler seed (``None`` = inline).
-    crash_points_by_schedule: dict = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
 
 
@@ -260,21 +234,15 @@ def run_crash_point(
     seed: int,
     crash_point: int,
     config: TortureConfig,
-    sched_seed: int | None = None,
 ) -> CrashPointResult:
     """Replay seed's schedule, cut power at ``crash_point``, verify recovery.
 
-    ``sched_seed=None`` runs maintenance inline; an int runs it on
-    the deterministic background worker (:func:`torture_options`).  With
-    the worker the writer may observe the cut only indirectly (its next WAL
-    append, stall wait or ``close()`` raises), or not at all when a job
-    absorbed it; either way the store is killed (worker joined, no
-    further I/O), the seeded partial crash effects applied, and recovery
-    verified against the model with the same acked/in-flight rules.
+    The op the cut interrupts raises :class:`PowerCutError`; the store is
+    killed (no further I/O), the seeded partial crash effects applied, and
+    recovery verified against the model under the acked/in-flight rules.
     """
-    label = "" if sched_seed is None else f"-g{sched_seed}"
-    path = os.path.join(base_dir, f"s{seed}{label}-cp{crash_point}")
-    env_seed = (seed * 1_000_003 + crash_point) ^ (sched_seed or 0) * 7_368_787
+    path = os.path.join(base_dir, f"s{seed}-cp{crash_point}")
+    env_seed = seed * 1_000_003 + crash_point
 
     def factory(root, device, stats):
         return FaultInjectionEnv(root, device, stats, seed=env_seed)
@@ -283,7 +251,7 @@ def run_crash_point(
     pending: dict[int, bytes | None] = {}
     acked = 0
     crashed = False
-    db = DB(path, torture_options(config, sched_seed, env_factory=factory))
+    db = DB(path, torture_options(config, env_factory=factory))
     env = db._env
     env.schedule_crash(crash_point)
     try:
@@ -297,9 +265,7 @@ def run_crash_point(
     except PowerCutError:
         crashed = True
     finally:
-        # Join the worker and stop all further I/O before mutating the image.
-        # A cut observed only by a background job leaves the foreground
-        # loop running to completion; kill() is idempotent either way.
+        # Stop all further I/O before mutating the image.
         db.kill()
 
     result = CrashPointResult(
@@ -373,7 +339,7 @@ def _verify_recovery(
             if not allowed(key, value)
         )
         # Zombie-run hygiene: after recovery the on-disk image must be
-        # exactly the manifest — a cut between a background install and its
+        # exactly the manifest — a cut between a compaction install and its
         # input GC must not leak orphan SSTs, and no temp files survive.
         live = {run.name for run in db._super.version.all_runs_newest_first()}
         on_disk = {
@@ -398,29 +364,23 @@ def torture_seed(
     base_dir: str,
     seed: int,
     config: TortureConfig | None = None,
-    sched_seeds: tuple[int | None, ...] = (None,),
 ) -> SeedReport:
-    """Sweep every crash point of one seed under each scheduler seed."""
+    """Sweep every crash point of one seed."""
     config = config if config is not None else TortureConfig()
     report = SeedReport(seed=seed)
-    for sched_seed in sched_seeds:
-        label = "" if sched_seed is None else f" sched_seed={sched_seed}"
-        crash_point = 1
-        while True:
-            result = run_crash_point(
-                base_dir, seed, crash_point, config, sched_seed
-            )
-            if not result.crashed:
-                # The schedule (incl. close) finished before the countdown:
-                # the crash-point space is exhausted.
-                break
-            report.crash_points += 1
-            report.violations.extend(
-                f"seed={seed}{label} crash_point={crash_point}: {violation}"
-                for violation in result.violations
-            )
-            crash_point += 1
-        report.crash_points_by_schedule[sched_seed] = crash_point - 1
+    crash_point = 1
+    while True:
+        result = run_crash_point(base_dir, seed, crash_point, config)
+        if not result.crashed:
+            # The schedule (incl. close) finished before the countdown:
+            # the crash-point space is exhausted.
+            break
+        report.crash_points += 1
+        report.violations.extend(
+            f"seed={seed} crash_point={crash_point}: {violation}"
+            for violation in result.violations
+        )
+        crash_point += 1
     return report
 
 
@@ -434,7 +394,6 @@ def _answers(
     db = DB(path, options)
     for op in build_schedule(seed, config):
         _apply(db, op)
-    db.wait_idle()
     points = {key: db.get(key) for key in range(config.key_space)}
     span = max(config.key_space // 4, 1)
     ranges = {
@@ -486,36 +445,3 @@ def transient_fault_equivalence(
         "health": health,
     }
 
-
-def schedule_equivalence(
-    base_dir: str,
-    seed: int,
-    config: TortureConfig | None = None,
-    sched_seeds: tuple[int, ...] = (0, 1, 2),
-) -> dict:
-    """Same workload, crash-free, across interleavings: answers must match.
-
-    Runs one seed's schedule to completion inline (the historical
-    synchronous semantics) and once per scheduler seed with background
-    maintenance, then compares every point lookup and a grid of range queries.
-    Background maintenance may only change *when* flushes and compactions
-    happen — never what the store answers.
-    """
-    config = config if config is not None else TortureConfig()
-    _, base_points, base_ranges = _answers(
-        base_dir, "sched-equiv-inline", seed, config, torture_options(config)
-    )
-    mismatches = []
-    for sched_seed in sched_seeds:
-        _, points, ranges = _answers(
-            base_dir, f"sched-equiv-g{sched_seed}", seed, config,
-            torture_options(config, sched_seed),
-        )
-        if points != base_points or ranges != base_ranges:
-            mismatches.append(f"sched{sched_seed}")
-    return {
-        "seed": seed,
-        "interleavings": 1 + len(sched_seeds),
-        "equivalent": not mismatches,
-        "mismatches": mismatches,
-    }

@@ -27,7 +27,6 @@ class TestOptions:
             ("level0_file_num_compaction_trigger", 0),
             ("max_bytes_for_level_base", 0),
             ("block_cache_bytes", -1),
-            ("max_background_jobs", 2),
         ],
     )
     def test_invalid_rejected(self, field, value):

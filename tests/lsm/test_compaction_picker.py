@@ -2,7 +2,7 @@
 
 * overlap closure — every target-level run intersecting the chosen
   source span is pulled in, and nothing else;
-* debt-score ordering — L0 debt (write stalls) always outranks deeper
+* debt-score ordering — L0 debt (read fan-out) always outranks deeper
   bytes-over-target (read amplification), windows within one level drain
   oldest-first;
 * L0 routing — at its trigger L0 merges into itself while its L1 closure
@@ -12,6 +12,7 @@
 import random
 from types import SimpleNamespace
 
+from repro.lsm import compaction
 from repro.lsm.compaction import Compactor
 from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
@@ -137,11 +138,11 @@ class TestDebtOrdering:
         candidates = list(compactor._candidates(version))
         assert [job.source_level for job in candidates] == [2, 1]
 
-    def test_windows_within_a_level_drain_oldest_first(self):
+    def test_windows_within_a_level_drain_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(compaction, "MAX_COMPACTION_INPUT_FILES", 2)
         compactor = _compactor(
             level0_file_num_compaction_trigger=8,
             max_bytes_for_level_base=100,
-            max_compaction_input_files=2,
         )
         # Sorted by key, but allocation order (the file number) says the
         # middle window is oldest.
@@ -162,11 +163,11 @@ class TestDebtOrdering:
             "sst_1_00000002.sst",
         ]
 
-    def test_window_pulls_exact_target_closure(self):
+    def test_window_pulls_exact_target_closure(self, monkeypatch):
+        monkeypatch.setattr(compaction, "MAX_COMPACTION_INPUT_FILES", 1)
         compactor = _compactor(
             level0_file_num_compaction_trigger=8,
             max_bytes_for_level_base=100,
-            max_compaction_input_files=1,
         )
         version = Version(
             levels={

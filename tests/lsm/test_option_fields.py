@@ -33,13 +33,6 @@ _FIELDS = {
         "io_retry_attempts",
         "manifest_fsync",
         "env_factory",
-        "max_background_jobs",
-        "max_immutable_memtables",
-        "level0_slowdown_writes_trigger",
-        "level0_stop_writes_trigger",
-        "write_stall_timeout_s",
-        "max_compaction_input_files",
-        "scheduler_factory",
     ),
     ServingOptions: (
         "num_shards",

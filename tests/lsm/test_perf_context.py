@@ -109,7 +109,6 @@ _GOLDEN_COUNTERS = {
     "block_cache_misses": 91, "bytes_written": 131344,
     "io_transient_errors": 0, "io_retries": 0, "filters_degraded": 1,
     "filters_quarantined": 0, "background_errors": 0, "memtable_seals": 10,
-    "write_slowdowns": 0, "write_stops": 0, "write_stall_timeouts": 0,
     "filter_probes": 810, "filter_batch_probes": 465, "filter_negatives": 461,
     "filter_true_positives": 311, "filter_false_positives": 38,
     "point_queries": 802, "multi_point_queries": 20, "range_queries": 212,
@@ -484,7 +483,7 @@ class TestReadLedger:
                 for f in fields(PerfStats)
                 if not f.name.endswith("_ns")
             }
-            assert len(fields(PerfStats)) == 37
+            assert len(fields(PerfStats)) == 33
             assert counters == _GOLDEN_COUNTERS
             tracker = db.tracker.to_dict()
             tracker["range_sizes"] = {

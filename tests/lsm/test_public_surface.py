@@ -117,7 +117,6 @@ def test_package_exports_are_pinned():
         "DB",
         "DBOptions",
         "DEVICE_PRESETS",
-        "DeterministicScheduler",
         "DeviceModel",
         "FaultInjectionEnv",
         "HealthReport",
@@ -133,7 +132,6 @@ def test_package_exports_are_pinned():
         "ShardedServer",
         "StorageEnv",
         "Stopwatch",
-        "ThreadPoolScheduler",
         "VerificationReport",
         "WriteBatch",
         "repair_store",
@@ -209,11 +207,10 @@ def test_subpackage_exports_are_pinned(package):
 SHARED = {
     "add", "build", "close", "delete", "describe", "deserialize", "encode",
     "extend", "fail", "file_size", "finish", "flush", "fpr", "from_bytes",
-    "from_levels", "get", "health", "leaf_value_index", "make_lock",
-    "may_contain", "may_contain_range", "notify", "num_bits", "num_edges",
-    "num_nodes", "put", "replay", "run", "salt", "size_in_bits",
-    "smallest_label_ge", "submit", "sync_point", "tightened_range",
-    "to_bytes", "validate", "wait_for", "wait_idle",
+    "from_levels", "get", "health", "leaf_value_index", "may_contain",
+    "may_contain_range", "num_bits", "num_edges", "num_nodes", "put",
+    "replay", "run", "salt", "size_in_bits", "smallest_label_ge", "submit",
+    "tightened_range", "to_bytes", "validate", "wait_idle",
 }
 
 

@@ -33,7 +33,7 @@ _PATH = re.compile(
     r"[\w.-]+(?:/[\w.-]+)*\.(?:py|md|json|toml|yml|ini|txt)|[\w.-]+(?:/[\w.-]+)+/"
 )
 #: ``Class.member``, optionally called and followed by more attributes
-#: (``DB.health().stall_state`` checks ``DB.health``).
+#: (``DB.health().level0_runs`` checks ``DB.health``).
 _MEMBER = re.compile(r"(_?[A-Z]\w*)\.([A-Za-z_]\w*)(?:\(.*?\))?(?:\.\w+(?:\(\))?)*")
 
 

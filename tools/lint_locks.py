@@ -11,7 +11,7 @@ mechanical: it parses the source with ``ast`` and flags any *rebinding*
 * lexically inside a ``with self.<lock>:`` block for one of the
   attribute's documented locks, or
 * in an explicitly allowlisted method (constructors, single-threaded
-  recovery, teardown paths that run after workers are joined).
+  recovery, teardown paths that run once no other thread can touch it).
 
 It is a lexical check, deliberately: "the caller holds the lock" is
 exactly the convention this lint exists to make visible — helpers that
@@ -47,7 +47,7 @@ class Rule:
 
     locks: frozenset[str] = frozenset()
     #: Methods allowed to touch the attribute without the lock visible:
-    #: constructors and code that runs while no worker can be live.
+    #: constructors and code that runs before the object is shared.
     methods: frozenset[str] = frozenset()
 
 
@@ -68,12 +68,10 @@ RULES: dict[str, dict[str, Rule]] = {
             ("_sv_lock",), ("__init__", "_collect_zombies_locked")
         ),
         # WAL rotation state: mutated under _mutex (single-threaded in
-        # __init__/_recover, before any worker exists).
+        # __init__/_recover, before the store is shared).
         "_active_wal": _rule(("_mutex",), ("__init__", "_recover")),
         "_wal_seq": _rule(("_mutex",), ("__init__", "_recover")),
         "_background_error": _rule(("_mutex",), ("__init__",)),
-        # The one maintenance job slot: _job_lock only.
-        "_job_running": _rule(("_job_lock",), ("__init__",)),
         # Lifecycle flag: set once on the teardown paths.
         "_closed": _rule((), ("__init__", "close", "kill")),
     },
