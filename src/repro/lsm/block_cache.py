@@ -35,25 +35,23 @@ class BlockCache:
         self._high: OrderedDict[Hashable, bytes] = OrderedDict()
         self._pinned: dict[Hashable, bytes] = {}
         self._used = 0
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def get(self, key: Hashable) -> bytes | None:
-        """Return the cached block or None; refreshes LRU position."""
+        """Return the cached block or None; refreshes LRU position.
+
+        The reader counts hits and misses on its query's context
+        (``PerfStats.block_cache_hits`` / ``block_cache_misses``).
+        """
         with self._lock:
-            for pool in (self._pinned,):
-                if key in pool:
-                    self.hits += 1
-                    return pool[key]
+            if key in self._pinned:
+                return self._pinned[key]
             for pool in (self._high, self._low):
                 if key in pool:
                     pool.move_to_end(key)
-                    self.hits += 1
                     return pool[key]
-            self.misses += 1
             return None
 
     # ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The maintenance scheduler: every job runs inline, on the caller's thread.
 
-The DB's one dispatcher (``DB._dispatch_maintenance``) hands each unit of
-maintenance work (a flush of the oldest sealed memtable, one compaction)
-to :meth:`InlineScheduler.submit`, which runs it before returning.  The
+The writer's one dispatcher (``Writer._dispatch_maintenance``) hands each
+unit of maintenance work (a flush of the oldest sealed memtable, one
+compaction; an ``ingest`` too) to :meth:`InlineScheduler.submit`, which
+runs it before returning.  The
 store is fully synchronous: a ``PowerCutError`` or a bug's exception
 propagates to the writer that triggered the job.
 
@@ -20,8 +21,8 @@ __all__ = ["InlineScheduler"]
 class InlineScheduler:
     """Synchronous execution on the caller's thread.
 
-    ``submit`` does not catch anything: the DB's job bodies convert
-    ordinary I/O failures into degraded mode themselves, and exceptions
+    ``submit`` does not catch anything: the writer's ``_run_job`` turns
+    ordinary I/O failures into degraded mode, and exceptions
     that must reach the caller (``PowerCutError``, a bug's exception) do.
     """
 

@@ -319,7 +319,7 @@ class TestIntraL0Store:
             db = _loaded_db(
                 tmp_path / f"t{trigger}", trigger=trigger, sst_size_bytes=128
             )
-            real_plan = db._compactor.plan  # noqa: SLF001
+            real_plan = db._writer._compactor.plan  # noqa: SLF001
             streak, kinds = [], set()
 
             def bounded_plan(
@@ -334,7 +334,7 @@ class TestIntraL0Store:
                 assert len(streak) <= 8, [j.kind for j in streak]
                 return job
 
-            monkeypatch.setattr(db._compactor, "plan", bounded_plan)  # noqa: SLF001
+            monkeypatch.setattr(db._writer._compactor, "plan", bounded_plan)  # noqa: SLF001
             keys = random.Random(trigger).sample(range(1, 6000, 3), 1000)
             for key in keys:
                 db.put(key, b"fresh")

@@ -1,7 +1,7 @@
 """Inline maintenance under concurrent callers: one lock, no lost work.
 
 Every flush and compaction runs inline, on the thread whose call caused
-it, under ``DB._write_lock``.  Covers:
+it, under the writer's ``_write_lock`` (``repro.lsm.writer``).  Covers:
 
 * the scheduler: ``submit`` runs the job on the caller before returning;
 * an unexpected exception in a job parks the store and reaches the
@@ -113,7 +113,7 @@ class TestJobFailures:
         def buggy_flush():
             raise RuntimeError("bug in flush")
 
-        db._flush_oldest_immutable = buggy_flush  # noqa: SLF001
+        db._writer._flush_oldest_immutable = buggy_flush  # noqa: SLF001
         with pytest.raises(RuntimeError):
             db.flush()  # the bug reaches the caller
         health = db.health()
@@ -123,7 +123,7 @@ class TestJobFailures:
         assert health.pending_immutables == 1
         with pytest.raises(ReadOnlyStoreError, match="RuntimeError"):
             db.put(2, b"nope")
-        del db._flush_oldest_immutable  # noqa: SLF001 - the bug is "fixed"
+        del db._writer._flush_oldest_immutable  # noqa: SLF001 - the bug is "fixed"
         assert db.resume()
         assert db.health().mode == "healthy"
         assert db.health().pending_immutables == 0
@@ -187,7 +187,7 @@ class TestInlineDispatcher:
         # after this finds dozens of compactions to chain.
         db.ingest([(k, b"i" * 100) for k in range(1500)], level=1)
         depths = {"flush": [], "compaction": []}
-        flush, execute = db._flush_oldest_immutable, db._compactor.execute  # noqa: SLF001
+        flush, execute = db._writer._flush_oldest_immutable, db._writer._compactor.execute  # noqa: SLF001
 
         def counted_flush():
             depths["flush"].append(_stack_depth())
@@ -197,8 +197,8 @@ class TestInlineDispatcher:
             depths["compaction"].append(_stack_depth())
             return execute(job)
 
-        db._flush_oldest_immutable = counted_flush  # noqa: SLF001
-        db._compactor.execute = counted_execute  # noqa: SLF001
+        db._writer._flush_oldest_immutable = counted_flush  # noqa: SLF001
+        db._writer._compactor.execute = counted_execute  # noqa: SLF001
         db.put(5000, b"v" * 1100)  # one seal, one long dispatch
         assert len(depths["compaction"]) >= 20
         for key in range(5001, 5250):
@@ -212,7 +212,7 @@ class TestInlineDispatcher:
 
     def test_second_writer_blocks_until_the_flush_finishes(self, tmp_path):
         db = DB(str(tmp_path / "db"), _options())
-        flush = db._flush_oldest_immutable  # noqa: SLF001
+        flush = db._writer._flush_oldest_immutable  # noqa: SLF001
         ran_on: list[int] = []
         started, done = threading.Event(), threading.Event()
         seen = {}
@@ -232,7 +232,7 @@ class TestInlineDispatcher:
                 seen["done_during_flush"] = done.wait(0.2)
             flush()
 
-        db._flush_oldest_immutable = hooked_flush  # noqa: SLF001
+        db._writer._flush_oldest_immutable = hooked_flush  # noqa: SLF001
         db.put(1, b"early")
         db.flush()
         assert seen["done_during_flush"] is False
@@ -404,7 +404,7 @@ class TestJobSlot:
             finally:
                 db._unref_super(sv)  # noqa: SLF001
 
-        compactor = db._compactor  # noqa: SLF001
+        compactor = db._writer._compactor  # noqa: SLF001
         apply = compactor.apply
 
         def checked_apply(version, job, outputs):
@@ -414,18 +414,18 @@ class TestJobSlot:
                 violations.append(f"{job.kind} installed retired {retired}")
             apply(version, job, outputs)
 
-        write_ingest_runs = db._write_ingest_runs  # noqa: SLF001
+        write_ingest_runs = db._writer._write_ingest_runs  # noqa: SLF001
 
-        def ingest_runs(pairs, level):
+        def ingest_runs(pairs, level, written):
             flag_newest_run()
-            return write_ingest_runs(pairs, level)
+            write_ingest_runs(pairs, level, written)
 
         compactor.execute = exclusive("compaction", compactor.execute)
         compactor.apply = checked_apply
-        db._flush_oldest_immutable = exclusive(  # noqa: SLF001
-            "flush", db._flush_oldest_immutable  # noqa: SLF001
+        db._writer._flush_oldest_immutable = exclusive(  # noqa: SLF001
+            "flush", db._writer._flush_oldest_immutable  # noqa: SLF001
         )
-        db._write_ingest_runs = exclusive("ingest", ingest_runs)  # noqa: SLF001
+        db._writer._write_ingest_runs = exclusive("ingest", ingest_runs)  # noqa: SLF001
 
         def until_writable(op):
             """Run ``op``; while the store is parked, resume and retry."""
@@ -440,7 +440,7 @@ class TestJobSlot:
 
         def fail_one_flush(model):
             # Holding the lock, no other thread's write can take the fault.
-            with db._write_lock:  # noqa: SLF001
+            with db._writer._write_lock:  # noqa: SLF001
                 while True:  # a tiny put after a seal never seals again
                     db.put(999, b"fault")
                     if not db._super.active.is_empty:  # noqa: SLF001

@@ -12,6 +12,8 @@ mode — and every injected fault must be visible in ``PerfStats`` /
 ``DB.health()`` (counter parity: nothing fails silently).
 """
 
+import os
+
 import pytest
 
 from repro.bench.factories import make_factory
@@ -411,6 +413,57 @@ class TestBackgroundErrors:
         reopened = DB(path, DBOptions(key_bits=32))
         assert reopened.get(999_999) == b"buffered"
         reopened.close()
+
+
+class TestIngestFailures:
+    """A failed ``ingest`` parks the store like a failed flush and leaves
+    none of the SSTs it wrote behind."""
+
+    @staticmethod
+    def _fail(env, monkeypatch, where: str) -> None:
+        """Make the ingest's first SST, second SST or manifest write fail."""
+        if where == "first-sst":
+            env.fail_next_writes(1)
+            return
+        name = "write_file" if where == "second-sst" else "write_file_atomic"
+        original = getattr(env, name)
+
+        def armed(*args, **kwargs):
+            if where == "manifest":
+                env.fail_next_writes(1)
+                return original(*args, **kwargs)
+            original(*args, **kwargs)
+            env.fail_next_writes(1)  # the next SST's write fails
+
+        monkeypatch.setattr(env, name, armed)
+
+    @pytest.mark.parametrize("where", ["first-sst", "second-sst", "manifest"])
+    def test_failed_ingest_parks_and_leaves_no_file(
+        self, tmp_path, monkeypatch, where
+    ):
+        path = str(tmp_path / "db")
+        db, env = _faulty_db(path)
+        items = [(100_000 + i, b"i" * 100) for i in range(2000)]  # ~7 SSTs
+        live_before = {run.name for run in db.version.all_runs_newest_first()}
+        with monkeypatch.context() as patch:
+            self._fail(env, patch, where)
+            with pytest.raises(ReadOnlyStoreError, match="ingest"):
+                db.ingest(items, level=5)
+        health = db.health()
+        assert health.mode == "degraded"
+        assert health.background_error.startswith("ingest: OSError")
+        assert health.background_errors == 1
+        assert db.version.level_runs(5) == []
+        on_disk = {name for name in os.listdir(path) if name.endswith(".sst")}
+        assert on_disk == live_before
+        with pytest.raises(ReadOnlyStoreError):
+            db.put(1, b"nope")
+        # Nothing was left pending: resume clears the error, and the same
+        # ingest then lands.
+        assert db.resume()
+        db.ingest(items, level=5)
+        assert db.get(100_000) == b"i" * 100 and db.get(13) == b"value-1"
+        db.close()
 
 
 class TestRepairProperty:

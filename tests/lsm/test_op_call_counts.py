@@ -7,7 +7,8 @@ a read or write path that grew a step.  The store is fixed: 32-bit keys, two
 L0 files over two L1 and four L2 files, every filter and block warm.  The
 ceilings hold the one-pass point read over a dict memtable (83.0 calls per
 get; the skip-list memtable and the per-run list building it replaced cost
-101.7) and the put of an inline-only store: 41.0 calls, down from 48.0 when
+101.7) and the put of an inline-only store: 42.0 calls (41.0 before ``DB.put``
+became one call into the writer), down from 48.0 when
 each put also checked the write-stall triggers (``_apply_backpressure``,
 ``_stall_conditions``, two ``len`` and a ``max``) and its WAL append and
 sync each fired a scheduler yield hook (59.1 with the skip list).

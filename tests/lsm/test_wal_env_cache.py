@@ -170,8 +170,6 @@ class TestBlockCache:
         assert cache.get(("f", 0)) is None
         cache.put(("f", 0), b"data")
         assert cache.get(("f", 0)) == b"data"
-        assert cache.hits == 1
-        assert cache.misses == 1
 
     def test_lru_eviction(self):
         cache = BlockCache(10)

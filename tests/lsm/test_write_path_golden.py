@@ -123,13 +123,13 @@ def build_merge_store(root: str) -> dict:
     options.max_bytes_for_level_base = 1 << 20  # L1 keeps the whole ingest
     db = DB(root, options)
     kinds: list[str] = []
-    execute = db._compactor.execute  # noqa: SLF001
+    execute = db._writer._compactor.execute  # noqa: SLF001
 
     def recorded(job):
         kinds.append(job.kind)
         return execute(job)
 
-    db._compactor.execute = recorded  # noqa: SLF001
+    db._writer._compactor.execute = recorded  # noqa: SLF001
     keys = [rng.getrandbits(32) for _ in range(5000)]
     items = [(key, rng.randbytes(64)) for key in keys]
     items += [(key, rng.randbytes(64)) for key in rng.sample(keys, 500)]

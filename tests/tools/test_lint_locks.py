@@ -1,15 +1,18 @@
 """The lock-discipline lint catches what it claims to catch.
 
-``tools/lint_locks.py`` runs in CI against the real db.py / compaction.py;
+``tools/lint_locks.py`` runs in CI against the real writer.py, db.py and
+the other modules it lists;
 these tests pin its semantics with synthetic sources (a violation is
 flagged, the documented escapes are honored) and assert the real tree is
 currently clean — so a lock-discipline regression fails the test suite
 even before CI runs the lint step.
 """
 
+import ast
 import importlib.util
 import pathlib
 import sys
+from collections import defaultdict
 
 _REPO = pathlib.Path(__file__).resolve().parents[2]
 _spec = importlib.util.spec_from_file_location(
@@ -140,3 +143,31 @@ def test_real_tree_is_clean():
     for relative in lint_locks._TARGETS:  # noqa: SLF001
         violations = lint_locks.check_file(str(_REPO / relative))
         assert violations == [], "\n".join(str(v) for v in violations)
+
+
+def test_every_rule_names_an_attribute_its_class_assigns():
+    """A rule left behind when its attribute moves to another class never
+    fires: every ruled class is defined in a linted module and assigns each
+    ruled attribute there."""
+    assigned = defaultdict(set)
+    for relative in lint_locks._TARGETS:  # noqa: SLF001
+        tree = ast.parse((_REPO / relative).read_text())
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                assigned[cls.name].update(
+                    target.attr
+                    for target in targets
+                    if isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                )
+    for cls, rules in lint_locks.RULES.items():
+        assert set(rules) <= assigned[cls], (cls, set(rules) - assigned[cls])

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Lock-discipline lint for the LSM store's shared mutable state.
 
-The concurrency model in ``repro.lsm.db`` assigns every piece of shared
-DB / Compactor state a documented lock (see the "Concurrency model"
-section of db.py's module docstring).  This lint makes the discipline
+The concurrency model in ``repro.lsm.writer`` and ``repro.lsm.db``
+assigns every piece of shared store state a documented lock (see the
+"Concurrency model" section of writer.py's module docstring).  This lint makes the discipline
 mechanical: it parses the source with ``ast`` and flags any *rebinding*
 (``self._super = ...``) or *in-place mutation*
 (``self._zombies.append(...)``) of a protected attribute that is not
@@ -57,26 +57,27 @@ def _rule(locks: tuple[str, ...] = (), methods: tuple[str, ...] = ()) -> Rule:
 
 #: class name -> attribute -> protection contract.  This table IS the
 #: documented lock assignment; change it in the same commit as the
-#: docstring in db.py when the concurrency model evolves.
+#: docstrings in writer.py and db.py when the concurrency model evolves.
 RULES: dict[str, dict[str, Rule]] = {
     "DB": {
-        # Superversion chain: swapped and refcounted under _sv_lock.
-        "_super": _rule(("_sv_lock",), ("__init__", "_recover")),
+        # Superversion chain: swapped and refcounted under _sv_lock
+        # (single-threaded in __init__, before the store is shared).
+        "_super": _rule(("_sv_lock",), ("__init__",)),
         "_epoch": _rule(("_sv_lock",), ("__init__",)),
-        "_live_svs": _rule(("_sv_lock",), ("__init__", "_recover")),
+        "_live_svs": _rule(("_sv_lock",), ("__init__",)),
         "_zombies": _rule(
             ("_sv_lock",), ("__init__", "_collect_zombies_locked")
         ),
-        # WAL rotation state: mutated under _mutex (single-threaded in
-        # __init__/_recover, before the store is shared).
-        "_active_wal": _rule(("_mutex",), ("__init__", "_recover")),
-        "_wal_seq": _rule(("_mutex",), ("__init__", "_recover")),
-        "_background_error": _rule(("_mutex",), ("__init__",)),
         # Lifecycle flag: set once on the teardown paths.
         "_closed": _rule((), ("__init__", "close", "kill")),
     },
-    "Compactor": {
-        "_next_file_number": _rule(("_counter_lock",), ("__init__",)),
+    # The write side (repro.lsm.writer): WAL rotation state and the
+    # background error are mutated under _mutex (the WAL state also in
+    # recover_logs, single-threaded before the store is shared).
+    "Writer": {
+        "_active_wal": _rule(("_mutex",), ("__init__", "recover_logs")),
+        "_wal_seq": _rule(("_mutex",), ("__init__", "recover_logs")),
+        "_background_error": _rule(("_mutex",), ("__init__",)),
     },
     # Serving layer (repro.lsm.serving): per-shard request queue, the
     # closed/worker-death flags, the in-flight batch, and the injected
@@ -292,7 +293,7 @@ def check_file(
 #: The modules whose classes carry RULES entries.
 _TARGETS = (
     os.path.join("src", "repro", "lsm", "db.py"),
-    os.path.join("src", "repro", "lsm", "compaction.py"),
+    os.path.join("src", "repro", "lsm", "writer.py"),
     os.path.join("src", "repro", "lsm", "serving.py"),
     os.path.join("src", "repro", "lsm", "filter_integration.py"),
     os.path.join("src", "repro", "lsm", "stats.py"),
