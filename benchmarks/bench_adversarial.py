@@ -13,8 +13,8 @@ same store:
   number, hence a fresh salt, hence a hash family the attacker has never
   probed — the learned FP set goes stale instantly;
 * ``salted+quarantine`` — salting plus the FP-feedback detector: the
-  store *notices* the replay (per-run observed FPR exceeds a multiple of
-  the filter's design FPR), flags the run in ``health()``, prioritizes
+  store *notices* the replay (a run's false positives are too many to be
+  chance under its filter's design FPR), flags the run in ``health()``, prioritizes
   its compaction, and rebuilds it with bonus bits — no operator in the
   loop, ``db.compact()`` settles the quarantine autonomously.
 
@@ -96,10 +96,11 @@ def build_store(path: str, options: DBOptions, stored: list[int]) -> DB:
 
 
 def design_fpr(stored: list[int]) -> float:
-    """The FPR the benchmark's filter recipe is designed to deliver."""
+    """The point-query FPR the benchmark's filter recipe is designed to
+    deliver."""
     reference = BloomPointFilter(key_bits=KEY_BITS, bits_per_key=BITS_PER_KEY)
     reference.populate(stored)
-    return reference.design_fpr() or 0.0
+    return reference.design_fpr(1)
 
 
 def benign_queries(stored: list[int], probes: int, seed: int) -> list[int]:

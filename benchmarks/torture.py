@@ -15,8 +15,10 @@ Usage::
     PYTHONPATH=src python benchmarks/torture.py           # 20 seeds (full)
     PYTHONPATH=src python benchmarks/torture.py --smoke   # 5 seeds (CI)
 
-Exits non-zero on any violation; writes ``BENCH_torture.json`` at the repo
-root with the per-seed matrix.
+Exits non-zero on any violation, and under ``--smoke`` also when the total
+crash-point count differs from the one pinned in ``tests/golden/counts.json``
+(the schedules or the durable-op numbering moved; a change that moves it on
+purpose regenerates the golden, see ``tests/golden/test_ledger_counts.py``).
 """
 
 from __future__ import annotations
@@ -36,19 +38,20 @@ from repro.lsm.torture import (  # noqa: E402
     transient_fault_equivalence,
 )
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_torture.json"
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden" / "counts.json"
+SMOKE_SEEDS = 5
 
 
-def run_matrix(seeds: int) -> dict:
+def run_matrix(seeds: int) -> tuple[int, list[str]]:
+    """Sweep ``seeds`` seeds (and the first three again with salted
+    filters); returns the total crash-point count and every violation."""
     config = TortureConfig()
     # Salted filters ride inside the SST envelope, so a power cut at any
     # durable write must recover a store whose surviving runs still probe
     # with the exact per-file hash family they were built with.
     salted_config = TortureConfig(filter_salt_seed=0x5EED_CAFE)
-    records = []
     violations: list[str] = []
     total_crash_points = 0
-    started = time.time()
     with tempfile.TemporaryDirectory(prefix="torture-") as workdir:
         for seed in range(seeds):
             report = torture_seed(workdir, seed, config)
@@ -69,51 +72,23 @@ def run_matrix(seeds: int) -> dict:
                     f"errors, observed "
                     f"{equivalence['observed_transient_errors']}"
                 )
-            records.append(
-                {
-                    "seed": seed,
-                    "crash_points": report.crash_points,
-                    "violations": report.violations,
-                    "transient_answers_match": equivalence["answers_match"],
-                    "injected_transient_errors": equivalence[
-                        "injected_transient_errors"
-                    ],
-                    "io_retries": equivalence["io_retries"],
-                }
-            )
             print(
                 f"seed {seed:3d}: {report.crash_points:4d} inline crash "
                 f"points, {len(report.violations)} violations; "
                 f"transient-equivalence "
                 f"{'ok' if equivalence['answers_match'] else 'FAILED'}"
             )
-        salted_records = []
         for seed in range(min(3, seeds)):
             report = torture_seed(workdir, seed, salted_config)
             total_crash_points += report.crash_points
             violations.extend(
                 f"salted {violation}" for violation in report.violations
             )
-            salted_records.append(
-                {
-                    "seed": seed,
-                    "crash_points": report.crash_points,
-                    "violations": report.violations,
-                }
-            )
             print(
                 f"salted seed {seed:3d}: {report.crash_points:4d} inline "
                 f"crash points, {len(report.violations)} violations"
             )
-    return {
-        "bench": "torture",
-        "seeds": seeds,
-        "total_crash_points": total_crash_points,
-        "elapsed_seconds": round(time.time() - started, 2),
-        "violations": violations,
-        "per_seed": records,
-        "salted_sweep": salted_records,
-    }
+    return total_crash_points, violations
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,24 +99,32 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI smoke matrix: 5 seeds",
+        help=f"CI smoke matrix: {SMOKE_SEEDS} seeds, crash-point total pinned",
     )
     args = parser.parse_args(argv)
-    seeds = 5 if args.smoke else args.seeds
+    seeds = SMOKE_SEEDS if args.smoke else args.seeds
 
-    result = run_matrix(seeds)
-    RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
+    started = time.time()
+    total, violations = run_matrix(seeds)
     print(
-        f"\n{result['total_crash_points']} inline crash points "
-        f"across {seeds} seeds in {result['elapsed_seconds']}s "
-        f"-> {RESULT_PATH.name}"
+        f"\n{total} inline crash points across {seeds} seeds in "
+        f"{time.time() - started:.2f}s"
     )
-    if result["violations"]:
-        print(f"{len(result['violations'])} VIOLATIONS:", file=sys.stderr)
-        for violation in result["violations"]:
+    if violations:
+        print(f"{len(violations)} VIOLATIONS:", file=sys.stderr)
+        for violation in violations:
             print(f"  {violation}", file=sys.stderr)
         return 1
     print("durability contract held at every crash point")
+    if args.smoke:
+        pinned = json.loads(GOLDEN.read_text())["torture"]["smoke_crash_points"]
+        if total != pinned:
+            print(
+                f"{total} crash points, but {GOLDEN.name} pins {pinned}: the "
+                "schedules or the durable-op numbering moved",
+                file=sys.stderr,
+            )
+            return 1
     return 0
 
 

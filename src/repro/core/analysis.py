@@ -15,6 +15,8 @@ These functions predict Rosetta's behaviour from first principles; the
   analysis of §3.2 for empty ranges.
 * :func:`nonuniform_theta` / :func:`expected_range_probe_cost_nonuniform` —
   the same bound for unequal per-level FPRs (§3.2).
+* :func:`fp_excess_bound` — how unlikely an observed false-positive count is
+  under a predicted FPR: the test the store's attack detector runs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "expected_range_probe_cost",
     "expected_range_probe_cost_nonuniform",
     "nonuniform_theta",
+    "fp_excess_bound",
 ]
 
 
@@ -181,6 +184,23 @@ def expected_range_probe_cost(
         raise ValueError(f"range_size must be >= 1, got {range_size}")
     intervals = 1 if range_size == 1 else 2 * math.ceil(math.log2(range_size))
     return intervals * expected_probes_per_interval(fpr, max_terms)
+
+
+def fp_excess_bound(false_positives: int, outcomes: int, fpr: float) -> float:
+    """Chernoff–KL bound ``exp(-n D(k/n || p))`` on ``P[Bin(n, p) >= k]``:
+    how likely ``k`` false positives in ``n`` rejectable outcomes are at
+    FPR ``p`` (or at mean ``p`` over independent outcomes); 1.0 when
+    ``k <= n p``.
+    """
+    if false_positives <= outcomes * fpr:
+        return 1.0
+    if fpr <= 0.0:
+        return 0.0
+    rate = false_positives / outcomes
+    divergence = rate * math.log(rate / fpr)
+    if rate < 1.0:
+        divergence += (1.0 - rate) * math.log((1.0 - rate) / (1.0 - fpr))
+    return math.exp(-outcomes * divergence)
 
 
 def _check_common(num_keys: int, max_range: int, fpr: float) -> None:

@@ -31,9 +31,9 @@ def observed_fpr(false_positives: int, negatives: int) -> float:
     filter could have rejected (the ground truth was empty), the share it
     failed to.  True positives are excluded from the denominator — a
     filter is never wrong on them, so counting them would let a
-    positive-heavy workload mask an attack.  This is the single shared
-    definition: ``PerfStats.observed_fpr`` and the FP-feedback attack
-    detector both call it, so they can never disagree.
+    positive-heavy workload mask an attack.  ``PerfStats.observed_fpr``
+    calls it, and the FP-feedback attack detector counts its outcomes the
+    same way.
     """
     rejectable = negatives + false_positives
     if rejectable == 0:

@@ -87,13 +87,11 @@ class KeyFilter(abc.ABC):
     def reset_probe_count(self) -> None:
         """Reset internal probe counters, if tracked."""
 
-    def design_fpr(self) -> float | None:
-        """The FPR this filter was built to deliver, if it knows one.
-
-        The FP-feedback attack detector compares each run's *observed*
-        FPR against a multiple of this value; ``None`` (the default)
-        means the filter publishes no design point and its runs are
-        never flagged.
+    def design_fpr(self, width: int) -> float | None:
+        """The FPR this filter was built to deliver on an empty query of
+        ``width`` keys, which the FP-feedback attack detector tests each
+        run's false positives against; ``None`` (the default) means no
+        model covers the query, and its outcome is not evidence.
         """
         return None
 

@@ -44,6 +44,7 @@ class BloomPointFilter(KeyFilter):
         self.salt = salt
         self._bloom: BloomFilter | None = None
         self._probes = 0
+        self._design: float | None = None
 
     def populate(self, keys: Sequence[int]) -> None:
         """Index all keys in a filter sized at ``bits_per_key * len(keys)``."""
@@ -93,11 +94,14 @@ class BloomPointFilter(KeyFilter):
         filt.salt = filt._bloom.salt
         return filt
 
-    def design_fpr(self) -> float | None:
-        """The textbook Bloom FPR at the current fill ratio."""
-        if self._bloom is None:
+    def design_fpr(self, width: int) -> float | None:
+        """The textbook Bloom FPR at the filter's fill ratio, for a point
+        query only (a wider range always passes)."""
+        if width != 1 or self._bloom is None:
             return None
-        return self._bloom.expected_fpr()
+        if self._design is None:
+            self._design = self._bloom.expected_fpr()
+        return self._design
 
     def probe_count(self) -> int:
         return self._probes

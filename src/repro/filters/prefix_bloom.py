@@ -148,12 +148,6 @@ class PrefixBloomFilter(KeyFilter):
         filt.salt = filt._bloom.salt
         return filt
 
-    def design_fpr(self) -> float | None:
-        """Expected per-probe FPR of the prefix Bloom at its fill ratio."""
-        if self._bloom is None:
-            return None
-        return self._bloom.expected_fpr()
-
     def probe_count(self) -> int:
         return self._probes
 

@@ -43,6 +43,7 @@ class RosettaFilter(KeyFilter):
         )
         self.salt = salt
         self._rosetta: Rosetta | None = None
+        self._design: float | None = None
 
     def populate(self, keys: Sequence[int]) -> None:
         """Build the underlying Rosetta over ``keys``."""
@@ -107,21 +108,18 @@ class RosettaFilter(KeyFilter):
         filt._rosetta = rosetta
         return filt
 
-    def design_fpr(self) -> float | None:
-        """Predicted worst-case range FPR at the designed max range.
-
-        Conservative on purpose: the attack detector flags a run when the
-        observed FPR exceeds a multiple of this, so the anchor is the
-        largest range the filter was tuned for, not the (much lower) leaf
-        point-query FPR — benign range traffic must not look like an
-        attack.
+    def design_fpr(self, width: int) -> float | None:
+        """§3's predicted empty-range FPR at the designed max range, for any
+        query up to it; None past it (§3.1 keeps no level above log2 R).
+        The anchor is not ``width``: anchored at the (exact) width-1 value,
+        the repeats of one benign hot false positive look like an attack.
         """
-        if self._rosetta is None:
-            return None
         core = self._rosetta
-        if core.num_keys == 0:
+        if core is None or core.num_keys == 0 or width > 1 << core.max_height:
             return None
-        return min(1.0, core.predicted_range_fpr(1 << core.max_height))
+        if self._design is None:
+            self._design = min(1.0, core.predicted_range_fpr(1 << core.max_height))
+        return self._design
 
     def probe_count(self) -> int:
         if self._rosetta is None:

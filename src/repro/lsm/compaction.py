@@ -156,6 +156,9 @@ class Compactor:
         # Quarantined inputs rebuild their filters with the tuner's attack
         # bits bonus.
         self._tuner = tuner
+        #: Runs :meth:`write_runs` wrote that no manifest names yet: what a
+        #: job that fails before its install must delete.
+        self.unreferenced: list[Run] = []
 
     def advance_file_number(self, past: int) -> None:
         """Never emit a file number <= ``past`` (recovery collision guard)."""
@@ -402,8 +405,8 @@ class Compactor:
         The one writer loop of flush, compaction and ingest: with ``cut``, a
         file ends once it reaches ``sst_size_bytes``; without, everything
         goes into one file.  A file name is allocated only once the file's
-        first entry exists, so an empty stream writes nothing.  A caller
-        that must undo a failed write holds every run yielded before it.
+        first entry exists, so an empty stream writes nothing.  Each run is
+        also added to :attr:`unreferenced` until a manifest names it.
         """
         limit = self._options.sst_size_bytes if cut else None
         entries = iter(entries)
@@ -419,7 +422,9 @@ class Compactor:
             reader = SSTReader(
                 self._env, writer.finish(), self._cache, is_level0=level == 0
             )
-            yield Run(reader=reader, level=level)
+            run = Run(reader=reader, level=level)
+            self.unreferenced.append(run)
+            yield run
 
     # ------------------------------------------------------------------
     # Installation (caller holds the writer's _mutex, version is a clone)

@@ -141,8 +141,6 @@ class DB:
         self._filter_dictionary = FilterDictionary(
             enabled=self.options.use_filter_dictionary,
             quarantine=self.options.quarantine_filters,
-            quarantine_fpr_multiple=self.options.quarantine_fpr_multiple,
-            quarantine_min_probes=self.options.quarantine_min_probes,
         )
 
         # Innermost lock: never held across I/O.  The writer's two locks
@@ -500,7 +498,7 @@ class DB:
                     true_positives += run_true
                     false_positives += run_false
                     if quarantine and run_negatives + run_false:
-                        self._note_filter_outcome(run, run_negatives, run_false)
+                        self._note_filter_outcome(run, filt, 1, run_negatives, run_false)
                 if not pending:
                     break
             return values
@@ -582,7 +580,7 @@ class DB:
                 positives = (
                     self._probe_filters_range(context, runs, low, high)
                     if context.kind == "range"
-                    else [(run, False) for run in runs]
+                    else [(run, None) for run in runs]
                 )
                 memtables = [m for m in sv.memtables if not m.is_empty]
                 if positives or memtables:
@@ -604,7 +602,7 @@ class DB:
         sv: _SuperVersion,
         low_bytes: bytes,
         high_bytes: bytes,
-        positives: list[tuple[Run, bool]],
+        positives: list[tuple[Run, KeyFilter | None]],
         memtables: list[MemTable],
     ) -> Iterator:
         """The one merge loop of :meth:`range_iter` and :meth:`iterator`,
@@ -612,10 +610,10 @@ class DB:
 
         The first advance reads each positive run's first entry at or above
         ``low`` and chains it back in front of the rest.  A run whose filter
-        answered (``positives``' flag) is judged by that entry once read: a
-        true positive if it is <= ``high``.  Positive runs all seek at
-        ``low``: a filter's leftmost surviving key (§2.2.1) would land on
-        the same entry, since a filter has no false negatives.
+        answered (``positives`` pairs it with that filter) is judged by that
+        entry once read: a true positive if it is <= ``high``.  Positive
+        runs all seek at ``low``: a filter's leftmost surviving key (§2.2.1)
+        would land on the same entry, since a filter has no false negatives.
         """
         try:
             yield
@@ -624,18 +622,18 @@ class DB:
                 for priority, memtable in enumerate(memtables)
             ]
             context.iterators_created = len(sources) + len(positives)
-            for run, judged in positives:
+            for run, filt in positives:
                 entries = run.reader.iterate_from(low_bytes, context)
                 first = next(entries, None)
                 if first is not None:
                     sources.append((len(sources), chain((first,), entries)))
-                if not judged:
+                if filt is None:
                     continue
                 if first is not None and first[0] <= high_bytes:
                     context.filter_true_positives += 1
                 else:
                     context.filter_false_positives += 1
-                    self._note_filter_outcome(run, 0, 1)
+                    self._note_filter_outcome(run, filt, context.width, 0, 1)
             merged = live_entries(MergingIterator(sources))
             while True:
                 # Charge only the merge-advance time to residual_seek_ns,
@@ -682,7 +680,7 @@ class DB:
         :func:`~repro.lsm.filter_integration.batched_tightened_ranges`;
         runs without a filter block pass through positive, uncounted
         (fence pointers already said "overlaps").  Returns the runs to
-        read, each with whether its filter said so.
+        read, each with the filter that said so (None for no filter).
         """
         if not runs:
             return []
@@ -695,29 +693,31 @@ class DB:
         context.filter_probe_ns += time.perf_counter_ns() - started
         context.filter_calls += filter_calls
         context.filters_probed += filter_calls
-        positives: list[tuple[Run, bool]] = []
+        positives: list[tuple[Run, KeyFilter | None]] = []
         for run, filt, verdict in zip(runs, filters, verdicts):
             if verdict:
-                positives.append((run, filt is not None))
+                positives.append((run, filt))
             else:
                 context.filter_negatives += 1
-                self._note_filter_outcome(run, 1, 0)
+                self._note_filter_outcome(run, filt, context.width, 1, 0)
         return positives
 
     def _note_filter_outcome(
-        self, run: Run, negatives: int, false_positives: int
+        self, run: Run, filt: KeyFilter, width: int, negatives: int, false_positives: int
     ) -> None:
-        """Feed a run's rejectable verdicts to the attack detector.
+        """Feed a run's rejectable verdicts on ``width``-key queries to the
+        attack detector.
 
         Callers count verdicts into their query's context themselves; the
-        detector alone needs the run's name, and is only asked when
-        ``quarantine_filters`` is on.  A run newly flagged here bumps
-        ``filters_quarantined``; its prioritized rebuild runs at the next
-        maintenance dispatch (a reader never runs maintenance).
+        detector alone needs the run's name and its filter's design FPR at
+        that width, and is only asked when ``quarantine_filters`` is on.  A
+        run newly flagged here bumps ``filters_quarantined``; its
+        prioritized rebuild runs at the next maintenance dispatch (a reader
+        never runs maintenance).
         """
         detector = self._filter_dictionary
         if detector.quarantine and detector.record_outcome(
-            run.name, negatives=negatives, false_positives=false_positives
+            run.name, filt.design_fpr(width), negatives, false_positives
         ):
             self.stats.add(filters_quarantined=1)
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
+from repro.core.analysis import fp_excess_bound
 from repro.core.rosetta import Rosetta, range_verdicts
-from repro.core.tuning import observed_fpr
 from repro.errors import SerializationError
 from repro.filters.base import KeyFilter, deserialize_filter
 from repro.filters.rosetta_adapter import RosettaFilter
@@ -37,6 +37,11 @@ __all__ = [
     "batched_tightened_ranges",
 ]
 
+#: Significance level of the attack detector: a run is flagged once its
+#: false-positive count would happen by chance less often than this under
+#: its filter's design FPR.
+QUARANTINE_ALPHA = 1e-6
+
 
 class FilterDictionary:
     """Resolves each run's filter once, into ``SSTReader.resolved_filter``.
@@ -48,19 +53,15 @@ class FilterDictionary:
     against silently wrong answers — and ``PerfStats.filters_degraded``
     counts the run once.  Degradation is sticky for the run's lifetime;
     compacting the run away rebuilds a fresh filter and clears the mark.
+
+    With ``quarantine`` on, it is also the FP-feedback attack detector
+    (:meth:`record_outcome`): each run's false positives are tested against
+    what its own filter's model predicts.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        quarantine: bool = False,
-        quarantine_fpr_multiple: float = 8.0,
-        quarantine_min_probes: int = 50,
-    ) -> None:
+    def __init__(self, enabled: bool = True, quarantine: bool = False) -> None:
         self.enabled = enabled
         self.quarantine = quarantine
-        self.quarantine_fpr_multiple = quarantine_fpr_multiple
-        self.quarantine_min_probes = quarantine_min_probes
         # Foreground queries and background compaction share the
         # dictionary; the lock keeps memoization and the degraded set
         # consistent (one fetch, one degradation count per run).
@@ -68,14 +69,12 @@ class FilterDictionary:
         #: Runs whose envelope proved undecodable (served filter-less).
         self.degraded: set[str] = set()
         #: Runs flagged by the FP-feedback detector (§ adversarial
-        #: robustness): observed FPR exceeded the quarantine multiple of
-        #: the filter's design FPR.  Sticky until the run is compacted
-        #: away (the rebuild re-salts and re-sizes the filter).
+        #: robustness): their false positives are too many to be chance
+        #: under the filter's own design FPR.  Sticky until the run is
+        #: compacted away (the rebuild re-salts and re-sizes the filter).
         self.under_attack: set[str] = set()
-        # Per-run rejectable-query outcomes: name -> [negatives, FPs].
+        # Per-run modelled outcomes: name -> [outcomes, false positives].
         self._outcomes: dict[str, list[int]] = {}
-        # Design FPR published by each run's filter, cached at fetch time.
-        self._design_fpr: dict[str, float] = {}
 
     def get_filter(
         self, reader: SSTReader, stats: PerfStats, context=None
@@ -109,40 +108,33 @@ class FilterDictionary:
                     stats.add(filters_degraded=1)
             if filt is None or self.enabled:
                 reader.resolved_filter = filt
-            if filt is not None and self.quarantine and name not in self._design_fpr:
-                design = filt.design_fpr()
-                if design is not None and design > 0.0:
-                    self._design_fpr[name] = design
             return filt
 
     def record_outcome(
-        self, name: str, *, negatives: int = 0, false_positives: int = 0
+        self, name: str, design_fpr: float | None, negatives: int, false_positives: int
     ) -> bool:
         """Feed one run's rejectable-query outcomes to the attack detector.
 
-        Returns True exactly once per run: the call that pushes the run's
-        observed FPR past ``quarantine_fpr_multiple`` times its design FPR
-        (with at least ``quarantine_min_probes`` rejectable queries seen),
-        adding it to :attr:`under_attack`.  No-op unless quarantine is on
-        and the run's filter published a design FPR.
+        ``design_fpr`` is what the run's filter predicts for these queries
+        (:meth:`~repro.filters.base.KeyFilter.design_fpr`); None means no
+        model covers them, and they are not evidence.  Returns True once
+        per run, on the false positive that brings
+        :func:`~repro.core.analysis.fp_excess_bound` over everything the run
+        answered below :data:`QUARANTINE_ALPHA`, adding it to
+        :attr:`under_attack`.  No-op unless quarantine is on.
         """
-        if not self.quarantine:
+        if not self.quarantine or design_fpr is None:
             return False
         with self._lock:
-            design = self._design_fpr.get(name)
-            if design is None or name in self.under_attack:
+            if name in self.under_attack:
                 return False
-            counts = self._outcomes.get(name)
-            if counts is None:
-                counts = [0, 0]
-                self._outcomes[name] = counts
-            counts[0] += negatives
+            counts = self._outcomes.setdefault(name, [0, 0])
+            counts[0] += negatives + false_positives
             counts[1] += false_positives
-            if counts[0] + counts[1] < self.quarantine_min_probes:
-                return False
-            if observed_fpr(counts[1], counts[0]) <= (
-                self.quarantine_fpr_multiple * design
-            ):
+            # Only a new false positive can make the count significant.
+            if not false_positives or fp_excess_bound(
+                counts[1], counts[0], design_fpr
+            ) >= QUARANTINE_ALPHA:
                 return False
             self.under_attack.add(name)
             return True
@@ -159,7 +151,6 @@ class FilterDictionary:
             self.degraded.discard(name)
             self.under_attack.discard(name)
             self._outcomes.pop(name, None)
-            self._design_fpr.pop(name, None)
 
     def degraded_snapshot(self) -> tuple[str, ...]:
         """Sorted consistent copy of the degraded-run set.

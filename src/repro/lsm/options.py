@@ -74,19 +74,12 @@ class DBOptions:
     filter_salt_seed: int = 0
 
     #: Enable the FP-feedback attack detector: per-run false-positive
-    #: counters in the filter dictionary flag runs whose observed FPR
-    #: exceeds ``quarantine_fpr_multiple`` times their design FPR.
-    #: Flagged runs surface in ``DB.health()`` and their compaction is
-    #: prioritized so the (salted) rebuild clears the attack.
+    #: counters in the filter dictionary flag runs whose false positives
+    #: are too many to be chance under their filter's design FPR
+    #: (``FilterDictionary.record_outcome``).  Flagged runs surface in
+    #: ``DB.health()`` and their compaction is prioritized so the (salted)
+    #: rebuild clears the attack.
     quarantine_filters: bool = False
-
-    #: Observed-FPR multiple of the design FPR at which a run is flagged.
-    quarantine_fpr_multiple: float = 8.0
-
-    #: Minimum rejectable probes (negatives + false positives) a run must
-    #: accumulate before it can be flagged — keeps small-sample noise from
-    #: quarantining healthy filters.
-    quarantine_min_probes: int = 50
 
     #: Block cache capacity in bytes (0 disables caching).
     block_cache_bytes: int = 8 << 20
@@ -154,12 +147,6 @@ class DBOptions:
                 f"{self.filter_factory.name!r} is not salt-capable "
                 "(structural filters like SuRF cannot be re-keyed)"
             )
-        if self.quarantine_fpr_multiple <= 1.0:
-            raise InvalidOptionsError(
-                "quarantine_fpr_multiple must be > 1.0"
-            )
-        if self.quarantine_min_probes < 1:
-            raise InvalidOptionsError("quarantine_min_probes must be >= 1")
         if self.io_retry_attempts < 0:
             raise InvalidOptionsError("io_retry_attempts must be >= 0")
         if self.env_factory is not None and not callable(self.env_factory):

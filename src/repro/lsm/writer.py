@@ -361,6 +361,7 @@ class Writer:
                 version = version.clone()
                 edit(version)
                 self._write_manifest(version)
+                self._compactor.unreferenced.clear()
             immutables = current.immutables[:-1] if flushed else current.immutables
             self._install(current.active, immutables, version, obsolete)
 
@@ -415,7 +416,7 @@ class Writer:
     def ingest(self, items: Iterable[tuple[int, bytes]], level: int | None) -> None:
         """Sorted unique items straight into one empty level (by default
         the shallowest whose size target fits them).  A failed write parks
-        the store, and no SST the ingest wrote survives it."""
+        the store, as a failed flush does."""
         self._check_open()
         self._check_writable()
         pairs = sorted(items, key=lambda kv: kv[0])
@@ -435,26 +436,22 @@ class Writer:
             # install.
             if self._current().version.level_runs(level):
                 raise StoreError(f"ingest target level {level} is not empty")
-            written: list[Run] = []
 
             def body() -> None:
-                self._write_ingest_runs(pairs, level, written)
+                runs = self._write_ingest_runs(pairs, level)
                 self._install_version(
-                    lambda version: version.install_level(level, written)
+                    lambda version: version.install_level(level, runs)
                 )
 
             if not self._run_job("ingest", body):
-                self.retire(written)
                 raise ReadOnlyStoreError(
                     f"ingest failed; store parked read-only "
                     f"({self._background_error})"
                 )
 
-    def _write_ingest_runs(
-        self, pairs: list[tuple[int, bytes]], level: int, written: list[Run]
-    ) -> None:
+    def _write_ingest_runs(self, pairs: list[tuple[int, bytes]], level: int) -> list[Run]:
         """Cut sorted ``pairs`` (the first of equal keys wins) into SSTs
-        for ``level``, adding each to ``written`` once its file is on disk."""
+        for ``level``."""
 
         def entries() -> Iterator[tuple[bytes, int, bytes]]:
             previous: int | None = None
@@ -463,7 +460,7 @@ class Writer:
                     previous = key
                     yield self._encode_key(key), ValueTag.PUT, bytes(value)
 
-        written.extend(self._compactor.write_runs(entries(), level, self.filter_factory))
+        return list(self._compactor.write_runs(entries(), level, self.filter_factory))
 
     # ------------------------------------------------------------------
     # Background-error state machine
@@ -473,8 +470,9 @@ class Writer:
 
         A failure parks the store read-only instead of crashing it: an I/O
         or store error is absorbed (False), anything else — a bug — is
-        re-raised after parking.  Power cuts and closed-store misuse pass
-        through untouched.
+        re-raised after parking.  Either way the SSTs the job wrote before
+        its manifest are deleted: the old manifest stands, and nothing names
+        them.  Power cuts and closed-store misuse pass through untouched.
         """
         try:
             self._scheduler.submit(op, body)
@@ -483,6 +481,8 @@ class Writer:
             raise
         except Exception as exc:
             self._enter_background_error(op, exc)
+            self.retire(self._compactor.unreferenced[:])
+            self._compactor.unreferenced.clear()
             if isinstance(exc, (OSError, ReproError)):
                 return False
             raise

@@ -170,3 +170,34 @@ class TestProbeCostModel:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             analysis.expected_range_probe_cost(0.2, 0)
+
+
+class TestFpExcessBound:
+    def test_no_excess_is_no_evidence(self):
+        assert analysis.fp_excess_bound(0, 0, 0.1) == 1.0
+        assert analysis.fp_excess_bound(10, 100, 0.1) == 1.0
+        assert analysis.fp_excess_bound(5, 100, 0.1) == 1.0
+        assert analysis.fp_excess_bound(100, 100, 1.0) == 1.0
+
+    def test_all_false_positives_is_p_to_the_n(self):
+        assert analysis.fp_excess_bound(3, 3, 0.1) == pytest.approx(1e-3)
+
+    def test_bounds_the_exact_binomial_tail(self):
+        from math import comb
+
+        for k, n, p in ((5, 20, 0.05), (30, 200, 0.1), (12, 40, 0.2)):
+            tail = sum(
+                comb(n, i) * p ** i * (1 - p) ** (n - i) for i in range(k, n + 1)
+            )
+            assert tail <= analysis.fp_excess_bound(k, n, p) < 1.0
+
+    def test_shrinks_with_each_false_positive_and_grows_with_negatives(self):
+        assert analysis.fp_excess_bound(9, 100, 0.05) < analysis.fp_excess_bound(
+            8, 100, 0.05
+        )
+        assert analysis.fp_excess_bound(9, 100, 0.05) < analysis.fp_excess_bound(
+            9, 120, 0.05
+        )
+
+    def test_a_false_positive_of_a_filter_that_cannot_err(self):
+        assert analysis.fp_excess_bound(1, 10, 0.0) == 0.0

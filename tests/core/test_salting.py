@@ -314,12 +314,6 @@ class TestStructuralSaltRejection:
         with pytest.raises(InvalidOptionsError):
             DBOptions(key_bits=32, filter_salt_seed=1 << 64).validate()
 
-    def test_dboptions_quarantine_knobs_validated(self):
-        with pytest.raises(InvalidOptionsError):
-            DBOptions(key_bits=32, quarantine_fpr_multiple=1.0).validate()
-        with pytest.raises(InvalidOptionsError):
-            DBOptions(key_bits=32, quarantine_min_probes=0).validate()
-
 
 # ----------------------------------------------------------------------
 # One observed-FPR convention everywhere

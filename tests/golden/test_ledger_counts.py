@@ -20,8 +20,10 @@ Pinned per workload at seed 1, in ``counts.json``:
 
 ``serve-mixed`` stays out: its two clients interleave differently run to run.
 
-A change that moves a count on purpose regenerates the file in the same diff
-and names each moved count in CHANGES.md::
+The file's ``torture`` row is ``benchmarks/torture.py --smoke``'s crash-point
+total, which that script checks itself; this test reads only the ledger rows.
+A change that moves a count on purpose regenerates the whole file in the same
+diff and names each moved count in CHANGES.md::
 
     PYTHONPATH=src python tests/golden/test_ledger_counts.py > tests/golden/counts.json
 """
@@ -30,10 +32,11 @@ from __future__ import annotations
 
 import importlib
 import json
+import runpy
 import sys
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -214,4 +217,10 @@ if __name__ == "__main__":
             golden[workload], wrong = measure(ledger_run, workload, Path(scratch))
         if wrong:
             sys.exit(f"{workload}: {len(wrong)} wrong answers, first: {wrong[0]}")
+    torture = runpy.run_path(str(ROOT / "benchmarks" / "torture.py"))
+    with redirect_stdout(sys.stderr):
+        crash_points, violations = torture["run_matrix"](torture["SMOKE_SEEDS"])
+    if violations:
+        sys.exit(f"torture: {len(violations)} violations, first: {violations[0]}")
+    golden["torture"] = {"smoke_crash_points": crash_points}
     print(json.dumps(golden, indent=2))

@@ -8,10 +8,11 @@ Three defenses land together and these tests pin their contracts:
   loading under a salted configuration, and a corrupt salt field takes
   the corrupt-filter degrade path (the envelope CRC catches it) rather
   than serving a silently mis-keyed filter.
-* **FP-feedback quarantine** — a run whose observed FPR blows past a
-  multiple of its design FPR is flagged in ``DB.health()``, compaction
-  prioritizes rebuilding it, and the rebuilt (re-salted, bonus-bits)
-  run is unflagged.
+* **FP-feedback quarantine** — a run whose false positives are too many
+  to be chance under its filter's design FPR is flagged in
+  ``DB.health()``, compaction prioritizes rebuilding it, and the rebuilt
+  (re-salted, bonus-bits) run is unflagged; outcomes no model covers
+  (wide ranges, prefix Bloom) never count.
 * **The attack generator itself** — learns genuinely-absent FP keys and
   replays them with a deterministic 100% hit rate against an undefended
   store, which is the baseline the defenses are measured against.
@@ -19,6 +20,7 @@ Three defenses land together and these tests pin their contracts:
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import pytest
@@ -27,7 +29,9 @@ from repro.bench.factories import make_factory
 from repro.errors import WorkloadError
 from repro.filters.base import deserialize_filter
 from repro.lsm.db import DB
-from repro.lsm.filter_integration import FilterDictionary
+from repro.core.analysis import fp_excess_bound
+from repro.lsm import filter_integration
+from repro.lsm.filter_integration import QUARANTINE_ALPHA, FilterDictionary
 from repro.lsm.options import DBOptions
 from repro.lsm.serving import ServingOptions, ShardedServer
 from repro.workloads.adversarial import AdversarialAttacker, AttackReport
@@ -256,14 +260,65 @@ class TestAttacker:
 # ----------------------------------------------------------------------
 # FP-feedback quarantine
 # ----------------------------------------------------------------------
+class _Watched:
+    """The store as the attacker drives it, noting how many false positives
+    it had served when the detector first flagged a run."""
+
+    def __init__(self, db: DB) -> None:
+        self._db = db
+        self.stats = db.stats
+        self.false_positives_at_flag: int | None = None
+
+    def _answer(self, answer):
+        if self.false_positives_at_flag is None and self.stats.filters_quarantined:
+            self.false_positives_at_flag = self.stats.filter_false_positives
+        return answer
+
+    def get(self, key):
+        return self._answer(self._db.get(key))
+
+    def range_query(self, low, high):
+        return self._answer(self._db.range_query(low, high))
+
+
+def _empty_ranges(
+    rng: random.Random, stored: list[int], widths: tuple[int, int], count: int,
+    domain: int = DOMAIN,
+) -> list[tuple[int, int]]:
+    """``count`` ranges of uniform widths in ``widths`` holding no key of
+    the sorted ``stored``."""
+    ranges = []
+    while len(ranges) < count:
+        width = rng.randint(*widths)
+        low = rng.randrange(domain - width)
+        at = bisect.bisect_left(stored, low)
+        if at == len(stored) or stored[at] >= low + width:
+            ranges.append((low, low + width - 1))
+    return ranges
+
+
+def _rosetta(bits_per_key: float):
+    return make_factory("rosetta", KEY_BITS, bits_per_key, max_range=64)
+
+
+def _design_fpr(db: DB, width: int) -> float | None:
+    """What the single run's filter predicts for a ``width``-key query."""
+    block = _single_run(db).reader.filter_block_bytes()
+    return deserialize_filter(block).design_fpr(width)
+
+
+def _assert_never_flagged(db: DB) -> None:
+    health = db.health()
+    assert health.filters_under_attack == 0
+    assert health.attacked_filters == ()
+    assert db.stats.filters_quarantined == 0
+
+
 class TestQuarantine:
     def test_attack_flags_run_and_compaction_heals(self, tmp_path):
-        db = _loaded_db(tmp_path / "db", **dict(
-            filter_salt_seed=SALT_SEED,
-            quarantine_filters=True,
-            quarantine_fpr_multiple=2.0,
-            quarantine_min_probes=40,
-        ))
+        db = _loaded_db(
+            tmp_path / "db", filter_salt_seed=SALT_SEED, quarantine_filters=True
+        )
         victim = _single_run(db).name
         attacker = AdversarialAttacker(db, seed=3, avoid=STORED)
         attacker.learn_points(800)
@@ -286,20 +341,143 @@ class TestQuarantine:
         assert hits / max(1, len(attacker.learned_points)) < 0.5
         db.close()
 
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_learner_is_flagged_within_60_false_positives(self, tmp_path, seed):
+        """At 8 bits/key the design FPR is ~0.02: a run of replayed false
+        positives is significant after a few dozen."""
+        db = _loaded_db(
+            tmp_path / "db", filter_salt_seed=SALT_SEED, quarantine_filters=True
+        )
+        watched = _Watched(db)
+        attacker = AdversarialAttacker(
+            watched, key_bits=KEY_BITS, seed=seed, avoid=STORED
+        )
+        attacker.learn_points(800)
+        attacker.replay(rounds=3, pressure=3, max_probes=3000)
+        assert watched.false_positives_at_flag is not None
+        assert watched.false_positives_at_flag <= 60
+        db.close()
+
+    def test_rosetta_point_replay_is_flagged(self, tmp_path):
+        """Rosetta's design FPR at its 64-key max range is ~0.3 at 14
+        bits/key, yet a replay of false positives is soon too long a run
+        to be chance."""
+        db = _loaded_db(
+            tmp_path / "db", filter_factory=_rosetta(14),
+            filter_salt_seed=SALT_SEED, quarantine_filters=True,
+        )
+        assert 0.2 < _design_fpr(db, 1) < 0.4
+        attacker = AdversarialAttacker(db, seed=3, avoid=STORED)
+        attacker.learn_points(800)
+        attacker.replay(rounds=3, pressure=3, max_probes=3000)
+        assert db.health().filters_under_attack == 1
+        db.close()
+
     def test_benign_traffic_never_flags(self, tmp_path):
-        db = _loaded_db(tmp_path / "db", **dict(
-            filter_salt_seed=SALT_SEED,
-            quarantine_filters=True,
-            quarantine_fpr_multiple=8.0,
-            quarantine_min_probes=40,
-        ))
+        """Uniform gets, on the 8 bits/key point Bloom and on a 14 bits/key
+        Rosetta."""
+        for name, factory in (("bloom", None), ("rosetta", _rosetta(14))):
+            overrides = {"filter_factory": factory} if factory else {}
+            db = _loaded_db(
+                tmp_path / name, filter_salt_seed=SALT_SEED,
+                quarantine_filters=True, **overrides,
+            )
+            rng = random.Random(13)
+            for _ in range(2000):
+                db.get(rng.randrange(DOMAIN))
+            assert db.stats.filter_false_positives > 0
+            _assert_never_flagged(db)
+            db.close()
+
+    def test_point_filter_ranges_are_not_evidence(self, tmp_path):
+        """A point Bloom passes every range wider than one key: an empty
+        8-wide range is a false positive by construction, not an attack."""
+        db = _loaded_db(
+            tmp_path / "db", filter_salt_seed=SALT_SEED, quarantine_filters=True
+        )
+        for low, high in _empty_ranges(random.Random(13), STORED, (8, 8), 2000):
+            assert db.range_query(low, high) == []
+        assert db.stats.observed_fpr == 1.0
+        _assert_never_flagged(db)
+        db.compact()
+        for low, high in _empty_ranges(random.Random(14), STORED, (8, 8), 2000):
+            db.range_query(low, high)
+        _assert_never_flagged(db)
+        db.close()
+
+    def test_prefix_bloom_has_no_model(self, tmp_path):
+        """A prefix Bloom's per-probe FPR ignores stored keys that share the
+        probed prefix, so it publishes no design FPR to test against."""
+        db = _loaded_db(
+            tmp_path / "db", filter_factory=make_factory("prefix-bloom", KEY_BITS, 8.0),
+            filter_salt_seed=SALT_SEED, quarantine_filters=True,
+        )
         rng = random.Random(13)
         for _ in range(2000):
             db.get(rng.randrange(DOMAIN))
-        health = db.health()
-        assert health.filters_under_attack == 0
-        assert health.attacked_filters == ()
-        assert db.stats.filters_quarantined == 0
+        assert db.stats.observed_fpr > 0.1
+        _assert_never_flagged(db)
+        db.close()
+
+    def test_ranges_past_the_max_range_are_not_evidence(self, tmp_path):
+        """§3.1 keeps no level above log2 R: a 129–512-wide range is past
+        what the model covers, however often it is a false positive."""
+        db = _loaded_db(
+            tmp_path / "db", filter_factory=_rosetta(14),
+            filter_salt_seed=SALT_SEED, quarantine_filters=True,
+        )
+        ranges = _empty_ranges(random.Random(13), STORED, (129, 512), 2000)
+        for low, high in ranges:
+            db.range_query(low, high)
+        assert db.stats.observed_fpr > _design_fpr(db, 64)
+        _assert_never_flagged(db)
+        db.close()
+
+    def test_range_empty_shaped_store_never_flags(self, tmp_path):
+        """Uniform 1–64-wide empty ranges over uniform 64-bit keys, 22
+        bits/key and several runs, as the ledger's ``range-empty`` runs."""
+        rng = random.Random(15)
+        stored = sorted({rng.getrandbits(64) for _ in range(6000)})
+        db = DB(str(tmp_path / "db"), DBOptions(
+            key_bits=64,
+            memtable_size_bytes=32 << 10,
+            block_cache_bytes=1 << 20,
+            filter_factory=make_factory("rosetta", 64, 22, max_range=64),
+            quarantine_filters=True,
+        ))
+        for key in rng.sample(stored, len(stored)):
+            db.put(key, b"v")
+        db.flush()
+        assert len(db.version.all_runs_newest_first()) > 1
+        for low, high in _empty_ranges(rng, stored, (1, 64), 3000, 1 << 64):
+            db.range_query(low, high)
+        assert db.stats.filter_false_positives > 0
+        _assert_never_flagged(db)
+        db.close()
+
+    def test_benign_hot_false_positive_is_flagged_and_rebuilt(self, tmp_path):
+        """Deliberate: a hot key that happens to be a false positive costs a
+        block read on every repeat, exactly as a replayed one does, so
+        Zipf(0.99) gets whose hottest key is one flag the run.  The salted
+        rebuild removes it, and the same traffic then flags nothing."""
+        db = _loaded_db(
+            tmp_path / "db", filter_salt_seed=SALT_SEED, quarantine_filters=True
+        )
+        rng = random.Random(16)
+        stored = set(STORED)
+        absent = [key for key in rng.sample(range(DOMAIN), 20_000) if key not in stored]
+        hot = AdversarialAttacker(db, seed=16, avoid=STORED).learn_points(400)[0]
+        popular = [hot] + absent
+        weights = [1.0 / rank ** 0.99 for rank in range(1, len(popular) + 1)]
+        traffic = rng.choices(popular, weights=weights, k=20_000)
+        for key in traffic:
+            db.get(key)
+        assert db.health().filters_under_attack == 1
+        db.compact()
+        assert db.health().filters_under_attack == 0
+        for key in traffic:
+            db.get(key)
+        assert db.health().filters_under_attack == 0
         db.close()
 
     def test_quarantine_disabled_by_default(self, tmp_path):
@@ -312,52 +490,88 @@ class TestQuarantine:
 
 
 class TestFilterDictionaryDetector:
-    """Unit-level pinning of the flag threshold and lifecycle."""
+    """Unit-level pinning of the significance test and the flag lifecycle."""
 
-    def _armed(self) -> FilterDictionary:
-        fd = FilterDictionary(
-            quarantine=True, quarantine_fpr_multiple=4.0,
-            quarantine_min_probes=10,
-        )
-        fd._design_fpr["run"] = 0.01  # noqa: SLF001
-        return fd
-
-    def test_below_min_probes_never_flags(self):
-        fd = self._armed()
-        assert not fd.record_outcome("run", false_positives=9)
+    def test_too_few_false_positives_never_flag(self):
+        fd = FilterDictionary(quarantine=True)
+        # Two straight false positives at p = 0.01: bound 1e-4.
+        assert not fd.record_outcome("run", 0.01, 0, 2)
         assert fd.under_attack_snapshot() == ()
 
     def test_flags_once_past_threshold(self):
-        fd = self._armed()
-        # 10 probes, all FPs: observed 1.0 > 4 x 0.01.
-        assert fd.record_outcome("run", negatives=0, false_positives=10)
+        """The flag lands on the false positive whose count first has a
+        bound below alpha, and is announced once."""
+        fd = FilterDictionary(quarantine=True)
+        assert not fd.record_outcome("run", 0.01, 50, 0)
+        flagged = [
+            fd.record_outcome("run", 0.01, 0, 1) for _ in range(10)
+        ]
+        assert flagged.count(True) == 1
+        k = flagged.index(True) + 1
+        assert fp_excess_bound(k, 50 + k, 0.01) < QUARANTINE_ALPHA
+        assert fp_excess_bound(k - 1, 49 + k, 0.01) >= QUARANTINE_ALPHA
         assert fd.under_attack_snapshot() == ("run",)
-        # Sticky, not re-announced.
-        assert not fd.record_outcome("run", false_positives=5)
 
     def test_fpr_at_threshold_does_not_flag(self):
-        fd = self._armed()
-        # observed 4/100 = 0.04 == 4 x 0.01: boundary stays unflagged.
-        assert not fd.record_outcome(
-            "run", negatives=96, false_positives=4
-        )
+        fd = FilterDictionary(quarantine=True)
+        # Observed exactly at the design FPR, however many outcomes.
+        for _ in range(100):
+            assert not fd.record_outcome(
+                "run", 0.01, negatives=990, false_positives=10
+            )
         assert fd.under_attack_snapshot() == ()
+
+    def test_negatives_alone_are_never_tested(self, monkeypatch):
+        calls = []
+
+        def bound(*args):
+            calls.append(args)
+            return 1.0
+
+        monkeypatch.setattr(filter_integration, "fp_excess_bound", bound)
+        fd = FilterDictionary(quarantine=True)
+        fd.record_outcome("run", 0.01, 5, 0)
+        fd.record_outcome("run", 0.01, 3, 2)
+        assert calls == [(2, 10, 0.01)]
 
     def test_unknown_design_fpr_never_flags(self):
-        fd = self._armed()
-        assert not fd.record_outcome("mystery", false_positives=100)
+        fd = FilterDictionary(quarantine=True)
+        assert not fd.record_outcome("mystery", None, 0, 100)
         assert fd.under_attack_snapshot() == ()
+        assert fd._outcomes == {}  # noqa: SLF001 - not evidence, not counted
 
     def test_drop_run_clears_flag_and_counters(self):
-        fd = self._armed()
-        fd.record_outcome("run", false_positives=10)
+        fd = FilterDictionary(quarantine=True)
+        assert fd.record_outcome("run", 0.01, 0, 10)
         fd.drop_run("run")
         assert fd.under_attack_snapshot() == ()
+        assert fd._outcomes == {}  # noqa: SLF001
 
     def test_quarantine_off_is_inert(self):
         fd = FilterDictionary(quarantine=False)
-        assert not fd.record_outcome("run", false_positives=1000)
+        assert not fd.record_outcome("run", 0.01, 0, 1000)
         assert fd.under_attack_snapshot() == ()
+
+
+class TestDesignFpr:
+    """Each filter publishes a design FPR only where its model covers the
+    query."""
+
+    def test_point_bloom_models_width_one_only(self):
+        filt = make_factory("bloom", KEY_BITS, 8.0).build(STORED)
+        assert 0.01 < filt.design_fpr(1) < 0.04
+        assert filt.design_fpr(2) is None
+
+    def test_rosetta_anchors_at_its_max_range_and_stops_there(self):
+        filt = _rosetta(14).build(STORED)
+        anchor = filt.core.predicted_range_fpr(64)
+        assert filt.design_fpr(1) == filt.design_fpr(64) == anchor
+        assert filt.design_fpr(65) is None
+
+    def test_prefix_bloom_and_surf_publish_none(self):
+        for name in ("prefix-bloom", "surf"):
+            filt = make_factory(name, 24, 10.0).build(STORED)
+            assert filt.design_fpr(1) is None
 
 
 # ----------------------------------------------------------------------
@@ -383,12 +597,7 @@ class TestServingGauges:
     def test_attacked_shard_rolls_up(self, tmp_path):
         server = ShardedServer(
             str(tmp_path / "server"),
-            _options(
-                filter_salt_seed=SALT_SEED,
-                quarantine_filters=True,
-                quarantine_fpr_multiple=2.0,
-                quarantine_min_probes=40,
-            ),
+            _options(filter_salt_seed=SALT_SEED, quarantine_filters=True),
             ServingOptions(num_shards=2),
         )
         # Load shard 0's key span and flush it to a filtered run.

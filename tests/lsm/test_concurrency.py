@@ -371,8 +371,6 @@ class TestJobSlot:
             str(tmp_path / "db"),
             filter_factory=make_factory("rosetta", 32, 14, max_range=32),
             quarantine_filters=True,
-            quarantine_fpr_multiple=1.5,
-            quarantine_min_probes=1,
         )
         running: list[str] = []
         running_lock = threading.Lock()
@@ -399,8 +397,10 @@ class TestJobSlot:
             try:
                 runs = sv.version.all_runs_newest_first()
                 if runs:
-                    db._filter_dictionary.get_filter(runs[0].reader, db.stats)  # noqa: SLF001
-                    db._note_filter_outcome(runs[0], 0, 1)  # noqa: SLF001
+                    filt = db._filter_dictionary.get_filter(runs[0].reader, db.stats)  # noqa: SLF001
+                    # 64 point false positives in a row: far past chance
+                    # at any design FPR a 14 bits/key filter has.
+                    db._note_filter_outcome(runs[0], filt, 1, 0, 64)  # noqa: SLF001
             finally:
                 db._unref_super(sv)  # noqa: SLF001
 
@@ -416,9 +416,9 @@ class TestJobSlot:
 
         write_ingest_runs = db._writer._write_ingest_runs  # noqa: SLF001
 
-        def ingest_runs(pairs, level, written):
+        def ingest_runs(pairs, level):
             flag_newest_run()
-            write_ingest_runs(pairs, level, written)
+            return write_ingest_runs(pairs, level)
 
         compactor.execute = exclusive("compaction", compactor.execute)
         compactor.apply = checked_apply

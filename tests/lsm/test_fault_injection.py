@@ -31,10 +31,10 @@ from repro.lsm.options import DBOptions
 def _loaded_db(path: str, with_filter: bool = False, **option_overrides) -> DB:
     # No cache by default: force disk reads so corruption is seen.
     option_overrides.setdefault("block_cache_bytes", 0)
+    option_overrides.setdefault("sst_size_bytes", 32 << 10)
     options = DBOptions(
         key_bits=32,
         memtable_size_bytes=8 << 10,
-        sst_size_bytes=32 << 10,
         block_size_bytes=1024,
         filter_factory=(
             make_factory("rosetta", 32, 16, max_range=32) if with_filter
@@ -223,7 +223,6 @@ class TestUnaskedRunsRecordNoFilterOutcome:
     def test_run_degraded_to_filterless(self, tmp_path):
         db = _loaded_db(
             str(tmp_path / "db"), with_filter=True, quarantine_filters=True,
-            quarantine_min_probes=1,
         )
         db.force_full_compaction()
         runs = db.version.all_runs_newest_first()
@@ -463,6 +462,67 @@ class TestIngestFailures:
         assert db.resume()
         db.ingest(items, level=5)
         assert db.get(100_000) == b"i" * 100 and db.get(13) == b"value-1"
+        db.close()
+
+
+class TestMaintenanceFailures:
+    """A flush or compaction that fails after writing some of its SSTs
+    deletes them, as a failed ingest does: the last manifest still stands,
+    and nothing names them."""
+
+    @staticmethod
+    def _fail_second_sst(env, monkeypatch) -> None:
+        write_file = env.write_file
+
+        def armed(*args, **kwargs):
+            write_file(*args, **kwargs)
+            env.fail_next_writes(1)  # the next SST's write fails
+            monkeypatch.setattr(env, "write_file", write_file)
+
+        monkeypatch.setattr(env, "write_file", armed)
+
+    @staticmethod
+    def _assert_no_orphan(db: DB, path: str) -> None:
+        live = {run.name for run in db.version.all_runs_newest_first()}
+        on_disk = {name for name in os.listdir(path) if name.endswith(".sst")}
+        assert on_disk == live
+
+    def test_failed_full_compaction_leaves_no_orphan(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "db")
+        db, env = _faulty_db(path, sst_size_bytes=8 << 10)  # several outputs
+        with monkeypatch.context() as patch:
+            self._fail_second_sst(env, patch)
+            db.force_full_compaction()
+        health = db.health()
+        assert health.mode == "degraded"
+        assert health.background_error.startswith("compaction: OSError")
+        self._assert_no_orphan(db, path)
+        assert db.resume()
+        self._assert_no_orphan(db, path)
+        db.force_full_compaction()  # the retry writes every output
+        self._assert_no_orphan(db, path)
+        assert len(db.version.all_runs_newest_first()) > 1
+        assert db.get(13) == b"value-1"
+        db.close()
+
+    def test_flush_whose_manifest_fails_leaves_no_orphan(self, tmp_path):
+        path = str(tmp_path / "db")
+        db, env = _faulty_db(path)
+        db.put(999_999, b"buffered")
+        write_file_atomic = env.write_file_atomic
+
+        def failing(*args, **kwargs):
+            env.fail_next_writes(1)
+            return write_file_atomic(*args, **kwargs)
+
+        env.write_file_atomic = failing
+        db.flush()  # the SST is written, the manifest is not
+        env.write_file_atomic = write_file_atomic
+        assert db.health().mode == "degraded"
+        self._assert_no_orphan(db, path)
+        assert db.resume()  # the retried flush lands
+        self._assert_no_orphan(db, path)
+        assert db.get(999_999) == b"buffered"
         db.close()
 
 

@@ -21,6 +21,12 @@ blocks it dropped answered these warm repeats without parsing; the range's
 filter probes take the frontier engine, most of the count), 1691.1 per
 ``range_iter`` read to its first entry and closed (1627.9) and 428.9 per
 16-record ``iterator`` (352.7).
+
+The batch ceiling holds ``multi_get``'s one pass per run: a 1 000-key,
+mostly-absent ``multi_get`` costs 13.5 calls per key against 74.1 per
+``get`` of the same keys, its per-run groups (490 keys on average) on the
+vector side of ``SCALAR_PROBE_MAX``.  It must stay under a third of the
+``get`` loop's.
 """
 
 import cProfile
@@ -28,6 +34,7 @@ import pstats
 import random
 
 from repro.bench.factories import make_factory
+from repro.core.bloom import SCALAR_PROBE_MAX
 from repro.lsm import DB, DBOptions
 
 PUT_CEILING = 43
@@ -36,6 +43,7 @@ EMPTY_RANGE_CEILING = 155
 RANGE_CEILING = 1990
 RANGE_ITER_CEILING = 1770
 ITERATOR_CEILING = 450
+MULTI_GET_KEY_CEILING = 15
 
 
 def _calls_per_op(calls, arguments) -> float:
@@ -129,3 +137,23 @@ def test_calls_per_range_read(tmp_path):
     assert per_scan <= RANGE_CEILING, per_scan
     assert per_first <= RANGE_ITER_CEILING, per_first
     assert per_iterator <= ITERATOR_CEILING, per_iterator
+
+
+def test_calls_per_multi_get_key(tmp_path):
+    db, keys, rng = _eight_file_store(tmp_path / "store")
+    with db:
+        stored = set(keys)
+        absent = [key for key in rng.sample(range(1 << 32), 1000)
+                  if key not in stored][:900]
+        batch = absent + rng.sample(keys[:1550], 100)
+        rng.shuffle(batch)
+        gets = {key: db.get(key) for key in batch}  # warm
+        before = db.stats.snapshot()
+        assert db.multi_get(batch) == gets
+        probed = db.stats.diff(before)
+        assert probed.filter_probes / probed.filter_batch_probes > SCALAR_PROBE_MAX
+        per_get = _calls_per_op(db.get, [(key,) for key in batch])
+        per_key = _calls_per_op(db.multi_get, [(batch,)]) / len(batch)
+
+    assert per_key <= MULTI_GET_KEY_CEILING, per_key
+    assert 3 * per_key <= per_get, (per_key, per_get)

@@ -24,8 +24,6 @@ _FIELDS = {
         "filter_factory",
         "filter_salt_seed",
         "quarantine_filters",
-        "quarantine_fpr_multiple",
-        "quarantine_min_probes",
         "block_cache_bytes",
         "use_filter_dictionary",
         "device",

@@ -118,7 +118,6 @@ RULES: dict[str, dict[str, Rule]] = {
         "degraded": _rule(("_lock",), ("__init__",)),
         "under_attack": _rule(("_lock",), ("__init__",)),
         "_outcomes": _rule(("_lock",), ("__init__",)),
-        "_design_fpr": _rule(("_lock",), ("__init__",)),
     },
     # Counter sets (repro.lsm.stats): ``add``/``observe_max`` go through
     # setattr under the set's _lock; a finished read's ``fold`` writes the
