@@ -49,9 +49,8 @@ job goes through three phases:
 ``apply(version, job, outputs)``
     Pure metadata edit: swap inputs for outputs on a ``Version`` *clone*
     under the writer's ``_mutex``.  The caller persists the manifest and
-    installs the clone atomically; input files are destroyed afterwards (and only
-    once no reader still holds a superversion referencing them) via
-    :meth:`destroy_runs`.
+    installs the clone atomically; input files are destroyed afterwards,
+    once no reader still references them, via :meth:`destroy_runs`.
 
 Flush, compaction and ingest allocate file names through
 :meth:`next_file_name`, and recovery raises the counter past every file on
@@ -481,12 +480,13 @@ class Compactor:
             return None
         return self._tuner.rebuild_bits_per_key(factory.bits_per_key, True)
 
-    def destroy_runs(self, runs: Iterable[Run]) -> None:
-        """Delete input files; purge their cache and filter-dictionary state."""
-        for run in runs:
-            self._cache.remove_file(run.name)
-            self._filter_dictionary.drop_run(run.name)
-            self._env.delete_file(run.name)
+    def destroy_runs(self, names: Iterable[str]) -> None:
+        """Delete runs' files by name; purge their cache and
+        filter-dictionary state."""
+        for name in names:
+            self._cache.remove_file(name)
+            self._filter_dictionary.drop_run(name)
+            self._env.delete_file(name)
 
     def next_file_name(self, level: int) -> str:
         """Allocate a fresh SST file name (flush, compaction and ingest)."""

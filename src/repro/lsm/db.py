@@ -14,22 +14,20 @@ sub-cost the paper measures is charged to :class:`~repro.lsm.stats.PerfStats`,
 and workload statistics flow into a :class:`~repro.core.tuning.WorkloadTracker`
 for the §2.4 auto-tuner (:meth:`DB.retune_filters`).
 
-Readers take none of the writer's locks: every read pins a *superversion*
-— an immutable ``(active memtable, sealed memtables, run metadata)`` triple
-swapped under ``_sv_lock`` (never held across I/O, innermost in the lock
-order) — so a query sees one consistent cut of the store while a write
-installs mid-query.  A run a compaction replaced is destroyed only once no
-pinned superversion can reach it (epoch-based deferred deletion).
+Readers take no lock: every read holds the current *superversion* — an
+immutable ``(active memtable, sealed memtables, run metadata)`` triple an
+install replaces with one assignment — so a query sees one consistent cut of
+the store while a write installs mid-query.  The writer deletes a replaced
+run's file only once no reader references the run (``Writer._reap``).
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.core.tuning import AutoTuner, TuningDecision, WorkloadTracker
 from repro.errors import ClosedStoreError, FilterQueryError, ReproError
@@ -64,16 +62,15 @@ def _no_entries() -> Iterator[tuple[int, bytes]]:
 
 
 class _SuperVersion:
-    """One immutable cut of the store a reader can pin.
+    """One immutable cut of the store a reader holds for its whole read.
 
     ``immutables`` is newest-first; ``version`` is the run metadata, whose
     file index is built here — every edit after this point goes to a clone.
     The object itself is frozen after install — a state change installs a
-    new superversion rather than mutating this one.  ``refs``/``epoch`` are
-    managed under ``DB._sv_lock`` only.
+    new superversion rather than mutating this one.
     """
 
-    __slots__ = ("active", "immutables", "memtables", "version", "refs", "epoch")
+    __slots__ = ("active", "immutables", "memtables", "version")
 
     def __init__(self, active: MemTable, immutables: tuple, version: Version) -> None:
         self.active = active
@@ -82,8 +79,6 @@ class _SuperVersion:
         self.memtables = (active, *(i.memtable for i in immutables))
         version.freeze()
         self.version = version
-        self.refs = 0
-        self.epoch = 0
 
 
 @dataclass(frozen=True)
@@ -143,12 +138,6 @@ class DB:
             quarantine=self.options.quarantine_filters,
         )
 
-        # Innermost lock: never held across I/O.  The writer's two locks
-        # come before it (repro.lsm.writer).
-        self._sv_lock = threading.Lock()
-        self._epoch = 0
-        self._zombies: list[tuple[int, list[Run]]] = []
-        self._live_svs: list[_SuperVersion] = []
         self._super: _SuperVersion | None = None
         self._closed = False
         #: Per-query performance context of the most recent read operation.
@@ -167,10 +156,7 @@ class DB:
             last_file_number=last_file_number,
         )
         active, immutables = self._writer.recover_logs()
-        sv = _SuperVersion(active, immutables, version)
-        sv.refs = 1
-        self._super = sv
-        self._live_svs = [sv]
+        self._super = _SuperVersion(active, immutables, version)
 
     # ------------------------------------------------------------------
     # Key codec
@@ -190,59 +176,11 @@ class DB:
     # ------------------------------------------------------------------
     # Superversion management
     # ------------------------------------------------------------------
-    def _ref_super(self) -> _SuperVersion:
-        """Pin the current superversion for the duration of one read."""
-        with self._sv_lock:
-            sv = self._super
-            sv.refs += 1
-            return sv
-
-    def _unref_super(self, sv: _SuperVersion) -> None:
-        """Release a pin; destroy any runs that just became unreachable."""
-        with self._sv_lock:
-            sv.refs -= 1
-            if sv.refs == 0 and sv in self._live_svs:
-                self._live_svs.remove(sv)
-            ready = self._zombies and self._collect_zombies_locked()
-        if ready:
-            self._writer.retire(ready)
-
     def _install_super(
-        self, active: MemTable, immutables: tuple, version: Version,
-        obsolete: Sequence[Run] = (),
+        self, active: MemTable, immutables: tuple, version: Version
     ) -> None:
-        """Atomically publish the next superversion (the writer calls this
-        holding its ``_mutex``).  ``obsolete`` runs are destroyed once every
-        superversion older than this install is released, so an in-flight
-        reader never loses a file under its feet."""
-        new_sv = _SuperVersion(active, immutables, version)
-        with self._sv_lock:
-            old = self._super
-            self._epoch += 1
-            new_sv.epoch = self._epoch
-            new_sv.refs = 1  # the DB's own reference
-            self._live_svs.append(new_sv)
-            self._super = new_sv
-            if obsolete:
-                self._zombies.append((self._epoch, list(obsolete)))
-            if old is not None:
-                old.refs -= 1
-                if old.refs == 0:
-                    self._live_svs.remove(old)
-            ready = self._collect_zombies_locked()
-        if ready:
-            self._writer.retire(ready)
-
-    def _collect_zombies_locked(self) -> list[Run] | None:
-        """Zombie runs whose epoch no live superversion predates."""
-        if not self._zombies or not self._live_svs:
-            return None
-        min_epoch = min(sv.epoch for sv in self._live_svs)
-        ready = [runs for epoch, runs in self._zombies if epoch <= min_epoch]
-        if not ready:
-            return None
-        self._zombies = [z for z in self._zombies if z[0] > min_epoch]
-        return [run for runs in ready for run in runs]
+        """Publish the next superversion (the writer holds its ``_mutex``)."""
+        self._super = _SuperVersion(active, immutables, version)
 
     # ------------------------------------------------------------------
     # Writes and maintenance: one call each into the writer
@@ -332,31 +270,28 @@ class DB:
     def health(self) -> HealthReport:
         """The store's current fault state (always readable, never raises).
 
-        Self-consistent: the superversion is pinned and the background
-        error read in one hold of the lock every install and every parking
-        happens under, so a ``healthy`` mode never pairs with a stale
+        Self-consistent: the superversion and the background error are read
+        in one hold of the lock every install and every parking happens
+        under, so a ``healthy`` mode never pairs with a stale
         ``level0_runs``, nor ``degraded`` with no ``background_error``.
         Counters come from one ``PerfStats.snapshot()``.
         """
-        sv, background_error = self._writer.pinned_state(self._ref_super)
-        try:
-            stats = self.stats.snapshot()
-            attacked = self._filter_dictionary.under_attack_snapshot()
-            return HealthReport(
-                mode="degraded" if background_error is not None else "healthy",
-                background_error=background_error,
-                degraded_filters=self._filter_dictionary.degraded_snapshot(),
-                io_transient_errors=stats.io_transient_errors,
-                io_retries=stats.io_retries,
-                filters_degraded=stats.filters_degraded,
-                background_errors=stats.background_errors,
-                attacked_filters=attacked,
-                filters_under_attack=len(attacked),
-                pending_immutables=len(sv.immutables),
-                level0_runs=len(sv.version.level0),
-            )
-        finally:
-            self._unref_super(sv)
+        sv, background_error = self._writer.pinned_state()
+        stats = self.stats.snapshot()
+        attacked = self._filter_dictionary.under_attack_snapshot()
+        return HealthReport(
+            mode="degraded" if background_error is not None else "healthy",
+            background_error=background_error,
+            degraded_filters=self._filter_dictionary.degraded_snapshot(),
+            io_transient_errors=stats.io_transient_errors,
+            io_retries=stats.io_retries,
+            filters_degraded=stats.filters_degraded,
+            background_errors=stats.background_errors,
+            attacked_filters=attacked,
+            filters_under_attack=len(attacked),
+            pending_immutables=len(sv.immutables),
+            level0_runs=len(sv.version.level0),
+        )
 
     # ------------------------------------------------------------------
     # Point reads
@@ -420,7 +355,7 @@ class DB:
         # never finished answering.
         runs_considered = filter_calls = filters_probed = probe_ns = 0
         iterators = results = negatives = true_positives = false_positives = 0
-        sv = self._ref_super()
+        sv = self._super
         try:
             # Buffered entries (puts and tombstones) resolve immediately
             # and never reach the filters.
@@ -513,7 +448,6 @@ class DB:
             context.filter_true_positives += true_positives
             context.filter_false_positives += false_positives
             self._publish(context)
-            self._unref_super(sv)
 
     # ------------------------------------------------------------------
     # Range reads
@@ -526,11 +460,13 @@ class DB:
         """Iterator form of :meth:`range_query`, yielding as the merge
         advances.
 
-        The generator owns the superversion pinned at call time and the
-        query's :class:`QueryContext`: exhaustion, ``close()`` or garbage
-        collection, whichever comes first, releases the pin and publishes
-        the context (counters, tracker, ``last_query``) exactly once; a
-        scan with nothing to stream has done so before this returns.
+        The generator reads the superversion current at call time: it holds
+        every run it reads (their files outlive a compaction that replaces
+        them) and owns the query's :class:`QueryContext`.  Exhaustion,
+        ``close()`` or garbage collection, whichever comes first, releases
+        the runs and publishes the context (counters, tracker,
+        ``last_query``) exactly once; a scan with nothing to stream has done
+        so before this returns.
         Validation and the filter probes are eager: a closed store raises
         here, not on the first ``next()``.  Out-of-domain bounds are
         clamped, as :meth:`ShardRouter.split_range` clamps them.
@@ -548,7 +484,7 @@ class DB:
         paper's filters matter for *selective* range queries).  Nor is it
         a query: the tracker and ``last_query`` never see it; its block
         reads and merge time still land in ``stats``.  Validation, the
-        superversion pin and its release are :meth:`range_iter`'s.
+        superversion it holds and its release are :meth:`range_iter`'s.
         """
         return self._start_scan(QueryContext(
             kind="scan",
@@ -557,18 +493,18 @@ class DB:
         ))
 
     def _start_scan(self, context: QueryContext) -> Iterator[tuple[int, bytes]]:
-        """The eager half of :meth:`range_iter` and :meth:`iterator`: pin a
-        superversion and find the overlapping runs to read (a ``"range"``
+        """The eager half of :meth:`range_iter` and :meth:`iterator`: find
+        the current superversion's overlapping runs to read (a ``"range"``
         asks their filters, a ``"scan"`` reads them all).  With nothing to
         stream — "if all filters answer negative, we delete the iterator and
         return an empty result" — the scan ends here; otherwise the started
-        :meth:`_range_scan` owns the pin from now on.
+        :meth:`_range_scan` holds the runs it reads from now on.
         """
         self._check_open()
         clamped = clamp_to_domain(
             context.low, context.high, self.options.key_bits
         )
-        sv = self._ref_super()
+        sv = self._super
         scan = None
         try:
             if clamped is not None:
@@ -585,7 +521,7 @@ class DB:
                 memtables = [m for m in sv.memtables if not m.is_empty]
                 if positives or memtables:
                     scan = self._range_scan(
-                        context, sv, low_bytes, high_bytes, positives, memtables
+                        context, low_bytes, high_bytes, positives, memtables
                     )
                     # A started generator always runs its ``finally`` — on
                     # close() or collection too; a merely created one never.
@@ -593,13 +529,12 @@ class DB:
                     return scan
         finally:
             if scan is None:
-                self._end_scan(context, sv)
+                self._end_scan(context)
         return _no_entries()
 
     def _range_scan(
         self,
         context: QueryContext,
-        sv: _SuperVersion,
         low_bytes: bytes,
         high_bytes: bytes,
         positives: list[tuple[Run, KeyFilter | None]],
@@ -646,16 +581,14 @@ class DB:
                 context.results += 1
                 yield self._decode_key(entry[0]), entry[1]
         finally:
-            self._end_scan(context, sv)
+            self._end_scan(context)
 
-    def _end_scan(self, context: QueryContext, sv: _SuperVersion) -> None:
-        """Publish a range's context (fold a scan's into ``stats``) and
-        release its pin."""
+    def _end_scan(self, context: QueryContext) -> None:
+        """Publish a range's context; fold a scan's into ``stats``."""
         if context.kind == "range":
             self._publish(context)
         else:
             self.stats.fold(context)
-        self._unref_super(sv)
 
     def _publish(self, context: QueryContext) -> None:
         """A finished read's one write to the shared ledgers: one
@@ -780,11 +713,7 @@ class DB:
         from repro.lsm.verify import verify_version
 
         self._check_open()
-        sv = self._ref_super()
-        try:
-            return verify_version(sv.version)
-        finally:
-            self._unref_super(sv)
+        return verify_version(self._super.version)
 
     def describe(self) -> str:
         """Tree shape summary."""

@@ -23,15 +23,18 @@ Every write, seal, flush, compaction, ingest, resume and the final drain of
 ``close`` holds ``_write_lock``, so **every maintenance body runs under
 ``_write_lock``**: whoever holds it plans against the current version and
 nothing else can edit that version before the install, so a job's inputs
-are always live.  Installs happen under ``_mutex``; replaced runs wait in
-the DB's refcounted zombie queue and come back to :meth:`Writer.retire`
-once no reader can reach them.  Readers take neither lock.
+are always live.  Installs happen under ``_mutex``.  Readers take neither
+lock: a reader's reference keeps every run it reaches alive, and a replaced
+run's finalizer queues its name when the last reference goes.
+:meth:`Writer._reap` deletes the queued files at the tail of each
+maintenance loop, at the end of ``flush``, ``compact`` and
+``force_full_compaction``, and in ``close``; a crash before that leaves an
+SST no manifest lists, which recovery purges.
 
-Lock order (outer to inner): ``_write_lock`` → ``_mutex`` → the DB's
-``_sv_lock``.  ``_mutex`` serializes installs, the manifest, WAL rotation
-and the background error.  Both locks are reentrant: a thread holding
-``_write_lock`` may call the write API, and a failed run deletion inside an
-install parks the store under ``_mutex``.
+Lock order (outer to inner): ``_write_lock`` → ``_mutex``.  ``_mutex``
+serializes installs, the manifest, WAL rotation and the background error.
+Both locks are reentrant: a thread holding ``_write_lock`` may call the
+write API, and a failed run deletion parks the store under ``_mutex``.
 
 The writer sees the superversion chain only through the ``current`` and
 ``install`` operations the DB hands it, and owns the state it mutates: the
@@ -43,6 +46,8 @@ from __future__ import annotations
 
 import json
 import threading
+import weakref
+from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -83,10 +88,10 @@ class Writer:
 
     ``current()`` returns the published superversion (``active`` memtable,
     newest-first ``immutables``, ``version``); ``install(active, immutables,
-    version, obsolete)`` publishes the next one, the caller holding
-    ``_mutex``.  ``is_open()`` says whether the store is open,
-    ``encode_key`` turns an integer key into its stored bytes, and
-    ``last_file_number`` is the highest SST number on disk.
+    version)`` publishes the next one, the caller holding ``_mutex``.
+    ``is_open()`` says whether the store is open, ``encode_key`` turns an
+    integer key into its stored bytes, and ``last_file_number`` is the
+    highest SST number on disk.
     """
 
     def __init__(
@@ -129,6 +134,9 @@ class Writer:
         self._active_wal: WriteAheadLog | None = None
         #: Why the store is parked read-only, or None when healthy.
         self._background_error: str | None = None
+        #: Names of replaced runs nothing references any more, for
+        #: :meth:`_reap` (a finalizer's append cannot raise).
+        self._released: deque[str] = deque()
 
     def recover_logs(self) -> tuple[MemTable, tuple[_Immutable, ...]]:
         """Replay the WALs (single-threaded, before the store is shared):
@@ -274,6 +282,7 @@ class Writer:
             self._check_open()
             self._drain()
             yield
+            self._reap()
 
     def _drain(self) -> None:
         if self._seal_active() or self._current().immutables:
@@ -283,8 +292,9 @@ class Writer:
         """Work off the maintenance debt — the one loop.
 
         Flush the oldest sealed memtable, else run ``plan()``'s highest-debt
-        compaction, until ``plan()`` has nothing left or the store parks.
-        Each job runs inline through the scheduler, at constant stack depth.
+        compaction, until ``plan()`` has nothing left or the store parks,
+        then destroy the runs released meanwhile.  Each job runs inline
+        through the scheduler, at constant stack depth.
         """
         while self._background_error is None and self._is_open():
             if self._current().immutables:
@@ -297,8 +307,9 @@ class Writer:
                 self._enter_background_error("compaction-plan", exc)
                 raise
             if job is None:
-                return
+                break
             self._run_job("compaction", lambda job=job: self._run_compaction_job(job))
+        self._reap()
 
     def _run_forced(self, plan: Callable[[Version], CompactionJob | None]) -> bool:
         """Plan and run a job the triggers never emit (``compact``'s L0
@@ -351,8 +362,9 @@ class Writer:
 
         Under ``_mutex``: clone the current version, ``edit`` the clone,
         persist it as the manifest, then publish it — without the oldest
-        sealed memtable if ``flushed``, and with ``obsolete`` runs queued
-        for deletion.  With no ``edit``, the version and manifest stay.
+        sealed memtable if ``flushed``.  Each ``obsolete`` run is queued for
+        :meth:`_reap` once its last reference goes.  With no ``edit``, the
+        version and manifest stay.
         """
         with self._mutex:
             current = self._current()
@@ -363,7 +375,9 @@ class Writer:
                 self._write_manifest(version)
                 self._compactor.unreferenced.clear()
             immutables = current.immutables[:-1] if flushed else current.immutables
-            self._install(current.active, immutables, version, obsolete)
+            self._install(current.active, immutables, version)
+        for run in obsolete:
+            weakref.finalize(run, self._released.append, run.name).atexit = False
 
     def _write_manifest(self, version: Version) -> None:
         manifest = {
@@ -380,11 +394,14 @@ class Writer:
             MANIFEST, json.dumps(manifest).encode(), fsync=self._options.manifest_fsync
         )
 
-    def retire(self, runs: list[Run]) -> None:
-        """Destroy runs no reader can reach any more: files, cached blocks
-        and filters.  A failed deletion parks the store."""
+    def _reap(self) -> None:
+        """Destroy the released runs — files, cached blocks and filters —
+        under ``_write_lock``.  A failed deletion parks the store (recovery
+        purges what it left)."""
+        released = self._released
+        names = [released.popleft() for _ in range(len(released))]
         try:
-            self._compactor.destroy_runs(runs)
+            self._compactor.destroy_runs(names)
         except (PowerCutError, ClosedStoreError):
             raise
         except (OSError, ReproError) as exc:
@@ -471,7 +488,7 @@ class Writer:
         A failure parks the store read-only instead of crashing it: an I/O
         or store error is absorbed (False), anything else — a bug — is
         re-raised after parking.  Either way the SSTs the job wrote before
-        its manifest are deleted: the old manifest stands, and nothing names
+        its manifest are reaped: the old manifest stands, and nothing names
         them.  Power cuts and closed-store misuse pass through untouched.
         """
         try:
@@ -481,8 +498,9 @@ class Writer:
             raise
         except Exception as exc:
             self._enter_background_error(op, exc)
-            self.retire(self._compactor.unreferenced[:])
+            self._released.extend(run.name for run in self._compactor.unreferenced)
             self._compactor.unreferenced.clear()
+            self._reap()
             if isinstance(exc, (OSError, ReproError)):
                 return False
             raise
@@ -508,11 +526,11 @@ class Writer:
         with self._mutex:
             return self._background_error
 
-    def pinned_state(self, pin: Callable[[], object]) -> tuple[object, str | None]:
-        """``pin()`` and the background error in one hold of ``_mutex``,
-        the lock every install and every parking happens under."""
+    def pinned_state(self) -> tuple[object, str | None]:
+        """The current superversion and the background error in one hold of
+        ``_mutex``, which every install and every parking holds."""
         with self._mutex:
-            return pin(), self._background_error
+            return self._current(), self._background_error
 
     def resume(self) -> bool:
         """Clear the background error and retry what the failed job left;
@@ -527,11 +545,12 @@ class Writer:
         return self._background_error is None
 
     def close(self) -> None:
-        """Drain if healthy, then persist the manifest best-effort (the
-        last durable one still stands)."""
-        if self._background_error is None:
-            with self._write_lock:
+        """Drain if healthy, destroy the released runs, then persist the
+        manifest best-effort (the last durable one still stands)."""
+        with self._write_lock:
+            if self._background_error is None:
                 self._drain()
+            self._reap()
         try:
             with self._mutex:
                 self._write_manifest(self._current().version)

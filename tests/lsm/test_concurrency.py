@@ -19,6 +19,7 @@ it, under the writer's ``_write_lock`` (``repro.lsm.writer``).  Covers:
   installs.
 """
 
+import os
 import random
 import sys
 import threading
@@ -256,8 +257,8 @@ class TestSuperversionReads:
         db.flush()
         iterator = db.iterator()
         head = [next(iterator) for _ in range(5)]
-        # Rewrites every file the iterator is positioned over; the pinned
-        # superversion keeps the old runs alive until the iterator closes.
+        # Rewrites every file the iterator is positioned over; the
+        # iterator's own references keep the old runs alive until it closes.
         db.force_full_compaction()
         tail = list(iterator)
         scanned = dict(head + tail)
@@ -267,9 +268,10 @@ class TestSuperversionReads:
 
     @pytest.mark.usefixtures("fast_switching")
     def test_reads_see_consistent_data_during_maintenance(self, tmp_path):
-        """A reader thread checks every acknowledged write, by ``get`` and
-        by ``range_query``, while a writer thread's puts seal, flush and
-        compact inline."""
+        """Three reader threads check every acknowledged write, by ``get``
+        and by ``range_query``, while a writer thread's puts seal, flush
+        and compact inline; once they are done, ``close()`` leaves exactly
+        the live files (no run a reader released is lost or leaked)."""
         db = DB(str(tmp_path / "db"), _options())
 
         def expected(key):
@@ -293,8 +295,8 @@ class TestSuperversionReads:
             finally:
                 writer_done.set()
 
-        def reader():
-            rng = random.Random(7)
+        def reader(seed):
+            rng = random.Random(seed)
             while True:
                 finished = writer_done.is_set()
                 high = acked[0]
@@ -309,11 +311,15 @@ class TestSuperversionReads:
                 if finished:
                     return
 
-        assert _run_threads([writer, reader]) == []
+        readers = [lambda seed=seed: reader(seed) for seed in (7, 8, 9)]
+        assert _run_threads([writer, *readers]) == []
         assert reads[0] > 0
         assert db.stats.flushes > 0 and db.stats.compactions > 0
         assert db.verify().ok
+        live = {run.name for run in db.version.all_runs_newest_first()}
         db.close()
+        on_disk = {name for name in os.listdir(tmp_path / "db") if name.endswith(".sst")}
+        assert on_disk == live
 
 
 # ----------------------------------------------------------------------
@@ -391,18 +397,14 @@ class TestJobSlot:
             return wrapped
 
         def flag_newest_run():
-            # What a read does when the detector flags its run, under the
-            # read's own superversion pin.
-            sv = db._ref_super()  # noqa: SLF001
-            try:
-                runs = sv.version.all_runs_newest_first()
-                if runs:
-                    filt = db._filter_dictionary.get_filter(runs[0].reader, db.stats)  # noqa: SLF001
-                    # 64 point false positives in a row: far past chance
-                    # at any design FPR a 14 bits/key filter has.
-                    db._note_filter_outcome(runs[0], filt, 1, 0, 64)  # noqa: SLF001
-            finally:
-                db._unref_super(sv)  # noqa: SLF001
+            # What a read does when the detector flags its run, on the
+            # superversion the read took.
+            runs = db._super.version.all_runs_newest_first()  # noqa: SLF001
+            if runs:
+                filt = db._filter_dictionary.get_filter(runs[0].reader, db.stats)  # noqa: SLF001
+                # 64 point false positives in a row: far past chance
+                # at any design FPR a 14 bits/key filter has.
+                db._note_filter_outcome(runs[0], filt, 1, 0, 64)  # noqa: SLF001
 
         compactor = db._writer._compactor  # noqa: SLF001
         apply = compactor.apply

@@ -182,6 +182,7 @@ class TestDataCorruption:
         _flip_byte(_path_of(db, run), handle.offset)
         db.get(7)
         assert db.health().degraded_filters
+        del run, handle  # a held run keeps its file and its marks
         db.force_full_compaction()        # rewrites the run, fresh filter
         assert db.health().degraded_filters == ()
         assert db.get(13) == b"value-1"

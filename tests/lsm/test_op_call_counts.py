@@ -5,9 +5,10 @@ cProfile counts every Python and builtin call (a generator's every resume
 too), so the numbers repeat exactly on one interpreter and a ceiling catches
 a read or write path that grew a step.  The store is fixed: 32-bit keys, two
 L0 files over two L1 and four L2 files, every filter and block warm.  The
-ceilings hold the one-pass point read over a dict memtable (83.0 calls per
-get; the skip-list memtable and the per-run list building it replaced cost
-101.7) and the put of an inline-only store: 42.0 calls (41.0 before ``DB.put``
+ceilings hold the one-pass point read over a dict memtable that takes the
+superversion with one attribute read (79.7 calls per get; 83.7 while every
+read pinned and unpinned it under a lock; the skip-list memtable and the
+per-run list building it replaced cost 101.7) and the put of an inline-only store: 42.0 calls (41.0 before ``DB.put``
 became one call into the writer), down from 48.0 when
 each put also checked the write-stall triggers (``_apply_backpressure``,
 ``_stall_conditions``, two ``len`` and a ``max``) and its WAL append and
@@ -15,12 +16,13 @@ sync each fired a scheduler yield hook (59.1 with the skip list).
 
 The range ceilings hold the range read that does only what its answer needs
 (one filter walk over every run, no scan built for an empty answer, a block
-cursor that seeks): 147.8 calls per empty ``range_query`` (224.4 before),
-1907.6 per 16-record ``range_query`` (1833.5 before: the memo of parsed
-blocks it dropped answered these warm repeats without parsing; the range's
-filter probes take the frontier engine, most of the count), 1691.1 per
-``range_iter`` read to its first entry and closed (1627.9) and 428.9 per
-16-record ``iterator`` (352.7).
+cursor that seeks, no superversion pin): 137.8 calls per empty
+``range_query`` (224.4 before; 141.8 with the pin), 1897.6 per 16-record
+``range_query`` (1833.5 before: the memo of parsed blocks it dropped
+answered these warm repeats without parsing; the range's filter probes take
+the frontier engine, most of the count), 1681.0 per ``range_iter`` read to
+its first entry and closed (1627.9) and 424.9 per 16-record ``iterator``
+(352.7).
 
 The batch ceiling holds ``multi_get``'s one pass per run: a 1 000-key,
 mostly-absent ``multi_get`` costs 13.5 calls per key against 74.1 per
@@ -38,11 +40,11 @@ from repro.core.bloom import SCALAR_PROBE_MAX
 from repro.lsm import DB, DBOptions
 
 PUT_CEILING = 43
-GET_CEILING = 87
-EMPTY_RANGE_CEILING = 155
-RANGE_CEILING = 1990
-RANGE_ITER_CEILING = 1770
-ITERATOR_CEILING = 450
+GET_CEILING = 83
+EMPTY_RANGE_CEILING = 151
+RANGE_CEILING = 1986
+RANGE_ITER_CEILING = 1766
+ITERATOR_CEILING = 446
 MULTI_GET_KEY_CEILING = 15
 
 

@@ -7,16 +7,18 @@ Pins the three halves of the lazy-iterator fix:
 * **eager validation** — a closed store or inverted range raises at call
   time, not on the first ``next()``, because ``range_iter`` is a plain
   wrapper around the generator;
-* **pinning** — the superversion referenced at call time stays pinned
-  for the iterator's lifetime and is released exactly once on
-  exhaustion, ``close()``, or garbage collection — advanced or not —
-  with filter outcomes and ``last_query`` published for what was
-  actually consumed.
+* **pinning** — the iterator's references pin the runs it reads: they
+  stay readable, and their files on disk, for as long as it lives, even
+  across a compaction that replaces them; once it ends — on exhaustion,
+  ``close()``, or garbage collection, advanced or not — the writer deletes
+  them at its next ``flush()`` or ``close()``, with filter outcomes and
+  ``last_query`` published for what was actually consumed.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 
 import pytest
 
@@ -52,8 +54,12 @@ def db(tmp_path):
     database.close()
 
 
-def _sv_refs(database: DB) -> int:
-    return database._super.refs  # noqa: SLF001 - pinning is the contract
+def _sst_files(root) -> set[str]:
+    return {name for name in os.listdir(root) if name.endswith(".sst")}
+
+
+def _live_files(database: DB) -> set[str]:
+    return {run.name for run in database.version.all_runs_newest_first()}
 
 
 class TestStreaming:
@@ -83,15 +89,15 @@ class TestStreaming:
         assert context.kind == "range"
         assert context.results == len(consumed) == 5
 
-    def test_empty_span_short_circuits(self, db):
+    def test_empty_span_short_circuits(self, db, tmp_path):
         # A range between two resident keys: every filter answers
-        # negative, so there is nothing to stream and no pin to hold.
-        refs_before = _sv_refs(db)
-        result = list(db.range_iter(1, 7))
-        assert result == []
-        assert _sv_refs(db) == refs_before
+        # negative, so there is nothing to stream and no run to hold.
+        iterator = db.range_iter(1, 7)
         assert db.last_query.kind == "range"
         assert db.last_query.results == 0
+        db.force_full_compaction()
+        assert _sst_files(tmp_path / "db") == _live_files(db)
+        assert list(iterator) == []
 
 
 class TestEagerValidation:
@@ -107,51 +113,85 @@ class TestEagerValidation:
         with pytest.raises(ClosedStoreError):
             database.range_iter(0, 10)
 
-    def test_validation_failure_leaves_no_pin(self, db):
-        refs_before = _sv_refs(db)
+    def test_validation_failure_leaves_no_pin(self, db, tmp_path):
         with pytest.raises(FilterQueryError):
             db.range_iter(10, 9)
-        assert _sv_refs(db) == refs_before
+        db.force_full_compaction()
+        assert _sst_files(tmp_path / "db") == _live_files(db)
 
 
 class TestSuperversionPinning:
-    def test_pin_held_while_iterating_released_on_close(self, db):
-        refs_before = _sv_refs(db)
+    """A replaced run's file outlives the last iterator that reads it, and
+    no longer."""
+
+    def test_iterator_reads_every_entry_across_full_compaction(self, db):
+        iterator = db.range_iter(0, DOMAIN - 1)
+        head = next(iterator)
+        db.force_full_compaction()
+        assert [head, *iterator] == [
+            (key, b"lazy-%d" % key) for key in range(0, DOMAIN, 8)
+        ]
+
+    def test_pin_held_while_iterating_released_on_close(self, db, tmp_path):
+        inputs = _live_files(db)
         iterator = db.range_iter(0, DOMAIN - 1)
         next(iterator)
-        assert _sv_refs(db) == refs_before + 1
+        db.force_full_compaction()
+        db.flush()
+        assert inputs.isdisjoint(_live_files(db))
+        assert _sst_files(tmp_path / "db") == inputs | _live_files(db)
         iterator.close()
-        assert _sv_refs(db) == refs_before
+        # A reader never deletes a file: the writer does, at its next call.
+        assert inputs <= _sst_files(tmp_path / "db")
+        db.flush()
+        assert _sst_files(tmp_path / "db") == _live_files(db)
 
-    def test_pin_released_on_exhaustion(self, db):
-        refs_before = _sv_refs(db)
+    def test_pin_released_on_exhaustion(self, db, tmp_path):
         iterator = db.range_iter(0, 2000)
+        next(iterator)
+        db.force_full_compaction()
         list(iterator)
-        assert _sv_refs(db) == refs_before
+        db.flush()
+        assert _sst_files(tmp_path / "db") == _live_files(db)
 
-    def test_pin_released_on_garbage_collection(self, db):
-        refs_before = _sv_refs(db)
+    def test_pin_released_on_garbage_collection(self, db, tmp_path):
         iterator = db.range_iter(0, DOMAIN - 1)
         next(iterator)
+        db.force_full_compaction()
+        live = _live_files(db)
         del iterator
         gc.collect()
-        assert _sv_refs(db) == refs_before
+        db.close()
+        assert _sst_files(tmp_path / "db") == live
+
+    def test_held_run_keeps_its_file(self, db, tmp_path):
+        run = db.version.all_runs_newest_first()[0]
+        db.force_full_compaction()
+        db.flush()
+        assert run.name in _sst_files(tmp_path / "db")
+        assert run.name not in _live_files(db)
+        name = run.name
+        del run
+        db.flush()
+        assert name not in _sst_files(tmp_path / "db")
+        assert _sst_files(tmp_path / "db") == _live_files(db)
 
     @pytest.mark.parametrize("how", ["close", "collect"])
-    def test_never_advanced_iterator_unpins_and_publishes(self, db, how):
-        """No ``next()`` at all: the probes it made still count, once."""
+    def test_never_advanced_iterator_unpins_and_publishes(self, db, tmp_path, how):
+        """No ``next()`` at all: the probes it made still count, once, and
+        the runs it held go at the next flush."""
         db.get(0)
-        refs_before = _sv_refs(db)
         before = db.stats.snapshot()
         iterator = db.range_iter(0, DOMAIN - 1)
-        assert _sv_refs(db) == refs_before + 1
+        db.force_full_compaction()
         if how == "close":
             iterator.close()
             iterator.close()
         else:
             del iterator
             gc.collect()
-        assert _sv_refs(db) == refs_before
+        db.flush()
+        assert _sst_files(tmp_path / "db") == _live_files(db)
         context = db.last_query
         assert context.kind == "range"
         assert context.results == context.iterators_created == 0
@@ -164,11 +204,11 @@ class TestSuperversionPinning:
         assert delta.filter_false_positives == 0
 
     def test_scan_stable_across_concurrent_flush(self, db):
-        """The pinned superversion keeps mid-scan results consistent."""
+        """The superversion a scan took keeps mid-scan results consistent."""
         iterator = db.range_iter(0, DOMAIN - 1)
         head = [next(iterator) for _ in range(3)]
         # Overwrite a key the iterator has not reached yet, then flush:
-        # the pinned view must keep serving the old value.
+        # the view it took must keep serving the old value.
         db.put(4096, b"overwritten")
         db.flush()
         scanned = dict(head + list(iterator))

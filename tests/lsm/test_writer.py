@@ -3,8 +3,9 @@
 The writer reaches the superversion chain only through the ``current`` and
 ``install`` operations it is handed, so a two-method stand-in drives it:
 puts land in the WAL and the active memtable, a full memtable seals and
-flushes through one version install, replaced runs come back to
-``retire``, and a second writer recovers what the first one logged.
+flushes through one version install, a replaced run's file goes once
+nothing references the run, and a second writer recovers what the first
+one logged.
 """
 
 import json
@@ -28,22 +29,19 @@ from repro.lsm.writer import Writer
 
 class _Chain:
     """The superversion chain as the writer sees it: the current cut, and
-    an install that publishes the next one and retires what it replaced
-    at once (no reader ever pins here)."""
+    an install that publishes the next one (no reader holds an older one
+    here, so a replaced run goes with the cut that held it)."""
 
     def __init__(self) -> None:
         self.open = True
-        self.writer: Writer | None = None
         self.sv = None
 
     def current(self):
         return self.sv
 
-    def install(self, active, immutables, version, obsolete=()):
+    def install(self, active, immutables, version):
         version.freeze()
         self.sv = SimpleNamespace(active=active, immutables=immutables, version=version)
-        if obsolete:
-            self.writer.retire(list(obsolete))
 
 
 def _options(**overrides) -> DBOptions:
@@ -73,7 +71,6 @@ def _writer(env, options) -> tuple[Writer, _Chain]:
         encode_key=lambda key: key.to_bytes(options.key_width_bytes, "big"),
         last_file_number=0,
     )
-    chain.writer = writer
     active, immutables = writer.recover_logs()
     chain.install(active, immutables, Version())
     return writer, chain
@@ -96,7 +93,7 @@ def test_writes_seal_flush_and_compact_through_the_chain(tmp_path):
     version = chain.sv.version
     assert chain.sv.immutables == () and chain.sv.active.is_empty
     assert env.stats.flushes > 1 and env.stats.compactions > 0
-    # What a compaction replaced was retired: only live runs are on disk,
+    # What a compaction replaced was reaped: only live runs are on disk,
     # and the manifest lists exactly them.
     live = {run.name for run in version.all_runs_newest_first()}
     assert _sst_files(tmp_path) == live

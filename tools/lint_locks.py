@@ -6,7 +6,7 @@ assigns every piece of shared store state a documented lock (see the
 "Concurrency model" section of writer.py's module docstring).  This lint makes the discipline
 mechanical: it parses the source with ``ast`` and flags any *rebinding*
 (``self._super = ...``) or *in-place mutation*
-(``self._zombies.append(...)``) of a protected attribute that is not
+(``self._queue.append(...)``) of a protected attribute that is not
 
 * lexically inside a ``with self.<lock>:`` block for one of the
   attribute's documented locks, or
@@ -14,9 +14,9 @@ mechanical: it parses the source with ``ast`` and flags any *rebinding*
   recovery, teardown paths that run once no other thread can touch it).
 
 It is a lexical check, deliberately: "the caller holds the lock" is
-exactly the convention this lint exists to make visible — helpers that
-rely on it (e.g. ``_collect_zombies_locked``) carry a ``_locked`` suffix
-and appear in the allowlist next to the lock they assume.
+exactly the convention this lint exists to make visible — a helper that
+relies on it carries a ``_locked`` suffix and appears in the allowlist
+next to the lock it assumes.
 
 Run from the repo root (CI does)::
 
@@ -60,14 +60,9 @@ def _rule(locks: tuple[str, ...] = (), methods: tuple[str, ...] = ()) -> Rule:
 #: docstrings in writer.py and db.py when the concurrency model evolves.
 RULES: dict[str, dict[str, Rule]] = {
     "DB": {
-        # Superversion chain: swapped and refcounted under _sv_lock
-        # (single-threaded in __init__, before the store is shared).
-        "_super": _rule(("_sv_lock",), ("__init__",)),
-        "_epoch": _rule(("_sv_lock",), ("__init__",)),
-        "_live_svs": _rule(("_sv_lock",), ("__init__",)),
-        "_zombies": _rule(
-            ("_sv_lock",), ("__init__", "_collect_zombies_locked")
-        ),
+        # Superversion: one assignment per install (the writer holds its
+        # _mutex), read without a lock.
+        "_super": _rule((), ("__init__", "_install_super")),
         # Lifecycle flag: set once on the teardown paths.
         "_closed": _rule((), ("__init__", "close", "kill")),
     },
