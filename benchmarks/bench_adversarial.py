@@ -14,9 +14,10 @@ same store:
   probed — the learned FP set goes stale instantly;
 * ``salted+quarantine`` — salting plus the FP-feedback detector: the
   store *notices* the replay (a run's false positives are too many to be
-  chance under its filter's design FPR), flags the run in ``health()``, prioritizes
-  its compaction, and rebuilds it with bonus bits — no operator in the
-  loop, ``db.compact()`` settles the quarantine autonomously.
+  chance under its filter's design FPR), flags the run in ``health()``,
+  and at its next maintenance point rebuilds that run's filter in place
+  with the next salt generation and bonus bits — no operator in the loop,
+  no SST rewritten; ``db.compact()`` is that maintenance point here.
 
 Reported per config: benign FPR and throughput, FPR under attack, the
 attacker's replay hit rate before and after the rebuild, and the
@@ -180,10 +181,10 @@ def run_config(
     attack_fpr = db.stats.diff(before).observed_fpr
     flagged_during_attack = db.health().filters_under_attack
 
-    # Rebuild: the quarantine config heals itself (compact() settles
-    # the detector's prioritized jobs); the others need the operator
-    # to force a rewrite — which, undefended, changes nothing the
-    # attacker cares about.
+    # Rebuild: the quarantine config heals itself (compact() is a
+    # maintenance point, where the flagged run's filter is rebuilt in
+    # place); the others need the operator to force a rewrite — which,
+    # undefended, changes nothing the attacker cares about.
     if quarantine:
         db.compact()
     else:

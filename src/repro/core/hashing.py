@@ -105,17 +105,25 @@ def mix_salt_array(values: np.ndarray, salt: int) -> np.ndarray:
     return splitmix64_array(values ^ np.uint64(salt))
 
 
-def derive_filter_salt(seed: int, file_number: int) -> int:
-    """Per-SST filter salt from the store seed and the SST file number.
+def derive_filter_salt(seed: int, file_number: int, generation: int = 0) -> int:
+    """Per-SST filter salt from the store seed, the SST file number and the
+    filter's generation.
 
     ``seed == 0`` disables salting entirely (returns 0).  Otherwise the
     salt is a nonzero splitmix64 mix of seed and file number, so every
     compaction output — which always gets a fresh file number — re-keys
     its filters and any false positives an adversary learned go stale.
+    ``generation`` counts the in-place rebuilds of one file's filter (a
+    quarantined run keeps its file and gets a new filter): generation 0 is
+    the filter written into the file, and each later one is re-keyed
+    again.
     """
     if seed == 0:
         return 0
-    return splitmix64(splitmix64(seed) ^ (file_number & _MASK64)) or 1
+    salt = splitmix64(splitmix64(seed) ^ (file_number & _MASK64))
+    if generation:
+        salt = splitmix64(salt ^ generation)
+    return salt or 1
 
 
 def double_hash_indexes(h1: int, h2: int, k: int, num_bits: int) -> Iterable[int]:

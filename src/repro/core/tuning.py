@@ -200,7 +200,7 @@ class AutoTuner:
 
     ``attack_bits_bonus`` is the FP-feedback reallocation knob: when a
     run's filter has been flagged as under a false-positive replay attack,
-    its compaction rebuild is granted this many extra bits per key (see
+    its in-place filter rebuild is granted this many extra bits per key (see
     :meth:`rebuild_bits_per_key`), driving the rebuilt filter's design FPR
     down so the attacker has to re-learn against a harder target.
     """

@@ -134,8 +134,8 @@ class FilterFactory:
         structural filters like SuRF hash nothing and cannot be re-keyed —
         is a :class:`~repro.errors.FilterBuildError`, never silently
         ignored.  ``bits_per_key`` overrides the recipe's memory budget
-        when the builder supports it (quarantined runs rebuild with bonus
-        bits) and is dropped otherwise.
+        when the builder supports it (a quarantined run's filter is rebuilt
+        in place with bonus bits) and is dropped otherwise.
         """
         kwargs = {}
         if salt:

@@ -65,7 +65,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
-from repro.core.tuning import AutoTuner
 from repro.filters.base import FilterFactory
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
@@ -140,7 +139,6 @@ class Compactor:
         cache: BlockCache,
         filter_dictionary: FilterDictionary,
         filter_factory_provider: Callable[[], FilterFactory | None] | None = None,
-        tuner: AutoTuner | None = None,
     ) -> None:
         self._env = env
         self._options = options
@@ -152,9 +150,6 @@ class Compactor:
         self._filter_factory_provider = filter_factory_provider or (
             lambda: options.filter_factory
         )
-        # Quarantined inputs rebuild their filters with the tuner's attack
-        # bits bonus.
-        self._tuner = tuner
         #: Runs :meth:`write_runs` wrote that no manifest names yet: what a
         #: job that fails before its install must delete.
         self.unreferenced: list[Run] = []
@@ -201,78 +196,9 @@ class Compactor:
                 for job in jobs:
                     job.debt_score = score
                 scored.append((score, level, jobs))
-        attacked = self._attacked_runs()
-        if attacked:
-            self._add_quarantine_candidates(version, scored, attacked)
         scored.sort(key=lambda entry: (-entry[0], entry[1]))
         for _, _, jobs in scored:
             yield from jobs
-
-    #: Weight pushing a quarantine rebuild ahead of every size-triggered
-    #: candidate but below L0 debt: a
-    #: flagged filter leaks a device read per attack probe until rebuilt.
-    _ATTACK_DEBT_BONUS = 500_000.0
-
-    def _attacked_runs(self) -> frozenset[str]:
-        """Names of runs the FP-feedback detector currently flags."""
-        if self._filter_dictionary is None:
-            return frozenset()
-        return frozenset(self._filter_dictionary.under_attack_snapshot())
-
-    def _add_quarantine_candidates(
-        self,
-        version: Version,
-        scored: list[tuple[float, int, list[CompactionJob]]],
-        attacked: frozenset[str],
-    ) -> None:
-        """Prioritize merges that rebuild filters flagged as under attack.
-
-        Trigger-satisfying candidates whose inputs include a flagged run
-        get their debt boosted in place; flagged runs no candidate covers
-        get fresh jobs even though their level is under its trigger —
-        re-salting the filter is the defense, and only a rebuild applies
-        it.
-        """
-        covered: set[str] = set()
-        for index, (score, level, jobs) in enumerate(scored):
-            boosted = False
-            for job in jobs:
-                flagged = {
-                    run.name for run in job.inputs if run.name in attacked
-                }
-                if flagged:
-                    job.debt_score += self._ATTACK_DEBT_BONUS
-                    covered |= flagged
-                    boosted = True
-            if boosted:
-                scored[index] = (score + self._ATTACK_DEBT_BONUS, level, jobs)
-        remaining = attacked - covered
-        if remaining and any(
-            run.name in remaining for run in version.level0
-        ):
-            job = self.forced_l0_job(version)
-            if job is not None:
-                job.debt_score = self._ATTACK_DEBT_BONUS
-                scored.append((job.debt_score, 0, [job]))
-                remaining -= {run.name for run in job.inputs}
-        for level in range(1, NUM_LEVELS - 1):
-            if not remaining:
-                return
-            runs = version.level_runs(level)
-            if not any(run.name in remaining for run in runs):
-                continue
-            jobs = [
-                job
-                for job in self._leveled_window_jobs(version, level)
-                if any(run.name in remaining for run in job.inputs)
-            ]
-            for job in jobs:
-                job.debt_score = self._ATTACK_DEBT_BONUS
-            if jobs:
-                scored.append((self._ATTACK_DEBT_BONUS, level, jobs))
-                remaining -= {
-                    run.name for job in jobs for run in job.inputs
-                }
 
     def _leveled_window_jobs(
         self, version: Version, level: int
@@ -383,11 +309,9 @@ class Compactor:
         )
         if job.drop_tombstones:
             merged = (entry for entry in merged if entry[1] != ValueTag.DELETE)
-        factory = self._filter_factory_provider()
         return list(self.write_runs(
-            merged, job.output_level, factory,
+            merged, job.output_level, self._filter_factory_provider(),
             cut=job.output_level > 0,  # an intra-L0 merge writes one file
-            filter_bits_per_key=self._rebuild_bits_override(job, factory),
         ))
 
     def write_runs(
@@ -396,7 +320,6 @@ class Compactor:
         level: int,
         factory: FilterFactory | None,
         cut: bool = True,
-        filter_bits_per_key: float | None = None,
     ) -> Iterator[Run]:
         """Write sorted ``entries`` as fresh SSTs for ``level``, yielding
         each run once its file is written.
@@ -415,7 +338,6 @@ class Compactor:
                 self.next_file_name(level),
                 self._options,
                 filter_factory=factory,
-                filter_bits_per_key=filter_bits_per_key,
             )
             writer.extend(chain((first,), entries), limit)
             reader = SSTReader(
@@ -458,28 +380,6 @@ class Compactor:
     # ------------------------------------------------------------------
     # Machinery
     # ------------------------------------------------------------------
-    def _rebuild_bits_override(
-        self, job: CompactionJob, factory: FilterFactory | None
-    ) -> float | None:
-        """Bits-per-key override for this job's output filters, or None.
-
-        When a job rebuilds a run flagged as under attack, the auto-tuner
-        grants the replacement filter its attack bits bonus on top of the
-        recipe's budget — re-salting breaks the attacker's learned FP set
-        and the extra bits lower the FPR ceiling of the next learning
-        round.
-        """
-        if factory is None or factory.bits_per_key is None:
-            return None
-        if self._tuner is None:
-            return None
-        attacked = self._attacked_runs()
-        if not attacked or not any(
-            run.name in attacked for run in job.inputs
-        ):
-            return None
-        return self._tuner.rebuild_bits_per_key(factory.bits_per_key, True)
-
     def destroy_runs(self, names: Iterable[str]) -> None:
         """Delete runs' files by name; purge their cache and
         filter-dictionary state."""

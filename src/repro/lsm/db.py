@@ -644,9 +644,9 @@ class DB:
         Callers count verdicts into their query's context themselves; the
         detector alone needs the run's name and its filter's design FPR at
         that width, and is only asked when ``quarantine_filters`` is on.  A
-        run newly flagged here bumps ``filters_quarantined``; its
-        prioritized rebuild runs at the next maintenance dispatch (a reader
-        never runs maintenance).
+        run newly flagged here bumps ``filters_quarantined``; the writer
+        rebuilds its filter at its next maintenance point (a reader never
+        runs maintenance).
         """
         detector = self._filter_dictionary
         if detector.quarantine and detector.record_outcome(

@@ -56,7 +56,9 @@ class FilterDictionary:
 
     With ``quarantine`` on, it is also the FP-feedback attack detector
     (:meth:`record_outcome`): each run's false positives are tested against
-    what its own filter's model predicts.
+    what its own filter's model predicts.  The writer answers a flag by
+    rebuilding that run's filter with a fresh salt
+    (:meth:`install_rebuilt`); the run's data stays where it is.
     """
 
     def __init__(self, enabled: bool = True, quarantine: bool = False) -> None:
@@ -70,11 +72,14 @@ class FilterDictionary:
         self.degraded: set[str] = set()
         #: Runs flagged by the FP-feedback detector (§ adversarial
         #: robustness): their false positives are too many to be chance
-        #: under the filter's own design FPR.  Sticky until the run is
-        #: compacted away (the rebuild re-salts and re-sizes the filter).
+        #: under the filter's own design FPR.  Flagged until the writer
+        #: rebuilds the run's filter in place, or the run is compacted away.
         self.under_attack: set[str] = set()
         # Per-run modelled outcomes: name -> [outcomes, false positives].
         self._outcomes: dict[str, list[int]] = {}
+        # Per-run in-place rebuild count (the filter's salt generation);
+        # in memory only, so a reopened run serves its file's filter again.
+        self._generations: dict[str, int] = {}
 
     def get_filter(
         self, reader: SSTReader, stats: PerfStats, context=None
@@ -144,6 +149,24 @@ class FilterDictionary:
         with self._lock:
             return tuple(sorted(self.under_attack))
 
+    def generation(self, name: str) -> int:
+        """How often the run's filter was rebuilt in place (0: the filter
+        its file holds)."""
+        with self._lock:
+            return self._generations.get(name, 0)
+
+    def install_rebuilt(self, reader: SSTReader, filt: KeyFilter | None) -> None:
+        """Serve ``filt`` for the run from now on, as a clean run: its flag
+        and outcome counts go and its generation goes up by one.  The slot
+        keeps ``filt`` even with the dictionary disabled, since the file
+        holds the filter it replaces."""
+        name = reader.meta.name
+        with self._lock:
+            reader.resolved_filter = filt
+            self.under_attack.discard(name)
+            self._outcomes.pop(name, None)
+            self._generations[name] = self._generations.get(name, 0) + 1
+
     def drop_run(self, name: str) -> None:
         """Forget a compacted-away run's marks (its filter went with its
         reader)."""
@@ -151,6 +174,7 @@ class FilterDictionary:
             self.degraded.discard(name)
             self.under_attack.discard(name)
             self._outcomes.pop(name, None)
+            self._generations.pop(name, None)
 
     def degraded_snapshot(self) -> tuple[str, ...]:
         """Sorted consistent copy of the degraded-run set.

@@ -68,8 +68,8 @@ class DBOptions:
     #: salting and keeps filter blocks byte-identical to the historical
     #: format.  Nonzero: every SST's filter hashes are re-keyed with
     #: ``derive_filter_salt(seed, file_number)``, so a compaction rebuild
-    #: (fresh file number) invalidates any false positives an adversary
-    #: has learned.  Requires a salt-capable (hashed) filter recipe;
+    #: (fresh file number) or a quarantine rebuild (next generation)
+    #: invalidates any false positives an adversary has learned.  Requires a salt-capable (hashed) filter recipe;
     #: structural recipes like SuRF are rejected at build time.
     filter_salt_seed: int = 0
 
@@ -77,8 +77,9 @@ class DBOptions:
     #: counters in the filter dictionary flag runs whose false positives
     #: are too many to be chance under their filter's design FPR
     #: (``FilterDictionary.record_outcome``).  Flagged runs surface in
-    #: ``DB.health()`` and their compaction is prioritized so the (salted)
-    #: rebuild clears the attack.
+    #: ``DB.health()``, and the writer's next maintenance point rebuilds
+    #: each one's filter in place (next salt generation, bonus bits; no
+    #: SST written, the rebuilt filter kept in memory only).
     quarantine_filters: bool = False
 
     #: Block cache capacity in bytes (0 disables caching).

@@ -116,7 +116,6 @@ class SSTWriter:
         name: str,
         options: DBOptions,
         filter_factory: FilterFactory | None = None,
-        filter_bits_per_key: float | None = None,
     ) -> None:
         self._env = env
         self.name = name
@@ -132,9 +131,6 @@ class SSTWriter:
         self._filter_salt = derive_filter_salt(
             options.filter_salt_seed, sst_file_number(name)
         )
-        # Optional bits-per-key override for this file's filter (the
-        # quarantine rebuild path grants flagged runs extra bits).
-        self._filter_bits_per_key = filter_bits_per_key
         self._blocks = DataBlockBuilder(block_size=options.block_size_bytes)
 
     def extend(
@@ -175,9 +171,7 @@ class SSTWriter:
         if self._filter_factory is not None:
             with Stopwatch(stats, "filter_construction_ns"):
                 filt = self._filter_factory.build(
-                    blocks.int_keys,
-                    salt=self._filter_salt,
-                    bits_per_key=self._filter_bits_per_key,
+                    blocks.int_keys, salt=self._filter_salt
                 )
             stats.add(filters_built=1)
             with Stopwatch(stats, "serialize_ns"):
@@ -234,7 +228,9 @@ class SSTReader:
     ``resolved_filter`` is the §4 filter dictionary's slot for this run —
     the deserialized filter, ``None`` (no filter block, or degraded), or
     :data:`UNRESOLVED` — here because the reader lives exactly as long as
-    the run.  Only ``FilterDictionary.get_filter`` writes it.
+    the run.  Only ``FilterDictionary.get_filter`` and
+    ``FilterDictionary.install_rebuilt`` (a quarantined run's in-place
+    rebuild) write it.
     """
 
     def __init__(

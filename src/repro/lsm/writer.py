@@ -13,7 +13,9 @@ it causes before returning: flush the oldest sealed memtable to an L0 SST
 with a freshly built filter, or run the planner's highest-debt compaction,
 until nothing is left.  ``ingest`` writes SSTs straight into one level.
 Every result goes through one version install (``_install_version``):
-clone the version, edit it, persist the manifest, publish.
+clone the version, edit it, persist the manifest, publish.  A run the
+attack detector flagged keeps its file: the maintenance tail rebuilds only
+its filter, with a fresh salt (``_rebuild_flagged_filters``).
 
 Concurrency model
 -----------------
@@ -51,6 +53,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from repro.core.hashing import derive_filter_salt
 from repro.core.tuning import AutoTuner, WorkloadTracker
 from repro.errors import (
     ClosedStoreError,
@@ -60,15 +63,17 @@ from repro.errors import (
     ReproError,
     StoreError,
 )
+from repro.filters.base import KeyFilter
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.compaction import CompactionJob, Compactor
 from repro.lsm.env import StorageEnv
 from repro.lsm.filter_integration import FilterDictionary
-from repro.lsm.format import ValueTag
+from repro.lsm.format import ValueTag, sst_file_number
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import DBOptions
 from repro.lsm.scheduler import InlineScheduler
-from repro.lsm.stats import PerfStats
+from repro.lsm.sstable import SSTReader
+from repro.lsm.stats import PerfStats, Stopwatch
 from repro.lsm.version import MANIFEST, NUM_LEVELS, Run, Version, level_target_bytes
 from repro.lsm.wal import BATCH_OP, WriteAheadLog, parse_wal_seq, wal_file_name
 from repro.lsm.write_batch import WriteBatch
@@ -120,10 +125,12 @@ class Writer:
         #: What new SSTs build their filters with (``DB.retune_filters``
         #: swaps it, §2.4).
         self.filter_factory = options.filter_factory
+        self._filter_dictionary = filter_dictionary
+        #: Grants a quarantined run's rebuilt filter its bonus bits.
+        self._tuner = AutoTuner()
         self._compactor = Compactor(
             env, options, cache, filter_dictionary,
             filter_factory_provider=lambda: self.filter_factory,
-            tuner=AutoTuner(),
         )
         # Never reuse a live file name: a compaction would overwrite it.
         self._compactor.advance_file_number(last_file_number)
@@ -282,6 +289,7 @@ class Writer:
             self._check_open()
             self._drain()
             yield
+            self._rebuild_flagged_filters()
             self._reap()
 
     def _drain(self) -> None:
@@ -293,8 +301,9 @@ class Writer:
 
         Flush the oldest sealed memtable, else run ``plan()``'s highest-debt
         compaction, until ``plan()`` has nothing left or the store parks,
-        then destroy the runs released meanwhile.  Each job runs inline
-        through the scheduler, at constant stack depth.
+        then rebuild the flagged runs' filters and destroy the runs released
+        meanwhile.  Each job runs inline through the scheduler, at constant
+        stack depth.
         """
         while self._background_error is None and self._is_open():
             if self._current().immutables:
@@ -309,17 +318,60 @@ class Writer:
             if job is None:
                 break
             self._run_job("compaction", lambda job=job: self._run_compaction_job(job))
+        self._rebuild_flagged_filters()
         self._reap()
 
-    def _run_forced(self, plan: Callable[[Version], CompactionJob | None]) -> bool:
+    def _run_forced(self, plan: Callable[[Version], CompactionJob | None]) -> None:
         """Plan and run a job the triggers never emit (``compact``'s L0
-        merge, the full compaction); False when the store is parked."""
-        if self._background_error is not None:
-            return False
-        job = plan(self._current().version)
-        return job is None or self._run_job(
-            "compaction", lambda: self._run_compaction_job(job)
+        merge, the full compaction), unless the store is parked."""
+        if self._background_error is None:
+            job = plan(self._current().version)
+            if job is not None:
+                self._run_job("compaction", lambda: self._run_compaction_job(job))
+
+    def _rebuild_flagged_filters(self) -> None:
+        """Rebuild, in place, the filter of every run the attack detector
+        flagged that is still in the current version (the quarantine
+        defence), one ``rebuild`` job each, until one fails."""
+        flagged = self._filter_dictionary.under_attack_snapshot()
+        if not flagged or self._background_error is not None or not self._is_open():
+            return
+        for run in self._current().version.all_runs_newest_first():
+            if run.name in flagged and not self._run_job(
+                "rebuild", lambda run=run: self._rebuild_filter(run)
+            ):
+                return
+
+    def _rebuild_filter(self, run: Run) -> None:
+        """Re-salt one run's filter: the next generation's salt, the current
+        recipe plus the tuner's attack bonus bits.  The run keeps its file;
+        the new filter lives in memory only."""
+        factory = self.filter_factory
+        filt = None  # no recipe: the run is served filter-less
+        if factory is not None:
+            bits = factory.bits_per_key
+            if bits is not None:
+                bits = self._tuner.rebuild_bits_per_key(bits, True)
+            generation = self._filter_dictionary.generation(run.name) + 1
+            filt = self._build_filter(run.reader, generation, bits)
+        self._filter_dictionary.install_rebuilt(run.reader, filt)
+
+    def _build_filter(
+        self, reader: SSTReader, generation: int, bits_per_key: float | None
+    ) -> KeyFilter:
+        """A filter over every key of the run (tombstones too, as its file's
+        filter was built), read in one pass over its data blocks, salted
+        for ``generation``; charged as :meth:`SSTWriter.finish` charges
+        its build."""
+        keys = [int.from_bytes(key, "big") for key, _, _ in reader.iterate_from(b"")]
+        salt = derive_filter_salt(
+            self._options.filter_salt_seed, sst_file_number(reader.meta.name),
+            generation,
         )
+        with Stopwatch(self._stats, "filter_construction_ns"):
+            filt = self.filter_factory.build(keys, salt=salt, bits_per_key=bits_per_key)
+        self._stats.add(filters_built=1)
+        return filt
 
     def _flush_oldest_immutable(self) -> None:
         """Flush the oldest sealed memtable to a new L0 SST.
@@ -421,10 +473,8 @@ class Writer:
 
     def compact(self) -> None:
         with self._drained():
-            if self._run_forced(self._compactor.forced_l0_job):
-                # Settle even with an empty L0: quarantined runs at deeper
-                # levels plan rebuild jobs regardless of size triggers.
-                self._dispatch_maintenance()
+            self._run_forced(self._compactor.forced_l0_job)
+            self._dispatch_maintenance()  # the triggers the merge fired
 
     def force_full_compaction(self) -> None:
         with self._drained():

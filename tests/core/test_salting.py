@@ -78,6 +78,15 @@ class TestSaltMixers:
         assert derive_filter_salt(42, 7) == derive_filter_salt(42, 7)
         assert derive_filter_salt(42, 7) != derive_filter_salt(43, 7)
 
+    def test_derive_salt_generations(self):
+        """Generation 0 is the salt the file's own filter was written
+        with; every in-place rebuild gets another, and seed 0 stays off."""
+        assert derive_filter_salt(42, 7, 0) == splitmix64(splitmix64(42) ^ 7)
+        salts = {derive_filter_salt(42, 7, gen) for gen in range(50)}
+        salts |= {derive_filter_salt(42, number) for number in range(200)}
+        assert len(salts) == 249 and 0 not in salts
+        assert derive_filter_salt(0, 7, 3) == 0
+
 
 # ----------------------------------------------------------------------
 # Salted core Bloom filter

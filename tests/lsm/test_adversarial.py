@@ -10,9 +10,11 @@ Three defenses land together and these tests pin their contracts:
   than serving a silently mis-keyed filter.
 * **FP-feedback quarantine** — a run whose false positives are too many
   to be chance under its filter's design FPR is flagged in
-  ``DB.health()``, compaction prioritizes rebuilding it, and the rebuilt
-  (re-salted, bonus-bits) run is unflagged; outcomes no model covers
-  (wide ranges, prefix Bloom) never count.
+  ``DB.health()``; the writer's next maintenance point rebuilds that
+  run's filter in place (next salt generation, bonus bits, no SST
+  written) and unflags it; the rebuilt filter lives in memory only, so a
+  reopen serves the file's filter again; outcomes no model covers (wide
+  ranges, prefix Bloom) never count.
 * **The attack generator itself** — learns genuinely-absent FP keys and
   replays them with a deterministic 100% hit rate against an undefended
   store, which is the baseline the defenses are measured against.
@@ -21,13 +23,14 @@ Three defenses land together and these tests pin their contracts:
 from __future__ import annotations
 
 import bisect
+import os
 import random
 
 import pytest
 
 from repro.bench.factories import make_factory
 from repro.errors import WorkloadError
-from repro.filters.base import deserialize_filter
+from repro.filters.base import deserialize_filter, serialize_envelope
 from repro.lsm.db import DB
 from repro.core.analysis import fp_excess_bound
 from repro.lsm import filter_integration
@@ -85,6 +88,10 @@ def _flip_byte(path: str, offset: int) -> None:
 
 def _sst_path(db: DB, run) -> str:
     return db._env.path(run.name)  # noqa: SLF001
+
+
+def _sst_files(path) -> set[str]:
+    return {name for name in os.listdir(path) if name.endswith(".sst")}
 
 
 # ----------------------------------------------------------------------
@@ -314,31 +321,138 @@ def _assert_never_flagged(db: DB) -> None:
     assert db.stats.filters_quarantined == 0
 
 
+def _attacked(db: DB) -> AdversarialAttacker:
+    """Learn the single run's false positives and replay them until the
+    detector flags it."""
+    attacker = AdversarialAttacker(db, seed=3, avoid=STORED)
+    attacker.learn_points(800)
+    assert attacker.learned_points
+    attacker.replay(rounds=3, pressure=3, max_probes=3000)
+    assert db.health().attacked_filters == (_single_run(db).name,)
+    return attacker
+
+
 class TestQuarantine:
-    def test_attack_flags_run_and_compaction_heals(self, tmp_path):
+    def test_attack_flags_run_and_filter_rebuild_heals(self, tmp_path):
         db = _loaded_db(
             tmp_path / "db", filter_salt_seed=SALT_SEED, quarantine_filters=True
         )
         victim = _single_run(db).name
-        attacker = AdversarialAttacker(db, seed=3, avoid=STORED)
-        attacker.learn_points(800)
-        assert attacker.learned_points
-        attacker.replay(rounds=3, pressure=3, max_probes=3000)
-        flagged = db.health()
-        assert flagged.filters_under_attack >= 1
-        assert victim in flagged.attacked_filters
-        assert db.stats.filters_quarantined >= 1
-        # The quarantine feeds compaction: one compact() call rebuilds
-        # the flagged run (fresh salt + bonus bits) and clears the flag.
-        db.compact()
-        db.wait_idle()
+        attacker = _attacked(db)
+        assert db.stats.filters_quarantined == 1
+        # The next maintenance point (a flush with nothing to flush)
+        # rebuilds the flagged run's filter in place: next salt generation,
+        # bonus bits, and not one SST written.
+        files = _sst_files(tmp_path / "db")
+        before = db.stats.snapshot()
+        db.flush()
+        delta = db.stats.diff(before)
         healed = db.health()
         assert healed.filters_under_attack == 0
         assert healed.attacked_filters == ()
-        assert _single_run(db).name != victim
+        assert _single_run(db).name == victim
+        assert _sst_files(tmp_path / "db") == files
+        assert delta.compaction_bytes_written == 0
+        assert delta.filters_built == 1
+        assert db._filter_dictionary.generation(victim) == 1  # noqa: SLF001
         # The learned set is stale against the re-keyed filter.
-        _, hits = attacker.replay(rounds=1)
-        assert hits / max(1, len(attacker.learned_points)) < 0.5
+        probes, hits = attacker.replay(rounds=1)
+        assert hits / probes < 0.5
+        db.close()
+
+    def test_reopen_serves_the_file_filter_and_flags_again(self, tmp_path):
+        """The rebuilt filter lives in memory only: a reopened run serves
+        its file's generation-0 filter, which the attacker has learned, and
+        the replay is flagged again."""
+        path = tmp_path / "db"
+        db = _loaded_db(path, filter_salt_seed=SALT_SEED, quarantine_filters=True)
+        learned = _attacked(db).learned_points
+        db.flush()
+        assert db.health().attacked_filters == ()
+        db.close()
+        db = DB(str(path), _options(filter_salt_seed=SALT_SEED, quarantine_filters=True))
+        reader = _single_run(db).reader
+        assert db._filter_dictionary.generation(reader.meta.name) == 0  # noqa: SLF001
+        assert db.get(learned[0]) is None
+        assert serialize_envelope(reader.resolved_filter) == reader.filter_block_bytes()
+        watched = _Watched(db)
+        attacker = AdversarialAttacker(watched, key_bits=KEY_BITS, avoid=STORED)
+        attacker.learned_points = list(learned)
+        probes, hits = attacker.replay(rounds=3, pressure=3, max_probes=3000)
+        assert hits == probes  # every learned key is a false positive again
+        assert db.health().attacked_filters == (reader.meta.name,)
+        # A pure replay, with no negatives to dilute it, is significant fast.
+        assert watched.false_positives_at_flag <= 8
+        db.close()
+
+    def test_store_without_a_recipe_serves_the_run_filter_less(self, tmp_path):
+        """Reopened with no filter factory, the store still probes the
+        filters its files hold; a flagged one cannot be rebuilt, so the run
+        is served without a filter, as a compaction would write it."""
+        path = tmp_path / "db"
+        _loaded_db(path, filter_salt_seed=SALT_SEED).close()
+        db = DB(str(path), _options(
+            filter_factory=None, filter_salt_seed=SALT_SEED, quarantine_filters=True,
+        ))
+        run = _single_run(db)
+        filt = db._filter_dictionary.get_filter(run.reader, db.stats)  # noqa: SLF001
+        db._note_filter_outcome(run, filt, 1, 0, 64)  # noqa: SLF001
+        db.flush()
+        assert db.health().attacked_filters == ()
+        assert run.reader.resolved_filter is None
+        assert [db.get(key) for key in STORED[:50]] == [b"v%d" % k for k in STORED[:50]]
+        db.close()
+
+    def test_rebuild_reads_every_key_of_the_run(self, tmp_path):
+        """The key pass feeds the filter what the file's own build had:
+        every key, tombstones too, up to both uint64 edges.  At generation 0
+        without bonus bits it rebuilds the on-disk filter byte for byte, and
+        after a real rebuild no read touching those keys loses an answer."""
+        top = (1 << 64) - 1
+        rng = random.Random(17)
+        db = DB(str(tmp_path / "db"), DBOptions(
+            key_bits=64,
+            memtable_size_bytes=1 << 20,
+            filter_factory=make_factory("rosetta", 64, 14, max_range=64),
+            filter_salt_seed=SALT_SEED,
+            quarantine_filters=True,
+        ))
+        model: dict[int, bytes] = {}
+        for key in [0, top] + [rng.getrandbits(64) for _ in range(600)]:
+            db.put(key, b"v%d" % key)
+            model[key] = b"v%d" % key
+        deleted = [0, top] + rng.sample(sorted(model), 50)
+        deleted += [rng.getrandbits(64) for _ in range(50)]  # never written
+        for key in deleted:
+            db.delete(key)
+            model.pop(key, None)
+        db.flush()
+        run = _single_run(db)
+        assert run.reader.meta.min_key == bytes(8)
+        assert run.reader.meta.max_key == top.to_bytes(8, "big")
+        writer = db._writer  # noqa: SLF001
+        assert serialize_envelope(
+            writer._build_filter(run.reader, 0, None)  # noqa: SLF001
+        ) == run.reader.filter_block_bytes()
+
+        filt = db._filter_dictionary.get_filter(run.reader, db.stats)  # noqa: SLF001
+        db._note_filter_outcome(run, filt, 1, 0, 64)  # noqa: SLF001
+        db.flush()
+        assert db._filter_dictionary.generation(run.name) == 1  # noqa: SLF001
+        assert run.reader.resolved_filter is not filt
+        keys = sorted(set(model) | set(deleted))
+        for key in keys:
+            assert db.get(key) == model.get(key)
+        stored = sorted(model)
+        for key in keys:
+            for low, high in ((key - 5, key + 5), (key - 63, key), (key, key + 63)):
+                low, high = max(0, low), min(top, high)
+                at = bisect.bisect_left(stored, low)
+                expected = []
+                while at < len(stored) and stored[at] <= high:
+                    expected.append((stored[at], model[stored[at]]))
+                    at += 1
+                assert db.range_query(low, high) == expected
         db.close()
 
     @pytest.mark.parametrize("seed", range(1, 9))
@@ -459,7 +573,8 @@ class TestQuarantine:
         """Deliberate: a hot key that happens to be a false positive costs a
         block read on every repeat, exactly as a replayed one does, so
         Zipf(0.99) gets whose hottest key is one flag the run.  The salted
-        rebuild removes it, and the same traffic then flags nothing."""
+        filter rebuild removes it without writing an SST, and the same
+        traffic then flags nothing."""
         db = _loaded_db(
             tmp_path / "db", filter_salt_seed=SALT_SEED, quarantine_filters=True
         )
@@ -473,8 +588,12 @@ class TestQuarantine:
         for key in traffic:
             db.get(key)
         assert db.health().filters_under_attack == 1
-        db.compact()
+        files = _sst_files(tmp_path / "db")
+        written = db.stats.compaction_bytes_written
+        db.flush()
         assert db.health().filters_under_attack == 0
+        assert _sst_files(tmp_path / "db") == files
+        assert db.stats.compaction_bytes_written == written
         for key in traffic:
             db.get(key)
         assert db.health().filters_under_attack == 0

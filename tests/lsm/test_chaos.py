@@ -21,7 +21,9 @@ _BASE = ChaosOptions(
     ops_per_client=60,
     num_shards=2,
     preload=150,
-    fault_period_s=0.01,
+    # The 180 ops can finish in ~10 ms on an idle 2-core box: the tick must
+    # be well inside that for the injector to fire before the clients end.
+    fault_period_s=0.002,
     worker_crash_every=5,
 )
 

@@ -369,8 +369,8 @@ class TestJobSlot:
         Four threads call ``put`` (sealing writes run flushes and planned
         compactions), ``flush()``, ``compact()`` (a forced L0 merge),
         ``resume()`` after a write fault, ``ingest()`` into an empty level,
-        and raise quarantine flags (as a read does) whose rebuilds the next
-        dispatch runs — in a seeded order.  Each body holds the CPU a
+        and raise quarantine flags (as a read does) whose in-place filter
+        rebuilds the next maintenance point runs — in a seeded order.  Each body holds the CPU a
         moment so that a body running outside the lock meets another one.
         """
         db, env = _faulty_db(
@@ -379,6 +379,7 @@ class TestJobSlot:
             quarantine_filters=True,
         )
         running: list[str] = []
+        ran: set[str] = set()
         running_lock = threading.Lock()
         violations: list[str] = []
 
@@ -388,6 +389,7 @@ class TestJobSlot:
                     if running:
                         violations.append(f"{name} started while {running} ran")
                     running.append(name)
+                    ran.add(name)
                 try:
                     time.sleep(0.0005)
                     return body(*args)
@@ -428,6 +430,9 @@ class TestJobSlot:
             "flush", db._writer._flush_oldest_immutable  # noqa: SLF001
         )
         db._writer._write_ingest_runs = exclusive("ingest", ingest_runs)  # noqa: SLF001
+        db._writer._rebuild_filter = exclusive(  # noqa: SLF001
+            "rebuild", db._writer._rebuild_filter  # noqa: SLF001
+        )
 
         def until_writable(op):
             """Run ``op``; while the store is parked, resume and retry."""
@@ -479,6 +484,7 @@ class TestJobSlot:
         db.compact()  # runs any rebuild a late flag left queued
 
         assert violations == []
+        assert ran == {"flush", "compaction", "ingest", "rebuild"}
         assert env.injected["write_errors"] == 1
         assert db.stats.filters_quarantined >= 1
         assert db.health().attacked_filters == ()  # every rebuild ran

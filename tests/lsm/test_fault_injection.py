@@ -469,7 +469,8 @@ class TestIngestFailures:
 class TestMaintenanceFailures:
     """A flush or compaction that fails after writing some of its SSTs
     deletes them, as a failed ingest does: the last manifest still stands,
-    and nothing names them."""
+    and nothing names them.  A failed filter rebuild parks the store the
+    same way."""
 
     @staticmethod
     def _fail_second_sst(env, monkeypatch) -> None:
@@ -504,6 +505,39 @@ class TestMaintenanceFailures:
         self._assert_no_orphan(db, path)
         assert len(db.version.all_runs_newest_first()) > 1
         assert db.get(13) == b"value-1"
+        db.close()
+
+    def test_failed_filter_rebuild_parks_and_resume_heals(self, tmp_path):
+        """A quarantined run's in-place filter rebuild whose block read
+        fails past the retries parks the store as a failed compaction does;
+        the old filter keeps serving, and ``resume()`` retries the rebuild."""
+        path = str(tmp_path / "db")
+        db, env = _faulty_db(
+            path, with_filter=True, quarantine_filters=True, io_retry_attempts=1
+        )
+        run = _run_for_key(db, 13)
+        assert db.get(13) == b"value-1"  # resolves the run's filter
+        served = run.reader.resolved_filter
+        db._note_filter_outcome(run, served, 1, 0, 64)  # noqa: SLF001
+        assert db.health().attacked_filters == (run.name,)
+        self._assert_no_orphan(db, path)
+        files = set(os.listdir(path))
+        env.fail_next_reads(2)  # the first try and its one retry
+        db.flush()
+        health = db.health()
+        assert health.mode == "degraded"
+        assert health.background_error.startswith("rebuild: TransientIOError")
+        assert health.background_errors == 1
+        assert health.attacked_filters == (run.name,)
+        assert run.reader.resolved_filter is served
+        assert db.get(13) == b"value-1"
+        with pytest.raises(ReadOnlyStoreError):
+            db.put(1, b"nope")
+        assert db.resume()
+        assert db.health().attacked_filters == ()
+        assert run.reader.resolved_filter is not served
+        assert set(os.listdir(path)) == files
+        assert db.get(13) == b"value-1" and db.get(7) is None
         db.close()
 
     def test_flush_whose_manifest_fails_leaves_no_orphan(self, tmp_path):

@@ -104,15 +104,17 @@ RULES: dict[str, dict[str, Rule]] = {
         "_supervisor": _rule((), ("__init__",)),
         "_leaked_workers": _rule((), ("__init__", "close")),
     },
-    # Filter dictionary (repro.lsm.filter_integration): the degraded set
-    # and the attack detector's flag set + counters are shared between
-    # foreground queries and background compaction; all of them live under
-    # the dictionary's own _lock.  (A run's resolved filter is a slot on
-    # its SSTReader, written under the same lock, read without it.)
+    # Filter dictionary (repro.lsm.filter_integration): the degraded set,
+    # the attack detector's flag set + counters and the per-run rebuild
+    # generations are shared between foreground queries and the writer's
+    # maintenance; all of them live under the dictionary's own _lock.  (A
+    # run's resolved filter is a slot on its SSTReader, written under the
+    # same lock, read without it.)
     "FilterDictionary": {
         "degraded": _rule(("_lock",), ("__init__",)),
         "under_attack": _rule(("_lock",), ("__init__",)),
         "_outcomes": _rule(("_lock",), ("__init__",)),
+        "_generations": _rule(("_lock",), ("__init__",)),
     },
     # Counter sets (repro.lsm.stats): ``add``/``observe_max`` go through
     # setattr under the set's _lock; a finished read's ``fold`` writes the
