@@ -340,9 +340,7 @@ class Compactor:
                 filter_factory=factory,
             )
             writer.extend(chain((first,), entries), limit)
-            reader = SSTReader(
-                self._env, writer.finish(), self._cache, is_level0=level == 0
-            )
+            reader = SSTReader(self._env, writer.finish(), self._cache)
             run = Run(reader=reader, level=level)
             self.unreferenced.append(run)
             yield run

@@ -756,7 +756,7 @@ class DB:
             def run(name: str, level: int) -> Run:
                 referenced.add(name)
                 meta = read_sst_meta(self._env, name)
-                reader = SSTReader(self._env, meta, self._cache, is_level0=level == 0)
+                reader = SSTReader(self._env, meta, self._cache)
                 return Run(reader=reader, level=level)
 
             version.level0 = [run(name, 0) for name in manifest.get("level0", [])]

@@ -9,9 +9,11 @@ direct counterpart here:
 * ``max_bytes_for_level_base`` → :attr:`DBOptions.max_bytes_for_level_base`
   (restricting L0 growth so iterators spawn per level, not per file);
 * ``cache_index_and_filter_blocks=true``, with high priority, and L0's
-  pinned → always on, not knobs: filter and index blocks go through the
-  block cache in its high-priority pool, and L0's are pinned
-  (``SSTReader._read_metadata_block``);
+  pinned → not knobs, and no cache space: every run's index and filter
+  stay decoded on its ``SSTReader`` for the run's life, so
+  :attr:`DBOptions.block_cache_bytes` budgets data blocks only
+  (:mod:`repro.lsm.block_cache`); with ``use_filter_dictionary=False``
+  every probe reads the filter block from the device;
 * per-SST full filters (block-based filters are deprecated) → one filter
   instance per SST file, rebuilt at compaction;
 * leveled compaction over RocksDB's default ``num_levels=7`` and size

@@ -13,9 +13,10 @@ Rosetta into RocksDB ("A Rosetta instance is created for every SST file");
 the filter is serialized into the file and must be fetched + deserialized
 before probing (the costs Fig. 5(A2) breaks down).
 
-The reader's block accesses go through the block cache and the storage
-environment, so cache priorities and modeled device latency apply to every
-path that touches the file.
+The reader's data-block reads go through the block cache and the storage
+environment; its index and filter blocks are read from the environment
+once and kept decoded on the reader, so modeled device latency applies to
+every path that touches the file and the cache holds data blocks only.
 """
 
 from __future__ import annotations
@@ -218,9 +219,10 @@ class SSTWriter:
 class SSTReader:
     """Query-side handle to one SST file.
 
-    Block reads go through the block cache (filter and index blocks in its
-    high-priority pool, pinned on L0) and the storage environment (charging
-    modeled device time).
+    Data-block reads go through the block cache and the storage environment
+    (charging modeled device time).  The index block is read from the
+    environment at open and the filter block at its first touch, both
+    decoded onto the reader for its whole life and never cached as bytes.
     The read methods count the blocks they touch on the calling query's
     ``QueryContext``; without one (open, compaction, verify, repair) on the
     environment's shared stats.
@@ -233,41 +235,24 @@ class SSTReader:
     rebuild) write it.
     """
 
-    def __init__(
-        self,
-        env: StorageEnv,
-        meta: SSTMeta,
-        cache: BlockCache,
-        is_level0: bool = False,
-    ) -> None:
+    def __init__(self, env: StorageEnv, meta: SSTMeta, cache: BlockCache) -> None:
         self._env = env
         self.meta = meta
         self._cache = cache
-        self._is_level0 = is_level0
         self._index_handle, self._filter_handle, _ = _read_footer(
             env, meta.name, meta.file_size
         )
-        index_payload = self._read_metadata_block(self._index_handle)
-        self._fence_pointers = decode_index_block(index_payload)
+        self._fence_pointers = decode_index_block(
+            self.read_from_device(self._index_handle)
+        )
         self._fence_keys = [key for key, _ in self._fence_pointers]
         self.resolved_filter = UNRESOLVED
 
     # ------------------------------------------------------------------
     # Block access
     # ------------------------------------------------------------------
-    def _read_metadata_block(self, handle: BlockHandle, context=None) -> bytes:
-        """Read an index/filter block: high cache priority, pinned on L0."""
-        return self._read_block(
-            handle, context, high_priority=True, pinned=self._is_level0
-        )
-
-    def _read_block(
-        self,
-        handle: BlockHandle,
-        context=None,
-        high_priority: bool = False,
-        pinned: bool = False,
-    ) -> bytes:
+    def _read_block(self, handle: BlockHandle, context=None) -> bytes:
+        """One data block, through the block cache."""
         cache_key = (self.meta.name, handle.offset)
         cached = self._cache.get(cache_key)
         if cached is not None:
@@ -283,21 +268,22 @@ class SSTReader:
         payload = self._env.read_block(
             self.meta.name, handle.offset, handle.size, context
         )
-        self._cache.put(cache_key, payload, high_priority, pinned)
+        self._cache.put(cache_key, payload)
         return payload
 
-    def read_from_device(self, handle: BlockHandle) -> bytes:
+    def read_from_device(self, handle: BlockHandle, context=None) -> bytes:
         """One block read from the file itself: the block cache is neither
         asked nor filled, so a verify sees what is on disk."""
         if handle.size == 0:
             return b""
-        return self._env.read_block(self.meta.name, handle.offset, handle.size)
+        return self._env.read_block(
+            self.meta.name, handle.offset, handle.size, context
+        )
 
     def filter_block_bytes(self, context=None) -> bytes:
-        """Raw serialized filter envelope (empty if the SST has no filter)."""
-        if self._filter_handle.size == 0:
-            return b""
-        return self._read_metadata_block(self._filter_handle, context)
+        """Raw serialized filter envelope (empty if the SST has no filter),
+        read from the device: the resolved filter is what stays resident."""
+        return self.read_from_device(self._filter_handle, context)
 
     # ------------------------------------------------------------------
     # Point lookups

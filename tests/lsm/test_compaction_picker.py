@@ -307,7 +307,7 @@ class TestIntraL0Store:
         [run] = db.version.level0
         assert run.reader.meta.num_entries == 80
         assert run.file_size > 128  # never cut at sst_size_bytes
-        assert run.reader._is_level0  # noqa: SLF001
+        assert db.version.level_runs(0) == [run] and run.level == 0
         assert db.get(5852) == b"fresh" and db.get(0) == bytes(16)
         db.close()
 

@@ -17,10 +17,10 @@ sync each fired a scheduler yield hook (59.1 with the skip list).
 The range ceilings hold the range read that does only what its answer needs
 (one filter walk over every run, no scan built for an empty answer, a block
 cursor that seeks, no superversion pin): 137.8 calls per empty
-``range_query`` (224.4 before; 141.8 with the pin), 1897.6 per 16-record
+``range_query`` (224.4 before; 141.8 with the pin), 1900.6 per 16-record
 ``range_query`` (1833.5 before: the memo of parsed blocks it dropped
 answered these warm repeats without parsing; the range's filter probes take
-the frontier engine, most of the count), 1681.0 per ``range_iter`` read to
+the frontier engine, most of the count), 1684.1 per ``range_iter`` read to
 its first entry and closed (1627.9) and 424.9 per 16-record ``iterator``
 (352.7).
 

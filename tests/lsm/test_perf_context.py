@@ -106,7 +106,7 @@ class TestRangeContext:
 # than the ``[name, null]`` pairs written before.
 _GOLDEN_COUNTERS = {
     "block_reads": 109, "block_read_bytes": 77525, "block_cache_hits": 713,
-    "block_cache_misses": 91, "bytes_written": 131344,
+    "block_cache_misses": 73, "bytes_written": 131344,
     "io_transient_errors": 0, "io_retries": 0, "filters_degraded": 1,
     "filters_quarantined": 0, "background_errors": 0, "memtable_seals": 10,
     "filter_probes": 810, "filter_batch_probes": 465, "filter_negatives": 461,

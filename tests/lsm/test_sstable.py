@@ -121,7 +121,7 @@ class TestReader:
         env = StorageEnv(str(tmp_path))
         meta, entries, options = _write_sst(env)
         cache = BlockCache(1 << 20)
-        reader = SSTReader(env, meta, cache, is_level0=True)
+        reader = SSTReader(env, meta, cache)
         reads_before = env.stats.block_reads
         reader.get(entries[0][0])
         first_read = env.stats.block_reads - reads_before

@@ -1,11 +1,16 @@
 """Unit tests for the WAL, storage environment, and block cache."""
 
 import os
+import random
+import sys
+import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.lsm import DB, DBOptions
-from repro.lsm.block_cache import BlockCache
+from repro.lsm.block_cache import PROTECTED_SHARE, BlockCache
 from repro.lsm.env import DEVICE_PRESETS, DeviceModel, StorageEnv
 from repro.lsm.format import ValueTag
 from repro.lsm.stats import PerfStats
@@ -188,20 +193,25 @@ class TestBlockCache:
         assert cache.get(("f", 0)) == b"aaaa"
         assert cache.get(("f", 1)) is None
 
-    def test_high_priority_evicts_last(self):
-        cache = BlockCache(8)
-        cache.put(("filter", 0), b"ffff", high_priority=True)
-        cache.put(("data", 0), b"dddd")
-        cache.put(("data", 1), b"eeee")  # low pool overflows first
-        assert cache.get(("filter", 0)) == b"ffff"
-        assert cache.get(("data", 0)) is None
+    def test_block_hit_once_outlives_blocks_read_once(self):
+        cache = BlockCache(20)
+        cache.put(("f", 0), b"aaaa")
+        cache.get(("f", 0))  # read twice: protected
+        for offset in range(1, 10):  # a scan's worth of single reads
+            cache.put(("f", offset), b"bbbb")
+        assert cache.get(("f", 0)) == b"aaaa"
+        assert cache.get(("f", 1)) is None
 
-    def test_pinned_never_evicted(self):
-        cache = BlockCache(4)
-        cache.put(("l0", 0), b"ffff", pinned=True)
-        cache.put(("data", 0), b"dddd")
-        cache.put(("data", 1), b"eeee")
-        assert cache.get(("l0", 0)) == b"ffff"
+    def test_protected_overflow_demotes_into_probation(self):
+        cache = BlockCache(12)  # protected share: 9 bytes
+        for offset in range(3):
+            cache.put(("f", offset), b"aaaa")
+            cache.get(("f", offset))
+        # ("f", 0) was demoted, so it is the first to go.
+        cache.put(("f", 3), b"bbbb")
+        assert cache.get(("f", 0)) is None
+        assert cache.get(("f", 1)) == b"aaaa"
+        assert cache.used_bytes <= cache.capacity_bytes
 
     def test_oversized_block_not_cached(self):
         cache = BlockCache(4)
@@ -216,7 +226,8 @@ class TestBlockCache:
     def test_remove_file_purges_all_entries(self):
         cache = BlockCache(1024)
         cache.put(("a.sst", 0), b"1")
-        cache.put(("a.sst", 8), b"2", high_priority=True)
+        cache.put(("a.sst", 8), b"2")
+        cache.get(("a.sst", 8))  # protected: both segments hold a.sst
         cache.put(("b.sst", 0), b"3")
         cache.remove_file("a.sst")
         assert cache.get(("a.sst", 0)) is None
@@ -234,3 +245,86 @@ class TestBlockCache:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             BlockCache(-1)
+
+    def test_threads_keep_the_byte_accounting_exact(self):
+        cache = BlockCache(64)
+        errors: list[BaseException] = []
+
+        def hammer(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(3000):
+                    key = (rng.choice("ab"), rng.randrange(8))
+                    step = rng.random()
+                    if step < 0.5:
+                        cache.put(key, bytes(rng.randrange(1, 12)))
+                    elif step < 0.97:
+                        cache.get(key)
+                    else:
+                        cache.remove_file(key[0])
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        segments = (cache._probation, cache._protected)  # noqa: SLF001
+        assert cache.used_bytes == sum(len(b) for s in segments for b in s.values())
+        assert cache._protected_used == sum(map(len, cache._protected.values()))  # noqa: SLF001
+        assert cache.used_bytes <= cache.capacity_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(0, 48),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["put", "get", "remove_file"]),
+            st.sampled_from(["a.sst", "b.sst"]),
+            st.integers(0, 5),
+            st.binary(min_size=1, max_size=12),
+        ),
+        max_size=80,
+    ),
+)
+# An oversized re-put of a cached key must not leave the older block.
+@example(capacity=1, steps=[("put", "a.sst", 0, b"1"), ("put", "a.sst", 0, b"22")])
+def test_block_cache_matches_a_dict_model(capacity, steps):
+    """Random put / get / remove_file against the last block put per key."""
+    cache = BlockCache(capacity)
+    model: dict[tuple[str, int], bytes] = {}
+    for op, name, offset, block in steps:
+        key = (name, offset)
+        if op == "put":
+            protected_before = cache._protected_used  # noqa: SLF001
+            cache.put(key, block)
+            model[key] = block
+            if 0 < len(block) <= capacity - protected_before:
+                assert cache.get(key) == block  # fits beside protected
+        elif op == "get":
+            assert cache.get(key) in (None, model.get(key))
+        else:
+            cache.remove_file(name)
+            model = {k: v for k, v in model.items() if k[0] != name}
+            assert all(k[0] != name for k in cache._probation)  # noqa: SLF001
+            assert all(k[0] != name for k in cache._protected)  # noqa: SLF001
+        probation = cache._probation  # noqa: SLF001
+        protected = cache._protected  # noqa: SLF001
+        assert not probation.keys() & protected.keys()
+        for segment in (probation, protected):
+            assert all(model[k] == v for k, v in segment.items())
+        protected_bytes = sum(map(len, protected.values()))
+        assert cache._protected_used == protected_bytes  # noqa: SLF001
+        assert protected_bytes <= capacity * PROTECTED_SHARE
+        assert cache.used_bytes == protected_bytes + sum(map(len, probation.values()))
+        assert cache.used_bytes <= capacity
+        assert len(cache) == len(probation) + len(protected)

@@ -20,6 +20,8 @@ the handoffs of the interpreter lock, not the work.
 ``--phase setup`` adds two footer lines: the bytes each compaction kind
 wrote, and the rest (WAL, flush, manifest), each over the user bytes loaded;
 then the entries each compaction kind rewrote, and their sum per put.
+``--phase window`` adds one: block reads per op and the block-cache hit
+rate, from the store's ``PerfStats`` delta over the profiled slices.
 
 cProfile charges every Python call and no native work, so the table ranks
 candidates; it is not a measurement.  Claim gains from the ledger
@@ -135,13 +137,24 @@ def entry_split(rewritten: Counter, puts: int) -> str:
     )
 
 
+def block_split(blocks, ops: int) -> str:
+    """Block reads per op and the block-cache hit rate of a PerfStats delta."""
+    lookups = blocks.block_cache_hits + blocks.block_cache_misses
+    rate = blocks.block_cache_hits / lookups if lookups else 0.0
+    return (
+        f"block reads per op {blocks.block_reads / ops:.4f}, block-cache hit "
+        f"rate {rate:.3f} ({blocks.block_cache_hits} hits, "
+        f"{blocks.block_cache_misses} misses)"
+    )
+
+
 def profile_phase(
     name: str, phase: str, seed: int, smoke: bool, slices: int
-) -> tuple[pstats.Stats, int, str | None]:
-    """Returns the merged profile, the ops it covers and, for the set-up,
-    its write split (bytes, then entries)."""
+) -> tuple[pstats.Stats, int, str]:
+    """Returns the merged profile, the ops it covers and its footer: for
+    the set-up its write split (bytes, then entries), for the window its
+    block split."""
     profiler = ThreadedProfile()
-    split = None
     with tempfile.TemporaryDirectory(prefix="profile-workload-") as work:
         run = ledger.Run(name, seed, smoke, Path(work))
         if phase == "setup":
@@ -150,7 +163,7 @@ def profile_phase(
             with profiler, output_by_job_kind(written, rewritten):
                 store, _, _ = run.setup()
             ops = len(run.items)
-            split = write_split(
+            footer = write_split(
                 written, ledger.perf(store).bytes_written, run.user_bytes(0)
             ) + "\n" + entry_split(rewritten, ops)
         else:
@@ -159,14 +172,16 @@ def profile_phase(
             workload, model, stream = run.workload, run.model, run.stream
             ledger.run_slice(store, workload, model, stream.slice(workload.prefix_ops))
             ops = 0
+            before = ledger.perf(store)
             with profiler:
                 for _ in range(slices):
                     piece = ledger.run_slice(
                         store, workload, model, stream.slice(workload.chunk_ops)
                     )
                     ops += len(piece["records"])
+            footer = block_split(ledger.perf(store).diff(before), ops)
         store.close()  # joins the serving workers: their profiles are final
-    return profiler.stats(), ops, split
+    return profiler.stats(), ops, footer
 
 
 def print_table(stats: pstats.Stats, order: str, top: int) -> None:
@@ -191,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="the ledger's --smoke shape: a fifth of the size")
     args = parser.parse_args(argv)
 
-    stats, ops, split = profile_phase(
+    stats, ops, footer = profile_phase(
         args.workload, args.phase, args.seed, args.smoke, args.slices
     )
     for order in ("tottime", "cumulative"):
@@ -201,8 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         f"= {stats.total_calls / ops:.1f} calls per op, {stats.total_tt:.3f} profiled "
         "CPU s"
     )
-    if split is not None:
-        print(split)
+    print(footer)
     return 0
 
 
