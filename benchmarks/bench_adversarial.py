@@ -36,7 +36,8 @@ Usage::
 least 5x over benign traffic on the undefended config while learned FPs
 survive its rebuild, and (b) the defended configs return to within 2x of
 the design FPR after rebuild at benign throughput within tolerance of
-the undefended baseline.  Writes ``BENCH_adversarial.json``.
+the undefended baseline.  A full run writes ``BENCH_adversarial.json``;
+a smoke run writes nothing.
 """
 
 from __future__ import annotations
@@ -370,7 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run_matrix(args.smoke)
-    RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     for row in result["configs"]:
         print(
             f"{row['config']:>18}: benign fpr {row['benign_fpr']:.4f} "
@@ -386,7 +386,10 @@ def main(argv: list[str] | None = None) -> int:
         f"(oracle-confirmed {bb['oracle_confirmed']}), perceived replay "
         f"fpr {bb['replay_perceived_fpr']:.3f}"
     )
-    print(f"-> {RESULT_PATH.name} in {result['elapsed_seconds']}s")
+    if not args.smoke:
+        RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
+        print(f"-> {RESULT_PATH.name}")
+    print(f"elapsed {result['elapsed_seconds']}s")
 
     if args.check:
         failures = check(result, args.smoke)

@@ -32,7 +32,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_chaos.py            # full
     PYTHONPATH=src python benchmarks/bench_chaos.py --smoke --check
 
-Writes ``BENCH_chaos.json`` at the repo root.
+A full run writes ``BENCH_chaos.json`` at the repo root; a smoke run
+writes nothing.
 """
 
 from __future__ import annotations
@@ -226,8 +227,9 @@ def main(argv: list[str] | None = None) -> int:
         "benign_pair_ratios": [round(r, 4) for r in pair_ratios],
         "configs": list(records.values()),
     }
-    RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"-> {RESULT_PATH.name}")
+    if not args.smoke:
+        RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
+        print(f"-> {RESULT_PATH.name}")
 
     if args.check:
         failed = False

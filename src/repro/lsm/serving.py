@@ -19,11 +19,12 @@ batch API that **coalesces** concurrent ``get`` / ``multi_get`` /
   reassemble in shard order (shards are contiguous, so concatenation is
   the sorted merge).
 
-Filters are immutable once built and every read pins a refcounted
-superversion, so batched probes fan out across client and worker threads
-with zero locking in the read path — the only serialization points are
-the per-shard queue (a condition variable held for queue surgery only)
-and each shard's own write lock.
+Filters are immutable once built and every read takes its DB's current
+superversion with one unlocked attribute read, so batched probes fan out
+across client and worker threads with zero locking in the read path —
+the only serialization points are the per-shard lock (a condition
+variable held for queue and breaker bookkeeping only) and each shard's
+own write lock.
 
 Fault tolerance — the serving layer fails *fast and typed*, never
 silently and never by hanging:
@@ -235,16 +236,18 @@ class ServingHealth:
 
 
 class _ScatterSink:
-    """Gathers the per-shard pieces of one scattered request.
+    """Gathers the per-shard pieces of one read and settles its future.
 
-    A request spanning ``k`` shards used to allocate a child ``Future``
-    plus a done-callback per shard; on the serving hot path that is pure
-    overhead (each ``set_result`` is a condition-variable dance).  The
-    sink replaces all of it with one lock, a countdown, and a single
-    master future: each shard worker deposits its piece at its position
-    and the last one to arrive combines and resolves.  The first shard
-    failure wins and resolves the master exceptionally; later pieces for
-    a failed request are dropped.
+    Every read — ``get``, ``multi_get`` or ``range_query`` — is a scatter
+    of zero or more per-shard pieces into one sink: one lock, a
+    countdown, and the read's future.  Each shard worker deposits its
+    piece at its position and the last one to arrive combines and
+    resolves; a sink with no pieces resolves at construction.  The first
+    failure wins and resolves the future exceptionally; later pieces are
+    dropped.  The sink is the only code that settles a read's future, so
+    it is the one place that tolerates a future already settled: the
+    close path fails a wedged worker's pieces, and the worker — if it
+    ever unwedges — must not crash on the leftovers.
     """
 
     __slots__ = ("future", "_lock", "_parts", "_remaining", "_combine")
@@ -257,6 +260,8 @@ class _ScatterSink:
         self._parts: list = [None] * pieces
         self._remaining = pieces
         self._combine = combine
+        if not pieces:
+            self.future.set_result(combine(self._parts))
 
     def deliver(self, position: int, result: object) -> None:
         with self._lock:
@@ -285,81 +290,55 @@ class _ScatterSink:
             pass
 
 
-class _Request:
-    """One queued unit of read work for a shard worker.
+def _concat(parts: list) -> list:
+    """Range pieces come back in shard (= key) order: concatenate them."""
+    merged: list = []
+    for part in parts:
+        merged.extend(part)
+    return merged
 
-    A request either owns its ``future`` outright or is one piece of a
-    scattered call, in which case it carries its :class:`_ScatterSink`
-    and position instead (no per-piece future is allocated).
+
+class _Request:
+    """One piece of a read, queued for a shard worker.
+
+    A piece is a point lookup of ``keys`` or, with ``keys`` None, the
+    range ``[low, high]``; its answer goes to ``sink`` at ``position``.
     ``deadline`` is an absolute ``time.monotonic()`` instant or None;
     the worker checks it at dequeue and the blocking submit path checks
     it while waiting on a full queue.
-
-    ``resolve``/``fail`` tolerate an already-settled future: the close
-    path fails the futures of a wedged worker's in-flight batch, and the
-    worker — if it ever unwedges — must not crash on the leftovers.
     """
 
-    __slots__ = (
-        "kind", "keys", "low", "high", "future", "sink", "position",
-        "deadline",
-    )
+    __slots__ = ("keys", "low", "high", "sink", "position", "deadline")
 
     def __init__(
         self,
-        kind: str,
-        keys: list[int] | None = None,
-        low: int = 0,
-        high: int = 0,
-        sink: _ScatterSink | None = None,
-        position: int = 0,
-        deadline: float | None = None,
+        keys: list[int] | None,
+        low: int,
+        high: int,
+        sink: _ScatterSink,
+        position: int,
+        deadline: float | None,
     ) -> None:
-        self.kind = kind  # "point" | "multi" | "range"
-        self.keys = keys if keys is not None else []
+        self.keys = keys
         self.low = low
         self.high = high
         self.sink = sink
         self.position = position
         self.deadline = deadline
-        self.future: Future | None = Future() if sink is None else None
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now > self.deadline
-
-    def resolve(self, result: object) -> None:
-        if self.sink is not None:
-            self.sink.deliver(self.position, result)
-        else:
-            try:
-                self.future.set_result(result)
-            except InvalidStateError:
-                pass  # already failed by the close/crash path
-
-    def fail(self, exc: BaseException) -> None:
-        if self.sink is not None:
-            self.sink.fail(exc)
-        elif not self.future.done():
-            try:
-                self.future.set_exception(exc)
-            except InvalidStateError:
-                pass
 
 
 class _Shard:
     """One key-range shard: a ``DB``, a request queue, a worker thread.
 
-    Two locks, never held together:
-
-    * ``_cond`` (a condition variable) guards queue surgery, the closed
-      flag, the worker-death flag, the in-flight batch, and the
-      injected-fault hook; all actual read work runs outside it on the
-      worker thread, against the DB's lock-free superversion-pinned
-      read path.
-    * ``_breaker_lock`` guards the circuit-breaker state machine
-      (state / reason / backoff / next-probe instant), the worker
-      restart budget, and the worker thread handle (rebound on
-      restart).
+    One lock: ``_cond`` (a condition variable) guards queue surgery, the
+    closed flag, the worker-death flag, the in-flight batch, the
+    injected-fault hook, the circuit-breaker state machine (state /
+    reason / backoff / next-probe instant), the worker restart budget,
+    and the worker thread handle (rebound on restart).  All actual read
+    work, and the breaker's ``DB.resume()`` probe, run outside it.
     """
 
     def __init__(
@@ -379,7 +358,6 @@ class _Shard:
         self._closed = False
         self._worker_dead = False
         self._fault_to_inject: BaseException | None = None
-        self._breaker_lock = threading.Lock()
         self._breaker_state = "closed"  # closed | open | half_open | failed
         self._breaker_reason: str | None = None
         self._backoff_s = options.breaker_backoff_initial_s
@@ -455,16 +433,12 @@ class _Shard:
             return len(self._queue)
 
     def breaker_state(self) -> str:
-        with self._breaker_lock:
+        with self._cond:
             return self._breaker_state
 
     def worker_alive(self) -> bool:
         with self._cond:
-            if self._worker_dead:
-                return False
-        with self._breaker_lock:
-            thread = self._thread
-        return thread.is_alive()
+            return not self._worker_dead and self._thread.is_alive()
 
     # -- write gate -----------------------------------------------------
     def guarded_write(self, write: Callable[[], None]) -> None:
@@ -478,7 +452,7 @@ class _Shard:
         :class:`~repro.errors.ReadOnlyStoreError`) so the caller-visible
         type is uniform from the first failure on.
         """
-        with self._breaker_lock:
+        with self._cond:
             state = self._breaker_state
             reason = self._breaker_reason
         if state != "closed":
@@ -500,7 +474,7 @@ class _Shard:
     # -- breaker state machine ------------------------------------------
     def _trip(self, reason: str) -> None:
         """closed/half_open -> open (idempotent while already open)."""
-        with self._breaker_lock:
+        with self._cond:
             if self._breaker_state == "failed":
                 return
             if self._breaker_state == "open":
@@ -520,7 +494,7 @@ class _Shard:
         """
         self._maybe_restart_worker()
         self._maybe_probe_breaker()
-        with self._breaker_lock:
+        with self._cond:
             closed = self._breaker_state == "closed"
         if closed and self.db.background_error is not None:
             # Degraded-mode flip observed by polling rather than by a
@@ -528,13 +502,17 @@ class _Shard:
             self._trip(f"degraded shard DB: {self.db.background_error}")
 
     def _maybe_restart_worker(self) -> None:
+        """Restart a dead worker within its budget, in one critical section.
+
+        The new thread starts before the lock is released, so
+        :meth:`close` never sees a handle it could join before ``start``.
+        """
         with self._cond:
-            dead = self._worker_dead and not self._closed
-        if not dead:
-            return
-        thread: threading.Thread | None = None
-        with self._breaker_lock:
-            if self._breaker_state == "failed":
+            if (
+                not self._worker_dead
+                or self._closed
+                or self._breaker_state == "failed"
+            ):
                 return
             if self._worker_restarts >= self.options.max_worker_restarts:
                 self._breaker_state = "failed"
@@ -545,17 +523,14 @@ class _Shard:
                 )
                 return
             self._worker_restarts += 1
-            self._thread = self._spawn_worker()
-            thread = self._thread
-        with self._cond:
             self._worker_dead = False
-            self._cond.notify_all()
-        thread.start()
+            self._thread = self._spawn_worker()
+            self._thread.start()
         self.stats.add(worker_restarts=1)
 
     def _maybe_probe_breaker(self) -> None:
         now = time.monotonic()
-        with self._breaker_lock:
+        with self._cond:
             if self._breaker_state != "open" or now < self._next_probe_at:
                 return
             self._breaker_state = "half_open"
@@ -564,11 +539,10 @@ class _Shard:
         except BaseException:  # noqa: BLE001 - a probe must never kill us
             recovered = False
         with self._cond:
-            worker_ok = not self._worker_dead
-        with self._breaker_lock:
             if self._breaker_state != "half_open":
                 return  # a concurrent trip/close won; keep its verdict
-            if recovered and worker_ok:
+            healed = recovered and not self._worker_dead
+            if healed:
                 self._breaker_state = "closed"
                 self._breaker_reason = None
                 self._backoff_s = self.options.breaker_backoff_initial_s
@@ -578,7 +552,7 @@ class _Shard:
                     self._backoff_s * 2, self.options.breaker_backoff_max_s
                 )
                 self._next_probe_at = time.monotonic() + self._backoff_s
-        if recovered and worker_ok:
+        if healed:
             self.stats.add(breaker_recoveries=1)
 
     # -- test / chaos hook ----------------------------------------------
@@ -638,7 +612,7 @@ class _Shard:
                 if request.expired(now):
                     expired.append(self._queue.popleft())
                     continue
-                weight = len(request.keys)
+                weight = 0 if request.keys is None else len(request.keys)
                 if batch and keys + weight > _MAX_BATCH_KEYS:
                     break
                 batch.append(self._queue.popleft())
@@ -648,7 +622,7 @@ class _Shard:
         if expired:
             self.stats.add(deadline_misses=len(expired))
             for request in expired:
-                request.fail(
+                request.sink.fail(
                     DeadlineExceededError(
                         f"shard {self.index}: deadline expired in queue"
                     )
@@ -658,14 +632,13 @@ class _Shard:
     def _execute(self, batch: list[_Request]) -> None:
         """Resolve one drained batch against the shard's DB.
 
-        All point-bearing requests share one ``multi_get`` (the
-        coalescing payoff); range requests then run in arrival order.
+        All point pieces share one ``multi_get`` (the coalescing payoff)
+        and each is handed its whole answer, which covers the piece's
+        keys; range pieces then run in arrival order.
         """
         try:
             self.stats.observe_max("max_batch_requests", len(batch))
-            point_requests = [
-                r for r in batch if r.kind in ("point", "multi")
-            ]
+            point_requests = [r for r in batch if r.keys is not None]
             point_keys = [key for r in point_requests for key in r.keys]
             if point_keys:
                 self.stats.add(batches=1, batched_keys=len(point_keys))
@@ -679,24 +652,20 @@ class _Shard:
                     values = self.db.multi_get(point_keys)
                 except BaseException as exc:  # noqa: BLE001 - to callers
                     for request in point_requests:
-                        request.fail(exc)
+                        request.sink.fail(exc)
                 else:
                     for request in point_requests:
-                        if request.kind == "point":
-                            request.resolve(values[request.keys[0]])
-                        else:
-                            request.resolve(
-                                {key: values[key] for key in request.keys}
-                            )
+                        request.sink.deliver(request.position, values)
             for request in batch:
-                if request.kind != "range":
+                if request.keys is not None:
                     continue
                 try:
-                    request.resolve(
-                        self.db.range_query(request.low, request.high)
+                    request.sink.deliver(
+                        request.position,
+                        self.db.range_query(request.low, request.high),
                     )
                 except BaseException as exc:  # noqa: BLE001 - to callers
-                    request.fail(exc)
+                    request.sink.fail(exc)
         finally:
             with self._cond:
                 self._inflight = []
@@ -724,7 +693,7 @@ class _Shard:
             f"{type(exc).__name__}: {exc}"
         )
         for request in victims:
-            request.fail(failure)
+            request.sink.fail(failure)
         if self.options.breaker_enabled:
             self._trip(
                 f"worker crash: {type(exc).__name__}: {exc}"
@@ -741,7 +710,6 @@ class _Shard:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-        with self._breaker_lock:
             thread = self._thread
         thread.join(timeout=_WORKER_JOIN_TIMEOUT_S)
         leaked = thread.is_alive()
@@ -752,14 +720,14 @@ class _Shard:
             if leaked:
                 # The wedged worker owns these; it may still settle them,
                 # but the caller must not wait on it — fail them now
-                # (resolve/fail tolerate the race on both sides).
+                # (their sinks tolerate the race on both sides).
                 victims.extend(self._inflight)
                 self._inflight = []
         message = "serving layer closed" + (
             " with a stuck worker" if leaked else ""
         )
         for request in victims:
-            request.fail(ClosedStoreError(message))
+            request.sink.fail(ClosedStoreError(message))
         if leaked:
             self.stats.add(worker_leaks=1)
         self.db.close()
@@ -829,28 +797,46 @@ class ShardedServer:
             self._supervisor.start()
 
     # ------------------------------------------------------------------
-    # Deadline plumbing
+    # Reads: every one is a scatter of per-shard pieces into one sink
     # ------------------------------------------------------------------
-    def _resolve_deadline(self, deadline_s: float | None) -> float | None:
-        """Relative caller deadline -> absolute monotonic instant."""
+    def _admit(self, deadline_s: float | None) -> float | None:
+        """Refuse a closed server; relative deadline -> monotonic instant."""
+        self._check_open()
         if deadline_s is None:
             return None
         if deadline_s <= 0:
             raise InvalidOptionsError(f"deadline_s must be > 0: {deadline_s}")
         return time.monotonic() + deadline_s
 
-    # ------------------------------------------------------------------
-    # Point reads
-    # ------------------------------------------------------------------
+    def _scatter(
+        self,
+        counter: str,
+        pieces: list[tuple[int, list[int] | None, int, int]],
+        combine: Callable[[list], object],
+        deadline: float | None,
+    ) -> Future:
+        """Queue each ``(shard, keys, low, high)`` piece of one read.
+
+        Counts the piece in the shard's ``counter`` and submits it; the
+        returned future is the sink's, settled once every piece is in.
+        """
+        sink = _ScatterSink(len(pieces), combine)
+        for position, (shard_index, keys, low, high) in enumerate(pieces):
+            shard = self._shards[shard_index]
+            shard.stats.add(**{counter: 1})
+            shard.submit(_Request(keys, low, high, sink, position, deadline))
+        return sink.future
+
     def get_async(self, key: int, deadline_s: float | None = None) -> Future:
         """Async point lookup; the future resolves to ``bytes | None``."""
-        self._check_open()
-        deadline = self._resolve_deadline(deadline_s)
-        shard = self._shards[self.router.shard_of(key)]
-        shard.stats.add(point_requests=1)
-        request = _Request("point", [int(key)], deadline=deadline)
-        shard.submit(request)
-        return request.future
+        deadline = self._admit(deadline_s)
+        key = int(key)
+        return self._scatter(
+            "point_requests",
+            [(self.router.shard_of(key), [key], 0, 0)],
+            lambda parts: parts[0][key],
+            deadline,
+        )
 
     def multi_get_async(
         self, keys: Iterable[int], deadline_s: float | None = None
@@ -858,25 +844,12 @@ class ShardedServer:
         """Async batched lookup; resolves to ``{key: bytes | None}``.
 
         Keys are split by owning shard; each shard answers its group with
-        one (possibly further coalesced) ``multi_get``.
+        one (possibly further coalesced) ``multi_get``.  No keys resolve
+        to ``{}`` without touching a shard.
         """
-        self._check_open()
-        deadline = self._resolve_deadline(deadline_s)
+        deadline = self._admit(deadline_s)
         key_list = [int(key) for key in keys]
-        if not key_list:
-            done: Future = Future()
-            done.set_result({})
-            return done
         groups = self.router.group_keys(key_list)
-        if len(groups) == 1:
-            # Fast path: every key lives on one shard, so that shard's
-            # multi answer (keyed by all requested keys) IS the answer.
-            ((shard_index, group),) = groups.items()
-            shard = self._shards[shard_index]
-            shard.stats.add(multi_requests=1)
-            request = _Request("multi", group, deadline=deadline)
-            shard.submit(request)
-            return request.future
 
         def combine(parts: list) -> dict[int, bytes | None]:
             merged: dict[int, bytes | None] = {}
@@ -884,24 +857,13 @@ class ShardedServer:
                 merged.update(part)
             return {key: merged[key] for key in key_list}
 
-        sink = _ScatterSink(len(groups), combine)
-        for position, (shard_index, group) in enumerate(groups.items()):
-            shard = self._shards[shard_index]
-            shard.stats.add(multi_requests=1)
-            shard.submit(
-                _Request(
-                    "multi",
-                    group,
-                    sink=sink,
-                    position=position,
-                    deadline=deadline,
-                )
-            )
-        return sink.future
+        return self._scatter(
+            "multi_requests",
+            [(shard, group, 0, 0) for shard, group in groups.items()],
+            combine,
+            deadline,
+        )
 
-    # ------------------------------------------------------------------
-    # Range reads
-    # ------------------------------------------------------------------
     def range_query_async(
         self, low: int, high: int, deadline_s: float | None = None
     ) -> Future:
@@ -912,46 +874,14 @@ class ShardedServer:
         contiguous.  Inverted ranges raise here, eagerly; a range wholly
         outside the key domain resolves empty without touching a shard.
         """
-        self._check_open()
-        deadline = self._resolve_deadline(deadline_s)
+        deadline = self._admit(deadline_s)
         pieces = self.router.split_range(low, high)
-        if not pieces:
-            done: Future = Future()
-            done.set_result([])
-            return done
-        if len(pieces) == 1:
-            shard_index, piece_low, piece_high = pieces[0]
-            shard = self._shards[shard_index]
-            shard.stats.add(range_requests=1)
-            request = _Request(
-                "range", low=piece_low, high=piece_high, deadline=deadline
-            )
-            shard.submit(request)
-            return request.future
-
-        def combine(parts: list) -> list[tuple[int, bytes]]:
-            merged: list[tuple[int, bytes]] = []
-            for part in parts:
-                merged.extend(part)
-            return merged
-
-        sink = _ScatterSink(len(pieces), combine)
-        for position, (shard_index, piece_low, piece_high) in enumerate(
-            pieces
-        ):
-            shard = self._shards[shard_index]
-            shard.stats.add(range_requests=1)
-            shard.submit(
-                _Request(
-                    "range",
-                    low=piece_low,
-                    high=piece_high,
-                    sink=sink,
-                    position=position,
-                    deadline=deadline,
-                )
-            )
-        return sink.future
+        return self._scatter(
+            "range_requests",
+            [(shard, None, lo, hi) for shard, lo, hi in pieces],
+            _concat,
+            deadline,
+        )
 
     # ------------------------------------------------------------------
     # Writes (routed straight to the owning shard's write path,

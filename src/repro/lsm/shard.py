@@ -1,15 +1,13 @@
 """Key-range shard routing for the serving layer.
 
 One logical key domain ``[0, 2^key_bits)`` is partitioned into ``N``
-contiguous, non-overlapping shards.  The router is pure metadata — a
-sorted list of interior boundaries — so routing a key is one bisect and
-routing a range is a slice of the shard list.  Contiguity is what makes
-range queries cheap to shard: a range ``[low, high]`` touches exactly the
-shards whose spans it overlaps, and concatenating their (sorted) partial
-answers in shard order yields the globally sorted result with no merge.
-
-Boundaries default to equal-width slices of the domain; callers with a
-skewed keyspace can pass explicit interior boundaries instead.
+contiguous, non-overlapping, equal-width shards.  The router is pure
+metadata — a sorted list of interior boundaries — so routing a key is
+one bisect and routing a range is a slice of the shard list.  Contiguity
+is what makes range queries cheap to shard: a range ``[low, high]``
+touches exactly the shards whose spans it overlaps, and concatenating
+their (sorted) partial answers in shard order yields the globally sorted
+result with no merge.
 """
 
 from __future__ import annotations
@@ -49,37 +47,15 @@ class ShardRouter:
 
     __slots__ = ("key_bits", "num_shards", "_bounds")
 
-    def __init__(
-        self,
-        key_bits: int,
-        num_shards: int,
-        boundaries: Sequence[int] | None = None,
-    ) -> None:
+    def __init__(self, key_bits: int, num_shards: int) -> None:
         if num_shards < 1:
             raise InvalidOptionsError(f"num_shards must be >= 1: {num_shards}")
         domain = 1 << key_bits
-        if boundaries is None:
-            interior = [
-                (domain * index) // num_shards
-                for index in range(1, num_shards)
-            ]
-        else:
-            interior = [int(b) for b in boundaries]
-            if len(interior) != num_shards - 1:
-                raise InvalidOptionsError(
-                    f"{num_shards} shards need exactly {num_shards - 1} "
-                    f"interior boundaries, got {len(interior)}"
-                )
-            if any(
-                not 0 < b < domain for b in interior
-            ) or interior != sorted(set(interior)):
-                raise InvalidOptionsError(
-                    "shard boundaries must be strictly increasing and "
-                    f"inside (0, 2^{key_bits})"
-                )
         self.key_bits = key_bits
         self.num_shards = num_shards
-        self._bounds: tuple[int, ...] = tuple(interior)
+        self._bounds: tuple[int, ...] = tuple(
+            (domain * index) // num_shards for index in range(1, num_shards)
+        )
 
     def shard_of(self, key: int) -> int:
         """Index of the shard owning ``key``."""

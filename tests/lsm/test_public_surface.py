@@ -208,7 +208,7 @@ def test_subpackage_exports_are_pinned(package):
 #: same name, its only caller.
 SHARED = {
     "add", "background_error", "build", "close", "compact", "delete",
-    "describe", "deserialize", "encode", "extend", "fail", "file_size",
+    "describe", "deserialize", "encode", "extend", "file_size",
     "finish", "flush", "force_full_compaction", "fpr", "from_bytes",
     "from_levels", "get", "health", "ingest", "leaf_value_index",
     "may_contain", "may_contain_range", "num_bits", "num_edges", "num_nodes",

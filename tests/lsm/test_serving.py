@@ -96,15 +96,6 @@ class TestShardRouter:
         groups = router.group_keys([1, half + 1, 2, 1, half + 2])
         assert groups == {0: [1, 2, 1], 1: [half + 1, half + 2]}
 
-    def test_explicit_boundaries_validated(self):
-        assert ShardRouter(KEY_BITS, 3, (100, 200)).span(1) == (100, 199)
-        with pytest.raises(InvalidOptionsError):
-            ShardRouter(KEY_BITS, 3, (100,))  # wrong count
-        with pytest.raises(InvalidOptionsError):
-            ShardRouter(KEY_BITS, 3, (200, 100))  # not increasing
-        with pytest.raises(InvalidOptionsError):
-            ShardRouter(KEY_BITS, 3, (0, 100))  # not interior
-
 
 class TestServingOptions:
     @pytest.mark.parametrize(

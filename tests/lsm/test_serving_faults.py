@@ -23,6 +23,7 @@ from repro.errors import (
     InvalidOptionsError,
     QueueFullError,
     ShardUnavailableError,
+    TransientIOError,
     WorkerCrashedError,
 )
 from repro.lsm.faults import FaultInjectionEnv
@@ -145,6 +146,33 @@ class TestDeadlines:
 
 
 # ---------------------------------------------------------------------------
+# A failing piece fails the read it belongs to
+# ---------------------------------------------------------------------------
+class TestFailedPiece:
+    def test_failing_shard_fails_every_read_it_serves(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        with _server(tmp_path) as server:
+            key0, key1 = _key_on(server, 0), _key_on(server, 1)
+            server.put(key0, b"zero")
+            shard1 = server._shards[1].db
+
+            def fail(*args):
+                raise TransientIOError("shard 1 read failed")
+
+            monkeypatch.setattr(shard1, "multi_get", fail)
+            monkeypatch.setattr(shard1, "range_query", fail)
+            with pytest.raises(TransientIOError):
+                server.multi_get_async([key0, key1]).result(timeout=5.0)
+            low, high = server.router.span(0)[1] - 3, key1 + 3
+            with pytest.raises(TransientIOError):
+                server.range_query_async(low, high).result(timeout=5.0)
+            with pytest.raises(TransientIOError):
+                server.get_async(key1).result(timeout=5.0)
+            assert server.get_async(key0).result(timeout=5.0) == b"zero"
+
+
+# ---------------------------------------------------------------------------
 # Load shedding
 # ---------------------------------------------------------------------------
 class TestShedding:
@@ -234,6 +262,50 @@ class TestWorkerCrash:
         finally:
             if blocker is not None:
                 blocker.release.set()
+            server.close()
+
+    def test_restarted_worker_starts_inside_the_lock(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        """close() reads the worker handle under the shard's lock, so a
+        restart must rebind the handle and start the thread before it
+        releases that lock: otherwise close() can join a thread that was
+        never started."""
+        server = _server(tmp_path, breaker_enabled=False)
+        shard = server._shards[0]
+        try:
+            crashed = shard._thread
+            shard.inject_worker_fault(RuntimeError("boom"))
+            crashed.join(timeout=5.0)
+            assert not crashed.is_alive()
+            lock_free_at_start: list[bool] = []
+
+            def probe() -> None:
+                free = shard._cond.acquire(blocking=False)
+                if free:
+                    shard._cond.release()
+                lock_free_at_start.append(free)
+
+            spawn = shard._spawn_worker
+
+            def spawn_probed() -> threading.Thread:
+                thread = spawn()
+                start = thread.start
+
+                def start_probed() -> None:
+                    prober = threading.Thread(target=probe)
+                    prober.start()
+                    prober.join(timeout=5.0)
+                    start()
+
+                thread.start = start_probed
+                return thread
+
+            monkeypatch.setattr(shard, "_spawn_worker", spawn_probed)
+            shard._maybe_restart_worker()
+            assert lock_free_at_start == [False]
+            assert server.get_async(_key_on(server, 0)).result(5.0) is None
+        finally:
             server.close()
 
     def test_supervisor_restarts_worker(self, tmp_path) -> None:

@@ -74,25 +74,25 @@ RULES: dict[str, dict[str, Rule]] = {
         "_wal_seq": _rule(("_mutex",), ("__init__", "recover_logs")),
         "_background_error": _rule(("_mutex",), ("__init__",)),
     },
-    # Serving layer (repro.lsm.serving): per-shard request queue, the
-    # closed/worker-death flags, the in-flight batch, and the injected
-    # fault all live under the shard's condition variable; the circuit
-    # breaker state machine (state/reason/backoff/probe instant), the
-    # worker restart budget, and the worker thread handle live under
-    # _breaker_lock.  The two locks are never held together.  The
-    # server's own closed flag is single-writer on the teardown path.
+    # Serving layer (repro.lsm.serving): one lock per shard.  The request
+    # queue, the closed/worker-death flags, the in-flight batch, the
+    # injected fault, the circuit breaker state machine
+    # (state/reason/backoff/probe instant), the worker restart budget,
+    # and the worker thread handle all live under the shard's condition
+    # variable.  The server's own closed flag is single-writer on the
+    # teardown path.
     "_Shard": {
         "_queue": _rule(("_cond",), ("__init__",)),
         "_closed": _rule(("_cond",), ("__init__",)),
         "_worker_dead": _rule(("_cond",), ("__init__",)),
         "_inflight": _rule(("_cond",), ("__init__",)),
         "_fault_to_inject": _rule(("_cond",), ("__init__",)),
-        "_breaker_state": _rule(("_breaker_lock",), ("__init__",)),
-        "_breaker_reason": _rule(("_breaker_lock",), ("__init__",)),
-        "_backoff_s": _rule(("_breaker_lock",), ("__init__",)),
-        "_next_probe_at": _rule(("_breaker_lock",), ("__init__",)),
-        "_worker_restarts": _rule(("_breaker_lock",), ("__init__",)),
-        "_thread": _rule(("_breaker_lock",), ("__init__",)),
+        "_breaker_state": _rule(("_cond",), ("__init__",)),
+        "_breaker_reason": _rule(("_cond",), ("__init__",)),
+        "_backoff_s": _rule(("_cond",), ("__init__",)),
+        "_next_probe_at": _rule(("_cond",), ("__init__",)),
+        "_worker_restarts": _rule(("_cond",), ("__init__",)),
+        "_thread": _rule(("_cond",), ("__init__",)),
     },
     "_ScatterSink": {
         "_remaining": _rule(("_lock",), ("__init__",)),
