@@ -25,9 +25,10 @@ Policy (RocksDB leveled, per-file granularity):
 
 "During background compactions, a new filter instance is built for the
 merged content of the new SST, while the filter instances for the old SSTs
-are destroyed" (§4) — old files are deleted, their block-cache entries and
-filter-dictionary entries dropped, and the new SSTs get fresh filters built
-by the configured factory (charged to the Fig. 6 construction counters).
+are destroyed" (§4) — old files are deleted and their block-cache entries
+dropped (a run's filter goes with its reader), and the new SSTs get fresh
+filters built by the configured factory (charged to the Fig. 6
+construction counters).
 
 Job API
 -------
@@ -68,7 +69,6 @@ from typing import Callable, Iterable, Iterator
 from repro.filters.base import FilterFactory
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
-from repro.lsm.filter_integration import FilterDictionary
 from repro.lsm.format import ValueTag, sst_file_number
 from repro.lsm.iterators import MergingIterator
 from repro.lsm.options import DBOptions
@@ -137,13 +137,11 @@ class Compactor:
         env: StorageEnv,
         options: DBOptions,
         cache: BlockCache,
-        filter_dictionary: FilterDictionary,
         filter_factory_provider: Callable[[], FilterFactory | None] | None = None,
     ) -> None:
         self._env = env
         self._options = options
         self._cache = cache
-        self._filter_dictionary = filter_dictionary
         self._next_file_number = 1
         # The auto-tuner can swap the factory between compactions (§2.4);
         # resolve it lazily at each compaction.
@@ -379,11 +377,10 @@ class Compactor:
     # Machinery
     # ------------------------------------------------------------------
     def destroy_runs(self, names: Iterable[str]) -> None:
-        """Delete runs' files by name; purge their cache and
-        filter-dictionary state."""
+        """Delete runs' files by name and purge their cached blocks (their
+        filter state went with their readers)."""
         for name in names:
             self._cache.remove_file(name)
-            self._filter_dictionary.drop_run(name)
             self._env.delete_file(name)
 
     def next_file_name(self, level: int) -> str:

@@ -90,7 +90,8 @@ class HealthReport:
     way back.  The counters mirror the fault-handling fields of
     :class:`~repro.lsm.stats.PerfStats`; ``pending_immutables`` and
     ``level0_runs`` are the sealed memtables and L0 runs of the reported
-    superversion.
+    superversion, and ``degraded_filters`` / ``attacked_filters`` name its
+    runs whose filter is degraded / flagged.
     """
 
     mode: str
@@ -133,10 +134,7 @@ class DB:
         self._env = env_factory(path, self.options.device, self.stats)
         self._env.retry_attempts = self.options.io_retry_attempts
         self._cache = BlockCache(self.options.block_cache_bytes)
-        self._filter_dictionary = FilterDictionary(
-            enabled=self.options.use_filter_dictionary,
-            quarantine=self.options.quarantine_filters,
-        )
+        self._filter_dictionary = FilterDictionary(self.options.use_filter_dictionary)
 
         self._super: _SuperVersion | None = None
         self._closed = False
@@ -148,7 +146,6 @@ class DB:
         version, last_file_number = self._recover()
         self._writer = Writer(
             self._env, self.options, self.stats, self.tracker, self._cache,
-            self._filter_dictionary,
             current=lambda: self._super,
             install=self._install_super,
             is_open=lambda: not self._closed,
@@ -278,11 +275,14 @@ class DB:
         """
         sv, background_error = self._writer.pinned_state()
         stats = self.stats.snapshot()
-        attacked = self._filter_dictionary.under_attack_snapshot()
+        runs = sv.version.all_runs_newest_first()
+        attacked = tuple(sorted(run.name for run in runs if run.reader.under_attack))
         return HealthReport(
             mode="degraded" if background_error is not None else "healthy",
             background_error=background_error,
-            degraded_filters=self._filter_dictionary.degraded_snapshot(),
+            degraded_filters=tuple(
+                sorted(run.name for run in runs if run.reader.filter_degraded)
+            ),
             io_transient_errors=stats.io_transient_errors,
             io_retries=stats.io_retries,
             filters_degraded=stats.filters_degraded,
@@ -642,15 +642,14 @@ class DB:
         attack detector.
 
         Callers count verdicts into their query's context themselves; the
-        detector alone needs the run's name and its filter's design FPR at
-        that width, and is only asked when ``quarantine_filters`` is on.  A
-        run newly flagged here bumps ``filters_quarantined``; the writer
-        rebuilds its filter at its next maintenance point (a reader never
-        runs maintenance).
+        detector (:meth:`~repro.lsm.sstable.SSTReader.record_outcome`) alone
+        needs its filter's design FPR at that width, and is only asked when
+        ``quarantine_filters`` is on.  A run newly flagged here bumps
+        ``filters_quarantined``; the writer rebuilds its filter at its next
+        maintenance point (a reader never runs maintenance).
         """
-        detector = self._filter_dictionary
-        if detector.quarantine and detector.record_outcome(
-            run.name, filt.design_fpr(width), negatives, false_positives
+        if self.options.quarantine_filters and run.reader.record_outcome(
+            filt.design_fpr(width), negatives, false_positives
         ):
             self.stats.add(filters_quarantined=1)
 

@@ -75,10 +75,10 @@ class DBOptions:
     #: structural recipes like SuRF are rejected at build time.
     filter_salt_seed: int = 0
 
-    #: Enable the FP-feedback attack detector: per-run false-positive
-    #: counters in the filter dictionary flag runs whose false positives
-    #: are too many to be chance under their filter's design FPR
-    #: (``FilterDictionary.record_outcome``).  Flagged runs surface in
+    #: Enable the FP-feedback attack detector: false-positive counters on
+    #: each run's reader flag runs whose false positives are too many to
+    #: be chance under their filter's design FPR
+    #: (``SSTReader.record_outcome``).  Flagged runs surface in
     #: ``DB.health()``, and the writer's next maintenance point rebuilds
     #: each one's filter in place (next salt generation, bonus bits; no
     #: SST written, the rebuilt filter kept in memory only).

@@ -22,14 +22,21 @@ every path that touches the file and the cache holds data blocks only.
 from __future__ import annotations
 
 import struct
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
+from repro.core.analysis import fp_excess_bound
 from repro.core.hashing import derive_filter_salt
-from repro.errors import CorruptionError, FilterBuildError
-from repro.filters.base import FilterFactory, KeyFilter, serialize_envelope
+from repro.errors import CorruptionError, FilterBuildError, SerializationError
+from repro.filters.base import (
+    FilterFactory,
+    KeyFilter,
+    deserialize_filter,
+    serialize_envelope,
+)
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
 from repro.lsm.format import (
@@ -43,7 +50,7 @@ from repro.lsm.format import (
     sst_file_number,
 )
 from repro.lsm.options import DBOptions
-from repro.lsm.stats import Stopwatch
+from repro.lsm.stats import PerfStats, Stopwatch
 
 _FOOTER = struct.Struct("<QQQQQQI")
 _MAGIC = 0x524F5345  # "ROSE"
@@ -54,7 +61,15 @@ _KEY_LEN = struct.Struct("<I")
 #: ``SSTReader.resolved_filter`` before the run's filter was first asked for.
 UNRESOLVED = object()
 
-__all__ = ["SSTWriter", "SSTReader", "SSTMeta", "UNRESOLVED", "read_sst_meta"]
+#: Significance level of the attack detector: a run is flagged once its
+#: false-positive count would happen by chance less often than this under
+#: its filter's design FPR.
+QUARANTINE_ALPHA = 1e-6
+
+__all__ = [
+    "QUARANTINE_ALPHA", "SSTWriter", "SSTReader", "SSTMeta", "UNRESOLVED",
+    "read_sst_meta",
+]
 
 
 @dataclass(frozen=True)
@@ -227,12 +242,13 @@ class SSTReader:
     ``QueryContext``; without one (open, compaction, verify, repair) on the
     environment's shared stats.
 
-    ``resolved_filter`` is the §4 filter dictionary's slot for this run —
-    the deserialized filter, ``None`` (no filter block, or degraded), or
-    :data:`UNRESOLVED` — here because the reader lives exactly as long as
-    the run.  Only ``FilterDictionary.get_filter`` and
-    ``FilterDictionary.install_rebuilt`` (a quarantined run's in-place
-    rebuild) write it.
+    The reader also holds the run's filter state, so it lives and dies
+    with the run: ``resolved_filter`` (the §4 filter dictionary's slot —
+    the deserialized filter, ``None`` for no filter block or a degraded
+    one, or :data:`UNRESOLVED`), the ``filter_degraded`` mark, the attack
+    detector's ``under_attack`` flag and outcome counts, and the rebuild
+    ``generation``.  All of it is written under the reader's one
+    ``_filter_lock``; ``resolved_filter`` is also read without it.
     """
 
     def __init__(self, env: StorageEnv, meta: SSTMeta, cache: BlockCache) -> None:
@@ -246,7 +262,90 @@ class SSTReader:
             self.read_from_device(self._index_handle)
         )
         self._fence_keys = [key for key, _ in self._fence_pointers]
+        self._filter_lock = threading.Lock()
         self.resolved_filter = UNRESOLVED
+        #: The filter envelope failed to decode: served filter-less for life.
+        self.filter_degraded = False
+        #: Flagged by the attack detector until the filter is rebuilt.
+        self.under_attack = False
+        # The detector's evidence: rejectable outcomes, and the false
+        # positives among them.
+        self._outcomes = 0
+        self._false_positives = 0
+        #: In-place filter rebuilds so far (the filter's salt generation);
+        #: in memory only, so a reopened run serves its file's filter again.
+        self.generation = 0
+
+    # ------------------------------------------------------------------
+    # Filter state
+    # ------------------------------------------------------------------
+    def resolve_filter(
+        self, stats: PerfStats, context=None, memoize: bool = True
+    ) -> KeyFilter | None:
+        """The run's filter on its first touch: fetch the filter block
+        (counted on ``context`` when given), deserialize it (charged to
+        ``stats``) and, with ``memoize``, keep it in ``resolved_filter``.
+
+        An envelope that fails to decode (bad CRC, bad magic, truncated
+        bytes) serves the run filter-less instead of failing the query: the
+        probe passes, the data read's own block CRCs still guard the
+        answer, ``filter_degraded`` is set and ``PerfStats.filters_degraded``
+        counts the run once.  "No filter" is always kept.
+        """
+        with self._filter_lock:
+            filt = self.resolved_filter
+            if filt is not UNRESOLVED:
+                return filt
+            envelope = self.filter_block_bytes(context)
+            filt = None
+            if envelope:
+                try:
+                    with Stopwatch(stats, "deserialize_ns"):
+                        filt = deserialize_filter(envelope)
+                except SerializationError:
+                    self.filter_degraded = True
+                    stats.add(filters_degraded=1)
+            if filt is None or memoize:
+                self.resolved_filter = filt
+            return filt
+
+    def record_outcome(
+        self, design_fpr: float | None, negatives: int, false_positives: int
+    ) -> bool:
+        """Feed the run's rejectable-query outcomes to the attack detector.
+
+        ``design_fpr`` is what the run's filter predicts for these queries
+        (:meth:`~repro.filters.base.KeyFilter.design_fpr`); None means no
+        model covers them, and they are not evidence.  Returns True once,
+        on the false positive that brings
+        :func:`~repro.core.analysis.fp_excess_bound` over everything the run
+        answered below :data:`QUARANTINE_ALPHA`, setting ``under_attack``.
+        """
+        if design_fpr is None:
+            return False
+        with self._filter_lock:
+            if self.under_attack:
+                return False
+            self._outcomes += negatives + false_positives
+            self._false_positives += false_positives
+            # Only a new false positive can make the count significant.
+            if not false_positives or fp_excess_bound(
+                self._false_positives, self._outcomes, design_fpr
+            ) >= QUARANTINE_ALPHA:
+                return False
+            self.under_attack = True
+            return True
+
+    def install_rebuilt(self, filt: KeyFilter | None) -> None:
+        """Serve ``filt`` from now on, as a clean run: the flag and outcome
+        counts go and the generation goes up by one.  The slot keeps
+        ``filt`` even with the filter dictionary disabled, since the file
+        holds the filter it replaces."""
+        with self._filter_lock:
+            self.resolved_filter = filt
+            self.under_attack = False
+            self._outcomes = self._false_positives = 0
+            self.generation += 1
 
     # ------------------------------------------------------------------
     # Block access

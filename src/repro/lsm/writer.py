@@ -67,7 +67,6 @@ from repro.filters.base import KeyFilter
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.compaction import CompactionJob, Compactor
 from repro.lsm.env import StorageEnv
-from repro.lsm.filter_integration import FilterDictionary
 from repro.lsm.format import ValueTag, sst_file_number
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import DBOptions
@@ -106,7 +105,6 @@ class Writer:
         stats: PerfStats,
         tracker: WorkloadTracker,
         cache: BlockCache,
-        filter_dictionary: FilterDictionary,
         *,
         current: Callable[[], object],
         install: Callable[..., None],
@@ -125,11 +123,10 @@ class Writer:
         #: What new SSTs build their filters with (``DB.retune_filters``
         #: swaps it, §2.4).
         self.filter_factory = options.filter_factory
-        self._filter_dictionary = filter_dictionary
         #: Grants a quarantined run's rebuilt filter its bonus bits.
         self._tuner = AutoTuner()
         self._compactor = Compactor(
-            env, options, cache, filter_dictionary,
+            env, options, cache,
             filter_factory_provider=lambda: self.filter_factory,
         )
         # Never reuse a live file name: a compaction would overwrite it.
@@ -330,14 +327,17 @@ class Writer:
                 self._run_job("compaction", lambda: self._run_compaction_job(job))
 
     def _rebuild_flagged_filters(self) -> None:
-        """Rebuild, in place, the filter of every run the attack detector
-        flagged that is still in the current version (the quarantine
-        defence), one ``rebuild`` job each, until one fails."""
-        flagged = self._filter_dictionary.under_attack_snapshot()
-        if not flagged or self._background_error is not None or not self._is_open():
+        """Rebuild, in place, the filter of every run in the current version
+        the attack detector flagged (the quarantine defence), one
+        ``rebuild`` job each, until one fails."""
+        if (
+            not self._options.quarantine_filters
+            or self._background_error is not None
+            or not self._is_open()
+        ):
             return
         for run in self._current().version.all_runs_newest_first():
-            if run.name in flagged and not self._run_job(
+            if run.reader.under_attack and not self._run_job(
                 "rebuild", lambda run=run: self._rebuild_filter(run)
             ):
                 return
@@ -352,9 +352,8 @@ class Writer:
             bits = factory.bits_per_key
             if bits is not None:
                 bits = self._tuner.rebuild_bits_per_key(bits, True)
-            generation = self._filter_dictionary.generation(run.name) + 1
-            filt = self._build_filter(run.reader, generation, bits)
-        self._filter_dictionary.install_rebuilt(run.reader, filt)
+            filt = self._build_filter(run.reader, run.reader.generation + 1, bits)
+        run.reader.install_rebuilt(filt)
 
     def _build_filter(
         self, reader: SSTReader, generation: int, bits_per_key: float | None

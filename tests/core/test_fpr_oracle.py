@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.analysis import fp_excess_bound
 from repro.filters.rosetta_adapter import RosettaFilter
-from repro.lsm.filter_integration import QUARANTINE_ALPHA
+from repro.lsm.sstable import QUARANTINE_ALPHA
 
 KEY_BITS = 32
 MAX_RANGE = 64

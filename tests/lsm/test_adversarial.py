@@ -33,9 +33,12 @@ from repro.errors import WorkloadError
 from repro.filters.base import deserialize_filter, serialize_envelope
 from repro.lsm.db import DB
 from repro.core.analysis import fp_excess_bound
-from repro.lsm import filter_integration
-from repro.lsm.filter_integration import QUARANTINE_ALPHA, FilterDictionary
+from repro.lsm import sstable
+from repro.lsm.block_cache import BlockCache
+from repro.lsm.env import StorageEnv
+from repro.lsm.format import ValueTag
 from repro.lsm.options import DBOptions
+from repro.lsm.sstable import QUARANTINE_ALPHA, SSTReader, SSTWriter
 from repro.lsm.serving import ServingOptions, ShardedServer
 from repro.workloads.adversarial import AdversarialAttacker, AttackReport
 
@@ -76,6 +79,19 @@ def _single_run(db: DB):
     runs = db.version.all_runs_newest_first()
     assert len(runs) == 1
     return runs[0]
+
+
+def _bare_reader(path) -> SSTReader:
+    """A one-entry, filter-less run: the detector needs none of its data."""
+    env = StorageEnv(str(path))
+    writer = SSTWriter(env, "run.sst", DBOptions(key_bits=KEY_BITS))
+    writer.extend([(bytes(3), ValueTag.PUT, b"v")])
+    return SSTReader(env, writer.finish(), BlockCache(0))
+
+
+def _outcome_counts(reader: SSTReader) -> tuple[int, int]:
+    """The detector's evidence on a run: outcomes, false positives."""
+    return reader._outcomes, reader._false_positives  # noqa: SLF001
 
 
 def _flip_byte(path: str, offset: int) -> None:
@@ -354,7 +370,7 @@ class TestQuarantine:
         assert _sst_files(tmp_path / "db") == files
         assert delta.compaction_bytes_written == 0
         assert delta.filters_built == 1
-        assert db._filter_dictionary.generation(victim) == 1  # noqa: SLF001
+        assert _single_run(db).reader.generation == 1
         # The learned set is stale against the re-keyed filter.
         probes, hits = attacker.replay(rounds=1)
         assert hits / probes < 0.5
@@ -372,7 +388,7 @@ class TestQuarantine:
         db.close()
         db = DB(str(path), _options(filter_salt_seed=SALT_SEED, quarantine_filters=True))
         reader = _single_run(db).reader
-        assert db._filter_dictionary.generation(reader.meta.name) == 0  # noqa: SLF001
+        assert reader.generation == 0
         assert db.get(learned[0]) is None
         assert serialize_envelope(reader.resolved_filter) == reader.filter_block_bytes()
         watched = _Watched(db)
@@ -438,7 +454,7 @@ class TestQuarantine:
         filt = db._filter_dictionary.get_filter(run.reader, db.stats)  # noqa: SLF001
         db._note_filter_outcome(run, filt, 1, 0, 64)  # noqa: SLF001
         db.flush()
-        assert db._filter_dictionary.generation(run.name) == 1  # noqa: SLF001
+        assert run.reader.generation == 1
         assert run.reader.resolved_filter is not filt
         keys = sorted(set(model) | set(deleted))
         for key in keys:
@@ -609,67 +625,70 @@ class TestQuarantine:
 
 
 class TestFilterDictionaryDetector:
-    """Unit-level pinning of the significance test and the flag lifecycle."""
+    """Unit-level pinning of the significance test and the flag lifecycle,
+    on the reader that holds a run's detector state."""
 
-    def test_too_few_false_positives_never_flag(self):
-        fd = FilterDictionary(quarantine=True)
+    def test_too_few_false_positives_never_flag(self, tmp_path):
+        reader = _bare_reader(tmp_path)
         # Two straight false positives at p = 0.01: bound 1e-4.
-        assert not fd.record_outcome("run", 0.01, 0, 2)
-        assert fd.under_attack_snapshot() == ()
+        assert not reader.record_outcome(0.01, 0, 2)
+        assert not reader.under_attack
 
-    def test_flags_once_past_threshold(self):
+    def test_flags_once_past_threshold(self, tmp_path):
         """The flag lands on the false positive whose count first has a
         bound below alpha, and is announced once."""
-        fd = FilterDictionary(quarantine=True)
-        assert not fd.record_outcome("run", 0.01, 50, 0)
-        flagged = [
-            fd.record_outcome("run", 0.01, 0, 1) for _ in range(10)
-        ]
+        reader = _bare_reader(tmp_path)
+        assert not reader.record_outcome(0.01, 50, 0)
+        flagged = [reader.record_outcome(0.01, 0, 1) for _ in range(10)]
         assert flagged.count(True) == 1
         k = flagged.index(True) + 1
         assert fp_excess_bound(k, 50 + k, 0.01) < QUARANTINE_ALPHA
         assert fp_excess_bound(k - 1, 49 + k, 0.01) >= QUARANTINE_ALPHA
-        assert fd.under_attack_snapshot() == ("run",)
+        assert reader.under_attack
 
-    def test_fpr_at_threshold_does_not_flag(self):
-        fd = FilterDictionary(quarantine=True)
+    def test_fpr_at_threshold_does_not_flag(self, tmp_path):
+        reader = _bare_reader(tmp_path)
         # Observed exactly at the design FPR, however many outcomes.
         for _ in range(100):
-            assert not fd.record_outcome(
-                "run", 0.01, negatives=990, false_positives=10
+            assert not reader.record_outcome(
+                0.01, negatives=990, false_positives=10
             )
-        assert fd.under_attack_snapshot() == ()
+        assert not reader.under_attack
 
-    def test_negatives_alone_are_never_tested(self, monkeypatch):
+    def test_negatives_alone_are_never_tested(self, tmp_path, monkeypatch):
         calls = []
 
         def bound(*args):
             calls.append(args)
             return 1.0
 
-        monkeypatch.setattr(filter_integration, "fp_excess_bound", bound)
-        fd = FilterDictionary(quarantine=True)
-        fd.record_outcome("run", 0.01, 5, 0)
-        fd.record_outcome("run", 0.01, 3, 2)
+        monkeypatch.setattr(sstable, "fp_excess_bound", bound)
+        reader = _bare_reader(tmp_path)
+        reader.record_outcome(0.01, 5, 0)
+        reader.record_outcome(0.01, 3, 2)
         assert calls == [(2, 10, 0.01)]
 
-    def test_unknown_design_fpr_never_flags(self):
-        fd = FilterDictionary(quarantine=True)
-        assert not fd.record_outcome("mystery", None, 0, 100)
-        assert fd.under_attack_snapshot() == ()
-        assert fd._outcomes == {}  # noqa: SLF001 - not evidence, not counted
+    def test_unknown_design_fpr_never_flags(self, tmp_path):
+        reader = _bare_reader(tmp_path)
+        assert not reader.record_outcome(None, 0, 100)
+        assert not reader.under_attack
+        assert _outcome_counts(reader) == (0, 0)  # not evidence, not counted
 
-    def test_drop_run_clears_flag_and_counters(self):
-        fd = FilterDictionary(quarantine=True)
-        assert fd.record_outcome("run", 0.01, 0, 10)
-        fd.drop_run("run")
-        assert fd.under_attack_snapshot() == ()
-        assert fd._outcomes == {}  # noqa: SLF001
+    def test_quarantine_off_is_inert(self, tmp_path):
+        """``quarantine_filters`` is the one switch: off, the detector is
+        never fed and the filter's design FPR is never asked for."""
+        db = _loaded_db(tmp_path / "db")
+        run = _single_run(db)
 
-    def test_quarantine_off_is_inert(self):
-        fd = FilterDictionary(quarantine=False)
-        assert not fd.record_outcome("run", 0.01, 0, 1000)
-        assert fd.under_attack_snapshot() == ()
+        class Unasked:
+            def design_fpr(self, width):
+                raise AssertionError("design FPR asked with quarantine off")
+
+        db._note_filter_outcome(run, Unasked(), 1, 0, 1000)  # noqa: SLF001
+        assert not run.reader.under_attack
+        assert _outcome_counts(run.reader) == (0, 0)
+        _assert_never_flagged(db)
+        db.close()
 
 
 class TestDesignFpr:

@@ -5,7 +5,6 @@ import pytest
 from repro.bench.factories import make_factory
 from repro.errors import InvalidOptionsError
 from repro.lsm.db import DB
-from repro.lsm.filter_integration import FilterDictionary
 from repro.lsm.options import DBOptions
 from repro.lsm.sstable import UNRESOLVED
 from repro.lsm.stats import PerfStats, Stopwatch
@@ -125,15 +124,6 @@ class TestFilterDictionary:
         db.get(35)
         assert db.stats.deserialize_ns > first
         db.close()
-
-    def test_drop_run(self):
-        dictionary = FilterDictionary()
-        dictionary.degraded.add("x.sst")
-        dictionary.under_attack.add("x.sst")
-        dictionary.drop_run("x.sst")
-        assert dictionary.degraded_snapshot() == ()
-        assert dictionary.under_attack_snapshot() == ()
-        dictionary.drop_run("x.sst")  # idempotent
 
 
 class TestCompactionFilters:

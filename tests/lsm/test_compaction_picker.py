@@ -31,7 +31,7 @@ def _run(name, level, low, high, size=1000):
 def _compactor(**overrides):
     options = DBOptions(key_bits=32, **overrides)
     env = SimpleNamespace(stats=PerfStats())
-    return Compactor(env, options, None, None)
+    return Compactor(env, options, None)
 
 
 # ----------------------------------------------------------------------

@@ -357,6 +357,57 @@ class TestParityWithWorkers:
         assert writes["scalar"] == writes["batch"] == len(items)
 
 
+class TestFilterFirstTouch:
+    def test_concurrent_first_touch_resolves_each_run_once(
+        self, tmp_path, fast_switching
+    ):
+        """Eight threads ``get`` at once through a run whose filter envelope
+        is corrupt and an intact run, neither resolved yet: the corrupt run
+        is degraded once, the intact run's filter block is read once, and
+        every answer matches the dict model."""
+        db = DB(str(tmp_path / "db"), _options(
+            memtable_size_bytes=1 << 20,
+            sst_size_bytes=1 << 20,
+            level0_file_num_compaction_trigger=4,
+            filter_factory=make_factory("bloom", 32, 10),
+        ))
+        model = {}
+        for part in (0, 1):  # two runs over one span: keys 4k, then 4k + 1
+            for key in range(part, 800, 4):
+                db.put(key, b"v%d" % key)
+                model[key] = b"v%d" % key
+            db.flush()
+        runs = db.version.all_runs_newest_first()
+        assert len(runs) == 2
+        corrupt, intact = runs
+        handle = corrupt.reader._filter_handle  # noqa: SLF001
+        with open(db._env.path(corrupt.name), "r+b") as sst:  # noqa: SLF001
+            sst.seek(handle.offset)
+            sst.write(bytes([sst.read(1)[0] ^ 0xFF]))
+        fetches = []
+        fetch = intact.reader.filter_block_bytes
+
+        def slow_fetch(context=None):
+            fetches.append(threading.get_ident())
+            time.sleep(0.01)  # hold the first touch open for the others
+            return fetch(context)
+
+        intact.reader.filter_block_bytes = slow_fetch
+        start = threading.Barrier(8)
+
+        def reader(seed):
+            rng = random.Random(seed)
+            start.wait()
+            for key in (rng.randrange(800) for _ in range(100)):
+                assert db.get(key) == model.get(key)
+
+        assert _run_threads([lambda s=s: reader(s) for s in range(8)]) == []
+        assert db.stats.filters_degraded == 1
+        assert len(fetches) == 1
+        assert db.health().degraded_filters == (corrupt.name,)
+        db.close()
+
+
 # ----------------------------------------------------------------------
 # Every maintenance body runs under _write_lock
 # ----------------------------------------------------------------------

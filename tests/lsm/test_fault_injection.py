@@ -188,6 +188,31 @@ class TestDataCorruption:
         assert db.get(13) == b"value-1"
         db.close()
 
+    def test_flags_and_marks_die_with_the_run(self, tmp_path):
+        """A run's degraded mark and attack flag live on the run: once a
+        compaction replaces it, both leave ``health()`` with nothing told
+        to forget them."""
+        db = _loaded_db(
+            str(tmp_path / "db"), with_filter=True, quarantine_filters=True,
+        )
+        runs = db.version.all_runs_newest_first()
+        corrupt = _run_for_key(db, 7)
+        flagged = next(run for run in runs if run is not corrupt)
+        handle = corrupt.reader._filter_handle  # noqa: SLF001
+        _flip_byte(_path_of(db, corrupt), handle.offset)
+        assert db.get(7) is None
+        filt = db._filter_dictionary.get_filter(flagged.reader, db.stats)  # noqa: SLF001
+        db._note_filter_outcome(flagged, filt, 1, 0, 64)  # noqa: SLF001
+        health = db.health()
+        assert health.degraded_filters == (corrupt.name,)
+        assert health.attacked_filters == (flagged.name,)
+        db.force_full_compaction()
+        health = db.health()
+        assert health.degraded_filters == ()
+        assert health.attacked_filters == ()
+        assert health.filters_under_attack == 0
+        db.close()
+
 
 class TestUnaskedRunsRecordNoFilterOutcome:
     """A run whose filter was never consulted has no verdict to be right or
@@ -213,7 +238,10 @@ class TestUnaskedRunsRecordNoFilterOutcome:
         assert observed["filter_positives"] == 0
         assert observed["filter_negatives"] == 0
         assert observed["false_positives"] == 0
-        assert db._filter_dictionary._outcomes == {}  # noqa: SLF001
+        assert not any(  # no run holds detector evidence
+            run.reader._outcomes or run.reader._false_positives  # noqa: SLF001
+            for run in db.version.all_runs_newest_first()
+        )
 
     def test_store_without_a_filter_factory(self, tmp_path):
         db = _loaded_db(str(tmp_path / "db"), quarantine_filters=True)

@@ -19,7 +19,6 @@ from repro.errors import ClosedStoreError, ReadOnlyStoreError
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
 from repro.lsm.faults import FaultInjectionEnv
-from repro.lsm.filter_integration import FilterDictionary
 from repro.lsm.format import ValueTag
 from repro.lsm.options import DBOptions
 from repro.lsm.stats import PerfStats
@@ -64,7 +63,6 @@ def _writer(env, options) -> tuple[Writer, _Chain]:
         env.stats,
         WorkloadTracker(),
         BlockCache(1 << 20),
-        FilterDictionary(),
         current=chain.current,
         install=chain.install,
         is_open=lambda: chain.open,

@@ -18,6 +18,10 @@ exactly the convention this lint exists to make visible — a helper that
 relies on it carries a ``_locked`` suffix and appears in the allowlist
 next to the lock it assumes.
 
+Over the default module set it also fails on a *stale* rule (a ruled
+class no module defines, or a ruled attribute its class never assigns or
+mutates), which could never fire again.
+
 Run from the repo root (CI does)::
 
     python tools/lint_locks.py        # exit 1 + report on violations
@@ -30,7 +34,10 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-__all__ = ["Rule", "Violation", "check_source", "check_file", "main", "RULES"]
+__all__ = [
+    "Rule", "Violation", "check_source", "check_file", "stale_rules", "main",
+    "RULES",
+]
 
 #: Method calls on a protected attribute that mutate it in place.
 _MUTATORS = frozenset(
@@ -104,17 +111,16 @@ RULES: dict[str, dict[str, Rule]] = {
         "_supervisor": _rule((), ("__init__",)),
         "_leaked_workers": _rule((), ("__init__", "close")),
     },
-    # Filter dictionary (repro.lsm.filter_integration): the degraded set,
-    # the attack detector's flag set + counters and the per-run rebuild
-    # generations are shared between foreground queries and the writer's
-    # maintenance; all of them live under the dictionary's own _lock.  (A
-    # run's resolved filter is a slot on its SSTReader, written under the
-    # same lock, read without it.)
-    "FilterDictionary": {
-        "degraded": _rule(("_lock",), ("__init__",)),
-        "under_attack": _rule(("_lock",), ("__init__",)),
-        "_outcomes": _rule(("_lock",), ("__init__",)),
-        "_generations": _rule(("_lock",), ("__init__",)),
+    # A run's filter state (repro.lsm.sstable), shared between foreground
+    # queries (first-touch resolution, the attack detector) and the
+    # writer's in-place rebuild: all of it under the reader's own
+    # _filter_lock (the resolved slot is also read without it).
+    "SSTReader": {
+        name: _rule(("_filter_lock",), ("__init__",))
+        for name in (
+            "resolved_filter", "filter_degraded", "under_attack",
+            "_outcomes", "_false_positives", "generation",
+        )
     },
     # Counter sets (repro.lsm.stats): ``add``/``observe_max`` go through
     # setattr under the set's _lock; a finished read's ``fold`` writes the
@@ -186,6 +192,8 @@ class _LockVisitor(ast.NodeVisitor):
         self.path = path
         self.rules = rules
         self.violations: list[Violation] = []
+        #: class name -> the ``self.<attr>`` names its methods write.
+        self.touched: dict[str, set[str]] = {}
         self._cls: str | None = None
         self._method: str | None = None
         self._held: list[str] = []  # lexical stack of held self.* locks
@@ -194,6 +202,7 @@ class _LockVisitor(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         outer = self._cls
         self._cls = node.name
+        self.touched.setdefault(node.name, set())
         self.generic_visit(node)
         self._cls = outer
 
@@ -226,6 +235,7 @@ class _LockVisitor(ast.NodeVisitor):
     def _check(self, attr: str, line: int, kind: str) -> None:
         if self._cls is None or self._method is None:
             return
+        self.touched[self._cls].add(attr)
         rule = self.rules.get(self._cls, {}).get(attr)
         if rule is None:
             return
@@ -258,6 +268,8 @@ class _LockVisitor(ast.NodeVisitor):
             self._check(attr, node.lineno, "assign")
         self.generic_visit(node)
 
+    visit_AnnAssign = visit_AugAssign
+
     def visit_Call(self, node: ast.Call) -> None:
         # self.<attr>.append(...) and friends: in-place mutation.
         func = node.func
@@ -274,9 +286,15 @@ def check_source(
     rules: dict[str, dict[str, Rule]] | None = None,
 ) -> list[Violation]:
     """Lint one module's source; returns violations (empty = clean)."""
+    return _visit(source, path, rules).violations
+
+
+def _visit(
+    source: str, path: str, rules: dict[str, dict[str, Rule]] | None
+) -> _LockVisitor:
     visitor = _LockVisitor(path, rules if rules is not None else RULES)
     visitor.visit(ast.parse(source, filename=path))
-    return visitor.violations
+    return visitor
 
 
 def check_file(
@@ -291,24 +309,58 @@ _TARGETS = (
     os.path.join("src", "repro", "lsm", "db.py"),
     os.path.join("src", "repro", "lsm", "writer.py"),
     os.path.join("src", "repro", "lsm", "serving.py"),
-    os.path.join("src", "repro", "lsm", "filter_integration.py"),
+    os.path.join("src", "repro", "lsm", "sstable.py"),
     os.path.join("src", "repro", "lsm", "stats.py"),
     os.path.join("src", "repro", "core", "tuning.py"),
 )
 
 
+def stale_rules(
+    sources: dict[str, str], rules: dict[str, dict[str, Rule]] | None = None
+) -> list[str]:
+    """Rules that can never fire over ``sources`` (path -> source): a ruled
+    class no source defines, or a ruled attribute its class never assigns
+    or mutates through ``self`` — what is left when state moves away."""
+    touched: dict[str, set[str]] = {}
+    for path, source in sources.items():
+        for cls, attrs in _visit(source, path, rules).touched.items():
+            touched.setdefault(cls, set()).update(attrs)
+    stale = []
+    for cls, attrs in (rules if rules is not None else RULES).items():
+        if cls not in touched:
+            stale.append(f"lint_locks: stale rule: no linted module defines {cls}")
+            continue
+        stale.extend(
+            f"lint_locks: stale rule: {cls} never assigns or mutates self.{attr}"
+            for attr in sorted(set(attrs) - touched[cls])
+        )
+    return stale
+
+
 def main(argv: list[str] | None = None) -> int:
     paths = (argv if argv else None) or list(_TARGETS)
     violations: list[Violation] = []
+    sources: dict[str, str] = {}
     for path in paths:
         if not os.path.exists(path):
             print(f"lint_locks: no such file: {path}", file=sys.stderr)
             return 2
-        violations.extend(check_file(path))
+        with open(path, encoding="utf-8") as handle:
+            sources[path] = handle.read()
+        violations.extend(check_source(sources[path], path))
     for violation in violations:
         print(violation)
-    if violations:
-        print(f"lint_locks: {len(violations)} violation(s)", file=sys.stderr)
+    # A rule's class may live in any target, so only the whole set can
+    # show a rule stale.
+    stale = [] if argv else stale_rules(sources)
+    for line in stale:
+        print(line)
+    if violations or stale:
+        print(
+            f"lint_locks: {len(violations)} violation(s), "
+            f"{len(stale)} stale rule(s)",
+            file=sys.stderr,
+        )
         return 1
     print(f"lint_locks: OK ({len(paths)} file(s) clean)")
     return 0
