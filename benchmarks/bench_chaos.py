@@ -3,19 +3,16 @@
 Runs the chaos harness (:mod:`repro.lsm.chaos`) — concurrent mixed
 traffic against :class:`~repro.lsm.serving.ShardedServer` shards whose
 storage is a seeded :class:`~repro.lsm.faults.FaultInjectionEnv`, while
-an injector thread arms transient read faults, background write faults
-(degraded-mode flips), and drain-worker crashes — across four
-configurations:
+an injector thread arms transient read faults and background write
+faults (degraded-mode flips) — across four configurations:
 
-* ``no-defense``    — blocking queue, no deadlines, breaker off: the
-  PR 8 behavior (plus the crash-containment bug fixes, which are not a
-  feature flag).  A crashed worker stays dead, a degraded shard leaks
-  ``ReadOnlyStoreError`` forever.
+* ``no-defense``    — blocking queue, no deadlines, breaker off: a
+  degraded shard leaks ``ReadOnlyStoreError`` forever.
 * ``shedding``      — bounded queue with immediate shed + per-request
   deadlines, breaker still off.
 * ``shedding-breaker`` — sheds + deadlines + the per-shard circuit
-  breaker and supervisor (worker restarts, ``DB.resume()`` probing with
-  capped exponential backoff).
+  breaker (writes fail fast while a shard is degraded; the first write
+  after a capped exponential back-off probes ``DB.resume()``).
 * ``benign``        — shedding-breaker config with fault injection off:
   proves the defenses cost ~nothing on the happy path.  Compared
   against an in-run ``benign-baseline`` (defenses off, no faults).
@@ -61,13 +58,9 @@ def _configs(base: ChaosOptions) -> list[tuple[str, ChaosOptions]]:
                 queue_policy="block",
                 default_deadline_s=None,
                 breaker_enabled=False,
-                max_worker_restarts=0,
             ),
         ),
-        (
-            "shedding",
-            replace(base, breaker_enabled=False, max_worker_restarts=0),
-        ),
+        ("shedding", replace(base, breaker_enabled=False)),
         ("shedding-breaker", base),
         ("benign", replace(base, inject_faults=False)),
         (
@@ -78,7 +71,6 @@ def _configs(base: ChaosOptions) -> list[tuple[str, ChaosOptions]]:
                 queue_policy="block",
                 default_deadline_s=None,
                 breaker_enabled=False,
-                max_worker_restarts=0,
             ),
         ),
     ]
@@ -143,9 +135,6 @@ def main(argv: list[str] | None = None) -> int:
         ops_per_client=120 if args.smoke else args.ops,
         preload=400 if args.smoke else args.preload,
         num_shards=args.shards,
-        # Full runs last ~10x longer; stretch the crash cadence so the
-        # per-shard restart budget is stressed, not trivially exhausted.
-        worker_crash_every=6 if args.smoke else 25,
     )
 
     def _run_once(name: str, options: ChaosOptions) -> dict:
@@ -243,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
                 failed = True
         defended = records["shedding-breaker"]["availability"]
         undefended = records["no-defense"]["availability"]
-        # Smoke runs last ~0.15s: where a crash lands relative to the end
+        # Smoke runs last ~0.15s: where a fault lands relative to the end
         # of the run dominates the ratio, so the ordering gate applies to
         # full runs only.
         if not args.smoke and defended < undefended:

@@ -107,22 +107,11 @@ class QueueFullError(ServingError):
 
 
 class ShardUnavailableError(ServingError):
-    """A request was fast-failed by a shard's open circuit breaker.
+    """A write was fast-failed by a shard's open circuit breaker.
 
-    The shard either parked in degraded mode (writes fail fast while the
-    supervisor retries ``DB.resume()`` with backoff) or lost its drain
-    worker (reads and writes fail fast until the supervisor restarts it —
-    or permanently, once the restart budget is exhausted).
-    """
-
-
-class WorkerCrashedError(ServingError):
-    """A shard's drain worker crashed with this request queued or in flight.
-
-    The crash handler fails every stranded request with this error and
-    wakes all blocked submitters, so nothing waits on a dead worker.  The
-    request's effects (if any) are unknown only for writes — and writes
-    never queue, so in practice the request did not execute.
+    The shard's DB parked in degraded mode.  Writes fail fast until the
+    first write after the breaker's back-off finds that ``DB.resume()``
+    heals the store; reads keep passing through meanwhile.
     """
 
 

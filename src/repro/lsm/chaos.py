@@ -10,8 +10,8 @@ module drives that contract end to end:
   (captured through ``DBOptions.env_factory``);
 * concurrent client threads issue a seeded mix of ``get`` /
   ``multi_get`` / ``range_query`` / ``put`` while an injector thread
-  arms transient read faults, background write faults (degraded-mode
-  flips), and drain-worker crashes;
+  arms transient read faults and background write faults
+  (degraded-mode flips);
 * the key domain is split so answers are checkable under concurrency:
   the lower half is preloaded once and never written again (every read
   there has one correct answer), and the upper half is divided into
@@ -25,9 +25,8 @@ module drives that contract end to end:
   violation**.  A clean run reports zero violations.
 
 After the traffic stops, a final integrity sweep reads the stable
-region straight from the shard DBs (bypassing the serving layer, so it
-works even when an undefended configuration has permanently lost its
-drain workers) to prove the data itself survived the chaos.
+region straight from the shard DBs (bypassing the serving layer) to
+prove the data itself survived the chaos.
 
 :func:`run_chaos` returns a :class:`ChaosReport`;
 ``benchmarks/bench_chaos.py`` runs it across defense configurations and
@@ -50,7 +49,6 @@ from repro.errors import (
     ReadOnlyStoreError,
     ShardUnavailableError,
     TransientIOError,
-    WorkerCrashedError,
 )
 from repro.lsm.db import DB
 from repro.lsm.faults import FaultInjectionEnv
@@ -67,7 +65,6 @@ TYPED_ERRORS: tuple[type[BaseException], ...] = (
     DeadlineExceededError,
     QueueFullError,
     ShardUnavailableError,
-    WorkerCrashedError,
     ReadOnlyStoreError,
     TransientIOError,
     ClosedStoreError,
@@ -98,11 +95,9 @@ class ChaosOptions:
     queue_policy: str = "shed"
     default_deadline_s: float | None = 0.5  # every read's deadline_s
     breaker_enabled: bool = True
-    max_worker_restarts: int = 3
     # Fault schedule (all faults disabled when ``inject_faults`` is off).
     inject_faults: bool = True
     fault_period_s: float = 0.02   # injector tick
-    worker_crash_every: int = 6    # ticks between injected worker crashes
 
 
 @dataclass
@@ -291,7 +286,6 @@ class _Harness:
             num_shards=options.num_shards,
             queue_policy=options.queue_policy,
             breaker_enabled=options.breaker_enabled,
-            max_worker_restarts=options.max_worker_restarts,
             max_queue_depth=_MAX_QUEUE_DEPTH,
             breaker_backoff_initial_s=0.02,
             breaker_backoff_max_s=0.2,
@@ -334,12 +328,6 @@ class _Harness:
                 # degraded read-only flip -> breaker territory.
                 env.fail_next_writes(1)
                 injected["write_faults"] += 1
-            if tick % self.options.worker_crash_every == 0:
-                shard = rng.choice(self.server._shards)
-                shard.inject_worker_fault(
-                    RuntimeError(f"chaos: injected worker crash @tick {tick}")
-                )
-                injected["worker_crashes"] += 1
 
     def start_injector(self, injected: Counter) -> threading.Thread | None:
         if not self.options.inject_faults:
@@ -361,9 +349,8 @@ class _Harness:
     def final_integrity_check(self, report: ChaosReport) -> None:
         """Read the stable region straight off the shard DBs.
 
-        Bypasses the serving layer so it works even when an undefended
-        configuration lost its drain workers for good; retries transient
-        read faults left armed by the injector.
+        Bypasses the serving layer, so it checks the data, not the serving
+        path; retries transient read faults left armed by the injector.
         """
         router = self.server.router
         shards = self.server.shards
@@ -420,8 +407,6 @@ def run_chaos(path: str, options: ChaosOptions) -> ChaosReport:
             "deadline_misses": stats.deadline_misses,
             "breaker_trips": stats.breaker_trips,
             "breaker_recoveries": stats.breaker_recoveries,
-            "worker_crashes": stats.worker_crashes,
-            "worker_restarts": stats.worker_restarts,
             "worker_leaks": stats.worker_leaks,
             "write_rejections": stats.write_rejections,
             "queue_waits": stats.queue_waits,
@@ -430,6 +415,6 @@ def run_chaos(path: str, options: ChaosOptions) -> ChaosReport:
         leaked = harness.server.close()
         if leaked:
             report.violations.append(
-                f"CLOSE: workers leaked on shards {leaked}"
+                f"CLOSE: batches stuck on shards {leaked}"
             )
     return report

@@ -260,8 +260,8 @@ class DB:
     @property
     def background_error(self) -> str | None:
         """Why the store is parked read-only, or None when healthy: one
-        field, cheaper than :meth:`health` (the shard supervisor polls it
-        every tick)."""
+        field, cheaper than :meth:`health` (a serving shard's breaker reads
+        it before every write)."""
         return self._writer.background_error
 
     def health(self) -> HealthReport:

@@ -5,66 +5,48 @@ store; this module is the serving layer.  One logical store is
 partitioned by key range (:class:`~repro.lsm.shard.ShardRouter`) across
 ``N`` in-process :class:`~repro.lsm.db.DB` shards, fronted by an async
 batch API that **coalesces** concurrent ``get`` / ``multi_get`` /
-``range_query`` calls into the store's existing batched read paths:
+``range_query`` calls into the store's existing batched read paths.  It
+starts no thread (flat combining):
 
-* every shard owns a request queue and one worker thread;
-* the worker sleeps only on an empty queue (no timed wait for company:
-  docs/internals.md has what one costs under the GIL); the point lookups
-  client threads queued while it ran the previous batch are drained
-  together and answered with **one** :meth:`DB.multi_get` — which
-  already dedups keys, sweeps the memtables once, and probes every
-  run's filter with one ``may_contain_batch`` per run;
+* every shard owns a request queue; the submitter that finds the shard
+  idle becomes its *combiner* and drains the queue on its own thread,
+  batch by batch, until it finds it empty — other submitters just queue
+  and wait on their futures;
+* a batch is what queued while the previous one ran (no timed wait for
+  company: docs/internals.md has what one costs under the GIL), and its
+  point lookups are answered with **one** :meth:`DB.multi_get`;
 * range queries split at shard boundaries
-  (:meth:`ShardRouter.split_range`), run on the shards they touch, and
-  reassemble in shard order (shards are contiguous, so concatenation is
-  the sorted merge).
+  (:meth:`ShardRouter.split_range`) and their per-shard answers
+  concatenate in shard order (shards are contiguous).
 
-Filters are immutable once built and every read takes its DB's current
-superversion with one unlocked attribute read, so batched probes fan out
-across client and worker threads with zero locking in the read path —
-the only serialization points are the per-shard lock (a condition
-variable held for queue and breaker bookkeeping only) and each shard's
-own write lock.
+Every read takes its DB's current superversion with one unlocked
+attribute read, so the only serialization points are the per-shard lock
+(a condition variable held for queue and breaker bookkeeping only) and
+each shard's own write lock.
 
-Fault tolerance — the serving layer fails *fast and typed*, never
-silently and never by hanging:
+The serving layer fails *fast and typed*, never silently and never by
+hanging (docs/internals.md, "Failure semantics"):
 
-* **Deadlines.** Every queued read can carry a deadline, per call
-  (``deadline_s=`` on the submit; there is no server-wide default).
-  Deadlines are enforced at dequeue — an expired request fails with
-  :class:`~repro.errors.DeadlineExceededError` instead of occupying a
-  batch.  A submitter blocked on a full queue gives up when its
-  deadline passes.
-* **Load shedding.** ``ServingOptions.queue_policy = "shed"`` rejects
-  submits over ``max_queue_depth`` immediately with
-  :class:`~repro.errors.QueueFullError` (counted in
-  ``ServingStats.sheds``) instead of blocking the submitter — bounded
-  queues with fast rejection instead of unbounded client-side waits.
-* **Circuit breaker + supervisor.** Each shard carries a breaker
-  (``closed`` → ``open`` → ``half_open`` → ``closed``; terminally
-  ``failed``).  A degraded-mode flip of the shard DB (background write
-  error) or a drain-worker crash trips it ``open``: writes fail fast
-  with :class:`~repro.errors.ShardUnavailableError` while reads keep
-  passing through as long as the DB allows (degraded mode is read-only,
-  not read-never).  A supervisor thread retries :meth:`DB.resume` with
-  capped exponential backoff through ``half_open`` back to ``closed``,
-  and restarts crashed drain workers up to
-  ``ServingOptions.max_worker_restarts`` times — after which the shard
-  is permanently ``failed`` and every request fails fast.
-* **Crash containment.** A crashed drain worker marks the shard failed,
-  fails every queued and in-flight request with
-  :class:`~repro.errors.WorkerCrashedError`, and wakes all submitters
-  blocked on the full queue — no future is ever stranded on a dead
-  worker.  :meth:`ShardedServer.close` detects a worker that outlives
-  its join timeout, fails that shard's pending futures with
-  :class:`~repro.errors.ClosedStoreError`, and reports the leak.
+* **Deadlines** are per call (``deadline_s=``), enforced at dequeue and
+  while a submitter is blocked on a full queue
+  (:class:`~repro.errors.DeadlineExceededError`).
+* **Load shedding.** ``queue_policy = "shed"`` rejects a submit over
+  ``max_queue_depth`` with :class:`~repro.errors.QueueFullError`.  A
+  read is queued on all its shards or on none.
+* **Circuit breaker.** A write that finds its shard DB degraded trips
+  the shard's breaker ``open``: writes fail fast with
+  :class:`~repro.errors.ShardUnavailableError` while reads pass.  The
+  first write after a capped exponential back-off probes
+  :meth:`DB.resume` and goes ahead if the store healed.
+* **A failing batch fails only itself**: its reads get the exception
+  and the combiner goes on, so nothing needs restarting.
+  :meth:`ShardedServer.close` waits for running batches and fails what
+  one stuck past ``_WORKER_JOIN_TIMEOUT_S`` holds with
+  :class:`~repro.errors.ClosedStoreError`.
 
-Everything is observable: per-shard + aggregate :class:`ServingStats`
-counters (batches, coalescing, sheds, deadline misses, breaker trips /
-recoveries, worker crashes / restarts, queue-depth high-water), and
-:meth:`ShardedServer.health` reports every shard's
-:class:`~repro.lsm.db.HealthReport` plus live queue depths, breaker
-states, and worker liveness.
+Every path is counted in :class:`ServingStats`, and
+:meth:`ShardedServer.health` reports each shard's
+:class:`~repro.lsm.db.HealthReport`, queue depth and breaker state.
 """
 
 from __future__ import annotations
@@ -84,7 +66,6 @@ from repro.errors import (
     QueueFullError,
     ReadOnlyStoreError,
     ShardUnavailableError,
-    WorkerCrashedError,
 )
 from repro.lsm.db import DB, HealthReport
 from repro.lsm.options import DBOptions
@@ -105,10 +86,8 @@ _MAX_BATCH_REQUESTS = 256
 #: oversized request still runs alone).
 _MAX_BATCH_KEYS = 512
 
-#: Supervisor tick (breaker probes, health polls, worker liveness), and
-#: how long :meth:`ShardedServer.close` waits for each drain worker to
-#: exit before declaring it leaked and failing its futures.
-_SUPERVISOR_POLL_S = 0.02
+#: How long :meth:`ShardedServer.close` waits for each shard's running
+#: batch before declaring it leaked and failing its futures.
 _WORKER_JOIN_TIMEOUT_S = 30.0
 
 
@@ -123,17 +102,14 @@ class ServingOptions:
     max_queue_depth: int = 4096
 
     #: What happens to a submit finding the queue at ``max_queue_depth``:
-    #: ``"block"`` waits for the worker to drain (bounded by the
+    #: ``"block"`` waits for the queue to drain (bounded by the
     #: request's deadline, if any); ``"shed"`` rejects immediately with
     #: :class:`~repro.errors.QueueFullError`.
     queue_policy: str = "block"
 
-    #: Run the per-shard circuit breaker + supervisor thread.  Off, the
-    #: serving layer behaves like the pre-breaker code: degraded shards
-    #: leak :class:`~repro.errors.ReadOnlyStoreError` on every write and
-    #: crashed workers are never restarted (submits still fail fast with
-    #: :class:`~repro.errors.ShardUnavailableError` — crash containment
-    #: is a bug fix, not a feature flag).
+    #: Run the per-shard circuit breaker.  Off, writes go straight to the
+    #: shard DB, and a degraded shard leaks
+    #: :class:`~repro.errors.ReadOnlyStoreError` on every write.
     breaker_enabled: bool = True
 
     #: First retry delay after a breaker trips open; doubles per failed
@@ -142,10 +118,6 @@ class ServingOptions:
 
     #: Ceiling on the breaker's exponential probe backoff.
     breaker_backoff_max_s: float = 2.0
-
-    #: How many times the supervisor restarts a crashed drain worker
-    #: before declaring the shard permanently ``failed``.
-    max_worker_restarts: int = 3
 
     def validate(self) -> None:
         """Raise :class:`InvalidOptionsError` on inconsistent settings."""
@@ -163,8 +135,6 @@ class ServingOptions:
             raise InvalidOptionsError(
                 "breaker_backoff_max_s must be >= breaker_backoff_initial_s"
             )
-        if self.max_worker_restarts < 0:
-            raise InvalidOptionsError("max_worker_restarts must be >= 0")
 
 
 @dataclass
@@ -178,17 +148,16 @@ class ServingStats(CounterSet):
     concurrent clients.
 
     The fault-tolerance counters (``sheds``, ``deadline_misses``,
-    ``breaker_trips`` / ``breaker_recoveries``, ``worker_crashes`` /
-    ``worker_restarts`` / ``worker_leaks``, ``write_rejections``) make
-    every fast-failure path visible: nothing is shed, expired, tripped,
-    or restarted without a counter moving.
+    ``breaker_trips`` / ``breaker_recoveries``, ``worker_leaks``,
+    ``write_rejections``) make every fast-failure path visible: nothing
+    is shed, expired, tripped or abandoned without a counter moving.
     """
 
     point_requests: int = 0      # get() calls routed to this shard
     multi_requests: int = 0      # multi_get() sub-requests for this shard
     range_requests: int = 0      # range pieces executed on this shard
     write_requests: int = 0      # put/delete routed to this shard
-    batches: int = 0             # worker dispatches that ran a multi_get
+    batches: int = 0             # batches that ran a multi_get
     coalesced_batches: int = 0   # batches serving >= 2 point-bearing requests
     coalesced_requests: int = 0  # requests resolved inside those batches
     batched_keys: int = 0        # point keys resolved through multi_get
@@ -197,9 +166,7 @@ class ServingStats(CounterSet):
     deadline_misses: int = 0     # requests failed with DeadlineExceededError
     breaker_trips: int = 0       # closed/half_open -> open transitions
     breaker_recoveries: int = 0  # half_open -> closed transitions
-    worker_crashes: int = 0      # drain-worker loops that died
-    worker_restarts: int = 0     # supervisor worker restarts
-    worker_leaks: int = 0        # workers alive past the close join timeout
+    worker_leaks: int = 0        # batches still running past the close wait
     write_rejections: int = 0    # writes fast-failed by an open breaker
     max_batch_requests: int = 0  # high-water: requests in one batch
     max_batch_keys: int = 0      # high-water: point keys in one batch
@@ -212,12 +179,11 @@ class ServingStats(CounterSet):
 class ServingHealth:
     """Aggregate + per-shard health (``ShardedServer.health()``).
 
-    ``mode`` is ``"degraded"`` as soon as any shard is degraded, any
-    breaker is not ``closed``, or any drain worker is down;
-    ``queue_depths`` are the live per-shard request-queue lengths (the
-    serving layer's own debt gauge, alongside each shard's
-    ``pending_immutables``/``level0_runs``).  ``breaker_states`` and
-    ``workers_alive`` expose the fault-tolerance machinery per shard.
+    ``mode`` is ``"degraded"`` as soon as any shard is degraded or any
+    breaker is not ``closed``; ``queue_depths`` are the live per-shard
+    request-queue lengths (the serving layer's own debt gauge, alongside
+    each shard's ``pending_immutables``/``level0_runs``), and
+    ``breaker_states`` the per-shard breakers.
 
     ``filters_degraded`` / ``filters_under_attack`` aggregate the shard
     reports' filter-fault gauges, so a fleet operator sees at a glance
@@ -232,7 +198,6 @@ class ServingHealth:
     filters_degraded: int = 0
     filters_under_attack: int = 0
     breaker_states: tuple[str, ...] = ()
-    workers_alive: tuple[bool, ...] = ()
 
 
 class _ScatterSink:
@@ -240,14 +205,14 @@ class _ScatterSink:
 
     Every read — ``get``, ``multi_get`` or ``range_query`` — is a scatter
     of zero or more per-shard pieces into one sink: one lock, a
-    countdown, and the read's future.  Each shard worker deposits its
+    countdown, and the read's future.  Each shard's batch deposits its
     piece at its position and the last one to arrive combines and
     resolves; a sink with no pieces resolves at construction.  The first
     failure wins and resolves the future exceptionally; later pieces are
     dropped.  The sink is the only code that settles a read's future, so
     it is the one place that tolerates a future already settled: the
-    close path fails a wedged worker's pieces, and the worker — if it
-    ever unwedges — must not crash on the leftovers.
+    close path fails a wedged batch's pieces, and the batch — if it ever
+    unwedges — must not crash on the leftovers.
     """
 
     __slots__ = ("future", "_lock", "_parts", "_remaining", "_combine")
@@ -299,13 +264,13 @@ def _concat(parts: list) -> list:
 
 
 class _Request:
-    """One piece of a read, queued for a shard worker.
+    """One piece of a read, queued on one shard.
 
     A piece is a point lookup of ``keys`` or, with ``keys`` None, the
     range ``[low, high]``; its answer goes to ``sink`` at ``position``.
     ``deadline`` is an absolute ``time.monotonic()`` instant or None;
-    the worker checks it at dequeue and the blocking submit path checks
-    it while waiting on a full queue.
+    the combiner checks it at dequeue and the blocking submit path
+    checks it while waiting on a full queue.
     """
 
     __slots__ = ("keys", "low", "high", "sink", "position", "deadline")
@@ -331,14 +296,15 @@ class _Request:
 
 
 class _Shard:
-    """One key-range shard: a ``DB``, a request queue, a worker thread.
+    """One key-range shard: a ``DB`` and a request queue.
 
-    One lock: ``_cond`` (a condition variable) guards queue surgery, the
-    closed flag, the worker-death flag, the in-flight batch, the
-    injected-fault hook, the circuit-breaker state machine (state /
-    reason / backoff / next-probe instant), the worker restart budget,
-    and the worker thread handle (rebound on restart).  All actual read
-    work, and the breaker's ``DB.resume()`` probe, run outside it.
+    One lock: ``_cond`` (a condition variable) guards the queue, the
+    closed flag, the combiner flag, the in-flight batch, and the
+    circuit-breaker state machine (state / reason / backoff / next-probe
+    instant).  All read work, and the breaker's ``DB.resume()`` probe,
+    run outside it.  The combiner flag is set by the submit that finds it
+    clear and cleared only in the critical section that finds the queue
+    empty, so every queued piece has a combiner that will reach it.
     """
 
     def __init__(
@@ -356,77 +322,64 @@ class _Shard:
         self._queue: deque[_Request] = deque()
         self._inflight: list[_Request] = []
         self._closed = False
-        self._worker_dead = False
-        self._fault_to_inject: BaseException | None = None
-        self._breaker_state = "closed"  # closed | open | half_open | failed
+        self._combining = False
+        self._breaker_state = "closed"  # closed | open | half_open
         self._breaker_reason: str | None = None
         self._backoff_s = options.breaker_backoff_initial_s
         self._next_probe_at = 0.0
-        self._worker_restarts = 0
-        self._thread = self._spawn_worker()
-        self._thread.start()
 
-    def _spawn_worker(self) -> threading.Thread:
-        return threading.Thread(
-            target=self._serve_loop,
-            name=f"serving-shard-{self.index}",
-            daemon=True,
-        )
+    # -- submit side (ShardedServer._scatter holds _cond around these) --
+    def _full_locked(self) -> bool:
+        """Whether a piece must wait for room; raise if the shard refuses it.
 
-    # -- client side ----------------------------------------------------
-    def submit(self, request: _Request) -> None:
-        """Queue a read, applying the queue policy and the deadline.
-
-        ``block`` waits for the worker to drain below ``max_queue_depth``
-        (bounded by the request's deadline); ``shed`` raises
-        :class:`QueueFullError` immediately.  A dead worker fails the
-        submit fast — nothing may queue behind a worker that will never
-        drain it.
+        A closed shard refuses with :class:`ClosedStoreError`; a full one
+        under ``shed`` with :class:`QueueFullError`; a full one under
+        ``block`` makes the submitter wait (:meth:`_wait_for_room`).
         """
-        opts = self.options
-        with self._cond:
-            self._check_accepting_locked()
-            if len(self._queue) >= opts.max_queue_depth:
-                if opts.queue_policy == "shed":
-                    self.stats.add(sheds=1)
-                    raise QueueFullError(
-                        f"shard {self.index} queue at max_queue_depth="
-                        f"{opts.max_queue_depth}; request shed"
-                    )
-                self.stats.add(queue_waits=1)
-                while (
-                    len(self._queue) >= opts.max_queue_depth
-                    and not self._closed
-                    and not self._worker_dead
-                ):
-                    timeout = None
-                    if request.deadline is not None:
-                        timeout = request.deadline - time.monotonic()
-                        if timeout <= 0:
-                            self.stats.add(deadline_misses=1)
-                            raise DeadlineExceededError(
-                                f"shard {self.index}: deadline expired "
-                                f"while blocked on a full queue"
-                            )
-                    self._cond.wait(timeout)
-                self._check_accepting_locked()
-            self._queue.append(request)
-            self.stats.observe_max("max_queue_depth", len(self._queue))
-            self._cond.notify_all()
-
-    def _check_accepting_locked(self) -> None:
-        """Raise if the shard can no longer accept requests (_cond held)."""
         if self._closed:
             raise ClosedStoreError("serving layer is closed")
-        if self._worker_dead:
-            raise ShardUnavailableError(
-                f"shard {self.index} drain worker is down"
-                + (
-                    ""
-                    if self.options.breaker_enabled
-                    else " (no supervisor to restart it)"
-                )
+        opts = self.options
+        if len(self._queue) < opts.max_queue_depth:
+            return False
+        if opts.queue_policy == "shed":
+            self.stats.add(sheds=1)
+            raise QueueFullError(
+                f"shard {self.index} queue at max_queue_depth="
+                f"{opts.max_queue_depth}; request shed"
             )
+        return True
+
+    def _push_locked(self, request: _Request) -> bool:
+        """Queue an admitted piece; True when the caller is now the
+        shard's combiner and must :meth:`drain` it."""
+        self._queue.append(request)
+        self.stats.observe_max("max_queue_depth", len(self._queue))
+        if self._combining:
+            return False
+        self._combining = True
+        return True
+
+    def _wait_for_room(self, deadline: float | None, first: bool) -> None:
+        """Block until the queue is below ``max_queue_depth`` or the shard
+        closes, bounded by ``deadline``; ``first`` counts a
+        ``queue_waits`` (once per blocking submit)."""
+        with self._cond:
+            if first:
+                self.stats.add(queue_waits=1)
+            while (
+                len(self._queue) >= self.options.max_queue_depth
+                and not self._closed
+            ):
+                timeout = None
+                if deadline is not None:
+                    timeout = deadline - time.monotonic()
+                    if timeout <= 0:
+                        self.stats.add(deadline_misses=1)
+                        raise DeadlineExceededError(
+                            f"shard {self.index}: deadline expired "
+                            f"while blocked on a full queue"
+                        )
+                self._cond.wait(timeout)
 
     def queue_depth(self) -> int:
         with self._cond:
@@ -436,47 +389,66 @@ class _Shard:
         with self._cond:
             return self._breaker_state
 
-    def worker_alive(self) -> bool:
-        with self._cond:
-            return not self._worker_dead and self._thread.is_alive()
-
     # -- write gate -----------------------------------------------------
     def guarded_write(self, write: Callable[[], None]) -> None:
         """Run a write unless the breaker fast-fails it.
 
-        While ``open`` / ``half_open`` / ``failed``, writes are rejected
-        without touching the DB (:class:`ShardUnavailableError`, counted
-        in ``write_rejections``).  A write that finds the DB degraded
-        trips the breaker and surfaces as :class:`ShardUnavailableError`
-        (chained from the underlying
-        :class:`~repro.errors.ReadOnlyStoreError`) so the caller-visible
-        type is uniform from the first failure on.
+        A write that finds the shard DB degraded trips the breaker
+        ``open``; while it is not ``closed``, writes are rejected without
+        touching the DB (:class:`ShardUnavailableError`, counted in
+        ``write_rejections``), except the first one after the back-off,
+        which probes (:meth:`_probe`) and goes ahead if the store healed.
+        A write that hits :class:`~repro.errors.ReadOnlyStoreError` trips
+        the breaker too and surfaces as :class:`ShardUnavailableError`
+        (chained) so the caller-visible type is uniform from the first
+        failure on.  With the breaker off, writes go straight to the DB.
         """
-        with self._cond:
-            state = self._breaker_state
-            reason = self._breaker_reason
-        if state != "closed":
-            self.stats.add(write_rejections=1)
-            raise ShardUnavailableError(
-                f"shard {self.index} breaker {state}"
-                + (f" ({reason})" if reason else "")
-            )
+        if not self.options.breaker_enabled:
+            write()
+            return
+        self._pass_breaker()
         try:
             write()
         except ReadOnlyStoreError as exc:
-            if not self.options.breaker_enabled:
-                raise
             self._trip(f"degraded shard DB: {exc}")
             raise ShardUnavailableError(
                 f"shard {self.index} tripped open: {exc}"
             ) from exc
 
     # -- breaker state machine ------------------------------------------
+    def _pass_breaker(self) -> None:
+        """Return if a write may go ahead; raise ShardUnavailableError if not.
+
+        A closed breaker costs one unlocked read of its state: a write
+        that races a trip is still caught by the store's own
+        :class:`~repro.errors.ReadOnlyStoreError`.
+        """
+        if self._breaker_state == "closed":
+            error = self.db.background_error
+            if error is None:
+                return
+            self._trip(f"degraded shard DB: {error}")
+        else:
+            with self._cond:
+                probe = (
+                    self._breaker_state == "open"
+                    and time.monotonic() >= self._next_probe_at
+                )
+                if probe:
+                    self._breaker_state = "half_open"
+            if probe and self._probe():
+                return
+        with self._cond:
+            state, reason = self._breaker_state, self._breaker_reason
+        self.stats.add(write_rejections=1)
+        raise ShardUnavailableError(
+            f"shard {self.index} breaker {state}"
+            + (f" ({reason})" if reason else "")
+        )
+
     def _trip(self, reason: str) -> None:
         """closed/half_open -> open (idempotent while already open)."""
         with self._cond:
-            if self._breaker_state == "failed":
-                return
             if self._breaker_state == "open":
                 self._breaker_reason = reason
                 return
@@ -486,124 +458,82 @@ class _Shard:
             self._next_probe_at = time.monotonic() + self._backoff_s
         self.stats.add(breaker_trips=1)
 
-    def supervise(self) -> None:
-        """One supervisor tick: restart a dead worker, probe the breaker.
-
-        Called only from the server's supervisor thread (single caller),
-        and only when ``breaker_enabled``.
-        """
-        self._maybe_restart_worker()
-        self._maybe_probe_breaker()
-        with self._cond:
-            closed = self._breaker_state == "closed"
-        if closed and self.db.background_error is not None:
-            # Degraded-mode flip observed by polling rather than by a
-            # failing write: trip so writes fail fast and probing starts.
-            self._trip(f"degraded shard DB: {self.db.background_error}")
-
-    def _maybe_restart_worker(self) -> None:
-        """Restart a dead worker within its budget, in one critical section.
-
-        The new thread starts before the lock is released, so
-        :meth:`close` never sees a handle it could join before ``start``.
-        """
-        with self._cond:
-            if (
-                not self._worker_dead
-                or self._closed
-                or self._breaker_state == "failed"
-            ):
-                return
-            if self._worker_restarts >= self.options.max_worker_restarts:
-                self._breaker_state = "failed"
-                self._breaker_reason = (
-                    f"worker crashed {self._worker_restarts + 1} times; "
-                    f"restart budget ({self.options.max_worker_restarts}) "
-                    f"exhausted"
-                )
-                return
-            self._worker_restarts += 1
-            self._worker_dead = False
-            self._thread = self._spawn_worker()
-            self._thread.start()
-        self.stats.add(worker_restarts=1)
-
-    def _maybe_probe_breaker(self) -> None:
-        now = time.monotonic()
-        with self._cond:
-            if self._breaker_state != "open" or now < self._next_probe_at:
-                return
-            self._breaker_state = "half_open"
+    def _probe(self) -> bool:
+        """The half-open probe: ``DB.resume()``.  Healed, the breaker
+        closes; otherwise (an interrupt included) it re-opens with a
+        doubled back-off."""
+        healed = False
         try:
-            recovered = self.db.resume()
-        except BaseException:  # noqa: BLE001 - a probe must never kill us
-            recovered = False
-        with self._cond:
-            if self._breaker_state != "half_open":
-                return  # a concurrent trip/close won; keep its verdict
-            healed = recovered and not self._worker_dead
-            if healed:
-                self._breaker_state = "closed"
-                self._breaker_reason = None
-                self._backoff_s = self.options.breaker_backoff_initial_s
-            else:
-                self._breaker_state = "open"
-                self._backoff_s = min(
-                    self._backoff_s * 2, self.options.breaker_backoff_max_s
-                )
-                self._next_probe_at = time.monotonic() + self._backoff_s
+            healed = self.db.resume()
+        except Exception:  # noqa: BLE001 - a failed probe, like False
+            pass
+        finally:
+            with self._cond:
+                if self._breaker_state != "half_open":
+                    healed = False  # a concurrent trip won; keep its verdict
+                elif healed:
+                    self._breaker_state = "closed"
+                    self._breaker_reason = None
+                    self._backoff_s = self.options.breaker_backoff_initial_s
+                else:
+                    self._breaker_state = "open"
+                    self._backoff_s = min(
+                        self._backoff_s * 2, self.options.breaker_backoff_max_s
+                    )
+                    self._next_probe_at = time.monotonic() + self._backoff_s
         if healed:
             self.stats.add(breaker_recoveries=1)
+        return healed
 
-    # -- test / chaos hook ----------------------------------------------
-    def inject_worker_fault(self, exc: BaseException) -> None:
-        """Make the drain worker raise ``exc`` at its next dequeue.
+    # -- combiner side --------------------------------------------------
+    def drain(self) -> None:
+        """Run queued batches on the calling thread until the queue is empty.
 
-        The chaos harness's (and the regression tests') way to model a
-        drain-worker bug: the exception escapes the serve loop exactly
-        like an unexpected crash would.
+        Only the combiner calls this (the submitter whose piece set the
+        flag).  An exception escaping a batch fails that batch's reads
+        and the loop goes on, so a fault costs one batch and nothing is
+        left stranded or needs restarting.  An interrupt or exit raised
+        on the caller's thread stops combining: it fails the batch and
+        everything queued, clears the flag and propagates.
         """
-        with self._cond:
-            self._fault_to_inject = exc
-            self._cond.notify_all()
-
-    # -- worker side ----------------------------------------------------
-    def _serve_loop(self) -> None:
-        try:
-            while True:
-                batch = self._next_batch()
-                if batch is None:
-                    return
-                if batch:
-                    self._execute(batch)
-        except BaseException as exc:  # noqa: BLE001 - crash containment
-            self._on_worker_crash(exc)
+        while True:
+            batch = self._next_batch()
+            if batch is None:
+                return
+            try:
+                self._execute(batch)
+            except Exception as exc:  # noqa: BLE001 - to that batch's callers
+                for request in batch:
+                    request.sink.fail(exc)
+            except BaseException as exc:
+                with self._cond:
+                    batch.extend(self._queue)
+                    self._queue.clear()
+                    self._inflight = []
+                    self._combining = False
+                    self._cond.notify_all()
+                for request in batch:
+                    request.sink.fail(exc)
+                raise
 
     def _next_batch(self) -> list[_Request] | None:
-        """Drain what is queued as one batch; sleep only on an empty queue.
+        """Take what is queued as one batch, or stop combining.
 
         The batch is what piled up behind the previous one, up to
         ``_MAX_BATCH_REQUESTS`` / ``_MAX_BATCH_KEYS``; requests whose
-        deadline already passed are failed fast at drain time instead of
-        joining it.  Returns None only at shutdown with an empty queue — a
-        non-empty queue at shutdown is still drained so no future is left
-        dangling — and an empty list when everything drained had expired
-        (the caller just loops).
+        deadline already passed are failed fast here instead of joining
+        it (the batch may come back empty).  Returns None on an empty
+        queue, clearing the combiner flag in the same critical section,
+        so a piece queued after it finds the flag clear and combines.
         """
         expired: list[_Request] = []
         with self._cond:
-            while (
-                not self._queue
-                and not self._closed
-                and self._fault_to_inject is None
-            ):
-                self._cond.wait()
-            if self._fault_to_inject is not None:
-                fault = self._fault_to_inject
-                self._fault_to_inject = None
-                raise fault
             if not self._queue:
-                return None  # closed and drained
+                self._combining = False
+                self._inflight = []
+                if self._closed:
+                    self._cond.notify_all()  # close() waits for this
+                return None
             batch: list[_Request] = []
             keys = 0
             now = time.monotonic()
@@ -636,98 +566,58 @@ class _Shard:
         and each is handed its whole answer, which covers the piece's
         keys; range pieces then run in arrival order.
         """
-        try:
-            self.stats.observe_max("max_batch_requests", len(batch))
-            point_requests = [r for r in batch if r.keys is not None]
-            point_keys = [key for r in point_requests for key in r.keys]
-            if point_keys:
-                self.stats.add(batches=1, batched_keys=len(point_keys))
-                self.stats.observe_max("max_batch_keys", len(point_keys))
-                if len(point_requests) >= 2:
-                    self.stats.add(
-                        coalesced_batches=1,
-                        coalesced_requests=len(point_requests),
-                    )
-                try:
-                    values = self.db.multi_get(point_keys)
-                except BaseException as exc:  # noqa: BLE001 - to callers
-                    for request in point_requests:
-                        request.sink.fail(exc)
-                else:
-                    for request in point_requests:
-                        request.sink.deliver(request.position, values)
-            for request in batch:
-                if request.keys is not None:
-                    continue
-                try:
-                    request.sink.deliver(
-                        request.position,
-                        self.db.range_query(request.low, request.high),
-                    )
-                except BaseException as exc:  # noqa: BLE001 - to callers
+        self.stats.observe_max("max_batch_requests", len(batch))
+        point_requests = [r for r in batch if r.keys is not None]
+        point_keys = [key for r in point_requests for key in r.keys]
+        if point_keys:
+            self.stats.add(batches=1, batched_keys=len(point_keys))
+            self.stats.observe_max("max_batch_keys", len(point_keys))
+            if len(point_requests) >= 2:
+                self.stats.add(
+                    coalesced_batches=1,
+                    coalesced_requests=len(point_requests),
+                )
+            try:
+                values = self.db.multi_get(point_keys)
+            except Exception as exc:  # noqa: BLE001 - to callers
+                for request in point_requests:
                     request.sink.fail(exc)
-        finally:
-            with self._cond:
-                self._inflight = []
-
-    def _on_worker_crash(self, exc: BaseException) -> None:
-        """Contain a dead drain worker: strand no future, wake everyone.
-
-        Marks the shard failed *before* notifying, so submitters blocked
-        on the full queue wake into :class:`ShardUnavailableError`
-        instead of waiting forever; every queued and in-flight request
-        fails with :class:`WorkerCrashedError`; the breaker trips so the
-        supervisor (when enabled) restarts the worker.
-        """
-        victims: list[_Request] = []
-        with self._cond:
-            self._worker_dead = True
-            victims.extend(self._inflight)
-            self._inflight = []
-            victims.extend(self._queue)
-            self._queue.clear()
-            self._cond.notify_all()
-        self.stats.add(worker_crashes=1)
-        failure = WorkerCrashedError(
-            f"shard {self.index} drain worker crashed: "
-            f"{type(exc).__name__}: {exc}"
-        )
-        for request in victims:
-            request.sink.fail(failure)
-        if self.options.breaker_enabled:
-            self._trip(
-                f"worker crash: {type(exc).__name__}: {exc}"
-            )
+            else:
+                for request in point_requests:
+                    request.sink.deliver(request.position, values)
+        for request in batch:
+            if request.keys is not None:
+                continue
+            try:
+                request.sink.deliver(
+                    request.position,
+                    self.db.range_query(request.low, request.high),
+                )
+            except Exception as exc:  # noqa: BLE001 - to callers
+                request.sink.fail(exc)
 
     def close(self) -> bool:
-        """Stop the worker (drains the queue first), then the DB.
+        """Refuse new pieces, wait for a running combiner, close the DB.
 
-        Returns True when the worker leaked — still alive after
-        ``_WORKER_JOIN_TIMEOUT_S`` — in which case its in-flight futures
-        are failed with :class:`ClosedStoreError` rather than silently
-        abandoned, and ``worker_leaks`` is counted.
+        A combiner drains what is queued before it stops.  Returns True
+        when one is still running after ``_WORKER_JOIN_TIMEOUT_S``: the
+        pieces it holds, in flight or queued, are failed with
+        :class:`ClosedStoreError` rather than left pending, and
+        ``worker_leaks`` is counted.
         """
         with self._cond:
             self._closed = True
-            self._cond.notify_all()
-            thread = self._thread
-        thread.join(timeout=_WORKER_JOIN_TIMEOUT_S)
-        leaked = thread.is_alive()
-        victims: list[_Request] = []
-        with self._cond:
-            victims.extend(self._queue)
+            self._cond.notify_all()  # submitters blocked on a full queue
+            leaked = not self._cond.wait_for(
+                lambda: not self._combining, _WORKER_JOIN_TIMEOUT_S
+            )
+            victims = [*self._inflight, *self._queue] if leaked else []
+            self._inflight = []
             self._queue.clear()
-            if leaked:
-                # The wedged worker owns these; it may still settle them,
-                # but the caller must not wait on it — fail them now
-                # (their sinks tolerate the race on both sides).
-                victims.extend(self._inflight)
-                self._inflight = []
-        message = "serving layer closed" + (
-            " with a stuck worker" if leaked else ""
-        )
         for request in victims:
-            request.sink.fail(ClosedStoreError(message))
+            request.sink.fail(
+                ClosedStoreError("serving layer closed with a stuck batch")
+            )
         if leaked:
             self.stats.add(worker_leaks=1)
         self.db.close()
@@ -756,7 +646,9 @@ class ShardedServer:
 
     Every read returns a :class:`concurrent.futures.Future`, so a
     client can keep many requests in flight — which is exactly what
-    lets a batch pile up behind the worker.  Every queued read accepts
+    lets a batch pile up behind the one running on its shard.  A submit
+    that finds its shard idle runs the batch before it returns, so the
+    future may already be settled.  Every queued read accepts
     ``deadline_s`` (relative seconds; omitted, the read has no deadline).
     """
 
@@ -776,8 +668,6 @@ class ShardedServer:
         self._closed = False
         self._leaked_workers: list[int] = []
         self._shards: list[_Shard] = []
-        self._stop_supervisor = threading.Event()
-        self._supervisor: threading.Thread | None = None
         try:
             for index in range(self.serving.num_shards):
                 db = DB(str(root / f"shard_{index:03d}"), replace(base))
@@ -788,13 +678,6 @@ class ShardedServer:
             for shard in self._shards:
                 shard.close()
             raise
-        if self.serving.breaker_enabled:
-            self._supervisor = threading.Thread(
-                target=self._supervise_loop,
-                name="serving-supervisor",
-                daemon=True,
-            )
-            self._supervisor.start()
 
     # ------------------------------------------------------------------
     # Reads: every one is a scatter of per-shard pieces into one sink
@@ -815,16 +698,53 @@ class ShardedServer:
         combine: Callable[[list], object],
         deadline: float | None,
     ) -> Future:
-        """Queue each ``(shard, keys, low, high)`` piece of one read.
+        """Queue every ``(shard, keys, low, high)`` piece of one read, or none.
 
-        Counts the piece in the shard's ``counter`` and submits it; the
-        returned future is the sink's, settled once every piece is in.
+        ``pieces`` come in shard order, the order their shards' locks are
+        taken.  With all of them held, each shard takes its piece, or
+        refuses the read (closed, or full under ``shed``) before anything
+        is queued, or is full under ``block``: then every lock is
+        released, the caller waits on that shard for room (bounded by the
+        deadline) and tries again.  Queued, each piece is counted in its
+        shard's ``counter``, and the caller drains every shard it found
+        idle.  The returned future is the sink's, settled once every
+        piece is in.
         """
         sink = _ScatterSink(len(pieces), combine)
-        for position, (shard_index, keys, low, high) in enumerate(pieces):
-            shard = self._shards[shard_index]
+        placed = [
+            (
+                self._shards[index],
+                _Request(keys, low, high, sink, position, deadline),
+            )
+            for position, (index, keys, low, high) in enumerate(pieces)
+        ]
+        waited: set[_Shard] = set()
+        idle: list[_Shard] | None = None
+        while idle is None:
+            held: list[_Shard] = []
+            full = None
+            try:
+                for shard, _ in placed:
+                    shard._cond.acquire()
+                    held.append(shard)
+                    if shard._full_locked():
+                        full = shard
+                        break
+                else:
+                    idle = [
+                        shard for shard, request in placed
+                        if shard._push_locked(request)
+                    ]
+            finally:
+                for shard in held:
+                    shard._cond.release()
+            if full is not None:
+                full._wait_for_room(deadline, first=full not in waited)
+                waited.add(full)
+        for shard, _ in placed:
             shard.stats.add(**{counter: 1})
-            shard.submit(_Request(keys, low, high, sink, position, deadline))
+        for shard in idle:
+            shard.drain()
         return sink.future
 
     def get_async(self, key: int, deadline_s: float | None = None) -> Future:
@@ -859,7 +779,7 @@ class ShardedServer:
 
         return self._scatter(
             "multi_requests",
-            [(shard, group, 0, 0) for shard, group in groups.items()],
+            [(shard, group, 0, 0) for shard, group in sorted(groups.items())],
             combine,
             deadline,
         )
@@ -895,24 +815,6 @@ class ShardedServer:
         shard.guarded_write(lambda: shard.db.put(key, value))
 
     # ------------------------------------------------------------------
-    # Supervisor
-    # ------------------------------------------------------------------
-    def _supervise_loop(self) -> None:
-        """Restart dead workers and heal tripped breakers, forever.
-
-        The supervisor is the last line of defense; a fault in one
-        shard's tick must not stop it from supervising the others, so
-        per-shard errors are contained (they surface through the shard's
-        own breaker state, not by killing the supervisor).
-        """
-        while not self._stop_supervisor.wait(_SUPERVISOR_POLL_S):
-            for shard in self._shards:
-                try:
-                    shard.supervise()
-                except BaseException:  # noqa: BLE001 - must keep ticking
-                    continue
-
-    # ------------------------------------------------------------------
     # Maintenance / introspection
     # ------------------------------------------------------------------
     @property
@@ -932,19 +834,14 @@ class ShardedServer:
         return all(shard.db.wait_idle() for shard in self._shards)
 
     def health(self) -> ServingHealth:
-        """Aggregate + per-shard health, including live queue depths,
-        breaker states, and worker liveness."""
+        """Aggregate + per-shard health, including live queue depths and
+        breaker states."""
         reports = tuple(shard.db.health() for shard in self._shards)
         breaker_states = tuple(
             shard.breaker_state() for shard in self._shards
         )
-        workers_alive = tuple(
-            shard.worker_alive() for shard in self._shards
-        )
-        degraded = (
-            any(r.mode != "healthy" for r in reports)
-            or any(state != "closed" for state in breaker_states)
-            or not all(workers_alive)
+        degraded = any(r.mode != "healthy" for r in reports) or any(
+            state != "closed" for state in breaker_states
         )
         return ServingHealth(
             mode="degraded" if degraded else "healthy",
@@ -959,7 +856,6 @@ class ShardedServer:
                 r.filters_under_attack for r in reports
             ),
             breaker_states=breaker_states,
-            workers_alive=workers_alive,
         )
 
     def stats(self) -> ServingStats:
@@ -976,21 +872,19 @@ class ShardedServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> list[int]:
-        """Drain every queue, stop the workers, close every shard DB.
+        """Refuse new requests, let running batches finish, close every
+        shard DB.
 
-        Returns the indexes of shards whose workers leaked (stayed alive
-        past ``_WORKER_JOIN_TIMEOUT_S``; their pending futures were
-        failed with :class:`ClosedStoreError` rather than stranded, and
-        each leak is counted in ``ServingStats.worker_leaks``).  Empty
-        on a clean shutdown.  Idempotent: repeat calls return the same
-        list.
+        Returns the indexes of shards whose batch outlived the wait
+        (still running past ``_WORKER_JOIN_TIMEOUT_S``; its pending
+        futures were failed with :class:`ClosedStoreError` rather than
+        stranded, and each leak is counted in
+        ``ServingStats.worker_leaks``).  Empty on a clean shutdown.
+        Idempotent: repeat calls return the same list.
         """
         if self._closed:
             return list(self._leaked_workers)
         self._closed = True
-        if self._supervisor is not None:
-            self._stop_supervisor.set()
-            self._supervisor.join(timeout=5.0)
         leaked = [
             shard.index for shard in self._shards if shard.close()
         ]

@@ -42,7 +42,7 @@ class ShardRouter:
     Shard ``i`` owns ``[bounds[i], bounds[i+1])`` where ``bounds`` is the
     full boundary list including the domain endpoints ``0`` and
     ``2^key_bits``.  Immutable after construction, so it is safe to share
-    across any number of client and worker threads without locking.
+    across any number of client threads without locking.
     """
 
     __slots__ = ("key_bits", "num_shards", "_bounds")

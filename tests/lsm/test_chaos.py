@@ -1,8 +1,8 @@
 """Chaos harness end-to-end: no hangs, no wrong answers, typed failures.
 
 Small-scale versions of the runs ``benchmarks/bench_chaos.py`` records:
-a faulted run (transient reads + degraded flips + worker crashes under
-concurrent mixed traffic) must finish with zero violations, and a benign
+a faulted run (transient reads + degraded flips under concurrent mixed
+traffic) must finish with zero violations, and a benign
 run of the same harness must be fully available — which also proves the
 harness itself doesn't manufacture failures.
 """
@@ -24,7 +24,6 @@ _BASE = ChaosOptions(
     # The 180 ops can finish in ~10 ms on an idle 2-core box: the tick must
     # be well inside that for the injector to fire before the clients end.
     fault_period_s=0.002,
-    worker_crash_every=5,
 )
 
 
@@ -51,14 +50,13 @@ class TestChaosHarness:
         assert report.injected == {}
 
     def test_undefended_run_still_never_hangs(self, tmp_path) -> None:
-        """The no-defense config: crashes are permanent, errors raw —
-        but containment (wake + fail everything) is not optional."""
+        """The no-defense config: blocking queues, no deadlines, raw
+        errors from degraded shards — and still no hang."""
         options = replace(
             _BASE,
             queue_policy="block",
             default_deadline_s=None,
             breaker_enabled=False,
-            max_worker_restarts=0,
         )
         report = run_chaos(str(tmp_path / "undefended"), options)
         assert report.violations == []

@@ -39,7 +39,6 @@ _FIELDS = {
         "breaker_enabled",
         "breaker_backoff_initial_s",
         "breaker_backoff_max_s",
-        "max_worker_restarts",
     ),
     TortureConfig: ("num_ops", "key_space", "filter_salt_seed"),
     ChaosOptions: (
@@ -51,10 +50,8 @@ _FIELDS = {
         "queue_policy",
         "default_deadline_s",
         "breaker_enabled",
-        "max_worker_restarts",
         "inject_faults",
         "fault_period_s",
-        "worker_crash_every",
     ),
 }
 

@@ -203,7 +203,7 @@ def test_subpackage_exports_are_pinned(package):
 #: tell ``db.health()`` from ``server.health()``, so each name here was
 #: checked by hand: every definition has a caller of its own outside
 #: tests/ (``ShardedServer.health`` is kept on purpose: it is the tests'
-#: only view of breaker state, worker liveness and queue depth).  Each
+#: only view of breaker state and queue depth).  Each
 #: ``DB`` write entry point is one call into the ``Writer`` method of the
 #: same name, its only caller.
 SHARED = {
@@ -213,7 +213,7 @@ SHARED = {
     "from_levels", "get", "health", "ingest", "leaf_value_index",
     "may_contain", "may_contain_range", "num_bits", "num_edges", "num_nodes",
     "put", "replay", "resume", "run", "salt", "size_in_bits",
-    "smallest_label_ge", "submit", "tightened_range", "to_bytes", "validate",
+    "smallest_label_ge", "tightened_range", "to_bytes", "validate",
     "wait_idle",
 }
 

@@ -387,6 +387,23 @@ class TestHealthAndLifecycle:
         assert len(health.shards) == 4
         assert health.queue_depths == (0, 0, 0, 0)
 
+    def test_serving_starts_no_thread(self, tmp_path, rng):
+        """Every batch runs on a caller's thread: the server owns none."""
+        before = threading.active_count()
+        server = _server(tmp_path)
+        assert threading.active_count() == before
+        for key in rng.sample(range(DOMAIN), 300):
+            server.put(key, b"t-%d" % key)
+        server.flush()
+        futures = [server.get_async(key) for key in range(0, DOMAIN, 997)]
+        futures.append(server.multi_get_async(range(0, DOMAIN, 4099)))
+        futures.append(server.range_query_async(0, DOMAIN - 1))
+        for future in futures:
+            future.result(timeout=30)
+        assert threading.active_count() == before
+        assert server.close() == []
+        assert threading.active_count() == before
+
     def test_empty_multi_get(self, tmp_path):
         server = _server(tmp_path)
         assert server.multi_get_async([]).result() == {}

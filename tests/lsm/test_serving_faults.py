@@ -1,12 +1,12 @@
-"""Serving-layer fault tolerance: deadlines, shedding, breaker, crashes.
+"""Serving-layer fault tolerance: deadlines, shedding, breaker, failing batches.
 
 The contract under test: every way a request can fail is *typed*, *fast*,
 and *accounted* — deadlines are enforced at dequeue; a full queue sheds
-or blocks (bounded by the deadline) per ``queue_policy``; a degraded
-shard trips its circuit breaker (writes fail fast, reads pass, the
-supervisor heals it); a crashed drain worker strands nothing (satellite
-regression: blocked submitters used to hang forever) and is restarted
-within its budget; and ``close()`` reports a stuck worker instead of
+or blocks (bounded by the deadline) per ``queue_policy``, and a read one
+shard refuses queues nothing on the others; a degraded shard trips its
+circuit breaker (writes fail fast, reads pass, a write after the
+back-off heals it); a batch that raises fails only its own reads and
+strands nothing; and ``close()`` reports a stuck batch instead of
 silently leaking it.
 """
 
@@ -24,7 +24,6 @@ from repro.errors import (
     QueueFullError,
     ShardUnavailableError,
     TransientIOError,
-    WorkerCrashedError,
 )
 from repro.lsm.faults import FaultInjectionEnv
 from repro.lsm.options import DBOptions
@@ -60,8 +59,9 @@ def _server(tmp_path, db_overrides=None, **serving_overrides) -> ShardedServer:
     )
 
 
-class _BlockedWorker:
-    """Wedges one shard's worker inside ``db.multi_get`` until released."""
+class _BlockedBatch:
+    """Wedges the batch running on one shard inside ``db.multi_get``
+    until released."""
 
     def __init__(self, shard) -> None:
         self.entered = threading.Event()
@@ -75,14 +75,23 @@ class _BlockedWorker:
         shard.db.multi_get = blocked
 
 
-def _wedge(server: ShardedServer, shard_index: int) -> _BlockedWorker:
-    """Park the shard's worker in an in-flight batch; returns the latch."""
+def _wedge(server: ShardedServer, shard_index: int) -> _BlockedBatch:
+    """Park a batch in flight on the shard; returns the latch.
+
+    The submitter that finds a shard idle runs its batch itself, so the
+    probe is sent from a helper thread, which stays inside ``_execute``
+    (as the shard's combiner) until the latch is released; requests
+    queued meanwhile form the next batch.
+    """
     shard = server._shards[shard_index]
-    blocker = _BlockedWorker(shard)
-    shard.submit_probe = server.get_async(
-        _key_on(server, shard_index)
-    )  # first request: drained and stuck in _execute
+    blocker = _BlockedBatch(shard)
+    threading.Thread(
+        target=server.get_async,
+        args=(_key_on(server, shard_index),),
+        daemon=True,
+    ).start()
     assert blocker.entered.wait(timeout=5.0)
+    shard.submit_probe = shard._inflight[0].sink.future
     return blocker
 
 
@@ -103,7 +112,7 @@ class TestOptionValidation:
             dict(queue_policy="drop"),
             dict(breaker_backoff_initial_s=0.0),
             dict(breaker_backoff_initial_s=2.0, breaker_backoff_max_s=1.0),
-            dict(max_worker_restarts=-1),
+            dict(max_queue_depth=0),
         ],
     )
     def test_bad_options_rejected(self, bad) -> None:
@@ -194,6 +203,27 @@ class TestShedding:
                 blocker.release.set()
             server.close()
 
+    def test_refused_read_queues_no_piece(self, tmp_path) -> None:
+        """A read one shard sheds leaves nothing queued on the others: its
+        piece for an idle shard neither runs nor counts."""
+        server = _server(tmp_path, queue_policy="shed", max_queue_depth=1)
+        blocker = None
+        try:
+            blocker = _wedge(server, 1)
+            key0, key1 = _key_on(server, 0), _key_on(server, 1)
+            pending = server.get_async(key1)  # fills shard 1's queue
+            with pytest.raises(QueueFullError):
+                server.multi_get_async([key0, key1])
+            shard0 = server._shards[0]
+            assert (shard0.stats.multi_requests, shard0.stats.batches) == (0, 0)
+            assert shard0.queue_depth() == 0
+            blocker.release.set()
+            assert pending.result(timeout=5.0) is None
+        finally:
+            if blocker is not None:
+                blocker.release.set()
+            server.close()
+
     def test_blocked_submit_honors_deadline(self, tmp_path) -> None:
         server = _server(tmp_path, queue_policy="block", max_queue_depth=1)
         blocker = None
@@ -211,132 +241,84 @@ class TestShedding:
 
 
 # ---------------------------------------------------------------------------
-# Worker crash containment (satellite 1 regression) + restarts
+# A batch that raises fails only itself
 # ---------------------------------------------------------------------------
-class TestWorkerCrash:
-    def test_crash_wakes_blocked_submitters(self, tmp_path) -> None:
-        """Regression: submitters blocked on a full queue whose worker
-        died used to wait forever on the Condition."""
-        server = _server(
-            tmp_path,
-            queue_policy="block",
-            max_queue_depth=1,
-            breaker_enabled=False,
-        )
+class TestFailedBatch:
+    def test_failing_batch_fails_only_itself(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        """An exception escaping a batch fails that batch's reads; a
+        submitter blocked on the full queue wakes, and the shard serves
+        what comes next — nothing is stranded, nothing restarts."""
+        server = _server(tmp_path, queue_policy="block", max_queue_depth=2)
+        shard = server._shards[0]
+        key = _key_on(server, 0)
+        server.put(key, b"v")
+        execute = shard._execute
+        calls = []
+
+        def second_batch_raises(batch) -> None:
+            calls.append(len(batch))
+            if len(calls) == 2:
+                raise RuntimeError("batch bug")
+            execute(batch)
+
+        monkeypatch.setattr(shard, "_execute", second_batch_raises)
         blocker = None
         try:
             blocker = _wedge(server, 0)
-            key = _key_on(server, 0)
-            queued = server.get_async(key)  # fills the queue
-            submit_errors: list[BaseException] = []
-
-            def blocked_submit() -> None:
-                try:
-                    server.get_async(key).result()
-                except BaseException as exc:  # noqa: BLE001 - asserted below
-                    submit_errors.append(exc)
-
-            submitters = [
-                threading.Thread(target=blocked_submit) for _ in range(3)
-            ]
-            for thread in submitters:
-                thread.start()
-            time.sleep(0.1)  # let them block on the full queue
-            server._shards[0].inject_worker_fault(
-                RuntimeError("injected crash")
+            probe = shard.submit_probe
+            failing = [server.get_async(key) for _ in range(2)]  # queue full
+            blocked: list[bytes | None] = []
+            submitter = threading.Thread(
+                target=lambda: blocked.append(server.get_async(key).result())
             )
-            blocker.release.set()  # batch finishes; next dequeue raises
-            for thread in submitters:
-                thread.join(timeout=5.0)
-                assert not thread.is_alive(), "submitter hung on dead worker"
-            assert len(submit_errors) == 3
-            assert all(
-                isinstance(exc, ShardUnavailableError)
-                for exc in submit_errors
-            )
-            with pytest.raises(WorkerCrashedError):
-                queued.result(timeout=5.0)
-            stats = server.stats()
-            assert stats.worker_crashes == 1
-            assert stats.worker_restarts == 0  # breaker (supervisor) off
+            submitter.start()
+            deadline = time.monotonic() + 5.0
+            while server.stats().queue_waits < 1:
+                assert time.monotonic() < deadline, "submitter never blocked"
+                time.sleep(0.005)
+            del shard.db.multi_get  # the wedge's stub: later batches are real
+            blocker.release.set()
+            assert probe.result(timeout=5.0) is None  # the wedge's answer
+            for future in failing:
+                with pytest.raises(RuntimeError, match="batch bug"):
+                    future.result(timeout=5.0)
+            submitter.join(timeout=5.0)
+            assert not submitter.is_alive(), "blocked submitter hung"
+            assert blocked == [b"v"]
+            assert server.get_async(key).result(timeout=5.0) == b"v"
+            assert calls[:2] == [1, 2]
+            assert server.stats().queue_waits == 1
         finally:
             if blocker is not None:
                 blocker.release.set()
             server.close()
 
-    def test_restarted_worker_starts_inside_the_lock(
+
+    def test_interrupt_stops_combining_and_propagates(
         self, tmp_path, monkeypatch
     ) -> None:
-        """close() reads the worker handle under the shard's lock, so a
-        restart must rebind the handle and start the thread before it
-        releases that lock: otherwise close() can join a thread that was
-        never started."""
-        server = _server(tmp_path, breaker_enabled=False)
+        """An interrupt or exit raised while the caller's thread runs a
+        batch reaches that caller; the read fails with it and the shard's
+        next submit combines again."""
+        server = _server(tmp_path)
         shard = server._shards[0]
+        key = _key_on(server, 0)
+        server.put(key, b"v")
+        execute = shard._execute
+        interrupts = [SystemExit("interrupted")]
+
+        def interrupted(batch) -> None:
+            if interrupts:
+                raise interrupts.pop()
+            execute(batch)
+
+        monkeypatch.setattr(shard, "_execute", interrupted)
         try:
-            crashed = shard._thread
-            shard.inject_worker_fault(RuntimeError("boom"))
-            crashed.join(timeout=5.0)
-            assert not crashed.is_alive()
-            lock_free_at_start: list[bool] = []
-
-            def probe() -> None:
-                free = shard._cond.acquire(blocking=False)
-                if free:
-                    shard._cond.release()
-                lock_free_at_start.append(free)
-
-            spawn = shard._spawn_worker
-
-            def spawn_probed() -> threading.Thread:
-                thread = spawn()
-                start = thread.start
-
-                def start_probed() -> None:
-                    prober = threading.Thread(target=probe)
-                    prober.start()
-                    prober.join(timeout=5.0)
-                    start()
-
-                thread.start = start_probed
-                return thread
-
-            monkeypatch.setattr(shard, "_spawn_worker", spawn_probed)
-            shard._maybe_restart_worker()
-            assert lock_free_at_start == [False]
-            assert server.get_async(_key_on(server, 0)).result(5.0) is None
-        finally:
-            server.close()
-
-    def test_supervisor_restarts_worker(self, tmp_path) -> None:
-        server = _server(tmp_path, max_worker_restarts=1)
-        try:
-            server.put(3, b"x")
-            server._shards[0].inject_worker_fault(RuntimeError("boom"))
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if server.stats().worker_restarts == 1:
-                    break
-                time.sleep(0.01)
-            assert server.stats().worker_restarts == 1
-            assert server.get_async(3).result() == b"x"  # restarted worker serves again
-
-            # Second crash exhausts the budget: permanently failed.
-            server._shards[0].inject_worker_fault(RuntimeError("boom 2"))
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if server._shards[0].breaker_state() == "failed":
-                    break
-                time.sleep(0.01)
-            assert server._shards[0].breaker_state() == "failed"
-            with pytest.raises(ShardUnavailableError):
-                server.get_async(_key_on(server, 0)).result()
-            with pytest.raises(ShardUnavailableError):
-                server.put(_key_on(server, 0), b"nope")
-            assert server.stats().write_rejections >= 1
-            health = server.health()
-            assert health.mode == "degraded"
-            assert health.breaker_states[0] == "failed"
+            with pytest.raises(SystemExit):
+                server.get_async(key)
+            assert server.get_async(key).result(timeout=5.0) == b"v"
         finally:
             server.close()
 
@@ -368,25 +350,21 @@ class TestBreakerLifecycle:
             server._shards[0].db.flush()
             assert server._shards[0].db.background_error is not None
 
-            # Writes to shard 0 fast-fail typed; shard 1 is untouched;
-            # reads on the degraded shard still pass through.
+            # The next write to shard 0 finds it degraded: the breaker trips
+            # and the write fast-fails typed; shard 1 is untouched; reads
+            # on the degraded shard still pass through.
             with pytest.raises(ShardUnavailableError):
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    server.put(key0, b"a3")
-                    time.sleep(0.005)
-                pytest.fail("breaker never tripped")
+                server.put(key0, b"a3")
+            assert server._shards[0].breaker_state() == "open"
             server.put(key1, b"b2")
             assert server.get_async(key0).result() == b"a2"
 
-            # The supervisor heals it: breaker closed, writes flow again.
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if server._shards[0].breaker_state() == "closed":
-                    break
-                time.sleep(0.01)
-            assert server._shards[0].breaker_state() == "closed"
+            # The first write after the back-off (0.01 s) is the probe:
+            # DB.resume() heals the store, the breaker closes, and the
+            # write goes ahead.
+            time.sleep(0.05)
             server.put(key0, b"a4")
+            assert server._shards[0].breaker_state() == "closed"
             assert server.get_async(key0).result() == b"a4"
             stats = server.stats()
             assert stats.breaker_trips >= 1
@@ -399,7 +377,7 @@ class TestBreakerLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# close() with a stuck worker (satellite 2 regression)
+# close() with a stuck batch
 # ---------------------------------------------------------------------------
 class TestCloseStuckWorker:
     def test_close_reports_leak_and_fails_futures(
@@ -425,6 +403,29 @@ class TestCloseStuckWorker:
         server.put(1, b"v")
         assert server.close() == []
 
+    def test_close_waits_for_a_running_batch(self, tmp_path) -> None:
+        """close() lets a batch that finishes in time drain what queued
+        behind it: every future is answered, nothing is reported."""
+        server = _server(tmp_path)
+        key = _key_on(server, 0)
+        server.put(key, b"v")
+        blocker = _wedge(server, 0)
+        probe = server._shards[0].submit_probe
+        del server._shards[0].db.multi_get  # the next batch is real
+        queued = server.get_async(key)
+        closed: list[list[int]] = []
+        closer = threading.Thread(target=lambda: closed.append(server.close()))
+        closer.start()
+        deadline = time.monotonic() + 5.0
+        while not server._closed:
+            assert time.monotonic() < deadline, "close() never started"
+            time.sleep(0.005)
+        blocker.release.set()
+        closer.join(timeout=10.0)
+        assert closed == [[]]
+        assert probe.result(timeout=5.0) is None
+        assert queued.result(timeout=5.0) == b"v"
+
 
 # ---------------------------------------------------------------------------
 # Health gauges + queue accounting (satellite 3)
@@ -436,20 +437,14 @@ class TestHealthAndQueueAccounting:
             assert health.mode == "healthy"
             assert len(health.shards) == 2
             assert health.breaker_states == ("closed", "closed")
-            assert health.workers_alive == (True, True)
 
-    def test_health_reports_dead_worker(self, tmp_path) -> None:
-        server = _server(tmp_path, breaker_enabled=False)
+    def test_health_reports_tripped_breaker(self, tmp_path) -> None:
+        server = _server(tmp_path)
         try:
-            server._shards[0].inject_worker_fault(RuntimeError("dead"))
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if not server.health().workers_alive[0]:
-                    break
-                time.sleep(0.01)
+            server._shards[0]._trip("test")
             health = server.health()
             assert health.mode == "degraded"
-            assert health.workers_alive == (False, True)
+            assert health.breaker_states == ("open", "closed")
         finally:
             server.close()
 

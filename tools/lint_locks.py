@@ -82,24 +82,21 @@ RULES: dict[str, dict[str, Rule]] = {
         "_background_error": _rule(("_mutex",), ("__init__",)),
     },
     # Serving layer (repro.lsm.serving): one lock per shard.  The request
-    # queue, the closed/worker-death flags, the in-flight batch, the
-    # injected fault, the circuit breaker state machine
-    # (state/reason/backoff/probe instant), the worker restart budget,
-    # and the worker thread handle all live under the shard's condition
-    # variable.  The server's own closed flag is single-writer on the
-    # teardown path.
+    # queue, the closed and combiner flags, the in-flight batch and the
+    # circuit breaker state machine (state/reason/backoff/probe instant)
+    # all live under the shard's condition variable; the submit path
+    # queues and takes the combiner flag in ``_push_locked``, called with
+    # the lock held by ``ShardedServer._scatter``.  The server's own
+    # closed flag is single-writer on the teardown path.
     "_Shard": {
-        "_queue": _rule(("_cond",), ("__init__",)),
+        "_queue": _rule(("_cond",), ("__init__", "_push_locked")),
         "_closed": _rule(("_cond",), ("__init__",)),
-        "_worker_dead": _rule(("_cond",), ("__init__",)),
+        "_combining": _rule(("_cond",), ("__init__", "_push_locked")),
         "_inflight": _rule(("_cond",), ("__init__",)),
-        "_fault_to_inject": _rule(("_cond",), ("__init__",)),
         "_breaker_state": _rule(("_cond",), ("__init__",)),
         "_breaker_reason": _rule(("_cond",), ("__init__",)),
         "_backoff_s": _rule(("_cond",), ("__init__",)),
         "_next_probe_at": _rule(("_cond",), ("__init__",)),
-        "_worker_restarts": _rule(("_cond",), ("__init__",)),
-        "_thread": _rule(("_cond",), ("__init__",)),
     },
     "_ScatterSink": {
         "_remaining": _rule(("_lock",), ("__init__",)),
@@ -108,7 +105,6 @@ RULES: dict[str, dict[str, Rule]] = {
     "ShardedServer": {
         "_closed": _rule((), ("__init__", "close")),
         "_shards": _rule((), ("__init__",)),
-        "_supervisor": _rule((), ("__init__",)),
         "_leaked_workers": _rule((), ("__init__", "close")),
     },
     # A run's filter state (repro.lsm.sstable), shared between foreground

@@ -10,8 +10,8 @@ either profiles that (``--phase setup``) or reopens the store cold, replays
 the seeded prefix unprofiled as the warm-up, and profiles ``--slices`` window
 slices (``run_slice``).  It prints cProfile's top rows by self time and by
 cumulative time, and function calls per op.  Threads started while the
-profile is on (serving workers, ``serve-mixed`` clients) are profiled too
-and folded into the same table.
+profile is on (the ``serve-mixed`` clients, which also run the serving
+layer's batches) are profiled too and folded into the same table.
 
 Every thread's profile is timed by that thread's CPU clock
 (``time.thread_time``), so a thread parked on a lock, a condition or a
@@ -59,8 +59,8 @@ class ThreadedProfile:
     """One ``cProfile.Profile`` per thread alive while the block runs, each
     timed by its own thread's CPU clock.
 
-    Create it before the store (and its worker threads) exists: threads
-    started earlier never see the hook.
+    Create it before the client threads start: threads started earlier
+    never see the hook.
     """
 
     def __init__(self) -> None:
@@ -180,7 +180,7 @@ def profile_phase(
                     )
                     ops += len(piece["records"])
             footer = block_split(ledger.perf(store).diff(before), ops)
-        store.close()  # joins the serving workers: their profiles are final
+        store.close()
     return profiler.stats(), ops, footer
 
 
