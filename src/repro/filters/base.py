@@ -70,16 +70,6 @@ class KeyFilter(abc.ABC):
         """
         return [self.may_contain(int(key)) for key in keys]
 
-    def tightened_range(self, low: int, high: int) -> tuple[int, int] | None:
-        """Optionally narrow a positive range (None = definitely empty).
-
-        The default implementation degrades to plain range probing with no
-        narrowing; Rosetta overrides this with §2.2.1 tightening.
-        """
-        if self.may_contain_range(low, high):
-            return (low, high)
-        return None
-
     def probe_count(self) -> int:
         """Cumulative internal probe count, if tracked (0 otherwise)."""
         return 0

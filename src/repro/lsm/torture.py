@@ -28,10 +28,10 @@ Maintenance runs inline on the writing thread, so a cut that lands
 mid-flush or mid-compaction surfaces to the op that triggered it, and the
 same (seed, crash point) pair always replays the same run.
 
-The op vocabulary and its dict model (:func:`_effects`, :func:`expected`)
-are shared with the chaos harness (:mod:`repro.lsm.chaos`), which adds the
-read ops ``("get", key)``, ``("multi_get", keys)`` and
-``("range", low, high)``.
+The write ops and their dict model (:func:`_apply`, :func:`_effects`)
+are shared with the serving tests' chaos harness
+(``tests/lsm/chaos_harness.py``), which adds the read ops and their
+answers.
 
 Shared by ``tests/lsm/test_crash_recovery.py`` (small matrices, run in
 the tier-1 suite) and ``benchmarks/torture.py`` (the full seed matrix).
@@ -56,7 +56,6 @@ __all__ = [
     "CrashPointResult",
     "SeedReport",
     "build_schedule",
-    "expected",
     "run_crash_point",
     "torture_seed",
     "transient_fault_equivalence",
@@ -190,23 +189,6 @@ def _effects(op: tuple) -> dict[int, bytes | None]:
             for item_kind, key, value in op[1]
         }
     return {}
-
-
-def expected(model: dict[int, bytes | None], op: tuple):
-    """The model's answer to a read op: get, multi_get or range."""
-    kind = op[0]
-    if kind == "get":
-        return model.get(op[1])
-    if kind == "multi_get":
-        return {key: model.get(key) for key in op[1]}
-    if kind == "range":
-        low, high = op[1], op[2]
-        return sorted(
-            (key, value)
-            for key, value in model.items()
-            if low <= key <= high and value is not None
-        )
-    raise ValueError(f"not a read op: {op!r}")
 
 
 @dataclass

@@ -97,10 +97,6 @@ def _populated(keys):
 
 
 class TestDefaultMethods:
-    def test_default_tightened_range(self):
-        stub = _StubFilter()
-        assert stub.tightened_range(3, 9) == (3, 9)
-
     def test_default_probe_count(self):
         assert _StubFilter().probe_count() == 0
         _StubFilter().reset_probe_count()  # no crash

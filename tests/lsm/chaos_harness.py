@@ -4,7 +4,9 @@ The fault-tolerance contract of :class:`~repro.lsm.serving.ShardedServer`
 is behavioral, not structural: *under faults, every request either
 returns the correct answer or raises a typed serving error within its
 deadline* — no hangs, no wrong answers, no stranded futures.  This
-module drives that contract end to end:
+module drives that contract end to end on real threads (the seeded,
+one-thread schedules of ``tests/lsm/test_serving_schedule.py`` drive it
+interleaving by interleaving):
 
 * every shard DB runs on a :class:`~repro.lsm.faults.FaultInjectionEnv`
   (captured through ``DBOptions.env_factory``);
@@ -18,7 +20,8 @@ module drives that contract end to end:
   per-client disjoint write slices (nobody else touches a client's
   slice, so each client checks every read against one dict — the stable
   region plus its own acked writes — through the op model it shares with
-  the torture harness, :func:`repro.lsm.torture.expected`);
+  the torture harness: :func:`repro.lsm.torture._effects` for writes,
+  :func:`expected` for reads);
 * every async read is collected with a bounded ``Future.result`` wait;
   a timeout is a **hang violation**, a non-allowlisted exception is a
   **typed-error violation**, and a mismatched answer is a **wrong-answer
@@ -29,8 +32,7 @@ region straight from the shard DBs (bypassing the serving layer) to
 prove the data itself survived the chaos.
 
 :func:`run_chaos` returns a :class:`ChaosReport`;
-``benchmarks/bench_chaos.py`` runs it across defense configurations and
-turns the reports into ``BENCH_chaos.json``.
+``tests/lsm/test_chaos.py`` runs it once per defence configuration.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 import concurrent.futures
 import random
 import threading
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -54,9 +55,7 @@ from repro.lsm.db import DB
 from repro.lsm.faults import FaultInjectionEnv
 from repro.lsm.options import DBOptions
 from repro.lsm.serving import ServingOptions, ShardedServer
-from repro.lsm.torture import _apply, _effects, expected
-
-__all__ = ["ChaosOptions", "ChaosReport", "run_chaos"]
+from repro.lsm.torture import _apply, _effects
 
 #: Exceptions a request may legitimately surface under faults.  Anything
 #: else escaping the serving layer is a violation — the taxonomy is the
@@ -77,6 +76,17 @@ _KEY_BITS = 16
 _MAX_QUEUE_DEPTH = 256
 _WRITE_FAULT_EVERY = 3
 
+#: The workload: three clients of 60 ops each over two shards, 150
+#: stable-region keys preloaded.  The 180 ops can finish in ~10 ms on an
+#: idle 2-core box: the injector's 2 ms tick must be well inside that for
+#: it to fire before the clients end.
+_SEED = 11
+_CLIENTS = 3
+_OPS_PER_CLIENT = 60
+_NUM_SHARDS = 2
+_PRELOAD = 150
+_FAULT_PERIOD_S = 0.002
+
 #: Extra slack on top of the deadline before a pending future counts as
 #: hung.  Also the whole wait bound when there is no deadline.
 _GRACE_S = 30.0
@@ -84,47 +94,46 @@ _GRACE_S = 30.0
 
 @dataclass
 class ChaosOptions:
-    """One chaos run: workload shape, serving config, fault schedule."""
+    """One chaos run: the serving defences under test and the fault switch."""
 
-    seed: int = 0
-    clients: int = 4
-    ops_per_client: int = 200
-    num_shards: int = 4
-    preload: int = 500          # stable-region keys loaded before traffic
-    # Serving configuration under test.
     queue_policy: str = "shed"
     default_deadline_s: float | None = 0.5  # every read's deadline_s
     breaker_enabled: bool = True
-    # Fault schedule (all faults disabled when ``inject_faults`` is off).
+    #: Off, the injector never starts: a benign run.
     inject_faults: bool = True
-    fault_period_s: float = 0.02   # injector tick
 
 
 @dataclass
 class ChaosReport:
-    """What happened: totals, failures by type, violations, latency."""
+    """What happened: totals, failures by type, violations, faults."""
 
     ops: int = 0
     ok_ops: int = 0
     typed_failures: Counter = field(default_factory=Counter)
     violations: list[str] = field(default_factory=list)
-    latencies_s: list[float] = field(default_factory=list)
     injected: Counter = field(default_factory=Counter)
-    counters: dict[str, int] = field(default_factory=dict)
-    duration_s: float = 0.0
 
     @property
     def availability(self) -> float:
         """Fraction of requests answered correctly (1.0 = no failures)."""
         return self.ok_ops / self.ops if self.ops else 1.0
 
-    def latency_percentile(self, q: float) -> float:
-        """q-th latency percentile in seconds (0 when nothing completed)."""
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
+
+def expected(model: dict[int, bytes | None], op: tuple):
+    """The model's answer to a read op: get, multi_get or range."""
+    kind = op[0]
+    if kind == "get":
+        return model.get(op[1])
+    if kind == "multi_get":
+        return {key: model.get(key) for key in op[1]}
+    if kind == "range":
+        low, high = op[1], op[2]
+        return sorted(
+            (key, value)
+            for key, value in model.items()
+            if low <= key <= high and value is not None
+        )
+    raise ValueError(f"not a read op: {op!r}")
 
 
 def _stable_value(key: int) -> bytes:
@@ -152,7 +161,7 @@ class _Client:
     ) -> None:
         self.index = index
         self.harness = harness
-        self.rng = random.Random(harness.options.seed * 1009 + index)
+        self.rng = random.Random(_SEED * 1009 + index)
         self.write_low = write_low      # inclusive, this client's alone
         self.write_high = write_high    # exclusive
         self.model: dict[int, bytes | None] = {
@@ -187,12 +196,11 @@ class _Client:
             return self.rng.choice(stable)
         return self.rng.randrange(self.write_low, self.write_high)
 
-    def _record(self, start: float, ok: bool) -> None:
+    def _record(self, ok: bool) -> None:
         self.report.ops += 1
         self.report.ok_ops += 1 if ok else 0
-        self.report.latencies_s.append(time.monotonic() - start)
 
-    def _fail(self, start: float, exc: BaseException, what: str) -> None:
+    def _fail(self, exc: BaseException, what: str) -> None:
         if isinstance(exc, concurrent.futures.TimeoutError):
             self.report.violations.append(
                 f"client {self.index}: HANG — {what} still pending past "
@@ -205,7 +213,7 @@ class _Client:
                 f"client {self.index}: UNTYPED {type(exc).__name__} "
                 f"from {what}: {exc}"
             )
-        self._record(start, ok=False)
+        self._record(ok=False)
 
     def _read(self, op: tuple) -> None:
         """Submit one read op, collect it with a bounded wait (a timeout is
@@ -218,11 +226,10 @@ class _Client:
         }[op[0]]
         deadline_s = options.default_deadline_s
         bound = _GRACE_S + (deadline_s or 0.0)
-        start = time.monotonic()
         try:
             got = submit(*op[1:], deadline_s=deadline_s).result(timeout=bound)
         except BaseException as exc:  # noqa: BLE001 - classified above
-            self._fail(start, exc, _describe(op))
+            self._fail(exc, _describe(op))
             return
         want = expected(self.model, op)
         ok = got == want
@@ -231,24 +238,23 @@ class _Client:
                 f"client {self.index}: WRONG ANSWER {_describe(op)} -> "
                 f"{got!r}, expected {want!r}"
             )
-        self._record(start, ok)
+        self._record(ok)
 
     def _op_put(self) -> None:
         key = self.rng.randrange(self.write_low, self.write_high)
         self.write_seq += 1
         op = ("put", key, b"c%d:%d" % (self.index, self.write_seq))
-        start = time.monotonic()
         try:
             _apply(self.harness.server, op)
         except BaseException as exc:  # noqa: BLE001 - classified above
-            self._fail(start, exc, f"put({key})")
+            self._fail(exc, f"put({key})")
             return
         self.model.update(_effects(op))  # acked -> readable from now on
-        self._record(start, ok=True)
+        self._record(ok=True)
 
     def run(self) -> None:
         self.harness.barrier.wait()
-        for _ in range(self.harness.options.ops_per_client):
+        for _ in range(_OPS_PER_CLIENT):
             try:
                 self.run_op()
             except BaseException as exc:  # noqa: BLE001 - harness bug guard
@@ -269,7 +275,7 @@ class _Harness:
 
         def env_factory(root, device, stats):
             env = FaultInjectionEnv(
-                root, device, stats, seed=options.seed + len(captured)
+                root, device, stats, seed=_SEED + len(captured)
             )
             captured.append(env)
             return env
@@ -283,7 +289,7 @@ class _Harness:
             env_factory=env_factory,
         )
         serving = ServingOptions(
-            num_shards=options.num_shards,
+            num_shards=_NUM_SHARDS,
             queue_policy=options.queue_policy,
             breaker_enabled=options.breaker_enabled,
             max_queue_depth=_MAX_QUEUE_DEPTH,
@@ -292,12 +298,12 @@ class _Harness:
         )
         self.server = ShardedServer(path, db_options, serving)
         self.stable_top = (1 << _KEY_BITS) // 2
-        rng = random.Random(options.seed)
+        rng = random.Random(_SEED)
         stable: set[int] = set()
-        while len(stable) < options.preload:
+        while len(stable) < _PRELOAD:
             stable.add(rng.randrange(0, self.stable_top))
         self.stable_sorted = sorted(stable)
-        self.barrier = threading.Barrier(options.clients)
+        self.barrier = threading.Barrier(_CLIENTS)
         self._stop_injector = threading.Event()
 
     def preload(self) -> None:
@@ -306,17 +312,17 @@ class _Harness:
         self.server.flush()
 
     def client_slices(self) -> list[tuple[int, int]]:
-        span = ((1 << _KEY_BITS) - self.stable_top) // self.options.clients
+        span = ((1 << _KEY_BITS) - self.stable_top) // _CLIENTS
         return [
             (self.stable_top + i * span, self.stable_top + (i + 1) * span)
-            for i in range(self.options.clients)
+            for i in range(_CLIENTS)
         ]
 
     # -- fault injection -------------------------------------------------
     def _inject_loop(self, injected: Counter) -> None:
-        rng = random.Random(self.options.seed ^ 0xFA)
+        rng = random.Random(_SEED ^ 0xFA)
         tick = 0
-        while not self._stop_injector.wait(self.options.fault_period_s):
+        while not self._stop_injector.wait(_FAULT_PERIOD_S):
             tick += 1
             env = rng.choice(self.envs)
             # Transient read faults: absorbed by the storage layer's
@@ -381,7 +387,6 @@ def run_chaos(path: str, options: ChaosOptions) -> ChaosReport:
             for index, (low, high) in enumerate(harness.client_slices())
         ]
         injector = harness.start_injector(report.injected)
-        start = time.monotonic()
         threads = [
             threading.Thread(
                 target=client.run, name=f"chaos-client-{client.index}"
@@ -392,25 +397,13 @@ def run_chaos(path: str, options: ChaosOptions) -> ChaosReport:
             thread.start()
         for thread in threads:
             thread.join()
-        report.duration_s = time.monotonic() - start
         harness.stop_injector(injector)
         for client in clients:
             report.ops += client.report.ops
             report.ok_ops += client.report.ok_ops
             report.typed_failures.update(client.report.typed_failures)
             report.violations.extend(client.report.violations)
-            report.latencies_s.extend(client.report.latencies_s)
         harness.final_integrity_check(report)
-        stats = harness.server.stats()
-        report.counters = {
-            "sheds": stats.sheds,
-            "deadline_misses": stats.deadline_misses,
-            "breaker_trips": stats.breaker_trips,
-            "breaker_recoveries": stats.breaker_recoveries,
-            "worker_leaks": stats.worker_leaks,
-            "write_rejections": stats.write_rejections,
-            "queue_waits": stats.queue_waits,
-        }
     finally:
         leaked = harness.server.close()
         if leaked:

@@ -29,6 +29,11 @@ mostly-absent ``multi_get`` costs 13.5 calls per key against 74.1 per
 ``get`` of the same keys, its per-run groups (490 keys on average) on the
 vector side of ``SCALAR_PROBE_MAX``.  It must stay under a third of the
 ``get`` loop's.
+
+The serving pin is exact: what shedding, a deadline and the breaker add
+to a happy-path ``ShardedServer.put`` (4 calls: a closed breaker reads
+the DB's background error, taking no shard lock) and
+``get_async(...).result()`` (1: the deadline's clock read).
 """
 
 import cProfile
@@ -38,6 +43,7 @@ import random
 from repro.bench.factories import make_factory
 from repro.core.bloom import SCALAR_PROBE_MAX
 from repro.lsm import DB, DBOptions
+from repro.lsm.serving import ServingOptions, ShardedServer
 
 PUT_CEILING = 43
 GET_CEILING = 83
@@ -46,6 +52,8 @@ RANGE_CEILING = 1986
 RANGE_ITER_CEILING = 1766
 ITERATOR_CEILING = 446
 MULTI_GET_KEY_CEILING = 15
+DEFENCE_PUT_CALLS = 4.0
+DEFENCE_GET_CALLS = 1.0
 
 
 def _calls_per_op(calls, arguments) -> float:
@@ -159,3 +167,38 @@ def test_calls_per_multi_get_key(tmp_path):
 
     assert per_key <= MULTI_GET_KEY_CEILING, per_key
     assert 3 * per_key <= per_get, (per_key, per_get)
+
+
+def _serving_calls(path, defended: bool) -> tuple[float, float]:
+    """Calls per put and per warm get on a two-shard server, with every
+    defence on or every one off."""
+    rng = random.Random("serving-defences")
+    keys = rng.sample(range(1 << 32), 2000)
+    deadline_s = 0.5 if defended else None
+    serving = ServingOptions(
+        num_shards=2,
+        queue_policy="shed" if defended else "block",
+        breaker_enabled=defended,
+    )
+    options = DBOptions(key_bits=32, memtable_size_bytes=1 << 20)
+    with ShardedServer(str(path), options, serving) as server:
+        for key in keys[:1000]:
+            server.put(key, rng.randbytes(64))
+        server.flush()
+        reads = [(key,) for key in keys[:1000]]
+
+        def get(key):
+            return server.get_async(key, deadline_s=deadline_s).result()
+
+        for (key,) in reads:  # warm
+            get(key)
+        per_get = _calls_per_op(get, reads)
+        writes = [(key, rng.randbytes(64)) for key in keys[1000:]]
+        return _calls_per_op(server.put, writes), per_get
+
+
+def test_calls_the_serving_defences_add(tmp_path):
+    put, get = _serving_calls(tmp_path / "defended", True)
+    bare_put, bare_get = _serving_calls(tmp_path / "undefended", False)
+    added = (round(put - bare_put, 6), round(get - bare_get, 6))
+    assert added == (DEFENCE_PUT_CALLS, DEFENCE_GET_CALLS), (put, get)

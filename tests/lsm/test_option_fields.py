@@ -8,10 +8,10 @@ from dataclasses import fields
 
 import pytest
 
-from repro.lsm.chaos import ChaosOptions
 from repro.lsm.options import DBOptions
 from repro.lsm.serving import ServingOptions
 from repro.lsm.torture import TortureConfig
+from tests.lsm.chaos_harness import ChaosOptions
 
 _FIELDS = {
     DBOptions: (
@@ -42,16 +42,10 @@ _FIELDS = {
     ),
     TortureConfig: ("num_ops", "key_space", "filter_salt_seed"),
     ChaosOptions: (
-        "seed",
-        "clients",
-        "ops_per_client",
-        "num_shards",
-        "preload",
         "queue_policy",
         "default_deadline_s",
         "breaker_enabled",
         "inject_faults",
-        "fault_period_s",
     ),
 }
 

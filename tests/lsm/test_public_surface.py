@@ -36,6 +36,8 @@ KEPT = {
     "FaultInjectionEnv.fail_file_reads": "a scripted fault; the fault "
     "injection env exists for tests to drive",
     "FaultInjectionEnv.tear_next_append": "a scripted fault",
+    "FaultInjectionEnv.fail_next_reads": "a scripted fault",
+    "FaultInjectionEnv.fail_next_writes": "a scripted fault",
     "FaultInjectionEnv.corrupt_file": "a scripted fault",
     "repair_store": "the offline repair entry point of repro.lsm",
 }
@@ -100,7 +102,6 @@ _PUBLIC = {
         "reset_probe_count",
         "serialize",
         "size_in_bits",
-        "tightened_range",
     ),
 }
 
@@ -212,7 +213,7 @@ SHARED = {
     "finish", "flush", "force_full_compaction", "fpr", "from_bytes",
     "from_levels", "get", "health", "ingest", "leaf_value_index",
     "may_contain", "may_contain_range", "num_bits", "num_edges", "num_nodes",
-    "put", "replay", "resume", "run", "salt", "size_in_bits",
+    "put", "replay", "resume", "salt", "size_in_bits",
     "smallest_label_ge", "tightened_range", "to_bytes", "validate",
     "wait_idle",
 }

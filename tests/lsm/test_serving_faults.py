@@ -13,7 +13,6 @@ silently leaking it.
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -95,6 +94,20 @@ def _wedge(server: ShardedServer, shard_index: int) -> _BlockedBatch:
     return blocker
 
 
+def _signal_queue_waits(shard) -> None:
+    """Notify ``_cond`` when a submit starts waiting for room.  It counts
+    ``queue_waits`` and parks in ``_cond.wait`` in one hold of the lock,
+    so a test that waits on ``_cond`` for the count finds them parked."""
+    add = shard.stats.add
+
+    def add_and_notify(**counts) -> None:
+        add(**counts)
+        if "queue_waits" in counts:
+            shard._cond.notify_all()  # the blocking submitter holds _cond
+
+    shard.stats.add = add_and_notify
+
+
 def _key_on(server: ShardedServer, shard_index: int) -> int:
     for key in range(DOMAIN):
         if server.router.shard_of(key) == shard_index:
@@ -129,7 +142,9 @@ class TestOptionValidation:
 # Deadlines
 # ---------------------------------------------------------------------------
 class TestDeadlines:
-    def test_expired_in_queue_fails_at_dequeue(self, tmp_path) -> None:
+    def test_expired_in_queue_fails_at_dequeue(
+        self, tmp_path, virtual_clock
+    ) -> None:
         """A request whose deadline passes while queued behind a stuck
         batch fails with DeadlineExceededError instead of executing, and
         the live request queued with it is batched without it."""
@@ -139,7 +154,7 @@ class TestDeadlines:
             blocker = _wedge(server, 0)
             queued = server.get_async(_key_on(server, 0), deadline_s=0.05)
             live = server.get_async(_key_on(server, 0))
-            time.sleep(0.15)  # let the deadline lapse while queued
+            virtual_clock.advance(0.15)  # the deadline lapses while queued
             blocker.release.set()
             with pytest.raises(DeadlineExceededError):
                 queued.result(timeout=5.0)
@@ -264,6 +279,7 @@ class TestFailedBatch:
             execute(batch)
 
         monkeypatch.setattr(shard, "_execute", second_batch_raises)
+        _signal_queue_waits(shard)
         blocker = None
         try:
             blocker = _wedge(server, 0)
@@ -274,10 +290,10 @@ class TestFailedBatch:
                 target=lambda: blocked.append(server.get_async(key).result())
             )
             submitter.start()
-            deadline = time.monotonic() + 5.0
-            while server.stats().queue_waits < 1:
-                assert time.monotonic() < deadline, "submitter never blocked"
-                time.sleep(0.005)
+            with shard._cond:
+                assert shard._cond.wait_for(
+                    lambda: shard.stats.queue_waits == 1, timeout=5.0
+                ), "submitter never blocked"
             del shard.db.multi_get  # the wedge's stub: later batches are real
             blocker.release.set()
             assert probe.result(timeout=5.0) is None  # the wedge's answer
@@ -327,7 +343,7 @@ class TestFailedBatch:
 # Circuit breaker lifecycle on a degraded shard DB
 # ---------------------------------------------------------------------------
 class TestBreakerLifecycle:
-    def test_trip_fastfail_heal(self, tmp_path) -> None:
+    def test_trip_fastfail_heal(self, tmp_path, virtual_clock) -> None:
         envs: list[FaultInjectionEnv] = []
 
         def env_factory(root, device, stats):
@@ -362,7 +378,7 @@ class TestBreakerLifecycle:
             # The first write after the back-off (0.01 s) is the probe:
             # DB.resume() heals the store, the breaker closes, and the
             # write goes ahead.
-            time.sleep(0.05)
+            virtual_clock.advance(0.05)
             server.put(key0, b"a4")
             assert server._shards[0].breaker_state() == "closed"
             assert server.get_async(key0).result() == b"a4"
@@ -407,19 +423,20 @@ class TestCloseStuckWorker:
         """close() lets a batch that finishes in time drain what queued
         behind it: every future is answered, nothing is reported."""
         server = _server(tmp_path)
+        shard = server._shards[0]
         key = _key_on(server, 0)
         server.put(key, b"v")
         blocker = _wedge(server, 0)
-        probe = server._shards[0].submit_probe
-        del server._shards[0].db.multi_get  # the next batch is real
+        probe = shard.submit_probe
+        del shard.db.multi_get  # the next batch is real
         queued = server.get_async(key)
         closed: list[list[int]] = []
         closer = threading.Thread(target=lambda: closed.append(server.close()))
         closer.start()
-        deadline = time.monotonic() + 5.0
-        while not server._closed:
-            assert time.monotonic() < deadline, "close() never started"
-            time.sleep(0.005)
+        with shard._cond:  # close() notifies, then waits for the batch
+            assert shard._cond.wait_for(
+                lambda: shard._closed, timeout=5.0
+            ), "close() never started"
         blocker.release.set()
         closer.join(timeout=10.0)
         assert closed == [[]]
@@ -452,6 +469,8 @@ class TestHealthAndQueueAccounting:
         self, tmp_path
     ) -> None:
         server = _server(tmp_path, queue_policy="block", max_queue_depth=2)
+        shard = server._shards[0]
+        _signal_queue_waits(shard)
         blocker = None
         try:
             blocker = _wedge(server, 0)
@@ -459,21 +478,19 @@ class TestHealthAndQueueAccounting:
             pending = [server.get_async(key) for _ in range(2)]  # queue full
             assert server.health().queue_depths[0] == 2
 
-            barrier = threading.Barrier(4)
             results: list[bytes | None] = []
-
-            def blocked_submit() -> None:
-                barrier.wait()
-                results.append(server.get_async(key).result())
-
             submitters = [
-                threading.Thread(target=blocked_submit) for _ in range(3)
+                threading.Thread(
+                    target=lambda: results.append(server.get_async(key).result())
+                )
+                for _ in range(3)
             ]
             for thread in submitters:
                 thread.start()
-            barrier.wait()
-            time.sleep(0.1)  # all three now blocked on the full queue
-            assert server.stats().queue_waits == 3
+            with shard._cond:  # all three blocked on the full queue
+                assert shard._cond.wait_for(
+                    lambda: shard.stats.queue_waits == 3, timeout=5.0
+                )
             blocker.release.set()
             for thread in submitters:
                 thread.join(timeout=5.0)
