@@ -19,16 +19,24 @@ segmented LRU of Karedla, Love and Wherry (IEEE Computer, 1994), which
 2Q (Johnson and Shasha, VLDB 1994) and RocksDB's ``LRUCache`` (a hit
 entry goes to its high-priority pool) also apply.
 
+The cache does not look inside what it holds: it charges each value
+``len(value)`` bytes, and a promotion hands the value to the ``promote``
+callable it was built with and keeps (and charges) what that returns.
+The store caches parsed blocks (:class:`~repro.lsm.format.DataBlock`) and
+promotes with :meth:`~repro.lsm.format.DataBlock.indexed`, so the blocks
+read twice carry a key index whose bytes count against the capacity.
+
 The cache is shared between foreground queries and background compaction
 reads, so every operation runs under one internal mutex — LRU reordering
-and the byte accounting are not safe to interleave.
+and the byte accounting are not safe to interleave.  A promotion's index
+build runs under it too.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Hashable
+from collections import OrderedDict, defaultdict
+from typing import Callable, Hashable, Sized
 
 __all__ = ["BlockCache"]
 
@@ -38,21 +46,40 @@ __all__ = ["BlockCache"]
 PROTECTED_SHARE = 0.8
 
 
-class BlockCache:
-    """Capacity-bounded data-block cache keyed by ``(file, offset)`` tuples."""
+def _unchanged(block: Sized) -> Sized:
+    return block
 
-    def __init__(self, capacity_bytes: int) -> None:
+
+class BlockCache:
+    """Capacity-bounded data-block cache keyed by ``(file, offset)`` tuples.
+
+    Blocks are charged at ``len(block)``.  ``promote`` maps a block moving
+    from probation into protected to the block protected keeps (the store
+    passes :meth:`~repro.lsm.format.DataBlock.indexed`); its new size is
+    charged, and what no longer fits is demoted and evicted as on any
+    insert.  A ``promote`` that raises drops the block from the cache.
+    """
+
+    def __init__(
+        self,
+        capacity_bytes: int,
+        promote: Callable[[Sized], Sized] = _unchanged,
+    ) -> None:
         if capacity_bytes < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self._protected_cap = int(capacity_bytes * PROTECTED_SHARE)
+        self._promote = promote
         self._lock = threading.Lock()
-        self._probation: OrderedDict[Hashable, bytes] = OrderedDict()
-        self._protected: OrderedDict[Hashable, bytes] = OrderedDict()
+        self._probation: OrderedDict[Hashable, Sized] = OrderedDict()
+        self._protected: OrderedDict[Hashable, Sized] = OrderedDict()
+        # file name -> the keys it has cached (a dict used as an ordered
+        # set), so a purge touches only that file's blocks.
+        self._files: defaultdict[str, dict[Hashable, None]] = defaultdict(dict)
         self._used = 0
         self._protected_used = 0
 
-    def get(self, key: Hashable) -> bytes | None:
+    def get(self, key: Hashable) -> Sized | None:
         """Return the cached block or None; a hit in probation promotes it.
 
         The reader counts hits and misses on its query's context
@@ -63,17 +90,28 @@ class BlockCache:
             if key in protected:
                 protected.move_to_end(key)
                 return protected[key]
-            if key not in self._probation:
+            block = self._probation.pop(key, None)
+            if block is None:
                 return None
-            block = protected[key] = self._probation.pop(key)
-            self._protected_used += len(block)
+            self._used -= len(block)
+            try:
+                block = self._promote(block)
+            except BaseException:
+                self._unfile_locked(key)
+                raise
+            size = len(block)
+            protected[key] = block
+            self._used += size
+            self._protected_used += size
             while self._protected_used > self._protected_cap:
                 demoted, old = protected.popitem(last=False)
                 self._protected_used -= len(old)
                 self._probation[demoted] = old
+            if self._used > self.capacity_bytes:
+                self._evict_locked()
             return block
 
-    def put(self, key: Hashable, block: bytes) -> None:
+    def put(self, key: Hashable, block: Sized) -> None:
         """Insert a block into probation, evicting probation's LRU first.
 
         Oversized blocks (bigger than the whole cache) are silently not
@@ -83,36 +121,49 @@ class BlockCache:
         if self.capacity_bytes == 0:
             return
         with self._lock:
-            self._remove_locked(key)
-            if len(block) > self.capacity_bytes:
+            if key in self._probation or key in self._protected:
+                self._remove_locked(key)
+            size = len(block)
+            if size > self.capacity_bytes:
                 return
             self._probation[key] = block
-            self._used += len(block)
-            while self._used > self.capacity_bytes:
-                pool = self._probation or self._protected
-                _, evicted = pool.popitem(last=False)
-                self._used -= len(evicted)
-                if pool is self._protected:
-                    self._protected_used -= len(evicted)
+            self._files[key[0]][key] = None
+            self._used += size
+            if self._used > self.capacity_bytes:
+                self._evict_locked()
+
+    def _evict_locked(self) -> None:
+        while self._used > self.capacity_bytes:
+            pool = self._probation or self._protected
+            key, evicted = pool.popitem(last=False)
+            self._used -= len(evicted)
+            if pool is self._protected:
+                self._protected_used -= len(evicted)
+            self._unfile_locked(key)
 
     def _remove_locked(self, key: Hashable) -> None:
         block = self._probation.pop(key, None)
         if block is None:
-            block = self._protected.pop(key, None)
-            if block is None:
-                return
+            block = self._protected.pop(key)
             self._protected_used -= len(block)
         self._used -= len(block)
+        self._unfile_locked(key)
+
+    def _unfile_locked(self, key: Hashable) -> None:
+        keys = self._files[key[0]]
+        del keys[key]
+        if not keys:
+            del self._files[key[0]]
 
     def remove_file(self, file_name: str) -> None:
         """Drop every entry belonging to ``file_name`` (post-compaction)."""
         with self._lock:
-            for key in [key for key in self._probation if key[0] == file_name]:
-                self._used -= len(self._probation.pop(key))
-            for key in [key for key in self._protected if key[0] == file_name]:
-                size = len(self._protected.pop(key))
-                self._used -= size
-                self._protected_used -= size
+            for key in self._files.pop(file_name, ()):
+                block = self._probation.pop(key, None)
+                if block is None:
+                    block = self._protected.pop(key)
+                    self._protected_used -= len(block)
+                self._used -= len(block)
 
     @property
     def used_bytes(self) -> int:

@@ -40,7 +40,7 @@ from repro.lsm.filter_integration import (
     batched_point_verdicts,
     batched_tightened_ranges,
 )
-from repro.lsm.format import ValueTag, sst_file_number
+from repro.lsm.format import DataBlock, ValueTag, sst_file_number
 from repro.lsm.iterators import MergingIterator, live_entries
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import DBOptions
@@ -133,7 +133,10 @@ class DB:
         env_factory = self.options.env_factory or StorageEnv
         self._env = env_factory(path, self.options.device, self.stats)
         self._env.retry_attempts = self.options.io_retry_attempts
-        self._cache = BlockCache(self.options.block_cache_bytes)
+        # A block read a second time is promoted with its key index built.
+        self._cache = BlockCache(
+            self.options.block_cache_bytes, promote=DataBlock.indexed
+        )
         self._filter_dictionary = FilterDictionary(self.options.use_filter_dictionary)
 
         self._super: _SuperVersion | None = None

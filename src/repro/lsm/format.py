@@ -4,10 +4,12 @@ Data blocks use restart-point prefix compression: within a block, each
 entry stores how many key bytes it shares with its predecessor, and every
 ``restart_interval`` entries a *restart point* stores the full key so a
 reader can binary-search restart points and scan forward
-(:func:`seek_data_block`, the point read; :func:`decode_data_block`, the
+(:meth:`DataBlock.seek`, the point read; :func:`decode_data_block`, the
 cursor every scan reads a block through, seeks the same way).  Blocks end
 with the restart offset array, its length, the entry count, and a CRC32
-checksum.
+checksum.  A :class:`DataBlock` is a block verified once, as it comes off
+the device; the block cache holds those, and keys an index over the ones
+it reads twice (:meth:`DataBlock.indexed`).
 
 Entries carry a one-byte value tag distinguishing puts from deletion
 tombstones — the merge machinery needs tombstones to shadow older values
@@ -21,7 +23,11 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
 import zlib
+from array import array
+from bisect import bisect_right
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.errors import CorruptionError
@@ -31,6 +37,7 @@ __all__ = [
     "BlockHandle",
     "encode_varint",
     "decode_varint",
+    "DataBlock",
     "DataBlockBuilder",
     "decode_data_block",
     "seek_data_block",
@@ -318,22 +325,25 @@ def _seek_restart(payload: bytes, bounds: tuple[int, ...], key: bytes) -> int:
 
 
 def decode_data_block(
-    payload: bytes, key: bytes = b""
+    block: "bytes | DataBlock", key: bytes = b""
 ) -> Iterator[tuple[bytes, int, bytes]]:
     """The block cursor: yield the entries ``(key, tag, value)`` at or
     above ``key``, in order, parsing one entry per step.
 
     Every reader that iterates a block (scans, compaction, verify, repair)
-    uses it.  Before the first entry it verifies the CRC32 and restart
-    array and bisects the restart points to ``key`` (as
-    :func:`seek_data_block` does); then every interval it walks is checked
+    uses it.  ``block`` is a :class:`DataBlock` (verified when it was read)
+    or a raw payload, whose CRC32 and restart array are verified before the
+    first entry.  The cursor bisects the restart points to ``key`` (as
+    :meth:`DataBlock.seek` does); then every interval it walks is checked
     as the seek checks its one — each starts from an empty key, so a
     restart entry that shares anything is rejected with the rest.  A cursor
     that started at the block's first interval counts what it parsed and, on
     reaching the end, checks the advertised entry count; one that seeked
     past entries it never parsed cannot.
     """
-    bounds = _restart_bounds(payload)
+    if not isinstance(block, DataBlock):
+        block = DataBlock(block)
+    payload, bounds = block.payload, block.bounds
     first = _seek_restart(payload, bounds, key) if key else 0
     parsed = 0
     for index in range(first, len(bounds) - 1):
@@ -355,30 +365,134 @@ def decode_data_block(
 
 
 def seek_data_block(payload: bytes, key: bytes) -> tuple[int, bytes] | None:
-    """Find ``key`` in a data block: ``(tag, value)``, or None when absent.
+    """Find ``key`` in a raw data block: ``(tag, value)``, or None when
+    absent.  :meth:`DataBlock.seek` on the payload, verified first."""
+    return DataBlock(payload).seek(key)
 
-    The point read: the cursor's checks and restart bisect
-    (:func:`decode_data_block`), then one restart interval walked, rebuilding
-    keys until one is ``>= key``.  Everything the search relies on is
-    checked — a restart entry shares nothing, every entry ends inside its
-    interval.  The advertised entry count is not: nothing here counts
-    entries.
+
+#: The narrowest unsigned array type that holds a key of each width 0..8.
+_KEY_TYPECODES = "BBHIIQQQQ"
+
+
+class DataBlock:
+    """A data block parsed once: its payload and restart bounds, verified
+    when it comes off the device, and, once :meth:`indexed`, a key index.
+
+    Constructing one verifies the CRC32 and the restart array
+    (:func:`_restart_bounds`), so a block that fails never exists and is
+    never cached; the readers of a cached block trust both.  The block
+    cache holds these, sized by ``len()``: the payload's bytes plus the
+    index's.
+
+    :meth:`seek` is the point read.  Without an index it bisects the
+    restart points and walks one interval, rebuilding keys until one is
+    ``>= key``; everything that search relies on is checked on the way (a
+    restart entry shares nothing, every entry ends inside its interval).
+    :meth:`indexed` returns the same block with an index over every entry,
+    built by one full parse that also checks the advertised entry count and
+    that keys ascend; the seek is then one bisect of the index and a slice
+    of the value.  The store indexes a block when the cache promotes it,
+    i.e. on its second read, so blocks read once never pay for a parse.
+
+    The index holds each key once: for blocks whose keys share one width of
+    at most 8 bytes (every store with ``key_bits <= 64``) as unsigned
+    integers of that width, whose order is the keys' byte order; otherwise
+    as the key strings.  Beside each key, the offsets of its tag and of its
+    value's two ends: 14 bytes per entry for 8-byte keys in blocks under
+    64 KiB, plus the two arrays' headers.
+    Instances never change: indexing makes a new one.
     """
-    bounds = _restart_bounds(payload)
-    low = _seek_restart(payload, bounds, key)
-    offset, end = bounds[low], bounds[low + 1]
-    current = b""
-    while offset < end:
-        shared, key_start, value_start, value_end = _entry_header(payload, offset, end)
-        if shared > len(current):
-            raise CorruptionError("data block entry shares more than its predecessor")
-        current = current[:shared] + payload[key_start:value_start]
-        if current >= key:
-            if current == key:
-                return payload[key_start - 1], payload[value_start:value_end]
-            return None
-        offset = value_end
-    return None
+
+    __slots__ = ("payload", "bounds", "_keys", "_width", "_spans", "_index_bytes")
+
+    def __init__(self, payload: bytes) -> None:
+        self.payload = payload
+        self.bounds = _restart_bounds(payload)
+        self._keys = None
+        self._index_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self.payload) + self._index_bytes
+
+    def seek(self, key: bytes) -> tuple[int, bytes] | None:
+        """``(tag, value)`` of ``key``, or None when the block lacks it."""
+        keys = self._keys
+        if keys is not None:
+            width = self._width
+            if width is None:
+                probe = key
+            elif len(key) == width:
+                probe = int.from_bytes(key, "big")
+            else:
+                return None
+            at = bisect_right(keys, probe) - 1
+            if at < 0 or keys[at] != probe:
+                return None
+            spans, payload, at = self._spans, self.payload, 3 * at
+            return payload[spans[at]], payload[spans[at + 1] : spans[at + 2]]
+        payload, bounds = self.payload, self.bounds
+        low = _seek_restart(payload, bounds, key)
+        offset, end = bounds[low], bounds[low + 1]
+        current = b""
+        while offset < end:
+            shared, key_start, value_start, value_end = _entry_header(payload, offset, end)
+            if shared > len(current):
+                raise CorruptionError("data block entry shares more than its predecessor")
+            current = current[:shared] + payload[key_start:value_start]
+            if current >= key:
+                if current == key:
+                    return payload[key_start - 1], payload[value_start:value_end]
+                return None
+            offset = value_end
+        return None
+
+    def indexed(self) -> "DataBlock":
+        """This block with its key index (itself, if it has one)."""
+        if self._keys is not None:
+            return self
+        payload, bounds = self.payload, self.bounds
+        keys: list[bytes] = []
+        spans: list[int] = []  # tag offset, value start, value end per entry
+        for index in range(len(bounds) - 1):
+            offset, end = bounds[index], bounds[index + 1]
+            current, current_len = b"", 0
+            while offset < end:
+                shared, key_start, value_start, offset = _entry_header(
+                    payload, offset, end
+                )
+                if shared > current_len:
+                    raise CorruptionError(
+                        "data block entry shares more than its predecessor"
+                    )
+                current = current[:shared] + payload[key_start:value_start]
+                current_len = shared + value_start - key_start
+                if keys and current <= keys[-1]:
+                    raise CorruptionError("data block keys do not ascend")
+                keys.append(current)
+                spans += (key_start - 1, value_start, offset)
+        (num_entries,) = _U32.unpack_from(payload, len(payload) - 8)
+        if len(keys) != num_entries:
+            raise CorruptionError(
+                f"data block advertised {num_entries} entries, decoded {len(keys)}"
+            )
+        block = DataBlock.__new__(DataBlock)
+        block.payload, block.bounds = payload, bounds
+        widths = set(map(len, keys))
+        width = widths.pop()
+        if width <= 8 and not widths:
+            block._width = width
+            # From a list, not an iterator: the array is then sized exactly.
+            block._keys = array(
+                _KEY_TYPECODES[width], list(map(int.from_bytes, keys, repeat("big")))
+            )
+            key_bytes = sys.getsizeof(block._keys)
+        else:
+            block._width = None
+            block._keys = tuple(keys)
+            key_bytes = sys.getsizeof(block._keys) + sum(map(sys.getsizeof, keys))
+        block._spans = array("H" if len(payload) <= 0xFFFF else "I", spans)
+        block._index_bytes = key_bytes + sys.getsizeof(block._spans)
+        return block
 
 
 def encode_index_block(

@@ -14,9 +14,11 @@ the filter is serialized into the file and must be fetched + deserialized
 before probing (the costs Fig. 5(A2) breaks down).
 
 The reader's data-block reads go through the block cache and the storage
-environment; its index and filter blocks are read from the environment
-once and kept decoded on the reader, so modeled device latency applies to
-every path that touches the file and the cache holds data blocks only.
+environment; a block read from the device is verified and parsed once
+(:class:`~repro.lsm.format.DataBlock`) and cached parsed.  Its index and
+filter blocks are read from the environment once and kept decoded on the
+reader, so modeled device latency applies to every path that touches the
+file and the cache holds data blocks only.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
 from repro.lsm.format import (
     BlockHandle,
+    DataBlock,
     DataBlockBuilder,
     ValueTag,
     decode_data_block,
     decode_index_block,
     encode_index_block,
-    seek_data_block,
     sst_file_number,
 )
 from repro.lsm.options import DBOptions
@@ -350,8 +352,14 @@ class SSTReader:
     # ------------------------------------------------------------------
     # Block access
     # ------------------------------------------------------------------
-    def _read_block(self, handle: BlockHandle, context=None) -> bytes:
-        """One data block, through the block cache."""
+    def _read_block(self, handle: BlockHandle, context=None) -> DataBlock:
+        """One data block, through the block cache.
+
+        A miss reads the block from the device and parses it
+        (:class:`~repro.lsm.format.DataBlock` verifies its CRC32 and restart
+        array) before caching it, so a corrupt block raises on every read
+        and never enters the cache; a hit is trusted as it was cached.
+        """
         cache_key = (self.meta.name, handle.offset)
         cached = self._cache.get(cache_key)
         if cached is not None:
@@ -364,11 +372,11 @@ class SSTReader:
             self._env.stats.add(block_cache_misses=1)
         else:
             context.block_cache_misses += 1
-        payload = self._env.read_block(
-            self.meta.name, handle.offset, handle.size, context
+        block = DataBlock(
+            self._env.read_block(self.meta.name, handle.offset, handle.size, context)
         )
-        self._cache.put(cache_key, payload)
-        return payload
+        self._cache.put(cache_key, block)
+        return block
 
     def read_from_device(self, handle: BlockHandle, context=None) -> bytes:
         """One block read from the file itself: the block cache is neither
@@ -390,17 +398,17 @@ class SSTReader:
     def get(self, key: bytes, context=None) -> tuple[int, bytes] | None:
         """Return ``(tag, value)`` or None; reads at most one data block.
 
-        A point read seeks inside the raw block (restart-point bisect, one
-        interval walked) instead of iterating it.
+        A point read seeks inside the block (:meth:`DataBlock.seek
+        <repro.lsm.format.DataBlock.seek>`) instead of iterating it: one
+        bisect of the key index on a block the cache has promoted, the
+        restart bisect and one interval walked on any other.
         """
         if not self.meta.min_key <= key <= self.meta.max_key:
             return None
         block_index = bisect_left(self._fence_keys, key)
         if block_index >= len(self._fence_pointers):
             return None
-        return seek_data_block(
-            self._read_block(self._fence_pointers[block_index][1], context), key
-        )
+        return self._read_block(self._fence_pointers[block_index][1], context).seek(key)
 
     # ------------------------------------------------------------------
     # Iteration (the two-level iterator)

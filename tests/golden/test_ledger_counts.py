@@ -16,7 +16,13 @@ Pinned per workload at seed 1, in ``counts.json``:
   ``QueryContext`` and the filters carry): block reads, filter calls and
   verdicts, negatives, false positives, runs considered and Bloom probes;
 * over the set-up: flushes, compactions, and the bytes and entries each
-  compaction kind wrote (``profile_workload.py --phase setup``'s footer).
+  compaction kind wrote (``profile_workload.py --phase setup``'s footer);
+* ``calls``: cProfile's function calls per op over the prefix replay (as
+  this test drives it, through ``_Client``) and per put over the set-up.
+  They repeat exactly from one fresh process to the next, so a step added
+  to a path fails here with no timing noise.  They are pinned for CPython
+  3.11, CI's interpreter; on another minor version, whose calls differ
+  (3.12 inlines comprehensions), the row is not compared.
 
 ``serve-mixed`` stays out: its two clients interleave differently run to run.
 
@@ -30,6 +36,8 @@ diff and names each moved count in CHANGES.md::
 
 from __future__ import annotations
 
+import cProfile
+import gc
 import importlib
 import json
 import runpy
@@ -51,6 +59,8 @@ SEED = 1
 WORKLOADS = ("range-empty", "point-zipf", "scan-wide")
 #: Every ``CompactionJob.kind``.
 JOB_KINDS = ("intra-l0", "leveled-l0", "leveled-level", "full")
+#: The interpreter the ``calls`` rows are pinned for.
+CALLS_PYTHON = (3, 11)
 #: The ledger's modules; ``trace`` would shadow the standard library's.
 _LEDGER_MODULES = ("run", "calibrate", "model", "trace", "workloads")
 
@@ -115,6 +125,29 @@ class _Client:
         return self.db.put(key, value)
 
 
+def _profiled(call):
+    """``call()``'s result and the function calls cProfile counted in it.
+
+    Summed per code object: ``pstats`` keys functions by file, line and
+    name, and every ``namedtuple``'s ``__new__`` is ``<string>:1(<lambda>)``,
+    so its totals depend on which of those keys it kept.  The cyclic
+    collector is emptied first and off meanwhile: a collection runs the
+    finalizers of whatever garbage the process left (a generator's
+    ``finally``, a ``__del__``), so when one runs depends on what ran
+    before.
+    """
+    gc.collect()
+    gc.disable()
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        result = call()
+    finally:
+        profile.disable()
+        gc.enable()
+    return result, sum(entry.callcount for entry in profile.getstats())
+
+
 @contextmanager
 def _by_job_kind(written: Counter, rewritten: Counter):
     """Add each compaction's output bytes and entries to its kind."""
@@ -141,16 +174,16 @@ def measure(ledger, name: str, work: Path) -> tuple[dict, list[str]]:
     written: Counter = Counter()
     rewritten: Counter = Counter()
     with _by_job_kind(written, rewritten):
-        store, path, _ = run.setup()
+        (store, path, _), setup_calls = _profiled(run.setup)
     setup = store.stats.snapshot()
     store = run.reopen_cold(store, path)
     try:
         before = store.stats.snapshot()
         client = _Client(store)
-        prefix = ledger.run_slice(
+        prefix, prefix_calls = _profiled(lambda: ledger.run_slice(
             client, run.workload, run.model,
             run.stream.slice(run.workload.prefix_ops),
-        )
+        ))
         delta = store.stats.diff(before)
         # The store was reopened cold: every filter was deserialized during
         # the prefix, so its probe count is the prefix's.
@@ -191,26 +224,47 @@ def measure(ledger, name: str, work: Path) -> tuple[dict, list[str]]:
                 "bytes_by_kind": {kind: written[kind] for kind in JOB_KINDS},
                 "entries_by_kind": {kind: rewritten[kind] for kind in JOB_KINDS},
             },
+            "calls": {
+                "per_op": prefix_calls / len(records),
+                "per_put": setup_calls / len(run.items),
+            },
         }
     finally:
         store.close()
     return counts, problems
 
 
+def warm_up(ledger) -> None:
+    """Pay the process's one-time costs before anything is counted: a
+    smoke-size set-up registers ``weakref.finalize``'s exit hook (the
+    first finalizer of a process does), which a set-up counted cold would
+    include or not depending on what ran before it."""
+    with tempfile.TemporaryDirectory(prefix="ledger-warm-") as scratch:
+        run = ledger.Run(WORKLOADS[0], SEED, True, Path(scratch))
+        run.calibrator = _NoClock()
+        run.setup()[0].close()
+
+
 @pytest.fixture(scope="module")
 def ledger():
-    return import_ledger()
+    ledger = import_ledger()
+    warm_up(ledger)
+    return ledger
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_counts_match_the_golden(ledger, name, tmp_path):
     counts, problems = measure(ledger, name, tmp_path)
+    golden = json.loads(GOLDEN.read_text())[name]
     assert problems == []
-    assert counts == json.loads(GOLDEN.read_text())[name]
+    if sys.version_info[:2] != CALLS_PYTHON:
+        del counts["calls"], golden["calls"]
+    assert counts == golden
 
 
 if __name__ == "__main__":
     ledger_run = import_ledger()
+    warm_up(ledger_run)
     golden = {}
     for workload in WORKLOADS:
         with tempfile.TemporaryDirectory(prefix="ledger-counts-") as scratch:

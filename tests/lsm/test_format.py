@@ -1,5 +1,6 @@
 """Unit tests for on-disk block encodings."""
 
+import random
 import struct
 import zlib
 
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
+from repro.lsm.block_cache import BlockCache
 from repro.lsm.format import (
     BlockHandle,
+    DataBlock,
     DataBlockBuilder,
     ValueTag,
     _shared_prefix_len,
@@ -483,6 +486,121 @@ def test_property_seek_equals_decode(keys, restart, extra_probes, data):
         assert list(decode_data_block(block, probe)) == [
             entry for entry in full if entry[0] >= probe
         ]
+
+
+# ----------------------------------------------------------------------
+# DataBlock.indexed: the key index is held to the raw seek
+# ----------------------------------------------------------------------
+def _seeded_entries(rng: random.Random, width: int, count: int):
+    """Sorted fixed-width keys, about half with a leading zero byte; a
+    fifth are tombstones, and values straddle 128 bytes (one- and two-byte
+    length varints)."""
+    keys = sorted({
+        rng.getrandbits(8 * width - 8 * rng.randrange(2)).to_bytes(width, "big")
+        for _ in range(count)
+    })
+    return [
+        (key, ValueTag.DELETE, b"") if rng.random() < 0.2
+        else (key, ValueTag.PUT, rng.randbytes(rng.choice((0, 9, 127, 128, 300))))
+        for key in keys
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("width", [4, 8, 64])
+def test_indexed_seek_equals_the_raw_seek(width, seed):
+    rng = random.Random(seed)
+    entries = _seeded_entries(rng, width, rng.randint(1, 90))
+    payload = _build(entries, rng.choice([1, 3, 16]))
+    block = DataBlock(payload).indexed()
+    assert len(block) > len(payload)  # the index is charged
+    assert block.indexed() is block
+    top = 1 << 8 * width
+    probes = {b"", bytes(width), b"\xff" * width, b"\xff" * (width + 1)}
+    for key, _, _ in entries:
+        number = int.from_bytes(key, "big")
+        # present / strict prefix / extension / the same number at
+        # another width / the gaps either side
+        probes |= {key, key[:-1], key + b"\x00", key[1:], b"\x00" + key}
+        probes |= {n.to_bytes(width, "big") for n in (number - 1, number + 1) if 0 <= n < top}
+    for probe in probes:
+        assert block.seek(probe) == seek_data_block(payload, probe), probe
+    for key, tag, value in entries:
+        assert block.seek(key) == (tag, value)
+
+
+def test_indexed_seek_over_keys_of_mixed_widths():
+    entries = [(b"a", 0, b"1"), (b"ab", 1, b""), (b"abcdefghij", 0, b"x" * 200), (b"b", 0, b"2")]
+    payload = _build(entries, 2)
+    block = DataBlock(payload).indexed()
+    for probe in (b"", b"a", b"aa", b"ab", b"abc", b"abcdefghij", b"abcdefghijk", b"b", b"c"):
+        assert block.seek(probe) == seek_data_block(payload, probe)
+
+
+def test_indexing_checks_the_advertised_entry_count():
+    """The full parse behind the index counts entries: a block whose
+    trailer lies is refused at indexing, though the walk cannot tell."""
+    under = _seal(
+        [_entry(0, b"a", b"1") + _entry(0, b"b", b"2"), _entry(0, b"c", b"3")],
+        [0, 12],
+    )
+    over = bytearray(_build(TestSeekDataBlock.ENTRIES, 4)[:-4])
+    (count,) = struct.unpack_from("<I", over, len(over) - 4)
+    struct.pack_into("<I", over, len(over) - 4, count + 1)
+    over = bytes(over) + struct.pack("<I", zlib.crc32(over))
+    for payload, probe in ((under, b"a"), (over, TestSeekDataBlock.ENTRIES[0][0])):
+        block = DataBlock(payload)
+        assert block.seek(probe) is not None
+        with pytest.raises(CorruptionError, match="advertised"):
+            block.indexed()
+        # Promotion is where the cache indexes: a block that fails it leaves.
+        cache = BlockCache(1 << 20, promote=DataBlock.indexed)
+        cache.put(("f", 0), block)
+        with pytest.raises(CorruptionError):
+            cache.get(("f", 0))
+        assert cache.get(("f", 0)) is None
+        assert (len(cache), cache.used_bytes) == (0, 0)
+
+
+def test_block_cache_charges_the_index_its_promotions_build():
+    """The cache driven with the store's ``promote`` through promotions,
+    demotions, evictions and ``remove_file``: it charges exactly the
+    payloads plus the indexes it holds and stays within its capacity."""
+    rng = random.Random(11)
+    blocks = {
+        (name, offset): DataBlock(_build(_seeded_entries(rng, 8, 30), 16))
+        for name in ("a.sst", "b.sst", "c.sst")
+        for offset in range(0, 8 * 4096, 4096)
+    }
+    capacity = 5 * max(len(block.indexed()) for block in blocks.values())
+    cache = BlockCache(capacity, promote=DataBlock.indexed)
+    seen = {"indexed in probation": 0, "index bytes": 0}
+    for _ in range(3000):
+        key = rng.choice(list(blocks))
+        step = rng.random()
+        if step < 0.35:
+            cache.put(key, blocks[key])
+        elif step < 0.97:
+            got = cache.get(key)
+            if got is not None:
+                assert got.payload is blocks[key].payload
+                assert key in cache._protected  # noqa: SLF001
+                assert got.indexed() is got
+        else:
+            cache.remove_file(key[0])
+            assert all(k[0] != key[0] for k in cache._probation)  # noqa: SLF001
+            assert all(k[0] != key[0] for k in cache._protected)  # noqa: SLF001
+        cached = {**cache._probation, **cache._protected}  # noqa: SLF001
+        assert all(block.indexed() is block for block in cache._protected.values())  # noqa: SLF001
+        payload_bytes = sum(len(block.payload) for block in cached.values())
+        index_bytes = sum(len(block) - len(block.payload) for block in cached.values())
+        assert cache.used_bytes == payload_bytes + index_bytes <= capacity
+        seen["index bytes"] = max(seen["index bytes"], index_bytes)
+        seen["indexed in probation"] += any(
+            len(block) > len(block.payload) for block in cache._probation.values()  # noqa: SLF001
+        )
+    assert seen["index bytes"] > 0
+    assert seen["indexed in probation"] > 0  # demoted blocks keep their index
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,9 +6,12 @@ too), so the numbers repeat exactly on one interpreter and a ceiling catches
 a read or write path that grew a step.  The store is fixed: 32-bit keys, two
 L0 files over two L1 and four L2 files, every filter and block warm.  The
 ceilings hold the one-pass point read over a dict memtable that takes the
-superversion with one attribute read (79.7 calls per get; 83.7 while every
-read pinned and unpinned it under a lock; the skip-list memtable and the
-per-run list building it replaced cost 101.7) and the put of an inline-only store: 42.0 calls (41.0 before ``DB.put``
+superversion with one attribute read, seeking with one bisect of the key
+index the block cache built when it promoted the block (65.6 calls per get;
+79.7 while every hit re-verified its block's CRC32 and restart array and
+walked a restart interval; 83.7 while every read pinned and unpinned the
+superversion under a lock; the skip-list memtable and the per-run list
+building it replaced cost 101.7) and the put of an inline-only store: 42.0 calls (41.0 before ``DB.put``
 became one call into the writer), down from 48.0 when
 each put also checked the write-stall triggers (``_apply_backpressure``,
 ``_stall_conditions``, two ``len`` and a ``max``) and its WAL append and
@@ -25,8 +28,8 @@ its first entry and closed (1627.9) and 424.9 per 16-record ``iterator``
 (352.7).
 
 The batch ceiling holds ``multi_get``'s one pass per run: a 1 000-key,
-mostly-absent ``multi_get`` costs 13.5 calls per key against 74.1 per
-``get`` of the same keys, its per-run groups (490 keys on average) on the
+mostly-absent ``multi_get`` costs 7.0 calls per key against 63.7 per
+``get`` of the same keys (13.5 and 70.1 before blocks were key-indexed), its per-run groups (490 keys on average) on the
 vector side of ``SCALAR_PROBE_MAX``.  It must stay under a third of the
 ``get`` loop's.
 
@@ -46,12 +49,12 @@ from repro.lsm import DB, DBOptions
 from repro.lsm.serving import ServingOptions, ShardedServer
 
 PUT_CEILING = 43
-GET_CEILING = 83
+GET_CEILING = 69
 EMPTY_RANGE_CEILING = 151
 RANGE_CEILING = 1986
 RANGE_ITER_CEILING = 1766
 ITERATOR_CEILING = 446
-MULTI_GET_KEY_CEILING = 15
+MULTI_GET_KEY_CEILING = 8
 DEFENCE_PUT_CALLS = 4.0
 DEFENCE_GET_CALLS = 1.0
 

@@ -40,6 +40,8 @@ KEPT = {
     "FaultInjectionEnv.fail_next_writes": "a scripted fault",
     "FaultInjectionEnv.corrupt_file": "a scripted fault",
     "repair_store": "the offline repair entry point of repro.lsm",
+    "seek_data_block": "the point read over a raw payload: the reference "
+    "the tests hold DataBlock.seek and its key index to",
 }
 
 _PUBLIC = {
@@ -213,7 +215,7 @@ SHARED = {
     "finish", "flush", "force_full_compaction", "fpr", "from_bytes",
     "from_levels", "get", "health", "ingest", "leaf_value_index",
     "may_contain", "may_contain_range", "num_bits", "num_edges", "num_nodes",
-    "put", "replay", "resume", "salt", "size_in_bits",
+    "put", "replay", "resume", "salt", "seek", "size_in_bits",
     "smallest_label_ge", "tightened_range", "to_bytes", "validate",
     "wait_idle",
 }

@@ -115,6 +115,39 @@ class TestVerify:
         assert any("filter" in error for error in db.verify().errors)
         db.close()
 
+    def test_reads_every_block_while_gets_answer_from_the_cache(self, tmp_path):
+        """A cached block is trusted as it was verified, so gets keep
+        answering from the cache after a byte under the block flips on
+        disk; verify reads every block from the device and reports it."""
+        options = DBOptions(
+            key_bits=32,
+            block_size_bytes=512,
+            filter_factory=make_factory("rosetta", 32, 14, max_range=32),
+        )
+        db = DB(str(tmp_path / "trusted"), options)
+        for key in range(800):
+            db.put(key, f"v{key}".encode())
+        db.flush()
+        [run] = db.version.level0
+        fence = int.from_bytes(run.reader._fence_pointers[0][0], "big")  # noqa: SLF001
+        first_block = range(fence + 1)
+        for _ in range(2):  # read twice: promoted, with its key index
+            assert all(db.get(key) == f"v{key}".encode() for key in first_block)
+        _flip(db._env.path(run.name), 100)  # noqa: SLF001
+        before = db.stats.snapshot()
+        assert all(db.get(key) == f"v{key}".encode() for key in first_block)
+        delta = db.stats.diff(before)
+        assert (delta.block_reads, delta.block_cache_hits) == (0, len(first_block))
+        before = db.stats.snapshot()
+        report = db.verify()
+        delta = db.stats.diff(before)
+        assert any(e.startswith(f"{run.name} block 0:") for e in report.errors)
+        assert report.blocks_checked == run.reader.num_data_blocks() - 1
+        # Every data block and the filter block, none through the cache.
+        assert delta.block_reads == run.reader.num_data_blocks() + 1
+        assert delta.block_cache_hits == delta.block_cache_misses == 0
+        db.close()
+
     def test_detects_filter_corruption(self, tmp_path):
         db = _db(tmp_path)
         run = db.version.all_runs_newest_first()[0]
