@@ -20,8 +20,11 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
+from repro.errors import FilterQueryError
+
 __all__ = [
     "DyadicInterval",
+    "clamp_to_domain",
     "count_intervals",
     "decompose",
 ]
@@ -50,6 +53,20 @@ class DyadicInterval(NamedTuple):
     def high(self) -> int:
         """Largest key in the block."""
         return ((self.prefix + 1) << self.height) - 1
+
+
+def clamp_to_domain(
+    low: int, high: int, key_bits: int
+) -> tuple[int, int] | None:
+    """Intersect ``[low, high]`` with the key domain ``[0, 2^key_bits)``:
+    the filters', the store's and the shard router's one answer for an
+    out-of-domain bound.  ``None`` when the range lies wholly outside the
+    domain; an inverted range is a caller error and raises.
+    """
+    if low > high:
+        raise FilterQueryError(f"invalid range: low={low} > high={high}")
+    low, high = max(low, 0), min(high, (1 << key_bits) - 1)
+    return (low, high) if low <= high else None
 
 
 def decompose(low: int, high: int, max_height: int) -> Iterator[DyadicInterval]:

@@ -342,21 +342,18 @@ class Rosetta:
     # Queries
     # ------------------------------------------------------------------
     def may_contain(self, key: int) -> bool:
-        """Point lookup (§2.2.2): probe only the full-key (leaf) level."""
-        self.stats.point_queries += 1
-        if self._num_keys == 0:
-            return False
-        self._check_key(key)
-        return self._probe(key, 0)
+        """Point lookup (§2.2.2): :meth:`may_contain_each` of a group of one."""
+        return self.may_contain_each((key,))[0]
 
     def may_contain_each(self, keys) -> list[bool]:
-        """Point lookups for a group of keys: one ``bool`` per key.
+        """Point lookups for a group of keys on the full-key (leaf) level
+        only (§2.2.2): one ``bool`` per key.
 
-        Equal to mapping :meth:`may_contain` — verdicts, ``point_queries``
-        and ``bloom_probes`` charges (one per key, duplicates included) —
-        for every group size and key width.  A group of one (most of the
-        LSM's per-run groups) is validated and handed straight to the leaf
-        level's probe; for the rest the leaf level's
+        Charges one ``point_queries`` and, where the leaf level has bits,
+        one ``bloom_probes`` per key, duplicates included.  A group of one
+        (a point lookup, and most of the LSM's per-run groups) is validated
+        and handed straight to the leaf level's probe; for the rest the
+        leaf level's
         :meth:`~repro.core.bloom.BloomFilter.contains_batch` validates the
         keys once and picks the scalar or vector kernel from the group
         size.  Out-of-domain keys raise :class:`FilterQueryError` either way.
@@ -370,7 +367,9 @@ class Rosetta:
         if count == 1:
             key = keys[0]
             if key < 0 or key >> self._key_bits:
-                self._check_key(key)  # raises
+                raise FilterQueryError(
+                    f"key {key} outside domain [0, 2^{self._key_bits})"
+                )
             verdicts = [probe is None or probe(key)]
         else:
             verdicts = self._filters[0].contains_batch(keys, self._key_bits)
@@ -395,8 +394,8 @@ class Rosetta:
         return range_verdicts((self,), low, high, probe_budget)[0]
 
     def _walk(self, low: int, high: int, probe_budget: int | None) -> bool:
-        """The walk kernel over this filter alone, whatever the range."""
-        return _doubt_walk((self,), low, high, probe_budget)[0]
+        """The walk kernel's verdict over this filter alone."""
+        return _doubt_walk((self,), low, high, probe_budget)[0][0]
 
     def _frontier(self, low: int, high: int) -> bool:
         """The frontier engine's verdict, charged to :attr:`stats`."""
@@ -414,72 +413,26 @@ class Rosetta:
 
         Returns ``None`` when the range is definitely empty; otherwise the
         narrowest ``(effective_low, effective_high)`` sub-range that may hold
-        keys — storage I/O can then seek the narrower range.  Two scalar
-        scans: leftmost survivor from the left, rightmost from the right.
+        keys — storage I/O can then seek the narrower range.  Two walks,
+        from the low end and from the high end, each stopping at its first
+        surviving leaf; every dyadic interval is charged once.
         """
-        low, high = self._clamp_range(low, high)
-        self.stats.range_queries += 1
-        if self._num_keys == 0 or low > high:
+        clamped = dyadic.clamp_to_domain(low, high, self._key_bits)
+        stats = self.stats
+        stats.range_queries += 1
+        if clamped is None or not self._num_keys:
             return None
-        intervals = list(dyadic.decompose(low, high, self._max_height))
-        self.stats.dyadic_intervals += len(intervals)
-
-        first_idx: int | None = None
-        effective_low = 0
-        for idx, interval in enumerate(intervals):
-            leftmost = self._leftmost_positive(interval.prefix, interval.height)
-            if leftmost is not None:
-                first_idx, effective_low = idx, leftmost
-                break
-        if first_idx is None:
-            return None
-
-        # Scan from the right down to (and including) the first positive
-        # interval; probing is deterministic, so that interval is guaranteed
-        # to yield a rightmost value and the loop always terminates with one.
-        effective_high = effective_low
-        for idx in range(len(intervals) - 1, first_idx - 1, -1):
-            interval = intervals[idx]
-            rightmost = self._rightmost_positive(interval.prefix, interval.height)
-            if rightmost is not None:
-                effective_high = rightmost
-                break
-        return max(effective_low, low), min(max(effective_high, effective_low), high)
-
-    # ------------------------------------------------------------------
-    # One charged probe; tightening (§2.2.1) on top of it
-    # ------------------------------------------------------------------
-    def _probe(self, prefix: int, height: int) -> bool:
-        """Probe one prefix outside the walk, charging it if it costs."""
-        probe = self._level_probes[height]
-        if probe is None:
-            return True
-        self.stats.bloom_probes += 1
-        return probe(prefix)
-
-    def _leftmost_positive(self, prefix: int, height: int) -> int | None:
-        """Smallest leaf value with a surviving positive path, if any."""
-        if not self._probe(prefix, height):
-            return None
-        if height == 0:
-            return prefix
-        left = prefix << 1
-        found = self._leftmost_positive(left, height - 1)
-        if found is not None:
-            return found
-        return self._leftmost_positive(left | 1, height - 1)
-
-    def _rightmost_positive(self, prefix: int, height: int) -> int | None:
-        """Largest leaf value with a surviving positive path, if any."""
-        if not self._probe(prefix, height):
-            return None
-        if height == 0:
-            return prefix
-        right = (prefix << 1) | 1
-        found = self._rightmost_positive(right, height - 1)
-        if found is not None:
-            return found
-        return self._rightmost_positive(prefix << 1, height - 1)
+        low, high = clamped
+        intervals = stats.dyadic_intervals
+        first = _doubt_walk((self,), low, high, None)[1].get(0)
+        window = None
+        if first is not None:
+            last = _doubt_walk((self,), low, high, None, from_high=True)[1][0]
+            window = (first, last)
+        stats.dyadic_intervals = intervals + dyadic.count_intervals(
+            low, high, self._max_height
+        )
+        return window
 
     # ------------------------------------------------------------------
     # Prediction
@@ -498,22 +451,6 @@ class Rosetta:
             for filt in self._filters
         ]
         return predict_range_fpr(level_fprs, range_size, alignment)
-
-    # ------------------------------------------------------------------
-    # Validation helpers
-    # ------------------------------------------------------------------
-    def _check_key(self, key: int) -> None:
-        if key < 0 or key >> self._key_bits:
-            raise FilterQueryError(
-                f"key {key} outside domain [0, 2^{self._key_bits})"
-            )
-
-    def _clamp_range(self, low: int, high: int) -> tuple[int, int]:
-        if low > high:
-            raise FilterQueryError(f"invalid range: low={low} > high={high}")
-        if low < 0:
-            low = 0
-        return low, min(high, (1 << self._key_bits) - 1)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -595,11 +532,12 @@ def range_verdicts(
     filter at a time.
     """
     head = rosettas[0]
-    low, high = head._clamp_range(low, high)
+    clamped = dyadic.clamp_to_domain(low, high, head._key_bits)
     for rosetta in rosettas:
         rosetta.stats.range_queries += 1
-    if low > high:
+    if clamped is None:
         return [False] * len(rosettas)
+    low, high = clamped
     if probe_budget is not None and probe_budget < 1:
         return [rosetta._num_keys > 0 for rosetta in rosettas]
     if (
@@ -609,39 +547,51 @@ def range_verdicts(
         > WALK_MAX_INTERVALS
     ):
         return [rosetta._frontier(low, high) for rosetta in rosettas]
-    return _doubt_walk(rosettas, low, high, probe_budget)
+    return _doubt_walk(rosettas, low, high, probe_budget)[0]
 
 
 def _doubt_walk(
-    rosettas: Sequence[Rosetta], low: int, high: int, probe_budget: int | None
-) -> list[bool]:
-    """Algorithm 2: doubt each dyadic interval, left to right, pre-order,
-    for every filter at once.
+    rosettas: Sequence[Rosetta],
+    low: int,
+    high: int,
+    probe_budget: int | None,
+    from_high: bool = False,
+) -> tuple[list[bool], dict[int, int]]:
+    """Algorithm 2: doubt each dyadic interval, pre-order, for every filter
+    at once: each filter's verdict, and by filter index the leaf each one
+    that found a leaf stopped at.
 
     The intervals are :func:`repro.core.dyadic.decompose`'s, produced in
-    place, and doubted from an explicit stack whose nodes carry the filters
-    still doubting them.  A node's prefix is hashed once; each filter tests
-    its own bits (a level without bits passes uncharged), and the node's
-    halves are pushed, left on top, with the filters that passed.  A filter
-    stops at its first positive leaf or, with a ``probe_budget``, answers
-    positive on reaching the first node it cannot pay for — so each one's
-    verdict and charges are those of walking it alone.  An empty filter
-    answers negative unprobed.
+    place from the low end or, ``from_high``, from the high end, and
+    doubted from an explicit stack whose nodes carry the filters still
+    doubting them.  A node's prefix is hashed once; each filter tests its
+    own bits (a level without bits passes uncharged), and the node's
+    halves are pushed, the one nearer the starting end on top, with the
+    filters that passed.  A filter stops positive at its first leaf whose
+    whole path survives, which it reports (§2.2.1's effective bound), or,
+    with a ``probe_budget``, at the first node it cannot pay for, with no
+    leaf — so each one's answer and charges are those of walking it alone.
+    An empty filter answers negative unprobed.
     """
     levels = [rosetta._walk_levels for rosetta in rosettas]
     max_height = rosettas[0]._max_height
+    # From the high end the walk steps through mirrored keys (key ^ flip):
+    # a block mirrors to a block of its height, and its children swap.
+    flip = (1 << rosettas[0]._key_bits) - 1 if from_high else 0
+    near, far = (1, 0) if from_high else (0, 1)
     budget = -1 if probe_budget is None else probe_budget
     probes = [0] * len(rosettas)
     intervals = probes.copy()
     found = [False] * len(rosettas)
+    leaves: dict[int, int] = {}
     doubting = [index for index, r in enumerate(rosettas) if r._num_keys]
     undecided = len(doubting)
     stack: list[tuple[int, int, list[int]]] = []
-    cursor = low
-    while cursor <= high and undecided:
+    cursor, end = (high ^ flip, low ^ flip) if from_high else (low, high)
+    while cursor <= end and undecided:
         # Largest aligned block at `cursor`: capped by its alignment,
         # by what still fits, and by the tallest level kept.
-        height = (high - cursor + 1).bit_length() - 1
+        height = (end - cursor + 1).bit_length() - 1
         if height > max_height:
             height = max_height
         if cursor:
@@ -651,7 +601,7 @@ def _doubt_walk(
         for index in doubting:
             if not found[index]:
                 intervals[index] += 1
-        stack.append((cursor >> height, height, doubting))
+        stack.append(((cursor ^ flip) >> height, height, doubting))
         cursor += 1 << height
         while stack:
             prefix, at, doubters = stack.pop()
@@ -702,13 +652,14 @@ def _doubt_walk(
             if at:
                 at -= 1
                 prefix <<= 1
-                stack.append((prefix | 1, at, passed))
-                stack.append((prefix, at, passed))
+                stack.append((prefix | far, at, passed))
+                stack.append((prefix | near, at, passed))
             else:
                 for index in passed:
                     found[index] = True
+                    leaves[index] = prefix
                 undecided -= len(passed)
     for rosetta, spent, walked in zip(rosettas, probes, intervals):
         rosetta.stats.bloom_probes += spent
         rosetta.stats.dyadic_intervals += walked
-    return found
+    return found, leaves

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
+from repro.core.dyadic import clamp_to_domain
 from repro.core.tuning import AutoTuner, TuningDecision, WorkloadTracker
 from repro.errors import ClosedStoreError, FilterQueryError, ReproError
 from repro.filters.base import FilterFactory, KeyFilter
@@ -45,7 +46,6 @@ from repro.lsm.iterators import MergingIterator, live_entries
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import DBOptions
 from repro.lsm.perf_context import QueryContext
-from repro.lsm.shard import clamp_to_domain
 from repro.lsm.sstable import SSTReader, read_sst_meta
 from repro.lsm.stats import PerfStats
 from repro.lsm.version import MANIFEST, Run, Version, manifest_entry_name

@@ -94,7 +94,8 @@ def batched_tightened_ranges(
     ``repro.lsm.db.batched_tightened_ranges`` by name; renaming it is for
     the next benchmark-only PR.
     """
-    verdicts = [True] * len(filters)
+    count = len(filters)
+    verdicts = [True] * count
     walked: list[int] = []
     cores: list[Rosetta] = []
     for index, filt in enumerate(filters):
@@ -107,4 +108,4 @@ def batched_tightened_ranges(
     if cores:
         for index, verdict in zip(walked, range_verdicts(cores, low, high)):
             verdicts[index] = verdict
-    return verdicts, len(filters) - filters.count(None)
+    return verdicts, count - filters.count(None)

@@ -15,25 +15,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
+from repro.core.dyadic import clamp_to_domain
 from repro.errors import FilterQueryError, InvalidOptionsError
 
-__all__ = ["ShardRouter", "clamp_to_domain"]
-
-
-def clamp_to_domain(
-    low: int, high: int, key_bits: int
-) -> tuple[int, int] | None:
-    """Intersect ``[low, high]`` with the key domain ``[0, 2^key_bits)``.
-
-    The one answer the store and the router give for an out-of-domain
-    range bound, and the one :class:`~repro.core.rosetta.Rosetta` gives:
-    clamp it.  ``None`` when the range lies wholly outside the domain (it
-    holds no key); an inverted range is a caller error and raises.
-    """
-    if low > high:
-        raise FilterQueryError(f"invalid range: low={low} > high={high}")
-    low, high = max(low, 0), min(high, (1 << key_bits) - 1)
-    return (low, high) if low <= high else None
+__all__ = ["ShardRouter"]
 
 
 class ShardRouter:

@@ -5,19 +5,21 @@ a byte view; ``Rosetta._walk`` is an explicit-stack loop.  Neither may be
 its own oracle.  The reference here is Algorithm 2 written the slow,
 obvious way — recursive doubting over ``dyadic.decompose`` — probing with
 the library's unfused pieces (``hash_int``/``hash_bytes`` + ``mix_salt`` +
-``double_hash_indexes`` + ``BitArray.test``).  The product must return the
-reference's verdict and charge the reference's ``bloom_probes`` and
-``dyadic_intervals``, query for query.
+``double_hash_indexes`` + ``BitArray.test``), and §2.2.1's tightening as a
+recursive leftmost / rightmost search over the materialised interval list.
+The product must return the reference's verdict (or window) and charge the
+reference's ``bloom_probes`` and ``dyadic_intervals``, query for query.
 """
 
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
 from repro.core.allocation import LevelAllocation
 from repro.core.bitarray import BitArray
 from repro.core.bloom import SCALAR_PROBE_MAX, BloomFilter
-from repro.core.dyadic import count_intervals, decompose
+from repro.core.dyadic import DyadicInterval, count_intervals, decompose
 from repro.core.hashing import (
     double_hash_indexes,
     hash_bytes,
@@ -104,10 +106,49 @@ class ReferenceWalk:
                 break
         return verdict, self.probes, self.intervals
 
+    def _extreme(self, prefix: int, height: int, from_high: bool):
+        """The smallest (``from_high``: largest) leaf under a node whose
+        whole root-to-leaf path survives, or None."""
+        if not self._probe(prefix, height):
+            return None
+        if height == 0:
+            return prefix
+        children = [prefix << 1, (prefix << 1) | 1]
+        for child in reversed(children) if from_high else children:
+            leaf = self._extreme(child, height - 1, from_high)
+            if leaf is not None:
+                return leaf
+        return None
 
-def charged(rosetta: Rosetta, issue) -> tuple[bool, int, int]:
+    def first_leaf(self, intervals, from_high: bool = False):
+        """The first surviving leaf met searching ``intervals`` in order."""
+        for interval in intervals:
+            leaf = self._extreme(interval.prefix, interval.height, from_high)
+            if leaf is not None:
+                return leaf
+        return None
+
+    def tighten(self, low: int, high: int):
+        """``(window, bloom_probes, dyadic_intervals)`` of §2.2.1: the
+        leftmost surviving leaf searched from the low end, the rightmost
+        from the high end, every interval of the range charged once."""
+        self.probes = 0
+        intervals = list(decompose(low, high, self.max_height))
+        self.intervals = len(intervals)
+        first = self.first_leaf(intervals)
+        if first is None:
+            return None, self.probes, self.intervals
+        last = self.first_leaf(reversed(intervals), from_high=True)
+        return (first, last), self.probes, self.intervals
+
+
+def _as_is(answer):
+    return answer
+
+
+def charged(rosetta: Rosetta, issue, answer=bool) -> tuple[object, int, int]:
     probes, intervals = rosetta.stats.bloom_probes, rosetta.stats.dyadic_intervals
-    verdict = bool(issue(rosetta))
+    verdict = answer(issue(rosetta))
     return (
         verdict,
         rosetta.stats.bloom_probes - probes,
@@ -281,6 +322,49 @@ def test_walk_answers_and_charges_like_the_reference(shape):
             got = charged(rosetta, lambda r: r.may_contain_range(low, high))
             assert got == want, (low, high)
     assert served_by_walk > 100
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_tightening_windows_and_charges_like_the_reference(shape):
+    rosetta, keys = SHAPES[shape]
+    reference = ReferenceWalk(rosetta)
+    stored = sorted(keys)
+    rng = random.Random(shape)
+    windows = 0
+    for low, high in _queries(rosetta, keys, rng):
+        want = reference.tighten(low, high)
+        got = charged(rosetta, lambda r: r.tightened_range(low, high), _as_is)
+        assert got == want, (low, high)
+        window = want[0]
+        assert (window is not None) == reference.query(low, high)[0]
+        if window is not None:
+            windows += 1
+            assert low <= window[0] <= window[1] <= high
+            inside = stored[bisect_left(stored, low) : bisect_right(stored, high)]
+            assert all(window[0] <= key <= window[1] for key in inside)
+    assert windows > 50
+
+
+def test_tightening_the_whole_domain_costs_by_the_answer():
+    """The full 64-bit domain is 2^58 full-height blocks: the two searches
+    must start at its ends, not from a list of them."""
+    rng = random.Random(64)
+    keys = [rng.getrandbits(64) for _ in range(400)]
+    rosetta = Rosetta.build(keys, key_bits=64, bits_per_key=22.0, max_range=64)
+    height = rosetta.max_height
+    blocks = 1 << (64 - height)
+    reference = ReferenceWalk(rosetta)
+    want = (
+        reference.first_leaf(decompose(0, U64_MAX, height)),
+        reference.first_leaf(
+            (DyadicInterval(p, height) for p in range(blocks - 1, -1, -1)),
+            from_high=True,
+        ),
+    )
+    assert want[0] <= min(keys) and want[1] >= max(keys)
+    got = charged(rosetta, lambda r: r.tightened_range(0, U64_MAX), _as_is)
+    assert got == (want, reference.probes, blocks)
+    assert reference.probes < 10_000
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
