@@ -110,7 +110,7 @@ class Rosetta:
         "_key_bits",
         "_max_height",
         "_filters",
-        "_level_probes",
+        "_leaf_probe",
         "_walk_levels",
         "_allocation",
         "_num_keys",
@@ -136,11 +136,11 @@ class Rosetta:
         self._key_bits = key_bits
         self._max_height = len(filters) - 1
         self._filters = list(filters)
-        # What a probe needs of each level: its probe, or None where the
-        # level has no bits and passes every prefix uncharged.
-        self._level_probes = tuple(
-            None if filt.is_always_positive else filt.may_contain
-            for filt in self._filters
+        # The leaf level's probe, or None where it has no bits and passes
+        # every key uncharged.
+        leaf = self._filters[0]
+        self._leaf_probe = (
+            None if leaf.is_always_positive else leaf.may_contain
         )
         # The same for the walk kernel, which inlines the probe: what
         # BloomFilter.may_contain reads.
@@ -363,7 +363,7 @@ class Rosetta:
         stats.point_queries += count
         if self._num_keys == 0:
             return [False] * count
-        probe = self._level_probes[0]
+        probe = self._leaf_probe
         if count == 1:
             key = keys[0]
             if key < 0 or key >> self._key_bits:

@@ -1,20 +1,20 @@
-"""Sharded batch-serving front-end over N key-range `DB` shards.
+"""Sharded serving front-end over N key-range `DB` shards.
 
 The paper positions Rosetta as the filter inside a *serving* key-value
 store; this module is the serving layer.  One logical store is
 partitioned by key range (:class:`~repro.lsm.shard.ShardRouter`) across
 ``N`` in-process :class:`~repro.lsm.db.DB` shards, fronted by an async
-batch API that **coalesces** concurrent ``get`` / ``multi_get`` /
-``range_query`` calls into the store's existing batched read paths.  It
+API: ``get`` / ``multi_get`` / ``range_query`` calls return futures.  It
 starts no thread (flat combining):
 
 * every shard owns a request queue; the submitter that finds the shard
   idle becomes its *combiner* and drains the queue on its own thread,
   batch by batch, until it finds it empty — other submitters just queue
   and wait on their futures;
-* a batch is what queued while the previous one ran (no timed wait for
-  company: docs/internals.md has what one costs under the GIL), and its
-  point lookups are answered with **one** :meth:`DB.multi_get`;
+* a batch is everything that queued while the previous one ran, and
+  each of its pieces is its own DB read: a point piece one
+  :meth:`DB.multi_get` of its keys, a range piece one
+  :meth:`DB.range_query`;
 * range queries split at shard boundaries
   (:meth:`ShardRouter.split_range`) and their per-shard answers
   concatenate in shard order (shards are contiguous).
@@ -38,7 +38,7 @@ hanging (docs/internals.md, "Failure semantics"):
   :class:`~repro.errors.ShardUnavailableError` while reads pass.  The
   first write after a capped exponential back-off probes
   :meth:`DB.resume` and goes ahead if the store healed.
-* **A failing batch fails only itself**: its reads get the exception
+* **A failing read fails only itself**: its piece gets the exception
   and the combiner goes on, so nothing needs restarting.
   :meth:`ShardedServer.close` waits for running batches and fails what
   one stuck past ``_WORKER_JOIN_TIMEOUT_S`` holds with
@@ -78,13 +78,6 @@ __all__ = [
     "ServingStats",
     "ShardedServer",
 ]
-
-#: Ceiling on requests drained into one batch.
-_MAX_BATCH_REQUESTS = 256
-
-#: Ceiling on point keys resolved by one batched ``multi_get`` (a single
-#: oversized request still runs alone).
-_MAX_BATCH_KEYS = 512
 
 #: How long :meth:`ShardedServer.close` waits for each shard's running
 #: batch before declaring it leaked and failing its futures.
@@ -141,11 +134,9 @@ class ServingOptions:
 class ServingStats(CounterSet):
     """Front-end counters — one instance per shard plus the aggregate.
 
-    ``batches``/``coalesced_batches`` are the coalescing observables: a
-    batch is *coalesced* when it resolved point keys from two or more
-    distinct requests with one ``multi_get`` — the thing
-    ``tests/lsm/test_serving.py`` asserts actually happens under
-    concurrent clients.
+    ``batches`` / ``batched_keys`` count the drained batches that read
+    point keys and those keys; ``max_queue_depth`` is the deepest queue
+    a combiner took.
 
     The fault-tolerance counters (``sheds``, ``deadline_misses``,
     ``breaker_trips`` / ``breaker_recoveries``, ``worker_leaks``,
@@ -157,10 +148,11 @@ class ServingStats(CounterSet):
     multi_requests: int = 0      # multi_get() sub-requests for this shard
     range_requests: int = 0      # range pieces executed on this shard
     write_requests: int = 0      # put/delete routed to this shard
-    batches: int = 0             # batches that ran a multi_get
-    coalesced_batches: int = 0   # batches serving >= 2 point-bearing requests
-    coalesced_requests: int = 0  # requests resolved inside those batches
-    batched_keys: int = 0        # point keys resolved through multi_get
+    batches: int = 0             # drained batches holding a point piece
+    batched_keys: int = 0        # point keys those batches read
+    # Never written: no two reads share a DB call.  Kept only while
+    # benchmarks/ledger/run.py derives serving.coalesced_share from it.
+    coalesced_requests: int = 0
     queue_waits: int = 0         # submits that blocked on max_queue_depth
     sheds: int = 0               # submits rejected with QueueFullError
     deadline_misses: int = 0     # requests failed with DeadlineExceededError
@@ -168,11 +160,9 @@ class ServingStats(CounterSet):
     breaker_recoveries: int = 0  # half_open -> closed transitions
     worker_leaks: int = 0        # batches still running past the close wait
     write_rejections: int = 0    # writes fast-failed by an open breaker
-    max_batch_requests: int = 0  # high-water: requests in one batch
-    max_batch_keys: int = 0      # high-water: point keys in one batch
-    max_queue_depth: int = 0     # high-water: queued requests
+    max_queue_depth: int = 0     # high-water: pieces a combiner took
 
-    _MAX_FIELDS = ("max_batch_requests", "max_batch_keys", "max_queue_depth")
+    _MAX_FIELDS = ("max_queue_depth",)
 
 
 @dataclass(frozen=True)
@@ -205,8 +195,8 @@ class _ScatterSink:
 
     Every read — ``get``, ``multi_get`` or ``range_query`` — is a scatter
     of zero or more per-shard pieces into one sink: one lock, a
-    countdown, and the read's future.  Each shard's batch deposits its
-    piece at its position and the last one to arrive combines and
+    countdown, and the read's future.  Each shard deposits its piece's
+    answer at its position and the last one to arrive combines and
     resolves; a sink with no pieces resolves at construction.  The first
     failure wins and resolves the future exceptionally; later pieces are
     dropped.  The sink is the only code that settles a read's future, so
@@ -291,9 +281,6 @@ class _Request:
         self.position = position
         self.deadline = deadline
 
-    def expired(self, now: float) -> bool:
-        return self.deadline is not None and now > self.deadline
-
 
 class _Shard:
     """One key-range shard: a ``DB`` and a request queue.
@@ -353,7 +340,6 @@ class _Shard:
         """Queue an admitted piece; True when the caller is now the
         shard's combiner and must :meth:`drain` it."""
         self._queue.append(request)
-        self.stats.observe_max("max_queue_depth", len(self._queue))
         if self._combining:
             return False
         self._combining = True
@@ -517,38 +503,37 @@ class _Shard:
                 raise
 
     def _next_batch(self) -> list[_Request] | None:
-        """Take what is queued as one batch, or stop combining.
+        """Take everything queued as one batch, or stop combining.
 
-        The batch is what piled up behind the previous one, up to
-        ``_MAX_BATCH_REQUESTS`` / ``_MAX_BATCH_KEYS``; requests whose
-        deadline already passed are failed fast here instead of joining
-        it (the batch may come back empty).  Returns None on an empty
-        queue, clearing the combiner flag in the same critical section,
-        so a piece queued after it finds the flag clear and combines.
+        Pieces whose deadline already passed are failed fast here instead
+        of joining the batch (it may come back empty).  Returns None on
+        an empty queue, clearing the combiner flag in the same critical
+        section, so a piece queued after it finds the flag clear and
+        combines.
         """
+        batch: list[_Request] = []
         expired: list[_Request] = []
         with self._cond:
-            if not self._queue:
+            depth = len(self._queue)
+            if not depth:
                 self._combining = False
                 self._inflight = []
                 if self._closed:
                     self._cond.notify_all()  # close() waits for this
                 return None
-            batch: list[_Request] = []
-            keys = 0
+            # Depth only grows between takes: this is its high-water mark.
+            if depth > self.stats.max_queue_depth:
+                self.stats.observe_max("max_queue_depth", depth)
+            if depth >= self.options.max_queue_depth:
+                self._cond.notify_all()  # submitters waiting for room
             now = time.monotonic()
-            while self._queue and len(batch) < _MAX_BATCH_REQUESTS:
-                request = self._queue[0]
-                if request.expired(now):
-                    expired.append(self._queue.popleft())
-                    continue
-                weight = 0 if request.keys is None else len(request.keys)
-                if batch and keys + weight > _MAX_BATCH_KEYS:
-                    break
-                batch.append(self._queue.popleft())
-                keys += weight
+            for request in self._queue:
+                if request.deadline is not None and now > request.deadline:
+                    expired.append(request)
+                else:
+                    batch.append(request)
+            self._queue.clear()
             self._inflight = batch
-            self._cond.notify_all()  # wake submitters blocked on depth
         if expired:
             self.stats.add(deadline_misses=len(expired))
             for request in expired:
@@ -560,41 +545,26 @@ class _Shard:
         return batch
 
     def _execute(self, batch: list[_Request]) -> None:
-        """Resolve one drained batch against the shard's DB.
+        """Run one drained batch against the shard's DB, piece by piece.
 
-        All point pieces share one ``multi_get`` (the coalescing payoff)
-        and each is handed its whole answer, which covers the piece's
-        keys; range pieces then run in arrival order.
+        Pieces run in arrival order, each its own read: a point piece is
+        one ``multi_get`` of its keys, a range piece one ``range_query``.
+        A read that raises fails only its own piece.
         """
-        self.stats.observe_max("max_batch_requests", len(batch))
-        point_requests = [r for r in batch if r.keys is not None]
-        point_keys = [key for r in point_requests for key in r.keys]
-        if point_keys:
-            self.stats.add(batches=1, batched_keys=len(point_keys))
-            self.stats.observe_max("max_batch_keys", len(point_keys))
-            if len(point_requests) >= 2:
-                self.stats.add(
-                    coalesced_batches=1,
-                    coalesced_requests=len(point_requests),
-                )
-            try:
-                values = self.db.multi_get(point_keys)
-            except Exception as exc:  # noqa: BLE001 - to callers
-                for request in point_requests:
-                    request.sink.fail(exc)
-            else:
-                for request in point_requests:
-                    request.sink.deliver(request.position, values)
+        keys = 0
         for request in batch:
-            if request.keys is not None:
-                continue
             try:
-                request.sink.deliver(
-                    request.position,
-                    self.db.range_query(request.low, request.high),
-                )
-            except Exception as exc:  # noqa: BLE001 - to callers
+                if request.keys is None:
+                    answer = self.db.range_query(request.low, request.high)
+                else:
+                    keys += len(request.keys)
+                    answer = self.db.multi_get(request.keys)
+            except Exception as exc:  # noqa: BLE001 - to that read's caller
                 request.sink.fail(exc)
+            else:
+                request.sink.deliver(request.position, answer)
+        if keys:
+            self.stats.add(batches=1, batched_keys=keys)
 
     def close(self) -> bool:
         """Refuse new pieces, wait for a running combiner, close the DB.
@@ -645,8 +615,8 @@ class ShardedServer:
     []
 
     Every read returns a :class:`concurrent.futures.Future`, so a
-    client can keep many requests in flight — which is exactly what
-    lets a batch pile up behind the one running on its shard.  A submit
+    client can keep many requests in flight, and they queue behind the
+    batch running on their shard.  A submit
     that finds its shard idle runs the batch before it returns, so the
     future may already be settled.  Every queued read accepts
     ``deadline_s`` (relative seconds; omitted, the read has no deadline).
@@ -764,7 +734,7 @@ class ShardedServer:
         """Async batched lookup; resolves to ``{key: bytes | None}``.
 
         Keys are split by owning shard; each shard answers its group with
-        one (possibly further coalesced) ``multi_get``.  No keys resolve
+        one ``multi_get``.  No keys resolve
         to ``{}`` without touching a shard.
         """
         deadline = self._admit(deadline_s)

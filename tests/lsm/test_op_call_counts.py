@@ -36,7 +36,12 @@ vector side of ``SCALAR_PROBE_MAX``.  It must stay under a third of the
 The serving pin is exact: what shedding, a deadline and the breaker add
 to a happy-path ``ShardedServer.put`` (4 calls: a closed breaker reads
 the DB's background error, taking no shard lock) and
-``get_async(...).result()`` (1: the deadline's clock read).
+``get_async(...).result()`` (1: the deadline's clock read).  The serving
+ceilings hold the tax of a combiner that runs each queued piece as its own
+DB read: 114.0 calls per served ``get``, 23.5 per key of a served 32-key
+``multi_get`` and 172.7 per served empty range (134.0, 24.8 and 186.7
+while a batch merged its point pieces into one ``multi_get`` under
+per-batch caps and counters).
 """
 
 import cProfile
@@ -55,6 +60,9 @@ RANGE_CEILING = 1986
 RANGE_ITER_CEILING = 1766
 ITERATOR_CEILING = 446
 MULTI_GET_KEY_CEILING = 8
+SERVED_GET_CEILING = 120
+SERVED_MULTI_GET_KEY_CEILING = 24.5
+SERVED_EMPTY_RANGE_CEILING = 180
 DEFENCE_PUT_CALLS = 4.0
 DEFENCE_GET_CALLS = 1.0
 
@@ -172,9 +180,10 @@ def test_calls_per_multi_get_key(tmp_path):
     assert 3 * per_key <= per_get, (per_key, per_get)
 
 
-def _serving_calls(path, defended: bool) -> tuple[float, float]:
-    """Calls per put and per warm get on a two-shard server, with every
-    defence on or every one off."""
+def _serving_calls(path, defended: bool) -> dict[str, float]:
+    """Calls per put, per warm get, per key of a warm 32-key ``multi_get``
+    and per warm empty range on a two-shard server, with every defence on
+    or every one off."""
     rng = random.Random("serving-defences")
     keys = rng.sample(range(1 << 32), 2000)
     deadline_s = 0.5 if defended else None
@@ -193,15 +202,46 @@ def _serving_calls(path, defended: bool) -> tuple[float, float]:
         def get(key):
             return server.get_async(key, deadline_s=deadline_s).result()
 
+        def multi_get(keys):
+            return server.multi_get_async(keys, deadline_s=deadline_s).result()
+
+        def range_query(low, high):
+            return server.range_query_async(
+                low, high, deadline_s=deadline_s
+            ).result()
+
+        groups = [(rng.sample(keys, 32),) for _ in range(100)]
+        stored = sorted(keys[:1000])
+        empty = [
+            (low + 1, min(high - 1, low + rng.randrange(1, 65)))
+            for low, high in zip(stored, stored[1:])
+        ]
         for (key,) in reads:  # warm
             get(key)
-        per_get = _calls_per_op(get, reads)
+        for (group,) in groups:
+            multi_get(group)
+        assert not any(range_query(low, high) for low, high in empty)
+        calls = {
+            "get": _calls_per_op(get, reads),
+            "multi_get_key": _calls_per_op(multi_get, groups) / 32,
+            "empty_range": _calls_per_op(range_query, empty),
+        }
         writes = [(key, rng.randbytes(64)) for key in keys[1000:]]
-        return _calls_per_op(server.put, writes), per_get
+        calls["put"] = _calls_per_op(server.put, writes)
+        return calls
 
 
 def test_calls_the_serving_defences_add(tmp_path):
-    put, get = _serving_calls(tmp_path / "defended", True)
-    bare_put, bare_get = _serving_calls(tmp_path / "undefended", False)
-    added = (round(put - bare_put, 6), round(get - bare_get, 6))
-    assert added == (DEFENCE_PUT_CALLS, DEFENCE_GET_CALLS), (put, get)
+    defended = _serving_calls(tmp_path / "defended", True)
+    bare = _serving_calls(tmp_path / "undefended", False)
+    added = tuple(
+        round(defended[op] - bare[op], 6) for op in ("put", "get")
+    )
+    assert added == (DEFENCE_PUT_CALLS, DEFENCE_GET_CALLS), defended
+
+
+def test_calls_per_served_read(tmp_path):
+    calls = _serving_calls(tmp_path, False)
+    assert calls["get"] <= SERVED_GET_CEILING, calls
+    assert calls["multi_get_key"] <= SERVED_MULTI_GET_KEY_CEILING, calls
+    assert calls["empty_range"] <= SERVED_EMPTY_RANGE_CEILING, calls

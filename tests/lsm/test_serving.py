@@ -1,4 +1,4 @@
-"""Serving layer: shard routing, equivalence with direct DB calls, coalescing.
+"""Serving layer: shard routing, equivalence with direct DB calls, batching.
 
 The contract under test: a :class:`~repro.lsm.serving.ShardedServer` is
 *observationally identical* to one DB holding the same data — every
@@ -16,7 +16,12 @@ import threading
 import pytest
 
 from repro.bench.factories import make_factory
-from repro.errors import ClosedStoreError, FilterQueryError, InvalidOptionsError
+from repro.errors import (
+    ClosedStoreError,
+    FilterQueryError,
+    InvalidOptionsError,
+    TransientIOError,
+)
 from repro.lsm.db import DB
 from repro.lsm.options import DBOptions
 from repro.lsm.serving import ServingOptions, ServingStats, ShardedServer
@@ -269,15 +274,12 @@ class TestCounterAggregation:
 
     def test_serving_stats_aggregate(self):
         parts = [
-            ServingStats(point_requests=3, batches=2, max_queue_depth=7,
-                         max_batch_keys=4),
-            ServingStats(point_requests=5, sheds=1, max_queue_depth=2,
-                         max_batch_keys=9),
+            ServingStats(point_requests=3, batches=2, max_queue_depth=7),
+            ServingStats(point_requests=5, sheds=1, max_queue_depth=2),
         ]
         total = ServingStats.aggregate(parts)
         assert (total.point_requests, total.batches, total.sheds) == (8, 2, 1)
-        assert (total.max_queue_depth, total.max_batch_keys) == (7, 9)
-        assert total.max_batch_requests == 0
+        assert total.max_queue_depth == 7
         assert ServingStats.aggregate([]) == ServingStats()
 
     def test_perf_totals(self, tmp_path):
@@ -289,17 +291,19 @@ class TestCounterAggregation:
         assert (totals.block_reads, totals.filter_probes) == (7, 10)
         assert totals.filter_negatives == 6
         # High-water fields take the max across shards, not the sum.
-        low.stats.observe_max("max_batch_requests", 3)
-        high.stats.observe_max("max_batch_requests", 2)
-        assert server.stats().max_batch_requests == 3
+        low.stats.observe_max("max_queue_depth", 3)
+        high.stats.observe_max("max_queue_depth", 2)
+        assert server.stats().max_queue_depth == 3
         server.close()
 
 
 # ----------------------------------------------------------------------
-# Coalescing, health, lifecycle
+# Batching, health, lifecycle
 # ----------------------------------------------------------------------
 class TestCoalescing:
-    def test_concurrent_points_coalesce_into_one_batch(self, tmp_path, rng):
+    def test_pieces_queued_behind_a_batch_run_each_as_its_own_read(
+        self, tmp_path, rng
+    ):
         server = _server(tmp_path, num_shards=2)
         half = DOMAIN // 2
         data = {key: b"v-%d" % key for key in rng.sample(range(half), 400)}
@@ -307,7 +311,14 @@ class TestCoalescing:
             server.put(key, value)
         server.flush()
         blocker = _wedge(server, 0)
-        del server.shards[0].multi_get  # the wedge's stub: later batches are real
+        db = server.shards[0]
+        del db.multi_get  # the wedge's stub: later batches are real
+        reads = []
+        multi_get, range_query = db.multi_get, db.range_query
+        db.multi_get = lambda keys: reads.append(keys) or multi_get(keys)
+        db.range_query = (
+            lambda lo, hi: reads.append((lo, hi)) or range_query(lo, hi)
+        )
         lookups = rng.sample(sorted(data), 32) + rng.sample(range(half), 32)
         gets = [server.get_async(key) for key in lookups]
         spans = [(0, 2000), (5000, 5010), (half - 3000, half - 1)]
@@ -319,19 +330,33 @@ class TestCoalescing:
             assert future.result(timeout=30) == sorted(
                 (k, v) for k, v in data.items() if lo <= k <= hi
             )
+        # One read per piece, in arrival order, all in the drain after
+        # the wedge's probe.
+        assert reads == [[key] for key in lookups] + spans
         stats = server.stats()
-        # The wedge's probe, then one multi_get for all 64.
-        assert (stats.batches, stats.coalesced_requests) == (2, 64)
-        assert stats.max_batch_requests == 67
+        assert (stats.batches, stats.batched_keys) == (2, 65)
+        assert stats.max_queue_depth == 67
         server.close()
 
-    def test_range_only_batch_counts_toward_high_water(self, tmp_path):
+    def test_a_failing_point_read_fails_only_its_own_read(self, tmp_path):
         server = _server(tmp_path, num_shards=2)
+        server.put(5, b"kept")
         blocker = _wedge(server, 0)
-        scans = [server.range_query_async(i, i + 9) for i in range(40)]
+        db = server.shards[0]
+        del db.multi_get  # the wedge's stub: later batches are real
+        multi_get, faults = db.multi_get, [TransientIOError("read failed")]
+
+        def first_read_fails(keys):
+            if faults:
+                raise faults.pop()
+            return multi_get(keys)
+
+        db.multi_get = first_read_fails
+        failing, served = server.get_async(3), server.get_async(5)
         blocker.release.set()
-        assert all(future.result(timeout=30) == [] for future in scans)
-        assert server.stats().max_batch_requests == 40
+        with pytest.raises(TransientIOError):
+            failing.result(timeout=30)
+        assert served.result(timeout=30) == b"kept"
         server.close()
 
     def test_idle_shard_serves_each_blocking_get_alone(self, tmp_path):
@@ -340,8 +365,8 @@ class TestCoalescing:
         for _ in range(25):
             assert server.get_async(7).result() == b"v"
         stats = server.stats()
-        assert (stats.batches, stats.coalesced_batches) == (25, 0)
-        assert stats.max_batch_requests == 1
+        assert (stats.batches, stats.batched_keys) == (25, 25)
+        assert stats.max_queue_depth == 1
         server.close()
 
     def test_multi_threaded_clients_get_correct_answers(self, tmp_path, rng):

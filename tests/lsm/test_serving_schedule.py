@@ -119,7 +119,8 @@ class _Schedule:
         self.reads: list[tuple] = []  # (future, op, piece count)
         self.dequeued: dict[int, tuple] = {}  # id -> (piece, clock)
         self.ran: dict[int, object] = {}  # id -> model read, or its error
-        self.batches: dict[int, tuple] = {}  # shard -> (points, ranges)
+        self.batches: dict[int, deque] = {}  # shard -> pieces yet to read
+        self.shared_batches = 0  # dequeued batches holding >= 2 pieces
         self.outcomes: Counter = Counter()  # futures by error type
         self.violations: list[str] = []
         self.trace: list[str] = []
@@ -138,26 +139,26 @@ class _Schedule:
                 if id(piece) not in left:
                     self.dequeued[id(piece)] = (piece, now)
             if batch is not None:
-                self.batches[shard.index] = (
-                    [r for r in batch if r.keys is not None],
-                    deque(r for r in batch if r.keys is None),
-                )
+                self.batches[shard.index] = deque(batch)
+                self.shared_batches += len(batch) >= 2
             return batch
 
         def points(keys):
-            return self._read_db(self.batches[shard.index][0], multi_get, keys)
+            piece = self.batches[shard.index].popleft()
+            assert piece.keys == keys  # else never ran
+            return self._read_db(piece, multi_get, keys)
 
         def scan(low, high):
-            piece = self.batches[shard.index][1].popleft()
+            piece = self.batches[shard.index].popleft()
             assert (piece.low, piece.high) == (low, high)  # else never ran
-            return self._read_db([piece], range_query, low, high)
+            return self._read_db(piece, range_query, low, high)
 
         shard._next_batch, db.multi_get, db.range_query = dequeue, points, scan
 
-    def _read_db(self, pieces, read, *args):
-        """One DB read of a running batch: the seed's interleaved steps,
-        then the read; each piece notes the model it must answer from, or
-        the error it met."""
+    def _read_db(self, piece, read, *args):
+        """One piece's DB read: the seed's interleaved steps, then the
+        read; the piece notes the model it must answer from, or the error
+        it met."""
         self._interleave()
         outcome = dict(self.model)
         try:
@@ -168,8 +169,7 @@ class _Schedule:
             outcome = exc
             raise
         finally:
-            for piece in pieces:
-                self.ran[id(piece)] = outcome
+            self.ran[id(piece)] = outcome
 
     def _interleave(self) -> None:
         if self.depth < MAX_NESTING:
@@ -329,15 +329,16 @@ class _Schedule:
 def test_seeded_schedules_keep_the_serving_contract(
     tmp_path, virtual_clock, config
 ) -> None:
-    totals, outcomes = ServingStats(), Counter()
+    totals, outcomes, shared_batches = ServingStats(), Counter(), 0
     for seed in range(SEEDS_PER_CONFIG):
         path = tmp_path / str(seed)
         schedule = _Schedule(seed, config, path, virtual_clock).run()
         assert not schedule.violations, f"{config} seed {seed}"
         totals = ServingStats.aggregate([totals, schedule.server.stats()])
         outcomes.update(schedule.outcomes)
+        shared_batches += schedule.shared_batches
     # The seeds reach every path the contract names.
-    assert totals.coalesced_batches and totals.deadline_misses
+    assert shared_batches and totals.deadline_misses
     assert outcomes[DeadlineExceededError] and outcomes[TransientIOError]
     assert bool(totals.sheds) == (CONFIGS[config].get("queue_policy") == "shed")
     assert totals.queue_waits == 0
